@@ -1,7 +1,7 @@
 // Vectorized dense channel kernel: scalar backend versus the best SIMD
 // backend available on this host, single-threaded (the SIMD win must not
-// hide behind thread-pool scaling) with digest memoization and incremental
-// evaluation disabled so every run exercises the dense kernels.
+// hide behind thread-pool scaling) with digest memoization disabled
+// (SURFOS_EVAL_CACHE=0) so every run exercises the dense kernels.
 //
 // Sections on a Fig-5-sized scene (3.5 m room, 20x20 element-wise surface,
 // 14x14 RX grid): SceneChannel construction (precompute), power_map, and
@@ -16,13 +16,14 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_meta.hpp"
+#include "core/config.hpp"
 #include "em/soa.hpp"
 #include "sim/channel.hpp"
 #include "sim/floorplan.hpp"
-#include "sim/incremental.hpp"
 #include "surface/panel.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -90,8 +91,9 @@ int main(int argc, char** argv) {
 
   // Single-threaded, dense-path-only: the comparison is kernel vs kernel.
   util::reset_global_pool(1);
-  sim::set_eval_cache_capacity(0);
-  sim::set_incremental_enabled(false);
+  core::Config config = core::Config::from_env();
+  (void)config.set("SURFOS_EVAL_CACHE", 0);
+  core::install_config(std::move(config));
 
   const simd::Backend best = simd::ops().backend;
   if (best == simd::Backend::kScalar) {
@@ -173,5 +175,6 @@ int main(int argc, char** argv) {
   }
   out << "  ]\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
+  core::clear_config();
   return 0;
 }

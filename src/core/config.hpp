@@ -63,7 +63,7 @@ inline constexpr KnobSpec kKnobRegistry[] = {
     {"SURFOS_ADMIT_QUEUE", 1, KnobReload::kPerSubmit,
      "bounded admission-queue capacity per broker"},
     {"SURFOS_EVAL_CACHE", 0, KnobReload::kConstruction,
-     "incremental channel-eval memo entries (0 = off)"},
+     "digest-memo entries per objective and channel (0 = off)"},
     {"SURFOS_TRACE_BUFFER", 1, KnobReload::kConstruction,
      "flight-recorder ring capacity in events"},
     {"SURFOS_HAL_BATCH", 0, KnobReload::kConstruction,

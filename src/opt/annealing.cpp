@@ -14,7 +14,7 @@ namespace surfos::opt {
 // pool size is 1. Once a long rejection streak shows the chain has settled
 // into reject-mostly behaviour, candidates are speculated in fixed-size
 // pools from the current state and evaluated together through
-// Objective::value_delta_batch (parallel for thread-safe objectives); accept
+// Objective::value_batch (parallel for thread-safe objectives); accept
 // decisions replay in candidate order and the rest of a pool is discarded
 // after the first acceptance, since later candidates were speculated
 // against a stale base. Pool sizes and every RNG draw are independent of
@@ -44,6 +44,7 @@ OptimizeResult SimulatedAnnealing::minimize(const Objective& objective,
   std::vector<std::size_t> coords;
   std::vector<double> proposals;
   std::vector<double> temps;
+  std::vector<std::vector<double>> candidates;
   std::vector<double> values;
   while (result.evaluations < options_.max_evaluations) {
     ++result.iterations;
@@ -55,22 +56,23 @@ OptimizeResult SimulatedAnnealing::minimize(const Objective& objective,
     coords.resize(batch);
     proposals.resize(batch);
     temps.resize(batch);
+    candidates.resize(batch);
     values.assign(batch, 0.0);
     // Proposal draws happen here, sequentially, before any (possibly
     // parallel) evaluation; temperature cools once per evaluation as in the
     // sequential algorithm. Acceptance uniforms are drawn lazily below, on
     // the calling thread, preserving the sequential algorithm's RNG stream
     // exactly whenever the pool size is 1. Every candidate is a
-    // single-coordinate move off x, so the pool is evaluated through
-    // value_delta_batch: no per-candidate copies of x, and incremental
-    // objectives answer each probe with a rank-1 channel update.
+    // single-coordinate move off x.
     for (std::size_t k = 0; k < batch; ++k) {
       coords[k] = static_cast<std::size_t>(rng.below(x.size()));
       proposals[k] = x[coords[k]] + options_.sigma * temperature * rng.normal();
       temps[k] = temperature;
       temperature *= options_.cooling;
+      candidates[k].assign(x.begin(), x.end());
+      candidates[k][coords[k]] = proposals[k];
     }
-    objective.value_delta_batch(x, value, coords, proposals, values);
+    objective.value_batch(candidates, values);
     result.evaluations += batch;
     for (std::size_t k = 0; k < batch; ++k) {
       const bool accept =

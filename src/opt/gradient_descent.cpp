@@ -55,11 +55,9 @@ OptimizeResult GradientDescent::minimize(const Objective& objective,
       result.converged = true;
       break;
     }
-    // The accepted line-search probe already evaluated value(result.x), so
-    // only the gradient is missing — gradient_at skips the base re-eval a
-    // full value_and_gradient would repeat (one dense sweep per iteration
-    // for finite-difference objectives).
-    objective.gradient_at(result.x, value, gradient);
+    // Only the gradient is new: the returned value repeats the accepted
+    // line-search probe's, which stays authoritative.
+    objective.value_and_gradient(result.x, gradient);
     ++result.evaluations;
   }
   result.value = value;

@@ -4,99 +4,37 @@
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
-#include "util/digest.hpp"
 #include "util/thread_pool.hpp"
 
 namespace surfos::opt {
-
-namespace {
-
-// Reentrancy guard for thread-local scratch buffers: if an objective's
-// value() recursively lands back in value_delta on the same thread (e.g. a
-// wrapper objective probing its wrapped term), the inner call must not
-// clobber the outer call's scratch.
-struct ScopedFlag {
-  explicit ScopedFlag(bool& flag) : flag_(flag) { flag_ = true; }
-  ~ScopedFlag() { flag_ = false; }
-  bool& flag_;
-};
-
-}  // namespace
 
 double Objective::value_and_gradient(std::span<const double> x,
                                      std::span<double> gradient) const {
   if (gradient.size() != x.size()) {
     throw std::invalid_argument("Objective: gradient size mismatch");
   }
-  // Base value once, up front; the probes in gradient_at never revisit x.
   const double base = value(x);
-  gradient_at(x, base, gradient);
-  return base;
-}
-
-void Objective::gradient_at(std::span<const double> x, double base_value,
-                            std::span<double> gradient) const {
-  if (gradient.size() != x.size()) {
-    throw std::invalid_argument("Objective: gradient size mismatch");
-  }
   SURFOS_TRACE_SPAN("opt.objective.fd_gradient");
   const double h = fd_step();
-  if (thread_safe() && x.size() > 1) {
-    // 2n independent probes; each coordinate writes only gradient[i].
-    util::global_pool().run_chunked(
-        0, x.size(), [&](std::size_t b, std::size_t e) {
-          for (std::size_t i = b; i < e; ++i) {
-            const double plus = value_delta(x, base_value, i, x[i] + h);
-            const double minus = value_delta(x, base_value, i, x[i] - h);
-            gradient[i] = (plus - minus) / (2.0 * h);
-          }
-        });
-    return;
-  }
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double plus = value_delta(x, base_value, i, x[i] + h);
-    const double minus = value_delta(x, base_value, i, x[i] - h);
-    gradient[i] = (plus - minus) / (2.0 * h);
-  }
-}
-
-double Objective::value_delta(std::span<const double> base,
-                              double /*base_value*/, std::size_t coord,
-                              double coord_value) const {
-  if (coord >= base.size()) {
-    throw std::out_of_range("Objective: value_delta coordinate");
-  }
-  thread_local std::vector<double> scratch;
-  thread_local bool scratch_in_use = false;
-  if (scratch_in_use) {
-    std::vector<double> probe(base.begin(), base.end());
-    probe[coord] = coord_value;
-    return value(probe);
-  }
-  ScopedFlag guard(scratch_in_use);
-  scratch.assign(base.begin(), base.end());
-  scratch[coord] = coord_value;
-  return value(scratch);
-}
-
-void Objective::value_delta_batch(std::span<const double> base,
-                                  double base_value,
-                                  std::span<const std::size_t> coords,
-                                  std::span<const double> coord_values,
-                                  std::span<double> out) const {
-  if (coords.size() != coord_values.size() || out.size() != coords.size()) {
-    throw std::invalid_argument("Objective: delta batch size mismatch");
-  }
-  SURFOS_TRACE_SPAN("opt.objective.value_delta_batch");
-  if (thread_safe()) {
-    util::parallel_for(0, coords.size(), [&](std::size_t k) {
-      out[k] = value_delta(base, base_value, coords[k], coord_values[k]);
-    });
-  } else {
-    for (std::size_t k = 0; k < coords.size(); ++k) {
-      out[k] = value_delta(base, base_value, coords[k], coord_values[k]);
+  // Each chunk probes its coordinates off a private copy of x (restored
+  // after every coordinate) and writes only gradient[i].
+  const auto probe = [&](std::size_t b, std::size_t e) {
+    std::vector<double> point(x.begin(), x.end());
+    for (std::size_t i = b; i < e; ++i) {
+      point[i] = x[i] + h;
+      const double plus = value(point);
+      point[i] = x[i] - h;
+      const double minus = value(point);
+      point[i] = x[i];
+      gradient[i] = (plus - minus) / (2.0 * h);
     }
+  };
+  if (thread_safe() && x.size() > 1) {
+    util::global_pool().run_chunked(0, x.size(), probe);
+  } else {
+    probe(0, x.size());
   }
+  return base;
 }
 
 void Objective::value_batch(std::span<const std::vector<double>> xs,
@@ -137,32 +75,10 @@ double WeightedSumObjective::value(std::span<const double> x) const {
 
 double WeightedSumObjective::value_and_gradient(
     std::span<const double> x, std::span<double> gradient) const {
-  return accumulate_gradient(x, gradient);
-}
-
-void WeightedSumObjective::gradient_at(std::span<const double> x,
-                                       double /*base_value*/,
-                                       std::span<double> gradient) const {
-  // The aggregate base value is useless to a term (it cannot be split back
-  // into per-term values), so each term re-derives its own base through its
-  // value_and_gradient — a memo hit for digest-cached objectives.
-  accumulate_gradient(x, gradient);
-}
-
-double WeightedSumObjective::accumulate_gradient(
-    std::span<const double> x, std::span<double> gradient) const {
   if (gradient.size() != x.size()) {
     throw std::invalid_argument("WeightedSumObjective: gradient size");
   }
-  // Scratch for per-term gradients, reused across the step loop's repeated
-  // calls instead of allocated fresh each time.
-  thread_local std::vector<double> partial_scratch;
-  thread_local bool partial_in_use = false;
-  std::vector<double> partial_local;
-  std::vector<double>& partial =
-      partial_in_use ? partial_local : partial_scratch;
-  ScopedFlag guard(partial_in_use);
-  partial.assign(x.size(), 0.0);
+  std::vector<double> partial(x.size());
   std::fill(gradient.begin(), gradient.end(), 0.0);
   double sum = 0.0;
   for (const auto& [objective, weight] : terms_) {
@@ -170,42 +86,6 @@ double WeightedSumObjective::accumulate_gradient(
     for (std::size_t i = 0; i < x.size(); ++i) {
       gradient[i] += weight * partial[i];
     }
-  }
-  return sum;
-}
-
-double WeightedSumObjective::value_delta(std::span<const double> base,
-                                         double /*base_value*/,
-                                         std::size_t coord,
-                                         double coord_value) const {
-  // Per-thread single-entry cache of the per-term values at `base`. All
-  // probes of one FD gradient (or one annealing sweep) share a base, so the
-  // terms are evaluated there once per thread, then every probe is answered
-  // via the terms' own value_delta paths.
-  struct TermBaseCache {
-    const void* owner = nullptr;
-    util::ConfigDigest key{};
-    std::vector<double> term_values;
-  };
-  thread_local TermBaseCache cache;
-  const util::ConfigDigest key = util::digest_values(base);
-  if (cache.owner != this || !(cache.key == key) ||
-      cache.term_values.size() != terms_.size()) {
-    std::vector<double> values(terms_.size());
-    for (std::size_t t = 0; t < terms_.size(); ++t) {
-      values[t] = terms_[t].first->value(base);
-    }
-    cache.owner = this;
-    cache.key = key;
-    cache.term_values = std::move(values);
-  }
-  // Snapshot before probing: a term that is itself a WeightedSumObjective
-  // reuses this thread's cache slot and would clobber it mid-loop.
-  const std::vector<double> term_values = cache.term_values;
-  double sum = 0.0;
-  for (std::size_t t = 0; t < terms_.size(); ++t) {
-    sum += terms_[t].second * terms_[t].first->value_delta(
-                                  base, term_values[t], coord, coord_value);
   }
   return sum;
 }

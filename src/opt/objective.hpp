@@ -29,43 +29,11 @@ class Objective {
   /// Loss at x.
   virtual double value(std::span<const double> x) const = 0;
 
-  /// Loss and gradient. Default: the base value is computed once up front
-  /// and reused as the return value, then gradient_at() fills the gradient
-  /// via 2n central-finite-difference probes (in parallel when
-  /// thread_safe(); analytic overrides in the orchestrator are ~2n times
-  /// faster either way).
+  /// Loss and gradient. Default: the base value once, then 2n
+  /// central-finite-difference probes (in parallel when thread_safe();
+  /// analytic overrides in the orchestrator are ~2n times faster either way).
   virtual double value_and_gradient(std::span<const double> x,
                                     std::span<double> gradient) const;
-
-  /// Gradient at `x` when `base_value == value(x)` is already known — lets
-  /// callers that just evaluated x (line searches, step loops) skip the
-  /// redundant base re-evaluation. Default: 2n central-finite-difference
-  /// probes routed through value_delta(), so objectives with incremental
-  /// evaluation answer each probe with a rank-1 update instead of a dense
-  /// re-sweep.
-  virtual void gradient_at(std::span<const double> x, double base_value,
-                           std::span<double> gradient) const;
-
-  /// Loss at `base` with the single coordinate `coord` replaced by
-  /// `coord_value` — the primitive behind FD gradient probes and
-  /// single-coordinate annealing moves. `base_value == value(base)` is
-  /// already known to the caller; incremental overrides (orchestrator
-  /// channel objectives) exploit it via rank-1 channel updates. Default:
-  /// copies base into a thread-local scratch vector (no per-probe
-  /// allocation) and calls value().
-  virtual double value_delta(std::span<const double> base, double base_value,
-                             std::size_t coord, double coord_value) const;
-
-  /// Batch of single-coordinate probes off one shared base:
-  /// out[k] = value_delta(base, base_value, coords[k], coord_values[k]).
-  /// Default fans out on the thread pool when thread_safe(); out[k] depends
-  /// only on (base, coords[k], coord_values[k]), so results are order- and
-  /// thread-count-independent.
-  virtual void value_delta_batch(std::span<const double> base,
-                                 double base_value,
-                                 std::span<const std::size_t> coords,
-                                 std::span<const double> coord_values,
-                                 std::span<double> out) const;
 
   /// Evaluates a batch of points: out[k] = value(xs[k]). Default fans the
   /// loop out on the thread pool when thread_safe(), else runs serially;
@@ -116,24 +84,10 @@ class WeightedSumObjective final : public Objective {
   /// no term is evaluated twice at the base point.
   double value_and_gradient(std::span<const double> x,
                             std::span<double> gradient) const override;
-  /// Routes each term through its own gradient path (analytic overrides,
-  /// rank-1 probes, ...) rather than finite-differencing the aggregate.
-  void gradient_at(std::span<const double> x, double base_value,
-                   std::span<double> gradient) const override;
-  /// Probes each term through its own value_delta. Per-term base values are
-  /// recovered from a per-thread single-entry cache keyed by a digest of
-  /// `base` (the aggregate `base_value` cannot be split back into terms), so
-  /// repeated probes off one base — the FD gradient, an annealing sweep —
-  /// evaluate each term at the base point once, not once per probe.
-  double value_delta(std::span<const double> base, double base_value,
-                     std::size_t coord, double coord_value) const override;
   /// Thread-safe exactly when every term is.
   bool thread_safe() const override;
 
  private:
-  double accumulate_gradient(std::span<const double> x,
-                             std::span<double> gradient) const;
-
   std::vector<std::pair<const Objective*, double>> terms_;
 };
 

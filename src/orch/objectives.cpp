@@ -6,7 +6,7 @@
 
 #include "em/soa.hpp"
 #include "sense/steering.hpp"
-#include "sim/incremental.hpp"
+#include "sim/digest_memo.hpp"
 #include "util/digest.hpp"
 #include "util/thread_pool.hpp"
 
@@ -30,45 +30,18 @@ void check(const void* channel, const void* variables) {
   }
 }
 
-/// Builds the per-objective linear-response cache, declaring each panel's
-/// element -> control-group mapping so rank-1 probes can move a whole shared
-/// control group at once.
-std::unique_ptr<sim::ChannelEvalCache> make_eval_cache(
-    const sim::SceneChannel* channel, const PanelVariables* variables) {
-  auto cache = std::make_unique<sim::ChannelEvalCache>(channel);
-  for (std::size_t p = 0; p < variables->panel_count(); ++p) {
-    const std::size_t n = variables->panel(p).element_count();
-    std::vector<std::uint32_t> group_of(n);
-    for (std::size_t e = 0; e < n; ++e) {
-      group_of[e] = static_cast<std::uint32_t>(variables->control_of(p, e));
-    }
-    cache->set_grouping(p, std::move(group_of),
-                        variables->panel(p).control_count());
-  }
-  return cache;
-}
-
-std::vector<double> panel_losses(const PanelVariables* variables) {
-  std::vector<double> losses(variables->panel_count());
-  for (std::size_t p = 0; p < losses.size(); ++p) {
-    losses[p] = variables->panel_loss(p);
-  }
-  return losses;
-}
-
-/// Ensures `cache` is based on the digest of `base`, mapping the flat
-/// variable vector to coefficients only on a base change. Returns the digest
-/// (also the value-memo key for this x).
-util::ConfigDigest ensure_based(sim::ChannelEvalCache& cache,
-                                const PanelVariables& variables,
-                                std::span<const double> base) {
-  const util::ConfigDigest key = util::digest_values(base);
-  if (!cache.based_on(key)) {
-    thread_local std::vector<em::CVec> coeff_scratch;
-    variables.coefficients_into(base, coeff_scratch);
-    cache.rebase(key, coeff_scratch);
-  }
-  return key;
+/// Digest-memoized scalar evaluation: the stored value for x on a hit,
+/// otherwise `compute()`, stored under x's digest (SURFOS_EVAL_CACHE).
+template <typename Compute>
+double memoized(sim::DigestMemo& memo, std::span<const double> x,
+                Compute&& compute) {
+  if (memo.capacity() == 0) return compute();
+  const util::ConfigDigest key = util::digest_values(x);
+  double cached = 0.0;
+  if (memo.lookup(key, cached)) return cached;
+  const double result = compute();
+  memo.store(key, result);
+  return result;
 }
 
 /// Copies the quantized per-panel coefficients into SoA planes for the
@@ -118,8 +91,7 @@ CapacityObjective::CapacityObjective(const sim::SceneChannel* channel,
     throw std::invalid_argument("CapacityObjective: no RX indices");
   }
   if (rho_ <= 0.0) throw std::invalid_argument("CapacityObjective: rho <= 0");
-  panel_loss_ = panel_losses(variables_);
-  cache_ = make_eval_cache(channel_, variables_);
+  memo_ = std::make_unique<sim::DigestMemo>();
 }
 
 CapacityObjective::~CapacityObjective() = default;
@@ -129,52 +101,21 @@ std::size_t CapacityObjective::dimension() const {
 }
 
 double CapacityObjective::value(std::span<const double> x) const {
-  const bool use_memo =
-      sim::incremental_enabled() && cache_->memo().capacity() > 0;
-  util::ConfigDigest key{};
-  if (use_memo) {
-    key = util::digest_values(x);
-    double cached = 0.0;
-    if (cache_->memo().lookup(key, cached)) return cached;
-  }
-  thread_local std::vector<em::CVec> coeff_scratch;
-  thread_local std::vector<em::CxPlanes> coeff_planes;
-  variables_->coefficients_into(x, coeff_scratch);
-  to_planes(coeff_scratch, coeff_planes);
-  const auto& coefficients = coeff_planes;
-  std::vector<double> powers(rx_indices_.size());
-  util::parallel_for(0, rx_indices_.size(), [&](std::size_t k) {
-    powers[k] =
-        std::norm(channel_->evaluate_planes(rx_indices_[k], coefficients));
+  return memoized(*memo_, x, [&] {
+    thread_local std::vector<em::CVec> coeff_scratch;
+    thread_local std::vector<em::CxPlanes> coeff_planes;
+    variables_->coefficients_into(x, coeff_scratch);
+    to_planes(coeff_scratch, coeff_planes);
+    const auto& coefficients = coeff_planes;
+    std::vector<double> powers(rx_indices_.size());
+    util::parallel_for(0, rx_indices_.size(), [&](std::size_t k) {
+      powers[k] =
+          std::norm(channel_->evaluate_planes(rx_indices_[k], coefficients));
+    });
+    double sum = 0.0;
+    for (const double power : powers) sum += std::log2(1.0 + rho_ * power);
+    return -sign_ * sum / static_cast<double>(rx_indices_.size());
   });
-  double sum = 0.0;
-  for (const double power : powers) sum += std::log2(1.0 + rho_ * power);
-  const double result = -sign_ * sum / static_cast<double>(rx_indices_.size());
-  if (use_memo) cache_->memo().store(key, result);
-  return result;
-}
-
-void CapacityObjective::gradient_at(std::span<const double> x,
-                                    double /*base_value*/,
-                                    std::span<double> gradient) const {
-  value_and_gradient(x, gradient);
-}
-
-double CapacityObjective::value_delta(std::span<const double> base,
-                                      double base_value, std::size_t coord,
-                                      double coord_value) const {
-  if (!sim::incremental_enabled()) {
-    return opt::Objective::value_delta(base, base_value, coord, coord_value);
-  }
-  ensure_based(*cache_, *variables_, base);
-  const auto [p, control] = variables_->locate(coord);
-  const em::Cx new_c = std::polar(panel_loss_[p], coord_value);
-  double sum = 0.0;
-  for (const std::size_t j : rx_indices_) {
-    const double power = std::norm(cache_->evaluate_delta(j, p, control, new_c));
-    sum += std::log2(1.0 + rho_ * power);
-  }
-  return -sign_ * sum / static_cast<double>(rx_indices_.size());
 }
 
 double CapacityObjective::value_and_gradient(std::span<const double> x,
@@ -232,8 +173,7 @@ PowerDeliveryObjective::PowerDeliveryObjective(
     throw std::invalid_argument("PowerDeliveryObjective: no RX indices");
   }
   if (p0_ <= 0.0) throw std::invalid_argument("PowerDeliveryObjective: p0 <= 0");
-  panel_loss_ = panel_losses(variables_);
-  cache_ = make_eval_cache(channel_, variables_);
+  memo_ = std::make_unique<sim::DigestMemo>();
 }
 
 PowerDeliveryObjective::~PowerDeliveryObjective() = default;
@@ -243,52 +183,21 @@ std::size_t PowerDeliveryObjective::dimension() const {
 }
 
 double PowerDeliveryObjective::value(std::span<const double> x) const {
-  const bool use_memo =
-      sim::incremental_enabled() && cache_->memo().capacity() > 0;
-  util::ConfigDigest key{};
-  if (use_memo) {
-    key = util::digest_values(x);
-    double cached = 0.0;
-    if (cache_->memo().lookup(key, cached)) return cached;
-  }
-  thread_local std::vector<em::CVec> coeff_scratch;
-  thread_local std::vector<em::CxPlanes> coeff_planes;
-  variables_->coefficients_into(x, coeff_scratch);
-  to_planes(coeff_scratch, coeff_planes);
-  const auto& coefficients = coeff_planes;
-  std::vector<double> powers(rx_indices_.size());
-  util::parallel_for(0, rx_indices_.size(), [&](std::size_t k) {
-    powers[k] =
-        std::norm(channel_->evaluate_planes(rx_indices_[k], coefficients));
+  return memoized(*memo_, x, [&] {
+    thread_local std::vector<em::CVec> coeff_scratch;
+    thread_local std::vector<em::CxPlanes> coeff_planes;
+    variables_->coefficients_into(x, coeff_scratch);
+    to_planes(coeff_scratch, coeff_planes);
+    const auto& coefficients = coeff_planes;
+    std::vector<double> powers(rx_indices_.size());
+    util::parallel_for(0, rx_indices_.size(), [&](std::size_t k) {
+      powers[k] =
+          std::norm(channel_->evaluate_planes(rx_indices_[k], coefficients));
+    });
+    double sum = 0.0;
+    for (const double power : powers) sum += power;
+    return -sum / (p0_ * static_cast<double>(rx_indices_.size()));
   });
-  double sum = 0.0;
-  for (const double power : powers) sum += power;
-  const double result = -sum / (p0_ * static_cast<double>(rx_indices_.size()));
-  if (use_memo) cache_->memo().store(key, result);
-  return result;
-}
-
-void PowerDeliveryObjective::gradient_at(std::span<const double> x,
-                                         double /*base_value*/,
-                                         std::span<double> gradient) const {
-  value_and_gradient(x, gradient);
-}
-
-double PowerDeliveryObjective::value_delta(std::span<const double> base,
-                                           double base_value,
-                                           std::size_t coord,
-                                           double coord_value) const {
-  if (!sim::incremental_enabled()) {
-    return opt::Objective::value_delta(base, base_value, coord, coord_value);
-  }
-  ensure_based(*cache_, *variables_, base);
-  const auto [p, control] = variables_->locate(coord);
-  const em::Cx new_c = std::polar(panel_loss_[p], coord_value);
-  double sum = 0.0;
-  for (const std::size_t j : rx_indices_) {
-    sum += std::norm(cache_->evaluate_delta(j, p, control, new_c));
-  }
-  return -sum / (p0_ * static_cast<double>(rx_indices_.size()));
 }
 
 double PowerDeliveryObjective::value_and_gradient(
@@ -366,31 +275,18 @@ std::size_t LocalizationObjective::dimension() const {
 }
 
 double LocalizationObjective::value(std::span<const double> x) const {
-  const bool use_memo = sim::incremental_enabled() && memo_->capacity() > 0;
-  util::ConfigDigest key{};
-  if (use_memo) {
-    key = util::digest_values(x);
-    double cached = 0.0;
-    if (memo_->lookup(key, cached)) return cached;
-  }
-  thread_local std::vector<em::CVec> coeff_scratch;
-  variables_->coefficients_into(x, coeff_scratch);
-  const em::CVec& c = coeff_scratch[sensing_panel_];
-  std::vector<double> losses(rx_indices_.size());
-  util::parallel_for(0, rx_indices_.size(), [&](std::size_t k) {
-    losses[k] = model_->loss(c, g_cache_[k], targets_[k]);
+  return memoized(*memo_, x, [&] {
+    thread_local std::vector<em::CVec> coeff_scratch;
+    variables_->coefficients_into(x, coeff_scratch);
+    const em::CVec& c = coeff_scratch[sensing_panel_];
+    std::vector<double> losses(rx_indices_.size());
+    util::parallel_for(0, rx_indices_.size(), [&](std::size_t k) {
+      losses[k] = model_->loss(c, g_cache_[k], targets_[k]);
+    });
+    double sum = 0.0;
+    for (const double loss : losses) sum += loss;
+    return sum / static_cast<double>(rx_indices_.size());
   });
-  double sum = 0.0;
-  for (const double loss : losses) sum += loss;
-  const double result = sum / static_cast<double>(rx_indices_.size());
-  if (use_memo) memo_->store(key, result);
-  return result;
-}
-
-void LocalizationObjective::gradient_at(std::span<const double> x,
-                                        double /*base_value*/,
-                                        std::span<double> gradient) const {
-  value_and_gradient(x, gradient);
 }
 
 double LocalizationObjective::value_and_gradient(

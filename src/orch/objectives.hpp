@@ -14,7 +14,6 @@
 #include "sim/channel.hpp"
 
 namespace surfos::sim {
-class ChannelEvalCache;
 class DigestMemo;
 }  // namespace surfos::sim
 
@@ -41,21 +40,12 @@ class CapacityObjective final : public opt::Objective {
   double value(std::span<const double> x) const override;
   double value_and_gradient(std::span<const double> x,
                             std::span<double> gradient) const override;
-  /// Analytic: the known base value adds nothing, delegate to the full pass.
-  void gradient_at(std::span<const double> x, double base_value,
-                   std::span<double> gradient) const override;
-  /// Rank-1 incremental probe through ChannelEvalCache (SURFOS_INCREMENTAL):
-  /// a single-coordinate move re-evaluates each RX in O(1) off the cached
-  /// linear response instead of re-sweeping every element and cascade.
-  double value_delta(std::span<const double> base, double base_value,
-                     std::size_t coord, double coord_value) const override;
   /// Evaluation only reads the immutable channel/variables structure; the
-  /// incremental cache synchronizes internally.
+  /// value memo synchronizes internally.
   bool thread_safe() const override { return true; }
 
-  /// Incremental-evaluation statistics (rebases / rx fills / delta evals and
-  /// the value memo counters) for tests and benches.
-  const sim::ChannelEvalCache& eval_cache() const noexcept { return *cache_; }
+  /// The value memo behind value() (stats; tests).
+  const sim::DigestMemo& memo() const noexcept { return *memo_; }
 
  private:
   const sim::SceneChannel* channel_;
@@ -63,8 +53,7 @@ class CapacityObjective final : public opt::Objective {
   std::vector<std::size_t> rx_indices_;
   double rho_;
   double sign_;
-  std::vector<double> panel_loss_;
-  mutable std::unique_ptr<sim::ChannelEvalCache> cache_;
+  std::unique_ptr<sim::DigestMemo> memo_;
 };
 
 /// Received-power objective for wireless charging:
@@ -83,25 +72,16 @@ class PowerDeliveryObjective final : public opt::Objective {
   double value(std::span<const double> x) const override;
   double value_and_gradient(std::span<const double> x,
                             std::span<double> gradient) const override;
-  /// Analytic: the known base value adds nothing, delegate to the full pass.
-  void gradient_at(std::span<const double> x, double base_value,
-                   std::span<double> gradient) const override;
-  /// Rank-1 incremental probe, like CapacityObjective::value_delta.
-  double value_delta(std::span<const double> base, double base_value,
-                     std::size_t coord, double coord_value) const override;
   /// Evaluation only reads the immutable channel/variables structure; the
-  /// incremental cache synchronizes internally.
+  /// value memo synchronizes internally.
   bool thread_safe() const override { return true; }
-
-  const sim::ChannelEvalCache& eval_cache() const noexcept { return *cache_; }
 
  private:
   const sim::SceneChannel* channel_;
   const PanelVariables* variables_;
   std::vector<std::size_t> rx_indices_;
   double p0_;
-  std::vector<double> panel_loss_;
-  mutable std::unique_ptr<sim::ChannelEvalCache> cache_;
+  std::unique_ptr<sim::DigestMemo> memo_;
 };
 
 /// Localization objective: mean cross-entropy between each probe location's
@@ -119,15 +99,10 @@ class LocalizationObjective final : public opt::Objective {
   ~LocalizationObjective() override;
 
   std::size_t dimension() const override;
-  /// Digest-memoized (the beamscan spectrum is nonlinear in the sensing
-  /// panel's coefficients, so there is no rank-1 path — only full-value
-  /// memoization applies).
+  /// Digest-memoized, like CapacityObjective::value.
   double value(std::span<const double> x) const override;
   double value_and_gradient(std::span<const double> x,
                             std::span<double> gradient) const override;
-  /// Analytic: the known base value adds nothing, delegate to the full pass.
-  void gradient_at(std::span<const double> x, double base_value,
-                   std::span<double> gradient) const override;
   /// Evaluation only reads the immutable channel/model structure.
   bool thread_safe() const override { return true; }
 
@@ -145,7 +120,7 @@ class LocalizationObjective final : public opt::Objective {
   /// Sensing-panel -> probe-RX vectors, materialized once from the channel's
   /// SoA planes (rx_vector returns by value since the SoA refactor).
   std::vector<em::CVec> g_cache_;
-  mutable std::unique_ptr<sim::DigestMemo> memo_;
+  std::unique_ptr<sim::DigestMemo> memo_;
 };
 
 }  // namespace surfos::orch

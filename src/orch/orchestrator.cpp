@@ -626,11 +626,13 @@ StepReport Orchestrator::step() {
   for (const Assignment& assignment : schedule.assignments) {
     // The assignment runs under its primary task's trace (the first task the
     // orchestrator still knows about), so every span and driver write below
-    // carries the originating intent's trace id.
-    telemetry::TraceContext assignment_trace;
+    // carries the originating intent's trace id, while the ambient span (the
+    // orch.step span when tracing) stays their parent.
+    telemetry::TraceContext assignment_trace{
+        0, telemetry::current_trace().span_id};
     for (const TaskId id : assignment.tasks) {
       if (const Task* task = find_task(id)) {
-        assignment_trace = {task->trace.trace_id, 0};
+        assignment_trace.trace_id = task->trace.trace_id;
         break;
       }
     }

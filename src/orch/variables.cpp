@@ -37,11 +37,6 @@ std::pair<std::size_t, std::size_t> PanelVariables::range_of(
   return {offsets_.at(p), panels_.at(p)->control_count()};
 }
 
-std::size_t PanelVariables::control_of(std::size_t p,
-                                       std::size_t element) const {
-  return group_of(*panels_.at(p), element);
-}
-
 std::vector<em::CVec> PanelVariables::coefficients(
     std::span<const double> x) const {
   std::vector<em::CVec> out;
@@ -64,16 +59,6 @@ void PanelVariables::coefficients_into(std::span<const double> x,
       out[p][e] = std::polar(loss, x[offset + group_of(panel, e)]);
     }
   }
-}
-
-std::pair<std::size_t, std::size_t> PanelVariables::locate(
-    std::size_t coord) const {
-  if (coord >= dimension_) {
-    throw std::out_of_range("PanelVariables: coordinate index");
-  }
-  std::size_t p = panels_.size() - 1;
-  while (offsets_[p] > coord) --p;
-  return {p, coord - offsets_[p]};
 }
 
 double PanelVariables::panel_loss(std::size_t p) const {

@@ -45,10 +45,6 @@ class PanelVariables {
   void coefficients_into(std::span<const double> x,
                          std::vector<em::CVec>& out) const;
 
-  /// Panel owning flat coordinate `coord`, and the coordinate's panel-local
-  /// control index — the (panel, control-group) a rank-1 probe perturbs.
-  std::pair<std::size_t, std::size_t> locate(std::size_t coord) const;
-
   /// Linear insertion-loss magnitude of panel p's coefficients.
   double panel_loss(std::size_t p) const;
 
@@ -64,9 +60,6 @@ class PanelVariables {
   /// controls via each panel's extract_controls).
   std::vector<double> from_configs(
       std::span<const surface::SurfaceConfig> configs) const;
-
-  /// Control index of element e within panel p (local to that panel's range).
-  std::size_t control_of(std::size_t p, std::size_t element) const;
 
  private:
   std::vector<const surface::SurfacePanel*> panels_;

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "em/band.hpp"
-#include "sim/incremental.hpp"
+#include "sim/digest_memo.hpp"
 #include "sim/trace_batch.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/simd.hpp"
@@ -424,7 +424,6 @@ void SceneChannel::rebase_rx(std::vector<geom::Vec3> new_points) {
   }
   SURFOS_TRACE_SPAN("sim.channel.rebase_rx");
   SURFOS_COUNT("sim.channel.rebases");
-  ++rx_revision_;
   // Memo keys embed RX indices, which mean different points after a rebase.
   power_memo_->clear();
 
@@ -744,8 +743,7 @@ std::vector<double> SceneChannel::powers_at(
   std::vector<em::CxPlanes>& coeff_scratch = coeff_scratch_tls;
   coefficients_planes_for(configs, coeff_scratch);
 
-  const bool memoize =
-      incremental_enabled() && power_memo_->capacity() > 0;
+  const bool memoize = power_memo_->capacity() > 0;
   util::ConfigDigest key;
   std::vector<double> out;
   if (memoize) {

@@ -114,18 +114,13 @@ class SceneChannel {
     return scene_digest_;
   }
 
-  /// Bumped on every rebase_rx / precompute_delta; RX indices from before a
-  /// different revision refer to different points (ChannelEvalCache syncs
-  /// on it).
-  std::uint64_t rx_revision() const noexcept { return rx_revision_; }
-
   /// Replaces the RX point set, reusing rows for points that survive (by
   /// exact bit pattern) from this channel and from the store — tracing and
   /// filling only genuinely new rows, O(changed RX). Row order follows
   /// `new_points` exactly, so the result is indistinguishable from fresh
   /// construction with the same list. Under SURFOS_PRECOMPUTE=0 this falls
   /// back to a full dense precompute (the honest ablation). Invalidates the
-  /// power memo and bumps rx_revision().
+  /// power memo.
   void rebase_rx(std::vector<geom::Vec3> new_points);
 
   /// RX-set diff convenience over rebase_rx: drops the rows at
@@ -160,8 +155,8 @@ class SceneChannel {
                                      std::vector<em::CxPlanes>& dh_dc_out) const;
 
   /// Convenience: channel power |h|^2 at every RX for panel configs.
-  /// Memoized by config digest under SURFOS_INCREMENTAL (a hit returns the
-  /// stored vector, byte-identical to recomputation).
+  /// Memoized by config digest (SURFOS_EVAL_CACHE; a hit returns the stored
+  /// vector, byte-identical to recomputation).
   std::vector<double> power_map(
       std::span<const surface::SurfaceConfig> configs) const;
 
@@ -210,7 +205,6 @@ class SceneChannel {
   ChannelOptions options_;
 
   util::ConfigDigest scene_digest_{};
-  std::uint64_t rx_revision_ = 0;
   /// RX-independent artifact (f + cascades), shared across channels through
   /// the PrecomputeStore when sharing is on.
   std::shared_ptr<const ScenePrecompute> statics_;

@@ -286,12 +286,11 @@ TEST_F(PrecomputeTest, DeltaValidatesRemovalIndicesAndNonEmptyResult) {
                std::invalid_argument);
   EXPECT_THROW(chan->precompute_delta({}, std::vector<std::size_t>{0, 1}),
                std::invalid_argument);
-  // Revision only moves on an applied delta.
-  const std::uint64_t rev = chan->rx_revision();
-  EXPECT_EQ(chan->rx_revision(), rev);
+  // A rejected delta leaves the RX set untouched; an applied one drops row 0.
+  EXPECT_EQ(chan->rx_count(), 2u);
   chan->precompute_delta({}, std::vector<std::size_t>{0});
-  EXPECT_EQ(chan->rx_revision(), rev + 1);
   EXPECT_EQ(chan->rx_count(), 1u);
+  EXPECT_EQ(chan->rx_point(0).x, 2.0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "em/propagation.hpp"
 #include "surface/catalog.hpp"
@@ -214,10 +215,15 @@ TEST(Panel, IncidenceCosine) {
 
 // --- Control parameterization (parameterized over granularity) ---------------------
 
+// gtest prints this parameter as raw bytes and CTest names each case after that
+// print, so the padding after `granularity` is an explicit zero member: implicit
+// padding would carry stack garbage into the test names and change them per build.
 struct GranularityCase {
   ControlGranularity granularity;
-  std::size_t expected_controls;  // for a 4x6 panel
+  std::uint32_t zero_padding = 0;
+  std::size_t expected_controls = 0;  // for a 4x6 panel
 };
+static_assert(sizeof(GranularityCase) == 16, "GranularityCase must have no implicit padding");
 
 class GranularityTest : public ::testing::TestWithParam<GranularityCase> {};
 
@@ -282,10 +288,10 @@ TEST_P(GranularityTest, ExpandedConfigIsConstantWithinGroups) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllGranularities, GranularityTest,
-    ::testing::Values(GranularityCase{ControlGranularity::kElement, 24},
-                      GranularityCase{ControlGranularity::kColumn, 6},
-                      GranularityCase{ControlGranularity::kRow, 4},
-                      GranularityCase{ControlGranularity::kGlobal, 1}));
+    ::testing::Values(GranularityCase{ControlGranularity::kElement, 0, 24},
+                      GranularityCase{ControlGranularity::kColumn, 0, 6},
+                      GranularityCase{ControlGranularity::kRow, 0, 4},
+                      GranularityCase{ControlGranularity::kGlobal, 0, 1}));
 
 TEST(Panel, ExpandRejectsWrongControlCount) {
   const SurfacePanel panel = make_panel(4, 6, ControlGranularity::kColumn);

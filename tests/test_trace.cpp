@@ -323,6 +323,38 @@ TEST_F(TraceTest, EndToEndCausalChainSharesOneTraceId) {
   }
 }
 
+TEST_F(TraceTest, StepPhaseSpansAreChildrenOfTheStepSpan) {
+  // The per-assignment trace scope swaps in the intent's trace id but must
+  // keep the enclosing orch.step span as the parent, so a recording folds
+  // back into one tree per step.
+  sim::CoverageRoomScenario scene = sim::make_coverage_room(/*grid_n=*/4);
+  auto os = make_os(scene);
+  os->broker().handle_utterance("stream a movie on my laptop");
+  os->orchestrator().enhance_link({"laptop", 10.0, 50.0});
+  Recorder::instance().clear();
+  os->step();
+
+  const auto steps = events_named("orch.step");
+  ASSERT_EQ(steps.size(), 1u);
+  const telemetry::SpanId step_span = steps[0].span_id;
+  std::size_t children = 0;
+  for (const TraceEvent& event : Recorder::instance().events()) {
+    const std::string name = event.name;
+    if (name.rfind("orch.step.", 0) != 0 && name != "sim.channel.precompute") {
+      continue;
+    }
+    EXPECT_EQ(event.parent_span_id, step_span) << name;
+    ++children;
+  }
+  // schedule, precompute, optimize, actuate, flush and measure at least.
+  EXPECT_GE(children, 6u);
+  for (const char* phase :
+       {"orch.step.optimize", "orch.step.actuate", "orch.step.measure",
+        "sim.channel.precompute"}) {
+    EXPECT_FALSE(events_named(phase).empty()) << phase;
+  }
+}
+
 TEST_F(TraceTest, StepReportTraceIdsIdenticalAcrossTraceModes) {
   sim::CoverageRoomScenario scene = sim::make_coverage_room(/*grid_n=*/4);
 
