@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): the hot paths that bound how fast the
 // control plane can react — channel evaluation (with and without gradients),
 // configuration serialization and framing, BVH occlusion queries, AoA
-// spectra, and one full optimizer iteration.
+// spectra, one full optimizer iteration, and one evaluation of a plan shaped
+// like the daemon's.
 #include <benchmark/benchmark.h>
 
 #include "hal/crc32.hpp"
@@ -12,6 +13,7 @@
 #include "sense/aoa.hpp"
 #include "sim/channel.hpp"
 #include "sim/floorplan.hpp"
+#include "surface/catalog.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -83,6 +85,63 @@ void BM_GradientDescentIteration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GradientDescentIteration);
+
+/// The daemon's plan shape: one site's room with an 8x8 column-controlled
+/// NR-Surface serving two link tasks and one 9-point security region, as
+/// the joint objective the orchestrator optimizes.
+struct DaemonPlan {
+  sim::Environment env{em::MaterialDb::standard()};
+  std::unique_ptr<surface::SurfacePanel> panel;
+  std::unique_ptr<sim::SceneChannel> channel;
+  std::unique_ptr<orch::PanelVariables> vars;
+  std::unique_ptr<orch::JointObjective> joint;
+
+  DaemonPlan() {
+    env.add_vertical_wall(0.0, 4.0, 4.0, 4.0, 0.0, 3.0, em::kMatConcrete);
+    env.add_vertical_wall(0.0, 0.0, 0.0, 4.0, 0.0, 3.0, em::kMatConcrete);
+    env.add_vertical_wall(4.0, 0.0, 4.0, 4.0, 0.0, 3.0, em::kMatConcrete);
+    env.add_vertical_wall(0.0, 0.0, 4.0, 0.0, 0.0, 3.0, em::kMatConcrete);
+    env.add_horizontal_slab(0.0, 4.0, 0.0, 4.0, 0.0, em::kMatFloor);
+    env.finalize();
+    const surface::Catalog catalog = surface::Catalog::standard();
+    panel = std::make_unique<surface::SurfacePanel>(surface::instantiate(
+        *catalog.find("NR-Surface"),
+        geom::Frame({3.92, 2.0, 1.8}, {-1.0, 0.0, 0.0}), 8, 8));
+    std::vector<geom::Vec3> rx{{1.2, 2.4, 1.0}, {2.6, 1.1, 1.0}};
+    const geom::SampleGrid region(0.5, 3.5, 0.5, 3.5, 1.0, 3, 3);
+    for (const geom::Vec3& p : region.points()) rx.push_back(p);
+    channel = std::make_unique<sim::SceneChannel>(
+        &env, em::band_center(em::Band::k28GHz),
+        sim::TxSpec{{0.4, 2.0, 2.2}, nullptr},
+        std::vector<const surface::SurfacePanel*>{panel.get()}, rx);
+    vars = std::make_unique<orch::PanelVariables>(
+        std::vector<const surface::SurfacePanel*>{panel.get()});
+    joint = std::make_unique<orch::JointObjective>(channel.get(), vars.get());
+    joint->add_capacity({0}, 1e12, 1.0, 1.0);
+    joint->add_capacity({1}, 1e12, 1.0, 1.0);
+    joint->add_power_delivery({2, 3, 4, 5, 6, 7, 8, 9, 10}, 1e-9, -1.0);
+  }
+};
+
+void BM_DaemonPlanValueAndGradient(benchmark::State& state) {
+  const DaemonPlan plan;
+  std::vector<double> x(plan.vars->dimension(), 0.1);
+  std::vector<double> grad(x.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(plan.joint->value_and_gradient(x, grad));
+  }
+}
+BENCHMARK(BM_DaemonPlanValueAndGradient);
+
+void BM_DaemonPlanValue(benchmark::State& state) {
+  const DaemonPlan plan;
+  std::vector<double> x(plan.vars->dimension(), 0.1);
+  for (auto _ : state) {
+    x[0] += 1e-9;  // a fresh point per call, as in a line search: memo miss
+    benchmark::DoNotOptimize(plan.joint->value(x));
+  }
+}
+BENCHMARK(BM_DaemonPlanValue);
 
 void BM_ConfigSerializeRoundTrip(benchmark::State& state) {
   surface::SurfaceConfig config(static_cast<std::size_t>(state.range(0)));

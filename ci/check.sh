@@ -13,11 +13,12 @@
 #   3b. forced-dense re-run of the full suite (SURFOS_PRECOMPUTE=0): the
 #      content-addressed precompute store is a pure cache, so every test
 #      must pass with sharing disabled and private dense artifacts
-#   4. TSan build of the thread-pool/tracing/memo/fleet/daemon/precompute
-#      tests (ctest -L "tsan|trace|memo|fleet|daemon|precompute" in
-#      ./build-tsan); any sanitizer report fails the run
-#   4b. ASan+LSan build of the memo/wire/daemon/streaming/precompute/fleet
-#      tests (./build-asan); any memory error or leak fails the run
+#   4. TSan build of the thread-pool/tracing/memo/fleet/daemon/precompute/
+#      orchestrator tests (ctest -L "tsan|trace|memo|fleet|daemon|precompute|orch"
+#      in ./build-tsan); any sanitizer report fails the run
+#   4b. ASan+LSan build of the memo/wire/daemon/streaming/precompute/fleet/
+#      orchestrator tests (./build-asan); any memory error or leak fails the
+#      run
 #   5. UBSan build of the SIMD/geometry/channel tests (ctest -L simd plus
 #      the dense-path suites in ./build-ubsan); undefined behavior in the
 #      lane kernels fails the run
@@ -57,12 +58,12 @@ echo "== forced dense: full suite with SURFOS_PRECOMPUTE=0 (artifact sharing off
 SURFOS_PRECOMPUTE=0 ctest --test-dir build --output-on-failure -j"$JOBS"
 
 echo
-echo "== tsan: thread-pool / tracing / memo / daemon tests under ThreadSanitizer (build-tsan/)"
+echo "== tsan: thread-pool / tracing / memo / daemon / orch tests under ThreadSanitizer (build-tsan/)"
 cmake -B build-tsan -S . -DSURFOS_SANITIZE=thread
 cmake --build build-tsan -j"$JOBS" --target \
   test_thread_pool test_parallel_determinism test_trace test_memo \
   test_precompute test_fleet test_admission test_proto test_daemon \
-  test_streaming
+  test_streaming test_orch
 # TSan findings abort the test process (halt_on_error) so a data race can
 # never hide behind a green assertion run. -L is a regex: the trace suite
 # hammers the recorder from pool workers, the memo suite shares digest
@@ -70,23 +71,27 @@ cmake --build build-tsan -j"$JOBS" --target \
 # sites concurrently on the pool, the daemon suite runs the ticker and
 # poll() server threads against client connections, and the precompute
 # suite exercises the mutex-guarded global artifact store from pool
-# workers, so all of them run under TSan too.
+# workers, and the orch suite runs the joint objective, whose leased
+# scratch buffers are filled by per-RX pool workers and shared by
+# concurrent value_batch callers, so all of them run under TSan too.
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir build-tsan --output-on-failure \
-  -L "tsan|trace|memo|fleet|daemon|precompute"
+  -L "tsan|trace|memo|fleet|daemon|precompute|orch"
 
 echo
-echo "== asan: memo / wire / daemon / precompute / fleet tests under ASan+LSan (build-asan/)"
+echo "== asan: memo / wire / daemon / precompute / fleet / orch tests under ASan+LSan (build-asan/)"
 cmake -B build-asan -S . -DSURFOS_SANITIZE=address
 cmake --build build-asan -j"$JOBS" --target \
-  test_memo test_proto test_daemon test_streaming test_precompute test_fleet
+  test_memo test_proto test_daemon test_streaming test_precompute test_fleet \
+  test_orch
 # halt_on_error makes the first invalid access fail its test; detect_leaks
 # runs LeakSanitizer at exit, so a leaked snapshot buffer, client connection
-# or precompute artifact fails the run too. Only the targets built above
-# carry these labels (test_admission's fleet tests stay in the TSan leg).
+# or precompute artifact fails the run too; the orch suite reuses the joint
+# objective's scratch across calls. Only the targets built above carry these
+# labels (test_admission's fleet tests stay in the TSan leg).
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
   ctest --test-dir build-asan --output-on-failure \
-  -L "memo|daemon|precompute|fleet"
+  -L "memo|daemon|precompute|fleet|orch"
 
 echo
 echo "== ubsan: SIMD kernels + dense channel path under UBSan (build-ubsan/)"

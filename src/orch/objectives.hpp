@@ -3,14 +3,19 @@
 // localization loss = cross-entropy between estimated and true AoA; the
 // multitasking loss is their sum). All gradients are analytic, chained
 // through SceneChannel partials and PanelVariables' control mapping.
+//
+// JointObjective is the one evaluator: a plan's weighted sum of service
+// losses, computed from a single coefficient pass per x. The standalone
+// objectives (Capacity, PowerDelivery, Localization) are one weight-1 term
+// of it.
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "opt/objective.hpp"
 #include "orch/variables.hpp"
-#include "sense/aoa.hpp"
 #include "sim/channel.hpp"
 
 namespace surfos::sim {
@@ -19,108 +24,141 @@ class DigestMemo;
 
 namespace surfos::orch {
 
-/// Spectral-efficiency objective over a set of RX probe points:
-///   L = -sign * (1/M) * sum_j log2(1 + rho * |h_j|^2)
-/// sign=+1 maximizes capacity (coverage/connectivity); sign=-1 *minimizes*
-/// it (security: suppress leakage into a region).
-class CapacityObjective final : public opt::Objective {
+/// A plan's joint loss L(x) = sum_k w_k L_k(x) over service terms that share
+/// one channel and one variable mapping. Each evaluation builds the
+/// coefficient planes once and runs every term against them; the value memo
+/// (SURFOS_EVAL_CACHE) is consulted once per joint x. Terms combine in
+/// insertion order exactly as opt::WeightedSumObjective combines the
+/// standalone objectives, and each term keeps its own accumulation order, so
+/// values and gradients are bit-identical to that weighted sum.
+class JointObjective final : public opt::Objective {
  public:
-  /// `rho` converts channel power gain |h|^2 to linear SNR
-  /// (tx power / noise power, both linear).
-  CapacityObjective(const sim::SceneChannel* channel,
-                    const PanelVariables* variables,
-                    std::vector<std::size_t> rx_indices, double rho,
-                    double sign = 1.0);
-  ~CapacityObjective() override;
+  /// `channel` and `variables` are non-owning and must outlive this object.
+  JointObjective(const sim::SceneChannel* channel,
+                 const PanelVariables* variables);
+  ~JointObjective() override;
 
-  std::size_t dimension() const override;
-  /// Digest-memoized (SURFOS_EVAL_CACHE): repeated evaluations of the same
-  /// x — optimizer restarts, measure() re-sweeps — return the stored value
+  /// Spectral efficiency over RX probe points, times `weight`:
+  ///   L = -sign * (1/M) * sum_j log2(1 + rho * |h_j|^2)
+  /// sign=+1 maximizes capacity (coverage/connectivity); sign=-1 minimizes
+  /// it. `rho` converts channel power gain |h|^2 to linear SNR.
+  void add_capacity(std::vector<std::size_t> rx_indices, double rho,
+                    double sign, double weight);
+  /// Received power, times `weight`: L = -(1/M) * sum_j |h_j|^2 / p0, where
+  /// `p0` normalizes the loss to O(1). A negative weight suppresses power
+  /// (security).
+  void add_power_delivery(std::vector<std::size_t> rx_indices, double p0,
+                          double weight);
+  /// Mean cross-entropy between each probe location's beamscan spectrum
+  /// through `sensing_panel` (an index into variables->panels()) and its
+  /// true-AoA target distribution, times `weight`.
+  void add_localization(std::size_t sensing_panel,
+                        std::vector<std::size_t> rx_indices,
+                        std::size_t spectrum_bins, double weight);
+
+  std::size_t term_count() const noexcept { return terms_.size(); }
+
+  std::size_t dimension() const override { return variables_->dimension(); }
+  /// Digest-memoized: repeated evaluations of the same x (optimizer
+  /// restarts, line-search revisits) return the stored value
   /// byte-identically.
   double value(std::span<const double> x) const override;
   double value_and_gradient(std::span<const double> x,
                             std::span<double> gradient) const override;
-  /// Evaluation only reads the immutable channel/variables structure; the
-  /// value memo synchronizes internally.
+  /// Evaluation only reads the immutable channel/variables/term structure;
+  /// scratch buffers are leased per call and the memo synchronizes
+  /// internally.
   bool thread_safe() const override { return true; }
 
   /// The value memo behind value() (stats; tests).
   const sim::DigestMemo& memo() const noexcept { return *memo_; }
 
  private:
+  enum class TermKind { kCapacity, kPowerDelivery, kLocalization };
+  struct Term;
+  struct Scratch;
+  /// A scratch set held for one evaluation, returned to the spares on exit.
+  class Lease;
+
+  /// Validates and appends a term; the caller fills its kind's fields.
+  Term& new_term(TermKind kind, std::vector<std::size_t> rx_indices,
+                 double weight, const char* name);
+  double term_value(const Term& term, Scratch& s) const;
+  /// Writes the term's x-gradient into s.partial; returns its value.
+  double term_value_and_gradient(const Term& term, Scratch& s) const;
+
   const sim::SceneChannel* channel_;
   const PanelVariables* variables_;
-  std::vector<std::size_t> rx_indices_;
-  double rho_;
-  double sign_;
+  std::vector<std::unique_ptr<Term>> terms_;
   std::unique_ptr<sim::DigestMemo> memo_;
+  /// Scratch sets not in use. A serial optimizer reuses one set for every
+  /// evaluation; concurrent callers (value_batch) each lease their own.
+  mutable std::mutex spare_mutex_;
+  mutable std::vector<std::unique_ptr<Scratch>> spare_;
 };
 
-/// Received-power objective for wireless charging:
-///   L = -(1/M) * sum_j |h_j|^2 / p0
-/// `p0` is a normalization power gain so the loss is O(1) (use the best
-/// single-point focus power).
-class PowerDeliveryObjective final : public opt::Objective {
+/// Shell of the standalone objectives: a JointObjective holding one
+/// weight-1 term.
+class SingleTermObjective : public opt::Objective {
+ public:
+  std::size_t dimension() const override { return joint_.dimension(); }
+  double value(std::span<const double> x) const override {
+    return joint_.value(x);
+  }
+  double value_and_gradient(std::span<const double> x,
+                            std::span<double> gradient) const override {
+    return joint_.value_and_gradient(x, gradient);
+  }
+  bool thread_safe() const override { return true; }
+
+  /// The value memo behind value() (stats; tests).
+  const sim::DigestMemo& memo() const noexcept { return joint_.memo(); }
+
+ protected:
+  SingleTermObjective(const sim::SceneChannel* channel,
+                      const PanelVariables* variables)
+      : joint_(channel, variables) {}
+
+  JointObjective joint_;
+};
+
+/// Spectral-efficiency objective (JointObjective::add_capacity, weight 1).
+/// sign=-1 is security: suppress leakage into a region.
+class CapacityObjective final : public SingleTermObjective {
+ public:
+  CapacityObjective(const sim::SceneChannel* channel,
+                    const PanelVariables* variables,
+                    std::vector<std::size_t> rx_indices, double rho,
+                    double sign = 1.0)
+      : SingleTermObjective(channel, variables) {
+    joint_.add_capacity(std::move(rx_indices), rho, sign, 1.0);
+  }
+};
+
+/// Received-power objective for wireless charging
+/// (JointObjective::add_power_delivery, weight 1).
+class PowerDeliveryObjective final : public SingleTermObjective {
  public:
   PowerDeliveryObjective(const sim::SceneChannel* channel,
                          const PanelVariables* variables,
-                         std::vector<std::size_t> rx_indices, double p0);
-  ~PowerDeliveryObjective() override;
-
-  std::size_t dimension() const override;
-  /// Digest-memoized, like CapacityObjective::value.
-  double value(std::span<const double> x) const override;
-  double value_and_gradient(std::span<const double> x,
-                            std::span<double> gradient) const override;
-  /// Evaluation only reads the immutable channel/variables structure; the
-  /// value memo synchronizes internally.
-  bool thread_safe() const override { return true; }
-
- private:
-  const sim::SceneChannel* channel_;
-  const PanelVariables* variables_;
-  std::vector<std::size_t> rx_indices_;
-  double p0_;
-  std::unique_ptr<sim::DigestMemo> memo_;
+                         std::vector<std::size_t> rx_indices, double p0)
+      : SingleTermObjective(channel, variables) {
+    joint_.add_power_delivery(std::move(rx_indices), p0, 1.0);
+  }
 };
 
-/// Localization objective: mean cross-entropy between each probe location's
-/// beamscan spectrum (through the sensing panel's current coefficients) and
-/// its true-AoA target distribution.
-class LocalizationObjective final : public opt::Objective {
+/// Localization objective (JointObjective::add_localization, weight 1).
+class LocalizationObjective final : public SingleTermObjective {
  public:
-  /// `sensing_panel` indexes into variables->panels(); probe locations are
-  /// channel RX indices.
   LocalizationObjective(const sim::SceneChannel* channel,
                         const PanelVariables* variables,
                         std::size_t sensing_panel,
                         std::vector<std::size_t> rx_indices,
-                        std::size_t spectrum_bins = 121);
-  ~LocalizationObjective() override;
-
-  std::size_t dimension() const override;
-  /// Digest-memoized, like CapacityObjective::value.
-  double value(std::span<const double> x) const override;
-  double value_and_gradient(std::span<const double> x,
-                            std::span<double> gradient) const override;
-  /// Evaluation only reads the immutable channel/model structure.
-  bool thread_safe() const override { return true; }
-
-  const sense::AoaSensingModel& sensing_model() const noexcept {
-    return *model_;
+                        std::size_t spectrum_bins = 121)
+      : SingleTermObjective(channel, variables) {
+    joint_.add_localization(sensing_panel, std::move(rx_indices),
+                            spectrum_bins, 1.0);
   }
-
- private:
-  const sim::SceneChannel* channel_;
-  const PanelVariables* variables_;
-  std::size_t sensing_panel_;
-  std::vector<std::size_t> rx_indices_;
-  std::unique_ptr<sense::AoaSensingModel> model_;
-  std::vector<std::vector<double>> targets_;  ///< Per probe location.
-  /// Sensing-panel -> probe-RX vectors, materialized once from the channel's
-  /// SoA planes (rx_vector returns by value since the SoA refactor).
-  std::vector<em::CVec> g_cache_;
-  std::unique_ptr<sim::DigestMemo> memo_;
 };
 
 }  // namespace surfos::orch

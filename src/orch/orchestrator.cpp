@@ -409,21 +409,19 @@ std::size_t Orchestrator::optimize_plan(const Assignment& assignment,
                                         Plan& plan) {
   const double rho = context_.budget.snr(1.0);  // linear SNR per unit |h|^2
 
-  std::vector<std::unique_ptr<opt::Objective>> terms;
-  opt::WeightedSumObjective joint;
+  JointObjective joint(plan.channel.get(), plan.variables.get());
   // The warm-start point and its coefficients normalize the power terms
   // (security leak level, powering focus power); computed lazily once and
   // shared across tasks instead of re-deriving candidates per power term.
-  std::vector<double> x0_norm;
-  std::vector<em::CVec> x0_coefficients;
+  std::vector<em::CxPlanes> x0_coefficients;
   const auto p0_at_start = [&](const std::vector<std::size_t>& rx) {
     if (x0_coefficients.empty()) {
-      x0_norm = initial_candidates(assignment, plan).front();
-      x0_coefficients = plan.variables->coefficients(x0_norm);
+      plan.variables->coefficients_into(
+          initial_candidates(assignment, plan).front(), x0_coefficients);
     }
     double p0 = 0.0;
     for (const std::size_t j : rx) {
-      p0 += std::norm(plan.channel->evaluate(j, x0_coefficients));
+      p0 += std::norm(plan.channel->evaluate_planes(j, x0_coefficients));
     }
     return std::max(p0 / static_cast<double>(rx.size()), 1e-30);
   };
@@ -436,38 +434,29 @@ std::size_t Orchestrator::optimize_plan(const Assignment& assignment,
     switch (task.type()) {
       case ServiceType::kConnectivity:
       case ServiceType::kCoverage:
-        terms.push_back(std::make_unique<CapacityObjective>(
-            plan.channel.get(), plan.variables.get(), rx_it->second, rho, 1.0));
+        joint.add_capacity(rx_it->second, rho, 1.0, weight);
         break;
-      case ServiceType::kSecurity: {
+      case ServiceType::kSecurity:
         // Suppress *linear* received power (not log capacity): the linear
         // mean is dominated by the worst leaks, which is exactly what a
         // protection ceiling cares about. Negative weight turns the
         // power-delivery objective into power suppression; p0 normalizes it
         // to the pre-optimization leak level.
-        const double p0 = p0_at_start(rx_it->second);
-        terms.push_back(std::make_unique<PowerDeliveryObjective>(
-            plan.channel.get(), plan.variables.get(), rx_it->second, p0));
-        joint.add_term(terms.back().get(), -weight);
-        continue;  // weight already applied (negated)
-      }
+        joint.add_power_delivery(rx_it->second, p0_at_start(rx_it->second),
+                                 -weight);
+        break;
       case ServiceType::kSensing:
-        terms.push_back(std::make_unique<LocalizationObjective>(
-            plan.channel.get(), plan.variables.get(),
-            plan.sensing_panel_of.at(id), rx_it->second,
-            options_.sensing_bins));
+        joint.add_localization(plan.sensing_panel_of.at(id), rx_it->second,
+                               options_.sensing_bins, weight);
         break;
-      case ServiceType::kPowering: {
+      case ServiceType::kPowering:
         // Normalize by the focus-init power at the device so the loss is O(1).
-        const double p0 = p0_at_start(rx_it->second);
-        terms.push_back(std::make_unique<PowerDeliveryObjective>(
-            plan.channel.get(), plan.variables.get(), rx_it->second, p0));
+        joint.add_power_delivery(rx_it->second, p0_at_start(rx_it->second),
+                                 weight);
         break;
-      }
     }
-    joint.add_term(terms.back().get(), weight);
   }
-  if (terms.empty()) return 0;
+  if (joint.term_count() == 0) return 0;
 
   const std::vector<std::vector<double>> starts =
       plan.x.empty() ? initial_candidates(assignment, plan)
@@ -518,7 +507,10 @@ std::vector<surface::SurfaceConfig> Orchestrator::hardware_configs(
 void Orchestrator::measure(const Assignment& assignment, Plan& plan,
                            StepReport& report) {
   if (!plan.channel) return;
-  const auto configs = hardware_configs(assignment, plan);
+  // One realization of the hardware's configs serves every task's metric.
+  std::vector<em::CxPlanes> coefficients;
+  plan.channel->coefficients_planes_for(hardware_configs(assignment, plan),
+                                        coefficients);
   for (const TaskId id : assignment.tasks) {
     const auto rx_it = plan.task_rx.find(id);
     if (rx_it == plan.task_rx.end()) continue;
@@ -528,33 +520,35 @@ void Orchestrator::measure(const Assignment& assignment, Plan& plan,
     struct Visitor {
       const sim::SceneChannel& channel;
       const em::LinkBudget& budget;
-      const std::vector<surface::SurfaceConfig>& configs;
+      const std::vector<em::CxPlanes>& coefficients;
       const std::vector<std::size_t>& rx;
       const Plan& plan;
       TaskId id;
+      std::size_t sensing_bins;
       double operator()(const LinkGoal& g, bool& met) const {
-        const auto m = link_metrics(channel, budget, configs, rx.front());
+        const auto m = link_metrics(channel, budget, coefficients, rx.front());
         met = m.snr_db >= g.target_snr_db;
         return m.snr_db;
       }
       double operator()(const CoverageGoal& g, bool& met) const {
-        const auto m = coverage_metrics(channel, budget, configs, rx);
+        const auto m = coverage_metrics(channel, budget, coefficients, rx);
         met = m.median_snr_db >= g.target_median_snr_db;
         return m.median_snr_db;
       }
       double operator()(const SensingGoal& g, bool& met) const {
-        const auto m = sensing_metrics(
-            channel, configs, plan.sensing_panel_of.at(id), rx);
+        const auto m = sensing_metrics(channel, coefficients,
+                                       plan.sensing_panel_of.at(id), rx,
+                                       sensing_bins);
         met = m.median_error_m <= g.target_accuracy_m;
         return m.median_error_m;
       }
       double operator()(const PowerGoal& g, bool& met) const {
-        const auto m = power_metrics(channel, budget, configs, rx.front());
+        const auto m = power_metrics(channel, budget, coefficients, rx.front());
         met = m.delivered_dbm >= g.min_power_dbm;
         return m.delivered_dbm;
       }
       double operator()(const SecurityGoal& g, bool& met) const {
-        const auto m = coverage_metrics(channel, budget, configs, rx);
+        const auto m = coverage_metrics(channel, budget, coefficients, rx);
         double worst = -300.0;
         for (const double snr : m.snr_db) {
           worst = std::max(worst, snr + budget.noise_dbm());  // RSS dBm
@@ -564,8 +558,8 @@ void Orchestrator::measure(const Assignment& assignment, Plan& plan,
       }
     };
     bool met = false;
-    Visitor visitor{*plan.channel, context_.budget, configs, rx_it->second,
-                    plan, id};
+    Visitor visitor{*plan.channel, context_.budget, coefficients,
+                    rx_it->second, plan, id, options_.sensing_bins};
     task.achieved = std::visit(
         [&](const auto& goal) { return visitor(goal, met); }, task.goal);
     task.goal_met = met;

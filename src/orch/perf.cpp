@@ -1,6 +1,7 @@
 #include "orch/perf.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "sense/aoa.hpp"
 #include "sense/localize.hpp"
@@ -9,14 +10,34 @@
 
 namespace surfos::orch {
 
+namespace {
+
+/// The coefficient planes `configs` realize to on `channel`'s panels.
+std::vector<em::CxPlanes> realized(
+    const sim::SceneChannel& channel,
+    std::span<const surface::SurfaceConfig> configs) {
+  std::vector<em::CxPlanes> coefficients;
+  channel.coefficients_planes_for(configs, coefficients);
+  return coefficients;
+}
+
+}  // namespace
+
 LinkMetrics link_metrics(const sim::SceneChannel& channel,
                          const em::LinkBudget& budget,
                          std::span<const surface::SurfaceConfig> configs,
                          std::size_t rx_index) {
-  // powers_at digests (config, rx) and memoizes, so the per-step measure()
-  // sweeps over unchanged hardware configs become cache hits.
+  return link_metrics(channel, budget, realized(channel, configs), rx_index);
+}
+
+LinkMetrics link_metrics(const sim::SceneChannel& channel,
+                         const em::LinkBudget& budget,
+                         std::span<const em::CxPlanes> coefficients,
+                         std::size_t rx_index) {
+  // powers_at digests (coefficients, rx) and memoizes, so the per-step
+  // measure() sweeps over unchanged hardware configs become cache hits.
   const std::size_t indices[1] = {rx_index};
-  const double power = channel.powers_at(indices, configs).front();
+  const double power = channel.powers_at(indices, coefficients).front();
   LinkMetrics metrics;
   metrics.rss_dbm = budget.rss_dbm(power);
   metrics.snr_db = budget.snr_db(power);
@@ -28,7 +49,15 @@ CoverageMetrics coverage_metrics(const sim::SceneChannel& channel,
                                  const em::LinkBudget& budget,
                                  std::span<const surface::SurfaceConfig> configs,
                                  const std::vector<std::size_t>& rx_indices) {
-  const auto powers = channel.powers_at(rx_indices, configs);
+  return coverage_metrics(channel, budget, realized(channel, configs),
+                          rx_indices);
+}
+
+CoverageMetrics coverage_metrics(const sim::SceneChannel& channel,
+                                 const em::LinkBudget& budget,
+                                 std::span<const em::CxPlanes> coefficients,
+                                 const std::vector<std::size_t>& rx_indices) {
+  const auto powers = channel.powers_at(rx_indices, coefficients);
   CoverageMetrics metrics;
   metrics.snr_db.reserve(rx_indices.size());
   double capacity_sum = 0.0;
@@ -47,18 +76,28 @@ SensingMetrics sensing_metrics(const sim::SceneChannel& channel,
                                std::size_t sensing_panel,
                                const std::vector<std::size_t>& rx_indices,
                                std::size_t spectrum_bins) {
-  thread_local std::vector<em::CVec> coefficients;
-  channel.coefficients_for(configs, coefficients);
+  return sensing_metrics(channel, realized(channel, configs), sensing_panel,
+                         rx_indices, spectrum_bins);
+}
+
+SensingMetrics sensing_metrics(const sim::SceneChannel& channel,
+                               std::span<const em::CxPlanes> coefficients,
+                               std::size_t sensing_panel,
+                               const std::vector<std::size_t>& rx_indices,
+                               std::size_t spectrum_bins) {
+  if (coefficients.size() != channel.panel_count()) {
+    throw std::invalid_argument("sensing_metrics: coefficient count mismatch");
+  }
   const auto& panel = channel.panel(sensing_panel);
   const sense::AoaSensingModel model(&panel, channel.frequency_hz(),
                                      spectrum_bins);
   SensingMetrics metrics;
   metrics.errors_m.reserve(rx_indices.size());
+  const em::CxPlanes& c = coefficients[sensing_panel];
   em::CVec v(panel.element_count());
   for (std::size_t j : rx_indices) {
-    const em::CVec& g = channel.rx_vector(sensing_panel, j);
-    const em::CVec& c = coefficients[sensing_panel];
-    for (std::size_t e = 0; e < v.size(); ++e) v[e] = c[e] * g[e];
+    const em::CxPlanes& g = channel.rx_planes(sensing_panel, j);
+    for (std::size_t e = 0; e < v.size(); ++e) v[e] = c.at(e) * g.at(e);
     const double azimuth = model.estimate_azimuth(v);
     metrics.errors_m.push_back(
         sense::localization_error(panel, channel.rx_point(j), azimuth));
@@ -71,8 +110,15 @@ PowerMetrics power_metrics(const sim::SceneChannel& channel,
                            const em::LinkBudget& budget,
                            std::span<const surface::SurfaceConfig> configs,
                            std::size_t rx_index) {
+  return power_metrics(channel, budget, realized(channel, configs), rx_index);
+}
+
+PowerMetrics power_metrics(const sim::SceneChannel& channel,
+                           const em::LinkBudget& budget,
+                           std::span<const em::CxPlanes> coefficients,
+                           std::size_t rx_index) {
   const std::size_t indices[1] = {rx_index};
-  const double power = channel.powers_at(indices, configs).front();
+  const double power = channel.powers_at(indices, coefficients).front();
   return PowerMetrics{budget.rss_dbm(power)};
 }
 

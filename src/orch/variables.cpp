@@ -5,29 +5,15 @@
 
 namespace surfos::orch {
 
-namespace {
-
-std::size_t group_of(const surface::SurfacePanel& panel, std::size_t element) {
-  const std::size_t row = element / panel.cols();
-  const std::size_t col = element % panel.cols();
-  switch (panel.granularity()) {
-    case surface::ControlGranularity::kElement: return element;
-    case surface::ControlGranularity::kColumn: return col;
-    case surface::ControlGranularity::kRow: return row;
-    case surface::ControlGranularity::kGlobal: return 0;
-  }
-  return 0;
-}
-
-}  // namespace
-
 PanelVariables::PanelVariables(
     std::vector<const surface::SurfacePanel*> panels)
     : panels_(std::move(panels)) {
   offsets_.reserve(panels_.size());
+  losses_.reserve(panels_.size());
   for (const auto* p : panels_) {
     if (p == nullptr) throw std::invalid_argument("PanelVariables: null panel");
     offsets_.push_back(dimension_);
+    losses_.push_back(std::pow(10.0, -p->design().insertion_loss_db / 20.0));
     dimension_ += p->control_count();
   }
 }
@@ -39,30 +25,61 @@ std::pair<std::size_t, std::size_t> PanelVariables::range_of(
 
 std::vector<em::CVec> PanelVariables::coefficients(
     std::span<const double> x) const {
+  std::vector<em::CxPlanes> planes;
+  coefficients_into(x, planes);
   std::vector<em::CVec> out;
-  coefficients_into(x, out);
+  out.reserve(planes.size());
+  for (const em::CxPlanes& c : planes) out.push_back(c.to_cvec());
   return out;
 }
 
 void PanelVariables::coefficients_into(std::span<const double> x,
-                                       std::vector<em::CVec>& out) const {
+                                       std::vector<em::CxPlanes>& out) const {
   if (x.size() != dimension_) {
     throw std::invalid_argument("PanelVariables: dimension mismatch");
   }
   out.resize(panels_.size());
   for (std::size_t p = 0; p < panels_.size(); ++p) {
     const auto& panel = *panels_[p];
-    const double loss = panel_loss(p);
-    const std::size_t offset = offsets_[p];
-    out[p].resize(panel.element_count());
-    for (std::size_t e = 0; e < panel.element_count(); ++e) {
-      out[p][e] = std::polar(loss, x[offset + group_of(panel, e)]);
+    const std::size_t rows = panel.rows();
+    const std::size_t cols = panel.cols();
+    // Only live lanes are written, so the zero padding of a reused buffer
+    // survives; resize (which zero-fills) only on a shape change.
+    if (out[p].size() != panel.element_count()) {
+      out[p].resize(panel.element_count());
+    }
+    double* re = out[p].re();
+    double* im = out[p].im();
+    const double* controls = x.data() + offsets_[p];
+    const auto put = [&](std::size_t e, const em::Cx& c) {
+      re[e] = c.real();
+      im[e] = c.imag();
+    };
+    switch (panel.granularity()) {
+      case surface::ControlGranularity::kElement:
+        for (std::size_t e = 0; e < rows * cols; ++e) {
+          put(e, std::polar(losses_[p], controls[e]));
+        }
+        break;
+      case surface::ControlGranularity::kColumn:
+        for (std::size_t c = 0; c < cols; ++c) {
+          const em::Cx v = std::polar(losses_[p], controls[c]);
+          for (std::size_t r = 0; r < rows; ++r) put(r * cols + c, v);
+        }
+        break;
+      case surface::ControlGranularity::kRow:
+        for (std::size_t r = 0; r < rows; ++r) {
+          const em::Cx v = std::polar(losses_[p], controls[r]);
+          for (std::size_t c = 0; c < cols; ++c) put(r * cols + c, v);
+        }
+        break;
+      case surface::ControlGranularity::kGlobal: {
+        const em::Cx v = std::polar(losses_[p], controls[0]);
+        for (std::size_t e = 0; e < rows * cols; ++e) put(e, v);
+        break;
+      }
     }
   }
-}
-
-double PanelVariables::panel_loss(std::size_t p) const {
-  return std::pow(10.0, -panels_.at(p)->design().insertion_loss_db / 20.0);
 }
 
 void PanelVariables::reduce_gradient(std::size_t p,
@@ -73,9 +90,32 @@ void PanelVariables::reduce_gradient(std::size_t p,
       x_grad.size() != dimension_) {
     throw std::invalid_argument("PanelVariables: gradient size mismatch");
   }
-  const std::size_t offset = offsets_[p];
-  for (std::size_t e = 0; e < panel.element_count(); ++e) {
-    x_grad[offset + group_of(panel, e)] += element_grad[e];
+  // Element order, so each control sums its group exactly as a plain
+  // per-element loop would.
+  double* out = x_grad.data() + offsets_[p];
+  const std::size_t rows = panel.rows();
+  const std::size_t cols = panel.cols();
+  switch (panel.granularity()) {
+    case surface::ControlGranularity::kElement:
+      for (std::size_t e = 0; e < rows * cols; ++e) out[e] += element_grad[e];
+      break;
+    case surface::ControlGranularity::kColumn:
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          out[c] += element_grad[r * cols + c];
+        }
+      }
+      break;
+    case surface::ControlGranularity::kRow:
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          out[r] += element_grad[r * cols + c];
+        }
+      }
+      break;
+    case surface::ControlGranularity::kGlobal:
+      for (std::size_t e = 0; e < rows * cols; ++e) out[0] += element_grad[e];
+      break;
   }
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "em/cx.hpp"
+#include "em/soa.hpp"
 #include "surface/config.hpp"
 #include "surface/panel.hpp"
 
@@ -39,14 +40,13 @@ class PanelVariables {
   /// c_e = insertion_loss * exp(j * phase of e's control). No quantization.
   std::vector<em::CVec> coefficients(std::span<const double> x) const;
 
-  /// Scratch-filling variant: writes into `out`, reusing its per-panel
-  /// buffers (called once per objective evaluation on the optimizer hot
-  /// path).
+  /// The same coefficients written straight into SoA planes, reusing
+  /// `out`'s per-panel buffers (the optimizer hot path: once per objective
+  /// evaluation). One std::polar per control group, broadcast to the
+  /// group's elements; values are bit-identical to per-element calls
+  /// because every element of a group has the same polar input.
   void coefficients_into(std::span<const double> x,
-                         std::vector<em::CVec>& out) const;
-
-  /// Linear insertion-loss magnitude of panel p's coefficients.
-  double panel_loss(std::size_t p) const;
+                         std::vector<em::CxPlanes>& out) const;
 
   /// Adds each panel's per-element phase gradient into the flat gradient
   /// (summing within shared control groups).
@@ -64,6 +64,7 @@ class PanelVariables {
  private:
   std::vector<const surface::SurfacePanel*> panels_;
   std::vector<std::size_t> offsets_;
+  std::vector<double> losses_;  ///< Per-panel linear insertion loss.
   std::size_t dimension_ = 0;
 };
 

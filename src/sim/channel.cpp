@@ -685,21 +685,14 @@ void SceneChannel::evaluate_with_partials_planes(
 
 std::vector<em::CVec> SceneChannel::coefficients_for(
     std::span<const surface::SurfaceConfig> configs) const {
-  std::vector<em::CVec> out;
-  coefficients_for(configs, out);
-  return out;
-}
-
-void SceneChannel::coefficients_for(
-    std::span<const surface::SurfaceConfig> configs,
-    std::vector<em::CVec>& out) const {
   if (configs.size() != panels_.size()) {
     throw std::invalid_argument("SceneChannel: config count mismatch");
   }
-  out.resize(panels_.size());
+  std::vector<em::CVec> out(panels_.size());
   for (std::size_t p = 0; p < panels_.size(); ++p) {
     panels_[p]->coefficients_into(configs[p], out[p]);
   }
+  return out;
 }
 
 void SceneChannel::coefficients_planes_for(
@@ -732,22 +725,25 @@ std::vector<double> SceneChannel::power_map(
 std::vector<double> SceneChannel::powers_at(
     std::span<const std::size_t> rx_indices,
     std::span<const surface::SurfaceConfig> configs) const {
+  thread_local std::vector<em::CxPlanes> coeff_scratch;
+  coefficients_planes_for(configs, coeff_scratch);
+  return powers_at(rx_indices, coeff_scratch);
+}
+
+std::vector<double> SceneChannel::powers_at(
+    std::span<const std::size_t> rx_indices,
+    std::span<const em::CxPlanes> coefficients) const {
+  check_coefficient_sizes(coefficients);
   for (const std::size_t j : rx_indices) {
     if (j >= rx_points_.size()) {
       throw std::invalid_argument("SceneChannel: RX index out of range");
     }
   }
-  thread_local std::vector<em::CxPlanes> coeff_scratch_tls;
-  // Local reference so the parallel lambda below captures *this* thread's
-  // scratch (thread_locals are never captured; workers would see their own).
-  std::vector<em::CxPlanes>& coeff_scratch = coeff_scratch_tls;
-  coefficients_planes_for(configs, coeff_scratch);
-
   const bool memoize = power_memo_->capacity() > 0;
   util::ConfigDigest key;
   std::vector<double> out;
   if (memoize) {
-    key = util::combine(digest_coefficients(coeff_scratch),
+    key = util::combine(digest_coefficients(coefficients),
                         util::digest_indices(rx_indices));
     if (power_memo_->lookup(key, out)) return out;
   }
@@ -755,7 +751,7 @@ std::vector<double> SceneChannel::powers_at(
   out.resize(rx_indices.size());
   // Each RX index owns one output slot; deterministic under any thread count.
   util::parallel_for(0, rx_indices.size(), [&](std::size_t k) {
-    out[k] = std::norm(evaluate_planes(rx_indices[k], coeff_scratch));
+    out[k] = std::norm(evaluate_planes(rx_indices[k], coefficients));
   });
   if (memoize) power_memo_->store(key, out);
   return out;

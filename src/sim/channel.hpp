@@ -167,14 +167,16 @@ class SceneChannel {
       std::span<const std::size_t> rx_indices,
       std::span<const surface::SurfaceConfig> configs) const;
 
+  /// powers_at over coefficients already realized by
+  /// coefficients_planes_for (same memo keys, same bytes): callers that
+  /// sweep several RX subsets under one config build the planes once.
+  std::vector<double> powers_at(
+      std::span<const std::size_t> rx_indices,
+      std::span<const em::CxPlanes> coefficients) const;
+
   /// Per-panel coefficients from configs (applies granularity/quantization).
   std::vector<em::CVec> coefficients_for(
       std::span<const surface::SurfaceConfig> configs) const;
-
-  /// Scratch-filling variant: reuses `out`'s per-panel buffers instead of
-  /// reallocating (hot path: every power sweep / objective evaluation).
-  void coefficients_for(std::span<const surface::SurfaceConfig> configs,
-                        std::vector<em::CVec>& out) const;
 
   /// SoA variant: coefficients generated by the same scalar quantization
   /// path (values bit-identical to coefficients_for), copied into planes.

@@ -1,5 +1,7 @@
 // Orchestrator tests: panel-variable mapping (with analytic-gradient checks
-// against finite differences for every objective), scheduler policies, the
+// against finite differences for every objective, and the fused
+// JointObjective against a weighted sum of standalone terms), scheduler
+// policies, the
 // performance models, and the full control-plane loop (schedule -> optimize
 // -> actuate -> measure) on the canonical coverage room.
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "orch/variables.hpp"
 #include "sim/floorplan.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace surfos::orch {
@@ -89,6 +92,53 @@ TEST(Variables, RealizeRoundTripsThroughConfigs) {
   const auto back = vars.from_configs(configs);
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_NEAR(back[i], util::wrap_two_pi(x[i]), 1e-9);
+  }
+}
+
+TEST(Variables, PlanesMatchPerElementPolarUnderEveryGranularity) {
+  // A non-square panel so a row/column mix-up cannot cancel out.
+  surface::ElementDesign d;
+  d.spacing_m = em::wavelength(kFreq) / 2.0;
+  d.insertion_loss_db = 1.7;
+  using G = surface::ControlGranularity;
+  for (const G granularity :
+       {G::kElement, G::kColumn, G::kRow, G::kGlobal}) {
+    const surface::SurfacePanel lead = small_panel("lead");
+    const surface::SurfacePanel panel(
+        "p", geom::Frame({0, 0, 2}, {0, 0, -1}, {1, 0, 0}), 3, 5, d,
+        surface::OperationMode::kReflective,
+        surface::Reconfigurability::kProgrammable, granularity);
+    const PanelVariables vars({&lead, &panel});
+    const std::size_t offset = vars.range_of(1).first;
+    const double loss = std::pow(10.0, -1.7 / 20.0);
+    util::Rng rng(83);
+    std::vector<em::CxPlanes> planes;
+    for (int round = 0; round < 2; ++round) {  // second round reuses buffers
+      std::vector<double> x(vars.dimension());
+      for (double& v : x) v = rng.uniform(-10.0, 10.0);
+      vars.coefficients_into(x, planes);
+      ASSERT_EQ(planes.size(), 2u);
+      const em::CxPlanes& c = planes[1];
+      ASSERT_EQ(c.size(), 15u);
+      for (std::size_t r = 0; r < 3; ++r) {
+        for (std::size_t col = 0; col < 5; ++col) {
+          std::size_t control = 0;
+          switch (granularity) {
+            case G::kElement: control = r * 5 + col; break;
+            case G::kColumn: control = col; break;
+            case G::kRow: control = r; break;
+            case G::kGlobal: control = 0; break;
+          }
+          const em::Cx expected = std::polar(loss, x[offset + control]);
+          EXPECT_EQ(c.re()[r * 5 + col], expected.real());
+          EXPECT_EQ(c.im()[r * 5 + col], expected.imag());
+        }
+      }
+      for (std::size_t e = c.size(); e < c.padded_size(); ++e) {
+        EXPECT_EQ(c.re()[e], 0.0);
+        EXPECT_EQ(c.im()[e], 0.0);
+      }
+    }
   }
 }
 
@@ -207,6 +257,146 @@ TEST(Objectives, RejectBadConstruction) {
   EXPECT_THROW(
       PowerDeliveryObjective(fx.channel.get(), fx.vars.get(), {0}, 0.0),
       std::invalid_argument);
+}
+
+// --- JointObjective --------------------------------------------------------------
+
+/// Two panels (element- and column-controlled) and 80 RX probes, so the
+/// capacity term below spans two kRxBlock blocks.
+struct JointFixture {
+  sim::Environment env{em::MaterialDb::standard()};
+  surface::SurfacePanel a = small_panel("a");
+  surface::SurfacePanel b =
+      small_panel("b", surface::ControlGranularity::kColumn,
+                  geom::Frame({0.6, -0.8, 2.2}, {0, 0, -1}, {1, 0, 0}));
+  std::unique_ptr<sim::SceneChannel> channel;
+  std::unique_ptr<PanelVariables> vars;
+  std::vector<std::size_t> coverage_rx, leak_rx, sensing_rx;
+
+  JointFixture() {
+    env.add_vertical_wall(0.0, -2.0, 0.0, 2.0, 0.0, 1.0, em::kMatMetal);
+    env.finalize();
+    std::vector<geom::Vec3> rx;
+    for (std::size_t i = 0; i < 10; ++i) {
+      for (std::size_t j = 0; j < 8; ++j) {
+        rx.push_back({0.4 + 0.13 * static_cast<double>(i),
+                      -1.8 + 0.2 * static_cast<double>(j),
+                      0.1 + 0.02 * static_cast<double>(i % 3)});
+      }
+    }
+    const std::vector<const surface::SurfacePanel*> panels{&a, &b};
+    channel = std::make_unique<sim::SceneChannel>(
+        &env, kFreq, sim::TxSpec{{-1.0, 0.2, 0.0}, nullptr}, panels, rx);
+    vars = std::make_unique<PanelVariables>(panels);
+    for (std::size_t j = 0; j < 70; ++j) coverage_rx.push_back(j);
+    for (std::size_t j = 70; j < 79; ++j) leak_rx.push_back(j);
+    sensing_rx = {3, 17, 42, 64, 77};
+  }
+
+  std::vector<double> point(std::uint64_t seed) const {
+    util::Rng rng(seed);
+    std::vector<double> x(vars->dimension());
+    for (double& v : x) v = rng.uniform(0, util::kTwoPi);
+    return x;
+  }
+};
+
+/// The mixed plan the orchestrator builds for capacity + security + power +
+/// sensing tasks, once fused and once as a weighted sum of standalone terms.
+struct MixedPlan {
+  CapacityObjective capacity;
+  PowerDeliveryObjective leak;
+  PowerDeliveryObjective power;
+  LocalizationObjective localization;
+  opt::WeightedSumObjective weighted;
+  JointObjective joint;
+
+  explicit MixedPlan(const JointFixture& fx)
+      : capacity(fx.channel.get(), fx.vars.get(), fx.coverage_rx, 1e12, 1.0),
+        leak(fx.channel.get(), fx.vars.get(), fx.leak_rx, 3e-9),
+        power(fx.channel.get(), fx.vars.get(), {79}, 2e-9),
+        localization(fx.channel.get(), fx.vars.get(), 1, fx.sensing_rx, 41),
+        joint(fx.channel.get(), fx.vars.get()) {
+    weighted.add_term(&capacity, 3.0);
+    weighted.add_term(&leak, -4.0);
+    weighted.add_term(&power, 1.0);
+    weighted.add_term(&localization, 2.0);
+    joint.add_capacity(fx.coverage_rx, 1e12, 1.0, 3.0);
+    joint.add_power_delivery(fx.leak_rx, 3e-9, -4.0);
+    joint.add_power_delivery({79}, 2e-9, 1.0);
+    joint.add_localization(1, fx.sensing_rx, 41, 2.0);
+  }
+};
+
+TEST(JointObjectiveTest, BitIdenticalToWeightedSumOfStandaloneTerms) {
+  const JointFixture fx;
+  std::vector<double> fused_serial;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+    util::reset_global_pool(threads);  // 1 = serial, 0 = the pool default
+    const MixedPlan plan(fx);
+    EXPECT_EQ(plan.joint.term_count(), 4u);
+    for (const std::uint64_t seed : {5u, 6u, 7u}) {
+      const auto x = fx.point(seed);
+      std::vector<double> g_joint(x.size()), g_weighted(x.size());
+      const double v_joint = plan.joint.value_and_gradient(x, g_joint);
+      const double v_weighted = plan.weighted.value_and_gradient(x, g_weighted);
+      EXPECT_EQ(v_joint, v_weighted);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(g_joint[i], g_weighted[i]) << "coordinate " << i;
+      }
+      // value() runs the per-term value paths (and the memo on a repeat).
+      EXPECT_EQ(plan.joint.value(x), plan.weighted.value(x));
+      EXPECT_EQ(plan.joint.value(x), plan.weighted.value(x));
+      if (threads == 1) {
+        fused_serial.push_back(v_joint);
+      } else {
+        EXPECT_EQ(v_joint, fused_serial[seed - 5]);
+      }
+    }
+  }
+  util::reset_global_pool(0);
+}
+
+TEST(JointObjectiveTest, GradientDescentTrajectoryUnchanged) {
+  const JointFixture fx;
+  const MixedPlan plan(fx);
+  const auto x0 = fx.point(11);
+  const opt::GradientDescent optimizer;
+  const auto fused = optimizer.minimize(plan.joint, x0);
+  const auto reference = optimizer.minimize(plan.weighted, x0);
+  EXPECT_GT(fused.iterations, 1u);
+  EXPECT_EQ(fused.iterations, reference.iterations);
+  EXPECT_EQ(fused.evaluations, reference.evaluations);
+  EXPECT_EQ(fused.value, reference.value);
+  ASSERT_EQ(fused.x.size(), reference.x.size());
+  for (std::size_t i = 0; i < fused.x.size(); ++i) {
+    EXPECT_EQ(fused.x[i], reference.x[i]) << "coordinate " << i;
+  }
+}
+
+TEST(JointObjectiveTest, ConcurrentBatchMatchesSerialValues) {
+  const JointFixture fx;
+  const MixedPlan plan(fx);
+  std::vector<std::vector<double>> xs;
+  for (std::uint64_t seed = 20; seed < 36; ++seed) xs.push_back(fx.point(seed));
+  std::vector<double> batch(xs.size());
+  plan.joint.value_batch(xs, batch);
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    EXPECT_EQ(batch[k], plan.weighted.value(xs[k])) << "point " << k;
+  }
+}
+
+TEST(JointObjectiveTest, RejectsBadTermsAndGradientSize) {
+  const JointFixture fx;
+  JointObjective joint(fx.channel.get(), fx.vars.get());
+  EXPECT_THROW(joint.add_localization(2, {0}, 41, 1.0), std::invalid_argument);
+  EXPECT_THROW(joint.add_power_delivery({}, 1.0, 1.0), std::invalid_argument);
+  EXPECT_EQ(joint.term_count(), 0u);
+  joint.add_capacity({0}, 1e8, 1.0, 1.0);
+  const auto x = fx.point(3);
+  std::vector<double> short_gradient(x.size() - 1);
+  EXPECT_THROW(joint.value_and_gradient(x, short_gradient),
+               std::invalid_argument);
 }
 
 // --- Perf models ---------------------------------------------------------------------
@@ -380,7 +570,8 @@ struct OrchestratorFixture {
   std::unique_ptr<Orchestrator> orchestrator;
 
   explicit OrchestratorFixture(
-      SchedulePolicy policy = SchedulePolicy::kPriorityJoint)
+      SchedulePolicy policy = SchedulePolicy::kPriorityJoint,
+      OrchestratorOptions options = {})
       : panel([&] {
           surface::ElementDesign d;
           d.spacing_m = em::wavelength(em::band_center(scene.band)) / 2.0;
@@ -401,7 +592,6 @@ struct OrchestratorFixture {
     context.ap = scene.ap();
     context.default_band = scene.band;
     context.budget = scene.budget;
-    OrchestratorOptions options;
     options.policy = policy;
     orchestrator = std::make_unique<Orchestrator>(&registry, &clock, context,
                                                   options);
@@ -475,6 +665,36 @@ TEST(OrchestratorTest, SensingTaskProducesAccuracy) {
   ASSERT_TRUE(task->achieved.has_value());
   EXPECT_LT(*task->achieved, 0.8);  // median error within target
   EXPECT_TRUE(task->goal_met);
+}
+
+TEST(OrchestratorTest, SensingIsMeasuredAtTheConfiguredBins) {
+  OrchestratorOptions options;
+  options.sensing_bins = 21;
+  OrchestratorFixture fx(SchedulePolicy::kPriorityJoint, options);
+  SensingGoal goal;
+  goal.region_id = "room";
+  goal.region = geom::SampleGrid(0.8, 2.8, 0.5, 2.5, 1.0, 3, 3);
+  goal.target_accuracy_m = 0.8;
+  const TaskId id = fx.orchestrator->enable_sensing(goal);
+  fx.orchestrator->step();
+  const Task* task = fx.orchestrator->find_task(id);
+  ASSERT_TRUE(task->achieved.has_value());
+
+  // The plan's channel, rebuilt from the same scene, probes and hardware.
+  const sim::SceneChannel channel(
+      fx.scene.environment.get(), em::band_center(fx.scene.band),
+      fx.scene.ap(), std::vector<const surface::SurfacePanel*>{&fx.panel},
+      goal.region.points());
+  const std::vector<surface::SurfaceConfig> configs{
+      *fx.orchestrator->last_realized("wall")};
+  std::vector<std::size_t> rx(goal.region.size());
+  for (std::size_t j = 0; j < rx.size(); ++j) rx[j] = j;
+  const double at_21 =
+      sensing_metrics(channel, configs, 0, rx, 21).median_error_m;
+  const double at_121 =
+      sensing_metrics(channel, configs, 0, rx, 121).median_error_m;
+  ASSERT_NE(at_21, at_121);  // the scan resolution shows in this scene
+  EXPECT_EQ(*task->achieved, at_21);
 }
 
 TEST(OrchestratorTest, DurationTasksExpire) {
