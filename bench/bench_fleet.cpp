@@ -11,17 +11,15 @@
 // site's StepTrace.task_trace_ids on the step whose epoch flush applied the
 // task's configurations.
 //
-// A second section replays an identical rewrite workload through both HAL
-// write modes (kBatched vs kPerElement) and reports the per-epoch config-
-// transaction ratio.
+// A second section runs a rewrite epoch and reports its batched config
+// transactions against what a naive writer would pay: one transaction per
+// changed element, which is the epoch's StepTrace::element_updates.
 //
 // All wall-clock numbers come from one core stepping every site serially or
 // in shards on the process-wide pool — they measure control-plane software
 // cost, not radio hardware.
 //
-// Emits BENCH_fleet.json:  ./bench_fleet [output.json] [--no-share]
-// --no-share disables the content-addressed precompute store (the ablation
-// row: every site precomputes its own dense channel artifacts).
+// Emits BENCH_fleet.json:  ./bench_fleet [output.json]
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -152,13 +150,14 @@ double percentile(std::vector<double> sorted, double p) {
 /// The scenario vector must outlive the fleet.
 std::unique_ptr<Fleet> build_fleet(
     std::size_t sites, std::vector<sim::CoverageRoomScenario>& scenarios,
-    std::size_t panel_n, orch::OrchestratorOptions options) {
+    std::size_t panel_n) {
   const surface::Catalog catalog = surface::Catalog::standard();
   auto fleet = std::make_unique<Fleet>();
   scenarios.clear();
   scenarios.reserve(sites);
   // Cheap sensing apertures: the default 121-bin scan dominates runtime at
   // fleet scale without changing the control-plane story this bench tells.
+  orch::OrchestratorOptions options;
   options.sensing_bins = 21;
   for (std::size_t i = 0; i < sites; ++i) {
     scenarios.push_back(sim::make_coverage_room(/*grid_n=*/3));
@@ -292,16 +291,13 @@ LoadResult run_sustained_load(Fleet& fleet,
   return result;
 }
 
-/// Identical rewrite workload through one HAL write mode: one link task per
-/// site lands its config, then every endpoint moves and the environment is
-/// invalidated, so the second epoch rewrites every slot. Returns that
-/// epoch's config-write transaction count.
-std::size_t run_rewrite_epoch(hal::HalWriteMode mode) {
+/// Rewrite workload: one link task per site lands its config, then every
+/// endpoint moves and the environment is invalidated, so the second epoch
+/// rewrites every slot. Returns that epoch's trace.
+orch::StepTrace run_rewrite_epoch() {
   constexpr std::size_t kRewriteSites = 20;
   std::vector<sim::CoverageRoomScenario> scenarios;
-  orch::OrchestratorOptions options;
-  options.hal_write_mode = mode;
-  auto fleet = build_fleet(kRewriteSites, scenarios, /*panel_n=*/10, options);
+  auto fleet = build_fleet(kRewriteSites, scenarios, /*panel_n=*/10);
   for (const std::string& id : fleet->site_ids()) {
     fleet->site(id).orchestrator().enhance_link({"phone", 10.0, 50.0});
   }
@@ -311,7 +307,7 @@ std::size_t run_rewrite_epoch(hal::HalWriteMode mode) {
     site.registry().find_endpoint("phone")->position = {3.2, 1.2, 1.1};
     site.orchestrator().notify_environment_changed();
   }
-  return fleet->step_all().trace.config_writes;
+  return fleet->step_all().trace;
 }
 
 const char* class_name(orch::Priority priority) {
@@ -324,19 +320,9 @@ const char* class_name(orch::Priority priority) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_fleet.json";
-  bool share = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--no-share") {
-      share = false;
-    } else {
-      out_path = argv[i];
-    }
-  }
-  sim::set_precompute_enabled(share);
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_fleet.json";
 
-  std::printf("=== Fleet sustained-load harness: %zu sites (%s) ===\n", kSites,
-              share ? "shared precompute" : "--no-share ablation");
+  std::printf("=== Fleet sustained-load harness: %zu sites ===\n", kSites);
   setenv("SURFOS_ADMIT_QUEUE", std::to_string(kQueueCapacity).c_str(), 1);
 
   // Arrivals: an open-loop Poisson phase, then a bursty trace replay phase
@@ -354,7 +340,7 @@ int main(int argc, char** argv) {
             [](const Arrival& a, const Arrival& b) { return a.epoch < b.epoch; });
 
   std::vector<sim::CoverageRoomScenario> scenarios;
-  auto fleet = build_fleet(kSites, scenarios, /*panel_n=*/6, {});
+  auto fleet = build_fleet(kSites, scenarios, /*panel_n=*/6);
   LoadResult load = run_sustained_load(*fleet, arrivals);
   const sim::PrecomputeStore::Stats pre = Fleet::precompute_stats();
 
@@ -389,9 +375,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(pre.evictions),
               static_cast<double>(pre.bytes) / (1024.0 * 1024.0));
 
-  // HAL write-path comparison on an identical rewrite workload.
-  const std::size_t batched_tx = run_rewrite_epoch(hal::HalWriteMode::kBatched);
-  const std::size_t naive_tx = run_rewrite_epoch(hal::HalWriteMode::kPerElement);
+  // Batched HAL writes against a naive writer's one transaction per changed
+  // element, on one rewrite epoch.
+  const orch::StepTrace rewrite = run_rewrite_epoch();
+  const std::size_t batched_tx = rewrite.config_writes;
+  const std::size_t naive_tx = rewrite.element_updates;
   const double tx_ratio = batched_tx > 0
                               ? static_cast<double>(naive_tx) /
                                     static_cast<double>(batched_tx)
@@ -449,9 +437,8 @@ int main(int argc, char** argv) {
     }
   }
   out << "  },\n";
-  out << "  \"precompute\": {\"shared\": " << (share ? "true" : "false")
-      << ", \"hits\": " << pre.hits << ", \"misses\": " << pre.misses
-      << ", \"evictions\": " << pre.evictions
+  out << "  \"precompute\": {\"hits\": " << pre.hits
+      << ", \"misses\": " << pre.misses << ", \"evictions\": " << pre.evictions
       << ", \"resident_bytes\": " << pre.bytes << "},\n";
   out << "  \"config_transactions\": " << load.config_transactions << ",\n";
   out << "  \"rewrite_epoch\": {\"batched_transactions\": " << batched_tx

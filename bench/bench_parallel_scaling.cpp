@@ -2,6 +2,8 @@
 // versus thread-pool timings for the three dominant hot paths on a
 // Fig-5-sized scene (3.5 m room, 20x20 element-wise surface, 14x14 RX
 // grid): SceneChannel::precompute, power_map, and objective gradients.
+// The precompute store is cleared before each timed construction, so the
+// precompute row times a cold fill, not a store hit.
 //
 // Emits BENCH_parallel.json so later PRs can track the perf trajectory:
 //   ./bench_parallel_scaling [threads] [output.json]
@@ -21,6 +23,7 @@
 #include "orch/variables.hpp"
 #include "sim/channel.hpp"
 #include "sim/floorplan.hpp"
+#include "sim/precompute_store.hpp"
 #include "surface/panel.hpp"
 #include "util/thread_pool.hpp"
 
@@ -69,15 +72,17 @@ struct Section {
 
 /// Runs `work` under a serial pool and under an n-thread pool; returns both
 /// wall times (best of `reps` runs each, to shed scheduler noise).
-template <typename Work>
+/// `prepare` runs untimed before each run.
+template <typename Work, typename Prepare = void (*)()>
 Section measure(const std::string& name, std::size_t threads, int reps,
-                Work&& work) {
+                Work&& work, Prepare&& prepare = [] {}) {
   Section section;
   section.name = name;
   for (const bool parallel : {false, true}) {
     util::reset_global_pool(parallel ? threads : 1);
     double best = 0.0;
     for (int r = 0; r < reps; ++r) {
+      prepare();
       const auto start = std::chrono::steady_clock::now();
       work();
       const double elapsed = ms_since(start);
@@ -121,9 +126,10 @@ int main(int argc, char** argv) {
 
   std::vector<Section> sections;
 
-  sections.push_back(measure("precompute", threads, 3, [&] {
-    const auto channel = scene.make_channel();
-  }));
+  sections.push_back(measure(
+      "precompute", threads, 3,
+      [&] { const auto channel = scene.make_channel(); },
+      [] { sim::PrecomputeStore::instance().clear(); }));
 
   const auto channel = scene.make_channel();
   sections.push_back(measure("power_map", threads, 5, [&] {

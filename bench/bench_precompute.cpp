@@ -2,16 +2,17 @@
 // the two workloads PR 10 targets.
 //
 // Section 1 — fleet cold start: N identical sites each construct their
-// SceneChannel. Dense (SURFOS_PRECOMPUTE=0) pays N full precomputes; shared
-// pays one miss and N-1 hits. Claim: >= 5x.
+// SceneChannel. Dense (the store cleared before each build) pays N full
+// precomputes; shared pays one miss and N-1 hits. Claim: >= 5x.
 //
 // Section 2 — single-endpoint churn: a live channel's RX set changes by one
 // endpoint per step. Dense re-precomputes everything; precompute_delta
 // traces and fills only the new row. Claim: >= 10x.
 //
 // Both sections assert bitwise-identical artifacts (f/g/cascade planes and
-// h_dir) between the shared and dense paths before timing anything —
-// a speedup over different numbers would be meaningless.
+// h_dir) between two cold fills, and between a delta-rebased channel and a
+// fresh fill, before timing anything — a speedup over different numbers
+// would be meaningless.
 //
 // Single-threaded (reset_global_pool(1)) so the ratios measure algorithmic
 // work saved, not scheduling; the store path wins even harder with threads
@@ -120,15 +121,15 @@ int main(int argc, char** argv) {
 
   const Site site;
   const std::vector<geom::Vec3> grid = site.scenario.room_grid.points();
+  sim::PrecomputeStore& store = sim::PrecomputeStore::instance();
 
-  // --- Equivalence gate: shared and dense artifacts must match bitwise. ---
-  sim::set_precompute_enabled(false);
-  const auto dense_ref = site.make_channel(grid);
-  sim::set_precompute_enabled(true);
-  sim::PrecomputeStore::instance().clear();
-  const auto shared_ref = site.make_channel(grid);
-  if (!channels_identical(*dense_ref, *shared_ref)) {
-    std::fprintf(stderr, "FATAL: shared artifacts differ from dense\n");
+  // --- Equivalence gate: two cold fills must match bitwise. ---
+  store.clear();
+  const auto first_fill = site.make_channel(grid);
+  store.clear();
+  const auto second_fill = site.make_channel(grid);
+  if (!channels_identical(*first_fill, *second_fill)) {
+    std::fprintf(stderr, "FATAL: a cold fill differs from another\n");
     return 1;
   }
 
@@ -146,35 +147,38 @@ int main(int argc, char** argv) {
     churned.erase(churned.begin() + 3);
     churned.insert(churned.end(), added.begin(), added.end());
     churned.push_back(removed);
-    sim::set_precompute_enabled(false);
+    store.clear();
     const auto fresh = site.make_channel(churned);
-    sim::set_precompute_enabled(true);
     if (!channels_identical(*fresh, *delta_chan)) {
       std::fprintf(stderr, "FATAL: delta precompute differs from fresh\n");
       return 1;
     }
   }
-  std::printf("equivalence: shared == dense, delta == fresh (bitwise)\n");
+  std::printf("equivalence: cold fill == cold fill, delta == fresh "
+              "(bitwise)\n");
 
   // --- Section 1: fleet cold start, N identical sites. ---
   std::vector<Site> sites(kSites);
 
-  sim::set_precompute_enabled(false);
-  auto start = std::chrono::steady_clock::now();
+  // Dense baseline: the store is cleared (untimed) before every build, so
+  // each site pays a full fill.
+  double dense_cold_ms = 0.0;
   {
     std::vector<std::unique_ptr<sim::SceneChannel>> channels;
-    for (const Site& s : sites) channels.push_back(s.make_channel(grid));
+    for (const Site& s : sites) {
+      store.clear();
+      const auto build_start = std::chrono::steady_clock::now();
+      channels.push_back(s.make_channel(grid));
+      dense_cold_ms += ms_since(build_start);
+    }
   }
-  const double dense_cold_ms = ms_since(start);
 
-  sim::set_precompute_enabled(true);
-  sim::PrecomputeStore::instance().clear();
-  start = std::chrono::steady_clock::now();
+  store.clear();
+  auto start = std::chrono::steady_clock::now();
   std::vector<std::unique_ptr<sim::SceneChannel>> shared_channels;
   for (const Site& s : sites) shared_channels.push_back(s.make_channel(grid));
   const double shared_cold_ms = ms_since(start);
-  const sim::PrecomputeStore::Stats cold_stats =
-      sim::PrecomputeStore::instance().stats();
+  const sim::PrecomputeStore::Stats cold_stats = store.stats();
 
   const double cold_speedup =
       shared_cold_ms > 0.0 ? dense_cold_ms / shared_cold_ms : 0.0;
@@ -187,18 +191,18 @@ int main(int argc, char** argv) {
       static_cast<double>(cold_stats.bytes) / (1024.0 * 1024.0));
 
   // --- Section 2: single-endpoint churn on a live channel. ---
-  // Dense baseline: each churn step rebuilds the whole channel (what a
-  // store-less daemon does when an endpoint joins).
+  // Dense baseline: each churn step rebuilds the whole channel from a
+  // cleared store (what a store-less daemon does when an endpoint joins).
   std::vector<geom::Vec3> points = grid;
-  sim::set_precompute_enabled(false);
-  start = std::chrono::steady_clock::now();
+  double dense_churn_ms = 0.0;
   for (std::size_t i = 0; i < kChurnSteps; ++i) {
     points.back() = {1.0 + 0.03 * static_cast<double>(i), 2.1, 1.2};
+    store.clear();
+    const auto build_start = std::chrono::steady_clock::now();
     const auto rebuilt = site.make_channel(points);
+    dense_churn_ms += ms_since(build_start);
   }
-  const double dense_churn_ms = ms_since(start);
 
-  sim::set_precompute_enabled(true);
   points = grid;
   auto live = site.make_channel(points);
   start = std::chrono::steady_clock::now();
@@ -226,8 +230,8 @@ int main(int argc, char** argv) {
   }
   out << "{\n  \"bench\": \"precompute\",\n";
   bench::write_meta(out);
-  out << "  \"note\": \"single-threaded; shared store vs SURFOS_PRECOMPUTE=0 "
-         "dense artifacts, bitwise-identical values verified before "
+  out << "  \"note\": \"single-threaded; shared store vs dense builds from "
+         "a cleared store, bitwise-identical values verified before "
          "timing\",\n";
   out << "  \"equivalence\": {\"shared_equals_dense\": true, "
          "\"delta_equals_fresh\": true},\n";

@@ -1,7 +1,8 @@
 // Vectorized dense channel kernel: scalar backend versus the best SIMD
 // backend available on this host, single-threaded (the SIMD win must not
-// hide behind thread-pool scaling) with digest memoization disabled
-// (SURFOS_EVAL_CACHE=0) so every run exercises the dense kernels.
+// hide behind thread-pool scaling). The precompute store is cleared before
+// each timed construction, so the precompute row times a cold fill, not a
+// store hit.
 //
 // Sections on a Fig-5-sized scene (3.5 m room, 20x20 element-wise surface,
 // 14x14 RX grid): SceneChannel construction (precompute), power_map, and
@@ -20,10 +21,10 @@
 #include <vector>
 
 #include "bench_meta.hpp"
-#include "core/config.hpp"
 #include "em/soa.hpp"
 #include "sim/channel.hpp"
 #include "sim/floorplan.hpp"
+#include "sim/precompute_store.hpp"
 #include "surface/panel.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -63,10 +64,13 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-template <typename Work>
-double best_of(int reps, Work&& work) {
+/// Best wall time of `reps` runs of `work`; `prepare` runs untimed before
+/// each one.
+template <typename Work, typename Prepare = void (*)()>
+double best_of(int reps, Work&& work, Prepare&& prepare = [] {}) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
+    prepare();
     const auto start = std::chrono::steady_clock::now();
     work();
     const double elapsed = ms_since(start);
@@ -89,11 +93,8 @@ struct Section {
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_simd.json";
 
-  // Single-threaded, dense-path-only: the comparison is kernel vs kernel.
+  // Single-threaded: the comparison is kernel vs kernel.
   util::reset_global_pool(1);
-  core::Config config = core::Config::from_env();
-  (void)config.set("SURFOS_EVAL_CACHE", 0);
-  core::install_config(std::move(config));
 
   const simd::Backend best = simd::ops().backend;
   if (best == simd::Backend::kScalar) {
@@ -123,9 +124,9 @@ int main(int argc, char** argv) {
       return vectorized ? s.vector_ms : s.scalar_ms;
     };
 
-    pick(sections[0]) = best_of(3, [&] {
-      const auto channel = scene.make_channel();
-    });
+    pick(sections[0]) = best_of(
+        3, [&] { const auto channel = scene.make_channel(); },
+        [] { sim::PrecomputeStore::instance().clear(); });
 
     const auto channel = scene.make_channel();
     pick(sections[1]) = best_of(5, [&] {
@@ -175,6 +176,5 @@ int main(int argc, char** argv) {
   }
   out << "  ]\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
-  core::clear_config();
   return 0;
 }

@@ -22,7 +22,7 @@ cmake --build "$BUILD" -j"$(nproc)" --target \
 # BENCH_precompute.json: {equivalence: {shared_equals_dense, delta_equals_fresh},
 #  cold_start: {sites, dense_ms, shared_ms, speedup, hits, misses,
 #  resident_bytes}, endpoint_churn: {steps, dense_rebuild_ms, delta_ms,
-#  speedup}} — shared store vs SURFOS_PRECOMPUTE=0, bitwise-verified.
+#  speedup}} — shared store vs builds from a cleared store, bitwise-verified.
 "$BUILD/bench/bench_precompute"
 "$BUILD/bench/bench_daemon"
 

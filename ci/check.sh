@@ -3,20 +3,17 @@
 #
 #   1. tier-1: configure + build + full ctest in ./build
 #   2. focused re-runs of the observability suites (ctest -L telemetry,
-#      ctest -L trace), the digest-memo equivalence suite (ctest -L memo),
-#      the fleet control-plane suite (ctest -L fleet), and the
+#      ctest -L trace), the fleet control-plane suite (ctest -L fleet), the
+#      precompute-store suite (ctest -L precompute), and the
 #      daemon/wire-protocol suite (ctest -L daemon) so a regression there is
 #      named, not buried
 #   3. forced-scalar re-run of the full suite (SURFOS_SIMD=scalar): the
 #      scalar SIMD backend is the bit-exact reference, so every test must
 #      pass with vectorization disabled
-#   3b. forced-dense re-run of the full suite (SURFOS_PRECOMPUTE=0): the
-#      content-addressed precompute store is a pure cache, so every test
-#      must pass with sharing disabled and private dense artifacts
-#   4. TSan build of the thread-pool/tracing/memo/fleet/daemon/precompute/
-#      orchestrator tests (ctest -L "tsan|trace|memo|fleet|daemon|precompute|orch"
+#   4. TSan build of the thread-pool/tracing/fleet/daemon/precompute/
+#      orchestrator tests (ctest -L "tsan|trace|fleet|daemon|precompute|orch"
 #      in ./build-tsan); any sanitizer report fails the run
-#   4b. ASan+LSan build of the memo/wire/daemon/streaming/precompute/fleet/
+#   4b. ASan+LSan build of the wire/daemon/streaming/precompute/fleet/
 #      orchestrator tests (./build-asan); any memory error or leak fails the
 #      run
 #   5. UBSan build of the SIMD/geometry/channel tests (ctest -L simd plus
@@ -41,10 +38,9 @@ cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
 echo
-echo "== focused: telemetry + trace + memo + fleet + daemon labels"
+echo "== focused: telemetry + trace + fleet + daemon + precompute labels"
 ctest --test-dir build --output-on-failure -L telemetry
 ctest --test-dir build --output-on-failure -L trace
-ctest --test-dir build --output-on-failure -L memo
 ctest --test-dir build --output-on-failure -L fleet
 ctest --test-dir build --output-on-failure -L daemon
 ctest --test-dir build --output-on-failure -L precompute
@@ -53,21 +49,17 @@ echo
 echo "== forced scalar: full suite with SURFOS_SIMD=scalar (vector dispatch off)"
 SURFOS_SIMD=scalar ctest --test-dir build --output-on-failure -j"$JOBS"
 
-echo
-echo "== forced dense: full suite with SURFOS_PRECOMPUTE=0 (artifact sharing off)"
-SURFOS_PRECOMPUTE=0 ctest --test-dir build --output-on-failure -j"$JOBS"
 
 echo
-echo "== tsan: thread-pool / tracing / memo / daemon / orch tests under ThreadSanitizer (build-tsan/)"
+echo "== tsan: thread-pool / tracing / daemon / orch tests under ThreadSanitizer (build-tsan/)"
 cmake -B build-tsan -S . -DSURFOS_SANITIZE=thread
 cmake --build build-tsan -j"$JOBS" --target \
-  test_thread_pool test_parallel_determinism test_trace test_memo \
+  test_thread_pool test_parallel_determinism test_trace \
   test_precompute test_fleet test_admission test_proto test_daemon \
   test_streaming test_orch
 # TSan findings abort the test process (halt_on_error) so a data race can
 # never hide behind a green assertion run. -L is a regex: the trace suite
-# hammers the recorder from pool workers, the memo suite shares digest
-# memos across per-RX pool workers, the fleet suite steps sharded
+# hammers the recorder from pool workers, the fleet suite steps sharded
 # sites concurrently on the pool, the daemon suite runs the ticker and
 # poll() server threads against client connections, and the precompute
 # suite exercises the mutex-guarded global artifact store from pool
@@ -76,14 +68,13 @@ cmake --build build-tsan -j"$JOBS" --target \
 # concurrent value_batch callers, so all of them run under TSan too.
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir build-tsan --output-on-failure \
-  -L "tsan|trace|memo|fleet|daemon|precompute|orch"
+  -L "tsan|trace|fleet|daemon|precompute|orch"
 
 echo
-echo "== asan: memo / wire / daemon / precompute / fleet / orch tests under ASan+LSan (build-asan/)"
+echo "== asan: wire / daemon / precompute / fleet / orch tests under ASan+LSan (build-asan/)"
 cmake -B build-asan -S . -DSURFOS_SANITIZE=address
 cmake --build build-asan -j"$JOBS" --target \
-  test_memo test_proto test_daemon test_streaming test_precompute test_fleet \
-  test_orch
+  test_proto test_daemon test_streaming test_precompute test_fleet test_orch
 # halt_on_error makes the first invalid access fail its test; detect_leaks
 # runs LeakSanitizer at exit, so a leaked snapshot buffer, client connection
 # or precompute artifact fails the run too; the orch suite reuses the joint
@@ -91,7 +82,7 @@ cmake --build build-asan -j"$JOBS" --target \
 # labels (test_admission's fleet tests stay in the TSan leg).
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
   ctest --test-dir build-asan --output-on-failure \
-  -L "memo|daemon|precompute|fleet|orch"
+  -L "daemon|precompute|fleet|orch"
 
 echo
 echo "== ubsan: SIMD kernels + dense channel path under UBSan (build-ubsan/)"

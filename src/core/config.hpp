@@ -2,7 +2,7 @@
 //
 // Before PR 8 every SURFOS_* size knob was read straight from the process
 // environment, several of them once at construction time (admission queue
-// capacity, trace-ring size, eval-cache size) — so a long-running surfosd
+// capacity, trace-ring size) — so a long-running surfosd
 // could never retune them without a restart, and `putenv` mid-run is not a
 // control plane. Config fixes the plumbing:
 //
@@ -62,12 +62,8 @@ inline constexpr KnobSpec kKnobRegistry[] = {
      "concurrent shards in Fleet::step_all (0 = one per pool thread)"},
     {"SURFOS_ADMIT_QUEUE", 1, KnobReload::kPerSubmit,
      "bounded admission-queue capacity per broker"},
-    {"SURFOS_EVAL_CACHE", 0, KnobReload::kConstruction,
-     "digest-memo entries per objective and channel (0 = off)"},
     {"SURFOS_TRACE_BUFFER", 1, KnobReload::kConstruction,
      "flight-recorder ring capacity in events"},
-    {"SURFOS_HAL_BATCH", 0, KnobReload::kConstruction,
-     "epoch-batched HAL writes (0 = per-element baseline)"},
     {"SURFOS_EPOCH_MS", 1, KnobReload::kPerEpoch,
      "surfosd control-epoch period in milliseconds"},
     {"SURFOS_PUMP_MAX", 1, KnobReload::kPerEpoch,
@@ -82,8 +78,6 @@ inline constexpr KnobSpec kKnobRegistry[] = {
      "ARQ retransmissions as % of sends per epoch that degrades"},
     {"SURFOS_SLO_SHED", 1, KnobReload::kPerEpoch,
      "demands shed in one epoch that degrades a site"},
-    {"SURFOS_PRECOMPUTE", 0, KnobReload::kConstruction,
-     "content-addressed precompute sharing (0 = private dense artifacts)"},
     {"SURFOS_PRECOMPUTE_CACHE", 0, KnobReload::kPerEpoch,
      "precompute-store byte budget (LRU; 0 = keep only pinned artifacts)"},
 };

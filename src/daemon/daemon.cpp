@@ -204,40 +204,9 @@ void Daemon::run_epoch() {
   last_report_wire_ = proto::to_wire(report);
   ++stats_.epochs;
 
-  // Resolve admit->applied latencies: a submitted app first seen running
-  // completes its trace in the mergeable histogram. Entries whose app
-  // vanished (shed, stopped before admission) are garbage-collected.
-  const auto wall_now = std::chrono::steady_clock::now();
-  for (auto it = pending_admit_.begin(); it != pending_admit_.end();) {
-    const auto& [site_id, app_id] = it->first;
-    Site* site = find_site_entry(site_id);
-    bool resolved = false;
-    bool alive = false;
-    if (site != nullptr) {
-      const auto& sessions = site->os->broker().sessions();
-      if (const auto sit = sessions.find(app_id); sit != sessions.end()) {
-        alive = true;
-        if (sit->second.running) {
-          series_.record_admit_latency_ms(
-              std::chrono::duration<double, std::milli>(wall_now - it->second)
-                  .count());
-          resolved = true;
-        }
-      } else {
-        for (const auto& queued : site->os->broker().admission().pending()) {
-          if (queued.app_id == app_id) {
-            alive = true;
-            break;
-          }
-        }
-      }
-    }
-    it = resolved || !alive ? pending_admit_.erase(it) : std::next(it);
-  }
-
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(wall_now - wall_start)
-          .count();
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - wall_start)
+                             .count();
   stats_.last_epoch_ms = wall_ms;
 
   // SLO watchdog: one verdict per site, from this epoch's signals.
@@ -396,9 +365,6 @@ proto::WireFrame Daemon::handle_submit(const proto::WireFrame& request) {
       !submitted.ok()) {
     return error_reply(request.trace_id, submitted.error());
   }
-  // Start the admit->applied clock: resolved in run_epoch when the session
-  // is first observed running.
-  pending_admit_[{site->id, app_id}] = std::chrono::steady_clock::now();
   proto::WireFrame reply = reply_frame(proto::MsgType::kOk, request.trace_id);
   proto::TlvWriter w(reply.payload);
   w.put_u64(tag::kQueueDepth, site->os->broker().admission().depth());

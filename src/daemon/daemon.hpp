@@ -23,10 +23,8 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -176,11 +174,6 @@ class Daemon {
   telemetry::Timeseries series_;
   SloWatchdog watchdog_;
   std::vector<SiteHealth> latest_health_;
-  /// (site, app) -> submit wall time, resolved into the admit->applied
-  /// histogram when the session is first seen running.
-  std::map<std::pair<std::string, std::string>,
-           std::chrono::steady_clock::time_point>
-      pending_admit_;
   SubscriptionRegistry subs_;
 
   std::atomic<bool> running_{false};

@@ -5,7 +5,6 @@
 
 #include "surface/types.hpp"
 #include "telemetry/telemetry.hpp"
-#include "core/config.hpp"
 #include "util/units.hpp"
 
 namespace surfos::hal {
@@ -77,14 +76,6 @@ std::vector<ElementUpdate> decode_element_updates(
   return updates;
 }
 
-HalWriteMode hal_write_mode_from_env() noexcept {
-  // Routed through the config snapshot (core/config.hpp) so a daemon-start
-  // or set-knob SURFOS_HAL_BATCH applies to every orchestrator built after
-  // it; the mode is latched into OrchestratorOptions at construction.
-  return core::knob("SURFOS_HAL_BATCH", 1, 0) == 0 ? HalWriteMode::kPerElement
-                                                   : HalWriteMode::kBatched;
-}
-
 // --- WriteCombiner -----------------------------------------------------------
 
 void WriteCombiner::stage(SurfaceDriver& driver, std::uint16_t slot,
@@ -98,7 +89,7 @@ void WriteCombiner::stage(SurfaceDriver& driver, std::uint16_t slot,
   it->second.trace = telemetry::current_trace();
 }
 
-FlushStats WriteCombiner::flush(HalWriteMode mode) {
+FlushStats WriteCombiner::flush() {
   FlushStats stats;
   stats.writes_staged = staged_;
   stats.writes_coalesced = coalesced_;
@@ -146,23 +137,11 @@ FlushStats WriteCombiner::flush(HalWriteMode mode) {
       note_write(driver.write_config(slot, target), 0);
     } else if (changed.empty()) {
       ++stats.writes_elided;
-    } else if (mode == HalWriteMode::kPerElement) {
-      // Naive baseline: one control transaction per changed element.
-      for (const ElementUpdate& u : changed) {
-        DriverStatus status = DriverStatus::kUnsupported;
-        if (element_granular) {
-          status = driver.write_elements(slot, std::span(&u, 1));
-        }
-        if (status == DriverStatus::kUnsupported) {
-          status = driver.write_config(slot, target);
-        }
-        note_write(status, 1);
-      }
     } else {
-      // Batched: one transaction per dirty (device, slot). Ride the sparse
-      // frame only when it is actually smaller than a full one (record
-      // layouts: 7 bytes/changed element vs 3 bytes/element full frame) and
-      // the hardware realizes configs element-wise.
+      // One transaction per dirty (device, slot). Ride the sparse frame only
+      // when it is actually smaller than a full one (record layouts: 7
+      // bytes/changed element vs 3 bytes/element full frame) and the
+      // hardware realizes configs element-wise.
       DriverStatus status = DriverStatus::kUnsupported;
       if (element_granular &&
           changed.size() * kRecordSize < target.size() * 3) {

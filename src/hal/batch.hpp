@@ -47,20 +47,12 @@ std::vector<std::uint8_t> encode_element_updates(
 std::vector<ElementUpdate> decode_element_updates(
     std::span<const std::uint8_t> payload);
 
-/// How flush() turns dirty slots into control transactions.
-enum class HalWriteMode {
-  kPerElement,  ///< One transaction per changed element (naive baseline).
-  kBatched,     ///< One transaction per dirty (device, slot) per epoch.
-};
-
-/// SURFOS_HAL_BATCH env knob: unset or nonzero = kBatched (the default),
-/// 0 = kPerElement (the pre-batching baseline, kept for A/B benching).
-HalWriteMode hal_write_mode_from_env() noexcept;
-
 /// What one flush() did, for StepTrace accounting and the fleet bench.
 struct FlushStats {
   std::size_t transactions = 0;      ///< Config-write frames issued.
-  std::size_t element_updates = 0;   ///< Elements whose wire codes changed.
+  /// Elements whose wire codes changed — also what a naive writer issuing
+  /// one transaction per changed element would pay.
+  std::size_t element_updates = 0;
   std::size_t writes_staged = 0;     ///< stage() calls this epoch.
   std::size_t writes_coalesced = 0;  ///< stage() calls absorbed by a later one.
   std::size_t writes_elided = 0;     ///< Dirty slots whose diff was empty.
@@ -85,10 +77,11 @@ class WriteCombiner {
   std::size_t staged() const noexcept { return staged_; }
   std::size_t coalesced() const noexcept { return coalesced_; }
 
-  /// Issues the pending transactions in deterministic (device id, slot)
-  /// order and clears the buffer. The caller advances the sim clock past
-  /// `worst_delay_us` and polls the registry so the writes apply.
-  FlushStats flush(HalWriteMode mode);
+  /// Issues at most one transaction per dirty (device, slot), in
+  /// deterministic (device id, slot) order, and clears the buffer. The
+  /// caller advances the sim clock past `worst_delay_us` and polls the
+  /// registry so the writes apply.
+  FlushStats flush();
 
  private:
   struct Pending {

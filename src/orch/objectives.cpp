@@ -8,8 +8,6 @@
 #include "em/soa.hpp"
 #include "sense/aoa.hpp"
 #include "sense/steering.hpp"
-#include "sim/digest_memo.hpp"
-#include "util/digest.hpp"
 #include "util/thread_pool.hpp"
 
 namespace surfos::orch {
@@ -124,7 +122,6 @@ JointObjective::JointObjective(const sim::SceneChannel* channel,
   if (channel_ == nullptr || variables_ == nullptr) {
     throw std::invalid_argument("objective: null channel or variables");
   }
-  memo_ = std::make_unique<sim::DigestMemo>();
 }
 
 JointObjective::~JointObjective() = default;
@@ -181,21 +178,12 @@ void JointObjective::add_localization(std::size_t sensing_panel,
 }
 
 double JointObjective::value(std::span<const double> x) const {
-  const auto compute = [&] {
-    const Lease lease(*this);
-    Scratch& s = *lease;
-    variables_->coefficients_into(x, s.planes);
-    double sum = 0.0;
-    for (const auto& term : terms_) sum += term->weight * term_value(*term, s);
-    return sum;
-  };
-  if (memo_->capacity() == 0) return compute();
-  const util::ConfigDigest key = util::digest_values(x);
-  double cached = 0.0;
-  if (memo_->lookup(key, cached)) return cached;
-  const double result = compute();
-  memo_->store(key, result);
-  return result;
+  const Lease lease(*this);
+  Scratch& s = *lease;
+  variables_->coefficients_into(x, s.planes);
+  double sum = 0.0;
+  for (const auto& term : terms_) sum += term->weight * term_value(*term, s);
+  return sum;
 }
 
 double JointObjective::value_and_gradient(std::span<const double> x,

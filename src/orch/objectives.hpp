@@ -18,16 +18,11 @@
 #include "orch/variables.hpp"
 #include "sim/channel.hpp"
 
-namespace surfos::sim {
-class DigestMemo;
-}  // namespace surfos::sim
-
 namespace surfos::orch {
 
 /// A plan's joint loss L(x) = sum_k w_k L_k(x) over service terms that share
 /// one channel and one variable mapping. Each evaluation builds the
-/// coefficient planes once and runs every term against them; the value memo
-/// (SURFOS_EVAL_CACHE) is consulted once per joint x. Terms combine in
+/// coefficient planes once and runs every term against them. Terms combine in
 /// insertion order exactly as opt::WeightedSumObjective combines the
 /// standalone objectives, and each term keeps its own accumulation order, so
 /// values and gradients are bit-identical to that weighted sum.
@@ -59,19 +54,12 @@ class JointObjective final : public opt::Objective {
   std::size_t term_count() const noexcept { return terms_.size(); }
 
   std::size_t dimension() const override { return variables_->dimension(); }
-  /// Digest-memoized: repeated evaluations of the same x (optimizer
-  /// restarts, line-search revisits) return the stored value
-  /// byte-identically.
   double value(std::span<const double> x) const override;
   double value_and_gradient(std::span<const double> x,
                             std::span<double> gradient) const override;
   /// Evaluation only reads the immutable channel/variables/term structure;
-  /// scratch buffers are leased per call and the memo synchronizes
-  /// internally.
+  /// scratch buffers are leased per call.
   bool thread_safe() const override { return true; }
-
-  /// The value memo behind value() (stats; tests).
-  const sim::DigestMemo& memo() const noexcept { return *memo_; }
 
  private:
   enum class TermKind { kCapacity, kPowerDelivery, kLocalization };
@@ -90,7 +78,6 @@ class JointObjective final : public opt::Objective {
   const sim::SceneChannel* channel_;
   const PanelVariables* variables_;
   std::vector<std::unique_ptr<Term>> terms_;
-  std::unique_ptr<sim::DigestMemo> memo_;
   /// Scratch sets not in use. A serial optimizer reuses one set for every
   /// evaluation; concurrent callers (value_batch) each lease their own.
   mutable std::mutex spare_mutex_;
@@ -110,9 +97,6 @@ class SingleTermObjective : public opt::Objective {
     return joint_.value_and_gradient(x, gradient);
   }
   bool thread_safe() const override { return true; }
-
-  /// The value memo behind value() (stats; tests).
-  const sim::DigestMemo& memo() const noexcept { return joint_.memo(); }
 
  protected:
   SingleTermObjective(const sim::SceneChannel* channel,

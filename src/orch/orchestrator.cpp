@@ -667,7 +667,7 @@ StepReport Orchestrator::step() {
 
   if (!combiner.empty()) {
     telemetry::TraceSpan span("orch.step.flush", combiner.staged());
-    const hal::FlushStats stats = combiner.flush(options_.hal_write_mode);
+    const hal::FlushStats stats = combiner.flush();
     report.trace.config_writes += stats.transactions;
     report.trace.element_updates += stats.element_updates;
     report.trace.writes_staged += stats.writes_staged;

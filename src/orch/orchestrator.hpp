@@ -45,11 +45,6 @@ struct OrchestratorOptions {
   /// Re-run optimization every step even when nothing changed (for ablations;
   /// normally plans are reused until tasks or the environment change).
   bool always_reoptimize = false;
-  /// HAL write path for the actuate stage: kBatched coalesces every staged
-  /// per-device write into one control transaction per (device, slot) per
-  /// step (control epoch); kPerElement is the naive one-transaction-per-
-  /// changed-element baseline. Defaults from SURFOS_HAL_BATCH (on).
-  hal::HalWriteMode hal_write_mode = hal::hal_write_mode_from_env();
 };
 
 struct TaskReport {
@@ -74,7 +69,9 @@ struct StepTrace {
   std::size_t plans_reused = 0;     ///< Cache hits: channel/optimum reused.
   std::size_t objective_evaluations = 0;  ///< Optimizer loss evaluations.
   std::size_t config_writes = 0;    ///< Config-write transactions issued.
-  std::size_t element_updates = 0;  ///< Elements re-coded across those writes.
+  /// Elements re-coded across those writes; a naive writer would pay one
+  /// transaction per element.
+  std::size_t element_updates = 0;
   std::size_t writes_staged = 0;    ///< Per-device writes staged this epoch.
   std::size_t writes_coalesced = 0;  ///< Staged writes absorbed by later ones.
   std::size_t writes_elided = 0;    ///< Dirty slots already at target state.

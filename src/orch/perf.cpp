@@ -34,8 +34,6 @@ LinkMetrics link_metrics(const sim::SceneChannel& channel,
                          const em::LinkBudget& budget,
                          std::span<const em::CxPlanes> coefficients,
                          std::size_t rx_index) {
-  // powers_at digests (coefficients, rx) and memoizes, so the per-step
-  // measure() sweeps over unchanged hardware configs become cache hits.
   const std::size_t indices[1] = {rx_index};
   const double power = channel.powers_at(indices, coefficients).front();
   LinkMetrics metrics;

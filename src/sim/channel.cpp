@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "em/band.hpp"
-#include "sim/digest_memo.hpp"
 #include "sim/trace_batch.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/simd.hpp"
@@ -18,21 +17,6 @@ namespace surfos::sim {
 namespace {
 
 const em::IsotropicAntenna kIsotropic;
-
-/// Digest over per-panel complex coefficient planes (bit patterns of the
-/// real/imag doubles), the memo key for full power evaluations.
-util::ConfigDigest digest_coefficients(std::span<const em::CxPlanes> coeffs) {
-  util::DigestBuilder builder;
-  builder.add_size(coeffs.size());
-  for (const em::CxPlanes& c : coeffs) {
-    builder.add_size(c.size());
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      builder.add_double(c.re()[i]);
-      builder.add_double(c.im()[i]);
-    }
-  }
-  return builder.digest();
-}
 
 const em::AntennaPattern& pattern_or_isotropic(const em::AntennaPattern* p) {
   return p != nullptr ? *p : kIsotropic;
@@ -134,11 +118,8 @@ SceneChannel::SceneChannel(const Environment* environment, double frequency_hz,
   if (rx_points_.empty()) {
     throw std::invalid_argument("SceneChannel: no RX points");
   }
-  power_memo_ = std::make_unique<DigestMemo>();
   precompute();
 }
-
-SceneChannel::~SceneChannel() = default;
 
 util::ConfigDigest SceneChannel::compute_scene_digest() const {
   util::DigestBuilder b;
@@ -372,16 +353,10 @@ void SceneChannel::fill_missing_rows(const std::vector<std::size_t>& missing) {
     built[k] = std::move(row);
   });
 
-  if (precompute_enabled()) {
-    auto& store = PrecomputeStore::instance();
-    for (std::size_t k = 0; k < missing.size(); ++k) {
-      rows_[missing[k]] = store.publish_row(row_key(points[k]),
-                                            std::move(built[k]));
-    }
-  } else {
-    for (std::size_t k = 0; k < missing.size(); ++k) {
-      rows_[missing[k]] = std::move(built[k]);
-    }
+  auto& store = PrecomputeStore::instance();
+  for (std::size_t k = 0; k < missing.size(); ++k) {
+    rows_[missing[k]] = store.publish_row(row_key(points[k]),
+                                          std::move(built[k]));
   }
 }
 
@@ -392,28 +367,18 @@ void SceneChannel::precompute() {
   SURFOS_COUNT_N("sim.channel.precompute_panels", panels_.size());
 
   scene_digest_ = compute_scene_digest();
-  const bool share = precompute_enabled();
-  if (share) {
-    statics_ = PrecomputeStore::instance().acquire_scene(
-        scene_digest_, [this] { return build_statics(); });
-  } else {
-    statics_ = build_statics();
-  }
+  auto& store = PrecomputeStore::instance();
+  statics_ = store.acquire_scene(scene_digest_,
+                                 [this] { return build_statics(); });
 
   rows_.assign(rx_points_.size(), nullptr);
   std::vector<std::size_t> missing;
-  if (share) {
-    auto& store = PrecomputeStore::instance();
-    for (std::size_t j = 0; j < rx_points_.size(); ++j) {
-      if (auto row = store.lookup_row(row_key(rx_points_[j]))) {
-        rows_[j] = std::move(row);
-      } else {
-        missing.push_back(j);
-      }
+  for (std::size_t j = 0; j < rx_points_.size(); ++j) {
+    if (auto row = store.lookup_row(row_key(rx_points_[j]))) {
+      rows_[j] = std::move(row);
+    } else {
+      missing.push_back(j);
     }
-  } else {
-    missing.resize(rx_points_.size());
-    std::iota(missing.begin(), missing.end(), std::size_t{0});
   }
   fill_missing_rows(missing);
 }
@@ -424,16 +389,6 @@ void SceneChannel::rebase_rx(std::vector<geom::Vec3> new_points) {
   }
   SURFOS_TRACE_SPAN("sim.channel.rebase_rx");
   SURFOS_COUNT("sim.channel.rebases");
-  // Memo keys embed RX indices, which mean different points after a rebase.
-  power_memo_->clear();
-
-  if (!precompute_enabled()) {
-    // Honest ablation: without the store, a changed RX set costs a full
-    // dense precompute — exactly what fresh construction would do.
-    rx_points_ = std::move(new_points);
-    precompute();
-    return;
-  }
 
   // Survivor rows come from this channel itself (exact point-bit match),
   // immune to store eviction pressure; everything else tries the store,
@@ -739,21 +694,11 @@ std::vector<double> SceneChannel::powers_at(
       throw std::invalid_argument("SceneChannel: RX index out of range");
     }
   }
-  const bool memoize = power_memo_->capacity() > 0;
-  util::ConfigDigest key;
-  std::vector<double> out;
-  if (memoize) {
-    key = util::combine(digest_coefficients(coefficients),
-                        util::digest_indices(rx_indices));
-    if (power_memo_->lookup(key, out)) return out;
-  }
-
-  out.resize(rx_indices.size());
+  std::vector<double> out(rx_indices.size());
   // Each RX index owns one output slot; deterministic under any thread count.
   util::parallel_for(0, rx_indices.size(), [&](std::size_t k) {
     out[k] = std::norm(evaluate_planes(rx_indices[k], coefficients));
   });
-  if (memoize) power_memo_->store(key, out);
   return out;
 }
 

@@ -26,8 +26,8 @@
 // through the process-wide sim::PrecomputeStore (precompute_store.hpp).
 // rebase_rx / precompute_delta re-point the row set in O(changed RX) —
 // survivors keep their rows — which is what makes daemon endpoint churn
-// cheap. SURFOS_PRECOMPUTE=0 restores private dense artifacts built by the
-// same fill code (byte-identical values).
+// cheap. PrecomputeStore::clear() forces the next construction to rebuild
+// every artifact through the same fill code (byte-identical values).
 #pragma once
 
 #include <cstdint>
@@ -46,8 +46,6 @@
 #include "util/digest.hpp"
 
 namespace surfos::sim {
-
-class DigestMemo;
 
 struct ChannelOptions {
   TracerOptions tracer;          ///< Direct-component ray tracing options.
@@ -74,7 +72,6 @@ class SceneChannel {
                std::vector<geom::Vec3> rx_points,
                const em::AntennaPattern* rx_antenna = nullptr,
                ChannelOptions options = {});
-  ~SceneChannel();
 
   std::size_t panel_count() const noexcept { return panels_.size(); }
   std::size_t rx_count() const noexcept { return rx_points_.size(); }
@@ -118,9 +115,7 @@ class SceneChannel {
   /// exact bit pattern) from this channel and from the store — tracing and
   /// filling only genuinely new rows, O(changed RX). Row order follows
   /// `new_points` exactly, so the result is indistinguishable from fresh
-  /// construction with the same list. Under SURFOS_PRECOMPUTE=0 this falls
-  /// back to a full dense precompute (the honest ablation). Invalidates the
-  /// power memo.
+  /// construction with the same list.
   void rebase_rx(std::vector<geom::Vec3> new_points);
 
   /// RX-set diff convenience over rebase_rx: drops the rows at
@@ -155,21 +150,18 @@ class SceneChannel {
                                      std::vector<em::CxPlanes>& dh_dc_out) const;
 
   /// Convenience: channel power |h|^2 at every RX for panel configs.
-  /// Memoized by config digest (SURFOS_EVAL_CACHE; a hit returns the stored
-  /// vector, byte-identical to recomputation).
   std::vector<double> power_map(
       std::span<const surface::SurfaceConfig> configs) const;
 
   /// |h|^2 at a subset of RX indices for panel configs — the orchestrator's
-  /// per-task measurement sweep. Memoized like power_map, keyed by
-  /// (config digest, RX-subset digest).
+  /// per-task measurement sweep.
   std::vector<double> powers_at(
       std::span<const std::size_t> rx_indices,
       std::span<const surface::SurfaceConfig> configs) const;
 
   /// powers_at over coefficients already realized by
-  /// coefficients_planes_for (same memo keys, same bytes): callers that
-  /// sweep several RX subsets under one config build the planes once.
+  /// coefficients_planes_for (same bytes): callers that sweep several RX
+  /// subsets under one config build the planes once.
   std::vector<double> powers_at(
       std::span<const std::size_t> rx_indices,
       std::span<const em::CxPlanes> coefficients) const;
@@ -183,9 +175,6 @@ class SceneChannel {
   void coefficients_planes_for(std::span<const surface::SurfaceConfig> configs,
                                std::vector<em::CxPlanes>& out) const;
 
-  /// The digest memo behind power_map/powers_at (stats; tests).
-  const DigestMemo& power_memo() const noexcept { return *power_memo_; }
-
  private:
   void precompute();
   util::ConfigDigest compute_scene_digest() const;
@@ -194,7 +183,7 @@ class SceneChannel {
   /// Dense build of the RX-independent artifact (f + cascades).
   std::shared_ptr<ScenePrecompute> build_statics() const;
   /// Traces and fills rows for the listed RX indices (batch h_dir trace +
-  /// parallel per-row g fills), publishing to the store when sharing is on.
+  /// parallel per-row g fills), publishing each row to the store.
   void fill_missing_rows(const std::vector<std::size_t>& missing);
   void check_coefficient_sizes(std::span<const em::CxPlanes> coefficients) const;
 
@@ -208,14 +197,10 @@ class SceneChannel {
 
   util::ConfigDigest scene_digest_{};
   /// RX-independent artifact (f + cascades), shared across channels through
-  /// the PrecomputeStore when sharing is on.
+  /// the PrecomputeStore.
   std::shared_ptr<const ScenePrecompute> statics_;
   /// One shared row per RX point: [rx] -> (g[panel], h_dir).
   std::vector<std::shared_ptr<const RxRowPrecompute>> rows_;
-
-  /// Digest-keyed power results for repeated configs (SURFOS_EVAL_CACHE
-  /// entries; thread-safe internally).
-  std::unique_ptr<DigestMemo> power_memo_;
 };
 
 }  // namespace surfos::sim

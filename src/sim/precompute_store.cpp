@@ -11,41 +11,11 @@ namespace {
 /// scene statics — generous for a fleet of distinct rooms, bounded for a
 /// long-running daemon.
 constexpr std::size_t kDefaultCacheBytes = 256u << 20;
-constexpr std::size_t kNoOverride = static_cast<std::size_t>(-1);
-
-std::atomic<bool>& enabled_flag() noexcept {
-  static std::atomic<bool> flag{core::knob("SURFOS_PRECOMPUTE", 1, 0) != 0};
-  return flag;
-}
-
-std::atomic<std::size_t>& cache_override() noexcept {
-  static std::atomic<std::size_t> slot{kNoOverride};
-  return slot;
-}
 
 }  // namespace
 
-bool precompute_enabled() noexcept {
-  return enabled_flag().load(std::memory_order_relaxed);
-}
-
-void set_precompute_enabled(bool on) noexcept {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
-
 std::size_t precompute_cache_bytes() noexcept {
-  const std::size_t override_bytes =
-      cache_override().load(std::memory_order_relaxed);
-  if (override_bytes != kNoOverride) return override_bytes;
   return core::knob("SURFOS_PRECOMPUTE_CACHE", kDefaultCacheBytes, 0);
-}
-
-void set_precompute_cache_bytes(std::size_t bytes) noexcept {
-  cache_override().store(bytes, std::memory_order_relaxed);
-}
-
-void clear_precompute_cache_override() noexcept {
-  cache_override().store(kNoOverride, std::memory_order_relaxed);
 }
 
 PrecomputeStore& PrecomputeStore::instance() {

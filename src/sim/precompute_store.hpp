@@ -23,15 +23,14 @@
 // build duplicates; the first publish wins and later builders adopt it, so
 // shards racing on one store stay value-identical.
 //
-// Ablation: SURFOS_PRECOMPUTE=0 (or set_precompute_enabled(false)) bypasses
-// the store entirely — SceneChannel builds private, dense artifacts through
-// the exact same fill code, so results are byte-identical either way.
+// clear() forgets every resident artifact, so the next SceneChannel
+// construction is a cold build through the same fill code — how tests and
+// benches time or compare genuine fills.
 // Telemetry: sim.precompute.{hits,misses,evictions} counters (scheduling-
 // dependent across threads, hence _SCHED) and the sim.precompute.bytes
 // gauge.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -46,20 +45,10 @@
 
 namespace surfos::sim {
 
-/// Process-wide precompute-store switch, initialized from SURFOS_PRECOMPUTE
-/// (0 disables; unset/non-zero enables).
-bool precompute_enabled() noexcept;
-/// Overrides the switch at runtime (tests / equivalence benches).
-void set_precompute_enabled(bool on) noexcept;
-
 /// The store's byte budget, from SURFOS_PRECOMPUTE_CACHE (bytes; 0 = no
 /// caching beyond pinned entries). Re-read per insert, so surfos-ctl
 /// set-knob takes effect at the next publish.
 std::size_t precompute_cache_bytes() noexcept;
-/// Overrides the budget at runtime (tests; takes precedence over the knob).
-void set_precompute_cache_bytes(std::size_t bytes) noexcept;
-/// Removes the runtime override (knob/env rules apply again).
-void clear_precompute_cache_override() noexcept;
 
 /// RX-independent precompute for one scene digest: TX->element vectors and
 /// panel->panel cascades. Immutable once published.

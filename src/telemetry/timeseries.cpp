@@ -2,64 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 namespace surfos::telemetry {
 
-MergeableHistogram::MergeableHistogram(std::vector<double> upper_bounds)
-    : bounds(std::move(upper_bounds)), buckets(bounds.size() + 1, 0) {}
-
-void MergeableHistogram::record(double value) noexcept {
-  const auto it = std::lower_bound(bounds.begin(), bounds.end(), value);
-  buckets[static_cast<std::size_t>(it - bounds.begin())] += 1;
-  count += 1;
-  sum += value;
-}
-
-bool MergeableHistogram::merge(const MergeableHistogram& other) noexcept {
-  if (bounds != other.bounds) return false;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    buckets[i] += other.buckets[i];
-  }
-  count += other.count;
-  sum += other.sum;
-  return true;
-}
-
-double MergeableHistogram::quantile(double q) const noexcept {
-  if (count == 0 || bounds.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the q-th sample, 1-based; walk the cumulative counts.
-  const std::uint64_t rank =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(q * double(count)));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    seen += buckets[i];
-    if (seen >= rank) {
-      return i < bounds.size() ? bounds[i] : bounds.back();
-    }
-  }
-  return bounds.back();
-}
-
-void MergeableHistogram::reset() noexcept {
-  std::fill(buckets.begin(), buckets.end(), 0);
-  count = 0;
-  sum = 0.0;
-}
-
-const std::vector<double>& default_epoch_buckets_ms() {
-  static const std::vector<double> kBuckets = {
-      0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
-      200.0, 500.0, 1000.0, 2000.0, 5000.0, 10000.0};
-  return kBuckets;
-}
-
 Timeseries::Timeseries(std::size_t capacity)
-    : ring_(std::max<std::size_t>(1, capacity)),
-      epoch_ms_(default_epoch_buckets_ms()),
-      flush_us_(default_latency_buckets_us()),
-      admit_ms_(default_epoch_buckets_ms()) {}
+    : ring_(std::max<std::size_t>(1, capacity)) {}
 
 void Timeseries::record(std::uint64_t epoch, const Snapshot& snapshot,
                         double epoch_ms, double flush_us) {
@@ -74,8 +21,6 @@ void Timeseries::record(std::uint64_t epoch, const Snapshot& snapshot,
     slot = &ring_[next_];
     next_ = (next_ + 1) % ring_.size();
     count_ = std::min(count_ + 1, ring_.size());
-    epoch_ms_.record(epoch_ms);
-    flush_us_.record(flush_us);
   }
   slot->epoch = epoch;
   slot->epoch_ms = epoch_ms;

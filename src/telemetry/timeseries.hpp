@@ -7,12 +7,6 @@
 // epoch was evicted) gets a full baseline instead — deltas are an
 // optimization, never a correctness dependency.
 //
-// Alongside the per-epoch samples the series maintains mergeable latency
-// histograms (admit->applied, epoch duration, HAL flush time). Unlike
-// telemetry::Histogram these are plain value types: two of them with the
-// same bucket bounds can be merged bucket-wise, which is what lets
-// per-shard or per-restart histograms aggregate into one fleet view.
-//
 // Thread-compatibility: Timeseries is NOT internally synchronized. The
 // daemon mutates and reads it under its own epoch mutex; benches drive it
 // single-threaded.
@@ -26,37 +20,8 @@
 
 namespace surfos::telemetry {
 
-/// Fixed-bucket histogram as a plain value: same bucket semantics as
-/// telemetry::Histogram (inclusive finite upper bounds + one overflow
-/// bucket) but copyable and mergeable.
-struct MergeableHistogram {
-  MergeableHistogram() = default;
-  explicit MergeableHistogram(std::vector<double> upper_bounds);
-
-  void record(double value) noexcept;
-  /// Bucket-wise sum. Bounds must match exactly; a mismatch is a caller
-  /// bug and the merge is refused (returns false).
-  bool merge(const MergeableHistogram& other) noexcept;
-  /// Approximate quantile (q in [0,1]) from bucket edges: returns the
-  /// upper bound of the bucket holding the q-th sample (the last finite
-  /// bound for the overflow bucket), 0 when empty.
-  double quantile(double q) const noexcept;
-  double mean() const noexcept { return count ? sum / double(count) : 0.0; }
-  void reset() noexcept;
-
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1, overflow last.
-  std::uint64_t count = 0;
-  double sum = 0.0;
-};
-
-/// Epoch-duration / admit-latency bucket edges in milliseconds (the wire
-/// and the SLO watchdog think in ms; HAL flush keeps the us-scale
-/// default_latency_buckets_us()).
-const std::vector<double>& default_epoch_buckets_ms();
-
-/// One per-epoch metrics snapshot (counters + gauges only; histograms are
-/// aggregated separately and don't delta-encode usefully).
+/// One per-epoch metrics snapshot (counters + gauges only; histograms
+/// don't delta-encode usefully).
 struct TimeseriesSample {
   std::uint64_t epoch = 0;
   double epoch_ms = 0.0;  ///< Wall-clock duration of this control epoch.
@@ -88,10 +53,6 @@ class Timeseries {
   void record(std::uint64_t epoch, const Snapshot& snapshot, double epoch_ms,
               double flush_us);
 
-  /// Admit->applied latency feed (called when a submitted task is first
-  /// observed running).
-  void record_admit_latency_ms(double ms) { admit_ms_.record(ms); }
-
   /// Delta of the latest sample against the sample at `since_epoch`.
   /// nullopt when nothing has been recorded yet. Falls back to a full
   /// baseline when `since_epoch` is 0 or no longer in the ring.
@@ -104,26 +65,10 @@ class Timeseries {
   std::size_t size() const noexcept { return count_; }
   std::size_t capacity() const noexcept { return ring_.size(); }
 
-  const MergeableHistogram& epoch_ms_hist() const noexcept {
-    return epoch_ms_;
-  }
-  const MergeableHistogram& flush_us_hist() const noexcept {
-    return flush_us_;
-  }
-  const MergeableHistogram& admit_ms_hist() const noexcept {
-    return admit_ms_;
-  }
-  MergeableHistogram& epoch_ms_hist() noexcept { return epoch_ms_; }
-  MergeableHistogram& flush_us_hist() noexcept { return flush_us_; }
-  MergeableHistogram& admit_ms_hist() noexcept { return admit_ms_; }
-
  private:
   std::vector<TimeseriesSample> ring_;  ///< Fixed size = capacity.
   std::size_t next_ = 0;                ///< Next write slot.
   std::size_t count_ = 0;               ///< Filled slots (<= capacity).
-  MergeableHistogram epoch_ms_;
-  MergeableHistogram flush_us_;
-  MergeableHistogram admit_ms_;
 };
 
 /// Two-pointer diff of sorted sample vectors: entries of `now` missing

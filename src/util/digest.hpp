@@ -1,20 +1,20 @@
-// Config digests: cheap, high-quality 128-bit fingerprints of the value
-// vectors that flow through the optimizer hot path (flat phase variables,
-// per-panel complex coefficient vectors, RX index subsets).
+// Config digests: cheap, high-quality 128-bit fingerprints of the scene
+// inputs a channel precompute depends on (geometry, materials, panel layout,
+// TX/RX placement, antenna patterns, options).
 //
-// The digest is the memoization key for repeated channel/objective
-// evaluations (sim::DigestMemo): two independent 64-bit streams — FNV-1a and
-// a splitmix64-mixed fold — over the exact bit patterns of the input words.
-// Hashing bit patterns (not rounded values) keeps the contract simple: a hit
-// can only occur for inputs that took the identical bit-level path, so a
-// memoized result is byte-identical to what recomputation would produce.
-// With 128 independent bits, an accidental collision across a bounded cache
-// (tens of entries) is ~2^-120 per lookup — far below hardware error rates.
+// The digest is the content address of sim::PrecomputeStore's artifacts:
+// two independent 64-bit streams — FNV-1a and a splitmix64-mixed fold — over
+// the exact bit patterns of the input words. Hashing bit patterns (not
+// rounded values) keeps the contract simple: a hit can only occur for inputs
+// that are bit-identical, so a shared artifact is byte-identical to what a
+// fresh fill would produce. With 128 independent bits, an accidental
+// collision across a bounded store (thousands of entries) is ~2^-100 per
+// lookup — far below hardware error rates.
 #pragma once
 
 #include <cstdint>
+#include <cstddef>
 #include <cstring>
-#include <span>
 
 namespace surfos::util {
 
@@ -67,23 +67,7 @@ class DigestBuilder {
   std::uint64_t hi_ = 0x6a09e667f3bcc908ull;  // sqrt(2) fractional bits
 };
 
-/// Digest of a flat double vector (optimizer variables, power vectors).
-inline ConfigDigest digest_values(std::span<const double> values) noexcept {
-  DigestBuilder builder;
-  builder.add_size(values.size());
-  for (const double v : values) builder.add_double(v);
-  return builder.digest();
-}
-
-/// Digest of an index subset (RX probe selections).
-inline ConfigDigest digest_indices(std::span<const std::size_t> idx) noexcept {
-  DigestBuilder builder;
-  builder.add_size(idx.size());
-  for (const std::size_t i : idx) builder.add_size(i);
-  return builder.digest();
-}
-
-/// Order-dependent combination of two digests (e.g. config x RX subset).
+/// Order-dependent combination of two digests (e.g. scene x RX point).
 inline ConfigDigest combine(const ConfigDigest& a,
                             const ConfigDigest& b) noexcept {
   DigestBuilder builder;

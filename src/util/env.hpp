@@ -1,6 +1,6 @@
 // Environment-variable knob parsing shared by every subsystem.
 //
-// All SurfOS size/count knobs (SURFOS_THREADS, SURFOS_EVAL_CACHE,
+// All SurfOS size/count knobs (SURFOS_THREADS, SURFOS_ADMIT_QUEUE,
 // SURFOS_TRACE_BUFFER, ...) parse through env_size so they agree on the
 // rejection rules: values must be plain base-10 non-negative integers with
 // no trailing junk, and anything unparsable, negative, overflowing, or

@@ -220,49 +220,28 @@ TEST(FleetDeterminism, ReportsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, sharded);
 }
 
-/// One site with one link task; steps once to land the initial config, then
-/// moves the endpoint and invalidates plans so the second step re-optimizes
-/// and rewrites the (now differing) slot through the chosen HAL write mode.
-struct RewriteRun {
-  std::size_t rewrite_transactions = 0;
-  std::string achieved_hex;  ///< hexfloat metric after the rewrite step
-};
-
-RewriteRun run_rewrite(hal::HalWriteMode mode) {
+TEST(FleetHalModes, BatchedRewritePaysAtLeastFourTimesFewerTransactions) {
+  // One site with one link task; the first step lands the initial config,
+  // then the endpoint moves and plans are invalidated so the second step
+  // re-optimizes and rewrites the (now differing) slot.
   const surface::Catalog catalog = surface::Catalog::standard();
   sim::CoverageRoomScenario scenario = sim::make_coverage_room(/*grid_n=*/4);
-  orch::OrchestratorOptions options;
-  options.hal_write_mode = mode;
   SurfOS os(scenario.environment.get(), scenario.ap(), scenario.band,
-            scenario.budget, options);
+            scenario.budget);
   os.install_programmable(*catalog.find("NR-Surface"), scenario.surface_pose,
                           10, 10, "wall");
   os.register_endpoint("phone", hal::EndpointKind::kClient, {1.0, 2.0, 1.0});
-  const auto task = os.orchestrator().enhance_link({"phone", 10.0, 50.0});
-  os.step();  // initial write: slot unsized, full transaction in both modes
+  os.orchestrator().enhance_link({"phone", 10.0, 50.0});
+  os.step();
 
   os.registry().find_endpoint("phone")->position = {3.2, 1.2, 1.1};
   os.orchestrator().notify_environment_changed();
   const orch::StepReport report = os.step();
-
-  RewriteRun run;
-  run.rewrite_transactions = report.trace.config_writes;
-  std::ostringstream oss;
-  oss << std::hexfloat << task.last_metric().value_or(-1.0);
-  run.achieved_hex = oss.str();
-  return run;
-}
-
-TEST(FleetHalModes, BatchedRewritePaysAtLeastFourTimesFewerTransactions) {
-  const RewriteRun batched = run_rewrite(hal::HalWriteMode::kBatched);
-  const RewriteRun naive = run_rewrite(hal::HalWriteMode::kPerElement);
-  // Batched: one transaction per dirty (device, slot) per epoch. Naive: one
-  // per changed element — a 10x10 panel whose optimum moved re-codes far
-  // more than four elements.
-  EXPECT_EQ(batched.rewrite_transactions, 1u);
-  EXPECT_GE(naive.rewrite_transactions, 4 * batched.rewrite_transactions);
-  // The write path is an encoding detail: achieved physics is bit-identical.
-  EXPECT_EQ(batched.achieved_hex, naive.achieved_hex);
+  // Batched: one transaction per dirty (device, slot) per epoch. A naive
+  // writer pays one per changed element — a 10x10 panel whose optimum moved
+  // re-codes far more than four elements.
+  EXPECT_EQ(report.trace.config_writes, 1u);
+  EXPECT_GE(report.trace.element_updates, 4 * report.trace.config_writes);
 }
 
 }  // namespace

@@ -567,7 +567,7 @@ TEST(Batch, CombinerCoalescesDedupesAndElides) {
   WriteCombiner combiner;
   combiner.stage(driver, 0, first, /*activate=*/true);
   combiner.stage(driver, 0, last, /*activate=*/true);  // same key: combined
-  const FlushStats stats = combiner.flush(HalWriteMode::kBatched);
+  const FlushStats stats = combiner.flush();
   EXPECT_EQ(stats.writes_staged, 2u);
   EXPECT_EQ(stats.writes_coalesced, 1u);
   EXPECT_EQ(stats.transactions, 1u);  // one transaction for the epoch
@@ -582,16 +582,18 @@ TEST(Batch, CombinerCoalescesDedupesAndElides) {
 
   // Restaging the applied state is a no-op epoch: diff empty, zero frames.
   combiner.stage(driver, 0, driver.stored_config(0), /*activate=*/false);
-  const FlushStats again = combiner.flush(HalWriteMode::kBatched);
+  const FlushStats again = combiner.flush();
   EXPECT_EQ(again.transactions, 0u);
   EXPECT_EQ(again.writes_elided, 1u);
 }
 
-TEST(Batch, PerElementModePaysOneTransactionPerChangedElement) {
+TEST(Batch, FlushLeavesSameStateAsDirectWriteConfig) {
+  // The header's equivalence contract: one batched flush leaves exactly the
+  // stored config a plain write_config(target) would.
   SimClock clock;
   const auto panel = test_panel();
   ProgrammableSurfaceDriver batched("a", &panel, test_spec(10), &clock);
-  ProgrammableSurfaceDriver naive("b", &panel, test_spec(10), &clock);
+  ProgrammableSurfaceDriver direct("b", &panel, test_spec(10), &clock);
 
   surface::SurfaceConfig target(panel.element_count());
   for (std::size_t i = 0; i < 6; ++i) {
@@ -600,18 +602,20 @@ TEST(Batch, PerElementModePaysOneTransactionPerChangedElement) {
 
   WriteCombiner combiner;
   combiner.stage(batched, 0, target, true);
-  const FlushStats one = combiner.flush(HalWriteMode::kBatched);
-  combiner.stage(naive, 0, target, true);
-  const FlushStats many = combiner.flush(HalWriteMode::kPerElement);
-  EXPECT_EQ(one.transactions, 1u);
-  EXPECT_EQ(many.transactions, 6u);
+  const FlushStats stats = combiner.flush();
+  EXPECT_EQ(stats.transactions, 1u);
+  EXPECT_EQ(stats.element_updates, 6u);
+  ASSERT_EQ(direct.write_config(0, target), DriverStatus::kOk);
 
-  // Both modes leave identical hardware state.
   clock.advance(11);
   batched.poll();
-  naive.poll();
+  direct.poll();
   for (std::size_t i = 0; i < panel.element_count(); ++i) {
-    EXPECT_EQ(batched.stored_config(0).phase(i), naive.stored_config(0).phase(i));
+    EXPECT_EQ(batched.stored_config(0).phase(i),
+              direct.stored_config(0).phase(i))
+        << "element " << i;
+    EXPECT_EQ(batched.stored_config(0).amplitude(i),
+              direct.stored_config(0).amplitude(i));
   }
 }
 

@@ -118,6 +118,45 @@ TEST(WeightedSum, RejectsNullAndMismatchedTerms) {
   EXPECT_THROW(joint.add_term(&b, 1.0), std::invalid_argument);
 }
 
+TEST(WeightedSum, MixedThreadSafetyAndDeltaEquivalence) {
+  const std::size_t n = 6;
+  const FunctionObjective quad(
+      n,
+      [](std::span<const double> x) {
+        double s = 0.0;
+        for (const double v : x) s += (v - 0.3) * (v - 0.3);
+        return s;
+      },
+      /*thread_safe=*/true);
+  const FunctionObjective quartic(
+      n,
+      [](std::span<const double> x) {
+        double s = 0.0;
+        for (const double v : x) s += v * v * v * v;
+        return s;
+      },
+      /*thread_safe=*/false);
+  WeightedSumObjective joint;
+  joint.add_term(&quad, 2.0);
+  joint.add_term(&quartic, 0.5);
+  // One non-thread-safe term must force the sum serial.
+  EXPECT_FALSE(joint.thread_safe());
+
+  std::vector<double> x(n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = 0.1 * static_cast<double>(i + 1);
+  const double base = joint.value(x);
+  EXPECT_EQ(base, 2.0 * quad.value(x) + 0.5 * quartic.value(x));
+
+  // value_and_gradient sums each term's value and gradient exactly once.
+  std::vector<double> g(n), g_quad(n), g_quartic(n);
+  EXPECT_EQ(joint.value_and_gradient(x, g), base);
+  quad.value_and_gradient(x, g_quad);
+  quartic.value_and_gradient(x, g_quartic);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(g[i], 2.0 * g_quad[i] + 0.5 * g_quartic[i]) << "coord " << i;
+  }
+}
+
 // --- All optimizers, same bar -------------------------------------------------------
 
 std::vector<std::unique_ptr<Optimizer>> all_optimizers() {

@@ -19,6 +19,7 @@
 #include "sim/channel.hpp"
 #include "sim/floorplan.hpp"
 #include "sim/heatmap.hpp"
+#include "sim/precompute_store.hpp"
 #include "surface/panel.hpp"
 #include "util/thread_pool.hpp"
 
@@ -76,16 +77,18 @@ TEST(ParallelDeterminism, PrecomputeAndPowerMapBitIdentical) {
   const Scene scene;
   const auto configs = scene.focus_configs();
 
-  // With store sharing on, the threaded channel would adopt the serial
-  // channel's artifacts and the comparison below would test pointer
-  // equality, not recomputation. Force both to genuinely precompute.
-  sim::set_precompute_enabled(false);
+  // Without the clears, the threaded channel would adopt the serial
+  // channel's artifacts from the store and the comparison below would test
+  // pointer equality, not recomputation. Force both to genuinely precompute.
+  sim::PrecomputeStore::instance().clear();
   util::reset_global_pool(1);
   const auto serial_channel = scene.make_channel();
   const auto serial_power = serial_channel->power_map(configs);
 
+  sim::PrecomputeStore::instance().clear();
   util::reset_global_pool(kThreadedDegree);
   const auto threaded_channel = scene.make_channel();
+  ASSERT_NE(&serial_channel->tx_planes(0), &threaded_channel->tx_planes(0));
   const auto threaded_power = threaded_channel->power_map(configs);
 
   ASSERT_EQ(serial_power.size(), threaded_power.size());
@@ -103,7 +106,6 @@ TEST(ParallelDeterminism, PrecomputeAndPowerMapBitIdentical) {
   for (std::size_t j = 0; j < serial_channel->rx_count(); ++j) {
     EXPECT_EQ(serial_channel->direct(j), threaded_channel->direct(j));
   }
-  sim::set_precompute_enabled(true);
   util::reset_global_pool(1);
 }
 

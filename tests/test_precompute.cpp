@@ -1,15 +1,17 @@
 // Content-addressed precompute store: digest stability, cross-channel
-// artifact sharing, LRU eviction with refcount pinning, the
-// SURFOS_PRECOMPUTE=0 ablation (byte-identical values and StepReports), and
-// delta precompute (add / remove / re-add) against a fresh dense build.
+// artifact sharing, LRU eviction with refcount pinning, cold rebuilds after
+// clear() (byte-identical values and StepReports), and delta precompute
+// (add / remove / re-add) against a fresh dense build.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/surfos.hpp"
 #include "em/soa.hpp"
 #include "proto/serialize.hpp"
@@ -19,6 +21,7 @@
 #include "surface/catalog.hpp"
 #include "surface/panel.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/digest.hpp"
 #include "util/thread_pool.hpp"
 
 namespace surfos {
@@ -88,22 +91,38 @@ bool channels_identical(const sim::SceneChannel& a,
   return true;
 }
 
-/// Every test starts from a cold, enabled store with the default budget and
-/// leaves global state that way (the store is process-wide).
+/// Every test starts from a cold store with the default budget and leaves
+/// global state that way (the store is process-wide).
 class PrecomputeTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    sim::set_precompute_enabled(true);
-    sim::clear_precompute_cache_override();
-    sim::PrecomputeStore::instance().clear();
-  }
+  void SetUp() override { sim::PrecomputeStore::instance().clear(); }
   void TearDown() override {
-    sim::set_precompute_enabled(true);
-    sim::clear_precompute_cache_override();
+    core::clear_config();
     sim::PrecomputeStore::instance().clear();
     telemetry::set_enabled(true);
   }
 };
+
+util::ConfigDigest digest_of(std::initializer_list<double> values) {
+  util::DigestBuilder builder;
+  for (const double v : values) builder.add_double(v);
+  return builder.digest();
+}
+
+TEST(Digest, DistinctStableAndOrderSensitive) {
+  EXPECT_EQ(digest_of({0.1, 0.2, 0.3}), digest_of({0.1, 0.2, 0.3}));
+  EXPECT_NE(digest_of({0.1, 0.2, 0.3}), digest_of({0.1, 0.2, 0.30000000001}));
+  EXPECT_NE(digest_of({0.1, 0.2, 0.3}), digest_of({0.2, 0.1, 0.3}));
+  // +0.0 and -0.0 hash by bit pattern, so they are distinct keys.
+  EXPECT_NE(digest_of({0.0}), digest_of({-0.0}));
+
+  // combine() is order-dependent: (scene, row) never aliases (row, scene).
+  const util::ConfigDigest a = digest_of({1.0});
+  const util::ConfigDigest b = digest_of({2.0});
+  EXPECT_EQ(util::combine(a, b), util::combine(a, b));
+  EXPECT_NE(util::combine(a, b), util::combine(b, a));
+  EXPECT_NE(util::combine(a, b), util::combine(a, digest_of({3.0})));
+}
 
 TEST_F(PrecomputeTest, DigestStableAcrossBuildsAndSensitiveToScene) {
   const Scene scene;
@@ -152,8 +171,11 @@ TEST_F(PrecomputeTest, LruEvictionRespectsByteBudgetAndPinning) {
   const Scene scene;
   const auto grid = scene.scenario.room_grid.points();
 
-  // A budget below any artifact size: only pinned entries may stay.
-  sim::set_precompute_cache_bytes(1);
+  // A budget below any artifact size: only pinned entries may stay. The
+  // knob is re-read on every insert, so a set-knob applies immediately.
+  core::install_config(core::Config{});
+  ASSERT_TRUE(core::set_config_knob("SURFOS_PRECOMPUTE_CACHE", 1).ok());
+  EXPECT_EQ(sim::precompute_cache_bytes(), 1u);
 
   auto live = scene.make_channel(grid);
   const sim::PrecomputeStore::Stats pinned =
@@ -179,27 +201,29 @@ TEST_F(PrecomputeTest, LruEvictionRespectsByteBudgetAndPinning) {
             misses_before + 1u + grid.size());
 }
 
-TEST_F(PrecomputeTest, DisabledModeProducesBitIdenticalArtifacts) {
+TEST_F(PrecomputeTest, ColdRebuildProducesBitIdenticalArtifacts) {
   const Scene scene;
   const auto grid = scene.scenario.room_grid.points();
+  auto& store = sim::PrecomputeStore::instance();
 
-  sim::set_precompute_enabled(false);
-  const auto dense = scene.make_channel(grid);
-  // The ablation bypasses the store entirely.
-  EXPECT_EQ(sim::PrecomputeStore::instance().stats().entries, 0u);
-
-  sim::set_precompute_enabled(true);
-  const auto shared = scene.make_channel(grid);
-  EXPECT_TRUE(channels_identical(*dense, *shared));
+  const auto first = scene.make_channel(grid);
+  store.clear();
+  const std::uint64_t misses_before = store.stats().misses;
+  const auto rebuilt = scene.make_channel(grid);
+  // A genuine second fill: every artifact missed and was rebuilt into new
+  // storage, with the same bits.
+  EXPECT_EQ(store.stats().misses, misses_before + 1u + grid.size());
+  EXPECT_NE(&first->tx_planes(0), &rebuilt->tx_planes(0));
+  EXPECT_NE(&first->rx_planes(0, 0), &rebuilt->rx_planes(0, 0));
+  EXPECT_TRUE(channels_identical(*first, *rebuilt));
 }
 
-TEST_F(PrecomputeTest, StepReportsByteIdenticalWithStoreDisabled) {
+TEST_F(PrecomputeTest, StepReportsByteIdenticalFromColdAndWarmStore) {
   // Timings in StepTrace are only non-zero while telemetry runs; mask them
   // so the wire bytes compare exactly (same trick as the determinism tests).
   telemetry::set_enabled(false);
 
-  const auto run_site = [](bool use_store) {
-    sim::set_precompute_enabled(use_store);
+  const auto run_site = [] {
     sim::CoverageRoomScenario room = sim::make_coverage_room(/*grid_n=*/4);
     SurfOS os(room.environment.get(), room.ap(), room.band, room.budget);
     const surface::Catalog catalog = surface::Catalog::standard();
@@ -216,9 +240,14 @@ TEST_F(PrecomputeTest, StepReportsByteIdenticalWithStoreDisabled) {
     return wire;
   };
 
-  const auto with_store = run_site(true);
-  const auto without_store = run_site(false);
-  EXPECT_EQ(with_store, without_store);
+  // The first site fills an empty store; the second finds every artifact
+  // the first one left resident.
+  const auto cold = run_site();
+  const std::uint64_t hits_before =
+      sim::PrecomputeStore::instance().stats().hits;
+  const auto warm = run_site();
+  EXPECT_GT(sim::PrecomputeStore::instance().stats().hits, hits_before);
+  EXPECT_EQ(cold, warm);
 }
 
 TEST_F(PrecomputeTest, DeltaAddRemoveReaddMatchesFreshDenseBuild) {
@@ -240,15 +269,10 @@ TEST_F(PrecomputeTest, DeltaAddRemoveReaddMatchesFreshDenseBuild) {
   churned.insert(churned.end(), added.begin(), added.end());
   churned.push_back(removed_point);
 
-  sim::set_precompute_enabled(false);
+  sim::PrecomputeStore::instance().clear();
   const auto fresh = scene.make_channel(churned);
+  EXPECT_NE(&fresh->rx_planes(0, 0), &delta->rx_planes(0, 0));
   EXPECT_TRUE(channels_identical(*fresh, *delta));
-
-  // The ablation path takes deltas too (full dense rebuild underneath).
-  auto dense_delta = scene.make_channel(grid);
-  dense_delta->precompute_delta(added, std::vector<std::size_t>{2});
-  dense_delta->precompute_delta(std::vector<geom::Vec3>{removed_point}, {});
-  EXPECT_TRUE(channels_identical(*fresh, *dense_delta));
 }
 
 TEST_F(PrecomputeTest, OrchestratorRebasesCachedPlanOnTaskSetChange) {

@@ -271,6 +271,23 @@ TEST(SceneChannel, SingleElementMatchesCascadeFormula) {
   EXPECT_NEAR(power[0], std::norm(expected), std::norm(expected) * 1e-9);
 }
 
+TEST(SceneChannel, PowersAtSubsetMatchesPowerMap) {
+  const Environment env = empty_env();
+  const surface::SurfacePanel panel = reflective_panel(4);
+  const geom::SampleGrid grid(-0.5, 0.5, -0.5, 0.5, 0.0, 3, 2);
+  SceneChannel channel(&env, kFreq, {{-1, 0, 0}, nullptr}, {&panel},
+                       grid.points());
+  const surface::SurfaceConfig uniform(panel.element_count());
+  const auto power = channel.power_map({{uniform}});
+  // Any subset, in any order, reads the same bits as the full sweep.
+  const std::vector<std::size_t> subset{4, 0, 2};
+  const auto powers = channel.powers_at(subset, {{uniform}});
+  ASSERT_EQ(powers.size(), subset.size());
+  for (std::size_t k = 0; k < subset.size(); ++k) {
+    EXPECT_EQ(powers[k], power[subset[k]]) << "rx " << subset[k];
+  }
+}
+
 TEST(SceneChannel, LinearInCoefficients) {
   const Environment env = empty_env();
   const surface::SurfacePanel panel = reflective_panel(4);

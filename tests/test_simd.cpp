@@ -3,7 +3,7 @@
 // (n not a multiple of kWidth), unaligned operand pointers, and the
 // composed channel/orchestrator results — and the SURFOS_SIMD override
 // machinery must select what it claims. Shared env-knob parsing
-// (util::env_size, which SURFOS_EVAL_CACHE and friends go through) is
+// (util::env_size, which SURFOS_THREADS and friends go through) is
 // covered here too since SURFOS_SIMD is the sibling knob.
 #include <gtest/gtest.h>
 

@@ -350,29 +350,6 @@ TEST_F(TelemetryTest, TimeseriesDeltaEncodesOnlyChanges) {
   EXPECT_NE(series.find(12), nullptr);
 }
 
-TEST_F(TelemetryTest, MergeableHistogramMergesBucketwise) {
-  telemetry::MergeableHistogram a(std::vector<double>{1.0, 10.0});
-  telemetry::MergeableHistogram b(std::vector<double>{1.0, 10.0});
-  a.record(0.5);
-  a.record(5.0);
-  b.record(5.0);
-  b.record(100.0);  // overflow bucket
-
-  ASSERT_TRUE(a.merge(b));
-  EXPECT_EQ(a.count, 4u);
-  EXPECT_DOUBLE_EQ(a.sum, 0.5 + 5.0 + 5.0 + 100.0);
-  ASSERT_EQ(a.buckets.size(), 3u);
-  EXPECT_EQ(a.buckets[0], 1u);
-  EXPECT_EQ(a.buckets[1], 2u);
-  EXPECT_EQ(a.buckets[2], 1u);
-  EXPECT_DOUBLE_EQ(a.quantile(0.5), 10.0);  // 2nd sample falls in (1,10]
-
-  // Mismatched bounds refuse to merge rather than corrupt.
-  telemetry::MergeableHistogram c(std::vector<double>{2.0});
-  EXPECT_FALSE(a.merge(c));
-  EXPECT_EQ(a.count, 4u);
-}
-
 // --- Recorder pagination under wraparound ------------------------------------
 
 TEST_F(TelemetryTest, EventsAfterSurvivesRingWraparoundMidStream) {
