@@ -15,9 +15,9 @@
 // transactions against what a naive writer would pay: one transaction per
 // changed element, which is the epoch's StepTrace::element_updates.
 //
-// All wall-clock numbers come from one core stepping every site serially or
-// in shards on the process-wide pool — they measure control-plane software
-// cost, not radio hardware.
+// All wall-clock numbers come from one host stepping every site serially or
+// as one per-site loop on the process-wide pool — they measure control-plane
+// software cost, not radio hardware.
 //
 // Emits BENCH_fleet.json:  ./bench_fleet [output.json]
 #include <algorithm>
@@ -396,7 +396,7 @@ int main(int argc, char** argv) {
   out << "{\n  \"bench\": \"fleet\",\n";
   bench::write_meta(out);
   out << "  \"note\": \"control-plane software cost on one core (sites step "
-         "serially or in shards on the process pool); simulated radio, "
+         "serially or concurrently on the process pool); simulated radio, "
          "wall-clock latencies\",\n";
   out << "  \"sites\": " << kSites << ",\n";
   out << "  \"requests\": {\"total\": " << load.submitted

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # The repo's one-command health check, in CI order:
 #
+#   0. knob tables: every core::kKnobRegistry knob has a row in README's and
+#      DESIGN.md's knob tables, and every SURFOS_* row there is a registry
+#      knob or one read by getenv/env_size under src/
 #   1. tier-1: configure + build + full ctest in ./build
 #   2. focused re-runs of the observability suites (ctest -L telemetry,
 #      ctest -L trace), the fleet control-plane suite (ctest -L fleet), the
@@ -32,6 +35,22 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc)"
 
+echo "== knob tables: README.md and DESIGN.md rows match kKnobRegistry"
+REGISTRY_KNOBS="$(sed -n '/kKnobRegistry\[\] = {/,/^};/p' src/core/config.hpp |
+  grep -oE '\{"SURFOS_[A-Z0-9_]+"' | grep -oE 'SURFOS_[A-Z0-9_]+' | sort -u)"
+ENV_KNOBS="$(grep -rhoE '(getenv|env_size)\("SURFOS_[A-Z0-9_]+"' src |
+  grep -oE 'SURFOS_[A-Z0-9_]+' | sort -u)"
+KNOWN_KNOBS="$(printf '%s\n%s\n' "$REGISTRY_KNOBS" "$ENV_KNOBS" | sort -u)"
+for doc in README.md DESIGN.md; do
+  ROWS="$(grep -oE '^\| `SURFOS_[A-Z0-9_]+`' "$doc" |
+    grep -oE 'SURFOS_[A-Z0-9_]+' | sort -u)"
+  MISSING="$(comm -23 <(echo "$REGISTRY_KNOBS") <(echo "$ROWS"))"
+  STRAY="$(comm -13 <(echo "$KNOWN_KNOBS") <(echo "$ROWS"))"
+  [ -z "$MISSING" ] || { echo "$doc knob table lacks:" $MISSING; exit 1; }
+  [ -z "$STRAY" ] || { echo "$doc knob table names unknown knobs:" $STRAY; exit 1; }
+done
+
+echo
 echo "== tier 1: build + full test suite (build/)"
 cmake -B build -S .
 cmake --build build -j"$JOBS"
@@ -59,8 +78,8 @@ cmake --build build-tsan -j"$JOBS" --target \
   test_streaming test_orch
 # TSan findings abort the test process (halt_on_error) so a data race can
 # never hide behind a green assertion run. -L is a regex: the trace suite
-# hammers the recorder from pool workers, the fleet suite steps sharded
-# sites concurrently on the pool, the daemon suite runs the ticker and
+# hammers the recorder from pool workers, the fleet suite steps sites
+# concurrently on the pool, the daemon suite runs the ticker and
 # poll() server threads against client connections, and the precompute
 # suite exercises the mutex-guarded global artifact store from pool
 # workers, and the orch suite runs the joint objective, whose leased

@@ -98,15 +98,15 @@ class AdmissionQueue {
   std::size_t depth() const noexcept { return depth_; }
   bool empty() const noexcept { return depth_ == 0; }
   const AdmissionOptions& options() const noexcept { return options_; }
+  /// The capacity submit() enforces: the construction-time capacity, unless
+  /// a daemon config snapshot overrides SURFOS_ADMIT_QUEUE (hot-reload
+  /// between epochs; see core/config.hpp).
+  std::size_t effective_capacity() const;
   const AdmissionStats& stats() const noexcept { return stats_; }
 
  private:
   /// DRR weight of a priority class (>= 1).
   static std::size_t weight(orch::Priority priority) noexcept;
-  /// Construction-time capacity, unless a daemon config snapshot overrides
-  /// SURFOS_ADMIT_QUEUE (hot-reload between epochs; see core/config.hpp).
-  std::size_t effective_capacity() const;
-
   AdmissionOptions options_;
   AdmissionStats stats_;
   /// Per-class FIFO queues, highest priority first.

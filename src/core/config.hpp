@@ -17,7 +17,7 @@
 //     and tests see no change.
 //
 // Hot-reload granularity is the reader's re-read cadence: per control epoch
-// (fleet shards, daemon epoch period), per submit (admission capacity), or
+// (pump budget, daemon epoch period), per submit (admission capacity), or
 // construction-only (thread count, trace ring) — the registry below records
 // which, and DESIGN.md documents it per knob.
 //
@@ -58,8 +58,6 @@ struct KnobSpec {
 inline constexpr KnobSpec kKnobRegistry[] = {
     {"SURFOS_THREADS", 1, KnobReload::kConstruction,
      "worker threads in the process-wide pool"},
-    {"SURFOS_FLEET_SHARDS", 0, KnobReload::kPerEpoch,
-     "concurrent shards in Fleet::step_all (0 = one per pool thread)"},
     {"SURFOS_ADMIT_QUEUE", 1, KnobReload::kPerSubmit,
      "bounded admission-queue capacity per broker"},
     {"SURFOS_TRACE_BUFFER", 1, KnobReload::kConstruction,

@@ -1,9 +1,7 @@
 #include "core/fleet.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "core/config.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
@@ -49,18 +47,6 @@ broker::IntentResult Fleet::handle_utterance(const std::string& site_id,
   return site(site_id).broker().handle_utterance(text);
 }
 
-std::size_t Fleet::shard_count(std::size_t site_count) {
-  if (site_count == 0) return 0;
-  // SURFOS_FLEET_SHARDS: 0 (the default) means auto — one shard per pool
-  // thread, so the shard count tracks SURFOS_THREADS. Explicit values cap
-  // the stepping concurrency without touching the shared pool. Read through
-  // the config snapshot per step_all, so `surfos-ctl set-knob` retunes the
-  // stepping concurrency between epochs without a restart.
-  std::size_t shards = core::knob("SURFOS_FLEET_SHARDS", 0, 0);
-  if (shards == 0) shards = util::global_pool().thread_count();
-  return std::clamp<std::size_t>(shards, 1, site_count);
-}
-
 FleetReport Fleet::step_all() {
   FleetReport report;
   telemetry::TraceSpan span("core.fleet.step_all", sites_.size());
@@ -72,30 +58,24 @@ FleetReport Fleet::step_all() {
   sites.reserve(sites_.size());
   for (auto& [id, os] : sites_) sites.emplace_back(&id, os.get());
 
-  // Sharded step: each shard owns a contiguous site range and steps it
-  // serially; shards run concurrently on the process-wide pool. Every site
-  // writes into its own pre-sized slot and all aggregation happens *after*
-  // the parallel region, serially and in site-index order — so a
-  // FleetReport is bit-identical for any SURFOS_THREADS / shard count
-  // (sites share no mutable state: each SurfOS owns its clock, registry,
-  // orchestrator, and broker).
+  // One parallel_for over sites: the pool's dynamic chunk cursor balances
+  // uneven site costs. Every site writes into its own pre-sized slot and all
+  // aggregation happens *after* the parallel region, serially and in
+  // site-index order — so a FleetReport is bit-identical for any
+  // SURFOS_THREADS (sites share no mutable state: each SurfOS owns its
+  // clock, registry, orchestrator, and broker).
   std::vector<SiteReport> slots(sites.size());
-  const std::size_t shards = shard_count(sites.size());
-  util::global_pool().parallel_for(0, shards, [&](std::size_t shard) {
-    const std::size_t begin = shard * sites.size() / shards;
-    const std::size_t end = (shard + 1) * sites.size() / shards;
-    for (std::size_t i = begin; i < end; ++i) {
-      // Per-site deterministic trace context (site-index-derived, never
-      // wall-clock) so each site's step spans land in the flight recorder
-      // joined to one id; the span arg carries the 1-based site index.
-      telemetry::TraceScope scope(telemetry::TraceContext{
-          telemetry::make_trace_id(telemetry::trace_domain("core.fleet.site"),
-                                   i + 1),
-          0});
-      telemetry::TraceSpan site_span("core.fleet.site.step", i + 1);
-      slots[i].site_id = *sites[i].first;
-      slots[i].step = sites[i].second->step();
-    }
+  util::parallel_for(0, sites.size(), [&](std::size_t i) {
+    // Per-site deterministic trace context (site-index-derived, never
+    // wall-clock) so each site's step spans land in the flight recorder
+    // joined to one id; the span arg carries the 1-based site index.
+    telemetry::TraceScope scope(telemetry::TraceContext{
+        telemetry::make_trace_id(telemetry::trace_domain("core.fleet.site"),
+                                 i + 1),
+        0});
+    telemetry::TraceSpan site_span("core.fleet.site.step", i + 1);
+    slots[i].site_id = *sites[i].first;
+    slots[i].step = sites[i].second->step();
   });
 
   for (SiteReport& site_report : slots) {

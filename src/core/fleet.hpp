@@ -58,11 +58,12 @@ class Fleet {
   broker::IntentResult handle_utterance(const std::string& site_id,
                                         const std::string& text);
 
-  /// Runs one control-plane cycle on every site. Sites step concurrently on
-  /// the process-wide thread pool in SURFOS_FLEET_SHARDS contiguous shards
-  /// (0 = one shard per pool thread); the report is assembled by a serial
-  /// site-index-order reduction, so it is bit-identical for any
-  /// SURFOS_THREADS / shard count.
+  /// Runs one control-plane cycle on every site. Sites step concurrently as
+  /// one parallel_for over the process-wide thread pool, whose dynamic
+  /// chunks balance uneven site costs; it is the outermost loop, so the
+  /// parallel helpers inside each site's step run inline. The report is
+  /// assembled by a serial site-index-order reduction, so it is
+  /// bit-identical for any SURFOS_THREADS.
   FleetReport step_all();
 
   /// Cross-site inventory for the operator's dashboard.
@@ -76,9 +77,6 @@ class Fleet {
   }
 
  private:
-  /// Resolved shard count for `site_count` sites (SURFOS_FLEET_SHARDS knob).
-  static std::size_t shard_count(std::size_t site_count);
-
   std::map<std::string, std::unique_ptr<SurfOS>> sites_;
 };
 

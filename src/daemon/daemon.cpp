@@ -220,8 +220,7 @@ void Daemon::run_epoch() {
     const auto& admission = site.os->broker().admission();
     SloInputs inputs;
     inputs.queue_depth = admission.depth();
-    inputs.queue_capacity =
-        core::knob("SURFOS_ADMIT_QUEUE", admission.options().capacity, 1);
+    inputs.queue_capacity = admission.effective_capacity();
     inputs.shed_total = admission.stats().shed;
     inputs.arq_retry_total = arq_retries;
     inputs.arq_send_total = arq_sends;

@@ -21,7 +21,7 @@
 // under the store lock) is never dropped, so a hit can never invalidate a
 // channel out from under its owner. Concurrent misses of the same key may
 // build duplicates; the first publish wins and later builders adopt it, so
-// shards racing on one store stay value-identical.
+// sites stepped concurrently on one store stay value-identical.
 //
 // clear() forgets every resident artifact, so the next SceneChannel
 // construction is a cold build through the same fill code — how tests and

@@ -47,7 +47,7 @@ struct TraceEvent {
   const char* name = nullptr;  ///< Static storage duration (literal).
   std::uint64_t ts_ns = 0;     ///< Nanoseconds since the recorder epoch.
   std::uint64_t dur_ns = 0;
-  /// Optional numeric payload (0 = none): a site/shard index, queue depth —
+  /// Optional numeric payload (0 = none): a site index, queue depth —
   /// whatever the span site wants joined to the event in the export.
   std::uint64_t arg = 0;
   std::uint32_t thread_index = 0;

@@ -27,12 +27,6 @@ bool cpu_supports(Backend b) {
 #else
       return false;
 #endif
-    case Backend::kNeon:
-#if defined(__aarch64__)
-      return true;  // aarch64 baseline
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -45,15 +39,13 @@ const Ops* table_for(Backend b) {
       return detail::avx2_ops();
     case Backend::kAvx512:
       return detail::avx512_ops();
-    case Backend::kNeon:
-      return detail::neon_ops();
   }
   return nullptr;
 }
 
 // Preference order for "auto": widest first.
 constexpr Backend kAutoOrder[] = {Backend::kAvx512, Backend::kAvx2,
-                                  Backend::kNeon, Backend::kScalar};
+                                  Backend::kScalar};
 
 const Ops* best_available() {
   for (const Backend b : kAutoOrder) {
@@ -67,7 +59,6 @@ bool parse_backend(const char* s, Backend* out) {
   if (std::strcmp(s, "scalar") == 0) *out = Backend::kScalar;
   else if (std::strcmp(s, "avx2") == 0) *out = Backend::kAvx2;
   else if (std::strcmp(s, "avx512") == 0) *out = Backend::kAvx512;
-  else if (std::strcmp(s, "neon") == 0) *out = Backend::kNeon;
   else return false;
   return true;
 }
@@ -126,16 +117,13 @@ const char* backend_name(Backend b) {
       return "avx2";
     case Backend::kAvx512:
       return "avx512";
-    case Backend::kNeon:
-      return "neon";
   }
   return "unknown";
 }
 
 std::vector<Backend> available_backends() {
   std::vector<Backend> out;
-  for (const Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kAvx512,
-                          Backend::kNeon}) {
+  for (const Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kAvx512}) {
     if (ops_for(b) != nullptr) out.push_back(b);
   }
   return out;

@@ -1,6 +1,6 @@
 // Lane-width-agnostic SIMD kernel layer for the dense channel math.
 //
-// Every backend (scalar, AVX2, AVX-512, NEON) implements the same virtual
+// Every backend (scalar, AVX2, AVX-512) implements the same virtual
 // lane width of kWidth = 8 doubles and the same horizontal-reduction tree,
 // so all backends produce BIT-IDENTICAL results for every kernel: the
 // scalar backend is the reference implementation and the vector backends
@@ -10,8 +10,8 @@
 // with -fno-tree-vectorize so it stays genuinely scalar for benchmarking.
 //
 // Backend selection: runtime dispatch picks the best backend the CPU
-// supports (avx512 > avx2 > neon > scalar); the SURFOS_SIMD environment
-// knob (auto|scalar|avx2|avx512|neon) overrides it, falling back down the
+// supports (avx512 > avx2 > scalar); the SURFOS_SIMD environment
+// knob (auto|scalar|avx2|avx512) overrides it, falling back down the
 // preference order when the requested backend is unavailable.
 //
 // Kernels come in two shapes:
@@ -33,7 +33,7 @@ namespace surfos::util::simd {
 /// Virtual lane width shared by all backends (doubles per block).
 inline constexpr std::size_t kWidth = 8;
 
-enum class Backend { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kNeon = 3 };
+enum class Backend { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// 64-byte aligned allocator for SoA planes.
 template <class T>
@@ -224,7 +224,7 @@ struct Ops {
 const Ops& ops();
 
 /// Table for a specific backend, or nullptr if unavailable on this host
-/// (e.g. kNeon on x86). kScalar is always available.
+/// (e.g. kAvx512 on a CPU without it). kScalar is always available.
 const Ops* ops_for(Backend b);
 
 /// Test/bench hook: force a backend for subsequent ops() calls. Returns

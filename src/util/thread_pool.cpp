@@ -12,13 +12,15 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace surfos::util {
 
 namespace {
 
-thread_local bool t_in_worker = false;
+// True on pool workers always, and on a loop's caller while its loop runs.
+thread_local bool t_in_region = false;
 
 std::size_t auto_degree() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -116,7 +118,7 @@ struct ThreadPool::Impl {
   }
 
   void worker_loop() {
-    t_in_worker = true;
+    t_in_region = true;
     for (;;) {
       std::shared_ptr<LoopState> loop;
       {
@@ -156,7 +158,7 @@ ThreadPool::ThreadPool(std::size_t threads)
 
 ThreadPool::~ThreadPool() { delete impl_; }
 
-bool ThreadPool::in_worker() noexcept { return t_in_worker; }
+bool ThreadPool::in_parallel_region() noexcept { return t_in_region; }
 
 void ThreadPool::run_chunked(
     std::size_t begin, std::size_t end,
@@ -167,10 +169,11 @@ void ThreadPool::run_chunked(
   // identical under any SURFOS_THREADS value; which *path* a dispatch takes
   // is a scheduling detail and tracked by the non-deterministic counters.
   SURFOS_COUNT("util.pool.dispatches");
-  // Serial path: SURFOS_THREADS=1, tiny ranges, or a nested call from a
-  // worker (running inline avoids deadlock and keeps chunk order trivial).
-  if (impl_ == nullptr || n == 1 || t_in_worker) {
-    if (t_in_worker) {
+  // Serial path: SURFOS_THREADS=1, tiny ranges, or a call nested inside a
+  // running loop (running inline avoids deadlock and keeps parallelism at
+  // one level).
+  if (impl_ == nullptr || n == 1 || t_in_region) {
+    if (t_in_region) {
       SURFOS_COUNT_SCHED("util.pool.nested_inline", 1);
     } else {
       SURFOS_COUNT_SCHED("util.pool.serial_runs", 1);
@@ -191,7 +194,16 @@ void ThreadPool::run_chunked(
   state->chunk_count = (n + state->chunk - 1) / state->chunk;
   state->range_fn = &range_fn;
   SURFOS_COUNT_SCHED("util.pool.chunks", state->chunk_count);
-  impl_->run(state);
+  {
+    // The caller drains chunks too, so it is inside the loop like any
+    // worker: loops its chunks issue run inline instead of being handed
+    // back to the pool. Restored on every exit path.
+    struct RegionScope {
+      bool previous = std::exchange(t_in_region, true);
+      ~RegionScope() { t_in_region = previous; }
+    } region;
+    impl_->run(state);
+  }
   if (state->error) std::rethrow_exception(state->error);
 }
 

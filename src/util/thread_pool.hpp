@@ -5,7 +5,9 @@
 // reprogrammed" is dominated by three embarrassingly-parallel loops (channel
 // precompute over RX points / panel pairs, power-map evaluation over RX
 // points, and finite-difference / population objective probes). This module
-// provides the one process-wide thread pool those loops share.
+// provides the one process-wide thread pool those loops share. At fleet
+// scale the outermost loop is `Fleet::step_all`'s loop over sites, and the
+// loops above run inline inside each site's step.
 //
 // Determinism contract: `parallel_for(begin, end, fn)` runs fn(i) exactly
 // once for every i in [begin, end). Callers write results into pre-sized
@@ -18,10 +20,14 @@
 // index is rethrown on the calling thread after all workers have drained —
 // also deterministic under the contract above.
 //
-// Nested parallelism is safe but not amplified: a `parallel_for` issued from
-// inside a pool worker runs inline (serially) on that worker, so objectives
-// evaluated inside a parallel batch may themselves call parallel helpers
-// without deadlocking the pool.
+// Parallelism happens at one level: the outermost running loop owns the
+// pool. A `parallel_for` issued while a loop is running — from a pool worker
+// or from the thread that started the loop — runs inline (serially) on the
+// issuing thread, so objectives evaluated inside a parallel batch may call
+// parallel helpers without deadlocking the pool, and every index of such an
+// inner loop runs on one thread. The serial paths (SURFOS_THREADS=1, a
+// one-index range) do not open a region: their body is still the outermost
+// loop and its inner loops fan out.
 #pragma once
 
 #include <cstddef>
@@ -54,14 +60,6 @@ class ThreadPool {
     });
   }
 
-  /// parallel_for over a random-access container: fn(container[i]).
-  template <typename Container, typename Fn>
-  void parallel_for_each(Container& container, Fn&& fn) {
-    run_chunked(0, container.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) fn(container[i]);
-    });
-  }
-
   /// Type-erased core: `range_fn(b, e)` is invoked on half-open subranges
   /// that exactly tile [begin, end). Exposed for callers that want to
   /// amortize per-index work (e.g. per-chunk scratch buffers).
@@ -69,8 +67,9 @@ class ThreadPool {
                    const std::function<void(std::size_t, std::size_t)>&
                        range_fn);
 
-  /// True when the current thread is a pool worker (nested calls inline).
-  static bool in_worker() noexcept;
+  /// True while the current thread runs inside a parallel loop, as a pool
+  /// worker or as the loop's caller (nested calls run inline).
+  static bool in_parallel_region() noexcept;
 
  private:
   struct Impl;
@@ -91,11 +90,6 @@ void reset_global_pool(std::size_t threads);
 template <typename Fn>
 void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
   global_pool().parallel_for(begin, end, std::forward<Fn>(fn));
-}
-
-template <typename Container, typename Fn>
-void parallel_for_each(Container& container, Fn&& fn) {
-  global_pool().parallel_for_each(container, std::forward<Fn>(fn));
 }
 
 }  // namespace surfos::util

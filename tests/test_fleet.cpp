@@ -178,15 +178,15 @@ std::string fingerprint(const FleetReport& report) {
   return oss.str();
 }
 
-/// A fresh four-site fleet with one connectivity task per site, stepped
-/// twice; returns the concatenated report fingerprints. Built from scratch
-/// per call so runs under different pool sizes share no state.
-std::string run_mini_fleet() {
+/// A fresh `site_count`-site fleet with one connectivity task per site,
+/// stepped twice; returns the concatenated report fingerprints. Built from
+/// scratch per call so runs under different pool sizes share no state.
+std::string run_mini_fleet(int site_count) {
   const surface::Catalog catalog = surface::Catalog::standard();
   std::vector<sim::CoverageRoomScenario> scenarios;
-  scenarios.reserve(4);
+  scenarios.reserve(static_cast<std::size_t>(site_count));
   Fleet fleet;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < site_count; ++i) {
     scenarios.push_back(sim::make_coverage_room(/*grid_n=*/4));
     auto& scenario = scenarios.back();
     auto os = std::make_unique<SurfOS>(scenario.environment.get(),
@@ -208,16 +208,20 @@ std::string run_mini_fleet() {
 }
 
 TEST(FleetDeterminism, ReportsByteIdenticalAcrossThreadCounts) {
-  // SURFOS_FLEET_SHARDS defaults to the pool's thread count, so resizing the
-  // pool exercises 1-shard serial vs 4-shard concurrent stepping. The
+  // Resizing the pool exercises serial stepping against concurrent stepping
+  // whose dynamic chunks split 5 sites unevenly over 3 or 4 threads. The
   // reports — achieved metrics included, compared as hexfloat — must match
   // byte for byte (serial index-order reduction, per-site RNG streams).
+  constexpr int kSites = 5;
   util::reset_global_pool(1);
-  const std::string serial = run_mini_fleet();
+  const std::string serial = run_mini_fleet(kSites);
+  util::reset_global_pool(3);
+  const std::string three = run_mini_fleet(kSites);
   util::reset_global_pool(4);
-  const std::string sharded = run_mini_fleet();
+  const std::string four = run_mini_fleet(kSites);
   util::reset_global_pool(0);
-  EXPECT_EQ(serial, sharded);
+  EXPECT_EQ(serial, three);
+  EXPECT_EQ(serial, four);
 }
 
 TEST(FleetHalModes, BatchedRewritePaysAtLeastFourTimesFewerTransactions) {

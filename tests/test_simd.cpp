@@ -260,8 +260,7 @@ TEST(SimdDispatch, OverrideSelectsAndRestores) {
 
   // Unavailable backends are rejected without changing the active one.
   for (const simd::Backend b :
-       {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kAvx512,
-        simd::Backend::kNeon}) {
+       {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kAvx512}) {
     if (simd::ops_for(b) == nullptr) {
       const simd::Backend before = simd::active_backend();
       EXPECT_FALSE(simd::set_backend(b));

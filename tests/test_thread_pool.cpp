@@ -1,10 +1,12 @@
 // Parallel execution engine: pool lifecycle, coverage, exception
-// propagation, nested submits, and the global-pool knobs.
+// propagation, the one-level nesting rule, and the global-pool knobs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -82,28 +84,31 @@ TEST(ThreadPool, ReportsLowestChunkException) {
 }
 
 TEST(ThreadPool, NestedParallelForRunsInline) {
+  // Parallelism at one level: every index of an inner parallel_for runs on
+  // the thread that issued it, whether that is a worker or the outer loop's
+  // caller (whose inner chunks must not be handed to idle workers).
+  constexpr std::size_t kOuter = 2;
+  constexpr std::size_t kInner = 64;
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(16 * 16);
-  pool.parallel_for(0, 16, [&](std::size_t i) {
-    // Nested submits must not deadlock; they run serially on the worker.
-    pool.parallel_for(0, 16, [&](std::size_t j) {
-      if (ThreadPool::in_worker()) {
-        hits[i * 16 + j].fetch_add(1);
-      } else {
-        // Outer caller thread participating: still a valid serial context.
-        hits[i * 16 + j].fetch_add(1);
-      }
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::thread::id> outer_thread(kOuter);
+    std::vector<std::thread::id> inner_thread(kOuter * kInner);
+    pool.parallel_for(0, kOuter, [&](std::size_t i) {
+      outer_thread[i] = std::this_thread::get_id();
+      pool.parallel_for(0, kInner, [&](std::size_t j) {
+        inner_thread[i * kInner + j] = std::this_thread::get_id();
+        // Long enough for idle workers to wake and take chunks if the
+        // inner loop were handed to the pool.
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      });
     });
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEachVisitsEveryElement) {
-  ThreadPool pool(3);
-  std::vector<int> data(100);
-  std::iota(data.begin(), data.end(), 0);
-  pool.parallel_for_each(data, [](int& v) { v *= 2; });
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(data[static_cast<std::size_t>(i)], 2 * i);
+    for (std::size_t i = 0; i < kOuter; ++i) {
+      for (std::size_t j = 0; j < kInner; ++j) {
+        ASSERT_EQ(inner_thread[i * kInner + j], outer_thread[i])
+            << "round " << round << ", outer " << i << ", inner " << j;
+      }
+    }
+  }
 }
 
 TEST(ThreadPool, RunChunkedTilesTheRange) {
@@ -128,17 +133,37 @@ TEST(ThreadPool, GlobalPoolResizesAndRuns) {
   EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 128);
 }
 
-TEST(ThreadPool, InWorkerFlagIsScopedToWorkers) {
-  EXPECT_FALSE(ThreadPool::in_worker());
+TEST(ThreadPool, InParallelRegionFlagIsScopedToTheLoop) {
+  EXPECT_FALSE(ThreadPool::in_parallel_region());
   ThreadPool pool(4);
-  std::atomic<int> worker_sightings{0};
-  pool.parallel_for(0, 64, [&](std::size_t) {
-    if (ThreadPool::in_worker()) worker_sightings.fetch_add(1);
+  // Every index is inside the region, the ones the caller drains included.
+  std::vector<int> inside(64, 0);
+  pool.parallel_for(0, inside.size(), [&](std::size_t i) {
+    inside[i] = ThreadPool::in_parallel_region() ? 1 : 0;
   });
-  // The calling thread participates, so not every index sees a worker; the
-  // flag must simply never leak back to the caller.
-  EXPECT_GE(worker_sightings.load(), 0);
-  EXPECT_FALSE(ThreadPool::in_worker());
+  for (std::size_t i = 0; i < inside.size(); ++i) EXPECT_EQ(inside[i], 1) << i;
+  EXPECT_FALSE(ThreadPool::in_parallel_region());
+
+  // A throwing loop restores the caller's flag too.
+  EXPECT_THROW(pool.parallel_for(0, 64,
+                                 [](std::size_t i) {
+                                   if (i % 8 == 0) throw std::runtime_error("x");
+                                 }),
+               std::runtime_error);
+  EXPECT_FALSE(ThreadPool::in_parallel_region());
+
+  // The serial paths open no region: their body is still the outermost loop.
+  bool single_index = true;
+  pool.parallel_for(0, 1, [&](std::size_t) {
+    single_index = ThreadPool::in_parallel_region();
+  });
+  EXPECT_FALSE(single_index);
+  ThreadPool serial(1);
+  bool serial_pool = true;
+  serial.parallel_for(0, 8, [&](std::size_t) {
+    serial_pool = serial_pool && ThreadPool::in_parallel_region();
+  });
+  EXPECT_FALSE(serial_pool);
 }
 
 TEST(ThreadPool, ManySmallLoopsDrainCleanly) {
