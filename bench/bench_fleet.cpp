@@ -259,7 +259,7 @@ LoadResult run_sustained_load(Fleet& fleet,
                                         now - submit_time[it->second])
                                         .count());
         ++result.applied;
-        // Served: idle the app's tasks so fleet-scale active work stays
+        // Served: stop the app (cancelling its tasks) so fleet-scale work stays
         // bounded by the admission rate, not the request count.
         (void)site.broker().stop_app("req-" + std::to_string(it->second));
         awaiting[s].erase(it);

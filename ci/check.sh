@@ -17,8 +17,8 @@
 #      orchestrator tests (ctest -L "tsan|trace|fleet|daemon|precompute|orch"
 #      in ./build-tsan); any sanitizer report fails the run
 #   4b. ASan+LSan build of the wire/daemon/streaming/precompute/fleet/
-#      orchestrator tests (./build-asan); any memory error or leak fails the
-#      run
+#      admission/orchestrator/broker tests (./build-asan); any memory error
+#      or leak fails the run
 #   5. UBSan build of the SIMD/geometry/channel tests (ctest -L simd plus
 #      the dense-path suites in ./build-ubsan); undefined behavior in the
 #      lane kernels fails the run
@@ -90,18 +90,21 @@ TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   -L "tsan|trace|fleet|daemon|precompute|orch"
 
 echo
-echo "== asan: wire / daemon / precompute / fleet / orch tests under ASan+LSan (build-asan/)"
+echo "== asan: wire / daemon / precompute / fleet / orch / broker tests under ASan+LSan (build-asan/)"
 cmake -B build-asan -S . -DSURFOS_SANITIZE=address
 cmake --build build-asan -j"$JOBS" --target \
-  test_proto test_daemon test_streaming test_precompute test_fleet test_orch
+  test_proto test_daemon test_streaming test_precompute test_fleet \
+  test_admission test_orch test_broker test_integration
 # halt_on_error makes the first invalid access fail its test; detect_leaks
 # runs LeakSanitizer at exit, so a leaked snapshot buffer, client connection
 # or precompute artifact fails the run too; the orch suite reuses the joint
-# objective's scratch across calls. Only the targets built above carry these
-# labels (test_admission's fleet tests stay in the TSan leg).
+# objective's scratch across calls; the broker suites (label broker:
+# test_broker, test_integration) stop, resume and escalate apps, which
+# erases orchestrator tasks the broker holds ids of. Only the targets built
+# above carry these labels.
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
   ctest --test-dir build-asan --output-on-failure \
-  -L "daemon|precompute|fleet|orch"
+  -L "daemon|precompute|fleet|orch|broker"
 
 echo
 echo "== ubsan: SIMD kernels + dense channel path under UBSan (build-ubsan/)"

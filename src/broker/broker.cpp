@@ -11,7 +11,32 @@ namespace surfos::broker {
 
 namespace {
 constexpr const char* kLog = "broker";
+
+/// Admits `goal` through its service API (paper Fig 6 function names).
+orch::TaskId dispatch(orch::Orchestrator& orch, const orch::ServiceGoal& goal,
+                      orch::Priority priority) {
+  struct Dispatch {
+    orch::Orchestrator& orch;
+    orch::Priority priority;
+    orch::TaskId operator()(const orch::LinkGoal& g) const {
+      return orch.enhance_link(g, priority);
+    }
+    orch::TaskId operator()(const orch::CoverageGoal& g) const {
+      return orch.optimize_coverage(g, priority);
+    }
+    orch::TaskId operator()(const orch::SensingGoal& g) const {
+      return orch.enable_sensing(g, priority);
+    }
+    orch::TaskId operator()(const orch::PowerGoal& g) const {
+      return orch.init_powering(g, priority);
+    }
+    orch::TaskId operator()(const orch::SecurityGoal& g) const {
+      return orch.protect(g, priority);
+    }
+  };
+  return std::visit(Dispatch{orch, priority}, goal);
 }
+}  // namespace
 
 ServiceBroker::ServiceBroker(orch::Orchestrator* orchestrator,
                              geom::SampleGrid default_region,
@@ -67,27 +92,8 @@ Result<telemetry::TraceId> ServiceBroker::start_session(
   const auto requests =
       translate(demand, budget, region_for(demand.region_id), translation_);
   for (const auto& request : requests) {
-    struct Dispatch {
-      orch::Orchestrator& orch;
-      orch::Priority priority;
-      orch::TaskId operator()(const orch::LinkGoal& g) const {
-        return orch.enhance_link(g, priority);
-      }
-      orch::TaskId operator()(const orch::CoverageGoal& g) const {
-        return orch.optimize_coverage(g, priority);
-      }
-      orch::TaskId operator()(const orch::SensingGoal& g) const {
-        return orch.enable_sensing(g, priority);
-      }
-      orch::TaskId operator()(const orch::PowerGoal& g) const {
-        return orch.init_powering(g, priority);
-      }
-      orch::TaskId operator()(const orch::SecurityGoal& g) const {
-        return orch.protect(g, priority);
-      }
-    };
     session.tasks.push_back(
-        std::visit(Dispatch{*orchestrator_, request.priority}, request.goal));
+        dispatch(*orchestrator_, request.goal, request.priority));
   }
   session.trace_id = intent_trace.trace_id;
   SURFOS_INFO(kLog) << "app " << app_id << " started with "
@@ -109,16 +115,22 @@ Result<telemetry::TraceId> ServiceBroker::start_app(std::string app_id,
 Result<telemetry::TraceId> ServiceBroker::restore_session(
     std::string app_id, AppDemand demand, bool running,
     telemetry::TraceId trace_id) {
-  auto started = start_session(app_id, std::move(demand), trace_id);
-  if (!started.ok()) return started;
-  if (!running) {
-    // Restore-then-idle reuses the stop path so task bookkeeping matches a
-    // session that was stopped the normal way before the snapshot.
-    if (auto stopped = stop_app(app_id); !stopped.ok()) {
-      return stopped.error();
-    }
+  if (running) {
+    return start_session(std::move(app_id), std::move(demand), trace_id);
   }
-  return started;
+  if (const auto it = sessions_.find(app_id);
+      it != sessions_.end() && it->second.running) {
+    return make_error(ErrorCode::kAlreadyExists,
+                      "ServiceBroker: app already running: " + app_id);
+  }
+  // A stopped session is only its demand and trace id; resume_app
+  // translates it.
+  AppSession session;
+  session.app_id = app_id;
+  session.demand = std::move(demand);
+  session.trace_id = trace_id;
+  sessions_.insert_or_assign(std::move(app_id), std::move(session));
+  return trace_id;
 }
 
 Result<void> ServiceBroker::submit_demand(
@@ -168,14 +180,11 @@ Result<void> ServiceBroker::stop_app(const std::string& app_id) {
     return make_error(ErrorCode::kNotFound,
                       "ServiceBroker: unknown app: " + app_id);
   }
-  for (const orch::TaskId id : it->second.tasks) {
-    if (const auto* task = orchestrator_->find_task(id); task && task->active()) {
-      (void)orchestrator_->set_task_idle(id, true);
-    }
-  }
+  for (const orch::TaskId id : it->second.tasks) orchestrator_->cancel_task(id);
+  it->second.tasks.clear();
   it->second.running = false;
   SURFOS_COUNT("broker.apps.stopped");
-  SURFOS_INFO(kLog) << "app " << app_id << " stopped; tasks idled";
+  SURFOS_INFO(kLog) << "app " << app_id << " stopped; tasks cancelled";
   return ok_result();
 }
 
@@ -185,13 +194,11 @@ Result<void> ServiceBroker::resume_app(const std::string& app_id) {
     return make_error(ErrorCode::kNotFound,
                       "ServiceBroker: unknown app: " + app_id);
   }
-  for (const orch::TaskId id : it->second.tasks) {
-    if (const auto* task = orchestrator_->find_task(id);
-        task && task->state == orch::TaskState::kIdle) {
-      (void)orchestrator_->set_task_idle(id, false);
-    }
-  }
-  it->second.running = true;
+  if (it->second.running) return ok_result();
+  // Same path as start, under the intent's original trace id.
+  const auto resumed =
+      start_session(app_id, it->second.demand, it->second.trace_id);
+  if (!resumed.ok()) return resumed.error();
   return ok_result();
 }
 
@@ -221,32 +228,14 @@ std::size_t ServiceBroker::escalate_unsatisfied() {
       if (task->priority >= orch::kPriorityCritical) continue;
       // Re-admit at the next priority tier; the old task is cancelled. The
       // replacement keeps the original intent's trace id so the escalation
-      // shows up as one causal chain, not a fresh trace.
+      // shows up as one causal chain, not a fresh trace. Copy what the
+      // replacement needs first: cancel_task erases the task.
       const orch::ServiceGoal goal = task->goal;
       const orch::Priority bumped = task->priority + 10;
       const telemetry::TraceScope trace_scope({task->trace.trace_id, 0});
       SURFOS_TRACE_INSTANT("broker.escalate");
       orchestrator_->cancel_task(id);
-      struct Dispatch {
-        orch::Orchestrator& orch;
-        orch::Priority priority;
-        orch::TaskId operator()(const orch::LinkGoal& g) const {
-          return orch.enhance_link(g, priority);
-        }
-        orch::TaskId operator()(const orch::CoverageGoal& g) const {
-          return orch.optimize_coverage(g, priority);
-        }
-        orch::TaskId operator()(const orch::SensingGoal& g) const {
-          return orch.enable_sensing(g, priority);
-        }
-        orch::TaskId operator()(const orch::PowerGoal& g) const {
-          return orch.init_powering(g, priority);
-        }
-        orch::TaskId operator()(const orch::SecurityGoal& g) const {
-          return orch.protect(g, priority);
-        }
-      };
-      id = std::visit(Dispatch{*orchestrator_, bumped}, goal);
+      id = dispatch(*orchestrator_, goal, bumped);
       ++escalated;
       SURFOS_COUNT("broker.escalations");
       SURFOS_INFO(kLog) << "escalated a task of app " << app_id

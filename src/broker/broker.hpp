@@ -1,8 +1,10 @@
 // Service broker: the daemon that serves surface-oblivious applications
 // (paper 3.3). Applications declare demands (or the intent engine infers
 // them from user text); the broker translates demands to service goals,
-// invokes the orchestrator, tracks each app's tasks, idles them when the
-// app stops, and monitors satisfaction so unsatisfied apps can be escalated.
+// invokes the orchestrator, tracks each app's tasks, cancels them when the
+// app stops (resume re-translates the demand), and monitors satisfaction so
+// unsatisfied apps can be escalated. The session is the one owner of an
+// app's lifetime.
 #pragma once
 
 #include <limits>
@@ -22,6 +24,8 @@
 
 namespace surfos::broker {
 
+/// A stopped session is only its demand and trace id: `tasks` is empty and
+/// none of its tasks remain in the orchestrator.
 struct AppSession {
   std::string app_id;
   AppDemand demand;
@@ -56,8 +60,7 @@ class ServiceBroker {
   // --- Result-based service surface (the PR 8 API redesign) ---------------
   // Failures come back as surfos::Result errors with wire-stable ErrorCodes
   // (core/status.hpp) instead of exceptions, so the same contract holds
-  // in-process and across the surfosd socket. The old throwing entry points
-  // survive one release as [[deprecated]] shims below.
+  // in-process and across the surfosd socket.
 
   /// Starts an application session synchronously: translates the demand and
   /// creates the orchestrator tasks. Returns the intent's deterministic
@@ -81,17 +84,22 @@ class ServiceBroker {
   std::size_t pump_admissions(
       std::size_t max_admissions = std::numeric_limits<std::size_t>::max());
 
-  /// Stops an app: its tasks go idle and release resources. kNotFound on an
-  /// unknown app id (same contract as resume_app).
+  /// Stops an app: its tasks are cancelled (erased from the orchestrator,
+  /// releasing their resources) and the session keeps only its demand and
+  /// trace id, so status() reports tasks_total = 0. kNotFound on an unknown
+  /// app id (same contract as resume_app).
   Result<void> stop_app(const std::string& app_id);
 
-  /// Resumes a previously stopped app. kNotFound on an unknown app id.
+  /// Resumes a stopped app by re-translating its demand under the session's
+  /// original trace id — the same path as start, so the app gets new task
+  /// ids. A no-op on a running app; kNotFound on an unknown app id.
   Result<void> resume_app(const std::string& app_id);
 
   /// Re-creates a session from a surfosd snapshot under its *original*
   /// deterministic trace id (the snapshot stored it), so a restarted daemon
-  /// mints byte-identical ids for the same intents. Stopped sessions are
-  /// restored idle. kAlreadyExists if the app id is already running.
+  /// mints byte-identical ids for the same intents. A stopped session is
+  /// stored as its demand and trace id, untranslated, until resume_app.
+  /// kAlreadyExists if the app id is already running.
   Result<telemetry::TraceId> restore_session(std::string app_id,
                                              AppDemand demand, bool running,
                                              telemetry::TraceId trace_id);
@@ -130,8 +138,8 @@ class ServiceBroker {
  private:
   const geom::SampleGrid& region_for(const std::string& region_id) const;
 
-  /// Shared body of start_app/restore_session: translate + dispatch under an
-  /// explicit trace id.
+  /// Shared body of start_app/resume_app/restore_session: translate +
+  /// dispatch under an explicit trace id.
   Result<telemetry::TraceId> start_session(std::string app_id,
                                            AppDemand demand,
                                            telemetry::TraceId trace_id);

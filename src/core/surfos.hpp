@@ -78,6 +78,7 @@ class SurfOS {
     return *orchestrator_;
   }
   broker::ServiceBroker& broker() noexcept { return *broker_; }
+  const broker::ServiceBroker& broker() const noexcept { return *broker_; }
 
   const surface::SurfacePanel& panel_of(const std::string& device_id) const;
 

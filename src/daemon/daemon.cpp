@@ -148,9 +148,11 @@ void Daemon::ensure_endpoint(Site& site, const std::string& endpoint_id) {
 void Daemon::gc_endpoints(Site& site) {
   for (auto it = site.auto_endpoints.begin();
        it != site.auto_endpoints.end();) {
+    // A stopped session holds no tasks, so it does not keep its endpoint;
+    // resume re-registers it (handle_stop_resume).
     bool referenced = false;
     for (const auto& [app_id, session] : site.os->broker().sessions()) {
-      if (session.demand.endpoint_id == *it) {
+      if (session.running && session.demand.endpoint_id == *it) {
         referenced = true;
         break;
       }
@@ -388,8 +390,17 @@ proto::WireFrame Daemon::handle_stop_resume(const proto::WireFrame& request,
     return error_reply(request.trace_id, ErrorCode::kNotFound,
                        "unknown site: " + site_id);
   }
-  const Result<void> result = resume ? site->os->broker().resume_app(app_id)
-                                     : site->os->broker().stop_app(app_id);
+  broker::ServiceBroker& broker = site->os->broker();
+  if (resume) {
+    // The endpoint departed at the first GC after the stop; stable_hash puts
+    // it back at the same position.
+    if (const auto it = broker.sessions().find(app_id);
+        it != broker.sessions().end()) {
+      ensure_endpoint(*site, it->second.demand.endpoint_id);
+    }
+  }
+  const Result<void> result =
+      resume ? broker.resume_app(app_id) : broker.stop_app(app_id);
   if (!result.ok()) return error_reply(request.trace_id, result.error());
   return reply_frame(proto::MsgType::kOk, request.trace_id);
 }

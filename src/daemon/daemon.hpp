@@ -113,6 +113,9 @@ class Daemon {
   /// The per-epoch metric time-series (guarded by the epoch mutex; callers
   /// outside the daemon's own threads should prefer the wire protocol).
   const telemetry::Timeseries& timeseries() const noexcept { return series_; }
+  /// The sites' control planes (same caveat: epochs mutate them under the
+  /// epoch mutex).
+  const Fleet& fleet() const noexcept { return fleet_; }
 
  private:
   struct Site {
@@ -128,8 +131,9 @@ class Daemon {
   /// Registers an unknown endpoint at a deterministic in-room position
   /// derived from its name (the "arriving endpoints" path).
   void ensure_endpoint(Site& site, const std::string& endpoint_id);
-  /// Deregisters auto-registered endpoints no session references anymore
-  /// (the "departing endpoints" path; runs at the end of every epoch).
+  /// Deregisters auto-registered endpoints that no running session and no
+  /// queued demand names (the "departing endpoints" path; runs at the end of
+  /// every epoch, so a stopped app's endpoint departs at the next epoch).
   void gc_endpoints(Site& site);
 
   // Per-command handlers; all run under mu_ with the request TraceScope.

@@ -118,26 +118,7 @@ TaskHandle Orchestrator::protect(SecurityGoal goal, Priority priority,
 
 // --- Task lifecycle -------------------------------------------------------------
 
-Result<void> Orchestrator::set_task_idle(TaskId id, bool idle) {
-  const auto it = tasks_.find(id);
-  if (it == tasks_.end()) {
-    return make_error(ErrorCode::kNotFound,
-                      "unknown task: " + std::to_string(id));
-  }
-  Task& task = it->second;
-  if (idle && task.active()) {
-    task.state = TaskState::kIdle;
-  } else if (!idle && task.state == TaskState::kIdle) {
-    task.state = TaskState::kPending;
-  }
-  return ok_result();
-}
-
-void Orchestrator::cancel_task(TaskId id) {
-  const auto it = tasks_.find(id);
-  if (it == tasks_.end()) return;
-  it->second.state = TaskState::kCompleted;
-}
+void Orchestrator::cancel_task(TaskId id) { tasks_.erase(id); }
 
 const Task* Orchestrator::find_task(TaskId id) const noexcept {
   const auto it = tasks_.find(id);

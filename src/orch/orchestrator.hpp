@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/status.hpp"
 #include "em/propagation.hpp"
 #include "hal/batch.hpp"
 #include "hal/registry.hpp"
@@ -162,10 +161,11 @@ class Orchestrator {
 
   // --- Task lifecycle ------------------------------------------------------
 
-  /// Idle tasks stay registered but release their resource slices
-  /// ("setting a task idle when not used and releasing resources").
-  /// kNotFound on an unknown task id (Result surface; PR 8 API redesign).
-  Result<void> set_task_idle(TaskId id, bool idle);
+  /// Erases the task: it leaves the schedule at the next step and releases
+  /// its resource slice, find_task returns null and a TaskHandle to it is no
+  /// longer valid(). The orchestrator's only exit for a task; unknown ids
+  /// are a no-op. (Pausing an app's work is the broker's business: it
+  /// cancels the tasks and re-translates the demand on resume.)
   void cancel_task(TaskId id);
   const Task* find_task(TaskId id) const noexcept;
   std::vector<const Task*> tasks() const;

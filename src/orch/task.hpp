@@ -37,20 +37,19 @@ constexpr const char* to_string(ServiceType t) noexcept {
   return "?";
 }
 
+/// The values are wire-stable (TaskReport.state in every FleetReport); 2 is
+/// unused. A cancelled task has no state: cancel_task erases it.
 enum class TaskState {
-  kPending,    ///< Admitted, not yet scheduled.
-  kRunning,    ///< Holding a resource slice.
-  kIdle,       ///< Alive but released its resources (paper: "setting a task
-               ///< idle when not used and releasing resources").
-  kCompleted,  ///< Duration elapsed or goal permanently met.
-  kFailed,     ///< Unsatisfiable (no capable hardware, etc.).
+  kPending = 0,    ///< Admitted, not yet scheduled.
+  kRunning = 1,    ///< Holding a resource slice.
+  kCompleted = 3,  ///< Duration elapsed.
+  kFailed = 4,     ///< Unsatisfiable (no capable hardware, etc.).
 };
 
 constexpr const char* to_string(TaskState s) noexcept {
   switch (s) {
     case TaskState::kPending: return "pending";
     case TaskState::kRunning: return "running";
-    case TaskState::kIdle: return "idle";
     case TaskState::kCompleted: return "completed";
     case TaskState::kFailed: return "failed";
   }

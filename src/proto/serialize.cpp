@@ -108,6 +108,17 @@ std::uint16_t take_version(const Tlv& tlv) {
   return tlv_u16(tlv).value_or(0);
 }
 
+/// TaskState's wire values are pinned and not contiguous (2 is unused).
+bool is_task_state(std::uint8_t v) {
+  switch (static_cast<orch::TaskState>(v)) {
+    case orch::TaskState::kPending:
+    case orch::TaskState::kRunning:
+    case orch::TaskState::kCompleted:
+    case orch::TaskState::kFailed: return true;
+  }
+  return false;
+}
+
 template <typename T>
 std::vector<std::uint8_t> wrap(const T& value) {
   std::vector<std::uint8_t> out;
@@ -218,8 +229,7 @@ Result<void> from_wire(std::span<const std::uint8_t> bytes,
       }
       case tag::kTaskState: {
         const auto v = tlv_u8(*tlv);
-        ok = v.has_value() &&
-             *v <= static_cast<std::uint8_t>(orch::TaskState::kFailed);
+        ok = v.has_value() && is_task_state(*v);
         if (ok) out.state = static_cast<orch::TaskState>(*v);
         break;
       }

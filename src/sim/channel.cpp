@@ -53,16 +53,6 @@ void digest_pattern(util::DigestBuilder& b, const em::AntennaPattern& pattern) {
   }
 }
 
-/// |cos| between a panel's normal and the direction from an element to a
-/// point (scalar path; the SIMD fills use hop_gain/pair_gain instead).
-double element_cos(const surface::SurfacePanel& panel,
-                   const geom::Vec3& element_pos, const geom::Vec3& point) {
-  const geom::Vec3 d = point - element_pos;
-  const double n = d.norm();
-  if (n < 1e-9) return 0.0;
-  return std::fabs(d.dot(panel.normal())) / n;
-}
-
 /// Per-panel element positions as zero-padded SoA planes for the kernels.
 struct PosPlanes {
   util::simd::AlignedVec x, y, z;
@@ -128,7 +118,6 @@ util::ConfigDigest SceneChannel::compute_scene_digest() const {
   digest_vec3(b, tx_.position);
   digest_pattern(b, pattern_or_isotropic(tx_.antenna));
   digest_pattern(b, pattern_or_isotropic(rx_antenna_));
-  b.add_word(options_.per_element_blockage ? 1 : 0);
   b.add_word(options_.include_surface_cascades ? 1 : 0);
   b.add_word(static_cast<std::uint64_t>(options_.tracer.max_reflection_order));
   b.add_double(options_.tracer.min_path_gain);
@@ -205,22 +194,6 @@ std::shared_ptr<ScenePrecompute> SceneChannel::build_statics() const {
     const std::size_t n = positions.size();
     em::CxPlanes& f = out->f[p];
     f.resize(n);
-    if (options_.per_element_blockage) {
-      // Slow exact path: per-element occlusion, scalar formulas.
-      for (std::size_t i = 0; i < n; ++i) {
-        const geom::Vec3& ep = positions[i];
-        const double d = tx_.position.distance_to(ep);
-        if (d < 1e-6) continue;
-        const double cos_in = element_cos(panel, ep, tx_.position);
-        const em::Cx hop = em::element_hop_gain(frequency_hz_, area, cos_in, d);
-        const geom::Vec3 dep = (ep - tx_.position).normalized();
-        const double gt = tx_pattern.amplitude_gain(dep);
-        const em::Cx trans = environment_->segment_transmission(
-            tx_.position, ep, frequency_hz_);
-        f.set(i, hop * gt * trans);
-      }
-      return;
-    }
     const em::Cx center_trans = environment_->segment_transmission(
         tx_.position, panel.center(), frequency_hz_);
     const std::size_t pad = em::padded_len(n);
@@ -313,25 +286,6 @@ void SceneChannel::fill_missing_rows(const std::vector<std::size_t>& missing) {
       const std::size_t n = positions.size();
       em::CxPlanes& g = row->g[p];
       g.resize(n);
-      if (options_.per_element_blockage) {
-        for (std::size_t i = 0; i < n; ++i) {
-          const geom::Vec3& ep = positions[i];
-          const double d = ep.distance_to(rx);
-          if (d < 1e-6) continue;
-          const double cos_out =
-              element_cos(panel, ep, rx);
-          const em::Cx hop =
-              em::element_hop_gain(frequency_hz_, area, cos_out, d);
-          // RX pattern is evaluated toward the incoming wave, i.e. from the
-          // RX point back toward the element.
-          const geom::Vec3 arr = (rx - ep).normalized();
-          const double gr = rx_pattern.amplitude_gain(-arr);
-          const em::Cx trans =
-              environment_->segment_transmission(ep, rx, frequency_hz_);
-          g.set(i, hop * gr * trans);
-        }
-        continue;
-      }
       const em::Cx center_trans = environment_->segment_transmission(
           panel.center(), rx, frequency_hz_);
       const std::size_t pad = em::padded_len(n);

@@ -50,10 +50,6 @@ namespace surfos::sim {
 struct ChannelOptions {
   TracerOptions tracer;          ///< Direct-component ray tracing options.
   bool include_surface_cascades = true;  ///< Panel-to-panel double bounces.
-  /// When true, occlusion/penetration between an endpoint and a panel is
-  /// evaluated per element (slow, exact); when false, once per panel center
-  /// and applied to all elements (fast; exact phases/distances either way).
-  bool per_element_blockage = false;
 };
 
 /// Transmitter description.

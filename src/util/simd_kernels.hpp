@@ -898,7 +898,7 @@ struct Kernels {
     auto block = [&](const double* ppx, const double* ppy, const double* ppz,
                      double* ore, double* oim) {
       // d points p -> q; cos_p against the p-panel normal, cos_q against
-      // the q-panel normal (|.| like Environment::element_cos).
+      // the q-panel normal, both taken as absolute values.
       const reg dx = P::sub(qxr, P::load(ppx));
       const reg dy = P::sub(qyr, P::load(ppy));
       const reg dz = P::sub(qzr, P::load(ppz));

@@ -338,20 +338,42 @@ TEST(Broker, StatusTracksGoalSatisfaction) {
   EXPECT_FALSE(fx.broker->status("nope").known);
 }
 
-TEST(Broker, StopAndResumeIdleTasks) {
+TEST(Broker, StopAndResumeRetranslates) {
   BrokerFixture fx;
-  ASSERT_TRUE(fx.broker
-                  ->start_app("stream", demand_profile(
-                                            AppClass::kVideoStreaming,
-                                            "laptop"))
-                  .ok());
+  const auto started = fx.broker->start_app(
+      "stream", demand_profile(AppClass::kVideoStreaming, "laptop"));
+  ASSERT_TRUE(started.ok());
   fx.orchestrator->step();
+  const std::vector<orch::TaskId> before =
+      fx.broker->sessions().at("stream").tasks;
+  ASSERT_FALSE(before.empty());
+
+  // Stop leaves only the demand and trace id: no task survives anywhere.
   ASSERT_TRUE(fx.broker->stop_app("stream").ok());
+  EXPECT_TRUE(fx.orchestrator->tasks().empty());
+  EXPECT_TRUE(fx.broker->sessions().at("stream").tasks.empty());
+  EXPECT_EQ(fx.broker->status("stream").tasks_total, 0u);
   const auto report = fx.orchestrator->step();
   EXPECT_EQ(report.assignment_count, 0u);
+
+  // Resume re-translates under the original trace id, with new task ids.
   ASSERT_TRUE(fx.broker->resume_app("stream").ok());
+  const AppSession& session = fx.broker->sessions().at("stream");
+  EXPECT_TRUE(session.running);
+  EXPECT_EQ(session.trace_id, started.value());
+  ASSERT_EQ(session.tasks.size(), before.size());
+  EXPECT_GT(session.tasks.front(), before.back());
+  EXPECT_EQ(fx.orchestrator->tasks().size(), session.tasks.size());
+  for (const orch::TaskId id : session.tasks) {
+    EXPECT_EQ(fx.orchestrator->find_task(id)->trace.trace_id, started.value());
+  }
   const auto resumed = fx.orchestrator->step();
   EXPECT_EQ(resumed.assignment_count, 1u);
+
+  // Resuming a running app changes nothing.
+  const std::vector<orch::TaskId> running = session.tasks;
+  ASSERT_TRUE(fx.broker->resume_app("stream").ok());
+  EXPECT_EQ(fx.broker->sessions().at("stream").tasks, running);
   EXPECT_EQ(fx.broker->resume_app("ghost").code(), ErrorCode::kNotFound);
 }
 
@@ -371,6 +393,8 @@ TEST(Broker, EscalatesUnsatisfiedApps) {
   const orch::Task* task = fx.orchestrator->find_task(session.tasks[0]);
   ASSERT_NE(task, nullptr);
   EXPECT_GT(task->priority, orch::kPriorityNormal);
+  // The cancelled original is erased, not left behind.
+  EXPECT_EQ(fx.orchestrator->tasks().size(), session.tasks.size());
 }
 
 TEST(Broker, UtteranceStartsApps) {

@@ -10,6 +10,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -253,6 +255,7 @@ TEST_F(DaemonTest, SnapshotRestartResumeDrill) {
   std::vector<std::uint8_t> report_before;
   std::vector<SessionRow> rows_before;
   std::uint64_t queued_trace = 0;
+  geom::Vec3 cam0_before;
 
   {
     Daemon daemon(test_options(temp_path("a", ".sock"), snapshot_path));
@@ -299,6 +302,11 @@ TEST_F(DaemonTest, SnapshotRestartResumeDrill) {
     ASSERT_EQ(loaded.value().queued.size(), 1u);
     EXPECT_EQ(loaded.value().queued[0].app_id, "late");
     EXPECT_EQ(loaded.value().endpoints.size(), 3u);  // headset, cam0, phone
+    for (const EndpointRecord& record : loaded.value().endpoints) {
+      if (record.endpoint_id == "cam0") {
+        cam0_before = {record.x, record.y, record.z};
+      }
+    }
   }
 
   Daemon restarted(test_options(temp_path("b", ".sock"), snapshot_path));
@@ -345,6 +353,32 @@ TEST_F(DaemonTest, SnapshotRestartResumeDrill) {
     if (row.app_id == "late") late_running = row.running;
   }
   EXPECT_TRUE(late_running);
+
+  // That epoch's GC let the stopped cam's endpoint depart; resume brings it
+  // back at its snapshotted position and re-translates cam's demand.
+  const SurfOS& site0 = *restarted.fleet().find_site("site0");
+  EXPECT_EQ(site0.registry().find_endpoint("cam0"), nullptr);
+  std::vector<std::uint8_t> resume;
+  proto::TlvWriter rw(resume);
+  rw.put_string(tag::kAppId, "cam");
+  ASSERT_EQ(restarted
+                .handle_request(
+                    make_request(proto::MsgType::kResumeApp, 10, resume))
+                .type,
+            proto::MsgType::kOk);
+  restarted.run_epoch();
+  const hal::EndpointDevice* cam0 = site0.registry().find_endpoint("cam0");
+  ASSERT_NE(cam0, nullptr);
+  EXPECT_EQ(cam0->position.x, cam0_before.x);
+  EXPECT_EQ(cam0->position.y, cam0_before.y);
+  EXPECT_EQ(cam0->position.z, cam0_before.z);
+  const broker::AppSession& cam = site0.broker().sessions().at("cam");
+  EXPECT_TRUE(cam.running);
+  EXPECT_FALSE(cam.tasks.empty());
+  for (const SessionRow& before : rows_before) {
+    if (before.app_id != "cam") continue;
+    EXPECT_EQ(cam.trace_id, before.trace_id);
+  }
   (void)queued_trace;
   std::remove(snapshot_path.c_str());
 }
@@ -390,6 +424,86 @@ TEST_F(DaemonTest, DepartedEndpointsAreGarbageCollected) {
   ASSERT_EQ(snapshot.value().endpoints.size(), 1u);
   EXPECT_EQ(snapshot.value().endpoints[0].endpoint_id, "e1");
   std::remove(snapshot_path.c_str());
+}
+
+TEST_F(DaemonTest, ChurnStateStaysBounded) {
+  DaemonOptions options = test_options(temp_path("churn", ".sock"));
+  options.sites = 2;
+  Daemon daemon(options);
+  const std::vector<std::string> site_ids{"site0", "site1"};
+  std::size_t fresh = 0;
+  auto submit = [&](const std::string& app_id, const std::string& site_id) {
+    const std::string endpoint = "ep" + std::to_string(fresh++);
+    ASSERT_EQ(daemon
+                  .handle_request(make_request(
+                      proto::MsgType::kSubmitDemand, 1,
+                      submit_payload(app_id, vr_demand(endpoint), site_id)))
+                  .type,
+              proto::MsgType::kOk);
+  };
+  // Three live apps per site, oldest first.
+  std::vector<std::deque<std::string>> live(site_ids.size());
+  for (std::size_t s = 0; s < site_ids.size(); ++s) {
+    for (int k = 0; k < 3; ++k) {
+      live[s].push_back("app" + std::to_string(fresh));
+      submit(live[s].back(), site_ids[s]);
+    }
+  }
+  daemon.run_epoch();
+
+  for (int epoch = 0; epoch < 60; ++epoch) {
+    for (std::size_t s = 0; s < site_ids.size(); ++s) {
+      // Stop the two oldest apps. Re-submit the first under its own app id
+      // (a stopped session replaced in place) and the second under a fresh
+      // one (a stopped session left behind); both move to a fresh endpoint.
+      for (int way = 0; way < 2; ++way) {
+        const std::string oldest = live[s].front();
+        live[s].pop_front();
+        std::vector<std::uint8_t> stop;
+        proto::TlvWriter w(stop);
+        w.put_string(tag::kAppId, oldest);
+        w.put_string(tag::kSiteId, site_ids[s]);
+        ASSERT_EQ(daemon
+                      .handle_request(
+                          make_request(proto::MsgType::kStopApp, 2, stop))
+                      .type,
+                  proto::MsgType::kOk);
+        live[s].push_back(way == 0 ? oldest : "app" + std::to_string(fresh));
+        submit(live[s].back(), site_ids[s]);
+      }
+    }
+    daemon.run_epoch();
+
+    for (const std::string& site_id : site_ids) {
+      const SurfOS& site = *daemon.fleet().find_site(site_id);
+      std::size_t running = 0;
+      std::size_t live_tasks = 0;
+      std::set<std::string> named;
+      for (const auto& [app_id, session] : site.broker().sessions()) {
+        if (!session.running) {
+          EXPECT_TRUE(session.tasks.empty()) << app_id;
+          continue;
+        }
+        ++running;
+        live_tasks += session.tasks.size();
+        named.insert(session.demand.endpoint_id);
+      }
+      ASSERT_EQ(running, 3u) << site_id << " after churn epoch " << epoch;
+      ASSERT_GE(live_tasks, running);
+      for (const auto& queued : site.broker().admission().pending()) {
+        named.insert(queued.demand.endpoint_id);
+      }
+      std::set<std::string> registered;
+      for (const hal::EndpointDevice& endpoint :
+           site.registry().endpoints()) {
+        registered.insert(endpoint.id);
+      }
+      ASSERT_EQ(site.orchestrator().tasks().size(), live_tasks)
+          << site_id << " after churn epoch " << epoch;
+      ASSERT_EQ(registered, named)
+          << site_id << " after churn epoch " << epoch;
+    }
+  }
 }
 
 // --- Over the socket ---------------------------------------------------------

@@ -656,23 +656,6 @@ TEST(OrchestratorTest, UnknownEndpointFailsTask) {
   EXPECT_EQ(fx.orchestrator->find_task(id)->state, TaskState::kFailed);
 }
 
-TEST(OrchestratorTest, IdleTasksReleaseResources) {
-  OrchestratorFixture fx;
-  const TaskId id = fx.orchestrator->enhance_link({"laptop", 15.0, 50.0});
-  fx.orchestrator->step();
-  ASSERT_TRUE(fx.orchestrator->set_task_idle(id, true).ok());
-  const StepReport report = fx.orchestrator->step();
-  EXPECT_EQ(report.assignment_count, 0u);
-  EXPECT_EQ(fx.orchestrator->find_task(id)->state, TaskState::kIdle);
-  ASSERT_TRUE(fx.orchestrator->set_task_idle(id, false).ok());
-  const StepReport resumed = fx.orchestrator->step();
-  EXPECT_EQ(resumed.assignment_count, 1u);
-  // Result surface: an unknown id reports kNotFound instead of throwing.
-  const auto missing = fx.orchestrator->set_task_idle(99999, true);
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.code(), ErrorCode::kNotFound);
-}
-
 TEST(OrchestratorTest, SensingTaskProducesAccuracy) {
   OrchestratorFixture fx;
   SensingGoal goal;
@@ -735,6 +718,7 @@ TEST(OrchestratorTest, CancelledTaskLeavesSchedule) {
   const TaskId id = fx.orchestrator->enhance_link({"laptop", 15.0, 50.0});
   fx.orchestrator->step();
   fx.orchestrator->cancel_task(id);
+  EXPECT_EQ(fx.orchestrator->find_task(id), nullptr);  // erased, not parked
   const StepReport report = fx.orchestrator->step();
   EXPECT_EQ(report.assignment_count, 0u);
 }

@@ -309,6 +309,24 @@ TEST(Serialize, MissingVersionTagIsMalformed) {
   EXPECT_EQ(from_wire(bytes, out).code(), ErrorCode::kMalformedFrame);
 }
 
+TEST(Serialize, TaskStateAcceptsExactlyItsPinnedWireValues) {
+  for (const std::uint8_t value : {0, 1, 2, 3, 4, 5}) {
+    orch::TaskReport report;
+    report.id = 7;
+    report.state = static_cast<orch::TaskState>(value);
+    std::vector<std::uint8_t> bytes;
+    to_wire(report, bytes);
+    orch::TaskReport out;
+    const auto decoded = from_wire(bytes, out);
+    if (value == 2 || value == 5) {
+      EXPECT_EQ(decoded.code(), ErrorCode::kMalformedFrame) << int{value};
+      continue;
+    }
+    ASSERT_TRUE(decoded.ok()) << int{value};
+    EXPECT_EQ(static_cast<std::uint8_t>(out.state), value);
+  }
+}
+
 // --- Fuzz-style robustness ---------------------------------------------------
 
 /// Deterministic LCG so the "fuzz" is reproducible in CI.
