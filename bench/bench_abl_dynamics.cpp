@@ -108,10 +108,10 @@ int main() {
   std::printf("\nMeans over the walk: static %.1f dB, adaptive %.1f dB.\n",
               util::mean(passive_series), util::mean(adaptive_series));
   std::printf(
-      "Environment rebuilds: %zu (bystander movement). Adaptive tracking\n"
+      "Bystander moves: %zu (boxes moved in place). Adaptive tracking\n"
       "holds the link as the client leaves the fabricated beam — the\n"
       "runtime capability that separates an OS from a compile-time library\n"
       "and justifies programmable hardware despite its cost (Fig 4).\n",
-      world.rebuild_count());
+      world.motion_count());
   return 0;
 }

@@ -19,9 +19,9 @@
 #   4b. ASan+LSan build of the wire/daemon/streaming/precompute/fleet/
 #      admission/orchestrator/broker tests (./build-asan); any memory error
 #      or leak fails the run
-#   5. UBSan build of the SIMD/geometry/channel tests (ctest -L simd plus
-#      the dense-path suites in ./build-ubsan); undefined behavior in the
-#      lane kernels fails the run
+#   5. UBSan build of the SIMD, geometry, EM and sim tests (ctest -L
+#      "simd|geom" in ./build-ubsan); undefined behavior in the lane
+#      kernels, the BVH or the channel precompute fails the run
 #   6. daemon smoke: spawn the real surfosd binary on a temp socket, drive
 #      50 surfos-ctl requests through it, stream >= 20 epochs of kEvent
 #      frames into a `surfos-ctl watch metrics` subscriber and kill it
@@ -107,14 +107,16 @@ ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
   -L "daemon|precompute|fleet|orch|broker"
 
 echo
-echo "== ubsan: SIMD kernels + dense channel path under UBSan (build-ubsan/)"
+echo "== ubsan: SIMD kernels, geometry, EM and channel suites under UBSan (build-ubsan/)"
 cmake -B build-ubsan -S . -DSURFOS_SANITIZE=undefined
 cmake --build build-ubsan -j"$JOBS" --target test_simd test_geom test_em test_sim
 # halt_on_error turns any UB report into a test failure instead of a log
 # line; the simd suite runs every available backend against the scalar
 # reference, so lane-kernel UB (misaligned loads, bad masks) surfaces here.
+# Label geom is test_geom (BVH build and refit, triangle and slab tests),
+# test_em and test_sim (ray tracer, environment, channel precompute).
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-  ctest --test-dir build-ubsan --output-on-failure -R "Simd|Geom|Em|Channel"
+  ctest --test-dir build-ubsan --output-on-failure -L "simd|geom"
 
 echo
 echo "== daemon smoke: live surfosd + 50 surfos-ctl requests + SIGTERM snapshot"

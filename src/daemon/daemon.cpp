@@ -187,12 +187,9 @@ void Daemon::run_epoch() {
 
   for (Site& site : sites_) {
     site.os->clock().advance_to(sim_now_us_);
-    if (site.world->advance_to(sim_now_us_)) {
-      // The rebuild replaced the Environment object; repoint the control
-      // plane and drop its cached channels.
-      site.os->orchestrator().set_environment(&site.world->environment());
-      ++stats_.env_rebuilds;
-    }
+    // The walker's box moves in place; each cached plan's channel catches
+    // up by delta in the step (SceneChannel::sync).
+    if (site.world->advance_to(sim_now_us_)) ++stats_.env_rebuilds;
     site.os->broker().pump_admissions(pump_max);
   }
 
@@ -726,9 +723,7 @@ Result<void> Daemon::apply_snapshot(const DaemonSnapshot& snapshot) {
   last_report_wire_ = snapshot.last_report_wire;
   for (Site& site : sites_) {
     site.os->clock().advance_to(sim_now_us_);
-    if (site.world->advance_to(sim_now_us_)) {
-      site.os->orchestrator().set_environment(&site.world->environment());
-    }
+    site.world->advance_to(sim_now_us_);
   }
   // Endpoints before sessions: a restored demand must find the endpoint it
   // names, at its original (snapshotted) position.

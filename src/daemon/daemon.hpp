@@ -4,9 +4,10 @@
 // moving human blocker), a ServiceBroker per site, and two threads:
 //
 //   - the TICKER runs continuous control epochs: advance the simulated
-//     clock, move the blockers (rebuild + re-plan on motion), drain the
-//     PR 7 admission queue, step every site, escalate unsatisfied apps, and
-//     serialize the FleetReport for get_metrics;
+//     clock, move the blockers (in place; the step re-plans only what
+//     they touched), drain the admission queue, step every site, escalate
+//     unsatisfied apps and GC endpoints, then serialize the FleetReport for
+//     get_metrics;
 //   - the SERVER poll()s a Unix-domain socket and speaks the versioned TLV
 //     protocol (proto/wire.hpp). Every request is handled under a
 //     TraceScope of the request frame's trace id, and every reply echoes
@@ -61,7 +62,8 @@ struct DaemonStats {
   std::uint64_t epochs = 0;
   std::uint64_t requests = 0;
   std::uint64_t malformed = 0;      ///< Rejected frames (all close-worthy causes).
-  std::uint64_t env_rebuilds = 0;   ///< Blocker motion forced a re-plan.
+  /// Site-epochs in which a blocker moved (kept under its wire name).
+  std::uint64_t env_rebuilds = 0;
   double last_epoch_ms = 0.0;       ///< Wall time of the last epoch.
 };
 

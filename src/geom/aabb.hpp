@@ -41,6 +41,42 @@ struct Aabb {
            p.z >= lo.z && p.z <= hi.z;
   }
 
+  /// This box grown by `margin` on every side.
+  Aabb inflated(double margin) const noexcept {
+    const Vec3 m{margin, margin, margin};
+    return {lo - m, hi + m};
+  }
+
+  /// Does the closed segment a->b meet this (closed) box? Slab test over
+  /// the segment parameter in [0, 1]; an axis the segment does not move
+  /// along only checks that the segment lies within the slab.
+  bool meets_segment(const Vec3& a, const Vec3& b) const noexcept {
+    const double* lo_c = &lo.x;
+    const double* hi_c = &hi.x;
+    const double* a_c = &a.x;
+    const double* b_c = &b.x;
+    double t_min = 0.0;
+    double t_max = 1.0;
+    for (int axis = 0; axis < 3; ++axis) {
+      const double d = b_c[axis] - a_c[axis];
+      if (d == 0.0) {
+        if (a_c[axis] < lo_c[axis] || a_c[axis] > hi_c[axis]) return false;
+        continue;
+      }
+      double t0 = (lo_c[axis] - a_c[axis]) / d;
+      double t1 = (hi_c[axis] - a_c[axis]) / d;
+      if (t0 > t1) {
+        const double tmp = t0;
+        t0 = t1;
+        t1 = tmp;
+      }
+      if (t0 > t_min) t_min = t0;
+      if (t1 < t_max) t_max = t1;
+      if (t_max < t_min) return false;
+    }
+    return true;
+  }
+
   /// Slab test: does the ray intersect this box within [t_min, t_max]?
   bool hit_by(const Ray& ray, double t_min, double t_max) const noexcept {
     const double* lo_c = &lo.x;

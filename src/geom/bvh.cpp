@@ -58,6 +58,24 @@ std::uint32_t Bvh::build_node(std::uint32_t begin, std::uint32_t end) {
   return node_index;
 }
 
+void Bvh::refit() {
+  // build_node emits every parent before its children, so a reverse sweep
+  // sees both children of a node before the node itself.
+  for (std::size_t n = nodes_.size(); n-- > 0;) {
+    Node& node = nodes_[n];
+    Aabb box;
+    if (node.is_leaf()) {
+      for (std::uint32_t i = 0; i < node.prim_count; ++i) {
+        box.expand((*triangles_)[order_[node.first_prim + i]].bounds());
+      }
+    } else {
+      box = nodes_[n + 1].box;
+      box.expand(nodes_[node.right_child].box);
+    }
+    node.box = box;
+  }
+}
+
 Hit Bvh::triangle_hit(std::uint32_t prim_index, const Ray& ray, double t_min,
                       double t_max) const {
   Hit hit;

@@ -21,6 +21,12 @@ class Bvh {
   /// Builds over the given triangles; the pointer must outlive the Bvh.
   explicit Bvh(const std::vector<Triangle>* triangles);
 
+  /// Recomputes every node's bounds from the triangles' current positions,
+  /// keeping the tree's shape: for triangles moved in place. Queries stay
+  /// exact (the tree only prunes), though a tree built around the old
+  /// positions may prune less.
+  void refit();
+
   /// Closest hit within (t_min, t_max); returns invalid Hit when none.
   Hit closest_hit(const Ray& ray, double t_min, double t_max) const;
 

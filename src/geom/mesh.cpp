@@ -1,6 +1,7 @@
 #include "geom/mesh.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "geom/bvh.hpp"
@@ -23,17 +24,45 @@ void TriangleMesh::add_quad(const Vec3& a, const Vec3& b, const Vec3& c,
   add_triangle({a, c, d, material_id});
 }
 
-void TriangleMesh::add_box(const Vec3& lo, const Vec3& hi, int material_id) {
+namespace {
+
+/// The six faces of the box [lo, hi] as quads in perimeter order.
+std::array<std::array<Vec3, 4>, 6> box_faces(const Vec3& lo, const Vec3& hi) {
   const Vec3 p000{lo.x, lo.y, lo.z}, p100{hi.x, lo.y, lo.z};
   const Vec3 p010{lo.x, hi.y, lo.z}, p110{hi.x, hi.y, lo.z};
   const Vec3 p001{lo.x, lo.y, hi.z}, p101{hi.x, lo.y, hi.z};
   const Vec3 p011{lo.x, hi.y, hi.z}, p111{hi.x, hi.y, hi.z};
-  add_quad(p000, p100, p110, p010, material_id);  // bottom
-  add_quad(p001, p101, p111, p011, material_id);  // top
-  add_quad(p000, p100, p101, p001, material_id);  // y = lo
-  add_quad(p010, p110, p111, p011, material_id);  // y = hi
-  add_quad(p000, p010, p011, p001, material_id);  // x = lo
-  add_quad(p100, p110, p111, p101, material_id);  // x = hi
+  return {{{p000, p100, p110, p010},    // bottom
+           {p001, p101, p111, p011},    // top
+           {p000, p100, p101, p001},    // y = lo
+           {p010, p110, p111, p011},    // y = hi
+           {p000, p010, p011, p001},    // x = lo
+           {p100, p110, p111, p101}}};  // x = hi
+}
+
+}  // namespace
+
+std::size_t TriangleMesh::add_box(const Vec3& lo, const Vec3& hi,
+                                  int material_id) {
+  const std::size_t first = triangles_.size();
+  for (const auto& f : box_faces(lo, hi)) {
+    add_quad(f[0], f[1], f[2], f[3], material_id);
+  }
+  return first;
+}
+
+void TriangleMesh::move_box(std::size_t first_triangle, const Vec3& lo,
+                            const Vec3& hi) {
+  if (first_triangle + 12 > triangles_.size()) {
+    throw std::out_of_range("TriangleMesh: no box at that triangle index");
+  }
+  const int material_id = triangles_[first_triangle].material_id;
+  std::size_t t = first_triangle;
+  for (const auto& f : box_faces(lo, hi)) {
+    triangles_[t++] = {f[0], f[1], f[2], material_id};
+    triangles_[t++] = {f[0], f[2], f[3], material_id};
+  }
+  if (bvh_) bvh_->refit();
 }
 
 Aabb TriangleMesh::bounds() const {

@@ -31,8 +31,15 @@ class TriangleMesh {
   void add_quad(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d,
                 int material_id);
 
-  /// Adds the 12 triangles of a box (furniture, interior obstacles).
-  void add_box(const Vec3& lo, const Vec3& hi, int material_id);
+  /// Adds the 12 triangles of a box (furniture, interior obstacles) and
+  /// returns the index of the first.
+  std::size_t add_box(const Vec3& lo, const Vec3& hi, int material_id);
+
+  /// Moves the box whose first triangle is `first_triangle` to [lo, hi]:
+  /// rewrites its 12 triangles in place, in add_box's order and with its
+  /// material, and refits a built index (no rebuild). The triangle array is
+  /// then the one a fresh build with the box at [lo, hi] would hold.
+  void move_box(std::size_t first_triangle, const Vec3& lo, const Vec3& hi);
 
   std::size_t triangle_count() const noexcept { return triangles_.size(); }
   const Triangle& triangle(std::size_t i) const { return triangles_[i]; }

@@ -138,17 +138,6 @@ void Orchestrator::notify_environment_changed() {
   SURFOS_INFO(kLog) << "environment changed (revision " << env_revision_ << ")";
 }
 
-void Orchestrator::set_environment(const sim::Environment* environment) {
-  if (environment == nullptr) {
-    throw std::invalid_argument("Orchestrator: null environment");
-  }
-  context_.environment = environment;
-  // Cached plans hold SceneChannels built against the old environment
-  // object; drop them rather than risk dangling geometry pointers.
-  plans_.clear();
-  notify_environment_changed();
-}
-
 void Orchestrator::set_optimizer(std::unique_ptr<opt::Optimizer> optimizer) {
   if (!optimizer) throw std::invalid_argument("Orchestrator: null optimizer");
   optimizer_ = std::move(optimizer);
@@ -256,24 +245,32 @@ Orchestrator::Plan& Orchestrator::plan_for(const Assignment& assignment,
   const std::string tasks_sig = tasks_signature(assignment);
   const auto it = plans_.find(key);
   if (it != plans_.end() && it->second.env_revision == env_revision_) {
-    if (it->second.tasks_sig == tasks_sig) {
-      fresh = false;
-      return it->second;
-    }
-    // Same resources, different task set: rebase the live channel's RX rows
-    // instead of rebuilding the whole plan. Surviving endpoints keep their
-    // rows; only new ones are traced (SceneChannel::rebase_rx). The result
-    // is indistinguishable from a fresh build — same RX order, cleared
-    // warm start — at O(changed endpoints) cost.
     Plan& plan = it->second;
+    const bool same_tasks = plan.tasks_sig == tasks_sig;
+    // Blocker motion: the channel catches up by delta (SceneChannel::sync).
+    // A plan whose channel values it leaves unchanged is reused as is.
+    if (same_tasks && (plan.channel == nullptr || !plan.channel->sync())) {
+      fresh = false;
+      return plan;
+    }
+    // A changed channel, or the same resources with a different task set:
+    // rebase the live channel instead of rebuilding the whole plan.
+    // Surviving endpoints keep their rows; only new ones (and rows the
+    // blocker touched) are traced (SceneChannel::rebase_rx, which syncs
+    // the survivors). The result is indistinguishable from a fresh build —
+    // same RX order, cleared warm start — at O(changed rows) cost.
     if (plan.channel != nullptr) {
-      plan.task_rx.clear();
-      plan.sensing_panel_of.clear();
-      std::vector<geom::Vec3> rx_points;
-      collect_task_rx(assignment, plan, rx_points);
-      if (!rx_points.empty()) {
+      bool rebased = same_tasks;
+      if (!same_tasks) {
+        plan.task_rx.clear();
+        std::vector<geom::Vec3> rx_points;
+        collect_task_rx(assignment, plan, rx_points);
+        rebased = !rx_points.empty();
+        if (rebased) plan.channel->rebase_rx(std::move(rx_points));
+      }
+      if (rebased) {
         SURFOS_COUNT("orch.plan.rebased");
-        plan.channel->rebase_rx(std::move(rx_points));
+        plan.sensing_panel_of.clear();
         pick_sensing_panels(assignment, plan);
         plan.x.clear();
         plan.optimized = false;

@@ -170,15 +170,13 @@ class Orchestrator {
   const Task* find_task(TaskId id) const noexcept;
   std::vector<const Task*> tasks() const;
 
-  /// Environment dynamics (people moving, furniture): invalidates cached
-  /// channels and plans so the next step() re-optimizes.
+  /// Static-geometry change (walls, furniture rebuilt): invalidates every
+  /// cached channel and plan so the next step() rebuilds them. Moving
+  /// obstacle boxes (sim::Environment::move_obstacle_box, people walking)
+  /// needs no call: each step syncs a cached plan's channel by delta,
+  /// reuses the plan when its channel did not change and re-plans it as a
+  /// fresh build would when it did.
   void notify_environment_changed();
-
-  /// Repoints the control plane at a rebuilt environment (surfosd's dynamic
-  /// world replaces the sim::Environment object on every advance) and
-  /// invalidates cached plans. `environment` must be non-null and outlive
-  /// the orchestrator until the next call.
-  void set_environment(const sim::Environment* environment);
 
   // --- Control knobs -------------------------------------------------------
 

@@ -1,12 +1,16 @@
 #include "sim/channel.hpp"
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "em/band.hpp"
+#include "geom/ray.hpp"
 #include "sim/trace_batch.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/simd.hpp"
@@ -78,6 +82,240 @@ std::vector<PosPlanes> make_pos_planes(
   return pos;
 }
 
+bool same_bits(const geom::Aabb& a, const geom::Aabb& b) {
+  return std::memcmp(&a, &b, sizeof(geom::Aabb)) == 0;
+}
+
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+bool same_bits(const em::CxPlanes& a, const em::CxPlanes& b) {
+  return a.size() == b.size() && a.padded_size() == b.padded_size() &&
+         same_bits(a.re(), b.re(), a.padded_size()) &&
+         same_bits(a.im(), b.im(), a.padded_size());
+}
+
+bool same_bits(const ScenePrecompute& a, const ScenePrecompute& b) {
+  if (&a == &b) return true;
+  for (std::size_t p = 0; p < a.f.size(); ++p) {
+    if (!same_bits(a.f[p], b.f[p])) return false;
+    for (std::size_t q = 0; q < a.cascades.size(); ++q) {
+      const em::CxPlaneMat& ma = a.cascades[q][p];
+      const em::CxPlaneMat& mb = b.cascades[q][p];
+      const std::size_t n = ma.rows() * ma.stride();
+      if (ma.rows() != mb.rows() || ma.stride() != mb.stride() ||
+          !same_bits(ma.re(), mb.re(), n) || !same_bits(ma.im(), mb.im(), n)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+bool same_bits(const RxRowPrecompute& a, const RxRowPrecompute& b) {
+  if (&a == &b) return true;
+  if (std::memcmp(&a.h_dir, &b.h_dir, sizeof(em::Cx)) != 0) return false;
+  for (std::size_t p = 0; p < a.g.size(); ++p) {
+    if (!same_bits(a.g[p], b.g[p])) return false;
+  }
+  return true;
+}
+
+/// How far, in metres, a crossing must clear every decision boundary of
+/// the triangle tests (kRayEpsilon at the segment ends, the face borders,
+/// the exclusion radius, coincident hits) to count as robust: far above
+/// their rounding error and their 1e-12 barycentric slack.
+constexpr double kRobustMargin = 1e-6;
+
+/// A face whose own transmission power is below this blocks any path
+/// through it: every transmission factor has magnitude <= 1 (both the
+/// scalar and the vectorized slab model clamp it), so the running product
+/// falls under the 1e-30 cut-off of Environment::segment_transmission and
+/// of BatchTracer wherever the face sits in it. The factor 100 covers the
+/// models' ULP-level differences.
+constexpr double kBlockingPower = 1e-32;
+
+/// How a segment crosses an axis-aligned box, as the triangle tests
+/// (scalar and vectorized) would count it.
+struct BoxCrossing {
+  bool crosses = false;  ///< Some face is hit (and not excluded).
+  bool blocked = false;  ///< A hit face's transmission blocks the path.
+  bool robust = true;    ///< False when a decision lies within the margin.
+};
+
+/// `blocks(cos_i)`: whether a face crossed at that incidence cosine blocks.
+template <class Blocks>
+BoxCrossing cross_box(const geom::Aabb& box, const geom::Vec3& a,
+                      const geom::Vec3& b, std::span<const geom::Vec3> exclude,
+                      const Blocks& blocks) {
+  constexpr double m = kRobustMargin;
+  BoxCrossing out;
+  const geom::Vec3 d = b - a;
+  const double len = d.norm();
+  const double* lo = &box.lo.x;
+  const double* hi = &box.hi.x;
+  const double* pa = &a.x;
+  const double* pb = &b.x;
+  const double* pd = &d.x;
+  const auto not_robust = [&out] {
+    out.robust = false;
+    return out;
+  };
+  std::array<double, 6> hits{};
+  std::size_t n_hits = 0;
+  for (int k = 0; k < 3; ++k) {
+    for (int side = 0; side < 2; ++side) {
+      const double c = side == 0 ? lo[k] : hi[k];
+      const double da = pa[k] - c;
+      const double db = pb[k] - c;
+      if ((da > m && db > m) || (da < -m && db < -m)) continue;  // one side
+      if (std::fabs(pd[k]) <= 1e-9 * len) return not_robust();  // grazes
+      const double t = -da / pd[k];
+      const geom::Vec3 p = a + d * t;
+      const double* pp = &p.x;
+      bool inside = true;
+      bool outside = false;
+      for (int j = 0; j < 3; ++j) {
+        if (j == k) continue;
+        outside |= pp[j] < lo[j] - m || pp[j] > hi[j] + m;
+        inside &= pp[j] > lo[j] + m && pp[j] < hi[j] - m;
+      }
+      if (outside) continue;
+      if (!inside) return not_robust();
+      const double dist = t * len;
+      if (dist < geom::kRayEpsilon + m || dist > len - geom::kRayEpsilon - m) {
+        return not_robust();
+      }
+      bool excluded = false;
+      bool near_exclusion = false;
+      for (const geom::Vec3& e : exclude) {
+        const double r = p.distance_to(e);
+        excluded |= r < BatchTracer::kExcludeRadius - m;
+        near_exclusion |= r < BatchTracer::kExcludeRadius + m;
+      }
+      if (excluded) continue;
+      if (near_exclusion) return not_robust();
+      // Two faces hit at one distance (an edge) merge into one crossing.
+      for (std::size_t h = 0; h < n_hits; ++h) {
+        if (std::fabs(hits[h] - dist) < m) return not_robust();
+      }
+      hits[n_hits++] = dist;
+      out.crosses = true;
+      out.blocked = out.blocked || blocks(std::fabs(pd[k]) / len);
+    }
+  }
+  return out;
+}
+
+/// The obstacle boxes that moved between two snapshots of an environment,
+/// and the test deciding whether a segment's transmission may differ
+/// across the motion. Two cases keep the bits:
+///
+///  - The segment crosses no face of the old box and none of the new one:
+///    it misses both extents grown by kRayEpsilon (the triangle tests' hit
+///    tolerance), or robustly hits no face (it lies inside, say). Its hit
+///    list is the same.
+///  - It robustly crosses a blocking face of the old box and one of the
+///    new box: its transmission is cut to zero both times.
+///
+/// The second needs the box's material to be its own (no coincident-hit
+/// merging with other triangles) and only one moved box on the segment;
+/// any other meeting counts as a change.
+class MotionDelta {
+ public:
+  MotionDelta(std::span<const ObstacleBox> before,
+              std::span<const ObstacleBox> after, const Environment& env,
+              double frequency_hz)
+      : env_(&env), frequency_hz_(frequency_hz) {
+    std::unordered_map<int, std::size_t> triangles_of;
+    for (const geom::Triangle& t : env.mesh().triangles()) {
+      ++triangles_of[t.material_id];
+    }
+    const auto solid = [](const geom::Aabb& box) {
+      const geom::Vec3 e = box.extent();
+      return e.x >= 1e-3 && e.y >= 1e-3 && e.z >= 1e-3;
+    };
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      const geom::Aabb& from = before[i].extent;
+      const geom::Aabb& to = after[i].extent;
+      if (same_bits(from, to)) continue;
+      moved_.push_back({from, to, from.inflated(geom::kRayEpsilon),
+                        to.inflated(geom::kRayEpsilon),
+                        after[i].material_id,
+                        triangles_of[after[i].material_id] == 12 &&
+                            solid(from) && solid(to)});
+    }
+  }
+
+  /// For a path of BatchTracer's set: tx, its bounce points (the
+  /// transmission kernel's exclusion points), rx. A path cut to zero at
+  /// both positions keeps its (zero) contribution whatever its other legs
+  /// do.
+  bool changes_path(std::span<const geom::Vec3> path) const {
+    const auto bounces = path.subspan(1, path.size() - 2);
+    bool changed = false;
+    bool blocked_before = false;
+    bool blocked_after = false;
+    for (std::size_t leg = 0; leg + 1 < path.size(); ++leg) {
+      const Verdict v = judge(path[leg], path[leg + 1], bounces);
+      changed |= v.changed;
+      blocked_before |= v.blocked_before;
+      blocked_after |= v.blocked_after;
+    }
+    return changed && !(blocked_before && blocked_after);
+  }
+
+  /// For a segment Environment::segment_transmission evaluates.
+  bool changes_segment(const geom::Vec3& a, const geom::Vec3& b) const {
+    return judge(a, b, {}).changed;
+  }
+
+ private:
+  struct Moved {
+    geom::Aabb from, to;           ///< Exact extents.
+    geom::Aabb from_reach, to_reach;  ///< Grown by kRayEpsilon.
+    int material_id = 0;
+    bool refinable = false;  ///< Own material and positive extents.
+  };
+
+  struct Verdict {
+    bool changed = false;         ///< The transmission may differ.
+    bool blocked_before = false;  ///< Robustly cut to zero before the move.
+    bool blocked_after = false;   ///< Robustly cut to zero after it.
+  };
+
+  Verdict judge(const geom::Vec3& a, const geom::Vec3& b,
+                std::span<const geom::Vec3> exclude) const {
+    const Moved* met = nullptr;
+    for (const Moved& box : moved_) {
+      if (!box.from_reach.meets_segment(a, b) &&
+          !box.to_reach.meets_segment(a, b)) {
+        continue;
+      }
+      if (!box.refinable || met != nullptr) return {true, false, false};
+      met = &box;
+    }
+    if (met == nullptr) return {};
+    const em::Material& material = env_->materials().get(met->material_id);
+    const auto blocks = [&](double cos_i) {
+      return std::norm(em::transmission_coefficient(
+                 material, frequency_hz_, std::acos(std::fmin(1.0, cos_i)))) <
+             kBlockingPower;
+    };
+    const BoxCrossing before = cross_box(met->from, a, b, exclude, blocks);
+    const BoxCrossing after = cross_box(met->to, a, b, exclude, blocks);
+    if (!before.robust || !after.robust) return {true, false, false};
+    return {(before.crosses || after.crosses) &&
+                !(before.blocked && after.blocked),
+            before.blocked, after.blocked};
+  }
+
+  const Environment* env_;
+  double frequency_hz_;
+  std::vector<Moved> moved_;
+};
+
 struct DigestHash {
   std::size_t operator()(const util::ConfigDigest& d) const noexcept {
     return static_cast<std::size_t>(d.lo ^ (d.hi * 0x9e3779b97f4a7c15ull));
@@ -108,10 +346,11 @@ SceneChannel::SceneChannel(const Environment* environment, double frequency_hz,
   if (rx_points_.empty()) {
     throw std::invalid_argument("SceneChannel: no RX points");
   }
+  setup_digest_ = compute_setup_digest();
   precompute();
 }
 
-util::ConfigDigest SceneChannel::compute_scene_digest() const {
+util::ConfigDigest SceneChannel::compute_setup_digest() const {
   util::DigestBuilder b;
   b.add_word(0x5352464f50433130ull);  // "SRFOPC10": scene-artifact salt
   b.add_double(frequency_hz_);
@@ -121,12 +360,6 @@ util::ConfigDigest SceneChannel::compute_scene_digest() const {
   b.add_word(options_.include_surface_cascades ? 1 : 0);
   b.add_word(static_cast<std::uint64_t>(options_.tracer.max_reflection_order));
   b.add_double(options_.tracer.min_path_gain);
-  // Kernels are bit-identical across SIMD backends (PR 6), but the digest
-  // stays conservative: tests that switch backends mid-process must compare
-  // genuinely recomputed artifacts, not cache hits. One backend per process
-  // in production, so this never splits real sharing.
-  b.add_word(static_cast<std::uint64_t>(util::simd::active_backend()));
-
   b.add_size(panels_.size());
   for (const auto* panel : panels_) {
     b.add_size(panel->element_count());
@@ -135,6 +368,18 @@ util::ConfigDigest SceneChannel::compute_scene_digest() const {
     digest_vec3(b, panel->center());
     for (const geom::Vec3& ep : panel->element_positions()) digest_vec3(b, ep);
   }
+  return b.digest();
+}
+
+util::ConfigDigest SceneChannel::compute_scene_digest() const {
+  util::DigestBuilder b;
+  b.add_word(setup_digest_.lo);
+  b.add_word(setup_digest_.hi);
+  // Kernels are bit-identical across SIMD backends (PR 6), but the digest
+  // stays conservative: tests that switch backends mid-process must compare
+  // genuinely recomputed artifacts, not cache hits. One backend per process
+  // in production, so this never splits real sharing.
+  b.add_word(static_cast<std::uint64_t>(util::simd::active_backend()));
 
   const auto& mesh = environment_->mesh();
   b.add_size(mesh.triangle_count());
@@ -247,6 +492,7 @@ std::shared_ptr<ScenePrecompute> SceneChannel::build_statics() const {
       out->cascades[q][p] = std::move(mat);
     });
   }
+  out->finalize_bytes();
   return out;
 }
 
@@ -320,6 +566,8 @@ void SceneChannel::precompute() {
   SURFOS_COUNT_N("sim.channel.precompute_rx_points", rx_points_.size());
   SURFOS_COUNT_N("sim.channel.precompute_panels", panels_.size());
 
+  const auto boxes = environment_->obstacle_boxes();
+  boxes_.assign(boxes.begin(), boxes.end());
   scene_digest_ = compute_scene_digest();
   auto& store = PrecomputeStore::instance();
   statics_ = store.acquire_scene(scene_digest_,
@@ -337,10 +585,116 @@ void SceneChannel::precompute() {
   fill_missing_rows(missing);
 }
 
+bool SceneChannel::sync() {
+  const auto boxes = environment_->obstacle_boxes();
+  bool same_scene = boxes.size() == boxes_.size();
+  bool moved = false;
+  for (std::size_t i = 0; same_scene && i < boxes.size(); ++i) {
+    same_scene = boxes[i].material_id == boxes_[i].material_id &&
+                 boxes[i].first_triangle == boxes_[i].first_triangle;
+    moved |= !same_bits(boxes[i].extent, boxes_[i].extent);
+  }
+  if (!same_scene) {  // a box was added: a new scene
+    precompute();
+    return true;
+  }
+  if (!moved) return false;
+  SURFOS_TRACE_SPAN("sim.channel.rebase_rx");
+
+  const MotionDelta delta(boxes_, boxes, *environment_, frequency_hz_);
+  const auto old_statics = statics_;
+  const auto old_rows = rows_;
+  boxes_.assign(boxes.begin(), boxes.end());
+  scene_digest_ = compute_scene_digest();
+  auto& store = PrecomputeStore::instance();
+
+  // Statics: f depends on the TX -> panel-centre segments, the cascades on
+  // the centre <-> centre ones. Unchanged, the old artifact is the new one.
+  bool statics_changed = false;
+  for (std::size_t p = 0; p < panels_.size(); ++p) {
+    statics_changed |=
+        delta.changes_segment(tx_.position, panels_[p]->center());
+    if (!options_.include_surface_cascades) continue;
+    for (std::size_t q = 0; q < panels_.size(); ++q) {
+      if (q != p) {
+        statics_changed |=
+            delta.changes_segment(panels_[p]->center(), panels_[q]->center());
+      }
+    }
+  }
+  statics_ = store.acquire_scene(
+      scene_digest_, [&]() -> std::shared_ptr<const ScenePrecompute> {
+        return statics_changed ? build_statics() : old_statics;
+      });
+
+  // Rows: another channel may already have published the row under the new
+  // key. Otherwise the old row is re-keyed unless the motion may change one
+  // of its legs: the direct path set's, or a panel centre -> RX segment.
+  std::vector<std::size_t> unresolved;
+  for (std::size_t j = 0; j < rx_points_.size(); ++j) {
+    if (auto row = store.lookup_row(row_key(rx_points_[j]))) {
+      rows_[j] = std::move(row);
+    } else {
+      unresolved.push_back(j);
+    }
+  }
+  std::vector<geom::Vec3> points(unresolved.size());
+  for (std::size_t k = 0; k < unresolved.size(); ++k) {
+    points[k] = rx_points_[unresolved[k]];
+  }
+  std::vector<char> changed(points.size(), 0);
+  if (!points.empty()) {
+    BatchTracer(environment_, frequency_hz_, options_.tracer)
+        .any_path(tx_.position, points,
+                  [&delta](std::span<const geom::Vec3> path) {
+                    return delta.changes_path(path);
+                  },
+                  changed);
+  }
+  std::vector<std::size_t> missing;
+  for (std::size_t k = 0; k < unresolved.size(); ++k) {
+    for (std::size_t p = 0; p < panels_.size() && !changed[k]; ++p) {
+      changed[k] = delta.changes_segment(panels_[p]->center(), points[k]);
+    }
+    const std::size_t j = unresolved[k];
+    if (changed[k]) {
+      missing.push_back(j);
+    } else {
+      rows_[j] = store.publish_row(row_key(points[k]), rows_[j]);
+    }
+  }
+  SURFOS_COUNT_N("sim.channel.rebase_rows_reused",
+                 unresolved.size() - missing.size());
+  SURFOS_COUNT_N("sim.channel.rebase_rows_filled", missing.size());
+  fill_missing_rows(missing);
+
+  // Whether any value changed, by content: the same answer however each
+  // artifact was obtained (re-keyed, refilled, or another channel's).
+  bool values_changed = !same_bits(*old_statics, *statics_);
+  for (std::size_t j = 0; j < rows_.size() && !values_changed; ++j) {
+    values_changed = !same_bits(*old_rows[j], *rows_[j]);
+  }
+  return values_changed;
+}
+
 void SceneChannel::rebase_rx(std::vector<geom::Vec3> new_points) {
   if (new_points.empty()) {
     throw std::invalid_argument("SceneChannel: no RX points");
   }
+  // Rows leaving the set go first, so sync() catches up on survivors only;
+  // the rows below are then keyed under the current scene digest.
+  std::unordered_set<util::ConfigDigest, DigestHash> wanted;
+  for (const geom::Vec3& p : new_points) wanted.insert(row_key(p));
+  std::size_t kept = 0;
+  for (std::size_t j = 0; j < rx_points_.size(); ++j) {
+    if (wanted.count(row_key(rx_points_[j])) != 0) {
+      rx_points_[kept] = rx_points_[j];
+      rows_[kept++] = std::move(rows_[j]);
+    }
+  }
+  rx_points_.resize(kept);
+  rows_.resize(kept);
+  sync();
   SURFOS_TRACE_SPAN("sim.channel.rebase_rx");
   SURFOS_COUNT("sim.channel.rebases");
 

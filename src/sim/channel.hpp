@@ -26,8 +26,11 @@
 // through the process-wide sim::PrecomputeStore (precompute_store.hpp).
 // rebase_rx / precompute_delta re-point the row set in O(changed RX) —
 // survivors keep their rows — which is what makes daemon endpoint churn
-// cheap. PrecomputeStore::clear() forces the next construction to rebuild
-// every artifact through the same fill code (byte-identical values).
+// cheap. sync() does the same for a moved obstacle box: it re-keys every
+// artifact the box's old and new extents provably leave unchanged and
+// refills only the rest. PrecomputeStore::clear() forces the next
+// construction to rebuild every artifact through the same fill code
+// (byte-identical values).
 #pragma once
 
 #include <cstdint>
@@ -40,6 +43,7 @@
 #include "em/propagation.hpp"
 #include "em/soa.hpp"
 #include "geom/vec3.hpp"
+#include "sim/environment.hpp"
 #include "sim/precompute_store.hpp"
 #include "sim/raytracer.hpp"
 #include "surface/panel.hpp"
@@ -107,9 +111,23 @@ class SceneChannel {
     return scene_digest_;
   }
 
+  /// Catches up with obstacle boxes moved in the environment since the
+  /// artifacts were built or last synced (Environment::move_obstacle_box).
+  /// When a box moved, recomputes the scene digest, takes each artifact
+  /// the store already holds under it, re-keys the old artifact when the
+  /// motion provably leaves its propagation segments' transmissions
+  /// unchanged (their geometry against the boxes' old and new extents,
+  /// see channel.cpp), and refills the rest. The artifacts are then
+  /// bit-identical to a fresh build at the new positions, whatever path
+  /// the boxes took in between. A box added since (a new scene) rebuilds
+  /// everything. Returns whether any artifact's value changed — decided by
+  /// content, so by geometry alone, never by store state.
+  bool sync();
+
   /// Replaces the RX point set, reusing rows for points that survive (by
   /// exact bit pattern) from this channel and from the store — tracing and
-  /// filling only genuinely new rows, O(changed RX). Row order follows
+  /// filling only genuinely new rows, O(changed RX). Surviving rows are
+  /// synced first (sync()), departing ones are not. Row order follows
   /// `new_points` exactly, so the result is indistinguishable from fresh
   /// construction with the same list.
   void rebase_rx(std::vector<geom::Vec3> new_points);
@@ -173,6 +191,10 @@ class SceneChannel {
 
  private:
   void precompute();
+  /// Digest of the inputs fixed at construction (frequency, TX, antenna
+  /// patterns, options, panel layout), hashed once: sync() re-digests the
+  /// scene on every motion.
+  util::ConfigDigest compute_setup_digest() const;
   util::ConfigDigest compute_scene_digest() const;
   /// Content address of one RX point's row under the current scene digest.
   util::ConfigDigest row_key(const geom::Vec3& rx) const;
@@ -191,7 +213,10 @@ class SceneChannel {
   const em::AntennaPattern* rx_antenna_;
   ChannelOptions options_;
 
+  util::ConfigDigest setup_digest_{};
   util::ConfigDigest scene_digest_{};
+  /// The environment's obstacle boxes as the artifacts reflect them.
+  std::vector<ObstacleBox> boxes_;
   /// RX-independent artifact (f + cascades), shared across channels through
   /// the PrecomputeStore.
   std::shared_ptr<const ScenePrecompute> statics_;

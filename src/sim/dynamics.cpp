@@ -36,37 +36,59 @@ geom::Vec3 MovingBlocker::position_at(double elapsed_s) const {
   return waypoints.front();
 }
 
+namespace {
+
+/// The box a blocker occupies standing at `p`.
+geom::Aabb footprint(const MovingBlocker& blocker, const geom::Vec3& p) {
+  const double half = blocker.width_m / 2.0;
+  return {{p.x - half, p.y - half, 0.0},
+          {p.x + half, p.y + half, blocker.height_m}};
+}
+
+}  // namespace
+
 DynamicEnvironment::DynamicEnvironment(em::MaterialDb materials,
-                                       StaticBuilder build_static)
-    : materials_(std::move(materials)), build_static_(std::move(build_static)) {
-  if (!build_static_) {
+                                       StaticBuilder build_static) {
+  if (!build_static) {
     throw std::invalid_argument("DynamicEnvironment: null static builder");
   }
-  rebuild();
+  environment_ = std::make_unique<Environment>(std::move(materials));
+  build_static(*environment_);
+  environment_->finalize();
 }
 
 void DynamicEnvironment::add_blocker(MovingBlocker blocker) {
   if (blocker.waypoints.empty()) {
     throw std::invalid_argument("DynamicEnvironment: blocker without track");
   }
-  materials_.get(blocker.material_id);  // validate early
+  environment_->materials().get(blocker.material_id);  // validate early
+  const geom::Vec3 p = blocker.position_at(elapsed_s_);
+  const geom::Aabb box = footprint(blocker, p);
+  box_index_.push_back(
+      environment_->add_obstacle_box(box.lo, box.hi, blocker.material_id));
+  placed_positions_.push_back(p);
   blockers_.push_back(std::move(blocker));
-  rebuild();
+  environment_->finalize();
 }
 
 bool DynamicEnvironment::advance_to(hal::Micros now,
-                                    double rebuild_threshold_m) {
+                                    double motion_threshold_m) {
   elapsed_s_ = static_cast<double>(now) / 1e6;
   bool moved = false;
-  for (std::size_t i = 0; i < blockers_.size(); ++i) {
-    const geom::Vec3 p = blockers_[i].position_at(elapsed_s_);
-    if (p.distance_to(last_built_positions_[i]) > rebuild_threshold_m) {
-      moved = true;
-      break;
-    }
+  for (std::size_t i = 0; i < blockers_.size() && !moved; ++i) {
+    moved = blockers_[i].position_at(elapsed_s_).distance_to(
+                placed_positions_[i]) > motion_threshold_m;
   }
   if (!moved) return false;
-  rebuild();
+  // Re-place every blocker; one that stood still keeps its box bits, which
+  // is what SceneChannel::sync compares.
+  for (std::size_t i = 0; i < blockers_.size(); ++i) {
+    const geom::Vec3 p = blockers_[i].position_at(elapsed_s_);
+    const geom::Aabb box = footprint(blockers_[i], p);
+    environment_->move_obstacle_box(box_index_[i], box.lo, box.hi);
+    placed_positions_[i] = p;
+  }
+  ++motions_;
   return true;
 }
 
@@ -75,23 +97,6 @@ geom::Vec3 DynamicEnvironment::blocker_position(const std::string& id) const {
     if (blocker.id == id) return blocker.position_at(elapsed_s_);
   }
   throw std::invalid_argument("DynamicEnvironment: unknown blocker " + id);
-}
-
-void DynamicEnvironment::rebuild() {
-  auto env = std::make_unique<Environment>(materials_);
-  build_static_(*env);
-  last_built_positions_.clear();
-  for (const auto& blocker : blockers_) {
-    const geom::Vec3 p = blocker.position_at(elapsed_s_);
-    const double half = blocker.width_m / 2.0;
-    env->add_obstacle_box({p.x - half, p.y - half, 0.0},
-                          {p.x + half, p.y + half, blocker.height_m},
-                          blocker.material_id);
-    last_built_positions_.push_back(p);
-  }
-  env->finalize();
-  current_ = std::move(env);
-  ++rebuilds_;
 }
 
 int add_body_material(em::MaterialDb& materials) {

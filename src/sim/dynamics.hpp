@@ -4,10 +4,13 @@
 // people walking can require dynamic reconfiguration of surface states").
 //
 // A DynamicEnvironment wraps a static floorplan plus a set of moving
-// occluders (people modeled as absorbing boxes on waypoint tracks). Each
-// advance() rebuilds the environment mesh at the new positions and reports
-// whether anything moved — the trigger for the orchestrator's
-// notify_environment_changed().
+// occluders (people modeled as absorbing boxes on waypoint tracks). It
+// builds its Environment once; each advance_to() that finds a blocker moved
+// past the threshold moves the blockers' boxes in place
+// (Environment::move_obstacle_box) and reports the motion. Channels over
+// the environment catch up by delta on their next SceneChannel::sync(),
+// re-keying every artifact the boxes' old and new positions leave
+// untouched, so a walker step costs only the rows it crossed.
 #pragma once
 
 #include <functional>
@@ -35,42 +38,42 @@ struct MovingBlocker {
   geom::Vec3 position_at(double elapsed_s) const;
 };
 
-/// Rebuilds a scene's Environment as its blockers move.
+/// A scene's Environment whose blocker boxes follow their tracks.
 class DynamicEnvironment {
  public:
-  /// `build_static` adds the immutable geometry (walls, furniture) into a
-  /// fresh Environment; it is re-invoked on every rebuild.
+  /// `build_static` adds the immutable geometry (walls, furniture) into
+  /// the Environment; it runs once, at construction.
   using StaticBuilder = std::function<void(Environment&)>;
 
   DynamicEnvironment(em::MaterialDb materials, StaticBuilder build_static);
 
+  /// Adds the blocker's box at its current position (re-finalizes the
+  /// environment: a structural change channels see as a full rebuild).
   void add_blocker(MovingBlocker blocker);
   std::size_t blocker_count() const noexcept { return blockers_.size(); }
 
-  /// Advances simulated time and rebuilds the environment when any blocker
-  /// moved more than `rebuild_threshold_m`. Returns true when a rebuild
-  /// happened (callers should invalidate cached channels then).
-  bool advance_to(hal::Micros now, double rebuild_threshold_m = 0.05);
+  /// Advances simulated time. When any blocker moved more than
+  /// `motion_threshold_m` since its box was last placed, moves every
+  /// blocker whose position changed and returns true.
+  bool advance_to(hal::Micros now, double motion_threshold_m = 0.05);
 
-  /// Current environment snapshot (finalized). Stable pointer between
-  /// rebuilds only; re-fetch after every advance_to() that returned true.
-  const Environment& environment() const noexcept { return *current_; }
+  /// The environment (finalized). The reference is stable for this
+  /// object's lifetime; motion updates it in place.
+  const Environment& environment() const noexcept { return *environment_; }
 
   /// Current position of a blocker by id (throws for unknown ids).
   geom::Vec3 blocker_position(const std::string& id) const;
 
-  std::size_t rebuild_count() const noexcept { return rebuilds_; }
+  /// How many advance_to() calls moved the blockers.
+  std::size_t motion_count() const noexcept { return motions_; }
 
  private:
-  void rebuild();
-
-  em::MaterialDb materials_;
-  StaticBuilder build_static_;
+  std::unique_ptr<Environment> environment_;
   std::vector<MovingBlocker> blockers_;
-  std::vector<geom::Vec3> last_built_positions_;
-  std::unique_ptr<Environment> current_;
+  std::vector<std::size_t> box_index_;         ///< [blocker] obstacle box
+  std::vector<geom::Vec3> placed_positions_;   ///< [blocker] box position
   double elapsed_s_ = 0.0;
-  std::size_t rebuilds_ = 0;
+  std::size_t motions_ = 0;
 };
 
 /// Registers the standard absorbing "human body" material in a database and

@@ -54,10 +54,20 @@ void Environment::add_horizontal_slab(double x0, double x1, double y0,
   add_wall({x0, y0, z}, {x1, y0, z}, {x1, y1, z}, {x0, y1, z}, material_id);
 }
 
-void Environment::add_obstacle_box(const geom::Vec3& lo, const geom::Vec3& hi,
-                                   int material_id) {
+std::size_t Environment::add_obstacle_box(const geom::Vec3& lo,
+                                          const geom::Vec3& hi,
+                                          int material_id) {
   materials_.get(material_id);
-  mesh_.add_box(lo, hi, material_id);
+  obstacle_boxes_.push_back(
+      {{lo, hi}, material_id, mesh_.add_box(lo, hi, material_id)});
+  return obstacle_boxes_.size() - 1;
+}
+
+void Environment::move_obstacle_box(std::size_t i, const geom::Vec3& lo,
+                                    const geom::Vec3& hi) {
+  ObstacleBox& box = obstacle_boxes_.at(i);
+  mesh_.move_box(box.first_triangle, lo, hi);
+  box.extent = {lo, hi};
 }
 
 void Environment::finalize() { mesh_.build_index(); }

@@ -4,6 +4,9 @@
 // reflector list the image method consumes). Furniture boxes occlude and
 // attenuate but are not specular reflectors — their faces are small and
 // cluttered, so their specular contribution is treated as diffuse loss.
+// Obstacle boxes can move in place (people walking, sim/dynamics.hpp): the
+// environment object, its triangle order and its index stay; channels
+// built over it catch up with SceneChannel::sync().
 #pragma once
 
 #include <optional>
@@ -12,6 +15,7 @@
 
 #include "em/cx.hpp"
 #include "em/material.hpp"
+#include "geom/aabb.hpp"
 #include "geom/frame.hpp"
 #include "geom/mesh.hpp"
 #include "geom/vec3.hpp"
@@ -34,6 +38,14 @@ struct Reflector {
                                                 const geom::Vec3& b) const;
 };
 
+/// An occluding box (furniture, a person): its extent, its material, and
+/// the first of the 12 mesh triangles it owns.
+struct ObstacleBox {
+  geom::Aabb extent;
+  int material_id = 0;
+  std::size_t first_triangle = 0;
+};
+
 class Environment {
  public:
   explicit Environment(em::MaterialDb materials);
@@ -52,9 +64,23 @@ class Environment {
   void add_horizontal_slab(double x0, double x1, double y0, double y1, double z,
                            int material_id);
 
-  /// Adds an occluding box (furniture). Not a specular reflector.
-  void add_obstacle_box(const geom::Vec3& lo, const geom::Vec3& hi,
-                        int material_id);
+  /// Adds an occluding box (furniture, a person). Not a specular reflector.
+  /// Returns its index in obstacle_boxes().
+  std::size_t add_obstacle_box(const geom::Vec3& lo, const geom::Vec3& hi,
+                               int material_id);
+
+  /// Moves obstacle box `i` to [lo, hi] in place (its triangles are
+  /// rewritten and the index refit, no rebuild). Every query, and every
+  /// artifact a SceneChannel derives, then matches a fresh build with the
+  /// box placed at [lo, hi]. Channels over this environment catch up on
+  /// their next SceneChannel::sync().
+  void move_obstacle_box(std::size_t i, const geom::Vec3& lo,
+                         const geom::Vec3& hi);
+
+  /// The obstacle boxes as they stand now, in insertion order.
+  std::span<const ObstacleBox> obstacle_boxes() const noexcept {
+    return obstacle_boxes_;
+  }
 
   /// Builds acceleration structures; must be called before queries.
   void finalize();
@@ -78,6 +104,7 @@ class Environment {
   em::MaterialDb materials_;
   geom::TriangleMesh mesh_;
   std::vector<Reflector> reflectors_;
+  std::vector<ObstacleBox> obstacle_boxes_;
 };
 
 }  // namespace surfos::sim

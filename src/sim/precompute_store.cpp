@@ -77,19 +77,17 @@ void PrecomputeStore::enforce_budget_locked() {
 
 std::shared_ptr<const ScenePrecompute> PrecomputeStore::acquire_scene(
     const util::ConfigDigest& key,
-    const std::function<std::shared_ptr<ScenePrecompute>()>& build) {
+    const std::function<std::shared_ptr<const ScenePrecompute>()>& build) {
   const Key k{Kind::kScene, key};
   if (auto hit = get(k)) {
     return std::static_pointer_cast<const ScenePrecompute>(hit);
   }
   // Build outside the lock: scene fills are the expensive path and distinct
   // scenes must not serialize on each other.
-  std::shared_ptr<ScenePrecompute> built = build();
-  built->finalize_bytes();
+  std::shared_ptr<const ScenePrecompute> built = build();
   const std::size_t artifact_bytes = built->bytes;
   return std::static_pointer_cast<const ScenePrecompute>(
-      put(k, std::shared_ptr<const ScenePrecompute>(std::move(built)),
-          artifact_bytes));
+      put(k, std::move(built), artifact_bytes));
 }
 
 std::shared_ptr<const RxRowPrecompute> PrecomputeStore::lookup_row(

@@ -95,11 +95,12 @@ class PrecomputeStore {
   static PrecomputeStore& instance();
 
   /// Returns the scene artifact for `key`, building (outside the lock) and
-  /// publishing it on a miss. When concurrent callers race on one key, the
-  /// first publish wins and the others adopt it.
+  /// publishing it on a miss; `build` returns a finalized artifact. When
+  /// concurrent callers race on one key, the first publish wins and the
+  /// others adopt it.
   std::shared_ptr<const ScenePrecompute> acquire_scene(
       const util::ConfigDigest& key,
-      const std::function<std::shared_ptr<ScenePrecompute>()>& build);
+      const std::function<std::shared_ptr<const ScenePrecompute>()>& build);
 
   /// The row artifact for `key`, or nullptr on a miss (counted).
   std::shared_ptr<const RxRowPrecompute> lookup_row(

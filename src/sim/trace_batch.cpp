@@ -45,6 +45,42 @@ bool any_live(const double* m) {
   return false;
 }
 
+/// Backward pass of one bounce sequence over a receiver block: clips the
+/// last reflector toward the receivers, then chains toward the TX image.
+/// bounce[i] receives the i-th bounce point; lanes where the sequence is
+/// geometrically invalid are cleared in `mask`.
+void clip_sequence(const util::simd::Ops& kn, const std::vector<int>& seq,
+                   const std::vector<util::simd::PlaneRect>& planes,
+                   const std::vector<geom::Vec3>& images, const Lanes3& rxl,
+                   std::vector<Lanes3>& bounce, double* mask) {
+  const double* tgx = rxl.x.v;
+  const double* tgy = rxl.y.v;
+  const double* tgz = rxl.z.v;
+  for (std::size_t i = seq.size(); i-- > 0;) {
+    const geom::Vec3& img = images[i];
+    const auto& pl = planes[static_cast<std::size_t>(seq[i])];
+    kn.plane_clip(&pl, img.x, img.y, img.z, tgx, tgy, tgz, bounce[i].x.v,
+                  bounce[i].y.v, bounce[i].z.v, mask);
+    tgx = bounce[i].x.v;
+    tgy = bounce[i].y.v;
+    tgz = bounce[i].z.v;
+  }
+}
+
+/// Receiver block `base` of `rx_points` as lanes; dead lanes repeat the
+/// block's first receiver (finite geometry, never written back).
+std::size_t load_rx_block(std::span<const geom::Vec3> rx_points,
+                          std::size_t base, Lanes3& rxl) {
+  const std::size_t live = std::min(W, rx_points.size() - base);
+  for (std::size_t l = 0; l < W; ++l) {
+    const geom::Vec3& rx = rx_points[base + (l < live ? l : 0)];
+    rxl.x.v[l] = rx.x;
+    rxl.y.v[l] = rx.y;
+    rxl.z.v[l] = rx.z;
+  }
+  return live;
+}
+
 }  // namespace
 
 BatchTracer::BatchTracer(const Environment* environment, double frequency_hz,
@@ -176,8 +212,17 @@ void BatchTracer::trace_weighted(const geom::Vec3& tx,
   SURFOS_TRACE_SPAN("sim.trace_batch.weighted");
   SURFOS_COUNT_N("sim.rays.traces", rx_points.size());
 
-  // Forward image cascade per sequence: receiver-independent, computed
-  // once per trace with the exact Reflector::mirror arithmetic.
+  const auto images = images_of(tx);
+  const std::size_t blocks = (rx_points.size() + W - 1) / W;
+  util::parallel_for(0, blocks, [&](std::size_t b) {
+    trace_block(tx, rx_points, b * W, images, tx_pattern, rx_pattern, h_out);
+  });
+}
+
+std::vector<std::vector<geom::Vec3>> BatchTracer::images_of(
+    const geom::Vec3& tx) const {
+  // Receiver-independent, computed once per trace with the exact
+  // Reflector::mirror arithmetic.
   const auto reflectors = environment_->reflectors();
   std::vector<std::vector<geom::Vec3>> images(sequences_.size());
   for (std::size_t s = 0; s < sequences_.size(); ++s) {
@@ -189,10 +234,52 @@ void BatchTracer::trace_weighted(const geom::Vec3& tx,
       images[s][i] = current;
     }
   }
+  return images;
+}
 
+void BatchTracer::any_path(const geom::Vec3& tx,
+                           std::span<const geom::Vec3> rx_points,
+                           const PathTest& test, std::span<char> out) const {
+  if (out.size() != rx_points.size()) {
+    throw std::invalid_argument("BatchTracer: output size mismatch");
+  }
+  if (rx_points.empty()) return;
+  const auto images = images_of(tx);
+  std::size_t max_order = 0;
+  for (const auto& seq : sequences_) {
+    max_order = std::max(max_order, seq.size());
+  }
   const std::size_t blocks = (rx_points.size() + W - 1) / W;
   util::parallel_for(0, blocks, [&](std::size_t b) {
-    trace_block(tx, rx_points, b * W, images, tx_pattern, rx_pattern, h_out);
+    const auto& kn = util::simd::ops();
+    const double kTrue = mask_true();
+    const std::size_t base = b * W;
+    Lanes3 rxl;
+    const std::size_t live = load_rx_block(rx_points, base, rxl);
+    bool hit[W] = {};
+    for (std::size_t l = 0; l < live; ++l) {
+      const geom::Vec3 direct[] = {tx, rx_points[base + l]};
+      hit[l] = test(direct);
+    }
+    std::vector<Lanes3> bounce(max_order);
+    std::vector<geom::Vec3> path(max_order + 2);
+    Lanes mask;
+    for (std::size_t s = 0; s < sequences_.size(); ++s) {
+      const std::size_t o = sequences_[s].size();
+      for (std::size_t l = 0; l < W; ++l) mask.v[l] = kTrue;
+      clip_sequence(kn, sequences_[s], planes_, images[s], rxl, bounce,
+                    mask.v);
+      for (std::size_t l = 0; l < live; ++l) {
+        if (hit[l] || mask.v[l] == 0.0) continue;
+        path[0] = tx;
+        for (std::size_t i = 0; i < o; ++i) {
+          path[i + 1] = {bounce[i].x.v[l], bounce[i].y.v[l], bounce[i].z.v[l]};
+        }
+        path[o + 1] = rx_points[base + l];
+        hit[l] = test(std::span<const geom::Vec3>(path.data(), o + 2));
+      }
+    }
+    for (std::size_t l = 0; l < live; ++l) out[base + l] = hit[l] ? 1 : 0;
   });
 }
 
@@ -202,23 +289,17 @@ void BatchTracer::trace_block(
     const em::AntennaPattern& tx_pattern, const em::AntennaPattern& rx_pattern,
     std::span<em::Cx> h_out) const {
   const auto& kn = util::simd::ops();
-  const std::size_t live = std::min(W, rx_points.size() - base);
   const double kTrue = mask_true();
   const double min2 = options_.min_path_gain * options_.min_path_gain;
   const double k = em::wavenumber(frequency_hz_);
   const double lam4pi = em::wavelength(frequency_hz_) / (4.0 * M_PI);
 
-  // Pad dead lanes with the block's first receiver: finite geometry, the
-  // results are simply never written back.
   Lanes3 txl, rxl;
+  const std::size_t live = load_rx_block(rx_points, base, rxl);
   for (std::size_t l = 0; l < W; ++l) {
     txl.x.v[l] = tx.x;
     txl.y.v[l] = tx.y;
     txl.z.v[l] = tx.z;
-    const geom::Vec3& rx = rx_points[base + (l < live ? l : 0)];
-    rxl.x.v[l] = rx.x;
-    rxl.y.v[l] = rx.y;
-    rxl.z.v[l] = rx.z;
   }
 
   std::size_t max_order = 0;
@@ -238,8 +319,8 @@ void BatchTracer::trace_block(
   // d >= 1e-6 as d^2 >= 1e-12 (mask_norm_ge is a complex-norm compare).
   kn.mask_norm_ge(d.v, zeros.v, 1e-12, mask.v);
   kn.seg_transmission(&tris_, txl.x.v, txl.y.v, txl.z.v, rxl.x.v, rxl.y.v,
-                      rxl.z.v, zeros.v, zeros.v, zeros.v, 0, 1e-3, t_re.v,
-                      t_im.v);
+                      rxl.z.v, zeros.v, zeros.v, zeros.v, 0, kExcludeRadius,
+                      t_re.v, t_im.v);
   kn.mask_norm_ge(t_re.v, t_im.v, 1e-30, mask.v);
   kn.freespace_mul(lam4pi, k, d.v, t_re.v, t_im.v);
   kn.mask_norm_ge(t_re.v, t_im.v, min2, mask.v);
@@ -255,19 +336,7 @@ void BatchTracer::trace_block(
     const std::size_t o = seq.size();
     for (std::size_t l = 0; l < W; ++l) mask.v[l] = kTrue;
 
-    // Backward pass: clip last reflector toward the receivers, then chain.
-    const double* tgx = rxl.x.v;
-    const double* tgy = rxl.y.v;
-    const double* tgz = rxl.z.v;
-    for (std::size_t i = o; i-- > 0;) {
-      const geom::Vec3& img = images[s][i];
-      const auto& pl = planes_[static_cast<std::size_t>(seq[i])];
-      kn.plane_clip(&pl, img.x, img.y, img.z, tgx, tgy, tgz, bounce[i].x.v,
-                    bounce[i].y.v, bounce[i].z.v, mask.v);
-      tgx = bounce[i].x.v;
-      tgy = bounce[i].y.v;
-      tgz = bounce[i].z.v;
-    }
+    clip_sequence(kn, seq, planes_, images[s], rxl, bounce, mask.v);
     if (!any_live(mask.v)) continue;
 
     // Exclusion points (point-major): every bounce of this sequence, so
@@ -298,7 +367,8 @@ void BatchTracer::trace_block(
                    legdir[leg].y.v, legdir[leg].z.v, W);
       for (std::size_t l = 0; l < W; ++l) len.v[l] += d.v[l];
       kn.seg_transmission(&tris_, fx, fy, fz, ox, oy, oz, ex.data(),
-                          ey.data(), ez.data(), o, 1e-3, t_re.v, t_im.v);
+                          ey.data(), ez.data(), o, kExcludeRadius, t_re.v,
+                          t_im.v);
       kn.mask_norm_ge(t_re.v, t_im.v, 1e-30, mask.v);
       for (std::size_t l = 0; l < W; ++l) {
         const double pr = g_re.v[l], pi = g_im.v[l];

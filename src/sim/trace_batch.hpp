@@ -15,6 +15,7 @@
 // across SIMD backends — see DESIGN.md "Vectorized dense kernel".
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -29,6 +30,10 @@ namespace surfos::sim {
 
 class BatchTracer {
  public:
+  /// A reflected path skips wall hits this close to its own bounce points
+  /// (the reflecting walls are not penetrations).
+  static constexpr double kExcludeRadius = 1e-3;
+
   /// Same validation as RayTracer (throws on null/unfinalized environment
   /// or non-positive frequency).
   BatchTracer(const Environment* environment, double frequency_hz,
@@ -45,9 +50,26 @@ class BatchTracer {
                       const em::AntennaPattern& rx_pattern,
                       std::span<em::Cx> h_out) const;
 
+  /// A test over one propagation path, given as its points: tx, the
+  /// bounce points in order (the transmission kernel's exclusion points for
+  /// every leg of the path), rx. Called concurrently.
+  using PathTest = std::function<bool(std::span<const geom::Vec3> path)>;
+
+  /// out[j] = 1 when `test` holds for some path tx -> rx_points[j], else 0.
+  /// The paths are the direct one and, for every bounce sequence the
+  /// backward plane clip finds geometrically valid for that receiver, the
+  /// one through its clipped bounce points — the same kernel, images and
+  /// bits trace_weighted uses. Transmission and gain cut-offs are not
+  /// applied, so the set depends on geometry only.
+  void any_path(const geom::Vec3& tx, std::span<const geom::Vec3> rx_points,
+                const PathTest& test, std::span<char> out) const;
+
   double frequency_hz() const noexcept { return frequency_hz_; }
 
  private:
+  /// Forward image cascade of `tx` per bounce sequence.
+  std::vector<std::vector<geom::Vec3>> images_of(const geom::Vec3& tx) const;
+
   void trace_block(const geom::Vec3& tx,
                    std::span<const geom::Vec3> rx_points, std::size_t base,
                    std::span<const std::vector<geom::Vec3>> images,

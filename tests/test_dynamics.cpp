@@ -60,13 +60,13 @@ DynamicEnvironment corridor_world() {
 
 TEST(DynamicEnvironment, RebuildsOnlyWhenSomethingMoved) {
   DynamicEnvironment world = corridor_world();
-  const std::size_t initial = world.rebuild_count();
+  const std::size_t initial = world.motion_count();
   // 10 ms at 1 m/s = 1 cm < threshold: no rebuild.
   EXPECT_FALSE(world.advance_to(10 * hal::kMicrosPerMilli));
-  EXPECT_EQ(world.rebuild_count(), initial);
+  EXPECT_EQ(world.motion_count(), initial);
   // 1 s = 1 m: rebuild.
   EXPECT_TRUE(world.advance_to(1 * hal::kMicrosPerSecond));
-  EXPECT_EQ(world.rebuild_count(), initial + 1);
+  EXPECT_EQ(world.motion_count(), initial + 1);
 }
 
 TEST(DynamicEnvironment, BlockerPositionTracksClock) {

@@ -3,7 +3,9 @@
 // brute force).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "geom/aabb.hpp"
 #include "geom/frame.hpp"
@@ -233,6 +235,85 @@ TEST(Bvh, OccludedAgreesWithClosestHit) {
     const Hit hit = mesh.closest_hit(ray, kRayEpsilon, 6.0);
     EXPECT_EQ(occluded, hit.valid()) << "ray " << i;
   }
+}
+
+/// Brute-force all_hits_on_segment: every triangle tested, hits sorted by
+/// (t, triangle index), coincident same-material hits kept once (the
+/// lowest index), as the mesh documents.
+std::vector<Hit> brute_force_segment_hits(const TriangleMesh& mesh,
+                                          const Vec3& from, const Vec3& to) {
+  const Vec3 delta = to - from;
+  const double length = delta.norm();
+  const Ray ray{from, delta / length};
+  std::vector<Hit> hits;
+  for (std::size_t i = 0; i < mesh.triangle_count(); ++i) {
+    const Triangle& tri = mesh.triangle(i);
+    if (const auto t = tri.intersect(ray, kRayEpsilon, length - kRayEpsilon)) {
+      Hit hit;
+      hit.t = *t;
+      hit.triangle_index = static_cast<int>(i);
+      hit.material_id = tri.material_id;
+      hits.push_back(hit);
+    }
+  }
+  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
+    return a.t != b.t ? a.t < b.t : a.triangle_index < b.triangle_index;
+  });
+  std::vector<Hit> kept;
+  double anchor_t = 0.0;
+  for (const Hit& hit : hits) {
+    if (!kept.empty() && std::abs(hit.t - anchor_t) < 1e-9 &&
+        hit.material_id == kept.back().material_id) {
+      continue;  // sorted by index within equal t, so the kept one is lower
+    }
+    kept.push_back(hit);
+    anchor_t = hit.t;
+  }
+  return kept;
+}
+
+TEST(Bvh, RefitAfterMoveMatchesBruteForce) {
+  util::Rng rng(303);
+  TriangleMesh mesh = make_random_soup(120, rng);
+  mesh.add_box({-0.5, -0.5, -0.5}, {0.5, 0.5, 0.5}, 7);
+  const std::size_t box = mesh.add_box({2.0, 2.0, 2.0}, {2.5, 3.0, 3.5}, 8);
+  mesh.build_index();
+  int box_hits = 0;
+  for (int move = 0; move < 40; ++move) {
+    const Vec3 lo{rng.uniform(-5, 4), rng.uniform(-5, 4), rng.uniform(-5, 4)};
+    const Vec3 size{rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5),
+                    rng.uniform(0.2, 1.5)};
+    mesh.move_box(box, lo, lo + size);
+    ASSERT_TRUE(mesh.index_built());  // refit, not invalidated
+
+    TriangleMesh fresh;
+    for (const Triangle& tri : mesh.triangles()) fresh.add_triangle(tri);
+    fresh.build_index();
+    for (int i = 0; i < 60; ++i) {
+      // Half the segments aim through the moved box.
+      const Vec3 from{rng.uniform(-8, 8), rng.uniform(-8, 8),
+                      rng.uniform(-8, 8)};
+      const Vec3 to = i % 2 == 0
+                          ? Vec3{rng.uniform(-8, 8), rng.uniform(-8, 8),
+                                 rng.uniform(-8, 8)}
+                          : from + (lo + size * 0.5 - from) * 2.0;
+      const auto refit = mesh.all_hits_on_segment(from, to);
+      const auto rebuilt = fresh.all_hits_on_segment(from, to);
+      const auto brute = brute_force_segment_hits(mesh, from, to);
+      ASSERT_EQ(refit.size(), brute.size()) << "move " << move << " seg " << i;
+      ASSERT_EQ(refit.size(), rebuilt.size())
+          << "move " << move << " seg " << i;
+      for (std::size_t h = 0; h < refit.size(); ++h) {
+        EXPECT_EQ(refit[h].t, brute[h].t);
+        EXPECT_EQ(refit[h].triangle_index, brute[h].triangle_index);
+        EXPECT_EQ(refit[h].t, rebuilt[h].t);
+        EXPECT_EQ(refit[h].triangle_index, rebuilt[h].triangle_index);
+        EXPECT_EQ(refit[h].normal, rebuilt[h].normal);
+        box_hits += refit[h].material_id == 8;
+      }
+    }
+  }
+  EXPECT_GT(box_hits, 40);  // the moved box is genuinely in the queries
 }
 
 TEST(Mesh, SegmentBlockedByWall) {

@@ -15,6 +15,7 @@
 #include "orch/scheduler.hpp"
 #include "orch/task.hpp"
 #include "orch/variables.hpp"
+#include "sim/dynamics.hpp"
 #include "sim/floorplan.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -647,6 +648,114 @@ TEST(OrchestratorTest, EnvironmentChangeTriggersReoptimization) {
   fx.orchestrator->notify_environment_changed();
   const StepReport report = fx.orchestrator->step();
   EXPECT_EQ(report.optimizations_run, 1u);
+}
+
+/// Two panels with one client each and a walker whose track crosses only
+/// the north client's links. Direct paths only, so which legs the walker
+/// meets is plain geometry; the spatial-partition policy gives each panel
+/// its own plan.
+struct MotionFixture {
+  sim::DynamicEnvironment world;
+  surface::SurfacePanel east;
+  surface::SurfacePanel north;
+  hal::SimClock clock;
+  hal::DeviceRegistry registry;
+  hal::ProgrammableSurfaceDriver* east_driver = nullptr;
+
+  static sim::DynamicEnvironment floor_with_walker() {
+    em::MaterialDb materials = em::MaterialDb::standard();
+    const int body = sim::add_body_material(materials);
+    sim::DynamicEnvironment world(materials, [](sim::Environment& env) {
+      env.add_horizontal_slab(0.0, 4.0, 0.0, 4.0, 0.0, em::kMatFloor);
+    });
+    sim::MovingBlocker walker;
+    walker.id = "walker";
+    walker.waypoints = {{2.2, 2.19, 0.0}, {0.2, 2.19, 0.0}};
+    walker.speed_mps = 1.0;
+    walker.material_id = body;
+    world.add_blocker(std::move(walker));
+    return world;
+  }
+
+  static surface::SurfacePanel panel(const std::string& id,
+                                     const geom::Frame& pose) {
+    surface::ElementDesign d;
+    d.spacing_m = em::wavelength(em::band_center(em::Band::k28GHz)) / 2.0;
+    d.insertion_loss_db = 1.0;
+    return surface::SurfacePanel(id, pose, 8, 8, d,
+                                 surface::OperationMode::kReflective,
+                                 surface::Reconfigurability::kProgrammable,
+                                 surface::ControlGranularity::kElement);
+  }
+
+  MotionFixture()
+      : world(floor_with_walker()),
+        east(panel("east", geom::Frame({3.9, 1.0, 1.5}, {-1, 0, 0}))),
+        north(panel("north", geom::Frame({1.0, 3.9, 1.5}, {0, -1, 0}))) {
+    for (const surface::SurfacePanel* p : {&east, &north}) {
+      auto driver = std::make_unique<hal::ProgrammableSurfaceDriver>(
+          p->id(), p, hal::spec_for_panel(*p, em::Band::k28GHz), &clock);
+      if (p == &east) east_driver = driver.get();
+      registry.add_surface(std::move(driver));
+    }
+    registry.add_endpoint({"east-client", hal::EndpointKind::kClient,
+                           {3.0, 1.0, 1.0}, em::Band::k28GHz, std::nullopt});
+    registry.add_endpoint({"north-client", hal::EndpointKind::kClient,
+                           {1.0, 3.0, 1.0}, em::Band::k28GHz, std::nullopt});
+  }
+
+  std::unique_ptr<Orchestrator> make_orchestrator() {
+    OrchestratorContext context;
+    context.environment = &world.environment();
+    context.ap = {{0.3, 0.3, 2.5}, nullptr};
+    context.default_band = em::Band::k28GHz;
+    context.budget = {10.0, em::band_bandwidth(em::Band::k28GHz), 7.0};
+    context.channel_options.tracer.max_reflection_order = 0;
+    OrchestratorOptions options;
+    options.policy = SchedulePolicy::kSpatialPartition;
+    auto orchestrator =
+        std::make_unique<Orchestrator>(&registry, &clock, context, options);
+    orchestrator->enhance_link({"east-client", 10.0, 50.0});
+    orchestrator->enhance_link({"north-client", 10.0, 50.0});
+    return orchestrator;
+  }
+};
+
+TEST(OrchestratorTest, MotionKeepsUntouchedPlansAndReplansTouchedOnes) {
+  MotionFixture moving;
+  MotionFixture reference;
+  auto orchestrator = moving.make_orchestrator();
+  auto earlier = reference.make_orchestrator();
+  for (Orchestrator* o : {orchestrator.get(), earlier.get()}) {
+    EXPECT_EQ(o->step().trace.plans_fresh, 2u);
+    EXPECT_EQ(o->step().trace.plans_reused, 2u);
+  }
+
+  // 1.41 s at 1 m/s puts the walker at x = 0.79, across the AP's direct
+  // path to the north client (and clear of the AP -> north panel path,
+  // which passes above it), far from the east plan's legs.
+  const hal::Micros now = 1410 * hal::kMicrosPerMilli;
+  ASSERT_TRUE(moving.world.advance_to(now));
+  ASSERT_TRUE(reference.world.advance_to(now));
+  ASSERT_NEAR(moving.world.blocker_position("walker").x, 0.79, 1e-9);
+
+  const std::size_t east_frames = moving.east_driver->frames_applied();
+  const StepReport report = orchestrator->step();
+  EXPECT_EQ(report.trace.plans_reused, 1u);  // east: no evaluation
+  EXPECT_EQ(report.trace.plans_fresh, 1u);   // north: re-planned
+  EXPECT_EQ(report.optimizations_run, 1u);
+  EXPECT_GT(report.trace.objective_evaluations, 1u);  // a genuine re-plan
+  EXPECT_EQ(moving.east_driver->frames_applied(), east_frames);  // no HAL I/O
+
+  // The re-planned north plan realizes what a brand-new orchestrator
+  // builds at the new position from the same stored configuration.
+  auto fresh = reference.make_orchestrator();
+  EXPECT_EQ(fresh->step().trace.plans_fresh, 2u);
+  const auto moved_north = orchestrator->last_realized("north");
+  const auto fresh_north = fresh->last_realized("north");
+  ASSERT_TRUE(moved_north.has_value());
+  ASSERT_TRUE(fresh_north.has_value());
+  EXPECT_EQ(*moved_north, *fresh_north);
 }
 
 TEST(OrchestratorTest, UnknownEndpointFailsTask) {

@@ -5,17 +5,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/surfos.hpp"
+#include "em/antenna.hpp"
 #include "em/soa.hpp"
+#include "geom/grid.hpp"
 #include "proto/serialize.hpp"
 #include "sim/channel.hpp"
+#include "sim/dynamics.hpp"
 #include "sim/floorplan.hpp"
 #include "sim/precompute_store.hpp"
 #include "surface/catalog.hpp"
@@ -301,6 +306,193 @@ TEST_F(PrecomputeTest, OrchestratorRebasesCachedPlanOnTaskSetChange) {
   // The rebased plan still schedules and re-optimizes for the new task set.
   EXPECT_EQ(report.assignment_count, 1u);
   EXPECT_EQ(report.optimizations_run, 1u);
+}
+
+/// Bitwise equality of two plane sets, padding included (memcmp, so -0.0
+/// and +0.0 differ and NaNs compare by pattern).
+bool planes_bitwise_equal(const em::CxPlanes& a, const em::CxPlanes& b) {
+  if (a.size() != b.size() || a.padded_size() != b.padded_size()) return false;
+  const std::size_t n = a.padded_size() * sizeof(double);
+  return n == 0 || (std::memcmp(a.re(), b.re(), n) == 0 &&
+                    std::memcmp(a.im(), b.im(), n) == 0);
+}
+
+/// f, every cascade, every g and every h_dir compared with memcmp.
+void expect_artifacts_bitwise_equal(const sim::SceneChannel& a,
+                                    const sim::SceneChannel& b,
+                                    const std::string& where) {
+  ASSERT_EQ(a.panel_count(), b.panel_count()) << where;
+  ASSERT_EQ(a.rx_count(), b.rx_count()) << where;
+  EXPECT_EQ(a.scene_digest(), b.scene_digest()) << where;
+  for (std::size_t p = 0; p < a.panel_count(); ++p) {
+    EXPECT_TRUE(planes_bitwise_equal(a.tx_planes(p), b.tx_planes(p)))
+        << where << ": f of panel " << p;
+    for (std::size_t q = 0; q < a.panel_count(); ++q) {
+      const em::CxPlaneMat& ma = a.cascade_planes(q, p);
+      const em::CxPlaneMat& mb = b.cascade_planes(q, p);
+      ASSERT_EQ(ma.rows(), mb.rows()) << where << ": cascade " << q << p;
+      ASSERT_EQ(ma.stride(), mb.stride()) << where << ": cascade " << q << p;
+      const std::size_t n = ma.rows() * ma.stride() * sizeof(double);
+      EXPECT_TRUE(n == 0 || (std::memcmp(ma.re(), mb.re(), n) == 0 &&
+                             std::memcmp(ma.im(), mb.im(), n) == 0))
+          << where << ": cascade " << q << p;
+    }
+    for (std::size_t j = 0; j < a.rx_count(); ++j) {
+      EXPECT_TRUE(planes_bitwise_equal(a.rx_planes(p, j), b.rx_planes(p, j)))
+          << where << ": g of panel " << p << " at rx " << j;
+    }
+  }
+  for (std::size_t j = 0; j < a.rx_count(); ++j) {
+    const em::Cx ha = a.direct(j);
+    const em::Cx hb = b.direct(j);
+    EXPECT_EQ(std::memcmp(&ha, &hb, sizeof(em::Cx)), 0)
+        << where << ": h_dir at rx " << j;
+  }
+}
+
+/// The daemon's room (surfosd's per-site world): four concrete walls, a
+/// floor, and a person walking the diagonal track. With `cart`, the mover
+/// is a wooden cart instead (a box its crossings do not block) and a glass
+/// partition stands across its track, so segments cross both.
+sim::DynamicEnvironment daemon_room(bool cart = false) {
+  em::MaterialDb materials = em::MaterialDb::standard();
+  const int body = sim::add_body_material(materials);
+  sim::DynamicEnvironment world(materials, [cart](sim::Environment& env) {
+    constexpr double kH = 3.0;
+    env.add_vertical_wall(0.0, 4.0, 4.0, 4.0, 0.0, kH, em::kMatConcrete);
+    env.add_vertical_wall(0.0, 0.0, 0.0, 4.0, 0.0, kH, em::kMatConcrete);
+    env.add_vertical_wall(4.0, 0.0, 4.0, 4.0, 0.0, kH, em::kMatConcrete);
+    env.add_vertical_wall(0.0, 0.0, 4.0, 0.0, 0.0, kH, em::kMatConcrete);
+    env.add_horizontal_slab(0.0, 4.0, 0.0, 4.0, 0.0, em::kMatFloor);
+    if (cart) {
+      env.add_obstacle_box({1.98, 1.2, 0.0}, {2.02, 2.8, 1.6}, em::kMatGlass);
+    }
+  });
+  sim::MovingBlocker person;
+  person.id = "walker";
+  person.waypoints = {{0.8, 0.8, 0.0}, {3.2, 3.2, 0.0}};
+  person.speed_mps = 0.8;
+  person.material_id = body;
+  if (cart) {
+    person.material_id = em::kMatWood;
+    person.width_m = 0.6;
+    person.height_m = 1.5;
+  }
+  world.add_blocker(std::move(person));
+  return world;
+}
+
+/// 64 endpoints on an 8x8 grid at the daemon's endpoint height, then the
+/// 3x3 region grid a security/coverage task probes.
+std::vector<geom::Vec3> motion_probe_points() {
+  std::vector<geom::Vec3> points;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 8; ++j) {
+      points.push_back({0.6 + 0.4 * i, 0.6 + 0.4 * j, 1.1});
+    }
+  }
+  const auto region =
+      geom::SampleGrid(0.5, 3.5, 0.5, 3.5, 1.0, 3, 3).points();
+  points.insert(points.end(), region.begin(), region.end());
+  return points;
+}
+
+TEST_F(PrecomputeTest, MotionDeltaMatchesFreshBuild) {
+  const surface::Catalog catalog = surface::Catalog::standard();
+  const surface::CatalogEntry& design = *catalog.find("NR-Surface");
+  const auto points = motion_probe_points();
+  auto& store = sim::PrecomputeStore::instance();
+
+  struct Case {
+    const char* name;
+    geom::Vec3 ap;
+    std::vector<geom::Frame> poses;
+    bool cart = false;
+  };
+  // The daemon's single-panel room; a two-panel variant with the AP and
+  // panels low enough that the walker crosses the AP -> panel and
+  // panel <-> panel segments (statics re-key and refill); and a cart whose
+  // crossings do not block, beside a static partition, so a crossing may
+  // never pass as a blocked one.
+  const std::vector<Case> cases = {
+      {"daemon room",
+       {0.4, 2.0, 2.2},
+       {geom::Frame({3.92, 2.0, 1.8}, {-1, 0, 0})}},
+      {"two panels",
+       {0.4, 2.0, 1.2},
+       {geom::Frame({3.92, 2.0, 1.2}, {-1, 0, 0}),
+        geom::Frame({2.0, 3.92, 1.2}, {0, -1, 0})}},
+      {"cart",
+       {0.4, 2.0, 1.3},
+       {geom::Frame({3.92, 2.0, 1.2}, {-1, 0, 0})},
+       true}};
+
+  for (const Case& c : cases) {
+    sim::DynamicEnvironment world = daemon_room(c.cart);
+    std::vector<std::unique_ptr<surface::SurfacePanel>> owned;
+    std::vector<const surface::SurfacePanel*> panels;
+    for (const geom::Frame& pose : c.poses) {
+      owned.push_back(std::make_unique<surface::SurfacePanel>(
+          surface::instantiate(design, pose, 8, 8)));
+      panels.push_back(owned.back().get());
+    }
+    const em::SectorAntenna antenna(
+        (c.poses.front().origin() - c.ap).normalized(), 35.0);
+    const sim::TxSpec tx{c.ap, &antenna};
+    const double freq = em::band_center(em::Band::k28GHz);
+    const auto make = [&](std::vector<geom::Vec3> rx) {
+      return std::make_unique<sim::SceneChannel>(
+          &world.environment(), freq, tx, panels, std::move(rx));
+    };
+
+    auto synced = make(points);
+    std::size_t motions = 0, rows_reused = 0, rows_refilled = 0;
+    std::size_t statics_rekeyed = 0, statics_refilled = 0;
+    hal::Micros now = 0;
+    while (motions < 100) {
+      now += 20 * hal::kMicrosPerMilli;  // the daemon's epoch
+      if (!world.advance_to(now)) continue;
+      ++motions;
+      std::vector<const em::CxPlanes*> before(points.size());
+      for (std::size_t j = 0; j < points.size(); ++j) {
+        before[j] = &synced->rx_planes(0, j);
+      }
+      const em::CxPlanes* statics_before = &synced->tx_planes(0);
+      // A cold store: every row goes through the geometric touch test.
+      store.clear();
+      synced->sync();
+      EXPECT_FALSE(synced->sync());  // nothing moved since
+      for (std::size_t j = 0; j < points.size(); ++j) {
+        ++(&synced->rx_planes(0, j) == before[j] ? rows_reused
+                                                 : rows_refilled);
+      }
+      ++(&synced->tx_planes(0) == statics_before ? statics_rekeyed
+                                                 : statics_refilled);
+
+      store.clear();
+      const auto fresh = make(points);
+      expect_artifacts_bitwise_equal(
+          *synced, *fresh,
+          std::string(c.name) + ", motion " + std::to_string(motions));
+      if (HasFailure()) return;
+    }
+    EXPECT_GT(rows_reused, 0u) << c.name;
+    EXPECT_GT(rows_refilled, 0u) << c.name;
+    if (c.poses.size() > 1) {
+      EXPECT_GT(statics_rekeyed, 0u) << c.name;
+      EXPECT_GT(statics_refilled, 0u) << c.name;
+    }
+
+    // A rebase issued after a move, with no explicit sync, syncs first.
+    while (!world.advance_to(now += 20 * hal::kMicrosPerMilli)) {
+    }
+    std::vector<geom::Vec3> rebased(points.begin() + 8, points.end());
+    rebased.push_back({1.37, 2.61, 1.1});
+    synced->rebase_rx(rebased);
+    store.clear();
+    expect_artifacts_bitwise_equal(*synced, *make(rebased),
+                                   std::string(c.name) + ", rebase");
+  }
 }
 
 TEST_F(PrecomputeTest, DeltaValidatesRemovalIndicesAndNonEmptyResult) {
