@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # The repo's one-command health check, in CI order:
 #
-#   0. knob tables: every core::kKnobRegistry knob has a row in README's and
-#      DESIGN.md's knob tables, and every SURFOS_* row there is a registry
-#      knob or one read by getenv/env_size under src/
+#   0. knobs: the only getenv("SURFOS_...")/env_size("SURFOS_...") under
+#      src/ is SURFOS_SIMD (every other knob is a core::kKnobRegistry row,
+#      read through core::knob); every registry knob has a row in README's
+#      and DESIGN.md's knob tables, and every SURFOS_* row there is a
+#      registry knob or SURFOS_SIMD
 #   1. tier-1: configure + build + full ctest in ./build
 #   2. focused re-runs of the observability suites (ctest -L telemetry,
 #      ctest -L trace), the fleet control-plane suite (ctest -L fleet), the
@@ -25,7 +27,9 @@
 #   6. daemon smoke: spawn the real surfosd binary on a temp socket, drive
 #      50 surfos-ctl requests through it, stream >= 20 epochs of kEvent
 #      frames into a `surfos-ctl watch metrics` subscriber and kill it
-#      mid-stream (the daemon must keep serving), render three surfos-top
+#      mid-stream (the daemon must keep serving), require `surfos-ctl knobs`
+#      to print a number on the SURFOS_TRACE and SURFOS_ADMIT_QUEUE rows,
+#      render three surfos-top
 #      frames, SIGTERM it, and check for a clean exit, a written snapshot,
 #      and zero leaked fds while serving
 #
@@ -35,11 +39,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc)"
 
-echo "== knob tables: README.md and DESIGN.md rows match kKnobRegistry"
+echo "== knobs: one registry, README.md and DESIGN.md rows match it"
 REGISTRY_KNOBS="$(sed -n '/kKnobRegistry\[\] = {/,/^};/p' src/core/config.hpp |
   grep -oE '\{"SURFOS_[A-Z0-9_]+"' | grep -oE 'SURFOS_[A-Z0-9_]+' | sort -u)"
 ENV_KNOBS="$(grep -rhoE '(getenv|env_size)\("SURFOS_[A-Z0-9_]+"' src |
   grep -oE 'SURFOS_[A-Z0-9_]+' | sort -u)"
+STRAY_READS="$(echo "$ENV_KNOBS" | grep -vx 'SURFOS_SIMD' || true)"
+[ -z "$STRAY_READS" ] || {
+  echo "src/ reads knobs outside core::knob:" $STRAY_READS; exit 1; }
 KNOWN_KNOBS="$(printf '%s\n%s\n' "$REGISTRY_KNOBS" "$ENV_KNOBS" | sort -u)"
 for doc in README.md DESIGN.md; do
   ROWS="$(grep -oE '^\| `SURFOS_[A-Z0-9_]+`' "$doc" |
@@ -141,7 +148,11 @@ FDS_BEFORE=$(ls /proc/$SMOKE_PID/fd | wc -l)
 for i in $(seq 1 20); do "${CTL[@]}" status > /dev/null; done
 for i in $(seq 1 20); do "${CTL[@]}" metrics > /dev/null; done
 "${CTL[@]}" set-knob SURFOS_PUMP_MAX 4
-"${CTL[@]}" knobs > /dev/null
+KNOBS_OUT="$("${CTL[@]}" knobs)"
+for knob in SURFOS_TRACE SURFOS_ADMIT_QUEUE; do
+  echo "$KNOBS_OUT" | grep -qE "^$knob +[0-9]+ " ||
+    { echo "surfos-ctl knobs printed no value for $knob"; exit 1; }
+done
 "${CTL[@]}" stop cam
 "${CTL[@]}" resume cam
 "${CTL[@]}" snapshot

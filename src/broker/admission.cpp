@@ -30,7 +30,6 @@ orch::Priority demand_priority(const AppDemand& demand) noexcept {
 }
 
 AdmissionQueue::AdmissionQueue(AdmissionOptions options) : options_(options) {
-  if (options_.capacity == 0) options_.capacity = 1;
   if (options_.tokens_per_app == 0) options_.tokens_per_app = 1;
 }
 
@@ -41,16 +40,8 @@ std::size_t AdmissionQueue::weight(orch::Priority priority) noexcept {
   return static_cast<std::size_t>(tier) + 1;
 }
 
-std::size_t AdmissionQueue::effective_capacity() const {
-  // Hot-reload hook: under a daemon (config snapshot installed) a set-knob
-  // SURFOS_ADMIT_QUEUE override wins over the construction-time capacity on
-  // the very next submit; in library mode the constructed capacity is final.
-  if (const auto snapshot = core::config_snapshot()) {
-    if (const auto value = snapshot->lookup("SURFOS_ADMIT_QUEUE")) {
-      return std::max<std::size_t>(*value, 1);
-    }
-  }
-  return options_.capacity;
+std::size_t AdmissionQueue::capacity() {
+  return core::knob(core::Knob::kAdmitQueue);
 }
 
 std::vector<AdmissionRequest> AdmissionQueue::pending() const {
@@ -66,7 +57,7 @@ bool AdmissionQueue::submit(AdmissionRequest request) {
   ++stats_.submitted;
   SURFOS_COUNT("broker.admission.submitted");
   request.seq = next_seq_++;
-  if (depth_ >= effective_capacity()) {
+  if (depth_ >= capacity()) {
     // Overload: only the lowest-priority work may be lost. The lowest
     // present class gives up its *newest* entry (oldest entries are closest
     // to admission and have waited longest); an incoming demand at or below

@@ -25,6 +25,9 @@
 //   3. An entry whose app is out of tokens is deferred in place (keeps its
 //      FIFO position for the next pump) rather than shed.
 //
+// Capacity is the SURFOS_ADMIT_QUEUE knob, read through core::knob on every
+// submit, so a daemon set-knob applies to the next submit.
+//
 // Shedding, on submit() to a full queue: the newest entry of the lowest
 // present priority class is dropped to make room — unless the incoming
 // demand itself is that lowest class, in which case it is refused. Either
@@ -40,7 +43,6 @@
 
 #include "broker/demand.hpp"
 #include "orch/task.hpp"
-#include "util/env.hpp"
 
 namespace surfos::broker {
 
@@ -57,8 +59,6 @@ struct AdmissionRequest {
 orch::Priority demand_priority(const AppDemand& demand) noexcept;
 
 struct AdmissionOptions {
-  /// Bounded queue capacity (SURFOS_ADMIT_QUEUE env, >= 1).
-  std::size_t capacity = util::env_size("SURFOS_ADMIT_QUEUE", 256, 1);
   /// Demands one app may admit per pump() (its token budget per epoch).
   std::size_t tokens_per_app = 4;
 };
@@ -98,10 +98,8 @@ class AdmissionQueue {
   std::size_t depth() const noexcept { return depth_; }
   bool empty() const noexcept { return depth_ == 0; }
   const AdmissionOptions& options() const noexcept { return options_; }
-  /// The capacity submit() enforces: the construction-time capacity, unless
-  /// a daemon config snapshot overrides SURFOS_ADMIT_QUEUE (hot-reload
-  /// between epochs; see core/config.hpp).
-  std::size_t effective_capacity() const;
+  /// The capacity submit() enforces: the SURFOS_ADMIT_QUEUE knob.
+  static std::size_t capacity();
   const AdmissionStats& stats() const noexcept { return stats_; }
 
  private:

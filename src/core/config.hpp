@@ -1,41 +1,46 @@
-// Runtime knob configuration: one snapshot, hot-reloadable between epochs.
+// Runtime knob configuration: one registry, one snapshot, hot-reloadable
+// between epochs.
 //
-// Before PR 8 every SURFOS_* size knob was read straight from the process
-// environment, several of them once at construction time (admission queue
-// capacity, trace-ring size) — so a long-running surfosd
-// could never retune them without a restart, and `putenv` mid-run is not a
-// control plane. Config fixes the plumbing:
+// Every SURFOS_* knob except SURFOS_SIMD is a row of `kKnobRegistry`, and
+// the row is the one place its name, default, minimum, reload point and doc
+// are written. Readers name only the row:
 //
-//   - `Config::from_env()` captures every registered SURFOS_* knob once (the
-//     daemon does this at startup, before any thread exists).
-//   - `install_config()` publishes the snapshot process-wide; `surfos-ctl
-//     set-knob` lands in `set_config_knob()`, which swaps in an updated copy
+//   - `core::knob(Knob::kAdmitQueue)` returns the installed snapshot's value
+//     when a daemon installed one, and otherwise parses the environment
+//     with `env_size` (library mode: unset, junk, negative, out-of-range or
+//     below-minimum values give the row's default).
+//   - `Config` holds a value for every row: `Config()` the registry
+//     defaults, `Config::from_env()` the environment value or the default.
+//     surfosd installs `from_env()` at startup, before any thread exists.
+//   - `surfos-ctl set-knob` lands in `set_config_knob()`, which validates the
+//     name and minimum against the row and swaps in an updated copy
 //     atomically (readers hold a shared_ptr; no torn reads).
-//   - Knob *readers* call `core::knob(name, fallback, min)` instead of
-//     util::env_size directly: with a snapshot installed the snapshot wins,
-//     otherwise behavior is byte-for-byte the old env read — library users
-//     and tests see no change.
 //
 // Hot-reload granularity is the reader's re-read cadence: per control epoch
 // (pump budget, daemon epoch period), per submit (admission capacity), or
-// construction-only (thread count, trace ring) — the registry below records
-// which, and DESIGN.md documents it per knob.
+// construction-only (thread count, trace ring, telemetry and trace
+// switches). The registry records which; DESIGN.md documents it per knob.
 //
-// Header-only for the same reason as util/env.hpp: telemetry and util sit
-// below surfos_core in the link order but still own knobs.
+// SURFOS_SIMD is the one direct environment read left (util/simd.cpp): it
+// names a code path rather than a size, and the precompute digest needs it
+// fixed before the first kernel runs.
+//
+// Header-only: telemetry and util sit below surfos_core in the link order
+// but still own knobs.
 #pragma once
 
+#include <array>
+#include <cerrno>
 #include <cstddef>
-#include <map>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/status.hpp"
-#include "util/env.hpp"
 
 namespace surfos::core {
 
@@ -46,39 +51,70 @@ enum class KnobReload : std::uint8_t {
   kConstruction,   ///< Read once when the owning object is built.
 };
 
+/// One registry row per knob, in `kKnobRegistry` order.
+enum class Knob : std::uint8_t {
+  kThreads,
+  kAdmitQueue,
+  kTraceBuffer,
+  kEpochMs,
+  kPumpMax,
+  kSubOutbox,
+  kSloOverrunStreak,
+  kSloQueuePct,
+  kSloRetryPct,
+  kSloShed,
+  kPrecomputeCache,
+  kTrace,
+  kTelemetry,
+};
+
 struct KnobSpec {
-  const char* name;        ///< Environment-variable spelling (the knob's id).
-  std::size_t min_value;   ///< env_size minimum; set-knob rejects below this.
+  const char* name;           ///< Environment-variable spelling.
+  std::size_t default_value;  ///< Value when unset or rejected.
+  std::size_t min_value;      ///< Smaller values are rejected.
   KnobReload reload;
   const char* doc;
 };
 
-/// Every size knob the daemon can snapshot and surfos-ctl can set. Names
-/// are the single source of truth for set-knob validation.
+/// Every knob the daemon can snapshot and surfos-ctl can set, indexed by
+/// `Knob`.
 inline constexpr KnobSpec kKnobRegistry[] = {
-    {"SURFOS_THREADS", 1, KnobReload::kConstruction,
-     "worker threads in the process-wide pool"},
-    {"SURFOS_ADMIT_QUEUE", 1, KnobReload::kPerSubmit,
+    {"SURFOS_THREADS", 0, 0, KnobReload::kConstruction,
+     "worker threads in the process-wide pool (0 = one per detected core)"},
+    {"SURFOS_ADMIT_QUEUE", 256, 1, KnobReload::kPerSubmit,
      "bounded admission-queue capacity per broker"},
-    {"SURFOS_TRACE_BUFFER", 1, KnobReload::kConstruction,
+    {"SURFOS_TRACE_BUFFER", 65536, 64, KnobReload::kConstruction,
      "flight-recorder ring capacity in events"},
-    {"SURFOS_EPOCH_MS", 1, KnobReload::kPerEpoch,
+    {"SURFOS_EPOCH_MS", 20, 1, KnobReload::kPerEpoch,
      "surfosd control-epoch period in milliseconds"},
-    {"SURFOS_PUMP_MAX", 1, KnobReload::kPerEpoch,
+    {"SURFOS_PUMP_MAX", 8, 1, KnobReload::kPerEpoch,
      "max demands admitted per control epoch per site"},
-    {"SURFOS_SUB_OUTBOX", 1, KnobReload::kPerEpoch,
+    {"SURFOS_SUB_OUTBOX", 64, 1, KnobReload::kPerEpoch,
      "per-subscriber outbox depth in frames before drop-oldest"},
-    {"SURFOS_SLO_OVERRUN_STREAK", 1, KnobReload::kPerEpoch,
+    {"SURFOS_SLO_OVERRUN_STREAK", 3, 1, KnobReload::kPerEpoch,
      "consecutive epoch-budget overruns before a site degrades"},
-    {"SURFOS_SLO_QUEUE_PCT", 1, KnobReload::kPerEpoch,
+    {"SURFOS_SLO_QUEUE_PCT", 80, 1, KnobReload::kPerEpoch,
      "admission-queue depth as % of SURFOS_ADMIT_QUEUE that degrades"},
-    {"SURFOS_SLO_RETRY_PCT", 1, KnobReload::kPerEpoch,
+    {"SURFOS_SLO_RETRY_PCT", 30, 1, KnobReload::kPerEpoch,
      "ARQ retransmissions as % of sends per epoch that degrades"},
-    {"SURFOS_SLO_SHED", 1, KnobReload::kPerEpoch,
+    {"SURFOS_SLO_SHED", 1, 1, KnobReload::kPerEpoch,
      "demands shed in one epoch that degrades a site"},
-    {"SURFOS_PRECOMPUTE_CACHE", 0, KnobReload::kPerEpoch,
+    // 256 MiB: ~2000 64-element rows or a few dozen multi-panel scene
+    // statics; generous for a fleet of rooms, bounded for a daemon.
+    {"SURFOS_PRECOMPUTE_CACHE", 256u << 20, 0, KnobReload::kPerEpoch,
      "precompute-store byte budget (LRU; 0 = keep only pinned artifacts)"},
+    {"SURFOS_TRACE", 0, 0, KnobReload::kConstruction,
+     "1 records causal trace spans into the flight recorder"},
+    {"SURFOS_TELEMETRY", 1, 0, KnobReload::kConstruction,
+     "0 mutes the metrics registry"},
 };
+
+inline constexpr std::size_t kKnobCount = std::size(kKnobRegistry);
+static_assert(static_cast<std::size_t>(Knob::kTelemetry) + 1 == kKnobCount);
+
+inline constexpr const KnobSpec& knob_spec(Knob row) noexcept {
+  return kKnobRegistry[static_cast<std::size_t>(row)];
+}
 
 inline const KnobSpec* find_knob(std::string_view name) noexcept {
   for (const KnobSpec& spec : kKnobRegistry) {
@@ -87,34 +123,48 @@ inline const KnobSpec* find_knob(std::string_view name) noexcept {
   return nullptr;
 }
 
-/// An immutable snapshot of knob values. A knob with no entry falls back to
-/// the reader's built-in default (same rule as an unset env var).
+/// Parses the row's environment variable as a plain base-10 size. Unset,
+/// empty, junk (trailing junk included), negative, out-of-range and
+/// below-minimum values give the row's default.
+inline std::size_t env_size(const KnobSpec& spec) noexcept {
+  const char* env = std::getenv(spec.name);
+  if (env == nullptr || *env == '\0') return spec.default_value;
+  errno = 0;
+  char* end = nullptr;
+  // Signed parse so "-1" is rejected instead of wrapping to a huge value.
+  const long long parsed = std::strtoll(env, &end, 10);
+  if (end == env || *end != '\0' || errno == ERANGE || parsed < 0) {
+    return spec.default_value;
+  }
+  const auto value = static_cast<unsigned long long>(parsed);
+  if (value > std::numeric_limits<std::size_t>::max() ||
+      value < spec.min_value) {
+    return spec.default_value;
+  }
+  return static_cast<std::size_t>(value);
+}
+
+/// An immutable snapshot holding a value for every registry row.
 class Config {
  public:
-  Config() = default;
+  /// Every row at its registry default.
+  Config() {
+    for (std::size_t i = 0; i < kKnobCount; ++i) {
+      values_[i] = kKnobRegistry[i].default_value;
+    }
+  }
 
-  /// Captures every registered knob from the process environment, parsing
-  /// with the same rejection rules as util::env_size (junk falls back to
-  /// "unset", never to a wrong number).
+  /// Every row from the process environment (env_size rules).
   static Config from_env() {
     Config config;
-    for (const KnobSpec& spec : kKnobRegistry) {
-      // Sentinel fallback: env_size cannot return npos-1 for a real knob, so
-      // two probes distinguish "unset/invalid" from any parsed value.
-      constexpr std::size_t kProbeA = static_cast<std::size_t>(-2);
-      constexpr std::size_t kProbeB = static_cast<std::size_t>(-3);
-      const std::size_t a = util::env_size(spec.name, kProbeA, spec.min_value);
-      if (a == kProbeA &&
-          util::env_size(spec.name, kProbeB, spec.min_value) == kProbeB) {
-        continue;  // unset or rejected: leave the reader's default in force
-      }
-      config.values_[spec.name] = a;
+    for (std::size_t i = 0; i < kKnobCount; ++i) {
+      config.values_[i] = env_size(kKnobRegistry[i]);
     }
     return config;
   }
 
   /// Sets a knob, validating the name against the registry and the value
-  /// against the knob's minimum.
+  /// against the row's minimum.
   Result<void> set(std::string_view name, std::size_t value) {
     const KnobSpec* spec = find_knob(name);
     if (spec == nullptr) {
@@ -126,29 +176,16 @@ class Config {
               std::string(name) + " must be >= " +
                   std::to_string(spec->min_value)};
     }
-    values_[std::string(name)] = value;
+    values_[static_cast<std::size_t>(spec - kKnobRegistry)] = value;
     return {};
   }
 
-  std::optional<std::size_t> lookup(std::string_view name) const {
-    const auto it = values_.find(std::string(name));
-    return it == values_.end() ? std::nullopt
-                               : std::optional<std::size_t>(it->second);
-  }
-
-  /// Registry order, with the snapshot's value where one is set.
-  std::vector<std::pair<std::string, std::optional<std::size_t>>> entries()
-      const {
-    std::vector<std::pair<std::string, std::optional<std::size_t>>> out;
-    out.reserve(std::size(kKnobRegistry));
-    for (const KnobSpec& spec : kKnobRegistry) {
-      out.emplace_back(spec.name, lookup(spec.name));
-    }
-    return out;
+  std::size_t value(Knob row) const noexcept {
+    return values_[static_cast<std::size_t>(row)];
   }
 
  private:
-  std::map<std::string, std::size_t, std::less<>> values_;
+  std::array<std::size_t, kKnobCount> values_{};
 };
 
 namespace detail {
@@ -202,18 +239,11 @@ inline Result<void> set_config_knob(std::string_view name, std::size_t value) {
   return {};
 }
 
-/// The knob read every SURFOS_* size-knob site routes through: installed
-/// snapshot first, environment otherwise. `fallback`/`min_value` have the
-/// util::env_size semantics.
-inline std::size_t knob(const char* name, std::size_t fallback,
-                        std::size_t min_value) {
-  if (const auto snapshot = config_snapshot()) {
-    if (const auto value = snapshot->lookup(name)) {
-      return *value < min_value ? fallback : *value;
-    }
-    return fallback;  // snapshot installed, knob unset: daemon-start default
-  }
-  return util::env_size(name, fallback, min_value);
+/// The one knob read: the installed snapshot's value, the environment's
+/// otherwise.
+inline std::size_t knob(Knob row) {
+  if (const auto snapshot = config_snapshot()) return snapshot->value(row);
+  return env_size(knob_spec(row));
 }
 
 }  // namespace surfos::core

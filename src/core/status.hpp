@@ -166,20 +166,4 @@ class [[nodiscard]] Result<void> {
 /// Success for Result<void> call sites that want to be explicit.
 inline Result<void> ok_result() { return Result<void>(); }
 
-/// Bridges the deprecated throwing shims: converts an error Result back into
-/// the exception the pre-redesign API threw at that site.
-template <typename T>
-T unwrap_or_throw(Result<T> result) {
-  if (!result.ok()) {
-    throw std::invalid_argument(std::move(result).error().message);
-  }
-  return std::move(result).value();
-}
-
-inline void unwrap_or_throw(Result<void> result) {
-  if (!result.ok()) {
-    throw std::invalid_argument(std::move(result).error().message);
-  }
-}
-
 }  // namespace surfos

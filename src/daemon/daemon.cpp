@@ -181,8 +181,8 @@ void Daemon::run_epoch() {
   std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t epoch_ms =
       options_.epoch_ms != 0 ? options_.epoch_ms
-                             : core::knob("SURFOS_EPOCH_MS", 20, 1);
-  const std::uint64_t pump_max = core::knob("SURFOS_PUMP_MAX", 8, 1);
+                             : core::knob(core::Knob::kEpochMs);
+  const std::uint64_t pump_max = core::knob(core::Knob::kPumpMax);
   sim_now_us_ += epoch_ms * 1000;
 
   for (Site& site : sites_) {
@@ -219,7 +219,7 @@ void Daemon::run_epoch() {
     const auto& admission = site.os->broker().admission();
     SloInputs inputs;
     inputs.queue_depth = admission.depth();
-    inputs.queue_capacity = admission.effective_capacity();
+    inputs.queue_capacity = admission.capacity();
     inputs.shed_total = admission.stats().shed;
     inputs.arq_retry_total = arq_retries;
     inputs.arq_send_total = arq_sends;
@@ -479,13 +479,7 @@ proto::WireFrame Daemon::handle_traces(const proto::WireFrame& request) {
   proto::WireFrame reply =
       reply_frame(proto::MsgType::kTraceChunk, request.trace_id);
   proto::TlvWriter w(reply.payload);
-  if (!cursor_ts && !cursor_span && !limit) {
-    // Legacy one-shot dump: the whole (ring-truncated) buffer as Chrome
-    // JSON, for old clients that never learned the cursor tags.
-    w.put_string(tag::kTraceJson, telemetry::chrome_trace_json(events));
-    w.put_u64(tag::kEventCount, events.size());
-    return reply;
-  }
+  // A request without cursor tags gets the first page.
   const std::size_t page =
       std::clamp<std::size_t>(limit.value_or(512), 1, 4096);
   const auto slice = telemetry::events_after(
@@ -669,15 +663,13 @@ proto::WireFrame Daemon::handle_get_knobs(const proto::WireFrame& request) {
   proto::WireFrame reply =
       reply_frame(proto::MsgType::kKnobsReply, request.trace_id);
   proto::TlvWriter w(reply.payload);
-  const auto snapshot = core::config_snapshot();
-  for (const core::KnobSpec& spec : core::kKnobRegistry) {
+  for (std::size_t i = 0; i < core::kKnobCount; ++i) {
+    const core::KnobSpec& spec = core::kKnobRegistry[i];
     std::vector<std::uint8_t> nested;
     proto::TlvWriter n(nested);
     n.put_u16(1, proto::kStructVersion);
     n.put_string(tag::kKnobName, spec.name);
-    const auto value = snapshot ? snapshot->lookup(spec.name) : std::nullopt;
-    n.put_u8(tag::kKnobHasValue, value ? 1 : 0);
-    if (value) n.put_u64(tag::kKnobValue, *value);
+    n.put_u64(tag::kKnobValue, core::knob(static_cast<core::Knob>(i)));
     n.put_string(tag::kKnobDoc, spec.doc);
     w.put_bytes(tag::kKnob, nested);
   }
@@ -847,7 +839,7 @@ void Daemon::ticker_main() {
     run_epoch();
     const std::uint64_t epoch_ms =
         options_.epoch_ms != 0 ? options_.epoch_ms
-                               : core::knob("SURFOS_EPOCH_MS", 20, 1);
+                               : core::knob(core::Knob::kEpochMs);
     std::unique_lock<std::mutex> lock(stop_mu_);
     stop_cv_.wait_for(lock, std::chrono::milliseconds(epoch_ms),
                       [this] { return !running_.load(); });

@@ -17,10 +17,10 @@ const char* slo_state_name(SloState state) noexcept {
 
 SloThresholds SloThresholds::from_knobs() {
   SloThresholds t;
-  t.overrun_streak = core::knob("SURFOS_SLO_OVERRUN_STREAK", 3, 1);
-  t.queue_pct = core::knob("SURFOS_SLO_QUEUE_PCT", 80, 1);
-  t.retry_pct = core::knob("SURFOS_SLO_RETRY_PCT", 30, 1);
-  t.shed = core::knob("SURFOS_SLO_SHED", 1, 1);
+  t.overrun_streak = core::knob(core::Knob::kSloOverrunStreak);
+  t.queue_pct = core::knob(core::Knob::kSloQueuePct);
+  t.retry_pct = core::knob(core::Knob::kSloRetryPct);
+  t.shed = core::knob(core::Knob::kSloShed);
   return t;
 }
 

@@ -224,7 +224,7 @@ void SubscriptionRegistry::enqueue_event(Connection& conn, Subscription& sub,
 
 void SubscriptionRegistry::publish(const EpochContext& ctx) {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t outbox_cap = core::knob("SURFOS_SUB_OUTBOX", 64, 1);
+  const std::size_t outbox_cap = core::knob(core::Knob::kSubOutbox);
   for (auto& [fd, conn] : conns_) {
     if (conn.dead) continue;
     for (auto& [id, sub] : conn.subs) {

@@ -53,14 +53,13 @@ inline constexpr std::uint16_t kPrecomputeBytes = 9;      ///< u64 resident.
 inline constexpr std::uint16_t kPrecomputeEvictions = 10; ///< u64.
 
 // kStreamTraces request: cursor-based pagination (see proto/wire.hpp for
-// the semantics). A request with none of these tags gets the legacy
-// one-shot kTraceJson reply.
+// the semantics). A request with none of these tags gets the first page.
 inline constexpr std::uint16_t kTraceCursorTs = 2;    ///< u64 ts_ns.
 inline constexpr std::uint16_t kTraceCursorSpan = 3;  ///< u64 span id.
 inline constexpr std::uint16_t kTraceLimit = 4;       ///< u32 page size.
 
-// kTraceChunk.
-inline constexpr std::uint16_t kTraceJson = 2;
+// kTraceChunk. Tag 2 (kTraceJson, the retired one-shot Chrome-JSON reply)
+// is reserved and never reused.
 inline constexpr std::uint16_t kEventCount = 3;
 inline constexpr std::uint16_t kTraceEvent = 4;   ///< Repeated, nested (below).
 inline constexpr std::uint16_t kTraceNextTs = 5;  ///< Cursor for next page.
@@ -85,7 +84,7 @@ inline constexpr std::uint16_t kBytes = 3;
 inline constexpr std::uint16_t kKnobName = 2;
 inline constexpr std::uint16_t kKnobValue = 3;
 inline constexpr std::uint16_t kKnob = 2;  ///< Repeated nested in kKnobsReply.
-inline constexpr std::uint16_t kKnobHasValue = 4;
+// Nested tag 4 (kKnobHasValue) is reserved: every row carries a value.
 inline constexpr std::uint16_t kKnobDoc = 5;
 
 // kSubscribe / kSubscribeAck / kUnsubscribe / kEvent (one shared

@@ -56,7 +56,7 @@ struct TaskReport {
 
 /// Per-step control-cycle trace (telemetry). The counts are deterministic
 /// and always filled; the `*_us` wall-clock timings are only measured while
-/// telemetry is enabled and stay 0.0 under SURFOS_TELEMETRY=off, so a
+/// telemetry is enabled and stay 0.0 under SURFOS_TELEMETRY=0, so a
 /// disabled-mode StepReport carries no run-to-run-varying state.
 struct StepTrace {
   double schedule_us = 0.0;

@@ -57,8 +57,7 @@ enum class MsgType : std::uint8_t {
   kGetMetrics = 8,
   kMetricsReply = 9,
   // kStreamTraces pulls flight-recorder events with cursor-based
-  // pagination. The recorder ring holds a bounded window; a one-shot dump
-  // silently truncates to whatever that window holds. A paginated request
+  // pagination. The recorder ring holds a bounded window, so a request
   // carries a cursor — the (ts_ns, span_id) pair of the last event the
   // client has seen, plus a page limit — and the reply returns events
   // strictly after that position in the recorder's (ts_ns, span_id) sort
@@ -66,7 +65,7 @@ enum class MsgType : std::uint8_t {
   // is drained. Clients loop until done; events evicted by ring wraparound
   // between pages are simply skipped (never duplicated or torn) and show up
   // in the recorder's dropped() count. A request without cursor/limit tags
-  // keeps the legacy one-shot Chrome-JSON reply.
+  // gets the first page (cursor 0, limit 512).
   kStreamTraces = 10,  ///< Pull flight-recorder events (cursor-paginated).
   kTraceChunk = 11,
   kSnapshot = 12,  ///< Write a state snapshot to the daemon's snapshot path.

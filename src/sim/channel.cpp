@@ -357,7 +357,6 @@ util::ConfigDigest SceneChannel::compute_setup_digest() const {
   digest_vec3(b, tx_.position);
   digest_pattern(b, pattern_or_isotropic(tx_.antenna));
   digest_pattern(b, pattern_or_isotropic(rx_antenna_));
-  b.add_word(options_.include_surface_cascades ? 1 : 0);
   b.add_word(static_cast<std::uint64_t>(options_.tracer.max_reflection_order));
   b.add_double(options_.tracer.min_path_gain);
   b.add_size(panels_.size());
@@ -462,36 +461,34 @@ std::shared_ptr<ScenePrecompute> SceneChannel::build_statics() const {
   // pair index — each pair owns one O(N^2) matrix, the dominant cost.
   out->cascades.assign(panels_.size(),
                        std::vector<em::CxPlaneMat>(panels_.size()));
-  if (options_.include_surface_cascades) {
-    const std::size_t np = panels_.size();
-    util::parallel_for(0, np * np, [&](std::size_t pair) {
-      const std::size_t q = pair / np;
-      const std::size_t p = pair % np;
-      if (p == q) return;
-      const auto& panel_p = *panels_[p];
-      const auto& panel_q = *panels_[q];
-      const double area_p = panel_p.design().effective_area();
-      const double area_q = panel_q.design().effective_area();
-      const em::Cx center_trans = environment_->segment_transmission(
-          panel_p.center(), panel_q.center(), frequency_hz_);
-      if (std::norm(center_trans) < 1e-30) return;  // rows() == 0: no hop
-      const auto& pos_q = panel_q.element_positions();
-      const geom::Vec3 np_n = panel_p.normal();
-      const geom::Vec3 nq_n = panel_q.normal();
-      em::CxPlaneMat mat(pos_q.size(), panel_p.element_count());
-      for (std::size_t m = 0; m < pos_q.size(); ++m) {
-        kn.pair_gain(pos[p].x.data(), pos[p].y.data(), pos[p].z.data(),
-                     pos_q[m].x, pos_q[m].y, pos_q[m].z, np_n.x, np_n.y,
-                     np_n.z, nq_n.x, nq_n.y, nq_n.z, wavenum, lambda, area_p,
-                     area_q, mat.row_re(m), mat.row_im(m), mat.cols());
-      }
-      // One complex scale over the whole matrix (rows * stride, padding
-      // lanes stay zero under scaling).
-      kn.cscale(mat.row_re(0), mat.row_im(0), center_trans.real(),
-                center_trans.imag(), mat.rows() * mat.stride());
-      out->cascades[q][p] = std::move(mat);
-    });
-  }
+  const std::size_t np = panels_.size();
+  util::parallel_for(0, np * np, [&](std::size_t pair) {
+    const std::size_t q = pair / np;
+    const std::size_t p = pair % np;
+    if (p == q) return;
+    const auto& panel_p = *panels_[p];
+    const auto& panel_q = *panels_[q];
+    const double area_p = panel_p.design().effective_area();
+    const double area_q = panel_q.design().effective_area();
+    const em::Cx center_trans = environment_->segment_transmission(
+        panel_p.center(), panel_q.center(), frequency_hz_);
+    if (std::norm(center_trans) < 1e-30) return;  // rows() == 0: no hop
+    const auto& pos_q = panel_q.element_positions();
+    const geom::Vec3 np_n = panel_p.normal();
+    const geom::Vec3 nq_n = panel_q.normal();
+    em::CxPlaneMat mat(pos_q.size(), panel_p.element_count());
+    for (std::size_t m = 0; m < pos_q.size(); ++m) {
+      kn.pair_gain(pos[p].x.data(), pos[p].y.data(), pos[p].z.data(),
+                   pos_q[m].x, pos_q[m].y, pos_q[m].z, np_n.x, np_n.y,
+                   np_n.z, nq_n.x, nq_n.y, nq_n.z, wavenum, lambda, area_p,
+                   area_q, mat.row_re(m), mat.row_im(m), mat.cols());
+    }
+    // One complex scale over the whole matrix (rows * stride, padding
+    // lanes stay zero under scaling).
+    kn.cscale(mat.row_re(0), mat.row_im(0), center_trans.real(),
+              center_trans.imag(), mat.rows() * mat.stride());
+    out->cascades[q][p] = std::move(mat);
+  });
   out->finalize_bytes();
   return out;
 }
@@ -614,7 +611,6 @@ bool SceneChannel::sync() {
   for (std::size_t p = 0; p < panels_.size(); ++p) {
     statics_changed |=
         delta.changes_segment(tx_.position, panels_[p]->center());
-    if (!options_.include_surface_cascades) continue;
     for (std::size_t q = 0; q < panels_.size(); ++q) {
       if (q != p) {
         statics_changed |=
@@ -811,32 +807,30 @@ em::Cx SceneChannel::evaluate_planes(
              acc);
     h += em::Cx{acc[0], acc[1]};
   }
-  if (options_.include_surface_cascades) {
-    thread_local em::CxPlanes u_tls, v_tls;
-    em::CxPlanes& u = u_tls;
-    em::CxPlanes& v = v_tls;
-    for (std::size_t p = 0; p < panels_.size(); ++p) {
-      for (std::size_t q = 0; q < panels_.size(); ++q) {
-        if (p == q) continue;
-        const em::CxPlaneMat& G = statics_->cascades[q][p];
-        if (G.rows() == 0) continue;
-        if (!panels_[p]->serves(tx_.position, panels_[q]->center())) continue;
-        if (!panels_[q]->serves(panels_[p]->center(), rx)) continue;
-        const em::CxPlanes& f = statics_->f[p];
-        const em::CxPlanes& g = row.g[q];
-        const em::CxPlanes& cp = coefficients[p];
-        const em::CxPlanes& cq = coefficients[q];
-        // u = diag(cp) f ; v = G u ; term = sum_m (g_m v_m) cq_m.
-        u.resize(f.size());
-        kn.cmul(cp.re(), cp.im(), f.re(), f.im(), u.re(), u.im(),
-                f.padded_size());
-        v.resize(G.rows());
-        kn.cmatvec(G.re(), G.im(), G.rows(), G.stride(), G.stride(), u.re(),
-                   u.im(), v.re(), v.im());
-        kn.cdot3(g.re(), g.im(), v.re(), v.im(), cq.re(), cq.im(),
-                 v.padded_size(), acc);
-        h += em::Cx{acc[0], acc[1]};
-      }
+  thread_local em::CxPlanes u_tls, v_tls;
+  em::CxPlanes& u = u_tls;
+  em::CxPlanes& v = v_tls;
+  for (std::size_t p = 0; p < panels_.size(); ++p) {
+    for (std::size_t q = 0; q < panels_.size(); ++q) {
+      if (p == q) continue;
+      const em::CxPlaneMat& G = statics_->cascades[q][p];
+      if (G.rows() == 0) continue;
+      if (!panels_[p]->serves(tx_.position, panels_[q]->center())) continue;
+      if (!panels_[q]->serves(panels_[p]->center(), rx)) continue;
+      const em::CxPlanes& f = statics_->f[p];
+      const em::CxPlanes& g = row.g[q];
+      const em::CxPlanes& cp = coefficients[p];
+      const em::CxPlanes& cq = coefficients[q];
+      // u = diag(cp) f ; v = G u ; term = sum_m (g_m v_m) cq_m.
+      u.resize(f.size());
+      kn.cmul(cp.re(), cp.im(), f.re(), f.im(), u.re(), u.im(),
+              f.padded_size());
+      v.resize(G.rows());
+      kn.cmatvec(G.re(), G.im(), G.rows(), G.stride(), G.stride(), u.re(),
+                 u.im(), v.re(), v.im());
+      kn.cdot3(g.re(), g.im(), v.re(), v.im(), cq.re(), cq.im(),
+               v.padded_size(), acc);
+      h += em::Cx{acc[0], acc[1]};
     }
   }
   return h;
@@ -901,45 +895,43 @@ void SceneChannel::evaluate_with_partials_planes(
   }
 
   // Double-bounce terms p -> q.
-  if (options_.include_surface_cascades) {
-    thread_local em::CxPlanes u_tls, v_tls, gq_tls, w_tls;
-    em::CxPlanes& u = u_tls;
-    em::CxPlanes& v = v_tls;
-    em::CxPlanes& gq = gq_tls;
-    em::CxPlanes& w = w_tls;
-    for (std::size_t p = 0; p < panels_.size(); ++p) {
-      for (std::size_t q = 0; q < panels_.size(); ++q) {
-        if (p == q) continue;
-        const em::CxPlaneMat& G = statics_->cascades[q][p];
-        if (G.rows() == 0) continue;
-        if (!panels_[p]->serves(tx_.position, panels_[q]->center())) continue;
-        if (!panels_[q]->serves(panels_[p]->center(), rx)) continue;
-        const em::CxPlanes& f = statics_->f[p];
-        const em::CxPlanes& g = row.g[q];
-        const em::CxPlanes& cp = coefficients[p];
-        const em::CxPlanes& cq = coefficients[q];
-        // u = diag(cp) f ; v = G u ; term = sum_m (g_m v_m) cq_m and
-        // dh_q += g .* v.
-        u.resize(f.size());
-        kn.cmul(cp.re(), cp.im(), f.re(), f.im(), u.re(), u.im(),
-                f.padded_size());
-        v.resize(G.rows());
-        kn.cmatvec(G.re(), G.im(), G.rows(), G.stride(), G.stride(), u.re(),
-                   u.im(), v.re(), v.im());
-        kn.cdot3_partials(g.re(), g.im(), v.re(), v.im(), cq.re(), cq.im(),
-                          dh_dc_out[q].re(), dh_dc_out[q].im(),
-                          /*accumulate_w=*/1, v.padded_size(), acc);
-        h += em::Cx{acc[0], acc[1]};
-        // w = G^T (g .* cq): partials w.r.t. the first surface p.
-        gq.resize(g.size());
-        kn.cmul(g.re(), g.im(), cq.re(), cq.im(), gq.re(), gq.im(),
-                g.padded_size());
-        w.resize(f.size());
-        kn.cmatvec_t(G.re(), G.im(), G.rows(), G.stride(), G.stride(),
-                     gq.re(), gq.im(), w.re(), w.im());
-        kn.cmul_accum(w.re(), w.im(), f.re(), f.im(), dh_dc_out[p].re(),
-                      dh_dc_out[p].im(), f.padded_size());
-      }
+  thread_local em::CxPlanes u_tls, v_tls, gq_tls, w_tls;
+  em::CxPlanes& u = u_tls;
+  em::CxPlanes& v = v_tls;
+  em::CxPlanes& gq = gq_tls;
+  em::CxPlanes& w = w_tls;
+  for (std::size_t p = 0; p < panels_.size(); ++p) {
+    for (std::size_t q = 0; q < panels_.size(); ++q) {
+      if (p == q) continue;
+      const em::CxPlaneMat& G = statics_->cascades[q][p];
+      if (G.rows() == 0) continue;
+      if (!panels_[p]->serves(tx_.position, panels_[q]->center())) continue;
+      if (!panels_[q]->serves(panels_[p]->center(), rx)) continue;
+      const em::CxPlanes& f = statics_->f[p];
+      const em::CxPlanes& g = row.g[q];
+      const em::CxPlanes& cp = coefficients[p];
+      const em::CxPlanes& cq = coefficients[q];
+      // u = diag(cp) f ; v = G u ; term = sum_m (g_m v_m) cq_m and
+      // dh_q += g .* v.
+      u.resize(f.size());
+      kn.cmul(cp.re(), cp.im(), f.re(), f.im(), u.re(), u.im(),
+              f.padded_size());
+      v.resize(G.rows());
+      kn.cmatvec(G.re(), G.im(), G.rows(), G.stride(), G.stride(), u.re(),
+                 u.im(), v.re(), v.im());
+      kn.cdot3_partials(g.re(), g.im(), v.re(), v.im(), cq.re(), cq.im(),
+                        dh_dc_out[q].re(), dh_dc_out[q].im(),
+                        /*accumulate_w=*/1, v.padded_size(), acc);
+      h += em::Cx{acc[0], acc[1]};
+      // w = G^T (g .* cq): partials w.r.t. the first surface p.
+      gq.resize(g.size());
+      kn.cmul(g.re(), g.im(), cq.re(), cq.im(), gq.re(), gq.im(),
+              g.padded_size());
+      w.resize(f.size());
+      kn.cmatvec_t(G.re(), G.im(), G.rows(), G.stride(), G.stride(),
+                   gq.re(), gq.im(), w.re(), w.im());
+      kn.cmul_accum(w.re(), w.im(), f.re(), f.im(), dh_dc_out[p].re(),
+                    dh_dc_out[p].im(), f.padded_size());
     }
   }
 

@@ -53,7 +53,6 @@ namespace surfos::sim {
 
 struct ChannelOptions {
   TracerOptions tracer;          ///< Direct-component ray tracing options.
-  bool include_surface_cascades = true;  ///< Panel-to-panel double bounces.
 };
 
 /// Transmitter description.
@@ -90,7 +89,7 @@ class SceneChannel {
   /// Direct (non-surface) channel to RX j.
   em::Cx direct(std::size_t j) const { return rows_.at(j)->h_dir; }
   /// Panel p -> panel q cascade matrix (rows: q elements, cols: p elements);
-  /// empty when cascades are disabled or geometry forbids the hop.
+  /// empty when geometry forbids the hop.
   em::CMat cascade(std::size_t q, std::size_t p) const;
 
   /// Zero-copy SoA views of the precomputed vectors/matrices.

@@ -5,17 +5,8 @@
 
 namespace surfos::sim {
 
-namespace {
-
-/// 256 MiB default budget: ~2000 64-element rows or a few dozen multi-panel
-/// scene statics — generous for a fleet of distinct rooms, bounded for a
-/// long-running daemon.
-constexpr std::size_t kDefaultCacheBytes = 256u << 20;
-
-}  // namespace
-
 std::size_t precompute_cache_bytes() noexcept {
-  return core::knob("SURFOS_PRECOMPUTE_CACHE", kDefaultCacheBytes, 0);
+  return core::knob(core::Knob::kPrecomputeCache);
 }
 
 PrecomputeStore& PrecomputeStore::instance() {

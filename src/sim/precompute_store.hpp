@@ -45,8 +45,8 @@
 
 namespace surfos::sim {
 
-/// The store's byte budget, from SURFOS_PRECOMPUTE_CACHE (bytes; 0 = no
-/// caching beyond pinned entries). Re-read per insert, so surfos-ctl
+/// The store's byte budget, from SURFOS_PRECOMPUTE_CACHE (bytes, default
+/// 256 MiB; 0 = no caching beyond pinned entries). Re-read per insert, so surfos-ctl
 /// set-knob takes effect at the next publish.
 std::size_t precompute_cache_bytes() noexcept;
 

@@ -1,24 +1,17 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
+
+#include "core/config.hpp"
 
 namespace surfos::telemetry {
 
 namespace {
 
-bool enabled_from_env() noexcept {
-  const char* env = std::getenv("SURFOS_TELEMETRY");
-  if (env == nullptr) return true;
-  return std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0 &&
-         std::strcmp(env, "false") != 0;
-}
-
 std::atomic<bool>& enabled_flag() noexcept {
-  static std::atomic<bool> flag{enabled_from_env()};
+  static std::atomic<bool> flag{core::knob(core::Knob::kTelemetry) != 0};
   return flag;
 }
 

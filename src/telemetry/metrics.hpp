@@ -25,9 +25,9 @@
 // timings and are always excluded from determinism checks.
 //
 // The whole subsystem sits behind one process-wide switch: `enabled()`,
-// initialized from the SURFOS_TELEMETRY environment variable ("off"/"0"/
-// "false" disable it, anything else — including unset — enables it). When
-// disabled, the instrumentation macros reduce to a single predicted branch.
+// initialized from the SURFOS_TELEMETRY knob (core/config.hpp; construction
+// reload, default 1; 0 disables it). When disabled, the instrumentation
+// macros reduce to a single predicted branch.
 #pragma once
 
 #include <atomic>
@@ -40,7 +40,7 @@
 
 namespace surfos::telemetry {
 
-/// Process-wide telemetry switch (SURFOS_TELEMETRY env; on by default).
+/// Process-wide telemetry switch (SURFOS_TELEMETRY knob; on by default).
 bool enabled() noexcept;
 /// Overrides the switch at runtime (tests / benches measuring overhead).
 void set_enabled(bool on) noexcept;

@@ -21,11 +21,6 @@ namespace surfos::telemetry {
 
 namespace {
 
-std::size_t capacity_from_env() noexcept {
-  // The ring needs at least one slot; invalid values keep the default.
-  return core::knob("SURFOS_TRACE_BUFFER", 65536, 1);
-}
-
 // --- Async-signal-safe formatting helpers ------------------------------------
 // The crash path may run inside a signal handler, where snprintf/malloc are
 // off-limits; everything below bottoms out in byte stores and write(2).
@@ -123,7 +118,7 @@ extern "C" void surfos_trace_signal_handler(int sig) {
 // --- Recorder ----------------------------------------------------------------
 
 Recorder& Recorder::instance() {
-  static Recorder recorder(std::max<std::size_t>(64, capacity_from_env()));
+  static Recorder recorder(core::knob(core::Knob::kTraceBuffer));
   return recorder;
 }
 

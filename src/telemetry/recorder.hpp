@@ -56,8 +56,8 @@ struct TraceEvent {
 
 class Recorder {
  public:
-  /// The process-wide recorder; capacity from SURFOS_TRACE_BUFFER (events,
-  /// default 65536, clamped to >= 64).
+  /// The process-wide recorder; capacity from the SURFOS_TRACE_BUFFER knob
+  /// (events, default 65536, minimum 64).
   static Recorder& instance();
 
   /// Direct construction for tests sizing their own ring.

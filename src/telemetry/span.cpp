@@ -2,17 +2,11 @@
 
 namespace surfos::telemetry {
 
-namespace {
-thread_local Span* t_current_span = nullptr;
-}
-
 Span::Span(const char* name) noexcept : name_(name) {
   if (!enabled()) return;
   // Registration is cold after the first span of a given name; the registry
   // hands back a stable reference.
   histogram_ = &MetricsRegistry::instance().histogram(name_);
-  parent_ = t_current_span;
-  t_current_span = this;
   start_ = std::chrono::steady_clock::now();
   active_ = true;
 }
@@ -20,7 +14,6 @@ Span::Span(const char* name) noexcept : name_(name) {
 Span::~Span() {
   if (!active_) return;
   histogram_->record(elapsed_us());
-  t_current_span = parent_;
 }
 
 double Span::elapsed_us() const noexcept {
@@ -29,14 +22,6 @@ double Span::elapsed_us() const noexcept {
                       std::chrono::steady_clock::now() - start_)
                       .count();
   return static_cast<double>(ns) / 1e3;
-}
-
-const Span* Span::current() noexcept { return t_current_span; }
-
-std::size_t Span::depth() noexcept {
-  std::size_t depth = 0;
-  for (const Span* s = t_current_span; s != nullptr; s = s->parent()) ++depth;
-  return depth;
 }
 
 }  // namespace surfos::telemetry

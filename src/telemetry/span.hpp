@@ -2,21 +2,19 @@
 //
 // A Span times a scope and, on destruction, records the elapsed wall-clock
 // microseconds into the histogram of the same name in the process-wide
-// MetricsRegistry. Spans nest: each thread keeps an implicit stack, so a
-// span opened inside another knows its parent (depth()/current() expose the
-// nesting for traces and debugging). The control cycle uses one span per
-// phase — orch.step.{schedule,optimize,actuate,measure} — and the hot
-// subsystems time their own work (sim.channel.precompute, hal.feedback.sweep,
-// util.pool.run).
+// MetricsRegistry. The control cycle uses one span per phase —
+// orch.step.{schedule,optimize,actuate,measure} — and the hot subsystems
+// time their own work (sim.channel.precompute, hal.feedback.sweep,
+// util.pool.run). A Span knows no parent: span-tree links live in the
+// ambient TraceContext that TraceSpan (trace.hpp) installs.
 //
-// When telemetry is disabled (SURFOS_TELEMETRY=off), constructing a Span is
+// When telemetry is disabled (SURFOS_TELEMETRY=0), constructing a Span is
 // a single branch: no clock read, no registry lookup, nothing recorded, and
 // elapsed_us() returns 0 — timings never leak into supposedly-identical
 // disabled-mode reports.
 #pragma once
 
 #include <chrono>
-#include <cstddef>
 
 #include "telemetry/metrics.hpp"
 
@@ -34,19 +32,12 @@ class Span {
 
   const char* name() const noexcept { return name_; }
   bool active() const noexcept { return active_; }
-  const Span* parent() const noexcept { return parent_; }
 
   /// Microseconds since construction (0 when telemetry is disabled).
   double elapsed_us() const noexcept;
 
-  /// Innermost active span on this thread (nullptr outside any span).
-  static const Span* current() noexcept;
-  /// Nesting depth of the current thread's span stack.
-  static std::size_t depth() noexcept;
-
  private:
   const char* name_;
-  Span* parent_ = nullptr;
   Histogram* histogram_ = nullptr;
   std::chrono::steady_clock::time_point start_{};
   bool active_ = false;

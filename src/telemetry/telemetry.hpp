@@ -3,7 +3,7 @@
 // Call sites use the macros, never the registry directly: each expansion
 // caches its instrument in a function-local static (registration runs once,
 // under the registry mutex) and guards everything behind the process-wide
-// `enabled()` switch, so SURFOS_TELEMETRY=off costs one predicted branch per
+// `enabled()` switch, so SURFOS_TELEMETRY=0 costs one predicted branch per
 // site and nothing else.
 //
 //   SURFOS_COUNT("orch.tasks.admitted");          // +1

@@ -1,24 +1,16 @@
 #include "telemetry/trace.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
+#include "core/config.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace surfos::telemetry {
 
 namespace {
 
-bool trace_enabled_from_env() noexcept {
-  const char* env = std::getenv("SURFOS_TRACE");
-  if (env == nullptr) return false;  // tracing is opt-in
-  return std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0 &&
-         std::strcmp(env, "false") != 0;
-}
-
 std::atomic<bool>& trace_flag() noexcept {
-  static std::atomic<bool> flag{trace_enabled_from_env()};
+  static std::atomic<bool> flag{core::knob(core::Knob::kTrace) != 0};
   return flag;
 }
 

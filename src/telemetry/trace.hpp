@@ -21,7 +21,7 @@
 // The ambient context is a thread-local value installed with a TraceScope
 // (RAII). Installing a scope is unconditional and costs a 16-byte TLS swap —
 // ids must not depend on the SURFOS_TRACE switch — while *recording* trace
-// events is gated on `trace_enabled()` (SURFOS_TRACE env, off by default):
+// events is gated on `trace_enabled()` (the SURFOS_TRACE knob, 0 by default):
 // with tracing off a SURFOS_TRACE_SPAN site pays the same single predicted
 // branch contract as the PR 3 metrics macros, plus its plain Span timing.
 #pragma once
@@ -35,9 +35,10 @@ namespace surfos::telemetry {
 using TraceId = std::uint64_t;
 using SpanId = std::uint64_t;
 
-/// Process-wide tracing switch (SURFOS_TRACE env; *off* by default — the
+/// Process-wide tracing switch, initialized from the SURFOS_TRACE knob
+/// (construction reload; 0 = off, the default, any other value = on). The
 /// opposite polarity of the metrics switch, because tracing buys a bounded
-/// ring buffer and per-span recorder writes).
+/// ring buffer and per-span recorder writes.
 bool trace_enabled() noexcept;
 /// Overrides the switch at runtime (tests / benches / examples).
 void set_trace_enabled(bool on) noexcept;
@@ -95,7 +96,8 @@ class TraceScope {
 /// context and installing itself as the ambient span for the duration.
 ///
 /// `name` must have static storage duration (string literals), the same
-/// contract as Span: both the span stack and the recorder store the pointer.
+/// contract as Span: both the histogram registry and the recorder keep the
+/// pointer.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name) noexcept;

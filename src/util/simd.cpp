@@ -64,6 +64,8 @@ bool parse_backend(const char* s, Backend* out) {
 }
 
 const Ops* resolve_from_env() {
+  // The one SURFOS_* read outside core::knob: it names a code path, not a
+  // size, and the precompute digest needs it fixed before the first kernel.
   const char* env = std::getenv("SURFOS_SIMD");
   if (env != nullptr && *env != '\0' && std::strcmp(env, "auto") != 0) {
     Backend requested;

@@ -23,13 +23,13 @@ namespace {
 thread_local bool t_in_region = false;
 
 std::size_t auto_degree() {
+  // The pool is built once per process, so SURFOS_THREADS is a
+  // construction-time knob; its default 0 means one worker per core.
+  if (const std::size_t threads = core::knob(core::Knob::kThreads)) {
+    return threads;
+  }
   const unsigned hw = std::thread::hardware_concurrency();
-  // SURFOS_THREADS needs at least 1 worker; invalid values fall back to
-  // the detected core count.
-  // Routed through the config snapshot (core/config.hpp): the pool is
-  // built once per process, so this is a construction-time knob — the
-  // daemon snapshots it before spawning any worker.
-  return core::knob("SURFOS_THREADS", hw > 0 ? hw : 1, 1);
+  return hw > 0 ? hw : 1;
 }
 
 /// One parallel_for in flight: a chunk cursor plus completion accounting.

@@ -39,8 +39,8 @@ namespace surfos::util {
 class ThreadPool {
  public:
   /// `threads` is the total parallelism degree (calling thread included).
-  /// 0 means "auto": the SURFOS_THREADS environment variable if set and
-  /// valid, otherwise std::thread::hardware_concurrency().
+  /// 0 means "auto": the SURFOS_THREADS knob when it is not 0, otherwise
+  /// std::thread::hardware_concurrency().
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -78,7 +78,7 @@ class ThreadPool {
 };
 
 /// The process-wide pool, lazily constructed on first use. Sized from
-/// SURFOS_THREADS when set (>= 1), else hardware concurrency.
+/// SURFOS_THREADS when it is not 0, else hardware concurrency.
 ThreadPool& global_pool();
 
 /// Re-sizes the process-wide pool (tests / benches measuring scaling).

@@ -12,6 +12,7 @@
 
 #include "broker/admission.hpp"
 #include "broker/broker.hpp"
+#include "core/config.hpp"
 #include "core/surfos.hpp"
 #include "sim/floorplan.hpp"
 #include "surface/catalog.hpp"
@@ -28,6 +29,18 @@ AdmissionRequest request(std::string app_id, orch::Priority priority) {
   r.priority = priority;
   return r;
 }
+
+/// Installs a daemon config whose SURFOS_ADMIT_QUEUE is `capacity` for the
+/// scope's lifetime: the queue reads its capacity on every submit.
+class QueueCapacity {
+ public:
+  explicit QueueCapacity(std::size_t capacity) {
+    core::Config config;
+    EXPECT_TRUE(config.set("SURFOS_ADMIT_QUEUE", capacity).ok());
+    core::install_config(config);
+  }
+  ~QueueCapacity() { core::clear_config(); }
+};
 
 std::vector<std::string> drain(AdmissionQueue& queue, std::size_t max) {
   std::vector<std::string> admitted;
@@ -112,9 +125,8 @@ TEST(AdmissionQueue, TokenBudgetDefersAGreedyAppWithinOnePump) {
 }
 
 TEST(AdmissionQueue, FullQueueShedsOnlyLowestPriorityWork) {
-  AdmissionOptions options;
-  options.capacity = 4;
-  AdmissionQueue queue(options);
+  const QueueCapacity capacity(4);
+  AdmissionQueue queue;
   ASSERT_TRUE(queue.submit(request("bg0", orch::kPriorityBackground)));
   ASSERT_TRUE(queue.submit(request("bg1", orch::kPriorityBackground)));
   ASSERT_TRUE(queue.submit(request("n0", orch::kPriorityNormal)));
@@ -137,9 +149,9 @@ TEST(AdmissionQueue, FullQueueShedsOnlyLowestPriorityWork) {
 TEST(AdmissionQueue, AdmissionAndShedIdenticalAcrossThreadCounts) {
   // The queue is pure sequential state; pin that no pool configuration can
   // leak into admission order or shed decisions.
+  const QueueCapacity capacity(16);
   const auto run = [] {
     AdmissionOptions options;
-    options.capacity = 16;
     options.tokens_per_app = 2;
     AdmissionQueue queue(options);
     util::Rng rng(1234);

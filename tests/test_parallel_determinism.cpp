@@ -57,11 +57,9 @@ struct Scene {
   }
 
   std::unique_ptr<sim::SceneChannel> make_channel() const {
-    sim::ChannelOptions options;
-    options.include_surface_cascades = true;
     return std::make_unique<sim::SceneChannel>(
         scenario.environment.get(), em::band_center(scenario.band),
-        scenario.ap(), panels, scenario.room_grid.points(), nullptr, options);
+        scenario.ap(), panels, scenario.room_grid.points());
   }
 
   std::vector<surface::SurfaceConfig> focus_configs() const {
@@ -247,25 +245,33 @@ TEST(ParallelDeterminism, BatchOptimizersBitIdentical) {
 
 TEST(ParallelDeterminism, SpanDepthRestoredAfterParallelForException) {
   telemetry::set_enabled(true);
+  telemetry::set_trace_enabled(true);
   util::reset_global_pool(kThreadedDegree);
-  ASSERT_EQ(telemetry::Span::depth(), 0u);
+  const telemetry::TraceContext root = telemetry::current_trace();
   {
-    telemetry::Span outer("test.par.outer");
-    // Worker-side spans unwind with the exception; the pool rethrows the
-    // lowest-index chunk's error on the submitting thread, whose own span
-    // stack must be untouched.
+    const telemetry::TraceScope scope(
+        {telemetry::make_trace_id(7, 1), 0});
+    telemetry::TraceSpan outer("test.par.outer");
+    const telemetry::TraceContext ambient = telemetry::current_trace();
+    ASSERT_EQ(ambient.span_id, outer.context().span_id);
+    // Worker-side traced spans unwind with the exception; the pool rethrows
+    // the lowest-index chunk's error on the submitting thread, whose
+    // ambient context must be the one it had before the loop.
     EXPECT_THROW(util::parallel_for(0, 64,
                                     [](std::size_t i) {
-                                      telemetry::Span inner("test.par.inner");
+                                      telemetry::TraceSpan inner(
+                                          "test.par.inner");
                                       if (i % 16 == 1) {
                                         throw std::runtime_error("boom");
                                       }
                                     }),
                  std::runtime_error);
-    EXPECT_EQ(telemetry::Span::depth(), 1u);
-    EXPECT_EQ(telemetry::Span::current(), &outer);
+    EXPECT_EQ(telemetry::current_trace().trace_id, ambient.trace_id);
+    EXPECT_EQ(telemetry::current_trace().span_id, ambient.span_id);
   }
-  EXPECT_EQ(telemetry::Span::depth(), 0u);
+  EXPECT_EQ(telemetry::current_trace().trace_id, root.trace_id);
+  EXPECT_EQ(telemetry::current_trace().span_id, root.span_id);
+  telemetry::set_trace_enabled(false);
   util::reset_global_pool(1);
 }
 

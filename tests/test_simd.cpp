@@ -2,9 +2,7 @@
 // the scalar reference backend on every kernel — including tail lanes
 // (n not a multiple of kWidth), unaligned operand pointers, and the
 // composed channel/orchestrator results — and the SURFOS_SIMD override
-// machinery must select what it claims. Shared env-knob parsing
-// (util::env_size, which SURFOS_THREADS and friends go through) is
-// covered here too since SURFOS_SIMD is the sibling knob.
+// machinery must select what it claims.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,7 +19,6 @@
 #include "sim/floorplan.hpp"
 #include "sim/raytracer.hpp"
 #include "surface/panel.hpp"
-#include "util/env.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -300,11 +297,9 @@ struct Scene {
   }
 
   std::unique_ptr<sim::SceneChannel> make_channel() const {
-    sim::ChannelOptions options;
-    options.include_surface_cascades = true;
     return std::make_unique<sim::SceneChannel>(
         scenario.environment.get(), em::band_center(scenario.band),
-        scenario.ap(), panels, scenario.room_grid.points(), nullptr, options);
+        scenario.ap(), panels, scenario.room_grid.points());
   }
 
   std::vector<surface::SurfaceConfig> focus_configs() const {
@@ -441,35 +436,6 @@ TEST(SimdChannel, StepReportsIdenticalWithVectorPathOnAndOff) {
         << simd::backend_name(b);
     EXPECT_EQ(ref.trace.config_writes, got.trace.config_writes);
   }
-}
-
-// --- env-knob parsing --------------------------------------------------------
-
-TEST(EnvSize, RejectsNegativesJunkAndRange) {
-  const char* knob = "SURFOS_TEST_KNOB";
-  const auto with = [&](const char* value) {
-    ::setenv(knob, value, 1);
-    const std::size_t got = util::env_size(knob, 64, 0);
-    ::unsetenv(knob);
-    return got;
-  };
-  ::unsetenv(knob);
-  EXPECT_EQ(util::env_size(knob, 64, 0), 64u);  // unset -> default
-  EXPECT_EQ(with(""), 64u);                     // empty -> default
-  EXPECT_EQ(with("0"), 0u);                     // 0 is valid ("disabled")
-  EXPECT_EQ(with("128"), 128u);
-  EXPECT_EQ(with("-1"), 64u);    // the old strtoul wrap bug
-  EXPECT_EQ(with("-999"), 64u);
-  EXPECT_EQ(with("12abc"), 64u);  // trailing junk
-  EXPECT_EQ(with("abc"), 64u);
-  EXPECT_EQ(with("99999999999999999999999999"), 64u);  // out of range
-
-  // min_value floors: a knob needing >= 1 rejects 0.
-  ::setenv(knob, "0", 1);
-  EXPECT_EQ(util::env_size(knob, 4, 1), 4u);
-  ::setenv(knob, "3", 1);
-  EXPECT_EQ(util::env_size(knob, 4, 1), 3u);
-  ::unsetenv(knob);
 }
 
 }  // namespace

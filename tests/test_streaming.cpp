@@ -10,8 +10,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -26,6 +28,7 @@
 #include "daemon/tags.hpp"
 #include "proto/serialize.hpp"
 #include "proto/wire.hpp"
+#include "telemetry/recorder.hpp"
 #include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 
@@ -617,16 +620,37 @@ TEST_F(StreamingTest, TraceCursorPaginationDrainsWithoutDuplicates) {
   EXPECT_TRUE(done);
   EXPECT_GT(seen.size(), 16u);  // really paginated, not a one-shot
 
-  // Legacy mode: a request without cursor tags still answers one-shot JSON.
-  const auto legacy =
+  // A request without cursor tags gets the first page: cursor 0, limit 512.
+  // (Its own request span is recorded only after the reply is built.)
+  const std::size_t buffered = telemetry::Recorder::instance().events().size();
+  const auto first =
       daemon.handle_request(make_request(proto::MsgType::kStreamTraces, 0));
-  ASSERT_EQ(legacy.type, proto::MsgType::kTraceChunk);
-  bool has_json = false;
-  proto::TlvReader lr(legacy.payload);
-  while (const auto tlv = lr.next()) {
-    if (tlv->tag == tag::kTraceJson) has_json = true;
+  ASSERT_EQ(first.type, proto::MsgType::kTraceChunk);
+  std::size_t first_events = 0;
+  std::optional<bool> first_done;
+  std::pair<std::uint64_t, std::uint64_t> first_key{0, 0};
+  proto::TlvReader fr(first.payload);
+  while (const auto tlv = fr.next()) {
+    if (tlv->tag == tag::kTraceEvent) {
+      std::uint64_t ts = 0, span = 0;
+      proto::TlvReader n(tlv->value);
+      while (const auto field = n.next()) {
+        if (field->tag == tag::kEvTs) ts = proto::tlv_u64(*field).value_or(0);
+        if (field->tag == tag::kEvSpan) {
+          span = proto::tlv_u64(*field).value_or(0);
+        }
+      }
+      if (first_events++ == 0) first_key = {ts, span};
+    }
+    if (tlv->tag == tag::kTraceDone) {
+      first_done = proto::tlv_u8(*tlv).value_or(0) != 0;
+    }
   }
-  EXPECT_TRUE(has_json);
+  EXPECT_EQ(first_events, std::min<std::size_t>(buffered, 512));
+  ASSERT_TRUE(first_done.has_value());
+  EXPECT_EQ(*first_done, buffered < 512);
+  // The page starts at the oldest buffered event.
+  EXPECT_EQ(first_key, *seen.begin());
   telemetry::set_trace_enabled(false);
 }
 

@@ -118,24 +118,15 @@ TEST_F(TelemetryTest, FingerprintExcludesSchedulingDependentCounters) {
 }
 
 TEST_F(TelemetryTest, SpanNestsAndRecordsIntoHistogram) {
-  EXPECT_EQ(telemetry::Span::current(), nullptr);
-  EXPECT_EQ(telemetry::Span::depth(), 0u);
   {
     telemetry::Span outer("test.span.outer");
     EXPECT_TRUE(outer.active());
-    EXPECT_EQ(telemetry::Span::current(), &outer);
-    EXPECT_EQ(telemetry::Span::depth(), 1u);
-    EXPECT_EQ(outer.parent(), nullptr);
     {
       telemetry::Span inner("test.span.inner");
-      EXPECT_EQ(inner.parent(), &outer);
-      EXPECT_EQ(telemetry::Span::current(), &inner);
-      EXPECT_EQ(telemetry::Span::depth(), 2u);
+      EXPECT_TRUE(inner.active());
       EXPECT_GE(inner.elapsed_us(), 0.0);
     }
-    EXPECT_EQ(telemetry::Span::current(), &outer);
   }
-  EXPECT_EQ(telemetry::Span::depth(), 0u);
   const telemetry::Snapshot snap = MetricsRegistry::instance().snapshot();
   bool outer_seen = false;
   bool inner_seen = false;
@@ -162,7 +153,6 @@ TEST_F(TelemetryTest, DisabledModeIsInert) {
     telemetry::Span span("test.disabled.span");
     EXPECT_FALSE(span.active());
     EXPECT_EQ(span.elapsed_us(), 0.0);
-    EXPECT_EQ(telemetry::Span::current(), nullptr);
   }
   telemetry::set_enabled(true);
   const telemetry::Snapshot snap = MetricsRegistry::instance().snapshot();

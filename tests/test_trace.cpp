@@ -174,8 +174,9 @@ TEST_F(TraceTest, RingBufferKeepsNewestAndCountsDrops) {
 }
 
 TEST_F(TraceTest, BufferCapacityRespectsEnvKnob) {
-  // SURFOS_TRACE_BUFFER is read once for the global instance; direct
-  // construction uses the same clamping rules (>= 64, stripe-rounded).
+  // SURFOS_TRACE_BUFFER sizes the global instance once (its registry row
+  // rejects values below 64); direct construction rounds up to whole
+  // stripes.
   Recorder tiny(/*capacity=*/1, /*stripes=*/8);
   EXPECT_GE(tiny.capacity(), 8u);
   EXPECT_EQ(tiny.capacity() % 8, 0u);

@@ -670,16 +670,12 @@ int main(int argc, char** argv) {
                  while (const auto tlv = r.next()) {
                    if (tlv->tag != tag::kKnob) continue;
                    std::string name, doc;
-                   bool has_value = false;
                    std::uint64_t value = 0;
                    proto::TlvReader n(tlv->value);
                    while (const auto field = n.next()) {
                      switch (field->tag) {
                        case tag::kKnobName:
                          name = proto::tlv_string(*field);
-                         break;
-                       case tag::kKnobHasValue:
-                         has_value = proto::tlv_u8(*field).value_or(0) != 0;
                          break;
                        case tag::kKnobValue:
                          value = proto::tlv_u64(*field).value_or(0);
@@ -690,14 +686,9 @@ int main(int argc, char** argv) {
                        default: break;
                      }
                    }
-                   if (has_value) {
-                     std::printf("%-22s %-10llu %s\n", name.c_str(),
-                                 static_cast<unsigned long long>(value),
-                                 doc.c_str());
-                   } else {
-                     std::printf("%-22s %-10s %s\n", name.c_str(), "(default)",
-                                 doc.c_str());
-                   }
+                   std::printf("%-22s %-10llu %s\n", name.c_str(),
+                               static_cast<unsigned long long>(value),
+                               doc.c_str());
                  }
                });
   }
