@@ -18,7 +18,7 @@
 #include "broker/demand.hpp"
 #include "daemon/client.hpp"
 #include "daemon/daemon.hpp"
-#include "daemon/tags.hpp"
+#include "daemon/messages.hpp"
 #include "proto/serialize.hpp"
 
 using namespace surfos;
@@ -56,13 +56,11 @@ Quantiles quantiles(std::vector<double> samples) {
 }
 
 std::vector<std::uint8_t> demand_payload(const std::string& app_id) {
-  std::vector<std::uint8_t> payload;
-  proto::TlvWriter w(payload);
-  w.put_string(daemon::tag::kAppId, app_id);
-  w.put_bytes(daemon::tag::kDemand,
-              proto::to_wire(broker::demand_profile(
-                  broker::AppClass::kVideoStreaming, "bench-endpoint")));
-  return payload;
+  return proto::to_wire(daemon::SubmitRequest{
+      app_id, {},
+      broker::demand_profile(broker::AppClass::kVideoStreaming,
+                             "bench-endpoint"),
+      {}});
 }
 
 }  // namespace

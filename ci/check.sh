@@ -5,7 +5,9 @@
 #      src/ is SURFOS_SIMD (every other knob is a core::kKnobRegistry row,
 #      read through core::knob); every registry knob has a row in README's
 #      and DESIGN.md's knob tables, and every SURFOS_* row there is a
-#      registry knob or SURFOS_SIMD
+#      registry knob or SURFOS_SIMD. wire: tools/ names no TlvReader and no
+#      tlv_* parser, so the CLI tools decode surfosd's payloads only through
+#      the message codecs (src/daemon/messages.hpp)
 #   1. tier-1: configure + build + full ctest in ./build
 #   2. focused re-runs of the observability suites (ctest -L telemetry,
 #      ctest -L trace), the fleet control-plane suite (ctest -L fleet), the
@@ -24,12 +26,15 @@
 #   5. UBSan build of the SIMD, geometry, EM and sim tests (ctest -L
 #      "simd|geom" in ./build-ubsan); undefined behavior in the lane
 #      kernels, the BVH or the channel precompute fails the run
-#   6. daemon smoke: spawn the real surfosd binary on a temp socket, drive
-#      50 surfos-ctl requests through it, stream >= 20 epochs of kEvent
-#      frames into a `surfos-ctl watch metrics` subscriber and kill it
-#      mid-stream (the daemon must keep serving), require `surfos-ctl knobs`
-#      to print a number on the SURFOS_TRACE and SURFOS_ADMIT_QUEUE rows,
-#      render three surfos-top
+#   6. daemon smoke: spawn the real surfosd binary (SURFOS_TRACE=1) on a
+#      temp socket, drive 50 surfos-ctl requests through it, require
+#      `set-knob SURFOS_THREADS 2` to exit 1 with invalid-argument (a
+#      construction-time row) and `set-knob SURFOS_PUMP_MAX 4x` to exit 2
+#      (not a number), require `surfos-ctl knobs` to print a number on the
+#      SURFOS_TRACE and SURFOS_ADMIT_QUEUE rows, receive three health events
+#      and one traces event from `surfos-ctl watch`, stream >= 20 epochs of
+#      kEvent frames into a `surfos-ctl watch metrics` subscriber and kill it
+#      mid-stream (the daemon must keep serving), render three surfos-top
 #      frames, SIGTERM it, and check for a clean exit, a written snapshot,
 #      and zero leaked fds while serving
 #
@@ -56,6 +61,13 @@ for doc in README.md DESIGN.md; do
   [ -z "$MISSING" ] || { echo "$doc knob table lacks:" $MISSING; exit 1; }
   [ -z "$STRAY" ] || { echo "$doc knob table names unknown knobs:" $STRAY; exit 1; }
 done
+
+echo
+echo "== wire: tools/ decode only through the message codecs"
+if grep -rnE 'TlvReader|tlv_[a-z0-9]+' tools; then
+  echo "tools/ parses TLV by hand; decode through src/daemon/messages.hpp"
+  exit 1
+fi
 
 echo
 echo "== tier 1: build + full test suite (build/)"
@@ -131,7 +143,8 @@ cmake --build build -j"$JOBS" --target surfosd surfos-ctl surfos-status surfos-t
 SMOKE_SOCK="$(mktemp -u /tmp/surfosd_ci_XXXXXX.sock)"
 SMOKE_SNAP="$(mktemp -u /tmp/surfosd_ci_XXXXXX.snap)"
 WATCH_LOG="$(mktemp /tmp/surfosd_ci_watch_XXXXXX.log)"
-./build/tools/surfosd --socket "$SMOKE_SOCK" --snapshot "$SMOKE_SNAP" --epoch-ms 5 &
+SURFOS_TRACE=1 ./build/tools/surfosd --socket "$SMOKE_SOCK" \
+  --snapshot "$SMOKE_SNAP" --epoch-ms 5 &
 SMOKE_PID=$!
 trap 'kill -9 $SMOKE_PID 2>/dev/null || true; rm -f "$SMOKE_SOCK" "$SMOKE_SNAP" "$WATCH_LOG"' EXIT
 for _ in $(seq 1 50); do
@@ -148,6 +161,16 @@ FDS_BEFORE=$(ls /proc/$SMOKE_PID/fd | wc -l)
 for i in $(seq 1 20); do "${CTL[@]}" status > /dev/null; done
 for i in $(seq 1 20); do "${CTL[@]}" metrics > /dev/null; done
 "${CTL[@]}" set-knob SURFOS_PUMP_MAX 4
+# A construction-time row is refused (exit 1, invalid-argument); a value
+# that is not a plain base-10 u64 is a usage error (exit 2).
+KNOB_RC=0
+KNOB_OUT="$("${CTL[@]}" set-knob SURFOS_THREADS 2 2>&1)" || KNOB_RC=$?
+if [ "$KNOB_RC" -ne 1 ] || ! echo "$KNOB_OUT" | grep -q "invalid-argument"; then
+  echo "set-knob SURFOS_THREADS 2: exit $KNOB_RC, '$KNOB_OUT'"; exit 1
+fi
+KNOB_RC=0
+"${CTL[@]}" set-knob SURFOS_PUMP_MAX 4x 2>/dev/null || KNOB_RC=$?
+[ "$KNOB_RC" -eq 2 ] || { echo "set-knob SURFOS_PUMP_MAX 4x: exit $KNOB_RC"; exit 1; }
 KNOBS_OUT="$("${CTL[@]}" knobs)"
 for knob in SURFOS_TRACE SURFOS_ADMIT_QUEUE; do
   echo "$KNOBS_OUT" | grep -qE "^$knob +[0-9]+ " ||
@@ -158,6 +181,13 @@ done
 "${CTL[@]}" snapshot
 "${CTL[@]}" traces > /dev/null
 ./build/tools/surfos-status --socket "$SMOKE_SOCK"
+# Every topic's events decode: three health events, and one traces event
+# from the flight recorder SURFOS_TRACE=1 turned on.
+[ "$(timeout 20 "${CTL[@]}" watch health --count 3 2>/dev/null |
+  grep -c '^event topic=health')" -eq 3 ] ||
+  { echo "watch health did not print three events"; exit 1; }
+timeout 20 "${CTL[@]}" watch traces --count 1 2>/dev/null |
+  grep -q '^  trace ' || { echo "watch traces printed no trace record"; exit 1; }
 # Live streaming: a watch subscriber rides the 5 ms ticker for >= 20 epochs
 # of kEvent frames, then dies mid-stream (SIGKILL: no unsubscribe, no
 # orderly close). The daemon must drop the connection and keep serving.

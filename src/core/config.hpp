@@ -13,8 +13,9 @@
 //     defaults, `Config::from_env()` the environment value or the default.
 //     surfosd installs `from_env()` at startup, before any thread exists.
 //   - `surfos-ctl set-knob` lands in `set_config_knob()`, which validates the
-//     name and minimum against the row and swaps in an updated copy
-//     atomically (readers hold a shared_ptr; no torn reads).
+//     name and minimum against the row, refuses construction-reload rows,
+//     and swaps in an updated copy atomically (readers hold a shared_ptr;
+//     no torn reads).
 //
 // Hot-reload granularity is the reader's re-read cadence: per control epoch
 // (pump budget, daemon epoch period), per submit (admission capacity), or
@@ -224,12 +225,20 @@ inline std::shared_ptr<const Config> config_snapshot() {
 
 /// Copy-update-swap: readers holding the old snapshot finish with old
 /// values; the next knob() sees the new one. No snapshot installed is an
-/// error — set-knob only makes sense under a daemon.
+/// error — set-knob only makes sense under a daemon — and so is a
+/// construction-reload row, which a running process never re-reads.
 inline Result<void> set_config_knob(std::string_view name, std::size_t value) {
   auto& slot = detail::config_slot();
   const std::lock_guard<std::mutex> lock(slot.mutex);
   if (!slot.snapshot) {
     return {ErrorCode::kUnavailable, "no config snapshot installed"};
+  }
+  if (const KnobSpec* spec = find_knob(name);
+      spec != nullptr && spec->reload == KnobReload::kConstruction) {
+    return {ErrorCode::kInvalidArgument,
+            std::string(name) +
+                " is read at construction: set it in the environment "
+                "before start"};
   }
   Config updated = *slot.snapshot;
   if (Result<void> set = updated.set(name, value); !set.ok()) {

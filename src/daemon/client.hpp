@@ -21,9 +21,11 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/status.hpp"
+#include "daemon/messages.hpp"
 #include "proto/wire.hpp"
 
 namespace surfos::daemon {
@@ -47,6 +49,14 @@ class Client {
                                 std::span<const std::uint8_t> payload,
                                 std::uint64_t trace_id = 0);
 
+  /// call() with the payloads decoded through daemon/messages.hpp: a kError
+  /// reply comes back as its Error, a reply of type Reply::kType as `Reply`
+  /// (a kOk reply, decoded to nothing, for void). A reply of any other type,
+  /// or one that does not decode, is kMalformedFrame.
+  template <typename Reply>
+  Result<Reply> request(proto::MsgType type,
+                        std::span<const std::uint8_t> payload);
+
   /// Writes one request frame without waiting for anything back. Returns
   /// the trace id actually sent (minted when `trace_id` is 0).
   Result<std::uint64_t> send(proto::MsgType type,
@@ -66,5 +76,34 @@ class Client {
   std::uint64_t seq_ = 0;
   std::vector<std::uint8_t> buf_;  ///< Bytes read but not yet decoded.
 };
+
+template <typename Reply>
+Result<Reply> Client::request(proto::MsgType type,
+                              std::span<const std::uint8_t> payload) {
+  auto reply = call(type, payload);
+  if (!reply.ok()) return std::move(reply).error();
+  const std::vector<std::uint8_t>& bytes = reply.value().payload;
+  if (reply.value().type == proto::MsgType::kError) {
+    Error error;
+    (void)from_wire(bytes, error);  // undecodable: kInternal, no message
+    return error;
+  }
+  proto::MsgType expected = proto::MsgType::kOk;
+  if constexpr (!std::is_void_v<Reply>) expected = Reply::kType;
+  if (reply.value().type != expected) {
+    return Error{ErrorCode::kMalformedFrame,
+                 "unexpected reply type " +
+                     std::to_string(static_cast<int>(reply.value().type))};
+  }
+  if constexpr (std::is_void_v<Reply>) {
+    return {};
+  } else {
+    Reply decoded;
+    if (auto parsed = from_wire(bytes, decoded); !parsed.ok()) {
+      return std::move(parsed).error();
+    }
+    return decoded;
+  }
+}
 
 }  // namespace surfos::daemon

@@ -15,8 +15,8 @@
 
 #include "broker/admission.hpp"
 #include "core/config.hpp"
+#include "daemon/messages.hpp"
 #include "daemon/snapshot.hpp"
-#include "daemon/tags.hpp"
 #include "em/material.hpp"
 #include "proto/serialize.hpp"
 #include "sim/precompute_store.hpp"
@@ -53,15 +53,24 @@ proto::WireFrame reply_frame(proto::MsgType type, std::uint64_t trace_id) {
 
 proto::WireFrame error_reply(std::uint64_t trace_id, const Error& error) {
   proto::WireFrame frame = reply_frame(proto::MsgType::kError, trace_id);
-  proto::TlvWriter w(frame.payload);
-  w.put_u32(tag::kErrorCode, static_cast<std::uint32_t>(error.code));
-  w.put_string(tag::kErrorMessage, error.message);
+  to_wire(error, frame.payload);
   return frame;
 }
 
 proto::WireFrame error_reply(std::uint64_t trace_id, ErrorCode code,
                              const std::string& message) {
   return error_reply(trace_id, Error{code, message});
+}
+
+/// Decodes a request's payload into `msg`; the kError reply when it does
+/// not decode.
+template <typename Msg>
+std::optional<proto::WireFrame> decode_failure(const proto::WireFrame& request,
+                                               Msg& msg) {
+  if (auto parsed = from_wire(request.payload, msg); !parsed.ok()) {
+    return error_reply(request.trace_id, parsed.error());
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -303,233 +312,127 @@ proto::WireFrame Daemon::handle_request(const proto::WireFrame& request,
 }
 
 proto::WireFrame Daemon::handle_hello(const proto::WireFrame& request) {
-  std::uint16_t client_max = proto::kProtoVersion;
-  proto::TlvReader r(request.payload);
-  while (const auto tlv = r.next()) {
-    if (tlv->tag == tag::kMaxVersion) {
-      client_max = proto::tlv_u16(*tlv).value_or(proto::kProtoVersion);
-    }
-  }
-  proto::WireFrame reply =
-      reply_frame(proto::MsgType::kHelloAck, request.trace_id);
-  proto::TlvWriter w(reply.payload);
-  w.put_u16(tag::kChosenVersion,
-            std::min<std::uint16_t>(client_max, proto::kProtoVersion));
-  w.put_string(tag::kServerName, "surfosd");
-  return reply;
+  HelloRequest hello;
+  if (auto failed = decode_failure(request, hello)) return *failed;
+  HelloAck ack;
+  ack.chosen_version =
+      std::min<std::uint16_t>(hello.max_version, proto::kProtoVersion);
+  ack.server_name = "surfosd";
+  return make_frame(request.trace_id, ack);
 }
 
 proto::WireFrame Daemon::handle_submit(const proto::WireFrame& request) {
-  std::string app_id;
-  std::string site_id;
-  broker::AppDemand demand;
-  bool have_demand = false;
-  std::optional<orch::Priority> priority;
-  proto::TlvReader r(request.payload);
-  while (const auto tlv = r.next()) {
-    switch (tlv->tag) {
-      case tag::kAppId: app_id = proto::tlv_string(*tlv); break;
-      case tag::kSiteId: site_id = proto::tlv_string(*tlv); break;
-      case tag::kDemand: {
-        if (auto parsed = proto::from_wire(tlv->value, demand);
-            !parsed.ok()) {
-          return error_reply(request.trace_id, parsed.error());
-        }
-        have_demand = true;
-        break;
-      }
-      case tag::kPriority: {
-        if (const auto v = proto::tlv_u64(*tlv)) {
-          priority = static_cast<orch::Priority>(*v);
-        }
-        break;
-      }
-      default: break;
-    }
-  }
-  if (r.truncated() || app_id.empty() || !have_demand) {
+  SubmitRequest submit;
+  if (auto failed = decode_failure(request, submit)) return *failed;
+  if (submit.app_id.empty() || !submit.demand) {
     return error_reply(request.trace_id, ErrorCode::kMalformedFrame,
                        "submit_demand needs app id and demand");
   }
-  Site* site = find_site_entry(site_id);
+  Site* site = find_site_entry(submit.site_id);
   if (site == nullptr) {
     return error_reply(request.trace_id, ErrorCode::kNotFound,
-                       "unknown site: " + site_id);
+                       "unknown site: " + submit.site_id);
   }
-  ensure_endpoint(*site, demand.endpoint_id);
-  if (auto submitted =
-          site->os->broker().submit_demand(app_id, std::move(demand),
-                                           priority);
+  ensure_endpoint(*site, submit.demand->endpoint_id);
+  std::optional<orch::Priority> priority;
+  if (submit.priority) priority = static_cast<orch::Priority>(*submit.priority);
+  if (auto submitted = site->os->broker().submit_demand(
+          submit.app_id, std::move(*submit.demand), priority);
       !submitted.ok()) {
     return error_reply(request.trace_id, submitted.error());
   }
-  proto::WireFrame reply = reply_frame(proto::MsgType::kOk, request.trace_id);
-  proto::TlvWriter w(reply.payload);
-  w.put_u64(tag::kQueueDepth, site->os->broker().admission().depth());
-  return reply;
+  return make_frame(request.trace_id,
+                    SubmitAck{site->os->broker().admission().depth()});
 }
 
 proto::WireFrame Daemon::handle_stop_resume(const proto::WireFrame& request,
                                             bool resume) {
-  std::string app_id;
-  std::string site_id;
-  proto::TlvReader r(request.payload);
-  while (const auto tlv = r.next()) {
-    if (tlv->tag == tag::kAppId) app_id = proto::tlv_string(*tlv);
-    if (tlv->tag == tag::kSiteId) site_id = proto::tlv_string(*tlv);
-  }
-  if (r.truncated() || app_id.empty()) {
+  AppRequest app;
+  if (auto failed = decode_failure(request, app)) return *failed;
+  if (app.app_id.empty()) {
     return error_reply(request.trace_id, ErrorCode::kMalformedFrame,
                        "stop/resume needs an app id");
   }
-  Site* site = find_site_entry(site_id);
+  Site* site = find_site_entry(app.site_id);
   if (site == nullptr) {
     return error_reply(request.trace_id, ErrorCode::kNotFound,
-                       "unknown site: " + site_id);
+                       "unknown site: " + app.site_id);
   }
   broker::ServiceBroker& broker = site->os->broker();
   if (resume) {
     // The endpoint departed at the first GC after the stop; stable_hash puts
     // it back at the same position.
-    if (const auto it = broker.sessions().find(app_id);
+    if (const auto it = broker.sessions().find(app.app_id);
         it != broker.sessions().end()) {
       ensure_endpoint(*site, it->second.demand.endpoint_id);
     }
   }
   const Result<void> result =
-      resume ? broker.resume_app(app_id) : broker.stop_app(app_id);
+      resume ? broker.resume_app(app.app_id) : broker.stop_app(app.app_id);
   if (!result.ok()) return error_reply(request.trace_id, result.error());
   return reply_frame(proto::MsgType::kOk, request.trace_id);
 }
 
 proto::WireFrame Daemon::handle_status(const proto::WireFrame& request) {
-  std::string app_filter;
-  std::string site_filter;
-  proto::TlvReader r(request.payload);
-  while (const auto tlv = r.next()) {
-    if (tlv->tag == tag::kAppId) app_filter = proto::tlv_string(*tlv);
-    if (tlv->tag == tag::kSiteId) site_filter = proto::tlv_string(*tlv);
-  }
-  proto::WireFrame reply =
-      reply_frame(proto::MsgType::kStatusReply, request.trace_id);
-  proto::TlvWriter w(reply.payload);
-  std::uint64_t queue_depth = 0;
+  AppRequest filter;
+  if (auto failed = decode_failure(request, filter)) return *failed;
+  StatusReply reply;
   for (Site& site : sites_) {
-    if (!site_filter.empty() && site.id != site_filter) continue;
-    queue_depth += site.os->broker().admission().depth();
+    if (!filter.site_id.empty() && site.id != filter.site_id) continue;
+    reply.queue_depth += site.os->broker().admission().depth();
     for (const auto& [app_id, session] : site.os->broker().sessions()) {
-      if (!app_filter.empty() && app_id != app_filter) continue;
+      if (!filter.app_id.empty() && app_id != filter.app_id) continue;
       const broker::AppStatus status = site.os->broker().status(app_id);
-      std::vector<std::uint8_t> nested;
-      proto::TlvWriter n(nested);
-      n.put_u16(1, proto::kStructVersion);
-      n.put_string(tag::kSessionApp, app_id);
-      n.put_string(tag::kSessionSite, site.id);
-      n.put_u8(tag::kSessionRunning, session.running ? 1 : 0);
-      n.put_u64(tag::kSessionTrace, session.trace_id);
-      n.put_u8(tag::kSessionSatisfied, status.satisfied ? 1 : 0);
-      n.put_u64(tag::kSessionTasksTotal, status.tasks_total);
-      n.put_u64(tag::kSessionTasksMet, status.tasks_met);
-      w.put_bytes(tag::kSession, nested);
+      reply.sessions.push_back(SessionRow{app_id, site.id, session.running,
+                                          session.trace_id, status.satisfied,
+                                          status.tasks_total,
+                                          status.tasks_met});
     }
   }
-  w.put_u64(tag::kQueueDepth, queue_depth);
-  w.put_u64(tag::kStatusEpochs, stats_.epochs);
+  reply.epochs = stats_.epochs;
   for (const SiteHealth& site : latest_health_) {
-    if (!site_filter.empty() && site.site_id != site_filter) continue;
-    put_site_health(w, tag::kSiteHealth, site);
+    if (filter.site_id.empty() || site.site_id == filter.site_id) {
+      reply.health.push_back(site);
+    }
   }
-  w.put_u8(tag::kFleetHealth,
-           static_cast<std::uint8_t>(SloWatchdog::fleet_state(latest_health_)));
-  return reply;
+  reply.fleet_health = SloWatchdog::fleet_state(latest_health_);
+  return make_frame(request.trace_id, reply);
 }
 
 proto::WireFrame Daemon::handle_metrics(const proto::WireFrame& request) {
-  proto::WireFrame reply =
-      reply_frame(proto::MsgType::kMetricsReply, request.trace_id);
-  proto::TlvWriter w(reply.payload);
-  w.put_bytes(tag::kReport, last_report_wire_);
-  w.put_u64(tag::kEpochs, stats_.epochs);
-  w.put_u64(tag::kRebuilds, stats_.env_rebuilds);
-  w.put_f64(tag::kLastEpochMs, stats_.last_epoch_ms);
-  w.put_u64(tag::kRequests, stats_.requests);
-  const sim::PrecomputeStore::Stats pre = sim::PrecomputeStore::instance().stats();
-  w.put_u64(tag::kPrecomputeHits, pre.hits);
-  w.put_u64(tag::kPrecomputeMisses, pre.misses);
-  w.put_u64(tag::kPrecomputeBytes, pre.bytes);
-  w.put_u64(tag::kPrecomputeEvictions, pre.evictions);
-  return reply;
+  const sim::PrecomputeStore::Stats pre =
+      sim::PrecomputeStore::instance().stats();
+  const MetricsReply reply{last_report_wire_,     stats_.epochs,
+                           stats_.env_rebuilds,   stats_.last_epoch_ms,
+                           stats_.requests,       pre.hits,
+                           pre.misses,            pre.bytes,
+                           pre.evictions};
+  return make_frame(request.trace_id, reply);
 }
 
 proto::WireFrame Daemon::handle_traces(const proto::WireFrame& request) {
-  std::optional<std::uint64_t> cursor_ts;
-  std::optional<std::uint64_t> cursor_span;
-  std::optional<std::uint32_t> limit;
-  proto::TlvReader r(request.payload);
-  while (const auto tlv = r.next()) {
-    if (tlv->tag == tag::kTraceCursorTs) cursor_ts = proto::tlv_u64(*tlv);
-    if (tlv->tag == tag::kTraceCursorSpan) cursor_span = proto::tlv_u64(*tlv);
-    if (tlv->tag == tag::kTraceLimit) limit = proto::tlv_u32(*tlv);
-  }
-  if (r.truncated()) {
-    return error_reply(request.trace_id, ErrorCode::kMalformedFrame,
-                       "truncated stream-traces request");
-  }
+  TracesRequest page_request;
+  if (auto failed = decode_failure(request, page_request)) return *failed;
   const auto events = telemetry::Recorder::instance().events();
-  proto::WireFrame reply =
-      reply_frame(proto::MsgType::kTraceChunk, request.trace_id);
-  proto::TlvWriter w(reply.payload);
-  // A request without cursor tags gets the first page.
   const std::size_t page =
-      std::clamp<std::size_t>(limit.value_or(512), 1, 4096);
+      std::clamp<std::size_t>(page_request.limit, 1, 4096);
   const auto slice = telemetry::events_after(
-      events, cursor_ts.value_or(0), cursor_span.value_or(0), page);
+      events, page_request.cursor_ts, page_request.cursor_span, page);
+  TraceChunk chunk;
   for (const auto& event : slice) {
-    put_trace_event(w, tag::kTraceEvent, event);
+    chunk.events.push_back(TraceRecord::from_event(event));
   }
-  w.put_u64(tag::kEventCount, slice.size());
-  const std::uint64_t next_ts =
-      slice.empty() ? cursor_ts.value_or(0) : slice.back().ts_ns;
-  const std::uint64_t next_span =
-      slice.empty() ? cursor_span.value_or(0) : slice.back().span_id;
-  w.put_u64(tag::kTraceNextTs, next_ts);
-  w.put_u64(tag::kTraceNextSpan, next_span);
-  w.put_u8(tag::kTraceDone, slice.size() < page ? 1 : 0);
-  return reply;
+  chunk.next_ts = slice.empty() ? page_request.cursor_ts : slice.back().ts_ns;
+  chunk.next_span =
+      slice.empty() ? page_request.cursor_span : slice.back().span_id;
+  chunk.done = slice.size() < page;
+  return make_frame(request.trace_id, chunk);
 }
 
 proto::WireFrame Daemon::handle_subscribe(const proto::WireFrame& request,
                                           int client_fd) {
   SubscriptionSpec spec;
-  bool have_topic = false;
-  proto::TlvReader r(request.payload);
-  while (const auto tlv = r.next()) {
-    switch (tlv->tag) {
-      case tag::kSubTopic: {
-        if (const auto v = proto::tlv_u8(*tlv);
-            v && *v >= static_cast<std::uint8_t>(SubTopic::kMetrics) &&
-            *v <= static_cast<std::uint8_t>(SubTopic::kHealth)) {
-          spec.topic = static_cast<SubTopic>(*v);
-          have_topic = true;
-        }
-        break;
-      }
-      case tag::kSubInterval:
-        spec.interval = proto::tlv_u32(*tlv).value_or(1);
-        break;
-      case tag::kSubSite: spec.site_filter = proto::tlv_string(*tlv); break;
-      case tag::kSubPrefix: spec.prefix = proto::tlv_string(*tlv); break;
-      default: break;
-    }
-  }
-  if (r.truncated() || !have_topic) {
-    return error_reply(request.trace_id, ErrorCode::kMalformedFrame,
-                       "subscribe needs a topic (metrics|traces|health)");
-  }
-  if (client_fd < 0) {
-    return error_reply(request.trace_id, ErrorCode::kUnavailable,
-                       "subscriptions need a streaming connection");
-  }
+  if (auto failed = decode_failure(request, spec)) return *failed;
   spec.interval = std::max<std::uint32_t>(1, spec.interval);
   const auto subscribed = subs_.subscribe(client_fd, spec);
   if (!subscribed.ok()) {
@@ -538,23 +441,16 @@ proto::WireFrame Daemon::handle_subscribe(const proto::WireFrame& request,
   SURFOS_INFO(kLog) << "subscription " << subscribed.value() << " opened: "
                     << sub_topic_name(spec.topic) << " every "
                     << spec.interval << " epoch(s)";
-  proto::WireFrame reply =
-      reply_frame(proto::MsgType::kSubscribeAck, request.trace_id);
-  proto::TlvWriter w(reply.payload);
-  w.put_u64(tag::kSubId, subscribed.value());
-  w.put_u8(tag::kSubTopic, static_cast<std::uint8_t>(spec.topic));
-  w.put_u32(tag::kSubInterval, spec.interval);
-  return reply;
+  return make_frame(request.trace_id,
+                    SubscribeAck{subscribed.value(), spec.topic,
+                                 spec.interval});
 }
 
 proto::WireFrame Daemon::handle_unsubscribe(const proto::WireFrame& request,
                                             int client_fd) {
-  std::optional<std::uint64_t> sub_id;
-  proto::TlvReader r(request.payload);
-  while (const auto tlv = r.next()) {
-    if (tlv->tag == tag::kSubId) sub_id = proto::tlv_u64(*tlv);
-  }
-  if (r.truncated() || !sub_id) {
+  UnsubscribeRequest unsubscribe;
+  if (auto failed = decode_failure(request, unsubscribe)) return *failed;
+  if (unsubscribe.sub_id == 0) {
     return error_reply(request.trace_id, ErrorCode::kMalformedFrame,
                        "unsubscribe needs a subscription id");
   }
@@ -562,7 +458,8 @@ proto::WireFrame Daemon::handle_unsubscribe(const proto::WireFrame& request,
     return error_reply(request.trace_id, ErrorCode::kUnavailable,
                        "subscriptions need a streaming connection");
   }
-  if (auto removed = subs_.unsubscribe(client_fd, *sub_id); !removed.ok()) {
+  if (auto removed = subs_.unsubscribe(client_fd, unsubscribe.sub_id);
+      !removed.ok()) {
     return error_reply(request.trace_id, removed.error());
   }
   return reply_frame(proto::MsgType::kOk, request.trace_id);
@@ -579,50 +476,33 @@ proto::WireFrame Daemon::handle_snapshot(const proto::WireFrame& request) {
   snapshot.last_report_wire = last_report_wire_;
   for (Site& site : sites_) {
     for (const auto& [app_id, session] : site.os->broker().sessions()) {
-      SessionRecord record;
-      record.site_id = site.id;
-      record.app_id = app_id;
-      record.running = session.running;
-      record.trace_id = session.trace_id;
-      record.demand = session.demand;
-      snapshot.sessions.push_back(std::move(record));
+      snapshot.sessions.push_back(SessionRecord{
+          site.id, app_id, session.running, session.trace_id, session.demand});
     }
     for (const auto& queued : site.os->broker().admission().pending()) {
-      QueuedRecord record;
-      record.site_id = site.id;
-      record.app_id = queued.app_id;
-      record.priority = static_cast<std::uint64_t>(queued.priority);
-      record.demand = queued.demand;
-      snapshot.queued.push_back(std::move(record));
+      snapshot.queued.push_back(QueuedRecord{
+          site.id, queued.app_id, static_cast<std::uint64_t>(queued.priority),
+          queued.demand});
     }
     snapshot.trace_seqs.push_back(
         SeqRecord{site.id, site.os->broker().trace_seq()});
     for (const std::string& endpoint_id : site.auto_endpoints) {
-      const auto* endpoint =
-          site.os->registry().find_endpoint(endpoint_id);
+      const auto* endpoint = site.os->registry().find_endpoint(endpoint_id);
       if (endpoint == nullptr) continue;
-      EndpointRecord record;
-      record.site_id = site.id;
-      record.endpoint_id = endpoint_id;
-      record.kind = static_cast<std::uint8_t>(endpoint->kind);
-      record.x = endpoint->position.x;
-      record.y = endpoint->position.y;
-      record.z = endpoint->position.z;
-      snapshot.endpoints.push_back(std::move(record));
+      const geom::Vec3& at = endpoint->position;
+      snapshot.endpoints.push_back(
+          EndpointRecord{site.id, endpoint_id,
+                         static_cast<std::uint8_t>(endpoint->kind), at.x,
+                         at.y, at.z});
     }
   }
-  if (auto saved = save_snapshot_file(snapshot, options_.snapshot_path);
-      !saved.ok()) {
-    return error_reply(request.trace_id, saved.error());
-  }
+  const auto saved = save_snapshot_file(snapshot, options_.snapshot_path);
+  if (!saved.ok()) return error_reply(request.trace_id, saved.error());
   SURFOS_INFO(kLog) << "snapshot written to " << options_.snapshot_path
                     << " (" << snapshot.sessions.size() << " session(s), "
                     << snapshot.queued.size() << " queued)";
-  proto::WireFrame reply = reply_frame(proto::MsgType::kOk, request.trace_id);
-  proto::TlvWriter w(reply.payload);
-  w.put_string(tag::kPath, options_.snapshot_path);
-  w.put_u64(tag::kBytes, to_wire(snapshot).size());
-  return reply;
+  return make_frame(request.trace_id,
+                    SnapshotAck{options_.snapshot_path, saved.value()});
 }
 
 proto::WireFrame Daemon::handle_restore(const proto::WireFrame& request) {
@@ -641,39 +521,27 @@ proto::WireFrame Daemon::handle_restore(const proto::WireFrame& request) {
 }
 
 proto::WireFrame Daemon::handle_set_knob(const proto::WireFrame& request) {
-  std::string name;
-  std::optional<std::uint64_t> value;
-  proto::TlvReader r(request.payload);
-  while (const auto tlv = r.next()) {
-    if (tlv->tag == tag::kKnobName) name = proto::tlv_string(*tlv);
-    if (tlv->tag == tag::kKnobValue) value = proto::tlv_u64(*tlv);
-  }
-  if (r.truncated() || name.empty() || !value) {
+  SetKnobRequest knob;
+  if (auto failed = decode_failure(request, knob)) return *failed;
+  if (knob.name.empty() || !knob.value) {
     return error_reply(request.trace_id, ErrorCode::kMalformedFrame,
                        "set-knob needs a name and a value");
   }
-  if (auto set = core::set_config_knob(name, *value); !set.ok()) {
+  if (auto set = core::set_config_knob(knob.name, *knob.value); !set.ok()) {
     return error_reply(request.trace_id, set.error());
   }
-  SURFOS_INFO(kLog) << "knob " << name << " set to " << *value;
+  SURFOS_INFO(kLog) << "knob " << knob.name << " set to " << *knob.value;
   return reply_frame(proto::MsgType::kOk, request.trace_id);
 }
 
 proto::WireFrame Daemon::handle_get_knobs(const proto::WireFrame& request) {
-  proto::WireFrame reply =
-      reply_frame(proto::MsgType::kKnobsReply, request.trace_id);
-  proto::TlvWriter w(reply.payload);
+  KnobsReply reply;
   for (std::size_t i = 0; i < core::kKnobCount; ++i) {
     const core::KnobSpec& spec = core::kKnobRegistry[i];
-    std::vector<std::uint8_t> nested;
-    proto::TlvWriter n(nested);
-    n.put_u16(1, proto::kStructVersion);
-    n.put_string(tag::kKnobName, spec.name);
-    n.put_u64(tag::kKnobValue, core::knob(static_cast<core::Knob>(i)));
-    n.put_string(tag::kKnobDoc, spec.doc);
-    w.put_bytes(tag::kKnob, nested);
+    reply.knobs.push_back(
+        KnobRow{spec.name, core::knob(static_cast<core::Knob>(i)), spec.doc});
   }
-  return reply;
+  return make_frame(request.trace_id, reply);
 }
 
 // --- Snapshot / restore ------------------------------------------------------
@@ -685,21 +553,12 @@ Result<void> Daemon::save_snapshot() {
   proto::WireFrame request;
   request.type = proto::MsgType::kSnapshot;
   const proto::WireFrame reply = handle_request(request);
-  if (reply.type == proto::MsgType::kError) {
-    ErrorCode code = ErrorCode::kInternal;
-    std::string message = "snapshot failed";
-    proto::TlvReader r(reply.payload);
-    while (const auto tlv = r.next()) {
-      if (tlv->tag == tag::kErrorCode) {
-        if (const auto v = proto::tlv_u32(*tlv)) {
-          code = static_cast<ErrorCode>(*v);
-        }
-      }
-      if (tlv->tag == tag::kErrorMessage) message = proto::tlv_string(*tlv);
-    }
-    return make_error(code, message);
+  if (reply.type != proto::MsgType::kError) return ok_result();
+  Error error;
+  if (!from_wire(reply.payload, error).ok()) {
+    return make_error(ErrorCode::kInternal, "snapshot failed");
   }
-  return ok_result();
+  return error;
 }
 
 Result<void> Daemon::load_snapshot() {

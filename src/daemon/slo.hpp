@@ -83,10 +83,6 @@ class SloWatchdog {
   SiteHealth evaluate(const std::string& site_id, const SloInputs& inputs,
                       const SloThresholds& thresholds);
 
-  /// Drops state for sites not evaluated since the last call (none today —
-  /// sites are static — but keeps the map bounded if that changes).
-  void forget(const std::string& site_id) { states_.erase(site_id); }
-
   /// Worst state across the given verdicts (kHealthy when empty).
   static SloState fleet_state(const std::vector<SiteHealth>& sites) noexcept;
 

@@ -1,5 +1,7 @@
 #include "daemon/snapshot.hpp"
 
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -38,14 +40,9 @@ constexpr std::uint16_t kPosY = 6;
 constexpr std::uint16_t kPosZ = 7;
 }  // namespace tag
 
-Error malformed(const char* what) {
-  return make_error(ErrorCode::kMalformedFrame, what);
-}
-
-std::uint16_t take_version(const proto::Tlv& tlv) {
-  if (tlv.tag != tag::kVersion) return 0;
-  return proto::tlv_u16(tlv).value_or(0);
-}
+using proto::read_field;
+using proto::read_record;
+using proto::Tlv;
 
 void session_to_wire(const SessionRecord& record,
                      std::vector<std::uint8_t>& out) {
@@ -55,44 +52,22 @@ void session_to_wire(const SessionRecord& record,
   w.put_string(tag::kAppId, record.app_id);
   w.put_u8(tag::kRunning, record.running ? 1 : 0);
   w.put_u64(tag::kTraceId, record.trace_id);
-  w.put_bytes(tag::kDemand, proto::to_wire(record.demand));
+  w.nest(tag::kDemand,
+         [&](auto& body) { proto::to_wire(record.demand, body); });
 }
 
 Result<void> session_from_wire(std::span<const std::uint8_t> bytes,
                                SessionRecord& out) {
-  proto::TlvReader r(bytes);
-  auto first = r.next();
-  if (!first || take_version(*first) == 0) {
-    return malformed("SessionRecord: missing version");
-  }
-  while (const auto tlv = r.next()) {
-    switch (tlv->tag) {
-      case tag::kSiteId: out.site_id = proto::tlv_string(*tlv); break;
-      case tag::kAppId: out.app_id = proto::tlv_string(*tlv); break;
-      case tag::kRunning: {
-        const auto v = proto::tlv_u8(*tlv);
-        if (!v) return malformed("SessionRecord: running");
-        out.running = *v != 0;
-        break;
-      }
-      case tag::kTraceId: {
-        const auto v = proto::tlv_u64(*tlv);
-        if (!v) return malformed("SessionRecord: trace id");
-        out.trace_id = *v;
-        break;
-      }
-      case tag::kDemand: {
-        if (auto parsed = proto::from_wire(tlv->value, out.demand);
-            !parsed.ok()) {
-          return parsed;
-        }
-        break;
-      }
-      default: break;  // unknown tag: skip
+  return read_record(bytes, out, "SessionRecord", true, [&](const Tlv& tlv) {
+    switch (tlv.tag) {
+      case tag::kSiteId: return read_field(tlv, out.site_id);
+      case tag::kAppId: return read_field(tlv, out.app_id);
+      case tag::kRunning: return read_field(tlv, out.running);
+      case tag::kTraceId: return read_field(tlv, out.trace_id);
+      case tag::kDemand: return proto::from_wire(tlv.value, out.demand).ok();
+      default: return true;  // unknown tag: skip
     }
-  }
-  if (r.truncated()) return malformed("SessionRecord: truncated");
-  return ok_result();
+  });
 }
 
 void queued_to_wire(const QueuedRecord& record,
@@ -102,38 +77,21 @@ void queued_to_wire(const QueuedRecord& record,
   w.put_string(tag::kSiteId, record.site_id);
   w.put_string(tag::kAppId, record.app_id);
   w.put_u64(tag::kPriority, record.priority);
-  w.put_bytes(tag::kDemand, proto::to_wire(record.demand));
+  w.nest(tag::kDemand,
+         [&](auto& body) { proto::to_wire(record.demand, body); });
 }
 
 Result<void> queued_from_wire(std::span<const std::uint8_t> bytes,
                               QueuedRecord& out) {
-  proto::TlvReader r(bytes);
-  auto first = r.next();
-  if (!first || take_version(*first) == 0) {
-    return malformed("QueuedRecord: missing version");
-  }
-  while (const auto tlv = r.next()) {
-    switch (tlv->tag) {
-      case tag::kSiteId: out.site_id = proto::tlv_string(*tlv); break;
-      case tag::kAppId: out.app_id = proto::tlv_string(*tlv); break;
-      case tag::kPriority: {
-        const auto v = proto::tlv_u64(*tlv);
-        if (!v) return malformed("QueuedRecord: priority");
-        out.priority = *v;
-        break;
-      }
-      case tag::kDemand: {
-        if (auto parsed = proto::from_wire(tlv->value, out.demand);
-            !parsed.ok()) {
-          return parsed;
-        }
-        break;
-      }
-      default: break;
+  return read_record(bytes, out, "QueuedRecord", true, [&](const Tlv& tlv) {
+    switch (tlv.tag) {
+      case tag::kSiteId: return read_field(tlv, out.site_id);
+      case tag::kAppId: return read_field(tlv, out.app_id);
+      case tag::kPriority: return read_field(tlv, out.priority);
+      case tag::kDemand: return proto::from_wire(tlv.value, out.demand).ok();
+      default: return true;
     }
-  }
-  if (r.truncated()) return malformed("QueuedRecord: truncated");
-  return ok_result();
+  });
 }
 
 void seq_to_wire(const SeqRecord& record, std::vector<std::uint8_t>& out) {
@@ -145,25 +103,13 @@ void seq_to_wire(const SeqRecord& record, std::vector<std::uint8_t>& out) {
 
 Result<void> seq_from_wire(std::span<const std::uint8_t> bytes,
                            SeqRecord& out) {
-  proto::TlvReader r(bytes);
-  auto first = r.next();
-  if (!first || take_version(*first) == 0) {
-    return malformed("SeqRecord: missing version");
-  }
-  while (const auto tlv = r.next()) {
-    switch (tlv->tag) {
-      case tag::kSiteId: out.site_id = proto::tlv_string(*tlv); break;
-      case tag::kTraceSeq: {
-        const auto v = proto::tlv_u64(*tlv);
-        if (!v) return malformed("SeqRecord: trace seq");
-        out.trace_seq = *v;
-        break;
-      }
-      default: break;
+  return read_record(bytes, out, "SeqRecord", true, [&](const Tlv& tlv) {
+    switch (tlv.tag) {
+      case tag::kSiteId: return read_field(tlv, out.site_id);
+      case tag::kTraceSeq: return read_field(tlv, out.trace_seq);
+      default: return true;
     }
-  }
-  if (r.truncated()) return malformed("SeqRecord: truncated");
-  return ok_result();
+  });
 }
 
 void endpoint_to_wire(const EndpointRecord& record,
@@ -180,45 +126,17 @@ void endpoint_to_wire(const EndpointRecord& record,
 
 Result<void> endpoint_from_wire(std::span<const std::uint8_t> bytes,
                                 EndpointRecord& out) {
-  proto::TlvReader r(bytes);
-  auto first = r.next();
-  if (!first || take_version(*first) == 0) {
-    return malformed("EndpointRecord: missing version");
-  }
-  while (const auto tlv = r.next()) {
-    switch (tlv->tag) {
-      case tag::kSiteId: out.site_id = proto::tlv_string(*tlv); break;
-      case tag::kEndpointId:
-        out.endpoint_id = proto::tlv_string(*tlv);
-        break;
-      case tag::kKind: {
-        const auto v = proto::tlv_u8(*tlv);
-        if (!v) return malformed("EndpointRecord: kind");
-        out.kind = *v;
-        break;
-      }
-      case tag::kPosX:
-      case tag::kPosY:
-      case tag::kPosZ: {
-        const auto v = proto::tlv_f64(*tlv);
-        if (!v) return malformed("EndpointRecord: position");
-        (tlv->tag == tag::kPosX ? out.x
-                                : tlv->tag == tag::kPosY ? out.y : out.z) = *v;
-        break;
-      }
-      default: break;
+  return read_record(bytes, out, "EndpointRecord", true, [&](const Tlv& tlv) {
+    switch (tlv.tag) {
+      case tag::kSiteId: return read_field(tlv, out.site_id);
+      case tag::kEndpointId: return read_field(tlv, out.endpoint_id);
+      case tag::kKind: return read_field(tlv, out.kind);
+      case tag::kPosX: return read_field(tlv, out.x);
+      case tag::kPosY: return read_field(tlv, out.y);
+      case tag::kPosZ: return read_field(tlv, out.z);
+      default: return true;
     }
-  }
-  if (r.truncated()) return malformed("EndpointRecord: truncated");
-  return ok_result();
-}
-
-template <typename Record, typename Encode>
-void put_nested(proto::TlvWriter& w, std::uint16_t tag_id,
-                const Record& record, Encode encode) {
-  std::vector<std::uint8_t> nested;
-  encode(record, nested);
-  w.put_bytes(tag_id, nested);
+  });
 }
 
 }  // namespace
@@ -228,94 +146,39 @@ void to_wire(const DaemonSnapshot& snapshot, std::vector<std::uint8_t>& out) {
   w.put_u16(tag::kVersion, proto::kStructVersion);
   w.put_u64(tag::kSimNowUs, snapshot.sim_now_us);
   w.put_u64(tag::kEpochs, snapshot.epochs);
-  for (const auto& s : snapshot.sessions) {
-    put_nested(w, tag::kSession, s, session_to_wire);
-  }
-  for (const auto& q : snapshot.queued) {
-    put_nested(w, tag::kQueued, q, queued_to_wire);
-  }
-  for (const auto& s : snapshot.trace_seqs) {
-    put_nested(w, tag::kSeq, s, seq_to_wire);
-  }
-  for (const auto& e : snapshot.endpoints) {
-    put_nested(w, tag::kEndpoint, e, endpoint_to_wire);
-  }
+  w.nest_each(tag::kSession, snapshot.sessions, session_to_wire);
+  w.nest_each(tag::kQueued, snapshot.queued, queued_to_wire);
+  w.nest_each(tag::kSeq, snapshot.trace_seqs, seq_to_wire);
+  w.nest_each(tag::kEndpoint, snapshot.endpoints, endpoint_to_wire);
   w.put_bytes(tag::kLastReport, snapshot.last_report_wire);
-}
-
-std::vector<std::uint8_t> to_wire(const DaemonSnapshot& snapshot) {
-  std::vector<std::uint8_t> out;
-  to_wire(snapshot, out);
-  return out;
 }
 
 Result<void> from_wire(std::span<const std::uint8_t> bytes,
                        DaemonSnapshot& out) {
-  proto::TlvReader r(bytes);
-  auto first = r.next();
-  if (!first || take_version(*first) == 0) {
-    return malformed("DaemonSnapshot: missing version");
-  }
-  while (const auto tlv = r.next()) {
-    switch (tlv->tag) {
-      case tag::kSimNowUs: {
-        const auto v = proto::tlv_u64(*tlv);
-        if (!v) return malformed("DaemonSnapshot: sim clock");
-        out.sim_now_us = *v;
-        break;
-      }
-      case tag::kEpochs: {
-        const auto v = proto::tlv_u64(*tlv);
-        if (!v) return malformed("DaemonSnapshot: epochs");
-        out.epochs = *v;
-        break;
-      }
-      case tag::kSession: {
-        SessionRecord record;
-        if (auto parsed = session_from_wire(tlv->value, record); !parsed.ok()) {
-          return parsed;
-        }
-        out.sessions.push_back(std::move(record));
-        break;
-      }
-      case tag::kQueued: {
-        QueuedRecord record;
-        if (auto parsed = queued_from_wire(tlv->value, record); !parsed.ok()) {
-          return parsed;
-        }
-        out.queued.push_back(std::move(record));
-        break;
-      }
-      case tag::kSeq: {
-        SeqRecord record;
-        if (auto parsed = seq_from_wire(tlv->value, record); !parsed.ok()) {
-          return parsed;
-        }
-        out.trace_seqs.push_back(std::move(record));
-        break;
-      }
-      case tag::kEndpoint: {
-        EndpointRecord record;
-        if (auto parsed = endpoint_from_wire(tlv->value, record);
-            !parsed.ok()) {
-          return parsed;
-        }
-        out.endpoints.push_back(std::move(record));
-        break;
-      }
+  return read_record(bytes, out, "DaemonSnapshot", true, [&](const Tlv& tlv) {
+    switch (tlv.tag) {
+      case tag::kSimNowUs: return read_field(tlv, out.sim_now_us);
+      case tag::kEpochs: return read_field(tlv, out.epochs);
+      case tag::kSession:
+        return session_from_wire(tlv.value, out.sessions.emplace_back()).ok();
+      case tag::kQueued:
+        return queued_from_wire(tlv.value, out.queued.emplace_back()).ok();
+      case tag::kSeq:
+        return seq_from_wire(tlv.value, out.trace_seqs.emplace_back()).ok();
+      case tag::kEndpoint:
+        return endpoint_from_wire(tlv.value, out.endpoints.emplace_back())
+            .ok();
       case tag::kLastReport:
-        out.last_report_wire.assign(tlv->value.begin(), tlv->value.end());
-        break;
-      default: break;  // forward compat: skip unknown tags
+        out.last_report_wire.assign(tlv.value.begin(), tlv.value.end());
+        return true;
+      default: return true;  // forward compat: skip unknown tags
     }
-  }
-  if (r.truncated()) return malformed("DaemonSnapshot: truncated");
-  return ok_result();
+  });
 }
 
-Result<void> save_snapshot_file(const DaemonSnapshot& snapshot,
-                                const std::string& path) {
-  const std::vector<std::uint8_t> bytes = to_wire(snapshot);
+Result<std::uint64_t> save_snapshot_file(const DaemonSnapshot& snapshot,
+                                         const std::string& path) {
+  const std::vector<std::uint8_t> bytes = proto::to_wire(snapshot);
   const std::string tmp = path + ".tmp";
   std::FILE* file = std::fopen(tmp.c_str(), "wb");
   if (file == nullptr) {
@@ -325,10 +188,15 @@ Result<void> save_snapshot_file(const DaemonSnapshot& snapshot,
   }
   const std::size_t written =
       bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), file);
-  const bool flushed = std::fclose(file) == 0;
-  if (written != bytes.size() || !flushed) {
+  // Flush and fsync before the rename: a crash after it must find the new
+  // bytes on disk, not an empty file under the final name.
+  const bool synced =
+      std::fflush(file) == 0 && ::fsync(::fileno(file)) == 0;
+  const bool closed = std::fclose(file) == 0;
+  if (written != bytes.size() || !synced || !closed) {
     std::remove(tmp.c_str());
-    return make_error(ErrorCode::kIoError, "snapshot: short write to " + tmp);
+    return make_error(ErrorCode::kIoError,
+                      "snapshot: short write or fsync failure on " + tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
@@ -336,7 +204,7 @@ Result<void> save_snapshot_file(const DaemonSnapshot& snapshot,
                       "snapshot: rename to " + path + " failed: " +
                           std::strerror(errno));
   }
-  return ok_result();
+  return static_cast<std::uint64_t>(bytes.size());
 }
 
 Result<DaemonSnapshot> load_snapshot_file(const std::string& path) {

@@ -15,7 +15,7 @@
 //
 // The file is one TLV stream with the same versioned, unknown-tag-skipping
 // encoding as the wire protocol (proto/serialize.hpp), written atomically
-// (temp file + rename).
+// (temp file, fsync, rename).
 #pragma once
 
 #include <cstdint>
@@ -66,14 +66,14 @@ struct DaemonSnapshot {
 };
 
 void to_wire(const DaemonSnapshot& snapshot, std::vector<std::uint8_t>& out);
-std::vector<std::uint8_t> to_wire(const DaemonSnapshot& snapshot);
 Result<void> from_wire(std::span<const std::uint8_t> bytes,
                        DaemonSnapshot& out);
 
-/// Atomic write (temp + rename) / whole-file read. kIoError on filesystem
-/// failure, kMalformedFrame on a damaged file.
-Result<void> save_snapshot_file(const DaemonSnapshot& snapshot,
-                                const std::string& path);
+/// Atomic write (temp file, fsync, rename) returning the bytes written, and
+/// whole-file read. kIoError on filesystem failure (a failed fsync
+/// included), kMalformedFrame on a damaged file.
+Result<std::uint64_t> save_snapshot_file(const DaemonSnapshot& snapshot,
+                                         const std::string& path);
 Result<DaemonSnapshot> load_snapshot_file(const std::string& path);
 
 }  // namespace surfos::daemon

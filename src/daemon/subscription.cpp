@@ -6,8 +6,6 @@
 #include <cerrno>
 
 #include "core/config.hpp"
-#include "daemon/tags.hpp"
-#include "proto/wire.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace surfos::daemon {
@@ -21,49 +19,6 @@ bool has_prefix(std::string_view name, const std::string& prefix) {
 }
 
 }  // namespace
-
-void put_site_health(proto::TlvWriter& w, std::uint16_t outer_tag,
-                     const SiteHealth& health) {
-  std::vector<std::uint8_t> nested;
-  proto::TlvWriter n(nested);
-  n.put_string(tag::kHealthSite, health.site_id);
-  n.put_u8(tag::kHealthState, static_cast<std::uint8_t>(health.state));
-  n.put_u64(tag::kHealthEpochs, health.epochs_in_state);
-  n.put_string(tag::kHealthReason, health.reason);
-  w.put_bytes(outer_tag, nested);
-}
-
-void put_trace_event(proto::TlvWriter& w, std::uint16_t outer_tag,
-                     const telemetry::TraceEvent& event) {
-  std::vector<std::uint8_t> nested;
-  proto::TlvWriter n(nested);
-  n.put_u64(tag::kEvTs, event.ts_ns);
-  n.put_u64(tag::kEvDur, event.dur_ns);
-  n.put_u64(tag::kEvTrace, event.trace_id);
-  n.put_u64(tag::kEvSpan, event.span_id);
-  n.put_u64(tag::kEvParent, event.parent_span_id);
-  n.put_string(tag::kEvName, event.name != nullptr ? event.name : "");
-  n.put_u8(tag::kEvKind, static_cast<std::uint8_t>(event.kind));
-  n.put_u64(tag::kEvArg, event.arg);
-  n.put_u32(tag::kEvTid, event.thread_index);
-  w.put_bytes(outer_tag, nested);
-}
-
-const char* sub_topic_name(SubTopic topic) noexcept {
-  switch (topic) {
-    case SubTopic::kMetrics: return "metrics";
-    case SubTopic::kTraces: return "traces";
-    case SubTopic::kHealth: return "health";
-  }
-  return "?";
-}
-
-std::uint8_t parse_sub_topic(const std::string& name) noexcept {
-  if (name == "metrics") return static_cast<std::uint8_t>(SubTopic::kMetrics);
-  if (name == "traces") return static_cast<std::uint8_t>(SubTopic::kTraces);
-  if (name == "health") return static_cast<std::uint8_t>(SubTopic::kHealth);
-  return 0;
-}
 
 void SubscriptionRegistry::add_connection(int fd) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -233,40 +188,31 @@ void SubscriptionRegistry::publish(const EpochContext& ctx) {
         continue;  // not due yet
       }
 
-      proto::WireFrame frame;
-      frame.type = proto::MsgType::kEvent;
-      frame.trace_id = 0;  // events are not replies; no request to echo
-      proto::TlvWriter w(frame.payload);
-      w.put_u64(tag::kSubId, sub.id);
-      w.put_u8(tag::kSubTopic, static_cast<std::uint8_t>(sub.spec.topic));
-      w.put_u64(tag::kEventEpoch, ctx.epoch);
-      w.put_u64(tag::kDroppedEvents, sub.dropped);
+      Event event;
+      event.sub_id = sub.id;
+      event.topic = sub.spec.topic;
+      event.epoch = ctx.epoch;
+      event.dropped = sub.dropped;
 
       bool emit = true;
       switch (sub.spec.topic) {
         case SubTopic::kMetrics: {
           if (ctx.series == nullptr) { emit = false; break; }
-          const auto delta = ctx.series->delta_since(
+          auto delta = ctx.series->delta_since(
               sub.needs_baseline ? 0 : sub.anchor_epoch);
           if (!delta) { emit = false; break; }
-          w.put_u8(tag::kEventBaseline, delta->baseline ? 1 : 0);
-          w.put_f64(tag::kEventEpochMs, delta->epoch_ms);
-          w.put_f64(tag::kEventFlushUs, delta->flush_us);
-          for (const auto& c : delta->counters) {
-            if (!has_prefix(c.name, sub.spec.prefix)) continue;
-            std::vector<std::uint8_t> nested;
-            proto::TlvWriter n(nested);
-            n.put_string(tag::kMetricName, c.name);
-            n.put_u64(tag::kMetricU64, c.value);
-            w.put_bytes(tag::kEventCounter, nested);
+          event.baseline = delta->baseline;
+          event.epoch_ms = delta->epoch_ms;
+          event.flush_us = delta->flush_us;
+          for (auto& c : delta->counters) {
+            if (has_prefix(c.name, sub.spec.prefix)) {
+              event.counters.push_back(std::move(c));
+            }
           }
-          for (const auto& g : delta->gauges) {
-            if (!has_prefix(g.name, sub.spec.prefix)) continue;
-            std::vector<std::uint8_t> nested;
-            proto::TlvWriter n(nested);
-            n.put_string(tag::kMetricName, g.name);
-            n.put_f64(tag::kMetricF64, g.value);
-            w.put_bytes(tag::kEventGauge, nested);
+          for (auto& g : delta->gauges) {
+            if (has_prefix(g.name, sub.spec.prefix)) {
+              event.gauges.push_back(std::move(g));
+            }
           }
           sub.anchor_epoch = delta->to_epoch;
           sub.needs_baseline = false;
@@ -280,28 +226,24 @@ void SubscriptionRegistry::publish(const EpochContext& ctx) {
           const auto page = telemetry::events_after(
               *ctx.trace_events, sub.trace_ts, sub.trace_span, kPage);
           if (page.empty()) { emit = false; break; }
-          std::size_t written = 0;
-          for (const auto& event : page) {
-            if (!has_prefix(event.name != nullptr ? event.name : "",
-                            sub.spec.prefix)) {
-              continue;
+          for (const auto& trace : page) {
+            if (has_prefix(trace.name != nullptr ? trace.name : "",
+                           sub.spec.prefix)) {
+              event.traces.push_back(TraceRecord::from_event(trace));
             }
-            put_trace_event(w, tag::kEventTrace, event);
-            ++written;
           }
           sub.trace_ts = page.back().ts_ns;
           sub.trace_span = page.back().span_id;
-          if (written == 0) emit = false;  // everything filtered out
+          if (event.traces.empty()) emit = false;  // everything filtered out
           break;
         }
         case SubTopic::kHealth: {
           if (ctx.health == nullptr) { emit = false; break; }
           for (const SiteHealth& site : *ctx.health) {
-            if (!sub.spec.site_filter.empty() &&
-                site.site_id != sub.spec.site_filter) {
-              continue;
+            if (sub.spec.site_filter.empty() ||
+                site.site_id == sub.spec.site_filter) {
+              event.health.push_back(site);
             }
-            put_site_health(w, tag::kEventSiteHealth, site);
           }
           break;
         }
@@ -309,9 +251,11 @@ void SubscriptionRegistry::publish(const EpochContext& ctx) {
       if (!emit) continue;
       sub.last_pub_epoch = ctx.epoch;
       sub.seq += 1;
-      w.put_u64(tag::kEventSeq, sub.seq);
+      event.seq = sub.seq;
 
-      const auto encoded = proto::encode_frame(frame);
+      // Events are not replies: there is no request trace id to echo.
+      const auto encoded =
+          proto::encode_frame(make_frame(0, event));
       if (!encoded.ok()) continue;  // oversized event frame: skip, not fatal
       enqueue_event(conn, sub, encoded.value(), outbox_cap);
     }

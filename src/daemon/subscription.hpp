@@ -39,37 +39,12 @@
 #include <vector>
 
 #include "core/status.hpp"
+#include "daemon/messages.hpp"
 #include "daemon/slo.hpp"
-#include "proto/wire.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace surfos::daemon {
-
-/// Wire-stable subscription topics (kSubTopic tag): append only.
-enum class SubTopic : std::uint8_t {
-  kMetrics = 1,  ///< Delta-encoded counter/gauge changes per interval.
-  kTraces = 2,   ///< New flight-recorder events since the last event.
-  kHealth = 3,   ///< Per-site SLO watchdog verdicts.
-};
-
-const char* sub_topic_name(SubTopic topic) noexcept;
-/// Parses "metrics" / "traces" / "health" (CLI spelling). 0 on no match.
-std::uint8_t parse_sub_topic(const std::string& name) noexcept;
-
-struct SubscriptionSpec {
-  SubTopic topic = SubTopic::kMetrics;
-  std::uint32_t interval = 1;  ///< Epochs between events (clamped >= 1).
-  std::string site_filter;     ///< Health topic: only this site.
-  std::string prefix;          ///< Metrics/traces: only names with prefix.
-};
-
-/// Nested-record encoders shared by the event publisher, kStatusReply, and
-/// the paginated kTraceChunk (one wire schema, three carriers).
-void put_site_health(proto::TlvWriter& w, std::uint16_t outer_tag,
-                     const SiteHealth& health);
-void put_trace_event(proto::TlvWriter& w, std::uint16_t outer_tag,
-                     const telemetry::TraceEvent& event);
 
 struct SubscriptionStats {
   std::uint64_t subscriptions = 0;  ///< Live subscriptions, all connections.

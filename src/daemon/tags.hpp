@@ -1,7 +1,8 @@
 // Payload TLV tags of the surfosd request/reply messages (proto/wire.hpp
 // frames them; these are the per-message tag namespaces inside the payload).
-// Shared by the daemon's handlers and the CLI clients. Wire-stable: append
-// only, never renumber; readers skip unknown tags.
+// The message codecs (daemon/messages.hpp) are the one reader and writer of
+// each layout. Wire-stable: append only, never renumber; readers skip
+// unknown tags.
 #pragma once
 
 #include <cstdint>

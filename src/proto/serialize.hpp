@@ -24,11 +24,9 @@
 #include <span>
 #include <vector>
 
-#include "broker/broker.hpp"
 #include "broker/demand.hpp"
 #include "core/fleet.hpp"
 #include "core/status.hpp"
-#include "core/surfos.hpp"
 #include "orch/orchestrator.hpp"
 
 namespace surfos::proto {
@@ -37,11 +35,13 @@ namespace surfos::proto {
 /// meaning changes (adding tags does NOT bump it).
 inline constexpr std::uint16_t kStructVersion = 1;
 
-// Each pair: append-into-buffer (for nesting) and fresh-vector convenience;
-// from_wire fills `out` and reports kMalformedFrame/kUnsupportedVersion.
+// Each type has one append encoder, which writes its TLV stream at the end
+// of `out` (a parent record nests it in place with TlvWriter::nest), and one
+// decoder, which fills `out` or reports kMalformedFrame. The generic
+// to_wire(value) below returns a fresh buffer for any type with an append
+// encoder, including the daemon's messages (daemon/messages.hpp).
 
 void to_wire(const orch::StepTrace& trace, std::vector<std::uint8_t>& out);
-std::vector<std::uint8_t> to_wire(const orch::StepTrace& trace);
 Result<void> from_wire(std::span<const std::uint8_t> bytes,
                        orch::StepTrace& out);
 
@@ -50,32 +50,24 @@ Result<void> from_wire(std::span<const std::uint8_t> bytes,
                        orch::TaskReport& out);
 
 void to_wire(const orch::StepReport& report, std::vector<std::uint8_t>& out);
-std::vector<std::uint8_t> to_wire(const orch::StepReport& report);
 Result<void> from_wire(std::span<const std::uint8_t> bytes,
                        orch::StepReport& out);
 
 void to_wire(const FleetReport& report, std::vector<std::uint8_t>& out);
-std::vector<std::uint8_t> to_wire(const FleetReport& report);
 Result<void> from_wire(std::span<const std::uint8_t> bytes, FleetReport& out);
 
-void to_wire(const InstallReport& report, std::vector<std::uint8_t>& out);
-std::vector<std::uint8_t> to_wire(const InstallReport& report);
-Result<void> from_wire(std::span<const std::uint8_t> bytes,
-                       InstallReport& out);
-
 void to_wire(const broker::AppDemand& demand, std::vector<std::uint8_t>& out);
-std::vector<std::uint8_t> to_wire(const broker::AppDemand& demand);
 Result<void> from_wire(std::span<const std::uint8_t> bytes,
                        broker::AppDemand& out);
 
-void to_wire(const broker::AppStatus& status, std::vector<std::uint8_t>& out);
-std::vector<std::uint8_t> to_wire(const broker::AppStatus& status);
-Result<void> from_wire(std::span<const std::uint8_t> bytes,
-                       broker::AppStatus& out);
-
-void to_wire(const FleetInventory& inventory, std::vector<std::uint8_t>& out);
-std::vector<std::uint8_t> to_wire(const FleetInventory& inventory);
-Result<void> from_wire(std::span<const std::uint8_t> bytes,
-                       FleetInventory& out);
+/// Fresh-buffer form of every append encoder above (found by ordinary
+/// lookup) and of those declared beside their own types (found by
+/// argument-dependent lookup).
+template <typename T>
+std::vector<std::uint8_t> to_wire(const T& value) {
+  std::vector<std::uint8_t> out;
+  to_wire(value, out);
+  return out;
+}
 
 }  // namespace surfos::proto

@@ -123,6 +123,21 @@ void TlvWriter::put_u64s(std::uint16_t tag,
   for (const std::uint64_t x : v) append_le(*out_, x, 8);
 }
 
+std::size_t TlvWriter::begin_nested(std::uint16_t tag) {
+  const std::size_t header_at = out_->size();
+  append_le(*out_, tag, 2);
+  append_le(*out_, 0, 4);  // length, patched by end_nested
+  return header_at;
+}
+
+void TlvWriter::end_nested(std::size_t header_at) {
+  const std::size_t length = out_->size() - header_at - 6;
+  for (int i = 0; i < 4; ++i) {
+    (*out_)[header_at + 2 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>((length >> (8 * i)) & 0xFF);
+  }
+}
+
 // --- TlvReader ---------------------------------------------------------------
 
 std::optional<Tlv> TlvReader::next() {
@@ -144,45 +159,71 @@ std::optional<Tlv> TlvReader::next() {
   return tlv;
 }
 
-// --- Typed value parsers -----------------------------------------------------
+// --- Typed value parsers ---------------------------------------------------
 
-std::optional<std::uint8_t> tlv_u8(const Tlv& tlv) noexcept {
-  if (tlv.value.size() != 1) return std::nullopt;
-  return tlv.value[0];
+namespace {
+
+/// A little-endian unsigned of exactly sizeof(T) bytes.
+template <typename T>
+bool read_exact(const Tlv& tlv, T& out) noexcept {
+  if (tlv.value.size() != sizeof(T)) return false;
+  out = static_cast<T>(read_le(tlv.value, 0, sizeof(T)));
+  return true;
 }
 
-std::optional<std::uint16_t> tlv_u16(const Tlv& tlv) noexcept {
-  if (tlv.value.size() != 2) return std::nullopt;
-  return static_cast<std::uint16_t>(read_le(tlv.value, 0, 2));
-}
+}  // namespace
 
-std::optional<std::uint32_t> tlv_u32(const Tlv& tlv) noexcept {
-  if (tlv.value.size() != 4) return std::nullopt;
-  return static_cast<std::uint32_t>(read_le(tlv.value, 0, 4));
+bool read_field(const Tlv& tlv, bool& out) noexcept {
+  std::uint8_t v = 0;
+  if (!read_exact(tlv, v)) return false;
+  out = v != 0;
+  return true;
 }
-
-std::optional<std::uint64_t> tlv_u64(const Tlv& tlv) noexcept {
-  if (tlv.value.size() != 8) return std::nullopt;
-  return read_le(tlv.value, 0, 8);
+bool read_field(const Tlv& tlv, std::uint8_t& out) noexcept {
+  return read_exact(tlv, out);
 }
-
-std::optional<double> tlv_f64(const Tlv& tlv) noexcept {
-  const auto bits = tlv_u64(tlv);
-  if (!bits) return std::nullopt;
-  return std::bit_cast<double>(*bits);
+bool read_field(const Tlv& tlv, std::uint16_t& out) noexcept {
+  return read_exact(tlv, out);
 }
-
-std::string tlv_string(const Tlv& tlv) {
-  return std::string(reinterpret_cast<const char*>(tlv.value.data()),
-                     tlv.value.size());
+bool read_field(const Tlv& tlv, std::uint32_t& out) noexcept {
+  return read_exact(tlv, out);
 }
-
-std::optional<std::vector<std::uint64_t>> tlv_u64s(const Tlv& tlv) {
-  if (tlv.value.size() % 8 != 0) return std::nullopt;
-  std::vector<std::uint64_t> out(tlv.value.size() / 8);
+bool read_field(const Tlv& tlv, std::uint64_t& out) noexcept {
+  return read_exact(tlv, out);
+}
+bool read_field(const Tlv& tlv, double& out) noexcept {
+  std::uint64_t bits = 0;
+  if (!read_exact(tlv, bits)) return false;
+  out = std::bit_cast<double>(bits);
+  return true;
+}
+bool read_field(const Tlv& tlv, std::string& out) {
+  out.assign(reinterpret_cast<const char*>(tlv.value.data()),
+             tlv.value.size());
+  return true;
+}
+bool read_field(const Tlv& tlv, std::vector<std::uint64_t>& out) {
+  if (tlv.value.size() % 8 != 0) return false;
+  out.resize(tlv.value.size() / 8);
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = read_le(tlv.value, i * 8, 8);
   }
+  return true;
+}
+
+std::optional<std::uint8_t> tlv_u8(const Tlv& tlv) noexcept {
+  std::uint8_t v = 0;
+  return read_field(tlv, v) ? std::optional(v) : std::nullopt;
+}
+
+std::optional<std::uint64_t> tlv_u64(const Tlv& tlv) noexcept {
+  std::uint64_t v = 0;
+  return read_field(tlv, v) ? std::optional(v) : std::nullopt;
+}
+
+std::string tlv_string(const Tlv& tlv) {
+  std::string out;
+  read_field(tlv, out);
   return out;
 }
 

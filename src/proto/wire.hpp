@@ -17,10 +17,11 @@
 //   16..   N bytes of TLV records
 //
 // TLV record: u16 tag | u32 length | `length` value bytes. Tags are
-// per-message (and per-struct, see proto/serialize.hpp) namespaces; readers
-// MUST skip unknown tags, which is what lets an old client talk to a new
-// daemon and vice versa. Compound values nest another TLV stream inside a
-// record.
+// per-message (daemon/tags.hpp, daemon/messages.hpp) and per-struct (see
+// proto/serialize.hpp) namespaces; readers MUST skip unknown tags, which is
+// what lets an old client talk to a new daemon and vice versa. Compound
+// values nest another TLV stream inside a record, written in place
+// (TlvWriter::nest).
 //
 // Error handling is Result-based end to end (core/status.hpp): a malformed
 // frame can never throw across the socket boundary, and decode errors carry
@@ -136,8 +137,29 @@ class TlvWriter {
   /// Packed vector of u64 (trace-id lists): 8 bytes per element.
   void put_u64s(std::uint16_t tag, std::span<const std::uint64_t> v);
 
+  /// Writes a nested record in place: reserves the u32 length, lets `body`
+  /// append the record's TLV stream to the same buffer, then back-patches
+  /// the length. The bytes equal put_bytes of the body built on its own.
+  template <typename Body>
+  void nest(std::uint16_t tag, Body&& body) {
+    const std::size_t header_at = begin_nested(tag);
+    body(*out_);
+    end_nested(header_at);
+  }
+
+  /// One nested record under `tag` per element of `items`, each written
+  /// by `encode(item, buffer)`.
+  template <typename Items, typename Encode>
+  void nest_each(std::uint16_t tag, const Items& items, Encode&& encode) {
+    for (const auto& item : items) {
+      nest(tag, [&](std::vector<std::uint8_t>& body) { encode(item, body); });
+    }
+  }
+
  private:
   void put(std::uint16_t tag, const std::uint8_t* data, std::size_t size);
+  std::size_t begin_nested(std::uint16_t tag);
+  void end_nested(std::size_t header_at);
 
   std::vector<std::uint8_t>* out_;
 };
@@ -164,14 +186,64 @@ class TlvReader {
   bool truncated_ = false;
 };
 
-// Typed value parsers: exact-size checks, nullopt on mismatch (callers map
-// to kMalformedFrame). Integers little-endian, f64 via u64 bit pattern.
+// Typed field reads: exact-width checks, false (and `out` untouched) on a
+// mismatch, which callers map to kMalformedFrame. Integers little-endian, a
+// bool a u8 (nonzero = true), f64 via its u64 bit pattern, a u64 list 8
+// bytes per element; a string takes any width.
+bool read_field(const Tlv& tlv, bool& out) noexcept;
+bool read_field(const Tlv& tlv, std::uint8_t& out) noexcept;
+bool read_field(const Tlv& tlv, std::uint16_t& out) noexcept;
+bool read_field(const Tlv& tlv, std::uint32_t& out) noexcept;
+bool read_field(const Tlv& tlv, std::uint64_t& out) noexcept;
+bool read_field(const Tlv& tlv, double& out) noexcept;
+bool read_field(const Tlv& tlv, std::string& out);
+bool read_field(const Tlv& tlv, std::vector<std::uint64_t>& out);
+template <typename T>
+bool read_field(const Tlv& tlv, std::optional<T>& out) {
+  T value{};
+  if (!read_field(tlv, value)) return false;
+  out = std::move(value);
+  return true;
+}
+
+// The same reads as values, nullopt on a width mismatch.
 std::optional<std::uint8_t> tlv_u8(const Tlv& tlv) noexcept;
-std::optional<std::uint16_t> tlv_u16(const Tlv& tlv) noexcept;
-std::optional<std::uint32_t> tlv_u32(const Tlv& tlv) noexcept;
 std::optional<std::uint64_t> tlv_u64(const Tlv& tlv) noexcept;
-std::optional<double> tlv_f64(const Tlv& tlv) noexcept;
 std::string tlv_string(const Tlv& tlv);
-std::optional<std::vector<std::uint64_t>> tlv_u64s(const Tlv& tlv);
+
+/// Decodes one record's TLV stream into `out`, the one loop behind every
+/// from_wire. `out` is reset first. A versioned record must open with tag
+/// 1, a u16 version >= 1. Every other TLV goes to `field`, which stores the
+/// tags it knows into `out`, returns true for tags it does not (a newer
+/// peer's field, skipped), and returns false on a bad value. A missing
+/// version, a bad value or a truncated TLV give kMalformedFrame naming
+/// `what`.
+template <typename T, typename Field>
+Result<void> read_record(std::span<const std::uint8_t> bytes, T& out,
+                         const char* what, bool versioned, Field&& field) {
+  out = T{};
+  TlvReader r(bytes);
+  if (versioned) {
+    const std::optional<Tlv> first = r.next();
+    std::uint16_t version = 0;
+    if (!first || first->tag != 1 || !read_field(*first, version) ||
+        version == 0) {
+      return make_error(ErrorCode::kMalformedFrame,
+                        std::string(what) + ": missing version");
+    }
+  }
+  while (const std::optional<Tlv> tlv = r.next()) {
+    if (!field(*tlv)) {
+      return make_error(ErrorCode::kMalformedFrame,
+                        std::string(what) + ": bad field " +
+                            std::to_string(tlv->tag));
+    }
+  }
+  if (r.truncated()) {
+    return make_error(ErrorCode::kMalformedFrame,
+                      std::string(what) + ": truncated record");
+  }
+  return {};
+}
 
 }  // namespace surfos::proto

@@ -18,97 +18,41 @@
 #include "core/config.hpp"
 #include "daemon/client.hpp"
 #include "daemon/daemon.hpp"
+#include "daemon/messages.hpp"
 #include "daemon/snapshot.hpp"
-#include "daemon/tags.hpp"
 #include "proto/serialize.hpp"
 #include "proto/wire.hpp"
+
+#include "daemon_test_util.hpp"
 
 namespace surfos::daemon {
 namespace {
 
-/// Unique short paths per test (sockaddr_un caps paths at ~107 bytes).
-std::string temp_path(const char* stem, const char* ext) {
-  static int counter = 0;
-  return "/tmp/sd_" + std::to_string(::getpid()) + "_" + stem +
-         std::to_string(++counter) + ext;
-}
-
-proto::WireFrame make_request(proto::MsgType type, std::uint64_t trace_id,
-                              std::vector<std::uint8_t> payload = {}) {
-  proto::WireFrame frame;
-  frame.type = type;
-  frame.trace_id = trace_id;
-  frame.payload = std::move(payload);
-  return frame;
-}
-
 std::vector<std::uint8_t> submit_payload(
     const std::string& app_id, const broker::AppDemand& demand,
     const std::string& site_id = {}) {
-  std::vector<std::uint8_t> payload;
-  proto::TlvWriter w(payload);
-  w.put_string(tag::kAppId, app_id);
-  if (!site_id.empty()) w.put_string(tag::kSiteId, site_id);
-  w.put_bytes(tag::kDemand, proto::to_wire(demand));
-  return payload;
+  return proto::to_wire(SubmitRequest{app_id, site_id, demand, {}});
+}
+
+std::vector<std::uint8_t> app_payload(const std::string& app_id,
+                                      const std::string& site_id = {}) {
+  return proto::to_wire(AppRequest{app_id, site_id});
+}
+
+std::vector<std::uint8_t> knob_payload(const std::string& name,
+                                       std::uint64_t value) {
+  return proto::to_wire(SetKnobRequest{name, value});
 }
 
 broker::AppDemand vr_demand(const std::string& endpoint) {
   return broker::demand_profile(broker::AppClass::kVrGaming, endpoint);
 }
 
-ErrorCode error_code_of(const proto::WireFrame& reply) {
-  EXPECT_EQ(reply.type, proto::MsgType::kError);
-  proto::TlvReader r(reply.payload);
-  while (const auto tlv = r.next()) {
-    if (tlv->tag == tag::kErrorCode) {
-      return static_cast<ErrorCode>(proto::tlv_u32(*tlv).value_or(0));
-    }
-  }
-  return ErrorCode::kOk;
-}
-
-struct SessionRow {
-  std::string app_id;
-  std::string site_id;
-  bool running = false;
-  std::uint64_t trace_id = 0;
-};
-
 std::vector<SessionRow> parse_status(const proto::WireFrame& reply) {
-  std::vector<SessionRow> rows;
-  proto::TlvReader r(reply.payload);
-  while (const auto tlv = r.next()) {
-    if (tlv->tag != tag::kSession) continue;
-    SessionRow row;
-    proto::TlvReader n(tlv->value);
-    while (const auto field = n.next()) {
-      switch (field->tag) {
-        case tag::kSessionApp: row.app_id = proto::tlv_string(*field); break;
-        case tag::kSessionSite: row.site_id = proto::tlv_string(*field); break;
-        case tag::kSessionRunning:
-          row.running = proto::tlv_u8(*field).value_or(0) != 0;
-          break;
-        case tag::kSessionTrace:
-          row.trace_id = proto::tlv_u64(*field).value_or(0);
-          break;
-        default: break;
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-DaemonOptions test_options(const std::string& socket,
-                           const std::string& snapshot = {}) {
-  DaemonOptions options;
-  options.socket_path = socket;
-  options.snapshot_path = snapshot;
-  options.epoch_ms = 20;
-  options.ticker = false;  // epochs driven by hand
-  options.grid_n = 2;      // small probe grid keeps construction fast
-  return options;
+  EXPECT_EQ(reply.type, proto::MsgType::kStatusReply);
+  StatusReply status;
+  EXPECT_TRUE(from_wire(reply.payload, status).ok());
+  return status.sessions;
 }
 
 class DaemonTest : public ::testing::Test {
@@ -159,9 +103,7 @@ TEST_F(DaemonTest, StopAndResumeRoundTrip) {
       proto::MsgType::kSubmitDemand, 1, submit_payload("app", vr_demand("d"))));
   daemon.run_epoch();
 
-  std::vector<std::uint8_t> stop_payload;
-  proto::TlvWriter w(stop_payload);
-  w.put_string(tag::kAppId, "app");
+  const std::vector<std::uint8_t> stop_payload = app_payload("app");
   auto reply = daemon.handle_request(
       make_request(proto::MsgType::kStopApp, 2, stop_payload));
   EXPECT_EQ(reply.type, proto::MsgType::kOk);
@@ -179,22 +121,17 @@ TEST_F(DaemonTest, StopAndResumeRoundTrip) {
   EXPECT_TRUE(rows[0].running);
 
   // Unknown apps answer kNotFound over the wire, same code as in-process.
-  std::vector<std::uint8_t> ghost;
-  proto::TlvWriter g(ghost);
-  g.put_string(tag::kAppId, "ghost");
-  EXPECT_EQ(error_code_of(daemon.handle_request(
-                make_request(proto::MsgType::kStopApp, 6, ghost))),
+  EXPECT_EQ(error_code_of(daemon.handle_request(make_request(
+                proto::MsgType::kStopApp, 6, app_payload("ghost")))),
             ErrorCode::kNotFound);
 }
 
 TEST_F(DaemonTest, MalformedPayloadsAnswerWithWireStableCodes) {
   Daemon daemon(test_options(temp_path("mal", ".sock")));
   // Submit without a demand: kMalformedFrame.
-  std::vector<std::uint8_t> no_demand;
-  proto::TlvWriter w(no_demand);
-  w.put_string(tag::kAppId, "x");
   EXPECT_EQ(error_code_of(daemon.handle_request(make_request(
-                proto::MsgType::kSubmitDemand, 1, no_demand))),
+                proto::MsgType::kSubmitDemand, 1,
+                proto::to_wire(SubmitRequest{"x", {}, {}, {}})))),
             ErrorCode::kMalformedFrame);
   // Unknown site: kNotFound.
   EXPECT_EQ(error_code_of(daemon.handle_request(make_request(
@@ -215,13 +152,10 @@ TEST_F(DaemonTest, SetKnobHotReloadsAdmissionCapacity) {
   core::install_config(core::Config());  // daemon mode, all defaults
   Daemon daemon(test_options(temp_path("knob", ".sock")));
 
-  std::vector<std::uint8_t> set_payload;
-  proto::TlvWriter w(set_payload);
-  w.put_string(tag::kKnobName, "SURFOS_ADMIT_QUEUE");
-  w.put_u64(tag::kKnobValue, 1);
   ASSERT_EQ(daemon
-                .handle_request(
-                    make_request(proto::MsgType::kSetKnob, 1, set_payload))
+                .handle_request(make_request(
+                    proto::MsgType::kSetKnob, 1,
+                    knob_payload("SURFOS_ADMIT_QUEUE", 1)))
                 .type,
             proto::MsgType::kOk);
 
@@ -239,13 +173,28 @@ TEST_F(DaemonTest, SetKnobHotReloadsAdmissionCapacity) {
             ErrorCode::kAdmissionShed);
 
   // Unknown knob / below-minimum value come back as wire-stable errors.
-  std::vector<std::uint8_t> bad;
-  proto::TlvWriter b(bad);
-  b.put_string(tag::kKnobName, "SURFOS_NOT_REAL");
-  b.put_u64(tag::kKnobValue, 1);
-  EXPECT_EQ(error_code_of(daemon.handle_request(
-                make_request(proto::MsgType::kSetKnob, 4, bad))),
+  EXPECT_EQ(error_code_of(daemon.handle_request(make_request(
+                proto::MsgType::kSetKnob, 4,
+                knob_payload("SURFOS_NOT_REAL", 1)))),
             ErrorCode::kNotFound);
+}
+
+TEST_F(DaemonTest, SetKnobRefusesConstructionReloadRows) {
+  core::install_config(core::Config());
+  Daemon daemon(test_options(temp_path("knobc", ".sock")));
+  // Rows read once at construction would take effect only after a restart:
+  // the reply says so instead of a silent kOk.
+  for (const char* name : {"SURFOS_THREADS", "SURFOS_TRACE_BUFFER",
+                           "SURFOS_TRACE", "SURFOS_TELEMETRY"}) {
+    const auto reply = daemon.handle_request(
+        make_request(proto::MsgType::kSetKnob, 1, knob_payload(name, 2)));
+    EXPECT_EQ(error_code_of(reply), ErrorCode::kInvalidArgument) << name;
+    Error error;
+    ASSERT_TRUE(from_wire(reply.payload, error).ok());
+    EXPECT_NE(error.message.find("construction"), std::string::npos)
+        << error.message;
+  }
+  EXPECT_EQ(core::knob(core::Knob::kThreads), 0u);  // unchanged
 }
 
 // --- The snapshot / restart / resume drill -----------------------------------
@@ -269,13 +218,11 @@ TEST_F(DaemonTest, SnapshotRestartResumeDrill) {
                                   broker::AppClass::kSmartHome, "cam0"))));
     daemon.run_epoch();
     daemon.run_epoch();
-    std::vector<std::uint8_t> stop;
-    proto::TlvWriter w(stop);
-    w.put_string(tag::kAppId, "cam");
-    ASSERT_EQ(
-        daemon.handle_request(make_request(proto::MsgType::kStopApp, 3, stop))
-            .type,
-        proto::MsgType::kOk);
+    ASSERT_EQ(daemon
+                  .handle_request(make_request(proto::MsgType::kStopApp, 3,
+                                               app_payload("cam")))
+                  .type,
+              proto::MsgType::kOk);
     // A third demand stays in-flight in the admission queue (no epoch runs
     // before the snapshot).
     (void)daemon.handle_request(
@@ -315,18 +262,14 @@ TEST_F(DaemonTest, SnapshotRestartResumeDrill) {
   // Byte-identical FleetReport before and after restore, served by
   // get_metrics until the first post-restore epoch.
   EXPECT_EQ(restarted.last_report_wire(), report_before);
-  const auto metrics =
-      restarted.handle_request(make_request(proto::MsgType::kGetMetrics, 7));
-  bool report_served = false;
-  proto::TlvReader r(metrics.payload);
-  while (const auto tlv = r.next()) {
-    if (tlv->tag == tag::kReport) {
-      report_served =
-          std::vector<std::uint8_t>(tlv->value.begin(), tlv->value.end()) ==
-          report_before;
-    }
-  }
-  EXPECT_TRUE(report_served);
+  MetricsReply metrics;
+  ASSERT_TRUE(from_wire(restarted
+                            .handle_request(make_request(
+                                proto::MsgType::kGetMetrics, 7))
+                            .payload,
+                        metrics)
+                  .ok());
+  EXPECT_EQ(metrics.report, report_before);
 
   // Sessions resume under their ORIGINAL trace ids and running flags.
   auto rows_after = parse_status(
@@ -358,12 +301,9 @@ TEST_F(DaemonTest, SnapshotRestartResumeDrill) {
   // back at its snapshotted position and re-translates cam's demand.
   const SurfOS& site0 = *restarted.fleet().find_site("site0");
   EXPECT_EQ(site0.registry().find_endpoint("cam0"), nullptr);
-  std::vector<std::uint8_t> resume;
-  proto::TlvWriter rw(resume);
-  rw.put_string(tag::kAppId, "cam");
   ASSERT_EQ(restarted
-                .handle_request(
-                    make_request(proto::MsgType::kResumeApp, 10, resume))
+                .handle_request(make_request(proto::MsgType::kResumeApp, 10,
+                                             app_payload("cam")))
                 .type,
             proto::MsgType::kOk);
   restarted.run_epoch();
@@ -459,13 +399,10 @@ TEST_F(DaemonTest, ChurnStateStaysBounded) {
       for (int way = 0; way < 2; ++way) {
         const std::string oldest = live[s].front();
         live[s].pop_front();
-        std::vector<std::uint8_t> stop;
-        proto::TlvWriter w(stop);
-        w.put_string(tag::kAppId, oldest);
-        w.put_string(tag::kSiteId, site_ids[s]);
         ASSERT_EQ(daemon
                       .handle_request(
-                          make_request(proto::MsgType::kStopApp, 2, stop))
+                          make_request(proto::MsgType::kStopApp, 2,
+                                       app_payload(oldest, site_ids[s])))
                       .type,
                   proto::MsgType::kOk);
         live[s].push_back(way == 0 ? oldest : "app" + std::to_string(fresh));
@@ -515,20 +452,31 @@ TEST_F(DaemonTest, SocketHelloNegotiatesVersion) {
 
   auto client = Client::connect(socket_path);
   ASSERT_TRUE(client.ok());
-  std::vector<std::uint8_t> payload;
-  proto::TlvWriter w(payload);
-  w.put_u16(tag::kMaxVersion, proto::kProtoVersion);
-  const auto reply = client.value().call(proto::MsgType::kHello, payload);
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply.value().type, proto::MsgType::kHelloAck);
-  std::uint16_t chosen = 0;
-  proto::TlvReader r(reply.value().payload);
-  while (const auto tlv = r.next()) {
-    if (tlv->tag == tag::kChosenVersion) {
-      chosen = proto::tlv_u16(*tlv).value_or(0);
-    }
-  }
-  EXPECT_EQ(chosen, proto::kProtoVersion);
+  const auto ack = client.value().request<HelloAck>(
+      proto::MsgType::kHello, proto::to_wire(HelloRequest{}));
+  ASSERT_TRUE(ack.ok());
+  EXPECT_EQ(ack.value().chosen_version, proto::kProtoVersion);
+  EXPECT_EQ(ack.value().server_name, "surfosd");
+  daemon.stop();
+}
+
+TEST_F(DaemonTest, SocketRequestRefusesAReplyOfAnotherType) {
+  const std::string socket_path = temp_path("rtype", ".sock");
+  Daemon daemon(test_options(socket_path));
+  ASSERT_TRUE(daemon.start().ok());
+  auto client = Client::connect(socket_path);
+  ASSERT_TRUE(client.ok());
+  // kGetKnobs answers kKnobsReply, which is neither a kHelloAck nor a kOk;
+  // the kOk that answers a submit is no kHelloAck either.
+  Client& c = client.value();
+  const auto submit = submit_payload("vr", vr_demand("headset"));
+  EXPECT_EQ(c.request<HelloAck>(proto::MsgType::kGetKnobs, {}).code(),
+            ErrorCode::kMalformedFrame);
+  EXPECT_EQ(c.request<void>(proto::MsgType::kGetKnobs, {}).code(),
+            ErrorCode::kMalformedFrame);
+  EXPECT_EQ(c.request<HelloAck>(proto::MsgType::kSubmitDemand, submit).code(),
+            ErrorCode::kMalformedFrame);
+  EXPECT_TRUE(c.request<KnobsReply>(proto::MsgType::kGetKnobs, {}).ok());
   daemon.stop();
 }
 

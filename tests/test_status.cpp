@@ -133,6 +133,22 @@ TEST_F(ConfigTest, InstalledSnapshotOverridesAndHotReloads) {
   EXPECT_EQ(core::set_config_knob("NOPE", 1).code(), ErrorCode::kNotFound);
 }
 
+TEST_F(ConfigTest, SetKnobRefusesConstructionReloadRows) {
+  core::install_config(core::Config());
+  // Only a restart would apply these rows, so set-knob says so instead of
+  // replying OK; the installed value is left alone.
+  for (const char* name : {"SURFOS_THREADS", "SURFOS_TRACE_BUFFER",
+                           "SURFOS_TRACE", "SURFOS_TELEMETRY"}) {
+    const auto set = core::set_config_knob(name, 2048);
+    EXPECT_EQ(set.code(), ErrorCode::kInvalidArgument) << name;
+    EXPECT_NE(set.error().message.find("environment before start"),
+              std::string::npos)
+        << set.error().message;
+  }
+  EXPECT_EQ(core::knob(core::Knob::kTraceBuffer), 65536u);
+  EXPECT_TRUE(core::set_config_knob("SURFOS_PUMP_MAX", 4).ok());
+}
+
 TEST_F(ConfigTest, SetKnobWithoutASnapshotIsUnavailable) {
   core::clear_config();
   EXPECT_EQ(core::set_config_knob("SURFOS_EPOCH_MS", 5).code(),

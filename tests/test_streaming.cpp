@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -23,6 +22,7 @@
 #include "core/config.hpp"
 #include "daemon/client.hpp"
 #include "daemon/daemon.hpp"
+#include "daemon/messages.hpp"
 #include "daemon/slo.hpp"
 #include "daemon/subscription.hpp"
 #include "daemon/tags.hpp"
@@ -32,23 +32,10 @@
 #include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 
+#include "daemon_test_util.hpp"
+
 namespace surfos::daemon {
 namespace {
-
-std::string temp_path(const char* stem) {
-  static int counter = 0;
-  return "/tmp/ss_" + std::to_string(::getpid()) + "_" + stem +
-         std::to_string(++counter) + ".sock";
-}
-
-DaemonOptions test_options(const std::string& socket) {
-  DaemonOptions options;
-  options.socket_path = socket;
-  options.epoch_ms = 20;
-  options.ticker = false;  // epochs driven by hand
-  options.grid_n = 2;
-  return options;
-}
 
 /// Hand-built sorted snapshot: the counters a test wants this "epoch".
 telemetry::Snapshot make_snapshot(
@@ -64,83 +51,18 @@ telemetry::Snapshot make_snapshot(
   return snap;
 }
 
-/// Everything a decoded kEvent frame carries, flattened for assertions.
-struct Event {
-  std::uint64_t sub_id = 0;
-  std::uint8_t topic = 0;
-  std::uint64_t epoch = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t dropped = 0;
-  bool baseline = false;
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::size_t trace_events = 0;
-  std::vector<SiteHealth> health;
-};
-
 Event parse_event(const proto::WireFrame& frame) {
   EXPECT_EQ(frame.type, proto::MsgType::kEvent);
-  Event ev;
-  proto::TlvReader r(frame.payload);
-  while (const auto tlv = r.next()) {
-    switch (tlv->tag) {
-      case tag::kSubId: ev.sub_id = proto::tlv_u64(*tlv).value_or(0); break;
-      case tag::kSubTopic: ev.topic = proto::tlv_u8(*tlv).value_or(0); break;
-      case tag::kEventEpoch:
-        ev.epoch = proto::tlv_u64(*tlv).value_or(0);
-        break;
-      case tag::kEventSeq: ev.seq = proto::tlv_u64(*tlv).value_or(0); break;
-      case tag::kDroppedEvents:
-        ev.dropped = proto::tlv_u64(*tlv).value_or(0);
-        break;
-      case tag::kEventBaseline:
-        ev.baseline = proto::tlv_u8(*tlv).value_or(0) != 0;
-        break;
-      case tag::kEventTrace: ++ev.trace_events; break;
-      case tag::kEventCounter:
-      case tag::kEventGauge: {
-        std::string name;
-        std::uint64_t u64 = 0;
-        double f64 = 0.0;
-        proto::TlvReader n(tlv->value);
-        while (const auto field = n.next()) {
-          if (field->tag == tag::kMetricName) {
-            name = proto::tlv_string(*field);
-          } else if (field->tag == tag::kMetricU64) {
-            u64 = proto::tlv_u64(*field).value_or(0);
-          } else if (field->tag == tag::kMetricF64) {
-            f64 = proto::tlv_f64(*field).value_or(0.0);
-          }
-        }
-        if (tlv->tag == tag::kEventCounter) {
-          ev.counters[name] = u64;
-        } else {
-          ev.gauges[name] = f64;
-        }
-        break;
-      }
-      case tag::kEventSiteHealth: {
-        SiteHealth site;
-        proto::TlvReader n(tlv->value);
-        while (const auto field = n.next()) {
-          if (field->tag == tag::kHealthSite) {
-            site.site_id = proto::tlv_string(*field);
-          } else if (field->tag == tag::kHealthState) {
-            site.state =
-                static_cast<SloState>(proto::tlv_u8(*field).value_or(0));
-          } else if (field->tag == tag::kHealthEpochs) {
-            site.epochs_in_state = proto::tlv_u64(*field).value_or(0);
-          } else if (field->tag == tag::kHealthReason) {
-            site.reason = proto::tlv_string(*field);
-          }
-        }
-        ev.health.push_back(std::move(site));
-        break;
-      }
-      default: break;
-    }
-  }
-  return ev;
+  Event event;
+  EXPECT_TRUE(from_wire(frame.payload, event).ok());
+  return event;
+}
+
+/// An event's counters keyed by name.
+std::map<std::string, std::uint64_t> counters_of(const Event& event) {
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& c : event.counters) counters[c.name] = c.value;
+  return counters;
 }
 
 std::vector<Event> parse_frames(
@@ -193,11 +115,11 @@ TEST_F(StreamingTest, RegistryPublishesDeltasAtTheRequestedInterval) {
   // only the counter that changed since the anchor.
   EXPECT_TRUE(events[0].baseline);
   EXPECT_EQ(events[0].counters.size(), 2u);
-  EXPECT_EQ(events[0].counters.at("a.ticks"), 1u);
+  EXPECT_EQ(counters_of(events[0]).at("a.ticks"), 1u);
   EXPECT_FALSE(events[1].baseline);
   EXPECT_EQ(events[1].counters.size(), 1u);
-  EXPECT_EQ(events[1].counters.at("a.ticks"), 4u);
-  EXPECT_EQ(events[2].counters.count("b.steady"), 0u);
+  EXPECT_EQ(counters_of(events[1]).at("a.ticks"), 4u);
+  EXPECT_EQ(counters_of(events[2]).count("b.steady"), 0u);
   EXPECT_EQ(registry.stats().published, 3u);
   EXPECT_EQ(registry.stats().dropped, 0u);
 }
@@ -221,7 +143,7 @@ TEST_F(StreamingTest, RegistryPrefixFilterNarrowsMetrics) {
   const auto events = parse_frames(registry.take_output(7));
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].counters.size(), 1u);
-  EXPECT_EQ(events[0].counters.count("hal.writes"), 1u);
+  EXPECT_EQ(counters_of(events[0]).count("hal.writes"), 1u);
 }
 
 TEST_F(StreamingTest, DropOldestAccountingIsExact) {
@@ -395,22 +317,10 @@ TEST_F(StreamingTest, WatchdogClassifiesAndRecovers) {
 // --- Daemon integration ------------------------------------------------------
 
 std::vector<std::uint8_t> submit_payload(const std::string& app_id) {
-  std::vector<std::uint8_t> payload;
-  proto::TlvWriter w(payload);
-  w.put_string(tag::kAppId, app_id);
-  w.put_bytes(tag::kDemand,
-              proto::to_wire(broker::demand_profile(
-                  broker::AppClass::kFileTransfer, "ep_" + app_id)));
-  return payload;
-}
-
-proto::WireFrame make_request(proto::MsgType type, std::uint64_t trace_id,
-                              std::vector<std::uint8_t> payload = {}) {
-  proto::WireFrame frame;
-  frame.type = type;
-  frame.trace_id = trace_id;
-  frame.payload = std::move(payload);
-  return frame;
+  return proto::to_wire(SubmitRequest{
+      app_id, {},
+      broker::demand_profile(broker::AppClass::kFileTransfer, "ep_" + app_id),
+      {}});
 }
 
 TEST_F(StreamingTest, SocketSubscriberReceivesEventsAtTheRequestedInterval) {
@@ -422,21 +332,16 @@ TEST_F(StreamingTest, SocketSubscriberReceivesEventsAtTheRequestedInterval) {
   ASSERT_TRUE(connected.ok());
   Client client = std::move(connected.value());
 
-  std::vector<std::uint8_t> payload;
-  proto::TlvWriter w(payload);
-  w.put_u8(tag::kSubTopic, static_cast<std::uint8_t>(SubTopic::kMetrics));
-  w.put_u32(tag::kSubInterval, 2);
-  const auto ack = client.call(proto::MsgType::kSubscribe, payload);
+  SubscriptionSpec spec;
+  spec.topic = SubTopic::kMetrics;
+  spec.interval = 2;
+  const auto ack = client.request<SubscribeAck>(proto::MsgType::kSubscribe,
+                                                proto::to_wire(spec));
   ASSERT_TRUE(ack.ok());
-  ASSERT_EQ(ack.value().type, proto::MsgType::kSubscribeAck);
-  std::uint64_t sub_id = 0;
-  {
-    proto::TlvReader r(ack.value().payload);
-    while (const auto tlv = r.next()) {
-      if (tlv->tag == tag::kSubId) sub_id = proto::tlv_u64(*tlv).value_or(0);
-    }
-  }
+  const std::uint64_t sub_id = ack.value().sub_id;
   EXPECT_NE(sub_id, 0u);
+  EXPECT_EQ(ack.value().topic, SubTopic::kMetrics);
+  EXPECT_EQ(ack.value().interval, 2u);
 
   // Interval 2: epochs 1 and 3 publish, epoch 2 is skipped. The server
   // thread flushes after each hand-driven epoch (wake-pipe poke), so a
@@ -470,12 +375,10 @@ TEST_F(StreamingTest, SocketSubscriberReceivesEventsAtTheRequestedInterval) {
   EXPECT_EQ(status.value().type, proto::MsgType::kStatusReply);
 
   // Unsubscribe stops the stream.
-  std::vector<std::uint8_t> unsub;
-  proto::TlvWriter uw(unsub);
-  uw.put_u64(tag::kSubId, sub_id);
-  const auto bye = client.call(proto::MsgType::kUnsubscribe, unsub);
-  ASSERT_TRUE(bye.ok());
-  EXPECT_EQ(bye.value().type, proto::MsgType::kOk);
+  EXPECT_TRUE(client
+                  .request<void>(proto::MsgType::kUnsubscribe,
+                                 proto::to_wire(UnsubscribeRequest{sub_id}))
+                  .ok());
   EXPECT_EQ(daemon.subscription_stats().subscriptions, 0u);
   daemon.stop();
 }
@@ -497,13 +400,10 @@ TEST_F(StreamingTest, SloFlipsDegradedWithinThreeEpochsOfQueueSaturation) {
   for (const auto& [knob, value] :
        std::vector<std::pair<std::string, std::uint64_t>>{
            {"SURFOS_ADMIT_QUEUE", 10}, {"SURFOS_PUMP_MAX", 1}}) {
-    std::vector<std::uint8_t> payload;
-    proto::TlvWriter w(payload);
-    w.put_string(tag::kKnobName, knob);
-    w.put_u64(tag::kKnobValue, value);
     ASSERT_EQ(daemon
-                  .handle_request(
-                      make_request(proto::MsgType::kSetKnob, 1, payload))
+                  .handle_request(make_request(
+                      proto::MsgType::kSetKnob, 1,
+                      proto::to_wire(SetKnobRequest{knob, value})))
                   .type,
               proto::MsgType::kOk);
   }
@@ -547,17 +447,10 @@ TEST_F(StreamingTest, SloFlipsDegradedWithinThreeEpochsOfQueueSaturation) {
   const auto status =
       daemon.handle_request(make_request(proto::MsgType::kGetStatus, 3));
   ASSERT_EQ(status.type, proto::MsgType::kStatusReply);
-  std::uint8_t fleet = 0;
-  std::size_t site_rows = 0;
-  proto::TlvReader r(status.payload);
-  while (const auto tlv = r.next()) {
-    if (tlv->tag == tag::kFleetHealth) {
-      fleet = proto::tlv_u8(*tlv).value_or(0);
-    }
-    if (tlv->tag == tag::kSiteHealth) ++site_rows;
-  }
-  EXPECT_EQ(static_cast<SloState>(fleet), SloState::kDegraded);
-  EXPECT_GT(site_rows, 0u);
+  StatusReply reply;
+  ASSERT_TRUE(from_wire(status.payload, reply).ok());
+  EXPECT_EQ(reply.fleet_health, SloState::kDegraded);
+  EXPECT_FALSE(reply.health.empty());
 }
 
 TEST_F(StreamingTest, TraceCursorPaginationDrainsWithoutDuplicates) {
@@ -568,54 +461,30 @@ TEST_F(StreamingTest, TraceCursorPaginationDrainsWithoutDuplicates) {
   for (int i = 0; i < 12; ++i) daemon.run_epoch();
 
   std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
-  std::uint64_t cursor_ts = 0, cursor_span = 0;
+  TracesRequest request;
+  request.limit = 16;
   std::uint64_t last_ts = 0, last_span = 0;
   bool done = false;
   int pages = 0;
   while (!done && pages < 1000) {
     ++pages;
-    std::vector<std::uint8_t> payload;
-    proto::TlvWriter w(payload);
-    w.put_u64(tag::kTraceCursorTs, cursor_ts);
-    w.put_u64(tag::kTraceCursorSpan, cursor_span);
-    w.put_u32(tag::kTraceLimit, 16);
-    const auto reply = daemon.handle_request(
-        make_request(proto::MsgType::kStreamTraces, 0, payload));
+    const auto reply = daemon.handle_request(make_request(
+        proto::MsgType::kStreamTraces, 0, proto::to_wire(request)));
     ASSERT_EQ(reply.type, proto::MsgType::kTraceChunk);
-    proto::TlvReader r(reply.payload);
-    while (const auto tlv = r.next()) {
-      switch (tlv->tag) {
-        case tag::kTraceEvent: {
-          std::uint64_t ts = 0, span = 0;
-          proto::TlvReader n(tlv->value);
-          while (const auto field = n.next()) {
-            if (field->tag == tag::kEvTs) {
-              ts = proto::tlv_u64(*field).value_or(0);
-            } else if (field->tag == tag::kEvSpan) {
-              span = proto::tlv_u64(*field).value_or(0);
-            }
-          }
-          // Strictly advancing (ts, span) order means no duplicates and no
-          // torn pages, even though new events keep arriving between pages.
-          EXPECT_TRUE(std::make_pair(ts, span) >
-                      std::make_pair(last_ts, last_span));
-          last_ts = ts;
-          last_span = span;
-          EXPECT_TRUE(seen.emplace(ts, span).second);
-          break;
-        }
-        case tag::kTraceNextTs:
-          cursor_ts = proto::tlv_u64(*tlv).value_or(0);
-          break;
-        case tag::kTraceNextSpan:
-          cursor_span = proto::tlv_u64(*tlv).value_or(0);
-          break;
-        case tag::kTraceDone:
-          done = proto::tlv_u8(*tlv).value_or(0) != 0;
-          break;
-        default: break;
-      }
+    TraceChunk chunk;
+    ASSERT_TRUE(from_wire(reply.payload, chunk).ok());
+    for (const TraceRecord& event : chunk.events) {
+      // Strictly advancing (ts, span) order means no duplicates and no
+      // torn pages, even though new events keep arriving between pages.
+      EXPECT_TRUE(std::make_pair(event.ts_ns, event.span_id) >
+                  std::make_pair(last_ts, last_span));
+      last_ts = event.ts_ns;
+      last_span = event.span_id;
+      EXPECT_TRUE(seen.emplace(event.ts_ns, event.span_id).second);
     }
+    request.cursor_ts = chunk.next_ts;
+    request.cursor_span = chunk.next_span;
+    done = chunk.done;
   }
   EXPECT_TRUE(done);
   EXPECT_GT(seen.size(), 16u);  // really paginated, not a one-shot
@@ -626,31 +495,15 @@ TEST_F(StreamingTest, TraceCursorPaginationDrainsWithoutDuplicates) {
   const auto first =
       daemon.handle_request(make_request(proto::MsgType::kStreamTraces, 0));
   ASSERT_EQ(first.type, proto::MsgType::kTraceChunk);
-  std::size_t first_events = 0;
-  std::optional<bool> first_done;
-  std::pair<std::uint64_t, std::uint64_t> first_key{0, 0};
-  proto::TlvReader fr(first.payload);
-  while (const auto tlv = fr.next()) {
-    if (tlv->tag == tag::kTraceEvent) {
-      std::uint64_t ts = 0, span = 0;
-      proto::TlvReader n(tlv->value);
-      while (const auto field = n.next()) {
-        if (field->tag == tag::kEvTs) ts = proto::tlv_u64(*field).value_or(0);
-        if (field->tag == tag::kEvSpan) {
-          span = proto::tlv_u64(*field).value_or(0);
-        }
-      }
-      if (first_events++ == 0) first_key = {ts, span};
-    }
-    if (tlv->tag == tag::kTraceDone) {
-      first_done = proto::tlv_u8(*tlv).value_or(0) != 0;
-    }
-  }
-  EXPECT_EQ(first_events, std::min<std::size_t>(buffered, 512));
-  ASSERT_TRUE(first_done.has_value());
-  EXPECT_EQ(*first_done, buffered < 512);
+  TraceChunk first_chunk;
+  ASSERT_TRUE(from_wire(first.payload, first_chunk).ok());
+  EXPECT_EQ(first_chunk.events.size(), std::min<std::size_t>(buffered, 512));
+  EXPECT_EQ(first_chunk.done, buffered < 512);
   // The page starts at the oldest buffered event.
-  EXPECT_EQ(first_key, *seen.begin());
+  ASSERT_FALSE(first_chunk.events.empty());
+  EXPECT_EQ(std::make_pair(first_chunk.events[0].ts_ns,
+                           first_chunk.events[0].span_id),
+            *seen.begin());
   telemetry::set_trace_enabled(false);
 }
 
@@ -658,23 +511,11 @@ TEST_F(StreamingTest, SubscribeValidationOverTheWire) {
   const std::string socket_path = temp_path("val");
   Daemon daemon(test_options(socket_path));
 
-  const auto error_code_of = [](const proto::WireFrame& reply) {
-    EXPECT_EQ(reply.type, proto::MsgType::kError);
-    proto::TlvReader r(reply.payload);
-    while (const auto tlv = r.next()) {
-      if (tlv->tag == tag::kErrorCode) {
-        return static_cast<ErrorCode>(proto::tlv_u32(*tlv).value_or(0));
-      }
-    }
-    return ErrorCode::kOk;
-  };
-
   // In-process requests have no streaming connection to attach to.
-  std::vector<std::uint8_t> good;
-  proto::TlvWriter w(good);
-  w.put_u8(tag::kSubTopic, static_cast<std::uint8_t>(SubTopic::kMetrics));
-  EXPECT_EQ(error_code_of(daemon.handle_request(
-                make_request(proto::MsgType::kSubscribe, 1, good))),
+  SubscriptionSpec good;
+  good.topic = SubTopic::kMetrics;
+  EXPECT_EQ(error_code_of(daemon.handle_request(make_request(
+                proto::MsgType::kSubscribe, 1, proto::to_wire(good)))),
             ErrorCode::kUnavailable);
 
   // Unknown topic: malformed, regardless of transport.

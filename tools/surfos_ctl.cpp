@@ -15,34 +15,38 @@
 //                                print server-pushed events until --count
 //                                events arrive (or forever)
 //   snapshot / restore           daemon state to/from its snapshot path
-//   set-knob NAME VALUE          hot-reload a SURFOS_* knob
-//   knobs                        list knobs and current overrides
+//   set-knob NAME VALUE          hot-reload a SURFOS_* knob; VALUE is a
+//                                plain base-10 u64 (anything else is a
+//                                usage error), and a row read only at
+//                                construction (SURFOS_THREADS,
+//                                SURFOS_TRACE_BUFFER, SURFOS_TRACE,
+//                                SURFOS_TELEMETRY) is refused with
+//                                invalid-argument
+//   knobs                        list every knob with its current value
 //   shutdown                     stop the daemon
 //
 // Exits 0 on success, 1 when the daemon answers kError (code + message go
 // to stderr), 2 on usage errors.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "broker/demand.hpp"
 #include "daemon/client.hpp"
-#include "daemon/subscription.hpp"
-#include "daemon/tags.hpp"
+#include "daemon/messages.hpp"
 #include "orch/task.hpp"
 #include "proto/serialize.hpp"
-#include "proto/wire.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace {
 
-using surfos::daemon::Client;
-namespace tag = surfos::daemon::tag;
+using namespace surfos::daemon;
 namespace proto = surfos::proto;
 
 int usage() {
@@ -56,7 +60,9 @@ int usage() {
       "         [--throughput MBPS] [--latency MS] [--sensing] [--security]\n"
       "         [--power] [--priority background|normal|interactive|critical]\n"
       "  stop APP [--site S] | resume APP [--site S]\n"
-      "  snapshot | restore | set-knob NAME VALUE | knobs | shutdown\n");
+      "  snapshot | restore | knobs | shutdown\n"
+      "  set-knob NAME VALUE   (VALUE: base-10 u64; construction-time\n"
+      "        knobs such as SURFOS_THREADS must be set before start)\n");
   return 2;
 }
 
@@ -81,36 +87,67 @@ std::optional<surfos::orch::Priority> parse_priority(const std::string& name) {
   return std::nullopt;
 }
 
-/// Prints a kError reply's code + message; returns 1 (the exit code).
-int report_error(const proto::WireFrame& reply) {
-  std::uint32_t code = 0;
-  std::string message;
-  proto::TlvReader r(reply.payload);
-  while (const auto tlv = r.next()) {
-    if (tlv->tag == tag::kErrorCode) {
-      code = proto::tlv_u32(*tlv).value_or(0);
-    }
-    if (tlv->tag == tag::kErrorMessage) message = proto::tlv_string(*tlv);
-  }
-  std::fprintf(stderr, "error %u (%s): %s\n", code,
-               surfos::to_string(static_cast<surfos::ErrorCode>(code)),
-               message.c_str());
+/// Prints a failed request's error code + message; returns 1 (the exit
+/// code).
+int fail(const surfos::Error& error) {
+  std::fprintf(stderr, "error %u (%s): %s\n",
+               static_cast<unsigned>(error.code),
+               surfos::to_string(error.code), error.message.c_str());
   return 1;
 }
 
+/// One round trip: a failure is printed (exit 1), a reply handed to
+/// `on_reply` (exit 0).
+template <typename Reply, typename OnReply>
 int run(Client& client, proto::MsgType type,
-        const std::vector<std::uint8_t>& payload,
-        const std::function<void(const proto::WireFrame&)>& on_reply) {
-  auto reply = client.call(type, payload);
-  if (!reply.ok()) {
-    std::fprintf(stderr, "surfos-ctl: %s\n", reply.error().message.c_str());
-    return 1;
+        const std::vector<std::uint8_t>& payload, OnReply on_reply) {
+  auto reply = client.request<Reply>(type, payload);
+  if (!reply.ok()) return fail(reply.error());
+  if constexpr (std::is_void_v<Reply>) {
+    on_reply();
+  } else {
+    on_reply(reply.value());
   }
-  if (reply.value().type == proto::MsgType::kError) {
-    return report_error(reply.value());
-  }
-  on_reply(reply.value());
   return 0;
+}
+
+/// A plain base-10 number that fits in a u64: no sign, no junk, no
+/// overflow.
+std::optional<std::uint64_t> parse_u64(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value, 10);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// One line per event, `key=value` fields (greppable from scripts),
+/// followed by indented per-record lines.
+void print_event(const char* topic, const Event& event) {
+  std::printf("event topic=%s epoch=%llu seq=%llu dropped=%llu%s\n", topic,
+              static_cast<unsigned long long>(event.epoch),
+              static_cast<unsigned long long>(event.seq),
+              static_cast<unsigned long long>(event.dropped),
+              event.baseline ? " baseline=1" : "");
+  for (const auto& c : event.counters) {
+    std::printf("  counter %s=%llu\n", c.name.c_str(),
+                static_cast<unsigned long long>(c.value));
+  }
+  for (const auto& g : event.gauges) {
+    std::printf("  gauge %s=%g\n", g.name.c_str(), g.value);
+  }
+  for (const TraceRecord& t : event.traces) {
+    std::printf("  trace %s ts_ns=%llu dur_ns=%llu\n", t.name.c_str(),
+                static_cast<unsigned long long>(t.ts_ns),
+                static_cast<unsigned long long>(t.dur_ns));
+  }
+  for (const surfos::daemon::SiteHealth& h : event.health) {
+    std::printf("  site %s state=%s epochs=%llu%s%s\n", h.site_id.c_str(),
+                surfos::daemon::slo_state_name(h.state),
+                static_cast<unsigned long long>(h.epochs_in_state),
+                h.reason.empty() ? "" : " reason=", h.reason.c_str());
+  }
+  std::fflush(stdout);
 }
 
 }  // namespace
@@ -181,6 +218,13 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::optional<std::uint64_t> knob_value;
+  if (command == "set-knob") {
+    if (positional.size() != 2) return usage();
+    knob_value = parse_u64(positional[1]);
+    if (!knob_value) return usage();
+  }
+
   auto connected = Client::connect(socket_path);
   if (!connected.ok()) {
     std::fprintf(stderr, "surfos-ctl: %s\n",
@@ -189,27 +233,14 @@ int main(int argc, char** argv) {
   }
   Client client = std::move(connected.value());
 
-  std::vector<std::uint8_t> payload;
-  proto::TlvWriter w(payload);
-
   if (command == "ping") {
-    w.put_u16(tag::kMaxVersion, proto::kProtoVersion);
-    return run(client, proto::MsgType::kHello, payload,
-               [](const proto::WireFrame& reply) {
-                 std::uint16_t version = 0;
-                 std::string server;
-                 proto::TlvReader r(reply.payload);
-                 while (const auto tlv = r.next()) {
-                   if (tlv->tag == tag::kChosenVersion) {
-                     version = proto::tlv_u16(*tlv).value_or(0);
-                   }
-                   if (tlv->tag == tag::kServerName) {
-                     server = proto::tlv_string(*tlv);
-                   }
-                 }
-                 std::printf("%s speaks protocol v%u\n", server.c_str(),
-                             version);
-               });
+    return run<HelloAck>(client, proto::MsgType::kHello,
+                         proto::to_wire(HelloRequest{}),
+                         [](const HelloAck& ack) {
+                           std::printf("%s speaks protocol v%u\n",
+                                       ack.server_name.c_str(),
+                                       ack.chosen_version);
+                         });
   }
 
   if (command == "submit") {
@@ -220,257 +251,114 @@ int main(int argc, char** argv) {
                    app_class.c_str());
       return 2;
     }
-    surfos::broker::AppDemand demand = surfos::broker::demand_profile(
-        *parsed_class, endpoint_id, region_id);
-    if (throughput) demand.throughput_mbps = throughput;
-    if (latency) demand.max_latency_ms = latency;
-    if (sensing) demand.needs_sensing = true;
-    if (security) demand.needs_security = true;
-    if (power) demand.needs_power = true;
-    w.put_string(tag::kAppId, positional[0]);
-    if (!site_id.empty()) w.put_string(tag::kSiteId, site_id);
-    w.put_bytes(tag::kDemand, proto::to_wire(demand));
-    if (priority) {
-      w.put_u64(tag::kPriority, static_cast<std::uint64_t>(*priority));
-    }
-    return run(client, proto::MsgType::kSubmitDemand, payload,
-               [&](const proto::WireFrame& reply) {
-                 std::uint64_t depth = 0;
-                 proto::TlvReader r(reply.payload);
-                 while (const auto tlv = r.next()) {
-                   if (tlv->tag == tag::kQueueDepth) {
-                     depth = proto::tlv_u64(*tlv).value_or(0);
-                   }
-                 }
-                 std::printf("queued %s (admission depth %llu)\n",
-                             positional[0].c_str(),
-                             static_cast<unsigned long long>(depth));
-               });
+    SubmitRequest request;
+    request.app_id = positional[0];
+    request.site_id = site_id;
+    request.demand = surfos::broker::demand_profile(*parsed_class,
+                                                    endpoint_id, region_id);
+    if (throughput) request.demand->throughput_mbps = throughput;
+    if (latency) request.demand->max_latency_ms = latency;
+    if (sensing) request.demand->needs_sensing = true;
+    if (security) request.demand->needs_security = true;
+    if (power) request.demand->needs_power = true;
+    if (priority) request.priority = static_cast<std::uint64_t>(*priority);
+    return run<SubmitAck>(
+        client, proto::MsgType::kSubmitDemand, proto::to_wire(request),
+        [&](const SubmitAck& ack) {
+          std::printf("queued %s (admission depth %llu)\n",
+                      positional[0].c_str(),
+                      static_cast<unsigned long long>(ack.queue_depth));
+        });
   }
 
   if (command == "stop" || command == "resume") {
     if (positional.size() != 1) return usage();
-    w.put_string(tag::kAppId, positional[0]);
-    if (!site_id.empty()) w.put_string(tag::kSiteId, site_id);
-    return run(client,
-               command == "stop" ? proto::MsgType::kStopApp
-                                 : proto::MsgType::kResumeApp,
-               payload, [&](const proto::WireFrame&) {
-                 std::printf("%s: %s\n", command.c_str(),
-                             positional[0].c_str());
-               });
+    return run<void>(client,
+                     command == "stop" ? proto::MsgType::kStopApp
+                                       : proto::MsgType::kResumeApp,
+                     proto::to_wire(AppRequest{positional[0], site_id}),
+                     [&] {
+                       std::printf("%s: %s\n", command.c_str(),
+                                   positional[0].c_str());
+                     });
   }
 
   if (command == "status") {
-    if (!app_id.empty()) w.put_string(tag::kAppId, app_id);
-    if (!site_id.empty()) w.put_string(tag::kSiteId, site_id);
-    return run(client, proto::MsgType::kGetStatus, payload,
-               [](const proto::WireFrame& reply) {
-                 proto::TlvReader r(reply.payload);
-                 std::uint64_t depth = 0, epochs = 0;
-                 std::size_t sessions = 0;
-                 while (const auto tlv = r.next()) {
-                   if (tlv->tag == tag::kQueueDepth) {
-                     depth = proto::tlv_u64(*tlv).value_or(0);
-                   } else if (tlv->tag == tag::kStatusEpochs) {
-                     epochs = proto::tlv_u64(*tlv).value_or(0);
-                   } else if (tlv->tag == tag::kSession) {
-                     ++sessions;
-                     std::string app, site;
-                     bool running = false, satisfied = false;
-                     std::uint64_t trace = 0, total = 0, met = 0;
-                     proto::TlvReader n(tlv->value);
-                     while (const auto field = n.next()) {
-                       switch (field->tag) {
-                         case tag::kSessionApp:
-                           app = proto::tlv_string(*field);
-                           break;
-                         case tag::kSessionSite:
-                           site = proto::tlv_string(*field);
-                           break;
-                         case tag::kSessionRunning:
-                           running = proto::tlv_u8(*field).value_or(0) != 0;
-                           break;
-                         case tag::kSessionTrace:
-                           trace = proto::tlv_u64(*field).value_or(0);
-                           break;
-                         case tag::kSessionSatisfied:
-                           satisfied = proto::tlv_u8(*field).value_or(0) != 0;
-                           break;
-                         case tag::kSessionTasksTotal:
-                           total = proto::tlv_u64(*field).value_or(0);
-                           break;
-                         case tag::kSessionTasksMet:
-                           met = proto::tlv_u64(*field).value_or(0);
-                           break;
-                         default: break;
-                       }
-                     }
-                     std::printf(
-                         "%-16s %-8s %-8s %-11s goals %llu/%llu trace %016llx\n",
-                         app.c_str(), site.c_str(),
-                         running ? "running" : "stopped",
-                         satisfied ? "satisfied" : "unsatisfied",
-                         static_cast<unsigned long long>(met),
-                         static_cast<unsigned long long>(total),
-                         static_cast<unsigned long long>(trace));
-                   }
-                 }
-                 std::printf("%zu session(s), %llu queued, epoch %llu\n",
-                             sessions,
-                             static_cast<unsigned long long>(depth),
-                             static_cast<unsigned long long>(epochs));
-               });
+    return run<StatusReply>(
+        client, proto::MsgType::kGetStatus,
+        proto::to_wire(AppRequest{app_id, site_id}),
+        [](const StatusReply& status) {
+          for (const SessionRow& row : status.sessions) {
+            std::printf(
+                "%-16s %-8s %-8s %-11s goals %llu/%llu trace %016llx\n",
+                row.app_id.c_str(), row.site_id.c_str(),
+                row.running ? "running" : "stopped",
+                row.satisfied ? "satisfied" : "unsatisfied",
+                static_cast<unsigned long long>(row.tasks_met),
+                static_cast<unsigned long long>(row.tasks_total),
+                static_cast<unsigned long long>(row.trace_id));
+          }
+          std::printf("%zu session(s), %llu queued, epoch %llu\n",
+                      status.sessions.size(),
+                      static_cast<unsigned long long>(status.queue_depth),
+                      static_cast<unsigned long long>(status.epochs));
+        });
   }
 
   if (command == "metrics") {
-    return run(client, proto::MsgType::kGetMetrics, payload,
-               [](const proto::WireFrame& reply) {
-                 proto::TlvReader r(reply.payload);
-                 std::uint64_t epochs = 0, rebuilds = 0, requests = 0;
-                 std::uint64_t pre_hits = 0, pre_misses = 0, pre_bytes = 0,
-                               pre_evictions = 0;
-                 bool have_precompute = false;
-                 double epoch_ms = 0.0;
-                 surfos::FleetReport report;
-                 bool have_report = false;
-                 while (const auto tlv = r.next()) {
-                   switch (tlv->tag) {
-                     case tag::kReport:
-                       have_report =
-                           proto::from_wire(tlv->value, report).ok();
-                       break;
-                     case tag::kEpochs:
-                       epochs = proto::tlv_u64(*tlv).value_or(0);
-                       break;
-                     case tag::kRebuilds:
-                       rebuilds = proto::tlv_u64(*tlv).value_or(0);
-                       break;
-                     case tag::kLastEpochMs:
-                       epoch_ms = proto::tlv_f64(*tlv).value_or(0.0);
-                       break;
-                     case tag::kRequests:
-                       requests = proto::tlv_u64(*tlv).value_or(0);
-                       break;
-                     case tag::kPrecomputeHits:
-                       pre_hits = proto::tlv_u64(*tlv).value_or(0);
-                       have_precompute = true;
-                       break;
-                     case tag::kPrecomputeMisses:
-                       pre_misses = proto::tlv_u64(*tlv).value_or(0);
-                       break;
-                     case tag::kPrecomputeBytes:
-                       pre_bytes = proto::tlv_u64(*tlv).value_or(0);
-                       break;
-                     case tag::kPrecomputeEvictions:
-                       pre_evictions = proto::tlv_u64(*tlv).value_or(0);
-                       break;
-                     default: break;
-                   }
-                 }
-                 std::printf(
-                     "epochs %llu (last %.2f ms), env rebuilds %llu, "
-                     "requests %llu\n",
-                     static_cast<unsigned long long>(epochs), epoch_ms,
-                     static_cast<unsigned long long>(rebuilds),
-                     static_cast<unsigned long long>(requests));
-                 if (have_precompute) {
-                   std::printf(
-                       "precompute: %llu hit(s), %llu miss(es), "
-                       "%llu eviction(s), %.1f MiB resident\n",
-                       static_cast<unsigned long long>(pre_hits),
-                       static_cast<unsigned long long>(pre_misses),
-                       static_cast<unsigned long long>(pre_evictions),
-                       static_cast<double>(pre_bytes) / (1024.0 * 1024.0));
-                 }
-                 if (have_report) {
-                   std::printf(
-                       "last step: %zu site(s), %zu assignment(s), "
-                       "%zu optimization(s), %zu starved\n",
-                       report.sites.size(), report.total_assignments,
-                       report.total_optimizations, report.total_starved);
-                 }
-               });
+    return run<MetricsReply>(
+        client, proto::MsgType::kGetMetrics, {},
+        [](const MetricsReply& metrics) {
+          std::printf(
+              "epochs %llu (last %.2f ms), env rebuilds %llu, "
+              "requests %llu\n",
+              static_cast<unsigned long long>(metrics.epochs),
+              metrics.last_epoch_ms,
+              static_cast<unsigned long long>(metrics.env_rebuilds),
+              static_cast<unsigned long long>(metrics.requests));
+          std::printf(
+              "precompute: %llu hit(s), %llu miss(es), "
+              "%llu eviction(s), %.1f MiB resident\n",
+              static_cast<unsigned long long>(metrics.precompute_hits),
+              static_cast<unsigned long long>(metrics.precompute_misses),
+              static_cast<unsigned long long>(metrics.precompute_evictions),
+              static_cast<double>(metrics.precompute_bytes) /
+                  (1024.0 * 1024.0));
+          surfos::FleetReport report;
+          if (proto::from_wire(metrics.report, report).ok()) {
+            std::printf(
+                "last step: %zu site(s), %zu assignment(s), "
+                "%zu optimization(s), %zu starved\n",
+                report.sites.size(), report.total_assignments,
+                report.total_optimizations, report.total_starved);
+          }
+        });
   }
 
   if (command == "traces") {
     // Cursor drain loop: page through the flight recorder until the daemon
-    // reports kTraceDone, then emit one chrome JSON document. Wire names
-    // are interned in a deque so the rebuilt TraceEvents can point at them.
+    // reports the buffer drained, then emit one chrome JSON document. Wire
+    // names are interned in a deque so the rebuilt TraceEvents can point at
+    // them.
     std::deque<std::string> names;
     std::vector<surfos::telemetry::TraceEvent> events;
-    std::uint64_t cursor_ts = 0, cursor_span = 0;
-    bool done = false;
-    while (!done) {
-      std::vector<std::uint8_t> page;
-      proto::TlvWriter pw(page);
-      pw.put_u64(tag::kTraceCursorTs, cursor_ts);
-      pw.put_u64(tag::kTraceCursorSpan, cursor_span);
-      pw.put_u32(tag::kTraceLimit, 1024);
-      auto reply = client.call(proto::MsgType::kStreamTraces, page);
-      if (!reply.ok()) {
-        std::fprintf(stderr, "surfos-ctl: %s\n",
-                     reply.error().message.c_str());
-        return 1;
-      }
-      if (reply.value().type == proto::MsgType::kError) {
-        return report_error(reply.value());
-      }
-      proto::TlvReader r(reply.value().payload);
-      while (const auto tlv = r.next()) {
-        switch (tlv->tag) {
-          case tag::kTraceEvent: {
-            surfos::telemetry::TraceEvent ev;
-            proto::TlvReader n(tlv->value);
-            while (const auto field = n.next()) {
-              switch (field->tag) {
-                case tag::kEvTs:
-                  ev.ts_ns = proto::tlv_u64(*field).value_or(0);
-                  break;
-                case tag::kEvDur:
-                  ev.dur_ns = proto::tlv_u64(*field).value_or(0);
-                  break;
-                case tag::kEvTrace:
-                  ev.trace_id = proto::tlv_u64(*field).value_or(0);
-                  break;
-                case tag::kEvSpan:
-                  ev.span_id = proto::tlv_u64(*field).value_or(0);
-                  break;
-                case tag::kEvParent:
-                  ev.parent_span_id = proto::tlv_u64(*field).value_or(0);
-                  break;
-                case tag::kEvName:
-                  names.push_back(proto::tlv_string(*field));
-                  ev.name = names.back().c_str();
-                  break;
-                case tag::kEvKind:
-                  ev.kind = static_cast<surfos::telemetry::TraceEvent::Kind>(
-                      proto::tlv_u8(*field).value_or(0));
-                  break;
-                case tag::kEvArg:
-                  ev.arg = proto::tlv_u64(*field).value_or(0);
-                  break;
-                case tag::kEvTid:
-                  ev.thread_index = proto::tlv_u32(*field).value_or(0);
-                  break;
-                default: break;
-              }
+    TracesRequest request;
+    request.limit = 1024;
+    for (bool done = false; !done;) {
+      const int rc = run<TraceChunk>(
+          client, proto::MsgType::kStreamTraces, proto::to_wire(request),
+          [&](const TraceChunk& chunk) {
+            for (const TraceRecord& r : chunk.events) {
+              names.push_back(r.name);
+              events.push_back({r.trace_id, r.span_id, r.parent_span_id,
+                                names.back().c_str(), r.ts_ns, r.dur_ns, r.arg,
+                                r.thread_index, r.kind});
             }
-            events.push_back(ev);
-            break;
-          }
-          case tag::kTraceNextTs:
-            cursor_ts = proto::tlv_u64(*tlv).value_or(cursor_ts);
-            break;
-          case tag::kTraceNextSpan:
-            cursor_span = proto::tlv_u64(*tlv).value_or(cursor_span);
-            break;
-          case tag::kTraceDone:
-            done = proto::tlv_u8(*tlv).value_or(0) != 0;
-            break;
-          default: break;
-        }
-      }
+            request.cursor_ts = chunk.next_ts;
+            request.cursor_span = chunk.next_span;
+            done = chunk.done;
+          });
+      if (rc != 0) return rc;
     }
     std::printf("%s", surfos::telemetry::chrome_trace_json(events).c_str());
     return 0;
@@ -484,218 +372,68 @@ int main(int argc, char** argv) {
                    positional[0].c_str());
       return 2;
     }
-    w.put_u8(tag::kSubTopic, topic);
-    w.put_u32(tag::kSubInterval, static_cast<std::uint32_t>(interval));
-    if (!site_id.empty()) w.put_string(tag::kSubSite, site_id);
-    if (!prefix.empty()) w.put_string(tag::kSubPrefix, prefix);
-    auto ack = client.call(proto::MsgType::kSubscribe, payload);
-    if (!ack.ok()) {
-      std::fprintf(stderr, "surfos-ctl: %s\n", ack.error().message.c_str());
-      return 1;
-    }
-    if (ack.value().type == proto::MsgType::kError) {
-      return report_error(ack.value());
-    }
-    std::uint64_t sub_id = 0;
-    {
-      proto::TlvReader r(ack.value().payload);
-      while (const auto tlv = r.next()) {
-        if (tlv->tag == tag::kSubId) {
-          sub_id = proto::tlv_u64(*tlv).value_or(0);
-        }
-      }
-    }
-    std::fprintf(stderr, "subscribed %s id=%llu interval=%ld\n",
-                 positional[0].c_str(),
-                 static_cast<unsigned long long>(sub_id), interval);
-    long seen = 0;
-    while (count == 0 || seen < count) {
+    const SubscriptionSpec spec{static_cast<SubTopic>(topic),
+                                static_cast<std::uint32_t>(interval),
+                                site_id, prefix};
+    const int rc = run<SubscribeAck>(
+        client, proto::MsgType::kSubscribe, proto::to_wire(spec),
+        [&](const SubscribeAck& ack) {
+          std::fprintf(stderr, "subscribed %s id=%llu interval=%ld\n",
+                       positional[0].c_str(),
+                       static_cast<unsigned long long>(ack.sub_id), interval);
+        });
+    if (rc != 0) return rc;
+    for (long seen = 0; count == 0 || seen < count;) {
       auto frame = client.recv();
-      if (!frame.ok()) {
-        std::fprintf(stderr, "surfos-ctl: %s\n",
-                     frame.error().message.c_str());
-        return 1;
-      }
+      if (!frame.ok()) return fail(frame.error());
       if (frame.value().type != proto::MsgType::kEvent) continue;
-      std::uint64_t epoch = 0, seq = 0, dropped = 0;
-      bool baseline = false;
-      // One line per event, `key=value` fields — greppable from scripts —
-      // followed by indented per-record lines.
-      std::vector<std::string> lines;
-      proto::TlvReader r(frame.value().payload);
-      while (const auto tlv = r.next()) {
-        switch (tlv->tag) {
-          case tag::kEventEpoch:
-            epoch = proto::tlv_u64(*tlv).value_or(0);
-            break;
-          case tag::kEventSeq:
-            seq = proto::tlv_u64(*tlv).value_or(0);
-            break;
-          case tag::kDroppedEvents:
-            dropped = proto::tlv_u64(*tlv).value_or(0);
-            break;
-          case tag::kEventBaseline:
-            baseline = proto::tlv_u8(*tlv).value_or(0) != 0;
-            break;
-          case tag::kEventCounter:
-          case tag::kEventGauge: {
-            std::string name;
-            std::uint64_t u64 = 0;
-            double f64 = 0.0;
-            const bool is_gauge = tlv->tag == tag::kEventGauge;
-            proto::TlvReader n(tlv->value);
-            while (const auto field = n.next()) {
-              if (field->tag == tag::kMetricName) {
-                name = proto::tlv_string(*field);
-              } else if (field->tag == tag::kMetricU64) {
-                u64 = proto::tlv_u64(*field).value_or(0);
-              } else if (field->tag == tag::kMetricF64) {
-                f64 = proto::tlv_f64(*field).value_or(0.0);
-              }
-            }
-            char line[256];
-            if (is_gauge) {
-              std::snprintf(line, sizeof line, "  gauge %s=%g", name.c_str(),
-                            f64);
-            } else {
-              std::snprintf(line, sizeof line, "  counter %s=%llu",
-                            name.c_str(),
-                            static_cast<unsigned long long>(u64));
-            }
-            lines.push_back(line);
-            break;
-          }
-          case tag::kEventTrace: {
-            std::string name;
-            std::uint64_t ts = 0, dur = 0;
-            proto::TlvReader n(tlv->value);
-            while (const auto field = n.next()) {
-              if (field->tag == tag::kEvName) {
-                name = proto::tlv_string(*field);
-              } else if (field->tag == tag::kEvTs) {
-                ts = proto::tlv_u64(*field).value_or(0);
-              } else if (field->tag == tag::kEvDur) {
-                dur = proto::tlv_u64(*field).value_or(0);
-              }
-            }
-            char line[256];
-            std::snprintf(line, sizeof line,
-                          "  trace %s ts_ns=%llu dur_ns=%llu", name.c_str(),
-                          static_cast<unsigned long long>(ts),
-                          static_cast<unsigned long long>(dur));
-            lines.push_back(line);
-            break;
-          }
-          case tag::kEventSiteHealth: {
-            std::string site, reason;
-            std::uint8_t state = 0;
-            std::uint64_t epochs_in = 0;
-            proto::TlvReader n(tlv->value);
-            while (const auto field = n.next()) {
-              if (field->tag == tag::kHealthSite) {
-                site = proto::tlv_string(*field);
-              } else if (field->tag == tag::kHealthState) {
-                state = proto::tlv_u8(*field).value_or(0);
-              } else if (field->tag == tag::kHealthEpochs) {
-                epochs_in = proto::tlv_u64(*field).value_or(0);
-              } else if (field->tag == tag::kHealthReason) {
-                reason = proto::tlv_string(*field);
-              }
-            }
-            char line[320];
-            std::snprintf(
-                line, sizeof line, "  site %s state=%s epochs=%llu%s%s",
-                site.c_str(),
-                surfos::daemon::slo_state_name(
-                    static_cast<surfos::daemon::SloState>(state)),
-                static_cast<unsigned long long>(epochs_in),
-                reason.empty() ? "" : " reason=", reason.c_str());
-            lines.push_back(line);
-            break;
-          }
-          default: break;
-        }
+      Event event;
+      if (auto parsed = from_wire(frame.value().payload, event);
+          !parsed.ok()) {
+        return fail(parsed.error());
       }
-      std::printf("event topic=%s epoch=%llu seq=%llu dropped=%llu%s\n",
-                  positional[0].c_str(),
-                  static_cast<unsigned long long>(epoch),
-                  static_cast<unsigned long long>(seq),
-                  static_cast<unsigned long long>(dropped),
-                  baseline ? " baseline=1" : "");
-      for (const std::string& line : lines) {
-        std::printf("%s\n", line.c_str());
-      }
-      std::fflush(stdout);
+      print_event(positional[0].c_str(), event);
       ++seen;
     }
     return 0;
   }
 
   if (command == "snapshot" || command == "restore") {
-    return run(client,
-               command == "snapshot" ? proto::MsgType::kSnapshot
-                                     : proto::MsgType::kRestore,
-               payload, [&](const proto::WireFrame& reply) {
-                 std::string path;
-                 proto::TlvReader r(reply.payload);
-                 while (const auto tlv = r.next()) {
-                   if (tlv->tag == tag::kPath) {
-                     path = proto::tlv_string(*tlv);
-                   }
-                 }
-                 if (path.empty()) {
-                   std::printf("%s: ok\n", command.c_str());
-                 } else {
-                   std::printf("%s: %s\n", command.c_str(), path.c_str());
-                 }
-               });
+    // restore answers with an empty kOk: no path to print.
+    return run<SnapshotAck>(client,
+                            command == "snapshot" ? proto::MsgType::kSnapshot
+                                                  : proto::MsgType::kRestore,
+                            {}, [&](const SnapshotAck& ack) {
+                              std::printf("%s: %s\n", command.c_str(),
+                                          ack.path.empty() ? "ok"
+                                                           : ack.path.c_str());
+                            });
   }
 
   if (command == "set-knob") {
-    if (positional.size() != 2) return usage();
-    w.put_string(tag::kKnobName, positional[0]);
-    w.put_u64(tag::kKnobValue,
-              static_cast<std::uint64_t>(std::atoll(positional[1].c_str())));
-    return run(client, proto::MsgType::kSetKnob, payload,
-               [&](const proto::WireFrame&) {
-                 std::printf("%s = %s\n", positional[0].c_str(),
-                             positional[1].c_str());
-               });
+    return run<void>(client, proto::MsgType::kSetKnob,
+                     proto::to_wire(SetKnobRequest{positional[0], knob_value}),
+                     [&] {
+                       std::printf("%s = %s\n", positional[0].c_str(),
+                                   positional[1].c_str());
+                     });
   }
 
   if (command == "knobs") {
-    return run(client, proto::MsgType::kGetKnobs, payload,
-               [](const proto::WireFrame& reply) {
-                 proto::TlvReader r(reply.payload);
-                 while (const auto tlv = r.next()) {
-                   if (tlv->tag != tag::kKnob) continue;
-                   std::string name, doc;
-                   std::uint64_t value = 0;
-                   proto::TlvReader n(tlv->value);
-                   while (const auto field = n.next()) {
-                     switch (field->tag) {
-                       case tag::kKnobName:
-                         name = proto::tlv_string(*field);
-                         break;
-                       case tag::kKnobValue:
-                         value = proto::tlv_u64(*field).value_or(0);
-                         break;
-                       case tag::kKnobDoc:
-                         doc = proto::tlv_string(*field);
-                         break;
-                       default: break;
-                     }
-                   }
-                   std::printf("%-22s %-10llu %s\n", name.c_str(),
-                               static_cast<unsigned long long>(value),
-                               doc.c_str());
-                 }
-               });
+    return run<KnobsReply>(client, proto::MsgType::kGetKnobs, {},
+                           [](const KnobsReply& reply) {
+                             for (const KnobRow& row : reply.knobs) {
+                               std::printf(
+                                   "%-22s %-10llu %s\n", row.name.c_str(),
+                                   static_cast<unsigned long long>(row.value),
+                                   row.doc.c_str());
+                             }
+                           });
   }
 
   if (command == "shutdown") {
-    return run(client, proto::MsgType::kShutdown, payload,
-               [](const proto::WireFrame&) { std::printf("shutdown: ok\n"); });
+    return run<void>(client, proto::MsgType::kShutdown, {},
+                     [] { std::printf("shutdown: ok\n"); });
   }
 
   return usage();

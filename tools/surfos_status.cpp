@@ -10,18 +10,20 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "daemon/client.hpp"
-#include "daemon/slo.hpp"
-#include "daemon/tags.hpp"
+#include "daemon/messages.hpp"
 #include "proto/serialize.hpp"
-#include "proto/wire.hpp"
 
 namespace {
 
-namespace tag = surfos::daemon::tag;
 namespace proto = surfos::proto;
+using namespace surfos::daemon;
+
+int fail(const surfos::Error& error) {
+  std::fprintf(stderr, "surfos-status: %s\n", error.message.c_str());
+  return 1;
+}
 
 }  // namespace
 
@@ -37,146 +39,51 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto connected = surfos::daemon::Client::connect(socket_path);
-  if (!connected.ok()) {
-    std::fprintf(stderr, "surfos-status: %s\n",
-                 connected.error().message.c_str());
-    return 1;
-  }
-  surfos::daemon::Client client = std::move(connected.value());
+  auto connected = Client::connect(socket_path);
+  if (!connected.ok()) return fail(connected.error());
+  Client client = std::move(connected.value());
 
-  const auto metrics = client.call(proto::MsgType::kGetMetrics, {});
-  if (!metrics.ok()) {
-    std::fprintf(stderr, "surfos-status: %s\n",
-                 metrics.error().message.c_str());
-    return 1;
-  }
-  std::uint64_t epochs = 0, rebuilds = 0, requests = 0;
-  double epoch_ms = 0.0;
-  surfos::FleetReport report;
-  bool have_report = false;
-  {
-    proto::TlvReader r(metrics.value().payload);
-    while (const auto tlv = r.next()) {
-      switch (tlv->tag) {
-        case tag::kReport:
-          have_report = proto::from_wire(tlv->value, report).ok();
-          break;
-        case tag::kEpochs: epochs = proto::tlv_u64(*tlv).value_or(0); break;
-        case tag::kRebuilds:
-          rebuilds = proto::tlv_u64(*tlv).value_or(0);
-          break;
-        case tag::kLastEpochMs:
-          epoch_ms = proto::tlv_f64(*tlv).value_or(0.0);
-          break;
-        case tag::kRequests:
-          requests = proto::tlv_u64(*tlv).value_or(0);
-          break;
-        default: break;
-      }
-    }
-  }
+  const auto fetched = client.request<MetricsReply>(
+      proto::MsgType::kGetMetrics, {});
+  if (!fetched.ok()) return fail(fetched.error());
+  const MetricsReply& metrics = fetched.value();
   std::printf("surfosd @ %s\n", socket_path.c_str());
   std::printf("  epochs    %llu (last %.2f ms)\n",
-              static_cast<unsigned long long>(epochs), epoch_ms);
-  std::printf("  rebuilds  %llu\n", static_cast<unsigned long long>(rebuilds));
-  std::printf("  requests  %llu\n", static_cast<unsigned long long>(requests));
-  if (have_report) {
+              static_cast<unsigned long long>(metrics.epochs),
+              metrics.last_epoch_ms);
+  std::printf("  rebuilds  %llu\n",
+              static_cast<unsigned long long>(metrics.env_rebuilds));
+  std::printf("  requests  %llu\n",
+              static_cast<unsigned long long>(metrics.requests));
+  surfos::FleetReport report;
+  if (proto::from_wire(metrics.report, report).ok()) {
     std::printf("  last step %zu site(s): %zu assignment(s), "
                 "%zu optimization(s), %zu starved\n",
                 report.sites.size(), report.total_assignments,
                 report.total_optimizations, report.total_starved);
   }
 
-  const auto status = client.call(proto::MsgType::kGetStatus, {});
-  if (!status.ok()) {
-    std::fprintf(stderr, "surfos-status: %s\n",
-                 status.error().message.c_str());
-    return 1;
-  }
-  struct HealthRow {
-    std::string site, reason;
-    std::uint8_t state = 0;
-    std::uint64_t epochs_in = 0;
-  };
-  std::vector<HealthRow> health;
-  std::uint8_t fleet_state = 0;
+  const auto replied =
+      client.request<StatusReply>(proto::MsgType::kGetStatus, {});
+  if (!replied.ok()) return fail(replied.error());
+  const StatusReply& status = replied.value();
   std::printf("sessions:\n");
-  std::size_t sessions = 0;
-  std::uint64_t depth = 0;
-  proto::TlvReader r(status.value().payload);
-  while (const auto tlv = r.next()) {
-    if (tlv->tag == tag::kQueueDepth) {
-      depth = proto::tlv_u64(*tlv).value_or(0);
-      continue;
-    }
-    if (tlv->tag == tag::kFleetHealth) {
-      fleet_state = proto::tlv_u8(*tlv).value_or(0);
-      continue;
-    }
-    if (tlv->tag == tag::kSiteHealth) {
-      HealthRow row;
-      proto::TlvReader n(tlv->value);
-      while (const auto field = n.next()) {
-        switch (field->tag) {
-          case tag::kHealthSite: row.site = proto::tlv_string(*field); break;
-          case tag::kHealthState:
-            row.state = proto::tlv_u8(*field).value_or(0);
-            break;
-          case tag::kHealthEpochs:
-            row.epochs_in = proto::tlv_u64(*field).value_or(0);
-            break;
-          case tag::kHealthReason:
-            row.reason = proto::tlv_string(*field);
-            break;
-          default: break;
-        }
-      }
-      health.push_back(std::move(row));
-      continue;
-    }
-    if (tlv->tag != tag::kSession) continue;
-    ++sessions;
-    std::string app, site;
-    bool running = false, satisfied = false;
-    std::uint64_t total = 0, met = 0;
-    proto::TlvReader n(tlv->value);
-    while (const auto field = n.next()) {
-      switch (field->tag) {
-        case tag::kSessionApp: app = proto::tlv_string(*field); break;
-        case tag::kSessionSite: site = proto::tlv_string(*field); break;
-        case tag::kSessionRunning:
-          running = proto::tlv_u8(*field).value_or(0) != 0;
-          break;
-        case tag::kSessionSatisfied:
-          satisfied = proto::tlv_u8(*field).value_or(0) != 0;
-          break;
-        case tag::kSessionTasksTotal:
-          total = proto::tlv_u64(*field).value_or(0);
-          break;
-        case tag::kSessionTasksMet:
-          met = proto::tlv_u64(*field).value_or(0);
-          break;
-        default: break;
-      }
-    }
-    std::printf("  %-16s %-8s %-8s %-11s goals %llu/%llu\n", app.c_str(),
-                site.c_str(), running ? "running" : "stopped",
-                satisfied ? "satisfied" : "unsatisfied",
-                static_cast<unsigned long long>(met),
-                static_cast<unsigned long long>(total));
+  for (const SessionRow& row : status.sessions) {
+    std::printf("  %-16s %-8s %-8s %-11s goals %llu/%llu\n",
+                row.app_id.c_str(), row.site_id.c_str(),
+                row.running ? "running" : "stopped",
+                row.satisfied ? "satisfied" : "unsatisfied",
+                static_cast<unsigned long long>(row.tasks_met),
+                static_cast<unsigned long long>(row.tasks_total));
   }
-  if (sessions == 0) std::printf("  (none)\n");
+  if (status.sessions.empty()) std::printf("  (none)\n");
   std::printf("  %llu demand(s) queued for admission\n",
-              static_cast<unsigned long long>(depth));
-  std::printf("slo: fleet %s\n",
-              surfos::daemon::slo_state_name(
-                  static_cast<surfos::daemon::SloState>(fleet_state)));
-  for (const auto& row : health) {
-    std::printf("  %-8s %-10s %llu epoch(s)%s%s\n", row.site.c_str(),
-                surfos::daemon::slo_state_name(
-                    static_cast<surfos::daemon::SloState>(row.state)),
-                static_cast<unsigned long long>(row.epochs_in),
+              static_cast<unsigned long long>(status.queue_depth));
+  std::printf("slo: fleet %s\n", slo_state_name(status.fleet_health));
+  for (const SiteHealth& row : status.health) {
+    std::printf("  %-8s %-10s %llu epoch(s)%s%s\n", row.site_id.c_str(),
+                slo_state_name(row.state),
+                static_cast<unsigned long long>(row.epochs_in_state),
                 row.reason.empty() ? "" : "  ", row.reason.c_str());
   }
   return 0;

@@ -18,29 +18,17 @@
 #include <cstring>
 #include <deque>
 #include <map>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "daemon/client.hpp"
-#include "daemon/slo.hpp"
-#include "daemon/subscription.hpp"
-#include "daemon/tags.hpp"
-#include "proto/wire.hpp"
+#include "daemon/messages.hpp"
+#include "proto/serialize.hpp"
 
 namespace {
 
-namespace tag = surfos::daemon::tag;
 namespace proto = surfos::proto;
-using surfos::daemon::Client;
-using surfos::daemon::SloState;
-
-struct HealthRow {
-  SloState state = SloState::kHealthy;
-  std::uint64_t epochs_in = 0;
-  std::string reason;
-};
+using namespace surfos::daemon;
 
 struct Dashboard {
   std::uint64_t epoch = 0;
@@ -48,7 +36,7 @@ struct Dashboard {
   std::map<std::string, double> gauges;
   std::deque<double> epoch_ms;  ///< Sparkline history, newest last.
   double flush_us = 0.0;
-  std::map<std::string, HealthRow> sites;
+  std::map<std::string, SiteHealth> sites;  ///< Latest verdict per site.
   std::uint64_t trace_events_last = 0;  ///< Trace records in the last event.
   std::uint64_t dropped = 0;            ///< Worst drop counter seen.
   std::uint64_t frames = 0;             ///< Redraws so far.
@@ -108,8 +96,8 @@ void redraw(const Dashboard& d) {
   std::printf("  %-12s %-10s %-8s %s\n", "SITE", "SLO", "EPOCHS", "REASON");
   for (const auto& [site, row] : d.sites) {
     std::printf("  %-12s %-10s %-8llu %s\n", site.c_str(),
-                surfos::daemon::slo_state_name(row.state),
-                static_cast<unsigned long long>(row.epochs_in),
+                slo_state_name(row.state),
+                static_cast<unsigned long long>(row.epochs_in_state),
                 row.reason.c_str());
   }
   if (d.sites.empty()) std::printf("  (no health events yet)\n");
@@ -133,113 +121,41 @@ void redraw(const Dashboard& d) {
 /// Applies one kEvent frame to the dashboard. Returns true when the frame
 /// was a metrics event (the redraw trigger — one per epoch interval).
 bool apply_event(const proto::WireFrame& frame, Dashboard& d) {
-  std::uint8_t topic = 0;
-  std::uint64_t epoch = 0, dropped = 0, traces = 0;
-  bool baseline = false;
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::optional<double> epoch_ms, flush_us;
-  proto::TlvReader r(frame.payload);
-  while (const auto tlv = r.next()) {
-    switch (tlv->tag) {
-      case tag::kSubTopic: topic = proto::tlv_u8(*tlv).value_or(0); break;
-      case tag::kEventEpoch: epoch = proto::tlv_u64(*tlv).value_or(0); break;
-      case tag::kDroppedEvents:
-        dropped = proto::tlv_u64(*tlv).value_or(0);
-        break;
-      case tag::kEventBaseline:
-        baseline = proto::tlv_u8(*tlv).value_or(0) != 0;
-        break;
-      case tag::kEventEpochMs:
-        epoch_ms = proto::tlv_f64(*tlv).value_or(0.0);
-        break;
-      case tag::kEventFlushUs:
-        flush_us = proto::tlv_f64(*tlv).value_or(0.0);
-        break;
-      case tag::kEventCounter:
-      case tag::kEventGauge: {
-        std::string name;
-        std::uint64_t u64 = 0;
-        double f64 = 0.0;
-        proto::TlvReader n(tlv->value);
-        while (const auto field = n.next()) {
-          if (field->tag == tag::kMetricName) {
-            name = proto::tlv_string(*field);
-          } else if (field->tag == tag::kMetricU64) {
-            u64 = proto::tlv_u64(*field).value_or(0);
-          } else if (field->tag == tag::kMetricF64) {
-            f64 = proto::tlv_f64(*field).value_or(0.0);
-          }
-        }
-        if (tlv->tag == tag::kEventCounter) {
-          counters.emplace_back(std::move(name), u64);
-        } else {
-          gauges.emplace_back(std::move(name), f64);
-        }
-        break;
-      }
-      case tag::kEventTrace: ++traces; break;
-      case tag::kEventSiteHealth: {
-        std::string site;
-        HealthRow row;
-        proto::TlvReader n(tlv->value);
-        while (const auto field = n.next()) {
-          if (field->tag == tag::kHealthSite) {
-            site = proto::tlv_string(*field);
-          } else if (field->tag == tag::kHealthState) {
-            row.state = static_cast<SloState>(proto::tlv_u8(*field).value_or(0));
-          } else if (field->tag == tag::kHealthEpochs) {
-            row.epochs_in = proto::tlv_u64(*field).value_or(0);
-          } else if (field->tag == tag::kHealthReason) {
-            row.reason = proto::tlv_string(*field);
-          }
-        }
-        if (!site.empty()) d.sites[site] = std::move(row);
-        break;
-      }
-      default: break;
-    }
+  Event event;
+  if (!from_wire(frame.payload, event).ok()) return false;
+  for (SiteHealth& site : event.health) {
+    if (!site.site_id.empty()) d.sites[site.site_id] = std::move(site);
   }
+  if (event.dropped > d.dropped) d.dropped = event.dropped;
+  if (event.epoch > d.epoch) d.epoch = event.epoch;
+  if (event.topic == SubTopic::kTraces) {
+    d.trace_events_last = event.traces.size();
+  }
+  if (event.topic != SubTopic::kMetrics) return false;
 
-  if (dropped > d.dropped) d.dropped = dropped;
-  if (epoch > d.epoch) d.epoch = epoch;
-  const auto metrics_topic =
-      static_cast<std::uint8_t>(surfos::daemon::SubTopic::kMetrics);
-  const auto traces_topic =
-      static_cast<std::uint8_t>(surfos::daemon::SubTopic::kTraces);
-  if (topic == traces_topic) d.trace_events_last = traces;
-  if (topic != metrics_topic) return false;
-
-  if (baseline) {
+  if (event.baseline) {
     // A baseline is a full snapshot (sent after a drop): replace, don't
     // merge, so counters that disappeared don't linger.
     d.counters.clear();
     d.gauges.clear();
   }
-  for (auto& [name, value] : counters) d.counters[name] = value;
-  for (auto& [name, value] : gauges) d.gauges[name] = value;
-  if (epoch_ms) {
-    d.epoch_ms.push_back(*epoch_ms);
-    while (d.epoch_ms.size() > kSparkWidth) d.epoch_ms.pop_front();
-  }
-  if (flush_us) d.flush_us = *flush_us;
+  for (const auto& c : event.counters) d.counters[c.name] = c.value;
+  for (const auto& g : event.gauges) d.gauges[g.name] = g.value;
+  d.epoch_ms.push_back(event.epoch_ms);
+  while (d.epoch_ms.size() > kSparkWidth) d.epoch_ms.pop_front();
+  d.flush_us = event.flush_us;
   return true;
 }
 
-int subscribe(Client& client, surfos::daemon::SubTopic topic,
-              std::uint32_t interval) {
-  std::vector<std::uint8_t> payload;
-  proto::TlvWriter w(payload);
-  w.put_u8(tag::kSubTopic, static_cast<std::uint8_t>(topic));
-  w.put_u32(tag::kSubInterval, interval);
-  auto ack = client.call(proto::MsgType::kSubscribe, payload);
+int subscribe(Client& client, SubTopic topic, std::uint32_t interval) {
+  SubscriptionSpec spec;
+  spec.topic = topic;
+  spec.interval = interval;
+  const auto ack = client.request<SubscribeAck>(proto::MsgType::kSubscribe,
+                                                proto::to_wire(spec));
   if (!ack.ok()) {
-    std::fprintf(stderr, "surfos-top: %s\n", ack.error().message.c_str());
-    return 1;
-  }
-  if (ack.value().type == proto::MsgType::kError) {
-    std::fprintf(stderr, "surfos-top: subscribe %s refused\n",
-                 surfos::daemon::sub_topic_name(topic));
+    std::fprintf(stderr, "surfos-top: subscribe %s: %s\n",
+                 sub_topic_name(topic), ack.error().message.c_str());
     return 1;
   }
   return 0;
@@ -276,7 +192,6 @@ int main(int argc, char** argv) {
   }
   Client client = std::move(connected.value());
 
-  using surfos::daemon::SubTopic;
   for (const SubTopic topic :
        {SubTopic::kMetrics, SubTopic::kTraces, SubTopic::kHealth}) {
     if (const int rc =

@@ -6,8 +6,9 @@
 // SIGTERM/SIGINT write a snapshot (when --snapshot is set) before shutting
 // down; a restart with --restore resumes every session under its original
 // trace id and re-submits queued demands through admission. Knobs come from
-// the SURFOS_* environment once at startup and are hot-reloadable afterwards
-// via `surfos-ctl set-knob`.
+// the SURFOS_* environment once at startup; all but the construction-time
+// rows (threads, trace ring, trace and telemetry switches) are
+// hot-reloadable afterwards via `surfos-ctl set-knob`.
 #include <poll.h>
 #include <signal.h>
 #include <unistd.h>
