@@ -50,7 +50,8 @@ double run_case(const sim::CoverageRoomScenario& scene,
   const auto result = opt::GradientDescent(options).minimize(coverage, x0);
   // Metrics go through realize(): granularity projection + quantization.
   const auto metrics = orch::coverage_metrics(
-      channel, scene.budget, vars.realize(result.x), all_rx);
+      channel, scene.budget, channel.coefficients_for(vars.realize(result.x)),
+      all_rx);
   return metrics.median_snr_db;
 }
 

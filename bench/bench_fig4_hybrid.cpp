@@ -101,7 +101,8 @@ struct Study {
     options.max_iterations = 250;
     const auto result = opt::GradientDescent(options).minimize(coverage, x0);
     const auto metrics = orch::coverage_metrics(
-        channel, scene.budget, vars.realize(result.x), all_rx);
+        channel, scene.budget, channel.coefficients_for(vars.realize(result.x)),
+        all_rx);
     return {metrics.median_snr_db, cost_model.panel_cost_usd(panel),
             panel.area_m2()};
   }

@@ -66,7 +66,7 @@ void BM_ChannelEvaluateWithPartials(benchmark::State& state) {
   const auto coeffs =
       scene.channel->coefficients_for(std::vector<surface::SurfaceConfig>{uniform});
   em::Cx h;
-  std::vector<em::CVec> partials;
+  std::vector<em::CxPlanes> partials;
   for (auto _ : state) {
     scene.channel->evaluate_with_partials(0, coeffs, h, partials);
     benchmark::DoNotOptimize(h);

@@ -1,13 +1,13 @@
 // Content-addressed precompute store: shared versus dense artifact cost on
-// the two workloads PR 10 targets.
+// two workloads.
 //
 // Section 1 — fleet cold start: N identical sites each construct their
 // SceneChannel. Dense (the store cleared before each build) pays N full
 // precomputes; shared pays one miss and N-1 hits. Claim: >= 5x.
 //
 // Section 2 — single-endpoint churn: a live channel's RX set changes by one
-// endpoint per step. Dense re-precomputes everything; precompute_delta
-// traces and fills only the new row. Claim: >= 10x.
+// endpoint per step. Dense re-precomputes everything; rebase_rx keeps the
+// surviving rows and traces and fills only the new one. Claim: >= 10x.
 //
 // Both sections assert bitwise-identical artifacts (f/g/cascade planes and
 // h_dir) between two cold fills, and between a delta-rebased channel and a
@@ -140,13 +140,12 @@ int main(int argc, char** argv) {
     const geom::Vec3 removed = churned[3];
     const std::vector<geom::Vec3> added = {{1.21, 2.17, 1.04},
                                            {2.45, 0.93, 1.31}};
-    const std::vector<std::size_t> removed_idx = {3};
     auto delta_chan = site.make_channel(grid);
-    delta_chan->precompute_delta(added, removed_idx);
-    delta_chan->precompute_delta(std::vector<geom::Vec3>{removed}, {});
     churned.erase(churned.begin() + 3);
     churned.insert(churned.end(), added.begin(), added.end());
+    delta_chan->rebase_rx(churned);
     churned.push_back(removed);
+    delta_chan->rebase_rx(churned);
     store.clear();
     const auto fresh = site.make_channel(churned);
     if (!channels_identical(*fresh, *delta_chan)) {
@@ -207,10 +206,8 @@ int main(int argc, char** argv) {
   auto live = site.make_channel(points);
   start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < kChurnSteps; ++i) {
-    const std::vector<geom::Vec3> added = {
-        {1.0 + 0.03 * static_cast<double>(i), 2.1, 1.2}};
-    const std::vector<std::size_t> removed = {live->rx_count() - 1};
-    live->precompute_delta(added, removed);
+    points.back() = {1.0 + 0.03 * static_cast<double>(i), 2.1, 1.2};
+    live->rebase_rx(points);
   }
   const double delta_churn_ms = ms_since(start);
 

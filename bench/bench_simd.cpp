@@ -136,13 +136,12 @@ int main(int argc, char** argv) {
       }
     });
 
-    std::vector<em::CxPlanes> coeffs(1);
-    coeffs[0].assign(scene.panel->coefficients(configs[0]));
+    const auto coeffs = channel->coefficients_for(configs);
     pick(sections[2]) = best_of(5, [&] {
       std::vector<em::CxPlanes> dh;
       em::Cx h{};
       for (std::size_t j = 0; j < channel->rx_count(); ++j) {
-        channel->evaluate_with_partials_planes(j, coeffs, h, dh);
+        channel->evaluate_with_partials(j, coeffs, h, dh);
       }
       if (h == em::Cx{} && channel->rx_count() > 0) std::abort();
     });

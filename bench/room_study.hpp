@@ -80,12 +80,14 @@ struct RoomStudy {
 
   orch::CoverageMetrics coverage_metrics_of(
       const std::vector<surface::SurfaceConfig>& configs) const {
-    return orch::coverage_metrics(*channel, scene.budget, configs, all_rx);
+    return orch::coverage_metrics(*channel, scene.budget,
+                                  channel->coefficients_for(configs), all_rx);
   }
 
   orch::SensingMetrics sensing_metrics_of(
       const std::vector<surface::SurfaceConfig>& configs) const {
-    return orch::sensing_metrics(*channel, configs, 0, all_rx);
+    return orch::sensing_metrics(*channel, channel->coefficients_for(configs), 0,
+                                 all_rx);
   }
 
  private:

@@ -7,7 +7,10 @@
 #      and DESIGN.md's knob tables, and every SURFOS_* row there is a
 #      registry knob or SURFOS_SIMD. wire: tools/ names no TlvReader and no
 #      tlv_* parser, so the CLI tools decode surfosd's payloads only through
-#      the message codecs (src/daemon/messages.hpp)
+#      the message codecs (src/daemon/messages.hpp). planes: the channel
+#      boundary headers (src/sim/channel.hpp, src/orch/perf.hpp,
+#      src/orch/variables.hpp, src/surface/panel.hpp) name no CVec or CMat,
+#      so coefficients and channel vectors cross it only as em::CxPlanes
 #   1. tier-1: configure + build + full ctest in ./build
 #   2. focused re-runs of the observability suites (ctest -L telemetry,
 #      ctest -L trace), the fleet control-plane suite (ctest -L fleet), the
@@ -20,9 +23,9 @@
 #   4. TSan build of the thread-pool/tracing/fleet/daemon/precompute/
 #      orchestrator tests (ctest -L "tsan|trace|fleet|daemon|precompute|orch"
 #      in ./build-tsan); any sanitizer report fails the run
-#   4b. ASan+LSan build of the wire/daemon/streaming/precompute/fleet/
-#      admission/orchestrator/broker tests (./build-asan); any memory error
-#      or leak fails the run
+#   4b. ASan+LSan build of every test target and every example (./build-asan)
+#      and a plain ctest over the whole suite; any memory error or leak
+#      fails the run
 #   5. UBSan build of the SIMD, geometry, EM and sim tests (ctest -L
 #      "simd|geom" in ./build-ubsan); undefined behavior in the lane
 #      kernels, the BVH or the channel precompute fails the run
@@ -70,6 +73,14 @@ if grep -rnE 'TlvReader|tlv_[a-z0-9]+' tools; then
 fi
 
 echo
+echo "== planes: the channel boundary speaks only em::CxPlanes"
+if grep -nwE 'CVec|CMat' src/sim/channel.hpp src/orch/perf.hpp \
+    src/orch/variables.hpp src/surface/panel.hpp; then
+  echo "a channel-boundary header names CVec/CMat; pass em::CxPlanes"
+  exit 1
+fi
+
+echo
 echo "== tier 1: build + full test suite (build/)"
 cmake -B build -S .
 cmake --build build -j"$JOBS"
@@ -109,21 +120,19 @@ TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   -L "tsan|trace|fleet|daemon|precompute|orch"
 
 echo
-echo "== asan: wire / daemon / precompute / fleet / orch / broker tests under ASan+LSan (build-asan/)"
+echo "== asan: the whole suite under ASan+LSan (build-asan/)"
 cmake -B build-asan -S . -DSURFOS_SANITIZE=address
-cmake --build build-asan -j"$JOBS" --target \
-  test_proto test_daemon test_streaming test_precompute test_fleet \
-  test_admission test_orch test_broker test_integration
+# Every surfos_test and surfos_example target (the examples are ctest smoke
+# tests too), read from the CMake files so a new test cannot be left out.
+ASAN_TARGETS="$(grep -ohE '^surfos_(test|example)\([a-z_]+' \
+  tests/CMakeLists.txt examples/CMakeLists.txt | cut -d'(' -f2)"
+# shellcheck disable=SC2086
+cmake --build build-asan -j"$JOBS" --target $ASAN_TARGETS
 # halt_on_error makes the first invalid access fail its test; detect_leaks
 # runs LeakSanitizer at exit, so a leaked snapshot buffer, client connection
-# or precompute artifact fails the run too; the orch suite reuses the joint
-# objective's scratch across calls; the broker suites (label broker:
-# test_broker, test_integration) stop, resume and escalate apps, which
-# erases orchestrator tasks the broker holds ids of. Only the targets built
-# above carry these labels.
+# or precompute artifact fails the run too.
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
-  ctest --test-dir build-asan --output-on-failure \
-  -L "daemon|precompute|fleet|orch|broker"
+  ctest --test-dir build-asan --output-on-failure -j"$JOBS"
 
 echo
 echo "== ubsan: SIMD kernels, geometry, EM and channel suites under UBSan (build-ubsan/)"

@@ -36,7 +36,7 @@ int main() {
     for (const double f : subcarriers) {
       const sim::SceneChannel channel(scene.environment.get(), f, scene.ap(),
                                       {&panel}, {client});
-      taps.push_back(channel.rx_vector(0, 0));
+      taps.push_back(channel.rx_planes(0, 0).to_cvec());
     }
     const sense::RangeBearing estimate =
         sense::range_and_bearing(panel, subcarriers, taps);

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <set>
 
 #include "broker/admission.hpp"
 #include "core/config.hpp"
@@ -507,9 +508,11 @@ proto::WireFrame Daemon::handle_snapshot(const proto::WireFrame& request) {
 
 proto::WireFrame Daemon::handle_restore(const proto::WireFrame& request) {
   for (Site& site : sites_) {
-    if (!site.os->broker().sessions().empty()) {
-      return error_reply(request.trace_id, ErrorCode::kUnavailable,
-                         "restore requires a fresh daemon (sessions exist)");
+    const broker::ServiceBroker& broker = site.os->broker();
+    if (!broker.sessions().empty() || !broker.admission().empty()) {
+      return error_reply(
+          request.trace_id, ErrorCode::kUnavailable,
+          "restore requires a fresh daemon (sessions or queued demands exist)");
     }
   }
   auto loaded = load_snapshot_file(options_.snapshot_path);
@@ -569,6 +572,37 @@ Result<void> Daemon::load_snapshot() {
 }
 
 Result<void> Daemon::apply_snapshot(const DaemonSnapshot& snapshot) {
+  // Every record is checked before anything is applied, so a refused
+  // snapshot leaves the daemon as it was. Session app ids are unique per
+  // site (they come from one session table) and must not name an app
+  // already running here; queued demands may repeat an app id, as live
+  // submits can (the pump drops the duplicate).
+  std::vector<const std::string*> site_ids;
+  for (const SessionRecord& r : snapshot.sessions) site_ids.push_back(&r.site_id);
+  for (const QueuedRecord& r : snapshot.queued) site_ids.push_back(&r.site_id);
+  for (const SeqRecord& r : snapshot.trace_seqs) site_ids.push_back(&r.site_id);
+  for (const EndpointRecord& r : snapshot.endpoints) {
+    site_ids.push_back(&r.site_id);
+  }
+  for (const std::string* site_id : site_ids) {
+    if (find_site_entry(*site_id) == nullptr) {
+      return make_error(ErrorCode::kNotFound,
+                        "snapshot names unknown site: " + *site_id);
+    }
+  }
+  std::set<std::pair<std::string, std::string>> session_apps;
+  for (const SessionRecord& record : snapshot.sessions) {
+    const auto& sessions =
+        find_site_entry(record.site_id)->os->broker().sessions();
+    const auto live = sessions.find(record.app_id);
+    if (!session_apps.emplace(record.site_id, record.app_id).second ||
+        (live != sessions.end() && live->second.running)) {
+      return make_error(ErrorCode::kAlreadyExists,
+                        "snapshot app " + record.app_id + " on site " +
+                            record.site_id + " repeats or is running");
+    }
+  }
+
   sim_now_us_ = snapshot.sim_now_us;
   stats_.epochs = snapshot.epochs;
   last_report_wire_ = snapshot.last_report_wire;
@@ -580,7 +614,6 @@ Result<void> Daemon::apply_snapshot(const DaemonSnapshot& snapshot) {
   // names, at its original (snapshotted) position.
   for (const EndpointRecord& record : snapshot.endpoints) {
     Site* site = find_site_entry(record.site_id);
-    if (site == nullptr) continue;
     if (site->os->registry().find_endpoint(record.endpoint_id) == nullptr) {
       site->os->register_endpoint(
           record.endpoint_id, static_cast<hal::EndpointKind>(record.kind),
@@ -589,13 +622,11 @@ Result<void> Daemon::apply_snapshot(const DaemonSnapshot& snapshot) {
     site->auto_endpoints.insert(record.endpoint_id);
   }
   for (const SessionRecord& record : snapshot.sessions) {
-    Site* site = find_site_entry(record.site_id);
-    if (site == nullptr) {
-      return make_error(ErrorCode::kNotFound,
-                        "snapshot names unknown site: " + record.site_id);
-    }
-    if (auto restored = site->os->broker().restore_session(
-            record.app_id, record.demand, record.running, record.trace_id);
+    // The checks above leave restore_session nothing to collide with.
+    if (auto restored =
+            find_site_entry(record.site_id)->os->broker().restore_session(
+                record.app_id, record.demand, record.running,
+                record.trace_id);
         !restored.ok()) {
       return restored.error();
     }
@@ -603,16 +634,13 @@ Result<void> Daemon::apply_snapshot(const DaemonSnapshot& snapshot) {
   // In-flight demands go back through the weighted-fair admission queue —
   // restore never skips admission control.
   for (const QueuedRecord& record : snapshot.queued) {
-    Site* site = find_site_entry(record.site_id);
-    if (site == nullptr) continue;
-    (void)site->os->broker().submit_demand(
+    (void)find_site_entry(record.site_id)->os->broker().submit_demand(
         record.app_id, record.demand,
         static_cast<orch::Priority>(record.priority));
   }
   for (const SeqRecord& record : snapshot.trace_seqs) {
-    if (Site* site = find_site_entry(record.site_id)) {
-      site->os->broker().set_trace_seq(record.trace_seq);
-    }
+    find_site_entry(record.site_id)->os->broker().set_trace_seq(
+        record.trace_seq);
   }
   SURFOS_INFO(kLog) << "restored " << snapshot.sessions.size()
                     << " session(s), " << snapshot.queued.size()

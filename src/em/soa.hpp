@@ -114,12 +114,6 @@ class CxPlaneMat {
     row_im(r)[c] = v.imag();
   }
 
-  CVec row_cvec(std::size_t r) const {
-    CVec out(cols_);
-    for (std::size_t c = 0; c < cols_; ++c) out[c] = at(r, c);
-    return out;
-  }
-
  private:
   std::size_t rows_ = 0, cols_ = 0, stride_ = 0;
   util::simd::AlignedVec re_, im_;

@@ -173,7 +173,7 @@ void JointObjective::add_localization(std::size_t sensing_panel,
   for (const std::size_t j : term.rx) {
     const double truth = sense::true_azimuth(panel, channel_->rx_point(j));
     term.targets.push_back(term.model->target_distribution(truth));
-    term.g.push_back(channel_->rx_vector(sensing_panel, j));
+    term.g.push_back(channel_->rx_planes(sensing_panel, j).to_cvec());
   }
 }
 
@@ -219,7 +219,7 @@ double JointObjective::term_value(const Term& term, Scratch& s) const {
     return sum / static_cast<double>(m);
   }
   util::parallel_for(0, m, [&](std::size_t k) {
-    s.slots[k] = std::norm(channel_->evaluate_planes(term.rx[k], s.planes));
+    s.slots[k] = std::norm(channel_->evaluate(term.rx[k], s.planes));
   });
   double sum = 0.0;
   if (term.kind == TermKind::kCapacity) {
@@ -273,8 +273,8 @@ double JointObjective::term_value_and_gradient(const Term& term,
   for (std::size_t start = 0; start < m; start += block) {
     const std::size_t count = std::min(block, m - start);
     util::parallel_for(0, count, [&](std::size_t t) {
-      channel_->evaluate_with_partials_planes(term.rx[start + t], s.planes,
-                                              s.h[t], s.dh[t]);
+      channel_->evaluate_with_partials(term.rx[start + t], s.planes, s.h[t],
+                                       s.dh[t]);
     });
     for (std::size_t t = 0; t < count; ++t) {
       const double power = std::norm(s.h[t]);

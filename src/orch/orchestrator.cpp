@@ -228,7 +228,11 @@ void Orchestrator::pick_sensing_panels(const Assignment& assignment,
     for (std::size_t p = 0; p < plan.panels.size(); ++p) {
       double power = 0.0;
       for (const std::size_t j : rx_it->second) {
-        power += em::power(plan.channel->rx_vector(p, j));
+        // Serial element-order sum: a reduction tree could flip a near-tie.
+        const em::CxPlanes& g = plan.channel->rx_planes(p, j);
+        double row = 0.0;
+        for (std::size_t e = 0; e < g.size(); ++e) row += std::norm(g.at(e));
+        power += row;
       }
       if (power > best_power) {
         best_power = power;
@@ -399,7 +403,7 @@ std::size_t Orchestrator::optimize_plan(const Assignment& assignment,
     }
     double p0 = 0.0;
     for (const std::size_t j : rx) {
-      p0 += std::norm(plan.channel->evaluate_planes(j, x0_coefficients));
+      p0 += std::norm(plan.channel->evaluate(j, x0_coefficients));
     }
     return std::max(p0 / static_cast<double>(rx.size()), 1e-30);
   };
@@ -486,9 +490,8 @@ void Orchestrator::measure(const Assignment& assignment, Plan& plan,
                            StepReport& report) {
   if (!plan.channel) return;
   // One realization of the hardware's configs serves every task's metric.
-  std::vector<em::CxPlanes> coefficients;
-  plan.channel->coefficients_planes_for(hardware_configs(assignment, plan),
-                                        coefficients);
+  const std::vector<em::CxPlanes> coefficients =
+      plan.channel->coefficients_for(hardware_configs(assignment, plan));
   for (const TaskId id : assignment.tasks) {
     const auto rx_it = plan.task_rx.find(id);
     if (rx_it == plan.task_rx.end()) continue;

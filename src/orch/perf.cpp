@@ -10,26 +10,6 @@
 
 namespace surfos::orch {
 
-namespace {
-
-/// The coefficient planes `configs` realize to on `channel`'s panels.
-std::vector<em::CxPlanes> realized(
-    const sim::SceneChannel& channel,
-    std::span<const surface::SurfaceConfig> configs) {
-  std::vector<em::CxPlanes> coefficients;
-  channel.coefficients_planes_for(configs, coefficients);
-  return coefficients;
-}
-
-}  // namespace
-
-LinkMetrics link_metrics(const sim::SceneChannel& channel,
-                         const em::LinkBudget& budget,
-                         std::span<const surface::SurfaceConfig> configs,
-                         std::size_t rx_index) {
-  return link_metrics(channel, budget, realized(channel, configs), rx_index);
-}
-
 LinkMetrics link_metrics(const sim::SceneChannel& channel,
                          const em::LinkBudget& budget,
                          std::span<const em::CxPlanes> coefficients,
@@ -41,14 +21,6 @@ LinkMetrics link_metrics(const sim::SceneChannel& channel,
   metrics.snr_db = budget.snr_db(power);
   metrics.capacity_mbps = budget.capacity(power) / 1e6;
   return metrics;
-}
-
-CoverageMetrics coverage_metrics(const sim::SceneChannel& channel,
-                                 const em::LinkBudget& budget,
-                                 std::span<const surface::SurfaceConfig> configs,
-                                 const std::vector<std::size_t>& rx_indices) {
-  return coverage_metrics(channel, budget, realized(channel, configs),
-                          rx_indices);
 }
 
 CoverageMetrics coverage_metrics(const sim::SceneChannel& channel,
@@ -67,15 +39,6 @@ CoverageMetrics coverage_metrics(const sim::SceneChannel& channel,
   metrics.mean_capacity_mbps =
       capacity_sum / (1e6 * static_cast<double>(rx_indices.size()));
   return metrics;
-}
-
-SensingMetrics sensing_metrics(const sim::SceneChannel& channel,
-                               std::span<const surface::SurfaceConfig> configs,
-                               std::size_t sensing_panel,
-                               const std::vector<std::size_t>& rx_indices,
-                               std::size_t spectrum_bins) {
-  return sensing_metrics(channel, realized(channel, configs), sensing_panel,
-                         rx_indices, spectrum_bins);
 }
 
 SensingMetrics sensing_metrics(const sim::SceneChannel& channel,
@@ -102,13 +65,6 @@ SensingMetrics sensing_metrics(const sim::SceneChannel& channel,
   }
   metrics.median_error_m = util::median(metrics.errors_m);
   return metrics;
-}
-
-PowerMetrics power_metrics(const sim::SceneChannel& channel,
-                           const em::LinkBudget& budget,
-                           std::span<const surface::SurfaceConfig> configs,
-                           std::size_t rx_index) {
-  return power_metrics(channel, budget, realized(channel, configs), rx_index);
 }
 
 PowerMetrics power_metrics(const sim::SceneChannel& channel,

@@ -11,7 +11,6 @@
 #include "em/propagation.hpp"
 #include "em/soa.hpp"
 #include "sim/channel.hpp"
-#include "surface/config.hpp"
 
 namespace surfos::orch {
 
@@ -36,16 +35,10 @@ struct PowerMetrics {
   double delivered_dbm = -300.0;
 };
 
-// Every metric comes in two forms: over element-wise configs, and over the
-// coefficient planes those configs realize to
-// (SceneChannel::coefficients_planes_for). The second lets a caller that
-// measures several tasks under one configuration realize it once; both give
-// the same bytes.
+// Every metric takes the coefficient planes the hardware's configs realize
+// to (SceneChannel::coefficients_for), so a caller that measures several
+// tasks under one configuration realizes it once.
 
-LinkMetrics link_metrics(const sim::SceneChannel& channel,
-                         const em::LinkBudget& budget,
-                         std::span<const surface::SurfaceConfig> configs,
-                         std::size_t rx_index);
 LinkMetrics link_metrics(const sim::SceneChannel& channel,
                          const em::LinkBudget& budget,
                          std::span<const em::CxPlanes> coefficients,
@@ -53,30 +46,18 @@ LinkMetrics link_metrics(const sim::SceneChannel& channel,
 
 CoverageMetrics coverage_metrics(const sim::SceneChannel& channel,
                                  const em::LinkBudget& budget,
-                                 std::span<const surface::SurfaceConfig> configs,
-                                 const std::vector<std::size_t>& rx_indices);
-CoverageMetrics coverage_metrics(const sim::SceneChannel& channel,
-                                 const em::LinkBudget& budget,
                                  std::span<const em::CxPlanes> coefficients,
                                  const std::vector<std::size_t>& rx_indices);
 
-/// Localization accuracy through `sensing_panel` with the realized configs:
-/// beamscan AoA per probe point -> position error (accurate-ToF model).
-SensingMetrics sensing_metrics(const sim::SceneChannel& channel,
-                               std::span<const surface::SurfaceConfig> configs,
-                               std::size_t sensing_panel,
-                               const std::vector<std::size_t>& rx_indices,
-                               std::size_t spectrum_bins = 121);
+/// Localization accuracy through `sensing_panel` with the realized
+/// coefficients: beamscan AoA per probe point -> position error
+/// (accurate-ToF model).
 SensingMetrics sensing_metrics(const sim::SceneChannel& channel,
                                std::span<const em::CxPlanes> coefficients,
                                std::size_t sensing_panel,
                                const std::vector<std::size_t>& rx_indices,
                                std::size_t spectrum_bins = 121);
 
-PowerMetrics power_metrics(const sim::SceneChannel& channel,
-                           const em::LinkBudget& budget,
-                           std::span<const surface::SurfaceConfig> configs,
-                           std::size_t rx_index);
 PowerMetrics power_metrics(const sim::SceneChannel& channel,
                            const em::LinkBudget& budget,
                            std::span<const em::CxPlanes> coefficients,

@@ -23,16 +23,6 @@ std::pair<std::size_t, std::size_t> PanelVariables::range_of(
   return {offsets_.at(p), panels_.at(p)->control_count()};
 }
 
-std::vector<em::CVec> PanelVariables::coefficients(
-    std::span<const double> x) const {
-  std::vector<em::CxPlanes> planes;
-  coefficients_into(x, planes);
-  std::vector<em::CVec> out;
-  out.reserve(planes.size());
-  for (const em::CxPlanes& c : planes) out.push_back(c.to_cvec());
-  return out;
-}
-
 void PanelVariables::coefficients_into(std::span<const double> x,
                                        std::vector<em::CxPlanes>& out) const {
   if (x.size() != dimension_) {

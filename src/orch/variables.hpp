@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "em/cx.hpp"
 #include "em/soa.hpp"
 #include "surface/config.hpp"
 #include "surface/panel.hpp"
@@ -36,12 +35,10 @@ class PanelVariables {
   /// [offset, count) of panel p's controls within the flat vector.
   std::pair<std::size_t, std::size_t> range_of(std::size_t p) const;
 
-  /// Continuous per-element complex coefficients for each panel:
-  /// c_e = insertion_loss * exp(j * phase of e's control). No quantization.
-  std::vector<em::CVec> coefficients(std::span<const double> x) const;
-
-  /// The same coefficients written straight into SoA planes, reusing
-  /// `out`'s per-panel buffers (the optimizer hot path: once per objective
+  /// Continuous per-element complex coefficients for each panel,
+  /// c_e = insertion_loss * exp(j * phase of e's control) with no
+  /// quantization, written straight into SoA planes, reusing `out`'s
+  /// per-panel buffers (the optimizer hot path: once per objective
   /// evaluation). One std::polar per control group, broadcast to the
   /// group's elements; values are bit-identical to per-element calls
   /// because every element of a group has the same polar input.

@@ -729,34 +729,6 @@ void SceneChannel::rebase_rx(std::vector<geom::Vec3> new_points) {
   fill_missing_rows(missing);
 }
 
-void SceneChannel::precompute_delta(std::span<const geom::Vec3> added_rx,
-                                    std::span<const std::size_t> removed_rx) {
-  std::vector<char> drop(rx_points_.size(), 0);
-  for (const std::size_t idx : removed_rx) {
-    if (idx >= rx_points_.size()) {
-      throw std::invalid_argument("SceneChannel: removal index out of range");
-    }
-    drop[idx] = 1;
-  }
-  std::vector<geom::Vec3> next;
-  next.reserve(rx_points_.size() + added_rx.size());
-  for (std::size_t j = 0; j < rx_points_.size(); ++j) {
-    if (!drop[j]) next.push_back(rx_points_[j]);
-  }
-  next.insert(next.end(), added_rx.begin(), added_rx.end());
-  rebase_rx(std::move(next));
-}
-
-em::CMat SceneChannel::cascade(std::size_t q, std::size_t p) const {
-  const em::CxPlaneMat& m = statics_->cascades.at(q).at(p);
-  if (m.rows() == 0) return {};
-  em::CMat out(m.rows(), m.cols());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 0; c < m.cols(); ++c) out(r, c) = m.at(r, c);
-  }
-  return out;
-}
-
 void SceneChannel::check_coefficient_sizes(
     std::span<const em::CxPlanes> coefficients) const {
   if (coefficients.size() != panels_.size()) {
@@ -769,26 +741,7 @@ void SceneChannel::check_coefficient_sizes(
   }
 }
 
-em::Cx SceneChannel::evaluate(std::size_t j,
-                              std::span<const em::CVec> coefficients) const {
-  if (coefficients.size() != panels_.size()) {
-    throw std::invalid_argument("SceneChannel: coefficient count mismatch");
-  }
-  for (std::size_t p = 0; p < panels_.size(); ++p) {
-    if (coefficients[p].size() != panels_[p]->element_count()) {
-      throw std::invalid_argument("SceneChannel: coefficient size mismatch");
-    }
-  }
-  thread_local std::vector<em::CxPlanes> planes_tls;
-  std::vector<em::CxPlanes>& planes = planes_tls;
-  planes.resize(coefficients.size());
-  for (std::size_t p = 0; p < coefficients.size(); ++p) {
-    planes[p].assign(coefficients[p]);
-  }
-  return evaluate_planes(j, planes);
-}
-
-em::Cx SceneChannel::evaluate_planes(
+em::Cx SceneChannel::evaluate(
     std::size_t j, std::span<const em::CxPlanes> coefficients) const {
   check_coefficient_sizes(coefficients);
   const geom::Vec3& rx = rx_points_.at(j);
@@ -837,35 +790,6 @@ em::Cx SceneChannel::evaluate_planes(
 }
 
 void SceneChannel::evaluate_with_partials(
-    std::size_t j, std::span<const em::CVec> coefficients, em::Cx& h_out,
-    std::vector<em::CVec>& dh_dc_out) const {
-  if (coefficients.size() != panels_.size()) {
-    throw std::invalid_argument("SceneChannel: coefficient count mismatch");
-  }
-  for (std::size_t p = 0; p < panels_.size(); ++p) {
-    if (coefficients[p].size() != panels_[p]->element_count()) {
-      throw std::invalid_argument("SceneChannel: coefficient size mismatch");
-    }
-  }
-  thread_local std::vector<em::CxPlanes> planes_tls;
-  thread_local std::vector<em::CxPlanes> dh_tls;
-  std::vector<em::CxPlanes>& planes = planes_tls;
-  std::vector<em::CxPlanes>& dh = dh_tls;
-  planes.resize(coefficients.size());
-  for (std::size_t p = 0; p < coefficients.size(); ++p) {
-    planes[p].assign(coefficients[p]);
-  }
-  evaluate_with_partials_planes(j, planes, h_out, dh);
-  dh_dc_out.resize(dh.size());
-  for (std::size_t p = 0; p < dh.size(); ++p) {
-    dh_dc_out[p].resize(dh[p].size());
-    for (std::size_t i = 0; i < dh[p].size(); ++i) {
-      dh_dc_out[p][i] = dh[p].at(i);
-    }
-  }
-}
-
-void SceneChannel::evaluate_with_partials_planes(
     std::size_t j, std::span<const em::CxPlanes> coefficients, em::Cx& h_out,
     std::vector<em::CxPlanes>& dh_dc_out) const {
   check_coefficient_sizes(coefficients);
@@ -938,33 +862,16 @@ void SceneChannel::evaluate_with_partials_planes(
   h_out = h;
 }
 
-std::vector<em::CVec> SceneChannel::coefficients_for(
+std::vector<em::CxPlanes> SceneChannel::coefficients_for(
     std::span<const surface::SurfaceConfig> configs) const {
   if (configs.size() != panels_.size()) {
     throw std::invalid_argument("SceneChannel: config count mismatch");
   }
-  std::vector<em::CVec> out(panels_.size());
+  std::vector<em::CxPlanes> out(panels_.size());
   for (std::size_t p = 0; p < panels_.size(); ++p) {
     panels_[p]->coefficients_into(configs[p], out[p]);
   }
   return out;
-}
-
-void SceneChannel::coefficients_planes_for(
-    std::span<const surface::SurfaceConfig> configs,
-    std::vector<em::CxPlanes>& out) const {
-  if (configs.size() != panels_.size()) {
-    throw std::invalid_argument("SceneChannel: config count mismatch");
-  }
-  // Generation stays on the scalar quantization path so coefficient values
-  // are bit-identical to coefficients_for; the copy into planes is exact.
-  thread_local em::CVec scratch_tls;
-  em::CVec& scratch = scratch_tls;
-  out.resize(panels_.size());
-  for (std::size_t p = 0; p < panels_.size(); ++p) {
-    panels_[p]->coefficients_into(configs[p], scratch);
-    out[p].assign(scratch);
-  }
 }
 
 std::vector<double> SceneChannel::power_map(
@@ -974,15 +881,7 @@ std::vector<double> SceneChannel::power_map(
   thread_local std::vector<std::size_t> all_rx;
   all_rx.resize(rx_points_.size());
   std::iota(all_rx.begin(), all_rx.end(), std::size_t{0});
-  return powers_at(all_rx, configs);
-}
-
-std::vector<double> SceneChannel::powers_at(
-    std::span<const std::size_t> rx_indices,
-    std::span<const surface::SurfaceConfig> configs) const {
-  thread_local std::vector<em::CxPlanes> coeff_scratch;
-  coefficients_planes_for(configs, coeff_scratch);
-  return powers_at(rx_indices, coeff_scratch);
+  return powers_at(all_rx, coefficients_for(configs));
 }
 
 std::vector<double> SceneChannel::powers_at(
@@ -997,7 +896,7 @@ std::vector<double> SceneChannel::powers_at(
   std::vector<double> out(rx_indices.size());
   // Each RX index owns one output slot; deterministic under any thread count.
   util::parallel_for(0, rx_indices.size(), [&](std::size_t k) {
-    out[k] = std::norm(evaluate_planes(rx_indices[k], coefficients));
+    out[k] = std::norm(evaluate(rx_indices[k], coefficients));
   });
   return out;
 }

@@ -16,15 +16,16 @@
 //
 // Storage is structure-of-arrays: f, g and the cascade matrices live as
 // aligned re/im double planes (em::CxPlanes / em::CxPlaneMat) so evaluate /
-// evaluate_with_partials run on the util::simd kernel layer. The *_planes
-// entry points are the native SoA hot path; the CVec-based overloads remain
-// for callers and convert at the boundary (bit-exact copies).
+// evaluate_with_partials run on the util::simd kernel layer. Planes are the
+// one coefficient currency at this boundary: coefficients_for realizes
+// configs straight into planes, and every vector and matrix in or out of the
+// channel is a zero-copy planes view.
 //
 // The artifacts themselves are immutable and refcounted: the RX-independent
 // part (f + cascades) and each per-RX row (g + h_dir) are shared_ptrs,
 // content-addressed by a structural scene digest and shared across channels
 // through the process-wide sim::PrecomputeStore (precompute_store.hpp).
-// rebase_rx / precompute_delta re-point the row set in O(changed RX) —
+// rebase_rx re-points the row set in O(changed RX) —
 // survivors keep their rows — which is what makes daemon endpoint churn
 // cheap. sync() does the same for a moved obstacle box: it re-keys every
 // artifact the box's old and new extents provably leave unchanged and
@@ -79,25 +80,17 @@ class SceneChannel {
   const geom::Vec3& rx_point(std::size_t j) const { return rx_points_.at(j); }
   const TxSpec& tx() const noexcept { return tx_; }
 
-  /// TX -> panel-p element propagation vector (materialized from the SoA
-  /// planes; use tx_planes for the zero-copy view).
-  em::CVec tx_vector(std::size_t p) const { return statics_->f.at(p).to_cvec(); }
-  /// Panel-p elements -> RX j propagation vector.
-  em::CVec rx_vector(std::size_t p, std::size_t j) const {
-    return rows_.at(j)->g.at(p).to_cvec();
-  }
   /// Direct (non-surface) channel to RX j.
   em::Cx direct(std::size_t j) const { return rows_.at(j)->h_dir; }
-  /// Panel p -> panel q cascade matrix (rows: q elements, cols: p elements);
-  /// empty when geometry forbids the hop.
-  em::CMat cascade(std::size_t q, std::size_t p) const;
 
-  /// Zero-copy SoA views of the precomputed vectors/matrices.
+  /// TX -> panel-p element propagation vector.
   const em::CxPlanes& tx_planes(std::size_t p) const { return statics_->f.at(p); }
+  /// Panel-p elements -> RX j propagation vector.
   const em::CxPlanes& rx_planes(std::size_t p, std::size_t j) const {
     return rows_.at(j)->g.at(p);
   }
-  /// Cascade planes; rows() == 0 means "no cascade" (cf. CMat::empty()).
+  /// Panel p -> panel q cascade matrix (rows: q elements, cols: p elements);
+  /// rows() == 0 when geometry forbids the hop.
   const em::CxPlaneMat& cascade_planes(std::size_t q, std::size_t p) const {
     return statics_->cascades.at(q).at(p);
   }
@@ -131,62 +124,36 @@ class SceneChannel {
   /// construction with the same list.
   void rebase_rx(std::vector<geom::Vec3> new_points);
 
-  /// RX-set diff convenience over rebase_rx: drops the rows at
-  /// `removed_rx` (indices into the current set, order preserved for
-  /// survivors) and appends `added_rx` at the end. Throws when a removal
-  /// index is out of range or when the result would be empty.
-  void precompute_delta(std::span<const geom::Vec3> added_rx,
-                        std::span<const std::size_t> removed_rx);
-
-  /// End-to-end channel at RX j given per-panel element coefficient vectors
-  /// (one CVec per panel, sized to that panel's element count).
-  em::Cx evaluate(std::size_t j, std::span<const em::CVec> coefficients) const;
-
-  /// SoA-native evaluate: coefficients as one CxPlanes per panel (padding
-  /// lanes must be zero, which CxPlanes maintains).
-  em::Cx evaluate_planes(std::size_t j,
-                         std::span<const em::CxPlanes> coefficients) const;
+  /// End-to-end channel at RX j given per-panel element coefficients (one
+  /// CxPlanes per panel, sized to that panel's element count; padding lanes
+  /// must be zero, which CxPlanes maintains).
+  em::Cx evaluate(std::size_t j, std::span<const em::CxPlanes> coefficients) const;
 
   /// d h / d c_p[i] at RX j for every panel/element, given the current
-  /// coefficients. Output is resized to match. Used for analytic gradients:
-  /// d h / d phi_p[i] = j * c_p[i] * (d h / d c_p[i]).
+  /// coefficients; dh_dc_out is resized to one CxPlanes per panel. Used for
+  /// analytic gradients: d h / d phi_p[i] = j * c_p[i] * (d h / d c_p[i]).
+  /// The h_out sum is bit-identical to evaluate on the same inputs.
   void evaluate_with_partials(std::size_t j,
-                              std::span<const em::CVec> coefficients,
+                              std::span<const em::CxPlanes> coefficients,
                               em::Cx& h_out,
-                              std::vector<em::CVec>& dh_dc_out) const;
-
-  /// SoA-native partials; dh_dc_out is resized to one CxPlanes per panel.
-  /// The h_out sum is bit-identical to evaluate_planes on the same inputs.
-  void evaluate_with_partials_planes(std::size_t j,
-                                     std::span<const em::CxPlanes> coefficients,
-                                     em::Cx& h_out,
-                                     std::vector<em::CxPlanes>& dh_dc_out) const;
+                              std::vector<em::CxPlanes>& dh_dc_out) const;
 
   /// Convenience: channel power |h|^2 at every RX for panel configs.
   std::vector<double> power_map(
       std::span<const surface::SurfaceConfig> configs) const;
 
-  /// |h|^2 at a subset of RX indices for panel configs — the orchestrator's
-  /// per-task measurement sweep.
-  std::vector<double> powers_at(
-      std::span<const std::size_t> rx_indices,
-      std::span<const surface::SurfaceConfig> configs) const;
-
-  /// powers_at over coefficients already realized by
-  /// coefficients_planes_for (same bytes): callers that sweep several RX
-  /// subsets under one config build the planes once.
+  /// |h|^2 at a subset of RX indices — the orchestrator's per-task
+  /// measurement sweep. Callers that sweep several RX subsets under one
+  /// config realize it once (coefficients_for).
   std::vector<double> powers_at(
       std::span<const std::size_t> rx_indices,
       std::span<const em::CxPlanes> coefficients) const;
 
-  /// Per-panel coefficients from configs (applies granularity/quantization).
-  std::vector<em::CVec> coefficients_for(
+  /// Per-panel coefficient planes the configs realize to
+  /// (SurfacePanel::coefficients_into: granularity and quantization
+  /// applied).
+  std::vector<em::CxPlanes> coefficients_for(
       std::span<const surface::SurfaceConfig> configs) const;
-
-  /// SoA variant: coefficients generated by the same scalar quantization
-  /// path (values bit-identical to coefficients_for), copied into planes.
-  void coefficients_planes_for(std::span<const surface::SurfaceConfig> configs,
-                               std::vector<em::CxPlanes>& out) const;
 
  private:
   void precompute();

@@ -168,19 +168,13 @@ std::vector<double> SurfacePanel::extract_controls(
   return controls;
 }
 
-em::CVec SurfacePanel::coefficients(const SurfaceConfig& config) const {
-  em::CVec out;
-  coefficients_into(config, out);
-  return out;
-}
-
 void SurfacePanel::coefficients_into(const SurfaceConfig& config,
-                                     em::CVec& out) const {
+                                     em::CxPlanes& out) const {
   const SurfaceConfig real = realizable(config);
   const double loss = std::pow(10.0, -design_.insertion_loss_db / 20.0);
-  out.resize(real.size());
+  if (out.size() != real.size()) out.resize(real.size());
   for (std::size_t i = 0; i < real.size(); ++i) {
-    out[i] = std::polar(real.amplitude(i) * loss, real.phase(i));
+    out.set(i, std::polar(real.amplitude(i) * loss, real.phase(i)));
   }
 }
 

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "em/cx.hpp"
+#include "em/soa.hpp"
 #include "geom/frame.hpp"
 #include "geom/vec3.hpp"
 #include "surface/config.hpp"
@@ -101,14 +101,11 @@ class SurfacePanel {
   std::vector<double> extract_controls(const SurfaceConfig& config) const;
 
   /// Per-element complex coefficients c_i = a_i * L * exp(j phi_i) for a
-  /// config, where L is the linear insertion loss. The config is first
-  /// projected through realizable().
-  em::CVec coefficients(const SurfaceConfig& config) const;
-
-  /// Scratch-filling variant of coefficients(): writes into `out`, reusing
-  /// its buffer (hot path: per-candidate coefficient mapping in the
-  /// optimizer loop).
-  void coefficients_into(const SurfaceConfig& config, em::CVec& out) const;
+  /// config, where L is the linear insertion loss, written into `out`'s
+  /// planes. The config is first projected through realizable(). Only live
+  /// lanes are written, so a reused buffer keeps its zero padding; `out` is
+  /// resized (zero-filled) only on a shape change.
+  void coefficients_into(const SurfaceConfig& config, em::CxPlanes& out) const;
 
   /// Analytic focusing configuration: phases that co-phase the path
   /// source -> element -> target at `frequency_hz` (before quantization /

@@ -338,6 +338,115 @@ TEST_F(DaemonTest, RestoreRefusesWhenSessionsExist) {
   std::remove(snapshot_path.c_str());
 }
 
+TEST_F(DaemonTest, RestoreRefusesWhenDemandsAreQueued) {
+  const std::string snapshot_path = temp_path("queued", ".snap");
+  Daemon daemon(test_options(temp_path("q", ".sock"), snapshot_path));
+  ASSERT_EQ(
+      daemon.handle_request(make_request(proto::MsgType::kSnapshot, 1)).type,
+      proto::MsgType::kOk);
+  // No session yet, but a demand waits in the admission queue.
+  (void)daemon.handle_request(make_request(
+      proto::MsgType::kSubmitDemand, 2, submit_payload("vr", vr_demand("h"))));
+  EXPECT_EQ(error_code_of(daemon.handle_request(
+                make_request(proto::MsgType::kRestore, 3))),
+            ErrorCode::kUnavailable);
+  std::remove(snapshot_path.c_str());
+}
+
+/// Everything a restore may touch, as a refused restore must leave it.
+struct RestoreVisibleState {
+  std::uint64_t epochs = 0;
+  std::vector<std::uint8_t> report;
+  std::vector<std::string> sessions, endpoints;
+  std::vector<std::size_t> queued;
+  bool operator==(const RestoreVisibleState&) const = default;
+};
+
+RestoreVisibleState visible_state(const Daemon& daemon,
+                                  const std::vector<std::string>& site_ids) {
+  RestoreVisibleState state;
+  state.epochs = daemon.stats().epochs;
+  state.report = daemon.last_report_wire();
+  for (const std::string& id : site_ids) {
+    const SurfOS& site = *daemon.fleet().find_site(id);
+    for (const auto& [app_id, session] : site.broker().sessions()) {
+      state.sessions.push_back(id + "/" + app_id);
+    }
+    state.queued.push_back(site.broker().admission().depth());
+    for (const hal::EndpointDevice& endpoint : site.registry().endpoints()) {
+      state.endpoints.push_back(id + "/" + endpoint.id);
+    }
+  }
+  return state;
+}
+
+/// A 2-site snapshot: a running app on each site, then a queued demand on
+/// site0. Site0's records come first, so a restore that applied records as
+/// it checked them would be half done when it reached site1.
+void write_two_site_snapshot(const std::string& snapshot_path) {
+  DaemonOptions options =
+      test_options(temp_path("two", ".sock"), snapshot_path);
+  options.sites = 2;
+  Daemon daemon(options);
+  (void)daemon.handle_request(
+      make_request(proto::MsgType::kSubmitDemand, 1,
+                   submit_payload("vr", vr_demand("headset"), "site0")));
+  (void)daemon.handle_request(
+      make_request(proto::MsgType::kSubmitDemand, 2,
+                   submit_payload("cam", vr_demand("cam0"), "site1")));
+  daemon.run_epoch();
+  (void)daemon.handle_request(
+      make_request(proto::MsgType::kSubmitDemand, 3,
+                   submit_payload("late", vr_demand("phone"), "site0")));
+  ASSERT_EQ(
+      daemon.handle_request(make_request(proto::MsgType::kSnapshot, 4)).type,
+      proto::MsgType::kOk);
+}
+
+TEST_F(DaemonTest, RestoreOfUnknownSiteAppliesNothing) {
+  const std::string snapshot_path = temp_path("sites", ".snap");
+  write_two_site_snapshot(snapshot_path);
+
+  Daemon daemon(test_options(temp_path("one", ".sock"), snapshot_path));
+  daemon.run_epoch();
+  daemon.run_epoch();
+  const RestoreVisibleState before = visible_state(daemon, {"site0"});
+  ASSERT_EQ(before.epochs, 2u);
+  ASSERT_FALSE(before.report.empty());
+
+  EXPECT_EQ(error_code_of(daemon.handle_request(
+                make_request(proto::MsgType::kRestore, 1))),
+            ErrorCode::kNotFound);
+  EXPECT_EQ(visible_state(daemon, {"site0"}), before);
+  EXPECT_FALSE(daemon.load_snapshot().ok());
+  EXPECT_EQ(visible_state(daemon, {"site0"}), before);
+  std::remove(snapshot_path.c_str());
+}
+
+TEST_F(DaemonTest, RestoreOfRepeatedAppIdAppliesNothing) {
+  const std::string snapshot_path = temp_path("dup", ".snap");
+  write_two_site_snapshot(snapshot_path);
+  auto loaded = load_snapshot_file(snapshot_path);
+  ASSERT_TRUE(loaded.ok());
+  DaemonSnapshot snapshot = loaded.value();
+  ASSERT_EQ(snapshot.sessions.size(), 2u);
+  snapshot.sessions.push_back(snapshot.sessions.front());
+  ASSERT_TRUE(save_snapshot_file(snapshot, snapshot_path).ok());
+
+  DaemonOptions options = test_options(temp_path("dupd", ".sock"),
+                                       snapshot_path);
+  options.sites = 2;
+  Daemon daemon(options);
+  daemon.run_epoch();
+  const RestoreVisibleState before =
+      visible_state(daemon, {"site0", "site1"});
+  EXPECT_EQ(error_code_of(daemon.handle_request(
+                make_request(proto::MsgType::kRestore, 1))),
+            ErrorCode::kAlreadyExists);
+  EXPECT_EQ(visible_state(daemon, {"site0", "site1"}), before);
+  std::remove(snapshot_path.c_str());
+}
+
 TEST_F(DaemonTest, DepartedEndpointsAreGarbageCollected) {
   core::install_config(core::Config());
   ASSERT_TRUE(core::set_config_knob("SURFOS_ADMIT_QUEUE", 1).ok());

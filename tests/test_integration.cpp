@@ -149,10 +149,10 @@ TEST(Integration, JointMultitaskingPreservesBothServices) {
   const auto joint_result = optimizer.minimize(joint, x0);
 
   const auto metrics_of = [&](const std::vector<double>& x) {
-    const auto configs = vars.realize(x);
+    const auto coefficients = channel.coefficients_for(vars.realize(x));
     return std::make_pair(
-        orch::coverage_metrics(channel, scene.budget, configs, all_rx),
-        orch::sensing_metrics(channel, configs, 0, all_rx, 61));
+        orch::coverage_metrics(channel, scene.budget, coefficients, all_rx),
+        orch::sensing_metrics(channel, coefficients, 0, all_rx, 61));
   };
   const auto [cov_snr, cov_sense] = metrics_of(cov_only.x);
   const auto [joint_snr, joint_sense] = metrics_of(joint_result.x);

@@ -56,10 +56,11 @@ TEST(Variables, CoefficientsApplyLossAndPhase) {
   const PanelVariables vars({&a});
   std::vector<double> x(16, 0.0);
   x[3] = 1.2;
-  const auto coeffs = vars.coefficients(x);
+  std::vector<em::CxPlanes> coeffs;
+  vars.coefficients_into(x, coeffs);
   const double loss = std::pow(10.0, -1.0 / 20.0);
-  EXPECT_NEAR(std::abs(coeffs[0][3]), loss, 1e-12);
-  EXPECT_NEAR(std::arg(coeffs[0][3]), 1.2, 1e-12);
+  EXPECT_NEAR(std::abs(coeffs[0].at(3)), loss, 1e-12);
+  EXPECT_NEAR(std::arg(coeffs[0].at(3)), 1.2, 1e-12);
 }
 
 TEST(Variables, ColumnControlsReplicateDownColumns) {
@@ -67,11 +68,12 @@ TEST(Variables, ColumnControlsReplicateDownColumns) {
   const PanelVariables vars({&b});
   std::vector<double> x(4);
   for (int i = 0; i < 4; ++i) x[static_cast<std::size_t>(i)] = 0.3 * i;
-  const auto coeffs = vars.coefficients(x);
+  std::vector<em::CxPlanes> coeffs;
+  vars.coefficients_into(x, coeffs);
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < 4; ++c) {
-      EXPECT_NEAR(std::arg(coeffs[0][r * 4 + c]), 0.3 * static_cast<double>(c),
-                  1e-12);
+      EXPECT_NEAR(std::arg(coeffs[0].at(r * 4 + c)),
+                  0.3 * static_cast<double>(c), 1e-12);
     }
   }
 }
@@ -427,14 +429,16 @@ TEST(Perf, MetricsAreInternallyConsistent) {
   const em::LinkBudget budget{10.0, 400e6, 7.0};
   const std::vector<surface::SurfaceConfig> configs{
       fx.panel.focus_config({-1.0, 0.2, 0.0}, {1.0, -1.5, 0.1}, kFreq)};
-  const LinkMetrics link = link_metrics(*fx.channel, budget, configs, 0);
+  const auto coefficients = fx.channel->coefficients_for(configs);
+  const LinkMetrics link = link_metrics(*fx.channel, budget, coefficients, 0);
   EXPECT_NEAR(link.snr_db, link.rss_dbm - budget.noise_dbm(), 1e-9);
   const CoverageMetrics coverage =
-      coverage_metrics(*fx.channel, budget, configs, {0, 1});
+      coverage_metrics(*fx.channel, budget, coefficients, {0, 1});
   ASSERT_EQ(coverage.snr_db.size(), 2u);
   EXPECT_NEAR(coverage.snr_db[0], link.snr_db, 1e-9);
   EXPECT_GE(coverage.mean_capacity_mbps, 0.0);
-  const PowerMetrics power = power_metrics(*fx.channel, budget, configs, 0);
+  const PowerMetrics power =
+      power_metrics(*fx.channel, budget, coefficients, 0);
   EXPECT_NEAR(power.delivered_dbm, link.rss_dbm, 1e-9);
 }
 
@@ -445,8 +449,13 @@ TEST(Perf, FocusedLinkBeatsUniformLink) {
       surface::SurfaceConfig(fx.panel.element_count())};
   const std::vector<surface::SurfaceConfig> focus{
       fx.panel.focus_config({-1.0, 0.2, 0.0}, {1.0, -1.5, 0.1}, kFreq)};
-  EXPECT_GT(link_metrics(*fx.channel, budget, focus, 0).snr_db,
-            link_metrics(*fx.channel, budget, uniform, 0).snr_db + 3.0);
+  EXPECT_GT(link_metrics(*fx.channel, budget,
+                         fx.channel->coefficients_for(focus), 0)
+                .snr_db,
+            link_metrics(*fx.channel, budget,
+                         fx.channel->coefficients_for(uniform), 0)
+                    .snr_db +
+                3.0);
 }
 
 // --- Scheduler --------------------------------------------------------------------------
@@ -801,10 +810,11 @@ TEST(OrchestratorTest, SensingIsMeasuredAtTheConfiguredBins) {
       *fx.orchestrator->last_realized("wall")};
   std::vector<std::size_t> rx(goal.region.size());
   for (std::size_t j = 0; j < rx.size(); ++j) rx[j] = j;
+  const auto coefficients = channel.coefficients_for(configs);
   const double at_21 =
-      sensing_metrics(channel, configs, 0, rx, 21).median_error_m;
+      sensing_metrics(channel, coefficients, 0, rx, 21).median_error_m;
   const double at_121 =
-      sensing_metrics(channel, configs, 0, rx, 121).median_error_m;
+      sensing_metrics(channel, coefficients, 0, rx, 121).median_error_m;
   ASSERT_NE(at_21, at_121);  // the scan resolution shows in this scene
   EXPECT_EQ(*task->achieved, at_21);
 }

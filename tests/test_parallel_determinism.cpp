@@ -95,10 +95,18 @@ TEST(ParallelDeterminism, PrecomputeAndPowerMapBitIdentical) {
   }
   // Precomputed structure itself is slot-deterministic too.
   for (std::size_t p = 0; p < serial_channel->panel_count(); ++p) {
-    EXPECT_EQ(serial_channel->tx_vector(p), threaded_channel->tx_vector(p));
+    EXPECT_EQ(serial_channel->tx_planes(p).to_cvec(),
+              threaded_channel->tx_planes(p).to_cvec());
     for (std::size_t q = 0; q < serial_channel->panel_count(); ++q) {
-      EXPECT_EQ(serial_channel->cascade(q, p).data(),
-                threaded_channel->cascade(q, p).data());
+      const em::CxPlaneMat& a = serial_channel->cascade_planes(q, p);
+      const em::CxPlaneMat& b = threaded_channel->cascade_planes(q, p);
+      ASSERT_EQ(a.rows(), b.rows());
+      ASSERT_EQ(a.cols(), b.cols());
+      for (std::size_t r = 0; r < a.rows(); ++r) {
+        for (std::size_t c = 0; c < a.cols(); ++c) {
+          EXPECT_EQ(a.at(r, c), b.at(r, c)) << q << "<-" << p;
+        }
+      }
     }
   }
   for (std::size_t j = 0; j < serial_channel->rx_count(); ++j) {

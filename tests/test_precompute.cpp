@@ -263,16 +263,15 @@ TEST_F(PrecomputeTest, DeltaAddRemoveReaddMatchesFreshDenseBuild) {
   const geom::Vec3 removed_point = grid[2];
   const std::vector<geom::Vec3> added = {{1.21, 2.17, 1.04},
                                          {2.45, 0.93, 1.31}};
-  delta->precompute_delta(added, std::vector<std::size_t>{2});
-  EXPECT_EQ(delta->rx_count(), grid.size() + 1);
-  // Re-adding a previously removed point must hit its still-resident row
-  // and land bitwise where a dense build would.
-  delta->precompute_delta(std::vector<geom::Vec3>{removed_point}, {});
-
   std::vector<geom::Vec3> churned = grid;
   churned.erase(churned.begin() + 2);
   churned.insert(churned.end(), added.begin(), added.end());
+  delta->rebase_rx(churned);
+  EXPECT_EQ(delta->rx_count(), grid.size() + 1);
+  // Re-adding a previously removed point must hit its still-resident row
+  // and land bitwise where a dense build would.
   churned.push_back(removed_point);
+  delta->rebase_rx(churned);
 
   sim::PrecomputeStore::instance().clear();
   const auto fresh = scene.make_channel(churned);
@@ -498,13 +497,12 @@ TEST_F(PrecomputeTest, MotionDeltaMatchesFreshBuild) {
 TEST_F(PrecomputeTest, DeltaValidatesRemovalIndicesAndNonEmptyResult) {
   const Scene scene;
   auto chan = scene.make_channel({{1.0, 2.0, 1.0}, {2.0, 1.0, 1.0}});
-  EXPECT_THROW(chan->precompute_delta({}, std::vector<std::size_t>{7}),
-               std::invalid_argument);
-  EXPECT_THROW(chan->precompute_delta({}, std::vector<std::size_t>{0, 1}),
-               std::invalid_argument);
-  // A rejected delta leaves the RX set untouched; an applied one drops row 0.
+  EXPECT_THROW(chan->rebase_rx({}), std::invalid_argument);
+  // A rejected rebase leaves the RX set untouched; an applied one drops
+  // row 0.
   EXPECT_EQ(chan->rx_count(), 2u);
-  chan->precompute_delta({}, std::vector<std::size_t>{0});
+  EXPECT_EQ(chan->rx_point(0).x, 1.0);
+  chan->rebase_rx({{2.0, 1.0, 1.0}});
   EXPECT_EQ(chan->rx_count(), 1u);
   EXPECT_EQ(chan->rx_point(0).x, 2.0);
 }

@@ -170,8 +170,8 @@ TEST(ChannelFuzz, PowerNeverExceedsFullyCoherentBound) {
   const sim::SceneChannel channel(&env, f, {tx, nullptr}, {&panel}, {rx});
   double bound_amplitude = 0.0;
   for (std::size_t i = 0; i < panel.element_count(); ++i) {
-    bound_amplitude += std::abs(channel.tx_vector(0)[i]) *
-                       std::abs(channel.rx_vector(0, 0)[i]);
+    bound_amplitude += std::abs(channel.tx_planes(0).at(i)) *
+                       std::abs(channel.rx_planes(0, 0).at(i));
   }
   util::Rng rng(77);
   for (int trial = 0; trial < 50; ++trial) {
@@ -205,8 +205,8 @@ TEST(ChannelFuzz, FocusConfigIsWithinEpsilonOfCoherentBound) {
   const sim::SceneChannel channel(&env, f, {tx, nullptr}, {&panel}, {rx});
   double bound = 0.0;
   for (std::size_t i = 0; i < panel.element_count(); ++i) {
-    bound += std::abs(channel.tx_vector(0)[i]) *
-             std::abs(channel.rx_vector(0, 0)[i]);
+    bound += std::abs(channel.tx_planes(0).at(i)) *
+             std::abs(channel.rx_planes(0, 0).at(i));
   }
   const auto focus = panel.focus_config(tx, rx, f);
   const auto coeffs =

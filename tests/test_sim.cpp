@@ -281,7 +281,8 @@ TEST(SceneChannel, PowersAtSubsetMatchesPowerMap) {
   const auto power = channel.power_map({{uniform}});
   // Any subset, in any order, reads the same bits as the full sweep.
   const std::vector<std::size_t> subset{4, 0, 2};
-  const auto powers = channel.powers_at(subset, {{uniform}});
+  const auto powers =
+      channel.powers_at(subset, channel.coefficients_for({{uniform}}));
   ASSERT_EQ(powers.size(), subset.size());
   for (std::size_t k = 0; k < subset.size(); ++k) {
     EXPECT_EQ(powers[k], power[subset[k]]) << "rx " << subset[k];
@@ -295,20 +296,22 @@ TEST(SceneChannel, LinearInCoefficients) {
   SceneChannel channel(&env, kFreq, {tx, nullptr}, {&panel},
                        {{1.2, -0.4, 0.1}});
   util::Rng rng(5);
-  em::CVec c1(panel.element_count());
-  em::CVec c2(panel.element_count());
+  em::CxPlanes c1(panel.element_count());
+  em::CxPlanes c2(panel.element_count());
   for (std::size_t i = 0; i < c1.size(); ++i) {
-    c1[i] = em::expj(rng.uniform(0, util::kTwoPi));
-    c2[i] = em::expj(rng.uniform(0, util::kTwoPi));
+    c1.set(i, em::expj(rng.uniform(0, util::kTwoPi)));
+    c2.set(i, em::expj(rng.uniform(0, util::kTwoPi)));
   }
   const em::Cx h1 = channel.evaluate(0, {{c1}});
   const em::Cx h2 = channel.evaluate(0, {{c2}});
   // Superposition: h(a*c1 + b*c2) - h(0) = a*(h(c1)-h(0)) + b*(h(c2)-h(0)).
-  const em::CVec zero(panel.element_count(), em::Cx{});
+  const em::CxPlanes zero(panel.element_count());
   const em::Cx h0 = channel.evaluate(0, {{zero}});
-  em::CVec mix(panel.element_count());
+  em::CxPlanes mix(panel.element_count());
   const double a = 0.3, b = 0.6;
-  for (std::size_t i = 0; i < mix.size(); ++i) mix[i] = a * c1[i] + b * c2[i];
+  for (std::size_t i = 0; i < mix.size(); ++i) {
+    mix.set(i, a * c1.at(i) + b * c2.at(i));
+  }
   const em::Cx hm = channel.evaluate(0, {{mix}});
   const em::Cx expected = h0 + a * (h1 - h0) + b * (h2 - h0);
   EXPECT_NEAR(std::abs(hm - expected), 0.0, 1e-12);
@@ -320,7 +323,7 @@ TEST(SceneChannel, ZeroCoefficientsGiveDirectOnly) {
   const geom::Vec3 tx{-1.0, 0.0, 0.0};
   const geom::Vec3 rx{2.0, 0.0, 0.0};
   SceneChannel channel(&env, kFreq, {tx, nullptr}, {&panel}, {rx});
-  const em::CVec zero(panel.element_count(), em::Cx{});
+  const em::CxPlanes zero(panel.element_count());
   const em::Cx h = channel.evaluate(0, {{zero}});
   EXPECT_NEAR(std::abs(h - channel.direct(0)), 0.0, 1e-15);
   EXPECT_NEAR(std::abs(channel.direct(0) -
@@ -354,7 +357,6 @@ TEST(SceneChannel, ReflectivePanelIgnoresRxBehindIt) {
   const geom::Vec3 rx_behind{1.0, 0.0, 4.0};  // above the panel plane z=2
   SceneChannel channel(&env, kFreq, {tx, nullptr}, {&panel}, {rx_behind});
   const surface::SurfaceConfig focus = panel.focus_config(tx, rx_behind, kFreq);
-  const em::CVec zero(panel.element_count(), em::Cx{});
   const auto coeffs = channel.coefficients_for({{focus}});
   // The surface term must be gated off: channel equals direct.
   EXPECT_NEAR(std::abs(channel.evaluate(0, coeffs) - channel.direct(0)), 0.0,
@@ -372,13 +374,13 @@ TEST(SceneChannel, PartialsMatchFiniteDifference) {
   for (double& p : phases) p = rng.uniform(0, util::kTwoPi);
 
   auto coeffs_of = [&](const std::vector<double>& ph) {
-    em::CVec c(ph.size());
-    for (std::size_t i = 0; i < ph.size(); ++i) c[i] = em::expj(ph[i]);
-    return std::vector<em::CVec>{c};
+    std::vector<em::CxPlanes> c(1, em::CxPlanes(ph.size()));
+    for (std::size_t i = 0; i < ph.size(); ++i) c[0].set(i, em::expj(ph[i]));
+    return c;
   };
 
   em::Cx h;
-  std::vector<em::CVec> dh_dc;
+  std::vector<em::CxPlanes> dh_dc;
   channel.evaluate_with_partials(0, coeffs_of(phases), h, dh_dc);
 
   const double eps = 1e-7;
@@ -391,7 +393,8 @@ TEST(SceneChannel, PartialsMatchFiniteDifference) {
                        channel.evaluate(0, coeffs_of(minus))) /
                       (2.0 * eps);
     // dh/dphi_i = j * c_i * dh/dc_i.
-    const em::Cx analytic = em::Cx{0.0, 1.0} * em::expj(phases[i]) * dh_dc[0][i];
+    const em::Cx analytic =
+        em::Cx{0.0, 1.0} * em::expj(phases[i]) * dh_dc[0].at(i);
     EXPECT_NEAR(std::abs(fd - analytic), 0.0, 1e-9 + 1e-4 * std::abs(analytic))
         << "element " << i;
   }
@@ -435,10 +438,10 @@ TEST(SceneChannel, TwoPanelCascadeAddsRelayPath) {
   em::Cx h = channel.direct(0);
   for (std::size_t p = 0; p < channel.panel_count(); ++p) {
     if (!channel.panel(p).serves(tx, rx)) continue;
-    const em::CVec f = channel.tx_vector(p);
-    const em::CVec g = channel.rx_vector(p, 0);
+    const em::CxPlanes& f = channel.tx_planes(p);
+    const em::CxPlanes& g = channel.rx_planes(p, 0);
     for (std::size_t i = 0; i < f.size(); ++i) {
-      h += g[i] * coefficients[p][i] * f[i];
+      h += g.at(i) * coefficients[p].at(i) * f.at(i);
     }
   }
   const double without_cascade = std::norm(h);
@@ -469,15 +472,14 @@ TEST(SceneChannel, CascadePartialsMatchFiniteDifference) {
     for (double& p : panel_phases) p = rng.uniform(0, util::kTwoPi);
   }
   auto coeffs_of = [&](const std::vector<std::vector<double>>& ph) {
-    std::vector<em::CVec> out(2);
+    std::vector<em::CxPlanes> out(2, em::CxPlanes(4));
     for (int p = 0; p < 2; ++p) {
-      out[p].resize(4);
-      for (int i = 0; i < 4; ++i) out[p][i] = em::expj(ph[p][i]);
+      for (int i = 0; i < 4; ++i) out[p].set(i, em::expj(ph[p][i]));
     }
     return out;
   };
   em::Cx h;
-  std::vector<em::CVec> dh_dc;
+  std::vector<em::CxPlanes> dh_dc;
   channel.evaluate_with_partials(0, coeffs_of(phases), h, dh_dc);
   const double eps = 1e-7;
   for (int p = 0; p < 2; ++p) {
@@ -490,7 +492,7 @@ TEST(SceneChannel, CascadePartialsMatchFiniteDifference) {
                          channel.evaluate(0, coeffs_of(minus))) /
                         (2.0 * eps);
       const em::Cx analytic =
-          em::Cx{0.0, 1.0} * em::expj(phases[p][i]) * dh_dc[p][i];
+          em::Cx{0.0, 1.0} * em::expj(phases[p][i]) * dh_dc[p].at(i);
       EXPECT_NEAR(std::abs(fd - analytic), 0.0,
                   1e-10 + 1e-4 * std::abs(analytic))
           << "panel " << p << " element " << i;
@@ -509,7 +511,7 @@ TEST(SceneChannel, RejectsBadInput) {
       std::invalid_argument);
   SceneChannel channel(&env, kFreq, {{-1, 0, 0}, nullptr}, {&panel},
                        {{1, 0, 0}});
-  const em::CVec wrong_size(3);
+  const em::CxPlanes wrong_size(3);
   EXPECT_THROW(channel.evaluate(0, {{wrong_size}}), std::invalid_argument);
 }
 

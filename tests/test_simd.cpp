@@ -328,13 +328,15 @@ ChannelSnapshot snapshot_under(simd::Backend b, const Scene& scene) {
     snap.h_dir.push_back(channel->direct(j));
   }
   for (std::size_t p = 0; p < channel->panel_count(); ++p) {
-    snap.f.push_back(channel->tx_vector(p));
+    snap.f.push_back(channel->tx_planes(p).to_cvec());
   }
   const auto configs = scene.focus_configs();
   snap.power = channel->power_map(configs);
   const auto coeffs = channel->coefficients_for(configs);
   snap.h_eval = channel->evaluate(0, coeffs);
-  channel->evaluate_with_partials(0, coeffs, snap.h_eval, snap.dh);
+  std::vector<em::CxPlanes> dh;
+  channel->evaluate_with_partials(0, coeffs, snap.h_eval, dh);
+  for (const em::CxPlanes& d : dh) snap.dh.push_back(d.to_cvec());
   return snap;
 }
 

@@ -4,8 +4,10 @@
 // the cost model.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "em/propagation.hpp"
 #include "surface/catalog.hpp"
@@ -306,9 +308,68 @@ TEST(Panel, CoefficientsApplyInsertionLoss) {
                            OperationMode::kReflective,
                            Reconfigurability::kProgrammable,
                            ControlGranularity::kElement);
-  const auto coeffs = panel.coefficients(SurfaceConfig(4));
+  em::CxPlanes coeffs;
+  panel.coefficients_into(SurfaceConfig(4), coeffs);
+  ASSERT_EQ(coeffs.size(), 4u);
   const double expected = std::pow(10.0, -2.0 / 20.0);
-  for (const auto& c : coeffs) EXPECT_NEAR(std::abs(c), expected, 1e-12);
+  for (std::size_t i = 0; i < coeffs.size(); ++i) {
+    EXPECT_NEAR(std::abs(coeffs.at(i)), expected, 1e-12);
+  }
+}
+
+TEST(Panel, CoefficientsIntoPlanesMatchPolarBitwise) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const ControlGranularity granularity :
+       {ControlGranularity::kElement, ControlGranularity::kColumn,
+        ControlGranularity::kRow, ControlGranularity::kGlobal}) {
+    for (const int phase_bits : {0, 1, 2, 3}) {
+      for (const bool amplitude_control : {false, true}) {
+        ElementDesign d = test_design(phase_bits);
+        d.insertion_loss_db = 1.3;
+        d.amplitude_control = amplitude_control;
+        // A 3x5 panel fills 15 of its 16 lanes; the buffer first holds a
+        // 4x5 panel's 20 live lanes, so lane 15 was live before reuse.
+        const SurfacePanel larger("big", geom::Frame({0, 0, 0}, {0, 0, 1}),
+                                  4, 5, d, OperationMode::kReflective,
+                                  Reconfigurability::kProgrammable,
+                                  granularity);
+        const SurfacePanel panel("p", geom::Frame({0, 0, 0}, {0, 0, 1}), 3,
+                                 5, d, OperationMode::kReflective,
+                                 Reconfigurability::kProgrammable,
+                                 granularity);
+        SurfaceConfig big_config(larger.element_count());
+        for (std::size_t i = 0; i < big_config.size(); ++i) {
+          big_config.set_phase(i, 0.9 + 0.31 * static_cast<double>(i));
+        }
+        SurfaceConfig config(panel.element_count());
+        for (std::size_t i = 0; i < config.size(); ++i) {
+          config.set_phase(i, 0.17 + 0.73 * static_cast<double>(i));
+          config.set_amplitude(i, 0.4 + 0.04 * static_cast<double>(i));
+        }
+        em::CxPlanes out;
+        larger.coefficients_into(big_config, out);
+        panel.coefficients_into(config, out);
+
+        const std::string where =
+            "granularity " + std::to_string(static_cast<int>(granularity)) +
+            " bits " + std::to_string(phase_bits) + " amplitude " +
+            std::to_string(amplitude_control);
+        ASSERT_EQ(out.size(), panel.element_count()) << where;
+        const SurfaceConfig real = panel.realizable(config);
+        const double loss = std::pow(10.0, -1.3 / 20.0);
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          const em::Cx expected =
+              std::polar(real.amplitude(i) * loss, real.phase(i));
+          EXPECT_EQ(bits(out.re()[i]), bits(expected.real())) << where;
+          EXPECT_EQ(bits(out.im()[i]), bits(expected.imag())) << where;
+        }
+        for (std::size_t i = out.size(); i < out.padded_size(); ++i) {
+          EXPECT_EQ(bits(out.re()[i]), bits(+0.0)) << where << " lane " << i;
+          EXPECT_EQ(bits(out.im()[i]), bits(+0.0)) << where << " lane " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(Panel, AmplitudeControlRequiresHardwareSupport) {

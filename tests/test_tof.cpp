@@ -107,7 +107,7 @@ TEST(RangeBearingTest, LocalizesClientWithoutOracle) {
   for (const double f : grid) {
     const sim::SceneChannel channel(&env, f, {{-2.0, 1.0, 1.5}, nullptr},
                                     {&panel}, {client});
-    taps.push_back(channel.rx_vector(0, 0));
+    taps.push_back(channel.rx_planes(0, 0).to_cvec());
   }
   const RangeBearing estimate = range_and_bearing(panel, grid, taps);
   EXPECT_NEAR(estimate.azimuth_rad, 0.4, 0.03);
