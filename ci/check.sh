@@ -14,9 +14,10 @@
 #   1. tier-1: configure + build + full ctest in ./build
 #   2. focused re-runs of the observability suites (ctest -L telemetry,
 #      ctest -L trace), the fleet control-plane suite (ctest -L fleet), the
-#      precompute-store suite (ctest -L precompute), and the
-#      daemon/wire-protocol suite (ctest -L daemon) so a regression there is
-#      named, not buried
+#      precompute-store suite (ctest -L precompute), the
+#      daemon/wire-protocol suite (ctest -L daemon) and the orchestrator
+#      suite with its plan-reuse contracts (ctest -L orch) so a regression
+#      there is named, not buried
 #   3. forced-scalar re-run of the full suite (SURFOS_SIMD=scalar): the
 #      scalar SIMD backend is the bit-exact reference, so every test must
 #      pass with vectorization disabled
@@ -87,12 +88,13 @@ cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
 echo
-echo "== focused: telemetry + trace + fleet + daemon + precompute labels"
+echo "== focused: telemetry + trace + fleet + daemon + precompute + orch labels"
 ctest --test-dir build --output-on-failure -L telemetry
 ctest --test-dir build --output-on-failure -L trace
 ctest --test-dir build --output-on-failure -L fleet
 ctest --test-dir build --output-on-failure -L daemon
 ctest --test-dir build --output-on-failure -L precompute
+ctest --test-dir build --output-on-failure -L orch
 
 echo
 echo "== forced scalar: full suite with SURFOS_SIMD=scalar (vector dispatch off)"

@@ -189,28 +189,39 @@ void Daemon::gc_endpoints(Site& site) {
 void Daemon::run_epoch() {
   const auto wall_start = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
+  // One span per serial phase, all children of surfosd.epoch; the parallel
+  // phase is core.fleet.step_all's own span.
+  telemetry::TraceSpan epoch_span("surfosd.epoch");
   const std::uint64_t epoch_ms =
       options_.epoch_ms != 0 ? options_.epoch_ms
                              : core::knob(core::Knob::kEpochMs);
-  const std::uint64_t pump_max = core::knob(core::Knob::kPumpMax);
-  sim_now_us_ += epoch_ms * 1000;
-
-  for (Site& site : sites_) {
-    site.os->clock().advance_to(sim_now_us_);
-    // The walker's box moves in place; each cached plan's channel catches
-    // up by delta in the step (SceneChannel::sync).
-    if (site.world->advance_to(sim_now_us_)) ++stats_.env_rebuilds;
-    site.os->broker().pump_admissions(pump_max);
+  {
+    telemetry::TraceSpan span("surfosd.epoch.advance");
+    const std::uint64_t pump_max = core::knob(core::Knob::kPumpMax);
+    sim_now_us_ += epoch_ms * 1000;
+    for (Site& site : sites_) {
+      site.os->clock().advance_to(sim_now_us_);
+      // The walker's box moves in place; each cached plan's channel catches
+      // up by delta in the step (SceneChannel::sync).
+      if (site.world->advance_to(sim_now_us_)) ++stats_.env_rebuilds;
+      site.os->broker().pump_admissions(pump_max);
+    }
   }
 
   const FleetReport report = fleet_.step_all();
 
-  for (Site& site : sites_) {
-    site.os->broker().escalate_unsatisfied();
-    gc_endpoints(site);
+  {
+    telemetry::TraceSpan span("surfosd.epoch.escalate_gc");
+    for (Site& site : sites_) {
+      site.os->broker().escalate_unsatisfied();
+      gc_endpoints(site);
+    }
   }
 
-  last_report_wire_ = proto::to_wire(report);
+  {
+    telemetry::TraceSpan span("surfosd.epoch.serialize");
+    last_report_wire_ = proto::to_wire(report);
+  }
   ++stats_.epochs;
 
   const double wall_ms = std::chrono::duration<double, std::milli>(
@@ -219,27 +230,32 @@ void Daemon::run_epoch() {
   stats_.last_epoch_ms = wall_ms;
 
   // SLO watchdog: one verdict per site, from this epoch's signals.
-  const SloThresholds thresholds = SloThresholds::from_knobs();
   auto& metrics = telemetry::MetricsRegistry::instance();
-  const std::uint64_t arq_retries =
-      metrics.counter("hal.arq.retransmissions").value();
-  const std::uint64_t arq_sends = metrics.counter("hal.arq.sends").value();
-  latest_health_.clear();
-  for (Site& site : sites_) {
-    const auto& admission = site.os->broker().admission();
-    SloInputs inputs;
-    inputs.queue_depth = admission.depth();
-    inputs.queue_capacity = admission.capacity();
-    inputs.shed_total = admission.stats().shed;
-    inputs.arq_retry_total = arq_retries;
-    inputs.arq_send_total = arq_sends;
-    inputs.epoch_overrun = wall_ms > static_cast<double>(epoch_ms);
-    latest_health_.push_back(watchdog_.evaluate(site.id, inputs, thresholds));
+  {
+    telemetry::TraceSpan span("surfosd.epoch.slo");
+    const SloThresholds thresholds = SloThresholds::from_knobs();
+    const std::uint64_t arq_retries =
+        metrics.counter("hal.arq.retransmissions").value();
+    const std::uint64_t arq_sends = metrics.counter("hal.arq.sends").value();
+    latest_health_.clear();
+    for (Site& site : sites_) {
+      const auto& admission = site.os->broker().admission();
+      SloInputs inputs;
+      inputs.queue_depth = admission.depth();
+      inputs.queue_capacity = admission.capacity();
+      inputs.shed_total = admission.stats().shed;
+      inputs.arq_retry_total = arq_retries;
+      inputs.arq_send_total = arq_sends;
+      inputs.epoch_overrun = wall_ms > static_cast<double>(epoch_ms);
+      latest_health_.push_back(
+          watchdog_.evaluate(site.id, inputs, thresholds));
+    }
   }
 
   // Record the epoch sample and push events to every due subscriber.
   // Publication only enqueues into bounded outboxes — a stalled reader
   // costs this thread nothing beyond the wake-pipe poke below.
+  telemetry::TraceSpan span("surfosd.epoch.publish");
   series_.record(stats_.epochs, metrics.snapshot(), wall_ms,
                  report.trace.actuate_us);
   SubscriptionRegistry::EpochContext ctx;

@@ -2,16 +2,26 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
+#include "hal/crc32.hpp"
 #include "proto/serialize.hpp"
 #include "proto/wire.hpp"
 
 namespace surfos::daemon {
 
 namespace {
+
+// File header, integers little-endian: magic "SFSN", format version (u32),
+// CRC-32 of the payload (u32). The payload, the DaemonSnapshot TLV stream,
+// is the rest of the file, so a truncated file fails the checksum.
+constexpr std::uint8_t kFileMagic[4] = {'S', 'F', 'S', 'N'};
+constexpr std::uint32_t kFileVersion = 1;
+constexpr std::size_t kHeaderBytes = 4 + 4 + 4;
 
 namespace tag {
 constexpr std::uint16_t kVersion = 1;
@@ -178,7 +188,12 @@ Result<void> from_wire(std::span<const std::uint8_t> bytes,
 
 Result<std::uint64_t> save_snapshot_file(const DaemonSnapshot& snapshot,
                                          const std::string& path) {
-  const std::vector<std::uint8_t> bytes = proto::to_wire(snapshot);
+  const std::vector<std::uint8_t> payload = proto::to_wire(snapshot);
+  std::vector<std::uint8_t> bytes(std::begin(kFileMagic), std::end(kFileMagic));
+  bytes.reserve(kHeaderBytes + payload.size());
+  proto::append_le(bytes, kFileVersion, 4);
+  proto::append_le(bytes, hal::crc32(payload), 4);
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
   const std::string tmp = path + ".tmp";
   std::FILE* file = std::fopen(tmp.c_str(), "wb");
   if (file == nullptr) {
@@ -186,8 +201,7 @@ Result<std::uint64_t> save_snapshot_file(const DaemonSnapshot& snapshot,
                       "snapshot: cannot open " + tmp + ": " +
                           std::strerror(errno));
   }
-  const std::size_t written =
-      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), file);
+  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), file);
   // Flush and fsync before the rename: a crash after it must find the new
   // bytes on disk, not an empty file under the final name.
   const bool synced =
@@ -226,8 +240,26 @@ Result<DaemonSnapshot> load_snapshot_file(const std::string& path) {
     return make_error(ErrorCode::kIoError, "snapshot: read of " + path +
                                                " failed");
   }
+  // Magic, version and checksum are all checked before any decoding.
+  const auto damaged = [&](const char* what) {
+    return make_error(ErrorCode::kMalformedFrame,
+                      std::string("snapshot: ") + what + " in " + path);
+  };
+  if (bytes.size() < kHeaderBytes) return damaged("truncated header");
+  if (!std::equal(std::begin(kFileMagic), std::end(kFileMagic),
+                  bytes.begin())) {
+    return damaged("bad magic number");
+  }
+  if (proto::read_le(bytes, 4, 4) != kFileVersion) {
+    return damaged("unsupported format version");
+  }
+  const std::span<const std::uint8_t> payload =
+      std::span<const std::uint8_t>(bytes).subspan(kHeaderBytes);
+  if (proto::read_le(bytes, 8, 4) != hal::crc32(payload)) {
+    return damaged("checksum mismatch");
+  }
   DaemonSnapshot snapshot;
-  if (auto parsed = from_wire(bytes, snapshot); !parsed.ok()) {
+  if (auto parsed = from_wire(payload, snapshot); !parsed.ok()) {
     return parsed.error();
   }
   return snapshot;

@@ -13,9 +13,12 @@
 //   - the serialized last FleetReport, restored verbatim — the byte-identity
 //     guarantee the restart drill checks via get_metrics.
 //
-// The file is one TLV stream with the same versioned, unknown-tag-skipping
-// encoding as the wire protocol (proto/serialize.hpp), written atomically
-// (temp file, fsync, rename).
+// The file is a 12-byte header — magic "SFSN", format version and CRC-32
+// of the payload — followed by one TLV stream with the
+// same versioned, unknown-tag-skipping encoding as the wire protocol
+// (proto/serialize.hpp). It is written atomically (temp file, fsync,
+// rename), and a load checks the magic, version and checksum before it
+// decodes anything, so a damaged file is refused as a whole.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +74,8 @@ Result<void> from_wire(std::span<const std::uint8_t> bytes,
 
 /// Atomic write (temp file, fsync, rename) returning the bytes written, and
 /// whole-file read. kIoError on filesystem failure (a failed fsync
-/// included), kMalformedFrame on a damaged file.
+/// included), kMalformedFrame on a damaged file (short header, wrong magic
+/// or version, checksum mismatch, undecodable payload).
 Result<std::uint64_t> save_snapshot_file(const DaemonSnapshot& snapshot,
                                          const std::string& path);
 Result<DaemonSnapshot> load_snapshot_file(const std::string& path);

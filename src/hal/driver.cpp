@@ -1,5 +1,6 @@
 #include "hal/driver.hpp"
 
+#include <atomic>
 #include <stdexcept>
 #include <vector>
 
@@ -9,6 +10,13 @@
 #include "util/log.hpp"
 
 namespace surfos::hal {
+
+namespace {
+std::uint64_t next_config_revision() noexcept {
+  static std::atomic<std::uint64_t> sequence{0};
+  return sequence.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+}  // namespace
 
 SurfaceDriver::SurfaceDriver(std::string device_id,
                              const surface::SurfacePanel* panel,
@@ -20,6 +28,7 @@ SurfaceDriver::SurfaceDriver(std::string device_id,
 
 void SurfaceDriver::init_slots(std::size_t count) {
   slots_.assign(count, surface::SurfaceConfig(panel_->element_count()));
+  config_revision_ = next_config_revision();
   active_config_ = panel_->realizable(slots_[0]);
   active_slot_ = 0;
 }
@@ -33,6 +42,7 @@ const surface::SurfaceConfig& SurfaceDriver::stored_config(
 void SurfaceDriver::commit_slot(std::uint16_t slot,
                                 const surface::SurfaceConfig& config) {
   slots_.at(slot) = panel_->realizable(config);
+  config_revision_ = next_config_revision();
   if (slot == active_slot_) active_config_ = slots_[slot];
 }
 

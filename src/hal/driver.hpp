@@ -96,6 +96,13 @@ class SurfaceDriver {
   const surface::SurfaceConfig& stored_config(std::uint16_t slot) const;
   std::size_t slot_count() const noexcept { return slots_.size(); }
 
+  /// Rises whenever a stored slot is (re)written: write, write_elements,
+  /// an ARQ completion in poll, fabricate, a direct driver write. Each bump
+  /// draws from one process-wide sequence, so a value is never reused, not
+  /// even by a driver that replaces a removed one under the same id. A
+  /// reader that saw revision r has seen every stored slot while it stays r.
+  std::uint64_t config_revision() const noexcept { return config_revision_; }
+
   // --- Convenience primitives over the active slot ------------------------
 
   /// Adds a uniform phase offset to the active configuration.
@@ -104,6 +111,8 @@ class SurfaceDriver {
   DriverStatus set_amplitude(std::span<const double> amplitudes);
 
  protected:
+  /// init_slots and commit_slot are the only writers of the stored slots;
+  /// both bump config_revision().
   void init_slots(std::size_t count);
   /// Stores `config` (projected to what the hardware realizes) into a slot
   /// and refreshes the active config when the slot is active.
@@ -115,6 +124,7 @@ class SurfaceDriver {
   const surface::SurfacePanel* panel_;
   HardwareSpec spec_;
   std::vector<surface::SurfaceConfig> slots_;
+  std::uint64_t config_revision_ = 0;
   surface::SurfaceConfig active_config_;
   std::uint16_t active_slot_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "orch/orchestrator.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
@@ -180,22 +179,6 @@ std::vector<geom::Vec3> Orchestrator::probe_points(const Task& task,
   return std::visit(Visitor{*registry_, ok}, task.goal);
 }
 
-std::string Orchestrator::signature_of(const Assignment& assignment) const {
-  // Deliberately excludes the task set: a plan is keyed by its physical
-  // resources (band, slot, devices), so task churn lands on the same plan
-  // and its channel can be rebased in O(changed endpoints) (plan_for).
-  std::ostringstream oss;
-  oss << static_cast<int>(assignment.band) << "|slot" << assignment.slot << "|";
-  for (const auto& device : assignment.devices) oss << device << ",";
-  return oss.str();
-}
-
-std::string Orchestrator::tasks_signature(const Assignment& assignment) const {
-  std::ostringstream oss;
-  for (const TaskId id : assignment.tasks) oss << id << ",";
-  return oss.str();
-}
-
 void Orchestrator::collect_task_rx(const Assignment& assignment, Plan& plan,
                                    std::vector<geom::Vec3>& rx_points) {
   for (const TaskId id : assignment.tasks) {
@@ -245,12 +228,10 @@ void Orchestrator::pick_sensing_panels(const Assignment& assignment,
 
 Orchestrator::Plan& Orchestrator::plan_for(const Assignment& assignment,
                                            bool& fresh) {
-  const std::string key = signature_of(assignment);
-  const std::string tasks_sig = tasks_signature(assignment);
-  const auto it = plans_.find(key);
+  const auto it = plans_.find(assignment);
   if (it != plans_.end() && it->second.env_revision == env_revision_) {
     Plan& plan = it->second;
-    const bool same_tasks = plan.tasks_sig == tasks_sig;
+    const bool same_tasks = plan.tasks == assignment.tasks;
     // Blocker motion: the channel catches up by delta (SceneChannel::sync).
     // A plan whose channel values it leaves unchanged is reused as is.
     if (same_tasks && (plan.channel == nullptr || !plan.channel->sync())) {
@@ -279,7 +260,7 @@ Orchestrator::Plan& Orchestrator::plan_for(const Assignment& assignment,
         plan.x.clear();
         plan.optimized = false;
         plan.last_loss = 0.0;
-        plan.tasks_sig = tasks_sig;
+        plan.tasks = assignment.tasks;
         fresh = true;
         return plan;
       }
@@ -289,7 +270,7 @@ Orchestrator::Plan& Orchestrator::plan_for(const Assignment& assignment,
   fresh = true;
   Plan plan;
   plan.env_revision = env_revision_;
-  plan.tasks_sig = tasks_sig;
+  plan.tasks = assignment.tasks;
 
   for (const auto& device : assignment.devices) {
     const auto* driver = registry_->find_surface(device);
@@ -301,21 +282,19 @@ Orchestrator::Plan& Orchestrator::plan_for(const Assignment& assignment,
 
   std::vector<geom::Vec3> rx_points;
   collect_task_rx(assignment, plan, rx_points);
-  if (rx_points.empty()) {
-    // Every task in the assignment failed; park an empty plan.
-    plans_[key] = std::move(plan);
-    return plans_[key];
+  // When every task in the assignment failed, an empty plan is parked.
+  if (!rx_points.empty()) {
+    plan.channel = std::make_unique<sim::SceneChannel>(
+        context_.environment, em::band_center(assignment.band), context_.ap,
+        plan.panels, std::move(rx_points), nullptr, context_.channel_options);
+    plan.variables = std::make_unique<PanelVariables>(plan.panels);
+    pick_sensing_panels(assignment, plan);
   }
-
-  plan.channel = std::make_unique<sim::SceneChannel>(
-      context_.environment, em::band_center(assignment.band), context_.ap,
-      plan.panels, std::move(rx_points), nullptr, context_.channel_options);
-  plan.variables = std::make_unique<PanelVariables>(plan.panels);
-
-  pick_sensing_panels(assignment, plan);
-
-  plans_[key] = std::move(plan);
-  return plans_[key];
+  return plans_
+      .insert_or_assign(
+          PlanKey{assignment.band, assignment.slot, assignment.devices},
+          std::move(plan))
+      .first->second;
 }
 
 std::vector<std::vector<double>> Orchestrator::initial_candidates(
@@ -486,9 +465,20 @@ std::vector<surface::SurfaceConfig> Orchestrator::hardware_configs(
   return configs;
 }
 
+std::uint64_t Orchestrator::config_revision(
+    const Assignment& assignment) const {
+  std::uint64_t revision = 0;
+  for (const auto& device : assignment.devices) {
+    revision += registry_->find_surface(device)->config_revision();
+  }
+  return revision;
+}
+
 void Orchestrator::measure(const Assignment& assignment, Plan& plan,
-                           StepReport& report) {
-  if (!plan.channel) return;
+                           std::uint64_t revision, StepReport& report) {
+  plan.reports.clear();
+  plan.measured_revision = revision;
+  plan.measured = true;
   // One realization of the hardware's configs serves every task's metric.
   const std::vector<em::CxPlanes> coefficients =
       plan.channel->coefficients_for(hardware_configs(assignment, plan));
@@ -544,9 +534,22 @@ void Orchestrator::measure(const Assignment& assignment, Plan& plan,
     task.achieved = std::visit(
         [&](const auto& goal) { return visitor(goal, met); }, task.goal);
     task.goal_met = met;
-    report.tasks.push_back(
+    plan.reports.push_back(
         {task.id, task.type(), task.state, task.achieved, task.goal_met});
   }
+  report.tasks.insert(report.tasks.end(), plan.reports.begin(),
+                      plan.reports.end());
+}
+
+void Orchestrator::keep_measurement(const Plan& plan, StepReport& report) {
+  for (const TaskReport& kept : plan.reports) {
+    Task& task = tasks_.at(kept.id);
+    task.state = kept.state;
+    task.achieved = kept.achieved;
+    task.goal_met = kept.goal_met;
+  }
+  report.tasks.insert(report.tasks.end(), plan.reports.begin(),
+                      plan.reports.end());
 }
 
 StepReport Orchestrator::step() {
@@ -631,6 +634,7 @@ StepReport Orchestrator::step() {
     }
     if (!plan.channel) continue;
     if (fresh || !plan.optimized || options_.always_reoptimize) {
+      plan.measured = false;  // fresh and rebased plans always land here
       {
         telemetry::TraceSpan span("orch.step.optimize");
         report.trace.objective_evaluations += optimize_plan(assignment, plan);
@@ -662,10 +666,17 @@ StepReport Orchestrator::step() {
     report.trace.actuate_us += span.elapsed_us();
   }
 
+  // A kept plan whose devices' stored slots did not move since its last
+  // measure would read back the same metrics: it re-uses its reports.
   for (const Staged& entry : staged) {
+    const std::uint64_t revision = config_revision(*entry.assignment);
+    if (entry.plan->measured && entry.plan->measured_revision == revision) {
+      keep_measurement(*entry.plan, report);
+      continue;
+    }
     telemetry::TraceScope trace_scope(entry.trace);
     telemetry::TraceSpan span("orch.step.measure");
-    measure(*entry.assignment, *entry.plan, report);
+    measure(*entry.assignment, *entry.plan, revision, report);
     report.trace.measure_us += span.elapsed_us();
   }
   report.trace.total_us = step_span.elapsed_us();

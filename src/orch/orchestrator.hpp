@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "em/propagation.hpp"
@@ -207,9 +208,36 @@ class Orchestrator {
     /// Task ids the channel's RX rows were built for. When only this
     /// differs from the incoming assignment, plan_for rebases the channel's
     /// RX set in O(changed endpoints) instead of rebuilding the plan.
-    std::string tasks_sig;
+    std::vector<TaskId> tasks;
     bool optimized = false;
     double last_loss = 0.0;
+    /// The TaskReports of the last measure and the summed config revision
+    /// of the plan's devices they were read from. A kept plan re-uses them
+    /// while `measured` holds and the revision has not moved; every
+    /// optimize-and-stage (so every fresh or rebased plan) clears
+    /// `measured`.
+    std::vector<TaskReport> reports;
+    std::uint64_t measured_revision = 0;
+    bool measured = false;
+  };
+
+  /// A plan's physical resources: band, slot and devices. Deliberately
+  /// excludes the task set, so task churn lands on the same plan and its
+  /// channel can be rebased in O(changed endpoints) (plan_for).
+  struct PlanKey {
+    em::Band band = em::Band::k28GHz;
+    std::uint16_t slot = 0;
+    std::vector<std::string> devices;
+  };
+  /// Orders PlanKeys and looks a plan up straight from an Assignment (same
+  /// member names), so finding a kept plan builds no key.
+  struct PlanKeyLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return std::tie(a.band, a.slot, a.devices) <
+             std::tie(b.band, b.slot, b.devices);
+    }
   };
 
   TaskId admit(ServiceGoal goal, Priority priority,
@@ -217,8 +245,6 @@ class Orchestrator {
                std::optional<em::Band> band = std::nullopt);
   std::vector<geom::Vec3> probe_points(const Task& task, bool& ok) const;
   Plan& plan_for(const Assignment& assignment, bool& fresh);
-  std::string signature_of(const Assignment& assignment) const;
-  std::string tasks_signature(const Assignment& assignment) const;
   /// Fills plan.task_rx (indices into `rx_points`) from the assignment's
   /// tasks, appending each task's probe points; failing tasks are marked
   /// kFailed and skipped.
@@ -232,7 +258,15 @@ class Orchestrator {
   /// buffer (flushed once per step; see step()).
   void stage_actuate(const Assignment& assignment, const Plan& plan,
                      hal::WriteCombiner& combiner);
-  void measure(const Assignment& assignment, Plan& plan, StepReport& report);
+  /// Measures the assignment's tasks from the hardware's stored configs
+  /// and keeps the reports on the plan, stamped with `revision`.
+  void measure(const Assignment& assignment, Plan& plan,
+               std::uint64_t revision, StepReport& report);
+  /// Appends a kept plan's last reports and puts each task's state and
+  /// metric back to them (another plan may have measured the task since).
+  void keep_measurement(const Plan& plan, StepReport& report);
+  /// Sum of the assignment's devices' config revisions.
+  std::uint64_t config_revision(const Assignment& assignment) const;
   /// Candidate starting points for a fresh plan: the relay-chain focus and
   /// the direct per-panel focus (multi-panel scenes can favor either
   /// structure; the optimizer keeps whichever basin wins).
@@ -251,7 +285,7 @@ class Orchestrator {
   std::map<TaskId, Task> tasks_;
   TaskId next_task_id_ = 1;
   std::uint64_t env_revision_ = 1;
-  std::map<std::string, Plan> plans_;
+  std::map<PlanKey, Plan, PlanKeyLess> plans_;
 };
 
 }  // namespace surfos::orch

@@ -5,8 +5,6 @@
 
 namespace surfos::proto {
 
-namespace {
-
 void append_le(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
   for (int i = 0; i < bytes; ++i) {
     out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
@@ -22,8 +20,6 @@ std::uint64_t read_le(std::span<const std::uint8_t> in, std::size_t at,
   }
   return v;
 }
-
-}  // namespace
 
 Result<std::vector<std::uint8_t>> encode_frame(const WireFrame& frame) {
   if (frame.payload.size() > kMaxFramePayload) {

@@ -97,6 +97,13 @@ struct WireFrame {
   std::vector<std::uint8_t> payload;  ///< TLV records.
 };
 
+/// The little-endian fixed-width integer codec of the frame header and the
+/// TLV fields (and of the snapshot file header): append the low `bytes`
+/// bytes of `v`, or read `bytes` bytes at `at` (the caller checks bounds).
+void append_le(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes);
+std::uint64_t read_le(std::span<const std::uint8_t> in, std::size_t at,
+                      int bytes);
+
 /// Serializes a frame. Truncates nothing: payloads over kMaxFramePayload are
 /// a caller bug and reported as kOutOfRange.
 Result<std::vector<std::uint8_t>> encode_frame(const WireFrame& frame);

@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "daemon/snapshot.hpp"
 #include "proto/serialize.hpp"
 #include "proto/wire.hpp"
+#include "telemetry/metrics.hpp"
 
 #include "daemon_test_util.hpp"
 
@@ -445,6 +448,147 @@ TEST_F(DaemonTest, RestoreOfRepeatedAppIdAppliesNothing) {
             ErrorCode::kAlreadyExists);
   EXPECT_EQ(visible_state(daemon, {"site0", "site1"}), before);
   std::remove(snapshot_path.c_str());
+}
+
+// --- Damaged snapshot files --------------------------------------------------
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::vector<std::uint8_t> bytes;
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return bytes;
+  int c = 0;
+  while ((c = std::fgetc(file)) != EOF) {
+    bytes.push_back(static_cast<std::uint8_t>(c));
+  }
+  std::fclose(file);
+  return bytes;
+}
+
+void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(file, nullptr);
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+  }
+  std::fclose(file);
+}
+
+/// A small 1-site snapshot: one running vr session after one epoch.
+std::vector<std::uint8_t> small_snapshot(const std::string& snapshot_path) {
+  Daemon daemon(test_options(temp_path("small", ".sock"), snapshot_path));
+  (void)daemon.handle_request(make_request(
+      proto::MsgType::kSubmitDemand, 1, submit_payload("vr", vr_demand("h"))));
+  daemon.run_epoch();
+  EXPECT_EQ(
+      daemon.handle_request(make_request(proto::MsgType::kSnapshot, 2)).type,
+      proto::MsgType::kOk);
+  return read_file(snapshot_path);
+}
+
+/// Every way in must refuse `path`'s bytes with kMalformedFrame and leave a
+/// fresh daemon as it was.
+void expect_refused(Daemon& daemon, const std::string& path,
+                    const std::string& what) {
+  const RestoreVisibleState before = visible_state(daemon, {"site0"});
+  const auto loaded = load_snapshot_file(path);
+  ASSERT_FALSE(loaded.ok()) << what;
+  EXPECT_EQ(loaded.error().code, ErrorCode::kMalformedFrame) << what;
+  const auto direct = daemon.load_snapshot();
+  ASSERT_FALSE(direct.ok()) << what;
+  EXPECT_EQ(direct.error().code, ErrorCode::kMalformedFrame) << what;
+  EXPECT_EQ(error_code_of(daemon.handle_request(
+                make_request(proto::MsgType::kRestore, 9))),
+            ErrorCode::kMalformedFrame)
+      << what;
+  EXPECT_EQ(visible_state(daemon, {"site0"}), before) << what;
+}
+
+TEST_F(DaemonTest, SnapshotFileRefusesTruncationAtEveryOffset) {
+  const std::string path = temp_path("trunc", ".snap");
+  const std::vector<std::uint8_t> good = small_snapshot(path);
+  ASSERT_GT(good.size(), 12u);
+  Daemon daemon(test_options(temp_path("t", ".sock"), path));
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    write_file(path, std::span<const std::uint8_t>(good).first(n));
+    expect_refused(daemon, path, "truncated to " + std::to_string(n));
+    if (HasFatalFailure()) break;
+  }
+  write_file(path, good);
+  EXPECT_TRUE(daemon.load_snapshot().ok());
+  std::remove(path.c_str());
+}
+
+TEST_F(DaemonTest, SnapshotFileRefusesSingleBitFlips) {
+  const std::string path = temp_path("flip", ".snap");
+  const std::vector<std::uint8_t> good = small_snapshot(path);
+  Daemon daemon(test_options(temp_path("f", ".sock"), path));
+  // One flip per byte, walking the bit position, so the header, the length,
+  // the checksum and every payload byte are each hit once.
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    std::vector<std::uint8_t> damaged = good;
+    damaged[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+    write_file(path, damaged);
+    expect_refused(daemon, path, "bit flip at byte " + std::to_string(i));
+    if (HasFatalFailure()) break;
+  }
+  write_file(path, good);
+  EXPECT_TRUE(daemon.load_snapshot().ok());
+  std::remove(path.c_str());
+}
+
+TEST_F(DaemonTest, LeftoverTempFileBesideAGoodSnapshotIsIgnored) {
+  // A crash between the temp write and the rename leaves a partial .tmp
+  // next to the last good snapshot: the load reads only the good file, the
+  // .tmp itself is refused, and the next save replaces it.
+  const std::string path = temp_path("tmp", ".snap");
+  const std::vector<std::uint8_t> good = small_snapshot(path);
+  const std::string tmp = path + ".tmp";
+  write_file(tmp, std::span<const std::uint8_t>(good).first(good.size() / 2));
+
+  const auto loaded = load_snapshot_file(path);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded.value().sessions.size(), 1u);
+  const auto partial = load_snapshot_file(tmp);
+  ASSERT_FALSE(partial.ok());
+  EXPECT_EQ(partial.error().code, ErrorCode::kMalformedFrame);
+
+  ASSERT_TRUE(save_snapshot_file(loaded.value(), path).ok());
+  EXPECT_EQ(read_file(path), good);
+  std::FILE* stale = std::fopen(tmp.c_str(), "rb");
+  EXPECT_EQ(stale, nullptr);
+  if (stale != nullptr) std::fclose(stale);
+
+  Daemon daemon(test_options(temp_path("g", ".sock"), path));
+  ASSERT_TRUE(daemon.load_snapshot().ok());
+  EXPECT_EQ(daemon.fleet().find_site("site0")->broker().sessions().size(), 1u);
+  std::remove(path.c_str());
+}
+
+// --- Epoch phase spans --------------------------------------------------------
+
+TEST_F(DaemonTest, EpochPhaseSpansCountOncePerEpoch) {
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  Daemon daemon(test_options(temp_path("spans", ".sock")));
+  (void)daemon.handle_request(make_request(
+      proto::MsgType::kSubmitDemand, 1, submit_payload("vr", vr_demand("h"))));
+  auto& metrics = telemetry::MetricsRegistry::instance();
+  const char* const phases[] = {
+      "surfosd.epoch",           "surfosd.epoch.advance",
+      "surfosd.epoch.escalate_gc", "surfosd.epoch.serialize",
+      "surfosd.epoch.slo",       "surfosd.epoch.publish"};
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    std::vector<std::uint64_t> before;
+    for (const char* name : phases) {
+      before.push_back(metrics.histogram(name).count());
+    }
+    daemon.run_epoch();
+    for (std::size_t i = 0; i < std::size(phases); ++i) {
+      EXPECT_EQ(metrics.histogram(phases[i]).count(), before[i] + 1)
+          << phases[i] << " in epoch " << epoch;
+    }
+  }
+  telemetry::set_enabled(was_enabled);
 }
 
 TEST_F(DaemonTest, DepartedEndpointsAreGarbageCollected) {

@@ -2,12 +2,17 @@
 // against finite differences for every objective, and the fused
 // JointObjective against a weighted sum of standalone terms), scheduler
 // policies, the
-// performance models, and the full control-plane loop (schedule -> optimize
-// -> actuate -> measure) on the canonical coverage room.
+// performance models, the full control-plane loop (schedule -> optimize
+// -> actuate -> measure) on the canonical coverage room, and the contract
+// that a kept plan is measured once until its hardware or tasks change.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
+#include "daemon/daemon.hpp"
+#include "daemon/messages.hpp"
+#include "hal/reliable.hpp"
 #include "opt/optimizer.hpp"
 #include "orch/objectives.hpp"
 #include "orch/orchestrator.hpp"
@@ -17,9 +22,13 @@
 #include "orch/variables.hpp"
 #include "sim/dynamics.hpp"
 #include "sim/floorplan.hpp"
+#include "proto/serialize.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
+
+#include "daemon_test_util.hpp"
 
 namespace surfos::orch {
 namespace {
@@ -599,9 +608,12 @@ struct OrchestratorFixture {
   surface::SurfacePanel panel;
   std::unique_ptr<Orchestrator> orchestrator;
 
+  /// `arq` puts the wall behind a ReliableSurfaceDriver with those options
+  /// instead of the default programmable driver.
   explicit OrchestratorFixture(
       SchedulePolicy policy = SchedulePolicy::kPriorityJoint,
-      OrchestratorOptions options = {})
+      OrchestratorOptions options = {},
+      const hal::ReliableOptions* arq = nullptr)
       : panel([&] {
           surface::ElementDesign d;
           d.spacing_m = em::wavelength(em::band_center(scene.band)) / 2.0;
@@ -613,8 +625,13 @@ struct OrchestratorFixture {
               surface::ControlGranularity::kElement);
         }()) {
     hal::HardwareSpec spec = hal::spec_for_panel(panel, scene.band);
-    registry.add_surface(std::make_unique<hal::ProgrammableSurfaceDriver>(
-        "wall", &panel, spec, &clock));
+    if (arq != nullptr) {
+      registry.add_surface(std::make_unique<hal::ReliableSurfaceDriver>(
+          "wall", &panel, spec, &clock, *arq));
+    } else {
+      registry.add_surface(std::make_unique<hal::ProgrammableSurfaceDriver>(
+          "wall", &panel, spec, &clock));
+    }
     registry.add_endpoint({"laptop", hal::EndpointKind::kClient,
                            {1.2, 2.4, 1.0}, scene.band, std::nullopt});
     OrchestratorContext context;
@@ -987,6 +1004,247 @@ TEST(OrchestratorTest, LastRealizedReflectsHardware) {
   // Hardware holds a non-trivial configuration now.
   const surface::SurfaceConfig zero(config->size());
   EXPECT_GT(config->max_phase_delta(zero), 0.1);
+}
+
+
+// --- Plan measure reuse ----------------------------------------------------------
+// A kept plan re-uses the TaskReports of its last measure until its task set,
+// its channel, its optimum or a stored slot of its devices changes. The
+// number of real measures is the orch.step.measure span count.
+
+class PlanMeasureTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    was_enabled_ = telemetry::enabled();
+    telemetry::set_enabled(true);
+  }
+  void TearDown() override { telemetry::set_enabled(was_enabled_); }
+
+  static std::uint64_t measures() {
+    return telemetry::MetricsRegistry::instance()
+        .histogram("orch.step.measure")
+        .count();
+  }
+
+ private:
+  bool was_enabled_ = true;
+};
+
+void expect_same_reports(const std::vector<TaskReport>& a,
+                         const std::vector<TaskReport>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id) << i;
+    EXPECT_EQ(a[i].type, b[i].type) << i;
+    EXPECT_EQ(a[i].state, b[i].state) << i;
+    EXPECT_EQ(a[i].achieved, b[i].achieved) << i;
+    EXPECT_EQ(a[i].goal_met, b[i].goal_met) << i;
+  }
+}
+
+/// A link and a coverage task sharing the wall: one joint assignment.
+void add_link_and_coverage(Orchestrator& orchestrator) {
+  orchestrator.enhance_link({"laptop", 15.0, 50.0});
+  CoverageGoal coverage;
+  coverage.region_id = "room";
+  coverage.region = geom::SampleGrid(0.8, 2.8, 0.5, 2.5, 1.0, 3, 3);
+  coverage.target_median_snr_db = 5.0;
+  orchestrator.optimize_coverage(coverage);
+}
+
+/// Rewrites `slot` of a programmable driver outside the step and waits the
+/// write out, as a direct write_config from an operator tool would.
+void write_outside_step(OrchestratorFixture& fx, std::uint16_t slot,
+                        const surface::SurfaceConfig& config) {
+  hal::SurfaceDriver* driver = fx.registry.find_surface("wall");
+  ASSERT_EQ(driver->write_config(slot, config), hal::DriverStatus::kOk);
+  fx.clock.advance(driver->spec().control_delay_us + 1);
+  fx.registry.poll_all();
+}
+
+TEST_F(PlanMeasureTest, KeptPlanIsMeasuredOnceAcrossQuietSteps) {
+  OrchestratorFixture fx;
+  add_link_and_coverage(*fx.orchestrator);
+  const std::uint64_t before = measures();
+  const StepReport first = fx.orchestrator->step();
+  ASSERT_EQ(first.assignment_count, 1u);
+  ASSERT_EQ(first.tasks.size(), 2u);
+  EXPECT_EQ(measures(), before + 1);
+
+  StepReport last;
+  for (int i = 0; i < 5; ++i) {
+    last = fx.orchestrator->step();
+    EXPECT_EQ(last.trace.plans_reused, 1u);
+    EXPECT_EQ(last.trace.measure_us, 0.0);
+  }
+  EXPECT_EQ(measures(), before + 1);  // the quiet steps measured nothing
+  expect_same_reports(last.tasks, first.tasks);
+  for (const TaskReport& report : last.tasks) {
+    const Task* task = fx.orchestrator->find_task(report.id);
+    ASSERT_NE(task, nullptr);
+    EXPECT_EQ(task->achieved, report.achieved);
+    EXPECT_EQ(task->goal_met, report.goal_met);
+  }
+
+  // A fresh orchestrator built the same way measures what the kept reports
+  // say.
+  OrchestratorFixture reference;
+  add_link_and_coverage(*reference.orchestrator);
+  expect_same_reports(reference.orchestrator->step().tasks, last.tasks);
+}
+
+TEST_F(PlanMeasureTest, DirectWriteOutsideTheStepTriggersRemeasure) {
+  OrchestratorFixture fx;
+  fx.orchestrator->enhance_link({"laptop", 15.0, 50.0});
+  const StepReport first = fx.orchestrator->step();
+  ASSERT_EQ(first.tasks.size(), 1u);
+  fx.orchestrator->step();
+  const hal::SurfaceDriver& driver = *fx.registry.find_surface("wall");
+  const std::uint16_t slot = driver.active_slot();
+  const surface::SurfaceConfig optimized = driver.stored_config(slot);
+
+  // Zero the slot behind the orchestrator's back: the kept plan must read
+  // the hardware again and see the loss.
+  std::uint64_t count = measures();
+  write_outside_step(fx, slot, surface::SurfaceConfig(optimized.size()));
+  const StepReport zeroed = fx.orchestrator->step();
+  EXPECT_EQ(measures(), count + 1);
+  EXPECT_EQ(zeroed.optimizations_run, 0u);  // kept, not re-planned
+  ASSERT_EQ(zeroed.tasks.size(), 1u);
+  ASSERT_TRUE(zeroed.tasks[0].achieved.has_value());
+  EXPECT_LT(*zeroed.tasks[0].achieved, *first.tasks[0].achieved - 1.0);
+
+  // Writing the optimum back restores the first measurement exactly, and
+  // the next quiet step measures nothing.
+  count = measures();
+  write_outside_step(fx, slot, optimized);
+  expect_same_reports(fx.orchestrator->step().tasks, first.tasks);
+  EXPECT_EQ(measures(), count + 1);
+  expect_same_reports(fx.orchestrator->step().tasks, first.tasks);
+  EXPECT_EQ(measures(), count + 1);
+}
+
+TEST_F(PlanMeasureTest, ArqDelayedCompletionTriggersRemeasure) {
+  // The epoch's first config write is lost on the forward link, so the
+  // step measures the unprogrammed wall. The ARQ retransmission lands in a
+  // later poll_all, outside any step; the next step must measure it.
+  hal::ReliableOptions arq;
+  arq.forward.loss_probability = 0.5;
+  arq.forward.seed = 9;
+  OrchestratorFixture fx(SchedulePolicy::kPriorityJoint, {}, &arq);
+  fx.orchestrator->enhance_link({"laptop", 15.0, 50.0});
+  const auto& driver = static_cast<const hal::ReliableSurfaceDriver&>(
+      *fx.registry.find_surface("wall"));
+  const StepReport lost = fx.orchestrator->step();
+  ASSERT_EQ(driver.link().delivered_count(), 0u) << "first write not lost";
+  ASSERT_EQ(lost.tasks.size(), 1u);
+  fx.orchestrator->step();  // kept: nothing moved yet
+
+  const std::uint64_t count = measures();
+  for (int i = 0; i < 50 && driver.link().unacked_count() > 0; ++i) {
+    fx.clock.advance(arq.rto_us);
+    fx.registry.poll_all();
+  }
+  ASSERT_EQ(driver.link().unacked_count(), 0u);
+  ASSERT_GT(driver.link().retransmission_count(), 0u);
+  const StepReport applied = fx.orchestrator->step();
+  EXPECT_EQ(applied.optimizations_run, 0u);
+  EXPECT_EQ(measures(), count + 1);
+
+  // The wall now holds the optimum a clean link delivers in one step.
+  OrchestratorFixture clean;
+  clean.orchestrator->enhance_link({"laptop", 15.0, 50.0});
+  expect_same_reports(applied.tasks, clean.orchestrator->step().tasks);
+  EXPECT_NE(applied.tasks[0].achieved, lost.tasks[0].achieved);
+}
+
+TEST_F(PlanMeasureTest, CancelOrEscalationInsideAKeptAssignmentRemeasures) {
+  OrchestratorFixture fx;
+  fx.registry.add_endpoint({"phone", hal::EndpointKind::kClient,
+                            {2.6, 1.5, 1.0}, fx.scene.band, std::nullopt});
+  const TaskId laptop = fx.orchestrator->enhance_link({"laptop", 10.0, 50.0});
+  const TaskId phone = fx.orchestrator->enhance_link({"phone", 10.0, 50.0});
+  fx.orchestrator->step();
+  ASSERT_EQ(fx.orchestrator->step().trace.plans_reused, 1u);
+
+  // Cancel: the task vector shrinks, the plan is rebased and re-measured.
+  std::uint64_t count = measures();
+  fx.orchestrator->cancel_task(phone);
+  const StepReport cancelled = fx.orchestrator->step();
+  EXPECT_EQ(measures(), count + 1);
+  ASSERT_EQ(cancelled.tasks.size(), 1u);
+  EXPECT_EQ(cancelled.tasks[0].id, laptop);
+
+  // Escalation, as the broker does it: cancel and re-admit the same goal
+  // at a higher priority under a new task id.
+  fx.orchestrator->step();
+  count = measures();
+  fx.orchestrator->cancel_task(laptop);
+  const TaskId escalated = fx.orchestrator->enhance_link(
+      {"laptop", 10.0, 50.0}, kPriorityCritical);
+  const StepReport after = fx.orchestrator->step();
+  EXPECT_EQ(measures(), count + 1);
+  ASSERT_EQ(after.tasks.size(), 1u);
+  EXPECT_EQ(after.tasks[0].id, escalated);
+  EXPECT_TRUE(after.tasks[0].achieved.has_value());
+}
+
+TEST_F(PlanMeasureTest, SnapshotRestoreThenEpochRemeasures) {
+  using daemon::make_request;
+  using daemon::temp_path;
+  using daemon::test_options;
+  const auto submit = [](const std::string& app, const std::string& endpoint) {
+    return proto::to_wire(daemon::SubmitRequest{
+        app, {},
+        broker::demand_profile(broker::AppClass::kVrGaming, endpoint), {}});
+  };
+  const std::string snapshot_path = temp_path("measure", ".snap");
+  {
+    daemon::Daemon source(test_options(temp_path("src"), snapshot_path));
+    (void)source.handle_request(make_request(proto::MsgType::kSubmitDemand, 1,
+                                             submit("vr", "headset")));
+    source.run_epoch();
+    ASSERT_EQ(source.handle_request(make_request(proto::MsgType::kSnapshot, 2))
+                  .type,
+              proto::MsgType::kOk);
+  }
+
+  // The target already serves another app, so it holds a kept plan when
+  // the snapshot's session joins it.
+  daemon::Daemon target(test_options(temp_path("dst"), snapshot_path));
+  (void)target.handle_request(make_request(proto::MsgType::kSubmitDemand, 1,
+                                           submit("stream", "tv")));
+  for (int i = 0; i < 3; ++i) target.run_epoch();
+  ASSERT_TRUE(target.load_snapshot().ok());
+  const std::uint64_t count = measures();
+  target.run_epoch();
+  FleetReport restored;
+  ASSERT_TRUE(proto::from_wire(target.last_report_wire(), restored).ok());
+  EXPECT_GE(measures(), count + 1);
+  std::size_t reports = 0;
+  for (const SiteReport& site : restored.sites) {
+    for (const TaskReport& report : site.step.tasks) {
+      EXPECT_TRUE(report.achieved.has_value()) << report.id;
+      ++reports;
+    }
+  }
+  EXPECT_GT(reports, 0u);
+
+  // From here on an epoch that builds no plan and writes no config
+  // measures nothing; the walker's motion may still rebase some plans.
+  std::size_t quiet_epochs = 0;
+  for (int i = 0; i < 8; ++i) {
+    const std::uint64_t before = measures();
+    target.run_epoch();
+    FleetReport report;
+    ASSERT_TRUE(proto::from_wire(target.last_report_wire(), report).ok());
+    if (report.trace.plans_fresh == 0 && report.trace.config_writes == 0) {
+      EXPECT_EQ(measures(), before) << "epoch " << i;
+      ++quiet_epochs;
+    }
+  }
+  EXPECT_GT(quiet_epochs, 0u);
+  std::remove(snapshot_path.c_str());
 }
 
 }  // namespace

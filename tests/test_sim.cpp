@@ -500,6 +500,77 @@ TEST(SceneChannel, CascadePartialsMatchFiniteDifference) {
   }
 }
 
+// --- RIS far-field scaling ----------------------------------------------------
+// A co-phased single panel in free space: every element's cascade adds in
+// phase, so the surface term's power is (sum_e |f_e||g_e|)^2. In the far
+// field each |f_e||g_e| ~ 1/(d1 d2) at fixed angles, so the power grows as
+// N^2 with the element count and falls as 1/(d1 d2)^2 with the distances.
+
+/// Surface-term power at TX distance d1 and RX distance d2 along fixed
+/// directions from the panel center, with the panel co-phased for that
+/// pair (coefficients conj(f_e g_e) / |f_e g_e|).
+double co_phased_power(const Environment& env,
+                       const surface::SurfacePanel& panel, double d1,
+                       double d2) {
+  const geom::Vec3 center = panel.center();
+  const geom::Vec3 to_tx = geom::Vec3(-1.0, 0.0, -1.0).normalized();
+  const geom::Vec3 to_rx = geom::Vec3(1.0, 0.4, -1.0).normalized();
+  SceneChannel channel(&env, kFreq, {center + to_tx * d1, nullptr}, {&panel},
+                       {center + to_rx * d2});
+  const em::CxPlanes& f = channel.tx_planes(0);
+  const em::CxPlanes& g = channel.rx_planes(0, 0);
+  em::CxPlanes c(panel.element_count());
+  for (std::size_t e = 0; e < c.size(); ++e) {
+    const em::Cx route = f.at(e) * g.at(e);
+    c.set(e, std::conj(route) / std::abs(route));
+  }
+  return std::norm(channel.evaluate(0, {{c}}) - channel.direct(0));
+}
+
+surface::SurfacePanel far_field_panel(std::size_t rows, std::size_t cols) {
+  surface::ElementDesign d;
+  d.spacing_m = em::wavelength(kFreq) / 2.0;
+  d.insertion_loss_db = 0.0;
+  return surface::SurfacePanel(
+      "ris", geom::Frame({0, 0, 2.0}, {0, 0, -1}, {1, 0, 0}), rows, cols, d,
+      surface::OperationMode::kReflective,
+      surface::Reconfigurability::kProgrammable,
+      surface::ControlGranularity::kElement);
+}
+
+TEST(RisFarField, CoPhasedPowerScalesAsElementCountSquared) {
+  const Environment env = empty_env();
+  // Apertures up to 16 x 16 half-wavelength elements (8.6 cm): the
+  // Fraunhofer distance 2 D^2 / lambda is under 3 m, well inside 20 m.
+  for (const auto& [d1, d2] : {std::pair{20.0, 20.0}, std::pair{30.0, 25.0}}) {
+    for (std::size_t rows : {4u, 8u}) {
+      const double p_n = co_phased_power(env, far_field_panel(rows, 8), d1, d2);
+      const double p_2n =
+          co_phased_power(env, far_field_panel(rows, 16), d1, d2);
+      EXPECT_NEAR(util::to_db(p_2n / p_n), util::to_db(4.0), 0.5)
+          << rows << " x 8 -> " << rows << " x 16 at " << d1 << ", " << d2;
+    }
+    const double p_64 = co_phased_power(env, far_field_panel(8, 8), d1, d2);
+    const double p_256 = co_phased_power(env, far_field_panel(16, 16), d1, d2);
+    EXPECT_NEAR(util::to_db(p_256 / p_64), util::to_db(16.0), 0.5);
+  }
+}
+
+TEST(RisFarField, CoPhasedPowerFallsAsInverseSquareOfPathProduct) {
+  const Environment env = empty_env();
+  const surface::SurfacePanel panel = far_field_panel(8, 8);
+  const double reference = co_phased_power(env, panel, 10.0, 10.0) *
+                           std::pow(10.0 * 10.0, 2);
+  for (const auto& [d1, d2] :
+       {std::pair{20.0, 10.0}, std::pair{10.0, 40.0}, std::pair{25.0, 30.0},
+        std::pair{60.0, 15.0}}) {
+    const double scaled =
+        co_phased_power(env, panel, d1, d2) * std::pow(d1 * d2, 2);
+    EXPECT_NEAR(util::to_db(scaled / reference), 0.0, 0.5)
+        << "d1 " << d1 << ", d2 " << d2;
+  }
+}
+
 TEST(SceneChannel, RejectsBadInput) {
   const Environment env = empty_env();
   const surface::SurfacePanel panel = reflective_panel(2);

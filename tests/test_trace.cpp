@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/surfos.hpp"
+#include "daemon/daemon.hpp"
 #include "sim/floorplan.hpp"
 #include "surface/catalog.hpp"
 #include "telemetry/telemetry.hpp"
@@ -402,6 +403,29 @@ TEST_F(TraceTest, EscalationKeepsTheIntentTraceId) {
     ASSERT_NE(after, nullptr);
     EXPECT_EQ(after->trace.trace_id, intent)
         << "escalated replacement task lost the intent's trace";
+  }
+}
+
+TEST_F(TraceTest, DaemonEpochPhaseSpansAreChildrenOfTheEpochSpan) {
+  daemon::DaemonOptions options;
+  options.ticker = false;
+  options.epoch_ms = 20;
+  options.grid_n = 2;
+  daemon::Daemon daemon(options);
+  daemon.run_epoch();
+  Recorder::instance().clear();
+  daemon.run_epoch();
+
+  const auto epochs = events_named("surfosd.epoch");
+  ASSERT_EQ(epochs.size(), 1u);
+  const telemetry::SpanId epoch_span = epochs[0].span_id;
+  for (const char* phase :
+       {"surfosd.epoch.advance", "surfosd.epoch.escalate_gc",
+        "surfosd.epoch.serialize", "surfosd.epoch.slo",
+        "surfosd.epoch.publish", "core.fleet.step_all"}) {
+    const auto events = events_named(phase);
+    ASSERT_EQ(events.size(), 1u) << phase;
+    EXPECT_EQ(events[0].parent_span_id, epoch_span) << phase;
   }
 }
 
