@@ -1,9 +1,9 @@
 // Streaming observability plane cost model: how fast the subscription
 // registry can encode and enqueue kEvent frames (events/s and per-event
-// microseconds), what a live metrics subscriber adds to a control epoch
-// versus telemetry disabled entirely (the per-event publish overhead), and
-// how publish throughput holds up against a stalled subscriber whose
-// bounded outbox is dropping oldest-first the whole time.
+// microseconds), and how publish throughput holds up against a stalled
+// subscriber whose bounded outbox is dropping oldest-first the whole time.
+// What publication costs inside a whole control epoch is epochbench's
+// `observe` workload.
 //
 // Emits BENCH_streaming.json:
 //   ./bench_streaming [epochs] [subscribers] [output.json]
@@ -12,15 +12,15 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_meta.hpp"
 #include "core/config.hpp"
-#include "daemon/daemon.hpp"
 #include "daemon/subscription.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/telemetry.hpp"
 #include "telemetry/timeseries.hpp"
+#include "util/simd.hpp"
 
 using namespace surfos;
 
@@ -46,14 +46,6 @@ telemetry::Snapshot make_snapshot(std::size_t total, std::size_t churn,
   }
   snap.gauges.push_back({"bench.gauge", static_cast<double>(epoch)});
   return snap;
-}
-
-/// Mean run_epoch cost over `epochs` after one warmup epoch.
-double mean_epoch_us(daemon::Daemon& server, std::size_t epochs) {
-  server.run_epoch();  // warmup: first epoch pays one-time setup
-  const double t0 = now_us();
-  for (std::size_t i = 0; i < epochs; ++i) server.run_epoch();
-  return (now_us() - t0) / static_cast<double>(epochs);
 }
 
 }  // namespace
@@ -99,50 +91,7 @@ int main(int argc, char** argv) {
   const double per_event_us =
       pub_elapsed_us / static_cast<double>(pub_stats.published);
 
-  // --- 2. Epoch overhead: telemetry off vs on vs on-with-subscriber ---------
-  // The streaming column is the real daemon path: record into the
-  // time-series, run the watchdog, encode one delta for a live subscriber.
-  const std::size_t daemon_epochs = epochs < 500 ? epochs : 500;
-  daemon::DaemonOptions options;
-  options.ticker = false;
-  options.epoch_ms = 20;
-  options.grid_n = 3;
-
-  telemetry::set_enabled(false);
-  double epoch_off_us = 0.0;
-  {
-    daemon::Daemon server(options);
-    epoch_off_us = mean_epoch_us(server, daemon_epochs);
-  }
-
-  telemetry::set_enabled(true);
-  double epoch_on_us = 0.0;
-  double epoch_streaming_us = 0.0;
-  std::uint64_t streaming_events = 0;
-  {
-    daemon::Daemon server(options);
-    epoch_on_us = mean_epoch_us(server, daemon_epochs);
-  }
-  {
-    daemon::Daemon server(options);
-    server.subscriptions().add_connection(2000);
-    daemon::SubscriptionSpec spec;
-    spec.topic = daemon::SubTopic::kMetrics;
-    spec.interval = 1;
-    if (!server.subscriptions().subscribe(2000, spec).ok()) {
-      std::fprintf(stderr, "bench_streaming: daemon subscribe failed\n");
-      return 1;
-    }
-    epoch_streaming_us = mean_epoch_us(server, daemon_epochs);
-    streaming_events = server.subscription_stats().published;
-    (void)server.subscriptions().take_output(2000);
-  }
-  // One subscriber at interval 1 => one event per epoch: the marginal cost
-  // of publishing one event into the epoch, measured against telemetry-off.
-  const double overhead_vs_off_us = epoch_streaming_us - epoch_off_us;
-  const double overhead_vs_on_us = epoch_streaming_us - epoch_on_us;
-
-  // --- 3. Slow subscriber: drop-oldest under a never-draining outbox --------
+  // --- 2. Slow subscriber: drop-oldest under a never-draining outbox --------
   // Tight cap so the steady state is "every publish evicts": the number we
   // want is publish throughput *while dropping*, proving a stalled client
   // costs O(1) per epoch, not O(backlog).
@@ -172,17 +121,13 @@ int main(int argc, char** argv) {
   os << "{\n";
   bench::write_meta(os);
   os << "  \"benchmark\": \"streaming_observability\",\n";
+  os << "  \"host\": \"" << std::thread::hardware_concurrency() << " cores, "
+     << util::simd::backend_name(util::simd::active_backend()) << "\",\n";
   os << "  \"epochs\": " << epochs << ",\n";
   os << "  \"subscribers\": " << subscribers << ",\n";
   os << "  \"publish_events_total\": " << pub_stats.published << ",\n";
   os << "  \"publish_events_per_sec\": " << events_per_sec << ",\n";
   os << "  \"publish_per_event_us\": " << per_event_us << ",\n";
-  os << "  \"epoch_telemetry_off_us\": " << epoch_off_us << ",\n";
-  os << "  \"epoch_telemetry_on_us\": " << epoch_on_us << ",\n";
-  os << "  \"epoch_with_subscriber_us\": " << epoch_streaming_us << ",\n";
-  os << "  \"per_event_overhead_vs_off_us\": " << overhead_vs_off_us << ",\n";
-  os << "  \"per_event_overhead_vs_on_us\": " << overhead_vs_on_us << ",\n";
-  os << "  \"subscriber_events\": " << streaming_events << ",\n";
   os << "  \"slow_publishes_per_sec\": " << slow_pub_per_sec << ",\n";
   os << "  \"slow_published\": " << slow_stats.published << ",\n";
   os << "  \"slow_dropped\": " << slow_stats.dropped << "\n";
@@ -191,10 +136,6 @@ int main(int argc, char** argv) {
 
   std::printf("publish path: %.0f events/s (%.2f us/event, %zu subs)\n",
               events_per_sec, per_event_us, subscribers);
-  std::printf(
-      "epoch: off %.1f us, telemetry %.1f us, +subscriber %.1f us "
-      "(overhead vs off %.2f us/event)\n",
-      epoch_off_us, epoch_on_us, epoch_streaming_us, overhead_vs_off_us);
   std::printf("stalled subscriber: %.0f publishes/s, %llu dropped\n",
               slow_pub_per_sec,
               static_cast<unsigned long long>(slow_stats.dropped));

@@ -11,12 +11,11 @@ BUILD="${1:-build-release}"
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD" -j"$(nproc)" --target \
-  bench_parallel_scaling bench_telemetry_overhead bench_trace_overhead \
+  bench_parallel_scaling bench_trace_overhead \
   bench_fleet bench_precompute bench_daemon
 
 # Each bench writes its BENCH_*.json into the current directory (repo root).
 "$BUILD/bench/bench_parallel_scaling"
-"$BUILD/bench/bench_telemetry_overhead"
 "$BUILD/bench/bench_trace_overhead"
 "$BUILD/bench/bench_fleet"
 # BENCH_precompute.json: {equivalence: {shared_equals_dense, delta_equals_fresh},

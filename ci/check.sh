@@ -10,7 +10,11 @@
 #      the message codecs (src/daemon/messages.hpp). planes: the channel
 #      boundary headers (src/sim/channel.hpp, src/orch/perf.hpp,
 #      src/orch/variables.hpp, src/surface/panel.hpp) name no CVec or CMat,
-#      so coefficients and channel vectors cross it only as em::CxPlanes
+#      so coefficients and channel vectors cross it only as em::CxPlanes.
+#      telemetry: src/, tools/, bench/, tests/ and examples/ name no
+#      telemetry::enabled(, set_enabled(, SURFOS_SPAN( or telemetry::Span,
+#      so the metrics registry stays always on and TraceSpan stays the one
+#      span type
 #   1. tier-1: configure + build + full ctest in ./build
 #   2. focused re-runs of the observability suites (ctest -L telemetry,
 #      ctest -L trace), the fleet control-plane suite (ctest -L fleet), the
@@ -78,6 +82,14 @@ echo "== planes: the channel boundary speaks only em::CxPlanes"
 if grep -nwE 'CVec|CMat' src/sim/channel.hpp src/orch/perf.hpp \
     src/orch/variables.hpp src/surface/panel.hpp; then
   echo "a channel-boundary header names CVec/CMat; pass em::CxPlanes"
+  exit 1
+fi
+
+echo
+echo "== telemetry: always on, one span type"
+if grep -rnE 'telemetry::enabled\(|set_enabled\(|SURFOS_SPAN\(|telemetry::Span\b' \
+    src tools bench tests examples; then
+  echo "telemetry has no off switch and one span type: use SURFOS_TRACE_SPAN"
   exit 1
 fi
 

@@ -59,8 +59,7 @@ int main() {
               report.assignment_count, report.optimizations_run);
 
   // 6. What did the control plane spend its time on? Every layer reports
-  //    into the process-wide metrics registry (SURFOS_TELEMETRY=0 mutes
-  //    collection).
+  //    into the process-wide metrics registry, which is always on.
   std::printf("\n%s", telemetry::snapshot_table().c_str());
   return task.goal_met() ? 0 : 1;
 }

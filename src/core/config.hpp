@@ -19,8 +19,8 @@
 //
 // Hot-reload granularity is the reader's re-read cadence: per control epoch
 // (pump budget, daemon epoch period), per submit (admission capacity), or
-// construction-only (thread count, trace ring, telemetry and trace
-// switches). The registry records which; DESIGN.md documents it per knob.
+// construction-only (thread count, trace ring, trace switch). The registry
+// records which; DESIGN.md documents it per knob.
 //
 // SURFOS_SIMD is the one direct environment read left (util/simd.cpp): it
 // names a code path rather than a size, and the precompute digest needs it
@@ -66,7 +66,6 @@ enum class Knob : std::uint8_t {
   kSloShed,
   kPrecomputeCache,
   kTrace,
-  kTelemetry,
 };
 
 struct KnobSpec {
@@ -106,12 +105,10 @@ inline constexpr KnobSpec kKnobRegistry[] = {
      "precompute-store byte budget (LRU; 0 = keep only pinned artifacts)"},
     {"SURFOS_TRACE", 0, 0, KnobReload::kConstruction,
      "1 records causal trace spans into the flight recorder"},
-    {"SURFOS_TELEMETRY", 1, 0, KnobReload::kConstruction,
-     "0 mutes the metrics registry"},
 };
 
 inline constexpr std::size_t kKnobCount = std::size(kKnobRegistry);
-static_assert(static_cast<std::size_t>(Knob::kTelemetry) + 1 == kKnobCount);
+static_assert(static_cast<std::size_t>(Knob::kTrace) + 1 == kKnobCount);
 
 inline constexpr const KnobSpec& knob_spec(Knob row) noexcept {
   return kKnobRegistry[static_cast<std::size_t>(row)];

@@ -9,7 +9,7 @@ namespace surfos::hal {
 SweepResult CodebookSelector::sweep_and_select(SurfaceDriver& driver,
                                                const SlotProbe& probe) {
   if (!probe) throw std::invalid_argument("CodebookSelector: null probe");
-  SURFOS_SPAN("hal.feedback.sweep");
+  SURFOS_TRACE_SPAN("hal.feedback.sweep");
   SURFOS_COUNT("hal.feedback.sweeps");
   SURFOS_COUNT_N("hal.feedback.probes", driver.slot_count());
   SweepResult result;

@@ -659,12 +659,15 @@ StepReport Orchestrator::step() {
     report.trace.writes_coalesced += stats.writes_coalesced;
     report.trace.writes_elided += stats.writes_elided;
     if (stats.transactions + stats.selects > 0) {
-      // Wait out the slowest control path once per epoch, then drain links.
+      // Wait out the slowest control path once per epoch.
       clock_->advance(stats.worst_delay_us + 1);
-      registry_->poll_all();
     }
     report.trace.actuate_us += span.elapsed_us();
   }
+  // Drain every link once per step, whether or not this step wrote: an ARQ
+  // driver retransmits a lost write here, and a write that lands moves the
+  // device's config revision, so the measure loop below re-measures it.
+  registry_->poll_all();
 
   // A kept plan whose devices' stored slots did not move since its last
   // measure would read back the same metrics: it re-uses its reports.

@@ -55,10 +55,9 @@ struct TaskReport {
   bool goal_met = false;
 };
 
-/// Per-step control-cycle trace (telemetry). The counts are deterministic
-/// and always filled; the `*_us` wall-clock timings are only measured while
-/// telemetry is enabled and stay 0.0 under SURFOS_TELEMETRY=0, so a
-/// disabled-mode StepReport carries no run-to-run-varying state.
+/// Per-step control-cycle trace (telemetry). The counts are deterministic;
+/// the `*_us` fields are wall-clock timings and vary run to run, so byte
+/// comparisons of reports zero them first.
 struct StepTrace {
   double schedule_us = 0.0;
   double optimize_us = 0.0;

@@ -4,16 +4,9 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/config.hpp"
-
 namespace surfos::telemetry {
 
 namespace {
-
-std::atomic<bool>& enabled_flag() noexcept {
-  static std::atomic<bool> flag{core::knob(core::Knob::kTelemetry) != 0};
-  return flag;
-}
 
 /// fetch_add for atomic<double> via CAS (portable across libstdc++ versions).
 void atomic_add(std::atomic<double>& target, double delta) noexcept {
@@ -24,14 +17,6 @@ void atomic_add(std::atomic<double>& target, double delta) noexcept {
 }
 
 }  // namespace
-
-bool enabled() noexcept {
-  return enabled_flag().load(std::memory_order_relaxed);
-}
-
-void set_enabled(bool on) noexcept {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
 
 // --- Histogram ---------------------------------------------------------------
 

@@ -24,10 +24,8 @@
 // string the determinism tests compare. Histograms record wall-clock
 // timings and are always excluded from determinism checks.
 //
-// The whole subsystem sits behind one process-wide switch: `enabled()`,
-// initialized from the SURFOS_TELEMETRY knob (core/config.hpp; construction
-// reload, default 1; 0 disables it). When disabled, the instrumentation
-// macros reduce to a single predicted branch.
+// The registry is always on: the SLO watchdog's ARQ-retry signal, the
+// `metrics` subscription topic and the Timeseries all read its counters.
 #pragma once
 
 #include <atomic>
@@ -39,11 +37,6 @@
 #include <vector>
 
 namespace surfos::telemetry {
-
-/// Process-wide telemetry switch (SURFOS_TELEMETRY knob; on by default).
-bool enabled() noexcept;
-/// Overrides the switch at runtime (tests / benches measuring overhead).
-void set_enabled(bool on) noexcept;
 
 // --- Instruments -------------------------------------------------------------
 

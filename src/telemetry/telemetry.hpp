@@ -1,74 +1,59 @@
 // Umbrella header + instrumentation macros for the telemetry subsystem.
 //
-// Call sites use the macros, never the registry directly: each expansion
-// caches its instrument in a function-local static (registration runs once,
-// under the registry mutex) and guards everything behind the process-wide
-// `enabled()` switch, so SURFOS_TELEMETRY=0 costs one predicted branch per
-// site and nothing else.
+// Call sites use the macros, never the registry directly: each counter and
+// gauge expansion caches its instrument in a function-local static
+// (registration runs once, under the registry mutex) and then pays one
+// relaxed atomic per hit.
 //
 //   SURFOS_COUNT("orch.tasks.admitted");          // +1
 //   SURFOS_COUNT_N("sim.rays.paths", paths);      // +n
 //   SURFOS_COUNT_SCHED("util.pool.chunks", n);    // scheduling-dependent:
 //                                                 // excluded from determinism
 //   SURFOS_GAUGE_SET("core.fleet.sites", 3.0);
-//   SURFOS_SPAN("orch.step.optimize");            // RAII scope timer
-//   SURFOS_TRACE_SPAN("orch.step.optimize");      // id-carrying scope timer:
-//                                                 // Span histogram + flight-
-//                                                 // recorder event w/ ambient
-//                                                 // trace/parent ids
+//   SURFOS_TRACE_SPAN("orch.step.optimize");      // RAII scope timer:
+//                                                 // same-named histogram +
+//                                                 // flight-recorder event w/
+//                                                 // ambient trace/parent ids
 //   SURFOS_TRACE_INSTANT("hal.arq.send");         // point causal marker
 #pragma once
 
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/recorder.hpp"
-#include "telemetry/span.hpp"
 #include "telemetry/trace.hpp"
 
-#define SURFOS_TELEMETRY_CONCAT_IMPL(a, b) a##b
-#define SURFOS_TELEMETRY_CONCAT(a, b) SURFOS_TELEMETRY_CONCAT_IMPL(a, b)
+#define SURFOS_CONCAT_IMPL(a, b) a##b
+#define SURFOS_CONCAT(a, b) SURFOS_CONCAT_IMPL(a, b)
 
-#define SURFOS_TELEMETRY_COUNT_IMPL(name, delta, deterministic)              \
+#define SURFOS_COUNT_IMPL(name, delta, deterministic)                        \
   do {                                                                       \
-    if (::surfos::telemetry::enabled()) {                                    \
-      static ::surfos::telemetry::Counter& surfos_telemetry_counter =        \
-          ::surfos::telemetry::MetricsRegistry::instance().counter(          \
-              (name), (deterministic));                                      \
-      surfos_telemetry_counter.add(                                          \
-          static_cast<std::uint64_t>(delta));                                \
-    }                                                                        \
+    static ::surfos::telemetry::Counter& surfos_telemetry_counter =          \
+        ::surfos::telemetry::MetricsRegistry::instance().counter(            \
+            (name), (deterministic));                                        \
+    surfos_telemetry_counter.add(static_cast<std::uint64_t>(delta));         \
   } while (0)
 
 /// Deterministic event count: +1 per logical event, identical under any
 /// SURFOS_THREADS value.
-#define SURFOS_COUNT(name) SURFOS_TELEMETRY_COUNT_IMPL(name, 1, true)
-#define SURFOS_COUNT_N(name, delta) \
-  SURFOS_TELEMETRY_COUNT_IMPL(name, delta, true)
+#define SURFOS_COUNT(name) SURFOS_COUNT_IMPL(name, 1, true)
+#define SURFOS_COUNT_N(name, delta) SURFOS_COUNT_IMPL(name, delta, true)
 
 /// Scheduling-dependent count (thread-pool chunk geometry, inline
 /// fallbacks): real telemetry, but excluded from determinism fingerprints.
-#define SURFOS_COUNT_SCHED(name, delta) \
-  SURFOS_TELEMETRY_COUNT_IMPL(name, delta, false)
+#define SURFOS_COUNT_SCHED(name, delta) SURFOS_COUNT_IMPL(name, delta, false)
 
 #define SURFOS_GAUGE_SET(name, value)                                        \
   do {                                                                       \
-    if (::surfos::telemetry::enabled()) {                                    \
-      static ::surfos::telemetry::Gauge& surfos_telemetry_gauge =            \
-          ::surfos::telemetry::MetricsRegistry::instance().gauge(name);      \
-      surfos_telemetry_gauge.set(static_cast<double>(value));                \
-    }                                                                        \
+    static ::surfos::telemetry::Gauge& surfos_telemetry_gauge =              \
+        ::surfos::telemetry::MetricsRegistry::instance().gauge(name);        \
+    surfos_telemetry_gauge.set(static_cast<double>(value));                  \
   } while (0)
 
-/// RAII scope timer recording into the same-named latency histogram.
-#define SURFOS_SPAN(name)                       \
-  ::surfos::telemetry::Span SURFOS_TELEMETRY_CONCAT(surfos_telemetry_span_, \
-                                                    __LINE__)(name)
-
-/// Id-carrying scope timer: the SURFOS_SPAN histogram timing (same name, so
-/// upgrading a site never changes histogram counts) plus — while SURFOS_TRACE
-/// is on — a flight-recorder span event parented to the ambient TraceContext.
+/// RAII scope timer: records the elapsed microseconds into the same-named
+/// latency histogram plus — while SURFOS_TRACE is on — a flight-recorder
+/// span event parented to the ambient TraceContext.
 #define SURFOS_TRACE_SPAN(name)                                              \
-  ::surfos::telemetry::TraceSpan SURFOS_TELEMETRY_CONCAT(                    \
+  ::surfos::telemetry::TraceSpan SURFOS_CONCAT(                              \
       surfos_telemetry_trace_span_, __LINE__)(name)
 
 /// Point-in-time causal marker under the ambient TraceContext (one predicted

@@ -71,17 +71,21 @@ TraceScope::~TraceScope() { t_ambient = previous_; }
 TraceSpan::TraceSpan(const char* name) noexcept : TraceSpan(name, 0) {}
 
 TraceSpan::TraceSpan(const char* name, std::uint64_t arg) noexcept
-    : span_(name), name_(name), arg_(arg) {
+    : name_(name),
+      histogram_(MetricsRegistry::instance().histogram(name)),
+      start_ns_(Recorder::now_ns()),
+      arg_(arg) {
   if (!trace_enabled()) return;
   previous_ = t_ambient;
   context_.trace_id = previous_.trace_id;
   context_.span_id = next_span_id();
   t_ambient = context_;
-  start_ns_ = Recorder::now_ns();
   recording_ = true;
 }
 
 TraceSpan::~TraceSpan() {
+  const std::uint64_t end_ns = Recorder::now_ns();
+  histogram_.record(static_cast<double>(end_ns - start_ns_) / 1e3);
   if (!recording_) return;
   TraceEvent event;
   event.trace_id = context_.trace_id;
@@ -89,12 +93,16 @@ TraceSpan::~TraceSpan() {
   event.parent_span_id = previous_.span_id;
   event.name = name_;
   event.ts_ns = start_ns_;
-  event.dur_ns = Recorder::now_ns() - start_ns_;
+  event.dur_ns = end_ns - start_ns_;
   event.arg = arg_;
   event.thread_index = Recorder::thread_index();
   event.kind = TraceEvent::Kind::kSpan;
   Recorder::instance().record(event);
   t_ambient = previous_;
+}
+
+double TraceSpan::elapsed_us() const noexcept {
+  return static_cast<double>(Recorder::now_ns() - start_ns_) / 1e3;
 }
 
 void record_instant(const char* name) noexcept { record_instant(name, 0); }

@@ -22,13 +22,13 @@
 // (RAII). Installing a scope is unconditional and costs a 16-byte TLS swap —
 // ids must not depend on the SURFOS_TRACE switch — while *recording* trace
 // events is gated on `trace_enabled()` (the SURFOS_TRACE knob, 0 by default):
-// with tracing off a SURFOS_TRACE_SPAN site pays the same single predicted
-// branch contract as the PR 3 metrics macros, plus its plain Span timing.
+// with tracing off a SURFOS_TRACE_SPAN site pays one predicted branch on top
+// of its histogram timing.
 #pragma once
 
 #include <cstdint>
 
-#include "telemetry/span.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace surfos::telemetry {
 
@@ -36,9 +36,9 @@ using TraceId = std::uint64_t;
 using SpanId = std::uint64_t;
 
 /// Process-wide tracing switch, initialized from the SURFOS_TRACE knob
-/// (construction reload; 0 = off, the default, any other value = on). The
-/// opposite polarity of the metrics switch, because tracing buys a bounded
-/// ring buffer and per-span recorder writes.
+/// (construction reload; 0 = off, the default, any other value = on). Off
+/// by default because tracing buys a bounded ring buffer and per-span
+/// recorder writes.
 bool trace_enabled() noexcept;
 /// Overrides the switch at runtime (tests / benches / examples).
 void set_trace_enabled(bool on) noexcept;
@@ -89,15 +89,15 @@ class TraceScope {
 
 // --- Traced spans ------------------------------------------------------------
 
-/// An id-carrying upgrade of Span: times the scope into the same-named
-/// latency histogram exactly like Span (so histogram counts are unchanged by
-/// the upgrade), and — while tracing is enabled — additionally records a
-/// complete-span event into the flight recorder, parented to the ambient
-/// context and installing itself as the ambient span for the duration.
+/// The one scope timer. It records the elapsed wall-clock microseconds into
+/// the same-named latency histogram of the process-wide MetricsRegistry
+/// (one registry lookup per span), and — while tracing is enabled — also
+/// records a complete-span event into the flight recorder, parented to the
+/// ambient context and installing itself as the ambient span for the
+/// duration.
 ///
-/// `name` must have static storage duration (string literals), the same
-/// contract as Span: both the histogram registry and the recorder keep the
-/// pointer.
+/// `name` must have static storage duration (string literals): both the
+/// histogram registry and the recorder keep the pointer.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name) noexcept;
@@ -109,18 +109,17 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// Microseconds since construction (0 when telemetry is disabled) — the
-  /// Span accessor, so StepTrace call sites keep working after the upgrade.
-  double elapsed_us() const noexcept { return span_.elapsed_us(); }
+  /// Microseconds since construction (the StepTrace phase timings).
+  double elapsed_us() const noexcept;
   /// This span's context while recording ({0,0} when tracing is off).
   const TraceContext& context() const noexcept { return context_; }
 
  private:
-  Span span_;  // histogram timing, gated on the SURFOS_TELEMETRY switch
   const char* name_;
+  Histogram& histogram_;
   TraceContext context_{};   // this span (trace id + own span id)
   TraceContext previous_{};  // ambient to restore
-  std::uint64_t start_ns_ = 0;
+  std::uint64_t start_ns_;
   std::uint64_t arg_ = 0;
   bool recording_ = false;
 };

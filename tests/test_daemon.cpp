@@ -187,8 +187,8 @@ TEST_F(DaemonTest, SetKnobRefusesConstructionReloadRows) {
   Daemon daemon(test_options(temp_path("knobc", ".sock")));
   // Rows read once at construction would take effect only after a restart:
   // the reply says so instead of a silent kOk.
-  for (const char* name : {"SURFOS_THREADS", "SURFOS_TRACE_BUFFER",
-                           "SURFOS_TRACE", "SURFOS_TELEMETRY"}) {
+  for (const char* name :
+       {"SURFOS_THREADS", "SURFOS_TRACE_BUFFER", "SURFOS_TRACE"}) {
     const auto reply = daemon.handle_request(
         make_request(proto::MsgType::kSetKnob, 1, knob_payload(name, 2)));
     EXPECT_EQ(error_code_of(reply), ErrorCode::kInvalidArgument) << name;
@@ -567,8 +567,6 @@ TEST_F(DaemonTest, LeftoverTempFileBesideAGoodSnapshotIsIgnored) {
 // --- Epoch phase spans --------------------------------------------------------
 
 TEST_F(DaemonTest, EpochPhaseSpansCountOncePerEpoch) {
-  const bool was_enabled = telemetry::enabled();
-  telemetry::set_enabled(true);
   Daemon daemon(test_options(temp_path("spans", ".sock")));
   (void)daemon.handle_request(make_request(
       proto::MsgType::kSubmitDemand, 1, submit_payload("vr", vr_demand("h"))));
@@ -588,7 +586,6 @@ TEST_F(DaemonTest, EpochPhaseSpansCountOncePerEpoch) {
           << phases[i] << " in epoch " << epoch;
     }
   }
-  telemetry::set_enabled(was_enabled);
 }
 
 TEST_F(DaemonTest, DepartedEndpointsAreGarbageCollected) {

@@ -1014,20 +1014,11 @@ TEST(OrchestratorTest, LastRealizedReflectsHardware) {
 
 class PlanMeasureTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    was_enabled_ = telemetry::enabled();
-    telemetry::set_enabled(true);
-  }
-  void TearDown() override { telemetry::set_enabled(was_enabled_); }
-
   static std::uint64_t measures() {
     return telemetry::MetricsRegistry::instance()
         .histogram("orch.step.measure")
         .count();
   }
-
- private:
-  bool was_enabled_ = true;
 };
 
 void expect_same_reports(const std::vector<TaskReport>& a,
@@ -1152,6 +1143,38 @@ TEST_F(PlanMeasureTest, ArqDelayedCompletionTriggersRemeasure) {
   EXPECT_EQ(measures(), count + 1);
 
   // The wall now holds the optimum a clean link delivers in one step.
+  OrchestratorFixture clean;
+  clean.orchestrator->enhance_link({"laptop", 15.0, 50.0});
+  expect_same_reports(applied.tasks, clean.orchestrator->step().tasks);
+  EXPECT_NE(applied.tasks[0].achieved, lost.tasks[0].achieved);
+}
+
+TEST_F(PlanMeasureTest, LostWriteLandsThroughStepsAlone) {
+  // The same lost first write, but nothing outside the step polls the
+  // links: each step drains them itself, so the ARQ retransmission lands
+  // and the kept plan re-measures the programmed wall.
+  hal::ReliableOptions arq;
+  arq.forward.loss_probability = 0.5;
+  arq.forward.seed = 9;
+  OrchestratorFixture fx(SchedulePolicy::kPriorityJoint, {}, &arq);
+  fx.orchestrator->enhance_link({"laptop", 15.0, 50.0});
+  const auto& driver = static_cast<const hal::ReliableSurfaceDriver&>(
+      *fx.registry.find_surface("wall"));
+  const StepReport lost = fx.orchestrator->step();
+  ASSERT_EQ(driver.link().delivered_count(), 0u) << "first write not lost";
+  ASSERT_EQ(lost.tasks.size(), 1u);
+
+  const std::uint64_t count = measures();
+  StepReport applied;
+  for (int i = 0; i < 50 && driver.link().unacked_count() > 0; ++i) {
+    fx.clock.advance(arq.rto_us);
+    applied = fx.orchestrator->step();
+    EXPECT_EQ(applied.optimizations_run, 0u);
+  }
+  ASSERT_EQ(driver.link().unacked_count(), 0u);
+  ASSERT_GT(driver.link().retransmission_count(), 0u);
+  EXPECT_EQ(measures(), count + 1);
+
   OrchestratorFixture clean;
   clean.orchestrator->enhance_link({"laptop", 15.0, 50.0});
   expect_same_reports(applied.tasks, clean.orchestrator->step().tasks);

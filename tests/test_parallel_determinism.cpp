@@ -252,7 +252,6 @@ TEST(ParallelDeterminism, BatchOptimizersBitIdentical) {
 }
 
 TEST(ParallelDeterminism, SpanDepthRestoredAfterParallelForException) {
-  telemetry::set_enabled(true);
   telemetry::set_trace_enabled(true);
   util::reset_global_pool(kThreadedDegree);
   const telemetry::TraceContext root = telemetry::current_trace();
@@ -284,7 +283,6 @@ TEST(ParallelDeterminism, SpanDepthRestoredAfterParallelForException) {
 }
 
 TEST(ParallelDeterminism, SpanHistogramCountsThreadCountInvariant) {
-  telemetry::set_enabled(true);
   auto& registry = telemetry::MetricsRegistry::instance();
   const auto span_count = [&registry](const char* name) -> std::uint64_t {
     for (const auto& hist : registry.snapshot().histograms) {
@@ -295,7 +293,7 @@ TEST(ParallelDeterminism, SpanHistogramCountsThreadCountInvariant) {
   const auto run = [](std::size_t threads) {
     util::reset_global_pool(threads);
     util::parallel_for(0, 100, [](std::size_t) {
-      telemetry::Span span("test.par.count_span");
+      telemetry::TraceSpan span("test.par.count_span");
     });
   };
 

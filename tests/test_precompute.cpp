@@ -104,7 +104,6 @@ class PrecomputeTest : public ::testing::Test {
   void TearDown() override {
     core::clear_config();
     sim::PrecomputeStore::instance().clear();
-    telemetry::set_enabled(true);
   }
 };
 
@@ -224,10 +223,6 @@ TEST_F(PrecomputeTest, ColdRebuildProducesBitIdenticalArtifacts) {
 }
 
 TEST_F(PrecomputeTest, StepReportsByteIdenticalFromColdAndWarmStore) {
-  // Timings in StepTrace are only non-zero while telemetry runs; mask them
-  // so the wire bytes compare exactly (same trick as the determinism tests).
-  telemetry::set_enabled(false);
-
   const auto run_site = [] {
     sim::CoverageRoomScenario room = sim::make_coverage_room(/*grid_n=*/4);
     SurfOS os(room.environment.get(), room.ap(), room.band, room.budget);
@@ -239,7 +234,13 @@ TEST_F(PrecomputeTest, StepReportsByteIdenticalFromColdAndWarmStore) {
     os.orchestrator().enhance_link({"laptop", 10.0, 50.0});
     std::vector<std::uint8_t> wire;
     for (int i = 0; i < 3; ++i) {
-      const auto bytes = proto::to_wire(os.step());
+      // The StepTrace timings are wall-clock and vary run to run; zero them
+      // so the wire bytes compare exactly.
+      orch::StepReport report = os.step();
+      report.trace.schedule_us = report.trace.optimize_us = 0.0;
+      report.trace.actuate_us = report.trace.measure_us = 0.0;
+      report.trace.total_us = 0.0;
+      const auto bytes = proto::to_wire(report);
       wire.insert(wire.end(), bytes.begin(), bytes.end());
     }
     return wire;

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "em/material.hpp"
 #include "em/propagation.hpp"
 #include "sim/channel.hpp"
 #include "sim/environment.hpp"
@@ -569,6 +570,70 @@ TEST(RisFarField, CoPhasedPowerFallsAsInverseSquareOfPathProduct) {
     EXPECT_NEAR(util::to_db(scaled / reference), 0.0, 0.5)
         << "d1 " << d1 << ", d2 " << d2;
   }
+}
+
+// --- Two-ray ground model ----------------------------------------------------
+// TX and RX over one large concrete ground slab. The traced field is the
+// direct path plus Gamma times the image path, Gamma being the slab's
+// reflection coefficient at the image path's grazing angle. Past the
+// crossover distance 4 h_t h_r / lambda the two paths nearly cancel and
+// power falls 40 dB per decade.
+
+constexpr double kTxHeight = 0.5;
+constexpr double kRxHeight = 0.3;
+
+Environment ground_env() {
+  Environment env(em::MaterialDb::standard());
+  env.add_horizontal_slab(-10, 6000, -100, 100, 0.0, em::kMatConcrete);
+  env.finalize();
+  return env;
+}
+
+double crossover_m() {
+  return 4.0 * kTxHeight * kRxHeight / em::wavelength(kFreq);
+}
+
+em::Cx ground_gamma(const Environment& env, double d) {
+  // The incidence angle is measured from the slab normal.
+  const double incidence = std::atan2(d, kTxHeight + kRxHeight);
+  return em::reflection_coefficient(env.materials().get(em::kMatConcrete),
+                                    kFreq, incidence);
+}
+
+double two_ray_power(const Environment& env, double d) {
+  const double direct = std::hypot(d, kTxHeight - kRxHeight);
+  const double image = std::hypot(d, kTxHeight + kRxHeight);
+  return std::norm(em::free_space_gain(kFreq, direct) +
+                   ground_gamma(env, d) * em::free_space_gain(kFreq, image));
+}
+
+double traced_power(const RayTracer& tracer, double d) {
+  return std::norm(tracer.total_gain({0, 0, kTxHeight}, {d, 0, kRxHeight}));
+}
+
+TEST(TwoRayGround, TracedPowerMatchesClosedFormAcrossCrossover) {
+  const Environment env = ground_env();
+  const RayTracer tracer(&env, kFreq, {1, 1e-15});
+  for (const double m : {0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 10.0}) {
+    const double d = m * crossover_m();
+    ASSERT_EQ(tracer.trace({0, 0, kTxHeight}, {d, 0, kRxHeight}).size(), 2u)
+        << d << " m";
+    EXPECT_NEAR(util::to_db(traced_power(tracer, d) / two_ray_power(env, d)),
+                0.0, 0.5)
+        << m << " x crossover (" << d << " m)";
+  }
+}
+
+TEST(TwoRayGround, PowerFallsFortyDbPerDecadePastCrossover) {
+  const Environment env = ground_env();
+  const RayTracer tracer(&env, kFreq, {1, 1e-15});
+  const double near = 10.0 * crossover_m();
+  const double far = 10.0 * near;
+  ASSERT_GE(std::abs(ground_gamma(env, near)), 0.95);
+  ASSERT_GE(std::abs(ground_gamma(env, far)), 0.95);
+  EXPECT_NEAR(
+      util::to_db(traced_power(tracer, near) / traced_power(tracer, far)),
+      40.0, 2.0);
 }
 
 TEST(SceneChannel, RejectsBadInput) {

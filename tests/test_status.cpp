@@ -137,8 +137,8 @@ TEST_F(ConfigTest, SetKnobRefusesConstructionReloadRows) {
   core::install_config(core::Config());
   // Only a restart would apply these rows, so set-knob says so instead of
   // replying OK; the installed value is left alone.
-  for (const char* name : {"SURFOS_THREADS", "SURFOS_TRACE_BUFFER",
-                           "SURFOS_TRACE", "SURFOS_TELEMETRY"}) {
+  for (const char* name :
+       {"SURFOS_THREADS", "SURFOS_TRACE_BUFFER", "SURFOS_TRACE"}) {
     const auto set = core::set_config_knob(name, 2048);
     EXPECT_EQ(set.code(), ErrorCode::kInvalidArgument) << name;
     EXPECT_NE(set.error().message.find("environment before start"),
@@ -170,7 +170,6 @@ TEST_F(ConfigTest, EntriesFollowRegistryOrder) {
       {core::Knob::kSloShed, "SURFOS_SLO_SHED"},
       {core::Knob::kPrecomputeCache, "SURFOS_PRECOMPUTE_CACHE"},
       {core::Knob::kTrace, "SURFOS_TRACE"},
-      {core::Knob::kTelemetry, "SURFOS_TELEMETRY"},
   };
   ASSERT_EQ(std::size(rows), core::kKnobCount);
   core::Config config;
@@ -220,9 +219,15 @@ TEST_F(ConfigTest, EnvParsingRejectsJunkNegativesAndBelowMinimum) {
   // A row whose minimum is 0 takes 0 as a value ("disabled").
   const ScopedEnv zero("SURFOS_PRECOMPUTE_CACHE", "0");
   EXPECT_EQ(core::knob(core::Knob::kPrecomputeCache), 0u);
-  // The switches parse the same way: "off" is junk and keeps the default.
-  const ScopedEnv off("SURFOS_TELEMETRY", "off");
-  EXPECT_EQ(core::knob(core::Knob::kTelemetry), 1u);
+  // The switch parses the same way: "off" and "on" are junk and keep the
+  // default.
+  const auto trace_with = [](const char* value) {
+    const ScopedEnv env("SURFOS_TRACE", value);
+    return core::knob(core::Knob::kTrace);
+  };
+  EXPECT_EQ(trace_with("off"), 0u);
+  EXPECT_EQ(trace_with("on"), 0u);
+  EXPECT_EQ(trace_with("1"), 1u);
 }
 
 }  // namespace

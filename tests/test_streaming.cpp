@@ -28,6 +28,7 @@
 #include "daemon/tags.hpp"
 #include "proto/serialize.hpp"
 #include "proto/wire.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
@@ -321,6 +322,35 @@ std::vector<std::uint8_t> submit_payload(const std::string& app_id) {
       app_id, {},
       broker::demand_profile(broker::AppClass::kFileTransfer, "ep_" + app_id),
       {}});
+}
+
+TEST_F(StreamingTest, ArqRetrySignalReachesTheWatchdogThroughRunEpoch) {
+  // The watchdog's ARQ signal is the per-epoch delta of the registry's
+  // hal.arq counters. A 100 s budget keeps overruns out of the verdicts.
+  DaemonOptions options = test_options(temp_path("arq"));
+  options.sites = 2;
+  options.epoch_ms = 100000;
+  Daemon daemon(options);
+  daemon.run_epoch();  // baseline: absorbs counts earlier tests left behind
+  auto& metrics = telemetry::MetricsRegistry::instance();
+  metrics.counter("hal.arq.sends").add(10);
+  metrics.counter("hal.arq.retransmissions").add(5);
+
+  daemon.run_epoch();
+  std::vector<SiteHealth> health = daemon.health();
+  ASSERT_EQ(health.size(), 2u);
+  for (const SiteHealth& site : health) {
+    EXPECT_EQ(site.state, SloState::kDegraded) << site.site_id;
+    EXPECT_EQ(site.reason, "arq retry 5/10 sends") << site.site_id;
+  }
+
+  // No new retries: every site recovers.
+  daemon.run_epoch();
+  health = daemon.health();
+  ASSERT_EQ(health.size(), 2u);
+  for (const SiteHealth& site : health) {
+    EXPECT_EQ(site.state, SloState::kHealthy) << site.site_id;
+  }
 }
 
 TEST_F(StreamingTest, SocketSubscriberReceivesEventsAtTheRequestedInterval) {

@@ -1,7 +1,6 @@
-// Telemetry subsystem: instrument semantics, span nesting, exporters, the
-// SURFOS_TELEMETRY switch, and the two contracts the rest of the system
-// relies on — counter snapshots bit-identical under any SURFOS_THREADS, and
-// disabled-mode StepReports identical to enabled-mode ones.
+// Telemetry subsystem: instrument semantics, span nesting, exporters, and
+// the contract the rest of the system relies on — counter snapshots
+// bit-identical under any SURFOS_THREADS.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,18 +28,12 @@ namespace {
 
 using telemetry::MetricsRegistry;
 
-/// Every test starts from a zeroed registry with telemetry on, and leaves
-/// the switch on for whoever runs next in this binary.
+/// Every test starts from a zeroed registry and leaves it zeroed for
+/// whoever runs next in this binary.
 class TelemetryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    telemetry::set_enabled(true);
-    MetricsRegistry::instance().reset();
-  }
-  void TearDown() override {
-    telemetry::set_enabled(true);
-    MetricsRegistry::instance().reset();
-  }
+  void SetUp() override { MetricsRegistry::instance().reset(); }
+  void TearDown() override { MetricsRegistry::instance().reset(); }
 };
 
 TEST_F(TelemetryTest, CounterBasics) {
@@ -118,16 +111,18 @@ TEST_F(TelemetryTest, FingerprintExcludesSchedulingDependentCounters) {
 }
 
 TEST_F(TelemetryTest, SpanNestsAndRecordsIntoHistogram) {
+  auto& registry = MetricsRegistry::instance();
   {
-    telemetry::Span outer("test.span.outer");
-    EXPECT_TRUE(outer.active());
+    telemetry::TraceSpan outer("test.span.outer");
     {
-      telemetry::Span inner("test.span.inner");
-      EXPECT_TRUE(inner.active());
+      telemetry::TraceSpan inner("test.span.inner");
       EXPECT_GE(inner.elapsed_us(), 0.0);
     }
+    // A span records when its scope closes, not before.
+    EXPECT_EQ(registry.histogram("test.span.inner").count(), 1u);
+    EXPECT_EQ(registry.histogram("test.span.outer").count(), 0u);
   }
-  const telemetry::Snapshot snap = MetricsRegistry::instance().snapshot();
+  const telemetry::Snapshot snap = registry.snapshot();
   bool outer_seen = false;
   bool inner_seen = false;
   for (const auto& hist : snap.histograms) {
@@ -142,29 +137,6 @@ TEST_F(TelemetryTest, SpanNestsAndRecordsIntoHistogram) {
   }
   EXPECT_TRUE(outer_seen);
   EXPECT_TRUE(inner_seen);
-}
-
-TEST_F(TelemetryTest, DisabledModeIsInert) {
-  telemetry::set_enabled(false);
-  EXPECT_FALSE(telemetry::enabled());
-  SURFOS_COUNT("test.disabled.counter");
-  SURFOS_GAUGE_SET("test.disabled.gauge", 5.0);
-  {
-    telemetry::Span span("test.disabled.span");
-    EXPECT_FALSE(span.active());
-    EXPECT_EQ(span.elapsed_us(), 0.0);
-  }
-  telemetry::set_enabled(true);
-  const telemetry::Snapshot snap = MetricsRegistry::instance().snapshot();
-  for (const auto& counter : snap.counters) {
-    EXPECT_NE(counter.name, "test.disabled.counter");
-  }
-  for (const auto& gauge : snap.gauges) {
-    EXPECT_NE(gauge.name, "test.disabled.gauge");
-  }
-  for (const auto& hist : snap.histograms) {
-    EXPECT_NE(hist.name, "test.disabled.span");
-  }
 }
 
 /// Minimal JSON string unescaper (enough for what append_json_string emits)
@@ -405,7 +377,7 @@ TEST_F(TelemetryTest, EventsAfterSurvivesRingWraparoundMidStream) {
 /// One full control-plane scenario: facade bring-up, a datasheet install, a
 /// broker utterance, a direct service call, and two steps (the second
 /// exercising the plan cache). Exercises counters in every layer.
-orch::StepReport run_scenario() {
+void run_scenario() {
   sim::CoverageRoomScenario scene = sim::make_coverage_room(/*grid_n=*/4);
   SurfOS os(scene.environment.get(), scene.ap(), scene.band, scene.budget);
   const surface::Catalog catalog = surface::Catalog::standard();
@@ -422,32 +394,7 @@ orch::StepReport run_scenario() {
   os.broker().handle_utterance("stream a movie on my laptop");
   os.orchestrator().enhance_link({"laptop", 10.0, 50.0});
   os.step();
-  return os.step();  // second step reuses cached plans
-}
-
-std::string serialize_semantics(const orch::StepReport& report) {
-  std::string out;
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "assignments=%zu optimizations=%zu\n",
-                report.assignment_count, report.optimizations_run);
-  out += buf;
-  for (const orch::TaskId id : report.starved) {
-    out += "starved " + std::to_string(id) + "\n";
-  }
-  for (const auto& task : report.tasks) {
-    std::snprintf(buf, sizeof(buf), "task %llu type=%d state=%d %.17g met=%d\n",
-                  static_cast<unsigned long long>(task.id),
-                  static_cast<int>(task.type), static_cast<int>(task.state),
-                  task.achieved.value_or(-1e300), task.goal_met ? 1 : 0);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf),
-                "trace fresh=%zu reused=%zu evals=%zu writes=%zu\n",
-                report.trace.plans_fresh, report.trace.plans_reused,
-                report.trace.objective_evaluations,
-                report.trace.config_writes);
-  out += buf;
-  return out;
+  os.step();  // second step reuses cached plans
 }
 
 TEST_F(TelemetryTest, CounterSnapshotIdenticalAcrossThreadCounts) {
@@ -477,25 +424,6 @@ TEST_F(TelemetryTest, CounterSnapshotIdenticalAcrossThreadCounts) {
         "util.pool.dispatches"}) {
     EXPECT_NE(serial.find(name), std::string::npos) << name;
   }
-}
-
-TEST_F(TelemetryTest, DisabledTelemetryLeavesStepReportIdentical) {
-  telemetry::set_enabled(true);
-  const orch::StepReport on = run_scenario();
-
-  telemetry::set_enabled(false);
-  const orch::StepReport off = run_scenario();
-  telemetry::set_enabled(true);
-
-  EXPECT_EQ(serialize_semantics(on), serialize_semantics(off));
-  // Timings are only measured while telemetry is on.
-  EXPECT_EQ(off.trace.total_us, 0.0);
-  EXPECT_EQ(off.trace.schedule_us, 0.0);
-  EXPECT_EQ(off.trace.optimize_us, 0.0);
-  EXPECT_EQ(off.trace.actuate_us, 0.0);
-  EXPECT_EQ(off.trace.measure_us, 0.0);
-  // Deterministic trace counts are filled either way.
-  EXPECT_GT(off.trace.plans_reused, 0u);
 }
 
 TEST_F(TelemetryTest, TaskHandleTracksTaskState) {

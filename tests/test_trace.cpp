@@ -35,7 +35,6 @@ using telemetry::TraceEvent;
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    telemetry::set_enabled(true);
     telemetry::set_trace_enabled(true);
     Recorder::instance().clear();
   }
@@ -121,11 +120,13 @@ TEST_F(TraceTest, TraceSpanRecordsNestedEventsWithParents) {
             inner_events[0].ts_ns + inner_events[0].dur_ns);
 }
 
-TEST_F(TraceTest, TraceSpanSharesHistogramWithPlainSpan) {
-  // Upgrading SURFOS_SPAN -> SURFOS_TRACE_SPAN must not change histogram
-  // counts: both record into the same-named latency histogram.
+TEST_F(TraceTest, TraceSpanHistogramCountsIgnoreTracingSwitch) {
+  // SURFOS_TRACE decides only whether a span reaches the flight recorder:
+  // a span records into its same-named latency histogram either way.
   telemetry::MetricsRegistry::instance().reset();
-  { telemetry::Span span("test.trace.histogram"); }
+  telemetry::set_trace_enabled(false);
+  { telemetry::TraceSpan span("test.trace.histogram"); }
+  telemetry::set_trace_enabled(true);
   { telemetry::TraceSpan span("test.trace.histogram"); }
   for (const auto& hist :
        telemetry::MetricsRegistry::instance().snapshot().histograms) {

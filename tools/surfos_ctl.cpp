@@ -19,9 +19,8 @@
 //                                plain base-10 u64 (anything else is a
 //                                usage error), and a row read only at
 //                                construction (SURFOS_THREADS,
-//                                SURFOS_TRACE_BUFFER, SURFOS_TRACE,
-//                                SURFOS_TELEMETRY) is refused with
-//                                invalid-argument
+//                                SURFOS_TRACE_BUFFER, SURFOS_TRACE) is
+//                                refused with invalid-argument
 //   knobs                        list every knob with its current value
 //   shutdown                     stop the daemon
 //
