@@ -342,7 +342,7 @@ int main(int argc, char** argv) {
   std::vector<sim::CoverageRoomScenario> scenarios;
   auto fleet = build_fleet(kSites, scenarios, /*panel_n=*/6);
   LoadResult load = run_sustained_load(*fleet, arrivals);
-  const sim::PrecomputeStore::Stats pre = Fleet::precompute_stats();
+  const sim::PrecomputeStore::Stats pre = sim::PrecomputeStore::instance().stats();
 
   std::sort(load.latency_ms.begin(), load.latency_ms.end());
   const double p50 = percentile(load.latency_ms, 50.0);

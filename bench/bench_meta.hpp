@@ -1,16 +1,14 @@
 // Shared provenance stamp for every BENCH_*.json: which library version and
-// git commit produced the numbers. SURFOS_GIT_SHA is injected by
-// bench/CMakeLists.txt (git rev-parse at configure time); builds outside a
-// git checkout stamp "unknown".
+// git commit produced the numbers. SURFOS_GIT_SHA comes from bench_stamp.hpp,
+// which bench/git_stamp.cmake regenerates on every build: the short HEAD
+// sha, "-dirty" when tracked files differ from HEAD, "unknown" outside a git
+// checkout.
 #pragma once
 
 #include <ostream>
 
+#include "bench_stamp.hpp"
 #include "core/version.hpp"
-
-#ifndef SURFOS_GIT_SHA
-#define SURFOS_GIT_SHA "unknown"
-#endif
 
 namespace surfos::bench {
 

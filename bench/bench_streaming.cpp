@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +20,6 @@
 #include "core/config.hpp"
 #include "daemon/subscription.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/timeseries.hpp"
 #include "util/simd.hpp"
 
 using namespace surfos;
@@ -48,6 +48,19 @@ telemetry::Snapshot make_snapshot(std::size_t total, std::size_t churn,
   return snap;
 }
 
+/// One epoch's publication context around a fresh snapshot, as the
+/// daemon's run_epoch builds it.
+daemon::SubscriptionRegistry::EpochContext epoch_context(
+    std::uint64_t epoch) {
+  daemon::SubscriptionRegistry::EpochContext ctx;
+  ctx.epoch = epoch;
+  ctx.metrics =
+      std::make_shared<const telemetry::Snapshot>(make_snapshot(64, 8, epoch));
+  ctx.epoch_ms = 1.0;
+  ctx.flush_us = 50.0;
+  return ctx;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,7 +73,6 @@ int main(int argc, char** argv) {
   // --- 1. Registry publish path: events/s through encode + enqueue ----------
   // `subscribers` metrics subscriptions on fake fds, drained every epoch (a
   // healthy fleet of dashboards). 64 counters, 8 changing per epoch.
-  telemetry::Timeseries series(512);
   daemon::SubscriptionRegistry registry;
   for (std::size_t s = 0; s < subscribers; ++s) {
     const int fd = 1000 + static_cast<int>(s);
@@ -75,11 +87,7 @@ int main(int argc, char** argv) {
   }
   const double pub_t0 = now_us();
   for (std::uint64_t epoch = 1; epoch <= epochs; ++epoch) {
-    series.record(epoch, make_snapshot(64, 8, epoch), 1.0, 50.0);
-    daemon::SubscriptionRegistry::EpochContext ctx;
-    ctx.epoch = epoch;
-    ctx.series = &series;
-    registry.publish(ctx);
+    registry.publish(epoch_context(epoch));
     for (std::size_t s = 0; s < subscribers; ++s) {
       (void)registry.take_output(1000 + static_cast<int>(s));
     }
@@ -105,11 +113,7 @@ int main(int argc, char** argv) {
   (void)slow.subscribe(3000, spec);
   const double slow_t0 = now_us();
   for (std::uint64_t epoch = 1; epoch <= epochs; ++epoch) {
-    series.record(epochs + epoch, make_snapshot(64, 8, epoch), 1.0, 50.0);
-    daemon::SubscriptionRegistry::EpochContext ctx;
-    ctx.epoch = epoch;
-    ctx.series = &series;
-    slow.publish(ctx);  // never drained: outbox pinned at the cap
+    slow.publish(epoch_context(epoch));  // never drained: pinned at the cap
   }
   const double slow_elapsed_us = now_us() - slow_t0;
   const auto slow_stats = slow.stats();

@@ -14,7 +14,11 @@
 #      telemetry: src/, tools/, bench/, tests/ and examples/ name no
 #      telemetry::enabled(, set_enabled(, SURFOS_SPAN( or telemetry::Span,
 #      so the metrics registry stays always on and TraceSpan stays the one
-#      span type
+#      span type. deleted: src/, tools/, bench/, tests/ and examples/ name no
+#      Timeseries, timeseries.hpp, delta_since, MetricsDelta, CsvWriter or
+#      precompute_stats, so a metrics subscription's delta anchor stays the
+#      snapshot it was last sent (no epoch ring) and the deleted CSV writer
+#      and fleet precompute shim stay gone
 #   1. tier-1: configure + build + full ctest in ./build
 #   2. focused re-runs of the observability suites (ctest -L telemetry,
 #      ctest -L trace), the fleet control-plane suite (ctest -L fleet), the
@@ -90,6 +94,15 @@ echo "== telemetry: always on, one span type"
 if grep -rnE 'telemetry::enabled\(|set_enabled\(|SURFOS_SPAN\(|telemetry::Span\b' \
     src tools bench tests examples; then
   echo "telemetry has no off switch and one span type: use SURFOS_TRACE_SPAN"
+  exit 1
+fi
+
+echo
+echo "== deleted: no metrics ring, CSV writer or fleet precompute shim"
+if grep -rnE 'Timeseries|timeseries\.hpp|delta_since|MetricsDelta|CsvWriter|precompute_stats' \
+    src tools bench tests examples; then
+  echo "a deleted name is back: metrics subscriptions diff against their anchor"
+  echo "snapshot, and PrecomputeStore::instance().stats() is the store's stats"
   exit 1
 fi
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/surfos.hpp"
-#include "sim/precompute_store.hpp"
 
 namespace surfos {
 
@@ -68,13 +67,6 @@ class Fleet {
 
   /// Cross-site inventory for the operator's dashboard.
   FleetInventory inventory() const;
-
-  /// Snapshot of the process-wide precompute store the fleet's sites share
-  /// (hits/misses/evictions, resident bytes and entries). Convenience for
-  /// dashboards; identical to PrecomputeStore::instance().stats().
-  static sim::PrecomputeStore::Stats precompute_stats() {
-    return sim::PrecomputeStore::instance().stats();
-  }
 
  private:
   std::map<std::string, std::unique_ptr<SurfOS>> sites_;

@@ -252,18 +252,21 @@ void Daemon::run_epoch() {
     }
   }
 
-  // Record the epoch sample and push events to every due subscriber.
-  // Publication only enqueues into bounded outboxes — a stalled reader
-  // costs this thread nothing beyond the wake-pipe poke below.
+  // Push events to every due subscriber. Publication only enqueues into
+  // bounded outboxes — a stalled reader costs this thread nothing beyond
+  // the wake-pipe poke below.
   telemetry::TraceSpan span("surfosd.epoch.publish");
-  series_.record(stats_.epochs, metrics.snapshot(), wall_ms,
-                 report.trace.actuate_us);
   SubscriptionRegistry::EpochContext ctx;
   ctx.epoch = stats_.epochs;
-  ctx.series = &series_;
+  if (subs_.wants(SubTopic::kMetrics)) {
+    ctx.metrics =
+        std::make_shared<const telemetry::Snapshot>(metrics.snapshot());
+  }
+  ctx.epoch_ms = wall_ms;
+  ctx.flush_us = report.trace.actuate_us;
   ctx.health = &latest_health_;
   std::vector<telemetry::TraceEvent> trace_events;
-  if (subs_.wants_traces()) {
+  if (subs_.wants(SubTopic::kTraces)) {
     trace_events = telemetry::Recorder::instance().events();
     ctx.trace_events = &trace_events;
   }

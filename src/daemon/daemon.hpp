@@ -41,7 +41,6 @@
 #include "em/antenna.hpp"
 #include "proto/wire.hpp"
 #include "sim/dynamics.hpp"
-#include "telemetry/timeseries.hpp"
 
 namespace surfos::daemon {
 
@@ -112,11 +111,9 @@ class Daemon {
   /// The streaming registry itself — tests and benches enqueue/drain
   /// directly through it.
   SubscriptionRegistry& subscriptions() noexcept { return subs_; }
-  /// The per-epoch metric time-series (guarded by the epoch mutex; callers
-  /// outside the daemon's own threads should prefer the wire protocol).
-  const telemetry::Timeseries& timeseries() const noexcept { return series_; }
-  /// The sites' control planes (same caveat: epochs mutate them under the
-  /// epoch mutex).
+  /// The sites' control planes (epochs mutate them under the epoch mutex;
+  /// callers outside the daemon's own threads should prefer the wire
+  /// protocol).
   const Fleet& fleet() const noexcept { return fleet_; }
 
  private:
@@ -177,7 +174,6 @@ class Daemon {
 
   // Streaming observability (all under mu_ except subs_, which has its own
   // lock; lock order is mu_ -> subs_ internal mutex).
-  telemetry::Timeseries series_;
   SloWatchdog watchdog_;
   std::vector<SiteHealth> latest_health_;
   SubscriptionRegistry subs_;

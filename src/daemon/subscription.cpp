@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <utility>
 
 #include "core/config.hpp"
 #include "telemetry/telemetry.hpp"
@@ -116,11 +117,11 @@ std::vector<std::vector<std::uint8_t>> SubscriptionRegistry::take_output(
   return out;
 }
 
-bool SubscriptionRegistry::wants_traces() const {
+bool SubscriptionRegistry::wants(SubTopic topic) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [fd, conn] : conns_) {
     for (const auto& [id, sub] : conn.subs) {
-      if (sub.spec.topic == SubTopic::kTraces) return true;
+      if (sub.spec.topic == topic) return true;
     }
   }
   return false;
@@ -160,7 +161,7 @@ void SubscriptionRegistry::enqueue_event(Connection& conn, Subscription& sub,
       if (const auto vit = conn.subs.find(victim_sub);
           vit != conn.subs.end()) {
         vit->second.dropped += 1;
-        vit->second.needs_baseline = true;
+        vit->second.anchor.reset();
       }
       conn.total_bytes -= conn.outbox[i].bytes.size();
       conn.outbox.erase(conn.outbox.begin() +
@@ -180,6 +181,11 @@ void SubscriptionRegistry::enqueue_event(Connection& conn, Subscription& sub,
 void SubscriptionRegistry::publish(const EpochContext& ctx) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::size_t outbox_cap = core::knob(core::Knob::kSubOutbox);
+  // Metrics subscriptions published together last time share an anchor,
+  // and so share its diff against this epoch: it is computed once.
+  std::shared_ptr<const telemetry::Snapshot> diffed_anchor;
+  std::vector<telemetry::CounterSample> changed_counters;
+  std::vector<telemetry::GaugeSample> changed_gauges;
   for (auto& [fd, conn] : conns_) {
     if (conn.dead) continue;
     for (auto& [id, sub] : conn.subs) {
@@ -197,25 +203,26 @@ void SubscriptionRegistry::publish(const EpochContext& ctx) {
       bool emit = true;
       switch (sub.spec.topic) {
         case SubTopic::kMetrics: {
-          if (ctx.series == nullptr) { emit = false; break; }
-          auto delta = ctx.series->delta_since(
-              sub.needs_baseline ? 0 : sub.anchor_epoch);
-          if (!delta) { emit = false; break; }
-          event.baseline = delta->baseline;
-          event.epoch_ms = delta->epoch_ms;
-          event.flush_us = delta->flush_us;
-          for (auto& c : delta->counters) {
-            if (has_prefix(c.name, sub.spec.prefix)) {
-              event.counters.push_back(std::move(c));
-            }
+          if (ctx.metrics == nullptr) { emit = false; break; }
+          const telemetry::Snapshot& now = *ctx.metrics;
+          event.baseline = sub.anchor == nullptr;
+          event.epoch_ms = ctx.epoch_ms;
+          event.flush_us = ctx.flush_us;
+          if (!event.baseline && sub.anchor != diffed_anchor) {
+            diffed_anchor = sub.anchor;
+            changed_counters =
+                telemetry::diff_counters(sub.anchor->counters, now.counters);
+            changed_gauges =
+                telemetry::diff_gauges(sub.anchor->gauges, now.gauges);
           }
-          for (auto& g : delta->gauges) {
-            if (has_prefix(g.name, sub.spec.prefix)) {
-              event.gauges.push_back(std::move(g));
-            }
-          }
-          sub.anchor_epoch = delta->to_epoch;
-          sub.needs_baseline = false;
+          event.counters = event.baseline ? now.counters : changed_counters;
+          event.gauges = event.baseline ? now.gauges : changed_gauges;
+          const auto filtered_out = [&sub](const auto& sample) {
+            return !has_prefix(sample.name, sub.spec.prefix);
+          };
+          std::erase_if(event.counters, filtered_out);
+          std::erase_if(event.gauges, filtered_out);
+          sub.anchor = ctx.metrics;
           break;
         }
         case SubTopic::kTraces: {
@@ -254,10 +261,9 @@ void SubscriptionRegistry::publish(const EpochContext& ctx) {
       event.seq = sub.seq;
 
       // Events are not replies: there is no request trace id to echo.
-      const auto encoded =
-          proto::encode_frame(make_frame(0, event));
+      auto encoded = proto::encode_frame(make_frame(0, event));
       if (!encoded.ok()) continue;  // oversized event frame: skip, not fatal
-      enqueue_event(conn, sub, encoded.value(), outbox_cap);
+      enqueue_event(conn, sub, std::move(encoded).value(), outbox_cap);
     }
   }
 }

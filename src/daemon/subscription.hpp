@@ -20,6 +20,16 @@
 // Receivers detect the gap from the per-subscription kEventSeq sequence
 // (every *published* event increments it, delivered or not).
 //
+// Metrics deltas: each metrics subscription holds the telemetry::Snapshot
+// its last event was computed against (its anchor) and is sent only the
+// counters and gauges that differ from it. A null anchor — a new
+// subscription, or one whose event was just dropped — makes the next event
+// a baseline carrying every counter and gauge. The daemon takes one
+// Snapshot per epoch, and only while a metrics subscription exists; every
+// subscription published that epoch shares it and keeps it as its next
+// anchor. What is held is one snapshot per distinct anchor, however long
+// the intervals, and no copy is made per subscriber.
+//
 // Request/reply frames enqueue through the same outboxes (enqueue_reply)
 // but are never dropped; a connection whose un-flushed replies exceed
 // kMaxOutboxBytes is declared dead instead (a peer that stops reading its
@@ -34,6 +44,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -41,8 +52,8 @@
 #include "core/status.hpp"
 #include "daemon/messages.hpp"
 #include "daemon/slo.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/recorder.hpp"
-#include "telemetry/timeseries.hpp"
 
 namespace surfos::daemon {
 
@@ -84,7 +95,12 @@ class SubscriptionRegistry {
   // --- publication (ticker thread, under the epoch mutex) ---
   struct EpochContext {
     std::uint64_t epoch = 0;
-    const telemetry::Timeseries* series = nullptr;
+    /// This epoch's metrics snapshot, shared by every metrics subscription
+    /// published this epoch; nullptr when no metrics subscriber exists (the
+    /// daemon skips the snapshot entirely).
+    std::shared_ptr<const telemetry::Snapshot> metrics;
+    double epoch_ms = 0.0;  ///< Wall-clock duration of this control epoch.
+    double flush_us = 0.0;  ///< HAL actuation time within the epoch.
     const std::vector<SiteHealth>* health = nullptr;
     /// Sorted recorder events; nullptr when no traces subscriber exists
     /// (the daemon skips the copy entirely).
@@ -95,9 +111,9 @@ class SubscriptionRegistry {
   /// never touches a socket.
   void publish(const EpochContext& ctx);
 
-  /// True when any live subscription wants the traces topic (lets the
-  /// daemon skip the recorder copy otherwise).
-  bool wants_traces() const;
+  /// True when any live subscription wants `topic` (lets the daemon skip
+  /// the metrics snapshot or the recorder copy otherwise).
+  bool wants(SubTopic topic) const;
 
   SubscriptionStats stats() const;
 
@@ -106,8 +122,9 @@ class SubscriptionRegistry {
     std::uint64_t id = 0;
     SubscriptionSpec spec;
     std::uint64_t last_pub_epoch = 0;  ///< 0 = never published.
-    std::uint64_t anchor_epoch = 0;    ///< Metrics delta anchor (0 = baseline).
-    bool needs_baseline = true;
+    /// Snapshot the last metrics event was computed against; null = the
+    /// next event is a baseline.
+    std::shared_ptr<const telemetry::Snapshot> anchor;
     std::uint64_t seq = 0;
     std::uint64_t dropped = 0;    ///< Event frames dropped for this sub.
     std::uint64_t published = 0;  ///< Event frames enqueued for this sub.

@@ -1,6 +1,7 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 
@@ -126,6 +127,38 @@ Snapshot MetricsRegistry::snapshot() const {
     out.histograms.push_back({name, histogram->count(), histogram->sum(),
                               histogram->upper_bounds(),
                               histogram->bucket_counts()});
+  }
+  return out;
+}
+
+std::vector<CounterSample> diff_counters(
+    const std::vector<CounterSample>& then,
+    const std::vector<CounterSample>& now) {
+  std::vector<CounterSample> out;
+  std::size_t i = 0;
+  for (const CounterSample& c : now) {
+    while (i < then.size() && then[i].name < c.name) ++i;
+    if (i < then.size() && then[i].name == c.name &&
+        then[i].value == c.value) {
+      continue;
+    }
+    out.push_back(c);
+  }
+  return out;
+}
+
+std::vector<GaugeSample> diff_gauges(const std::vector<GaugeSample>& then,
+                                     const std::vector<GaugeSample>& now) {
+  std::vector<GaugeSample> out;
+  std::size_t i = 0;
+  for (const GaugeSample& g : now) {
+    while (i < then.size() && then[i].name < g.name) ++i;
+    if (i < then.size() && then[i].name == g.name &&
+        std::bit_cast<std::uint64_t>(then[i].value) ==
+            std::bit_cast<std::uint64_t>(g.value)) {
+      continue;
+    }
+    out.push_back(g);
   }
   return out;
 }

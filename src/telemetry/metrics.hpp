@@ -24,8 +24,10 @@
 // string the determinism tests compare. Histograms record wall-clock
 // timings and are always excluded from determinism checks.
 //
-// The registry is always on: the SLO watchdog's ARQ-retry signal, the
-// `metrics` subscription topic and the Timeseries all read its counters.
+// The registry is always on: the SLO watchdog's ARQ-retry signal and the
+// `metrics` subscription topic read its counters. A metrics subscription
+// keeps the Snapshot its last event was computed against and is served
+// diff_counters/diff_gauges of that anchor and the current epoch's Snapshot.
 #pragma once
 
 #include <atomic>
@@ -134,6 +136,15 @@ struct Snapshot {
   std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
 };
+
+/// Two-pointer diff of name-sorted sample vectors: the entries of `now`
+/// missing from `then` or with a different value. Gauges compare by bit
+/// pattern, so a NaN gauge that stays NaN is unchanged.
+std::vector<CounterSample> diff_counters(
+    const std::vector<CounterSample>& then,
+    const std::vector<CounterSample>& now);
+std::vector<GaugeSample> diff_gauges(const std::vector<GaugeSample>& then,
+                                     const std::vector<GaugeSample>& now);
 
 // --- Registry ----------------------------------------------------------------
 

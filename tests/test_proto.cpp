@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "daemon/messages.hpp"
@@ -14,7 +16,7 @@
 #include "daemon/tags.hpp"
 #include "proto/serialize.hpp"
 #include "proto/wire.hpp"
-#include "telemetry/timeseries.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace surfos::proto {
 namespace {
@@ -635,18 +637,18 @@ TEST(Messages, PublisherEventsMatchGoldenBytes) {
     spec.topic = topic;
     ASSERT_TRUE(registry.subscribe(7, spec).ok());
   }
-  telemetry::Timeseries series(4);
-  telemetry::Snapshot snap;
-  snap.counters.push_back({"c", 4, true});
-  snap.gauges.push_back({"g", 0.5});
-  series.record(2, snap, 1.25, 2.5);
+  auto snap = std::make_shared<telemetry::Snapshot>();
+  snap->counters.push_back({"c", 4, true});
+  snap->gauges.push_back({"g", 0.5});
   const telemetry::TraceEvent trace{
       3, 4, 5, "n", 1, 2, 6, 7, telemetry::TraceEvent::Kind::kInstant};
   const std::vector<telemetry::TraceEvent> traces{trace};
   const std::vector<SiteHealth> health{sample_health()};
   SubscriptionRegistry::EpochContext ctx;
   ctx.epoch = 2;
-  ctx.series = &series;
+  ctx.metrics = std::move(snap);
+  ctx.epoch_ms = 1.25;
+  ctx.flush_us = 2.5;
   ctx.health = &health;
   ctx.trace_events = &traces;
   registry.publish(ctx);

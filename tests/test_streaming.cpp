@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -30,7 +32,6 @@
 #include "proto/wire.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/recorder.hpp"
-#include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 
 #include "daemon_test_util.hpp"
@@ -50,6 +51,29 @@ telemetry::Snapshot make_snapshot(
     snap.gauges.push_back({name, value});
   }
   return snap;
+}
+
+/// Publishes one epoch whose metrics snapshot is `snap`, as the daemon's
+/// run_epoch does.
+void publish_epoch(SubscriptionRegistry& registry, std::uint64_t epoch,
+                   telemetry::Snapshot snap, double epoch_ms = 1.0,
+                   double flush_us = 0.0) {
+  SubscriptionRegistry::EpochContext ctx;
+  ctx.epoch = epoch;
+  ctx.metrics = std::make_shared<const telemetry::Snapshot>(std::move(snap));
+  ctx.epoch_ms = epoch_ms;
+  ctx.flush_us = flush_us;
+  registry.publish(ctx);
+}
+
+/// Opens a metrics subscription on a fake fd (take_output never touches it).
+void subscribe_metrics(SubscriptionRegistry& registry, int fd,
+                       std::uint32_t interval = 1) {
+  registry.add_connection(fd);
+  SubscriptionSpec spec;
+  spec.topic = SubTopic::kMetrics;
+  spec.interval = interval;
+  ASSERT_TRUE(registry.subscribe(fd, spec).ok());
 }
 
 Event parse_event(const proto::WireFrame& frame) {
@@ -93,15 +117,10 @@ TEST_F(StreamingTest, RegistryPublishesDeltasAtTheRequestedInterval) {
   const auto sub = registry.subscribe(7, spec);
   ASSERT_TRUE(sub.ok());
 
-  telemetry::Timeseries series(16);
   for (std::uint64_t epoch = 1; epoch <= 7; ++epoch) {
-    series.record(epoch,
+    publish_epoch(registry, epoch,
                   make_snapshot({{"a.ticks", epoch}, {"b.steady", 5}}),
                   /*epoch_ms=*/1.0, /*flush_us=*/10.0);
-    SubscriptionRegistry::EpochContext ctx;
-    ctx.epoch = epoch;
-    ctx.series = &series;
-    registry.publish(ctx);
   }
 
   const auto events = parse_frames(registry.take_output(7));
@@ -133,13 +152,8 @@ TEST_F(StreamingTest, RegistryPrefixFilterNarrowsMetrics) {
   spec.prefix = "hal.";
   ASSERT_TRUE(registry.subscribe(7, spec).ok());
 
-  telemetry::Timeseries series(8);
-  series.record(1, make_snapshot({{"broker.queued", 3}, {"hal.writes", 9}}),
-                1.0, 0.0);
-  SubscriptionRegistry::EpochContext ctx;
-  ctx.epoch = 1;
-  ctx.series = &series;
-  registry.publish(ctx);
+  publish_epoch(registry, 1,
+                make_snapshot({{"broker.queued", 3}, {"hal.writes", 9}}));
 
   const auto events = parse_frames(registry.take_output(7));
   ASSERT_EQ(events.size(), 1u);
@@ -160,13 +174,8 @@ TEST_F(StreamingTest, DropOldestAccountingIsExact) {
   // Ten epochs, never flushed: a 4-frame outbox keeps the newest 4 events
   // and drops exactly 6 — and every publish is enqueue-only, so a stalled
   // reader costs the publisher nothing.
-  telemetry::Timeseries series(16);
   for (std::uint64_t epoch = 1; epoch <= 10; ++epoch) {
-    series.record(epoch, make_snapshot({{"a.ticks", epoch}}), 1.0, 0.0);
-    SubscriptionRegistry::EpochContext ctx;
-    ctx.epoch = epoch;
-    ctx.series = &series;
-    registry.publish(ctx);
+    publish_epoch(registry, epoch, make_snapshot({{"a.ticks", epoch}}));
   }
 
   const SubscriptionStats stats = registry.stats();
@@ -189,6 +198,149 @@ TEST_F(StreamingTest, DropOldestAccountingIsExact) {
   }
 }
 
+TEST_F(StreamingTest, DeltaCarriesOnlyChangedCountersAndGauges) {
+  SubscriptionRegistry registry;
+  subscribe_metrics(registry, 7);
+  publish_epoch(registry, 1,
+                make_snapshot({{"ts.a", 1}, {"ts.b", 5}}, {{"ts.g", 0.5}}),
+                /*epoch_ms=*/2.0, /*flush_us=*/10.0);
+  publish_epoch(registry, 2,
+                make_snapshot({{"ts.a", 3}, {"ts.b", 5}}, {{"ts.g", 0.5}}),
+                /*epoch_ms=*/3.0, /*flush_us=*/20.0);
+  publish_epoch(registry, 3,
+                make_snapshot({{"ts.a", 3}, {"ts.b", 5}}, {{"ts.g", 0.75}}));
+
+  const auto events = parse_frames(registry.take_output(7));
+  ASSERT_EQ(events.size(), 3u);
+  // First event: a baseline with every counter and gauge.
+  EXPECT_TRUE(events[0].baseline);
+  EXPECT_EQ(events[0].counters.size(), 2u);
+  EXPECT_EQ(events[0].gauges.size(), 1u);
+  EXPECT_DOUBLE_EQ(events[0].epoch_ms, 2.0);
+  EXPECT_DOUBLE_EQ(events[0].flush_us, 10.0);
+  // Only ts.a changed; the steady counter and gauge are elided.
+  EXPECT_FALSE(events[1].baseline);
+  ASSERT_EQ(events[1].counters.size(), 1u);
+  EXPECT_EQ(events[1].counters[0].name, "ts.a");
+  EXPECT_EQ(events[1].counters[0].value, 3u);
+  EXPECT_TRUE(events[1].gauges.empty());
+  EXPECT_DOUBLE_EQ(events[1].epoch_ms, 3.0);
+  EXPECT_DOUBLE_EQ(events[1].flush_us, 20.0);
+  // Only the gauge moved.
+  EXPECT_FALSE(events[2].baseline);
+  EXPECT_TRUE(events[2].counters.empty());
+  ASSERT_EQ(events[2].gauges.size(), 1u);
+  EXPECT_DOUBLE_EQ(events[2].gauges[0].value, 0.75);
+}
+
+TEST_F(StreamingTest, GaugesCompareByBitPattern) {
+  SubscriptionRegistry registry;
+  subscribe_metrics(registry, 7);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  publish_epoch(registry, 1, make_snapshot({{"ts.a", 1}}, {{"ts.g", nan}}));
+  publish_epoch(registry, 2, make_snapshot({{"ts.a", 1}}, {{"ts.g", nan}}));
+  publish_epoch(registry, 3, make_snapshot({{"ts.a", 1}}, {{"ts.g", 0.75}}));
+
+  const auto events = parse_frames(registry.take_output(7));
+  ASSERT_EQ(events.size(), 3u);
+  ASSERT_EQ(events[0].gauges.size(), 1u);
+  // NaN != NaN by value, yet a NaN gauge that stays NaN is unchanged.
+  EXPECT_FALSE(events[1].baseline);
+  EXPECT_TRUE(events[1].gauges.empty());
+  // NaN to 0.75 is a change.
+  ASSERT_EQ(events[2].gauges.size(), 1u);
+  EXPECT_EQ(events[2].gauges[0].name, "ts.g");
+  EXPECT_DOUBLE_EQ(events[2].gauges[0].value, 0.75);
+}
+
+TEST_F(StreamingTest, DropForcesBaseline) {
+  core::install_config(core::Config());
+  ASSERT_TRUE(core::set_config_knob("SURFOS_SUB_OUTBOX", 2).ok());
+
+  SubscriptionRegistry registry;
+  subscribe_metrics(registry, 7);
+  const auto snap = [](std::uint64_t epoch) {
+    return make_snapshot({{"a.ticks", epoch}, {"b.steady", 5}});
+  };
+  // Epochs 1-3 are never drained: epoch 3's enqueue drops epoch 1's event.
+  for (std::uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    publish_epoch(registry, epoch, snap(epoch));
+  }
+  EXPECT_EQ(registry.stats().dropped, 1u);
+  (void)registry.take_output(7);
+
+  // The subscriber missed an event, so the next one resyncs it with every
+  // counter — the steady one included — and the one after is a delta again.
+  publish_epoch(registry, 4, snap(4));
+  publish_epoch(registry, 5, snap(5));
+  const auto events = parse_frames(registry.take_output(7));
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_TRUE(events[0].baseline);
+  EXPECT_EQ(counters_of(events[0]).at("b.steady"), 5u);
+  EXPECT_EQ(counters_of(events[0]).at("a.ticks"), 4u);
+  EXPECT_FALSE(events[1].baseline);
+  EXPECT_EQ(counters_of(events[1]),
+            (std::map<std::string, std::uint64_t>{{"a.ticks", 5}}));
+}
+
+TEST_F(StreamingTest, EachSubscriptionDiffsAgainstItsOwnAnchor) {
+  // Three subscriptions on one connection, published in id order: the
+  // interval-2 one sits between two interval-1 ones that share an anchor.
+  SubscriptionRegistry registry;
+  registry.add_connection(7);
+  for (const std::uint32_t interval : {1u, 2u, 1u}) {
+    SubscriptionSpec spec;
+    spec.topic = SubTopic::kMetrics;
+    spec.interval = interval;
+    ASSERT_TRUE(registry.subscribe(7, spec).ok());
+  }
+  // "a" moves every epoch; "b" only at epoch 2.
+  for (std::uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    publish_epoch(registry, epoch,
+                  make_snapshot({{"a", epoch}, {"b", epoch >= 2 ? 2 : 1}}));
+  }
+
+  std::map<std::uint64_t, std::vector<Event>> by_sub;
+  for (Event& event : parse_frames(registry.take_output(7))) {
+    by_sub[event.sub_id].push_back(std::move(event));
+  }
+  ASSERT_EQ(by_sub.size(), 3u);
+  const std::map<std::string, std::uint64_t> since_epoch_2{{"a", 3}};
+  const std::map<std::string, std::uint64_t> since_epoch_1{{"a", 3}, {"b", 2}};
+  for (const auto& [id, events] : by_sub) {
+    const Event& last = events.back();
+    EXPECT_EQ(last.epoch, 3u);
+    EXPECT_FALSE(last.baseline);
+    EXPECT_EQ(counters_of(last), events.size() == 2 ? since_epoch_1
+                                                    : since_epoch_2)
+        << "subscription " << id;
+  }
+}
+
+TEST_F(StreamingTest, LongIntervalSubscriptionGetsDeltas) {
+  // An interval longer than any history the daemon could keep: the anchor
+  // is the snapshot last sent, so every event after the first is a delta.
+  SubscriptionRegistry registry;
+  subscribe_metrics(registry, 7, /*interval=*/600);
+  for (std::uint64_t epoch = 1; epoch <= 1201; ++epoch) {
+    publish_epoch(registry, epoch,
+                  make_snapshot({{"a.ticks", epoch}, {"b.steady", 5}}));
+  }
+
+  const auto events = parse_frames(registry.take_output(7));
+  ASSERT_EQ(events.size(), 3u);  // due at epochs 1, 601, 1201
+  EXPECT_EQ(events[1].epoch, 601u);
+  EXPECT_EQ(events[2].epoch, 1201u);
+  EXPECT_TRUE(events[0].baseline);
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    EXPECT_FALSE(events[i].baseline) << "event " << i;
+    EXPECT_EQ(counters_of(events[i]),
+              (std::map<std::string, std::uint64_t>{
+                  {"a.ticks", events[i].epoch}}))
+        << "event " << i;
+  }
+}
+
 TEST_F(StreamingTest, StalledSocketSubscriberDropsWithoutKillingConnection) {
   core::install_config(core::Config());
   ASSERT_TRUE(core::set_config_knob("SURFOS_SUB_OUTBOX", 2).ok());
@@ -208,16 +360,11 @@ TEST_F(StreamingTest, StalledSocketSubscriberDropsWithoutKillingConnection) {
   // The peer (sv[1]) never reads. Publish + flush until the kernel buffer
   // and the 2-frame outbox both fill and drops begin; EAGAIN must be
   // treated as "slow", never as "dead".
-  telemetry::Timeseries series(8);
   bool alive = true;
   std::uint64_t epoch = 0;
   while (registry.stats().dropped == 0 && epoch < 5000) {
     ++epoch;
-    series.record(epoch, make_snapshot({{"a.ticks", epoch}}), 1.0, 0.0);
-    SubscriptionRegistry::EpochContext ctx;
-    ctx.epoch = epoch;
-    ctx.series = &series;
-    registry.publish(ctx);
+    publish_epoch(registry, epoch, make_snapshot({{"a.ticks", epoch}}));
     alive = registry.flush_to_fd(sv[0]);
     ASSERT_TRUE(alive) << "EAGAIN misread as a dead peer at epoch " << epoch;
   }

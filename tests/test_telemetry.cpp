@@ -20,7 +20,6 @@
 #include "surface/catalog.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/telemetry.hpp"
-#include "telemetry/timeseries.hpp"
 #include "util/thread_pool.hpp"
 
 namespace surfos {
@@ -253,63 +252,6 @@ TEST_F(TelemetryTest, JsonExportMapsNonFiniteValuesToNull) {
   }
   EXPECT_EQ(depth, 0);
   EXPECT_FALSE(in_string);
-}
-
-// --- Timeseries --------------------------------------------------------------
-
-telemetry::Snapshot two_counter_snapshot(std::uint64_t a, std::uint64_t b,
-                                         double gauge) {
-  telemetry::Snapshot snap;
-  snap.counters.push_back({"ts.a", a, true});
-  snap.counters.push_back({"ts.b", b, true});
-  snap.gauges.push_back({"ts.g", gauge});
-  return snap;
-}
-
-TEST_F(TelemetryTest, TimeseriesDeltaEncodesOnlyChanges) {
-  telemetry::Timeseries series(8);
-  EXPECT_FALSE(series.delta_since(0).has_value());  // nothing recorded
-
-  series.record(1, two_counter_snapshot(1, 5, 0.5), 2.0, 10.0);
-  series.record(2, two_counter_snapshot(3, 5, 0.5), 3.0, 20.0);
-
-  // Anchor 0: full baseline with everything.
-  const auto baseline = series.delta_since(0);
-  ASSERT_TRUE(baseline.has_value());
-  EXPECT_TRUE(baseline->baseline);
-  EXPECT_EQ(baseline->to_epoch, 2u);
-  EXPECT_EQ(baseline->counters.size(), 2u);
-  EXPECT_EQ(baseline->gauges.size(), 1u);
-
-  // Anchor 1: only ts.a changed; the steady counter and gauge are elided.
-  const auto delta = series.delta_since(1);
-  ASSERT_TRUE(delta.has_value());
-  EXPECT_FALSE(delta->baseline);
-  EXPECT_EQ(delta->from_epoch, 1u);
-  ASSERT_EQ(delta->counters.size(), 1u);
-  EXPECT_EQ(delta->counters[0].name, "ts.a");
-  EXPECT_EQ(delta->counters[0].value, 3u);
-  EXPECT_TRUE(delta->gauges.empty());
-  EXPECT_DOUBLE_EQ(delta->epoch_ms, 3.0);
-
-  // A gauge change by bit pattern is a change — including from NaN.
-  series.record(3, two_counter_snapshot(3, 5, 0.75), 1.0, 0.0);
-  const auto gauge_delta = series.delta_since(2);
-  ASSERT_TRUE(gauge_delta.has_value());
-  EXPECT_TRUE(gauge_delta->counters.empty());
-  ASSERT_EQ(gauge_delta->gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(gauge_delta->gauges[0].value, 0.75);
-
-  // An evicted anchor degrades to a baseline, never a wrong delta.
-  for (std::uint64_t epoch = 4; epoch <= 12; ++epoch) {
-    series.record(epoch, two_counter_snapshot(epoch, 5, 0.75), 1.0, 0.0);
-  }
-  EXPECT_EQ(series.size(), 8u);  // ring capacity
-  const auto evicted = series.delta_since(2);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_TRUE(evicted->baseline);
-  EXPECT_EQ(series.find(2), nullptr);
-  EXPECT_NE(series.find(12), nullptr);
 }
 
 // --- Recorder pagination under wraparound ------------------------------------

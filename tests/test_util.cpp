@@ -1,11 +1,9 @@
-// Unit tests for the util substrate: strings, tables, CSV, statistics,
+// Unit tests for the util substrate: strings, tables, statistics,
 // deterministic RNG, and unit conversions.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
-#include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -80,7 +78,7 @@ TEST(Strings, ParseUintStrict) {
   EXPECT_FALSE(parse_uint("4.5", v));
 }
 
-// --- table / csv ---------------------------------------------------------------
+// --- table -------------------------------------------------------------------
 
 TEST(Table, AlignsColumns) {
   Table table({"name", "cost"});
@@ -97,25 +95,6 @@ TEST(Table, RejectsMismatchedRow) {
   Table table({"a", "b"});
   EXPECT_THROW(table.add_row({"only-one"}), std::invalid_argument);
   EXPECT_THROW(Table({}), std::invalid_argument);
-}
-
-TEST(Csv, WritesHeaderAndRows) {
-  std::ostringstream oss;
-  CsvWriter writer(oss, {"x", "y"});
-  writer.add_row({1.0, 2.5});
-  EXPECT_EQ(oss.str(), "x,y\n1,2.5\n");
-}
-
-TEST(Csv, EscapesSpecialFields) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(Csv, RejectsWrongWidth) {
-  std::ostringstream oss;
-  CsvWriter writer(oss, {"x"});
-  EXPECT_THROW(writer.add_row({1.0, 2.0}), std::invalid_argument);
 }
 
 // --- stats ---------------------------------------------------------------------

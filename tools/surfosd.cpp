@@ -1,13 +1,13 @@
 // surfosd: the SurfOS control daemon (see src/daemon/daemon.hpp).
 //
-//   surfosd --socket /run/surfos.sock --snapshot /var/lib/surfos.snap \
+//   surfosd --socket /run/surfos.sock --snapshot /var/lib/surfos.snap
 //           [--sites N] [--grid N] [--epoch-ms MS] [--restore]
 //
 // SIGTERM/SIGINT write a snapshot (when --snapshot is set) before shutting
 // down; a restart with --restore resumes every session under its original
 // trace id and re-submits queued demands through admission. Knobs come from
 // the SURFOS_* environment once at startup; all but the construction-time
-// rows (threads, trace ring, trace and telemetry switches) are
+// rows (SURFOS_THREADS, SURFOS_TRACE_BUFFER and SURFOS_TRACE) are
 // hot-reloadable afterwards via `surfos-ctl set-knob`.
 #include <poll.h>
 #include <signal.h>
