@@ -1,12 +1,15 @@
 // Ablation F — control-plane reliability. SurfOS may drive surfaces from
 // the edge or cloud over lossy links (paper Section 1); this bench sweeps
-// datagram loss and compares the raw fire-and-forget driver against the
-// ARQ-reliable driver: configuration delivery rate and the time until the
-// hardware actually holds the new configuration.
+// datagram loss and compares the programmable driver's link run raw
+// (fire-and-forget: max_retransmissions = 0) against its default ARQ:
+// configuration delivery rate and the time until the hardware actually holds
+// the new configuration.
+#include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <memory>
 
-#include "hal/reliable.hpp"
+#include "hal/driver.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -33,12 +36,15 @@ constexpr int kWrites = 50;
 constexpr hal::Micros kLinkLatency = 500;
 
 /// Issues kWrites distinct configs (one per poll round) and measures how
-/// many land and how fast, for either driver class.
-template <typename MakeDriver>
-Trial run(double loss, MakeDriver make_driver) {
+/// many land and how fast, over a link with the given options.
+Trial run(const hal::ReliableOptions& options) {
   hal::SimClock clock;
   const auto panel = make_panel();
-  auto driver = make_driver(clock, panel, loss);
+  hal::HardwareSpec spec;
+  spec.control_delay_us = kLinkLatency;
+  spec.config_slots = 1;
+  const auto driver = std::make_unique<hal::ProgrammableSurfaceDriver>(
+      "panel", &panel, spec, &clock, options);
   Trial trial;
   std::size_t landed = 0;
   double latency_sum = 0.0;
@@ -62,10 +68,7 @@ Trial run(double loss, MakeDriver make_driver) {
   }
   trial.delivery_rate = static_cast<double>(landed) / kWrites;
   trial.mean_latency_us = landed > 0 ? latency_sum / landed : 0.0;
-  if (const auto* reliable =
-          dynamic_cast<const hal::ReliableSurfaceDriver*>(driver.get())) {
-    trial.retransmissions = reliable->link().retransmission_count();
-  }
+  trial.retransmissions = driver->link().retransmission_count();
   return trial;
 }
 
@@ -80,32 +83,18 @@ int main() {
   util::Table table({"Loss", "raw delivered", "raw latency (us)",
                      "ARQ delivered", "ARQ latency (us)", "ARQ retransmits"});
   for (const double loss : {0.0, 0.1, 0.3, 0.5, 0.7}) {
-    const Trial raw = run(loss, [](hal::SimClock& clock,
-                                   const surface::SurfacePanel& panel,
-                                   double p) {
-      hal::HardwareSpec spec;
-      spec.control_delay_us = kLinkLatency;
-      spec.config_slots = 1;
-      hal::LinkOptions options;
-      options.loss_probability = p;
-      options.seed = 17;
-      return std::make_unique<hal::ProgrammableSurfaceDriver>(
-          "raw", &panel, spec, &clock, options);
-    });
-    const Trial arq = run(loss, [](hal::SimClock& clock,
-                                   const surface::SurfacePanel& panel,
-                                   double p) {
-      hal::HardwareSpec spec;
-      spec.control_delay_us = kLinkLatency;
-      spec.config_slots = 1;
-      hal::ReliableOptions options;
-      options.forward.loss_probability = p;
-      options.forward.seed = 17;
-      options.reverse.loss_probability = p / 2.0;
-      options.rto_us = 1500;
-      return std::make_unique<hal::ReliableSurfaceDriver>("arq", &panel, spec,
-                                                          &clock, options);
-    });
+    hal::ReliableOptions raw_options;
+    raw_options.forward.loss_probability = loss;
+    raw_options.forward.seed = 17;
+    raw_options.max_retransmissions = 0;
+    const Trial raw = run(raw_options);
+
+    hal::ReliableOptions arq_options;
+    arq_options.forward.loss_probability = loss;
+    arq_options.forward.seed = 17;
+    arq_options.reverse.loss_probability = loss / 2.0;
+    arq_options.rto_us = 1500;
+    const Trial arq = run(arq_options);
     table.add_row({util::format("%.0f%%", loss * 100.0),
                    util::format("%.0f%%", raw.delivery_rate * 100.0),
                    util::format("%.0f", raw.mean_latency_us),

@@ -15,10 +15,13 @@
 #      telemetry::enabled(, set_enabled(, SURFOS_SPAN( or telemetry::Span,
 #      so the metrics registry stays always on and TraceSpan stays the one
 #      span type. deleted: src/, tools/, bench/, tests/ and examples/ name no
-#      Timeseries, timeseries.hpp, delta_since, MetricsDelta, CsvWriter or
-#      precompute_stats, so a metrics subscription's delta anchor stays the
-#      snapshot it was last sent (no epoch ring) and the deleted CSV writer
-#      and fleet precompute shim stay gone
+#      Timeseries, timeseries.hpp, delta_since, MetricsDelta, CsvWriter,
+#      precompute_stats, ReliableSurfaceDriver, hal/reliable.hpp,
+#      SURFOS_SLO_RETRY_PCT, kSloRetryPct or arq_retry_total, so a metrics
+#      subscription's delta anchor stays the snapshot it was last sent (no
+#      epoch ring), the deleted CSV writer and fleet precompute shim stay
+#      gone, ProgrammableSurfaceDriver over ReliableLink stays the one
+#      programmable driver, and the watchdog has no ARQ-retry signal
 #   1. tier-1: configure + build + full ctest in ./build
 #   2. focused re-runs of the observability suites (ctest -L telemetry,
 #      ctest -L trace), the fleet control-plane suite (ctest -L fleet), the
@@ -98,11 +101,13 @@ if grep -rnE 'telemetry::enabled\(|set_enabled\(|SURFOS_SPAN\(|telemetry::Span\b
 fi
 
 echo
-echo "== deleted: no metrics ring, CSV writer or fleet precompute shim"
-if grep -rnE 'Timeseries|timeseries\.hpp|delta_since|MetricsDelta|CsvWriter|precompute_stats' \
+echo "== deleted: no metrics ring, CSV writer, fleet precompute shim, second driver or ARQ SLO"
+if grep -rnE 'Timeseries|timeseries\.hpp|delta_since|MetricsDelta|CsvWriter|precompute_stats|ReliableSurfaceDriver|hal/reliable\.hpp|SURFOS_SLO_RETRY_PCT|kSloRetryPct|arq_retry_total' \
     src tools bench tests examples; then
   echo "a deleted name is back: metrics subscriptions diff against their anchor"
-  echo "snapshot, and PrecomputeStore::instance().stats() is the store's stats"
+  echo "snapshot, PrecomputeStore::instance().stats() is the store's stats,"
+  echo "ProgrammableSurfaceDriver is the one programmable driver, and the SLO"
+  echo "watchdog has no ARQ-retry signal"
   exit 1
 fi
 

@@ -62,7 +62,6 @@ enum class Knob : std::uint8_t {
   kSubOutbox,
   kSloOverrunStreak,
   kSloQueuePct,
-  kSloRetryPct,
   kSloShed,
   kPrecomputeCache,
   kTrace,
@@ -95,8 +94,6 @@ inline constexpr KnobSpec kKnobRegistry[] = {
      "consecutive epoch-budget overruns before a site degrades"},
     {"SURFOS_SLO_QUEUE_PCT", 80, 1, KnobReload::kPerEpoch,
      "admission-queue depth as % of SURFOS_ADMIT_QUEUE that degrades"},
-    {"SURFOS_SLO_RETRY_PCT", 30, 1, KnobReload::kPerEpoch,
-     "ARQ retransmissions as % of sends per epoch that degrades"},
     {"SURFOS_SLO_SHED", 1, 1, KnobReload::kPerEpoch,
      "demands shed in one epoch that degrades a site"},
     // 256 MiB: ~2000 64-element rows or a few dozen multi-panel scene

@@ -230,13 +230,9 @@ void Daemon::run_epoch() {
   stats_.last_epoch_ms = wall_ms;
 
   // SLO watchdog: one verdict per site, from this epoch's signals.
-  auto& metrics = telemetry::MetricsRegistry::instance();
   {
     telemetry::TraceSpan span("surfosd.epoch.slo");
     const SloThresholds thresholds = SloThresholds::from_knobs();
-    const std::uint64_t arq_retries =
-        metrics.counter("hal.arq.retransmissions").value();
-    const std::uint64_t arq_sends = metrics.counter("hal.arq.sends").value();
     latest_health_.clear();
     for (Site& site : sites_) {
       const auto& admission = site.os->broker().admission();
@@ -244,8 +240,6 @@ void Daemon::run_epoch() {
       inputs.queue_depth = admission.depth();
       inputs.queue_capacity = admission.capacity();
       inputs.shed_total = admission.stats().shed;
-      inputs.arq_retry_total = arq_retries;
-      inputs.arq_send_total = arq_sends;
       inputs.epoch_overrun = wall_ms > static_cast<double>(epoch_ms);
       latest_health_.push_back(
           watchdog_.evaluate(site.id, inputs, thresholds));
@@ -259,8 +253,10 @@ void Daemon::run_epoch() {
   SubscriptionRegistry::EpochContext ctx;
   ctx.epoch = stats_.epochs;
   if (subs_.wants(SubTopic::kMetrics)) {
-    ctx.metrics =
-        std::make_shared<const telemetry::Snapshot>(metrics.snapshot());
+    // Events carry counters and gauges only: the anchor skips histograms.
+    ctx.metrics = std::make_shared<const telemetry::Snapshot>(
+        telemetry::MetricsRegistry::instance().snapshot(
+            telemetry::SnapshotScope::kCountersAndGauges));
   }
   ctx.epoch_ms = wall_ms;
   ctx.flush_us = report.trace.actuate_us;

@@ -19,7 +19,6 @@ SloThresholds SloThresholds::from_knobs() {
   SloThresholds t;
   t.overrun_streak = core::knob(core::Knob::kSloOverrunStreak);
   t.queue_pct = core::knob(core::Knob::kSloQueuePct);
-  t.retry_pct = core::knob(core::Knob::kSloRetryPct);
   t.shed = core::knob(core::Knob::kSloShed);
   return t;
 }
@@ -42,11 +41,7 @@ SiteHealth SloWatchdog::evaluate(const std::string& site_id,
   // differences against zero, i.e. counts everything since daemon start —
   // correct for a fresh process, conservative after a restore.
   const std::uint64_t shed_delta = inputs.shed_total - s.prev_shed;
-  const std::uint64_t retry_delta = inputs.arq_retry_total - s.prev_retry;
-  const std::uint64_t send_delta = inputs.arq_send_total - s.prev_send;
   s.prev_shed = inputs.shed_total;
-  s.prev_retry = inputs.arq_retry_total;
-  s.prev_send = inputs.arq_send_total;
 
   s.overrun_streak = inputs.epoch_overrun ? s.overrun_streak + 1 : 0;
 
@@ -59,10 +54,6 @@ SiteHealth SloWatchdog::evaluate(const std::string& site_id,
              std::to_string(capacity);
   } else if (shed_delta >= thresholds.shed) {
     reason = "shed " + std::to_string(shed_delta) + " demand(s)";
-  } else if (send_delta > 0 &&
-             retry_delta * 100 >= thresholds.retry_pct * send_delta) {
-    reason = "arq retry " + std::to_string(retry_delta) + "/" +
-             std::to_string(send_delta) + " sends";
   } else if (s.overrun_streak >= thresholds.overrun_streak) {
     reason = "epoch overrun x" + std::to_string(s.overrun_streak);
   }

@@ -7,7 +7,7 @@
 //   kHealthy   — all signals under their thresholds.
 //   kDegraded  — at least one SLO signal fired this epoch: an epoch-budget
 //                overrun streak, admission-queue depth vs SURFOS_ADMIT_QUEUE,
-//                ARQ retransmission rate, or demand shedding.
+//                or demand shedding.
 //   kUnhealthy — a degraded condition has persisted for at least twice the
 //                overrun-streak threshold (sustained, not transient).
 //
@@ -17,9 +17,9 @@
 // a live `surfos-top` and a one-shot `surfos-ctl status` see the same
 // verdicts.
 //
-// Caveat: ARQ counters are process-wide (the HAL reliability layer counts
-// per process, not per site), so the retransmission-rate signal fires for
-// every site at once; queue depth and shed counts are genuinely per-site.
+// Every signal is per site. The control links are not a signal: surfosd's
+// sites run loss-free links, so a retransmission rate could never fire; a
+// lossy transport's stats are on each driver's link().
 //
 // Thread-compatibility: not internally synchronized — the daemon evaluates
 // under its epoch mutex.
@@ -48,8 +48,6 @@ struct SloThresholds {
   std::uint64_t overrun_streak = 3;
   /// Queue depth as a percentage of capacity that degrades.
   std::uint64_t queue_pct = 80;
-  /// ARQ retransmissions as a percentage of sends (per epoch) that degrade.
-  std::uint64_t retry_pct = 30;
   /// Demands shed in a single epoch that degrade.
   std::uint64_t shed = 1;
 
@@ -64,8 +62,6 @@ struct SloInputs {
   std::uint64_t queue_depth = 0;
   std::uint64_t queue_capacity = 1;
   std::uint64_t shed_total = 0;       ///< Cumulative demands shed.
-  std::uint64_t arq_retry_total = 0;  ///< Cumulative retransmissions.
-  std::uint64_t arq_send_total = 0;   ///< Cumulative ARQ sends.
   bool epoch_overrun = false;  ///< This epoch exceeded its wall budget.
 };
 
@@ -93,8 +89,6 @@ class SloWatchdog {
     std::uint64_t overrun_streak = 0;
     std::uint64_t bad_streak = 0;  ///< Consecutive degraded-or-worse epochs.
     std::uint64_t prev_shed = 0;
-    std::uint64_t prev_retry = 0;
-    std::uint64_t prev_send = 0;
   };
 
   std::map<std::string, State> states_;

@@ -95,6 +95,7 @@ bool SubscriptionRegistry::flush_to_fd(int fd) {
     conn.front_offset += static_cast<std::size_t>(n);
     if (conn.front_offset == front.bytes.size()) {
       conn.total_bytes -= front.bytes.size();
+      if (front.sub_id != 0) --conn.events_queued;
       conn.outbox.pop_front();
       conn.front_offset = 0;
     }
@@ -114,6 +115,7 @@ std::vector<std::vector<std::uint8_t>> SubscriptionRegistry::take_output(
   it->second.outbox.clear();
   it->second.front_offset = 0;
   it->second.total_bytes = 0;
+  it->second.events_queued = 0;
   return out;
 }
 
@@ -142,13 +144,7 @@ SubscriptionStats SubscriptionRegistry::stats() const {
 void SubscriptionRegistry::enqueue_event(Connection& conn, Subscription& sub,
                                          std::vector<std::uint8_t> bytes,
                                          std::size_t outbox_cap) {
-  // Count droppable (event) frames already queued; replies never count
-  // against the event bound.
-  std::size_t events_queued = 0;
-  for (const Outgoing& entry : conn.outbox) {
-    if (entry.sub_id != 0) ++events_queued;
-  }
-  if (events_queued >= outbox_cap) {
+  if (conn.events_queued >= outbox_cap) {
     // Drop the OLDEST queued event. A partially-written front frame is
     // already on the wire and cannot be torn — start past it.
     const std::size_t first =
@@ -164,6 +160,7 @@ void SubscriptionRegistry::enqueue_event(Connection& conn, Subscription& sub,
         vit->second.anchor.reset();
       }
       conn.total_bytes -= conn.outbox[i].bytes.size();
+      --conn.events_queued;
       conn.outbox.erase(conn.outbox.begin() +
                         static_cast<std::ptrdiff_t>(i));
       dropped_total_ += 1;
@@ -173,6 +170,7 @@ void SubscriptionRegistry::enqueue_event(Connection& conn, Subscription& sub,
   }
   conn.total_bytes += bytes.size();
   conn.outbox.push_back(Outgoing{std::move(bytes), sub.id});
+  ++conn.events_queued;
   sub.published += 1;
   published_total_ += 1;
   SURFOS_COUNT_SCHED("daemon.subs.published_events", 1);

@@ -141,6 +141,9 @@ class SubscriptionRegistry {
     std::deque<Outgoing> outbox;
     std::size_t front_offset = 0;  ///< Bytes of outbox.front() already sent.
     std::size_t total_bytes = 0;
+    /// Event frames in `outbox` (sub_id != 0), counted against the
+    /// SURFOS_SUB_OUTBOX bound; replies never count.
+    std::size_t events_queued = 0;
     bool dead = false;
     std::map<std::uint64_t, Subscription> subs;
   };

@@ -7,7 +7,6 @@
 #include "hal/batch.hpp"
 
 #include "telemetry/telemetry.hpp"
-#include "util/log.hpp"
 
 namespace surfos::hal {
 
@@ -73,15 +72,15 @@ DriverStatus SurfaceDriver::set_amplitude(std::span<const double> amplitudes) {
 
 ProgrammableSurfaceDriver::ProgrammableSurfaceDriver(
     std::string device_id, const surface::SurfacePanel* panel,
-    HardwareSpec spec, const SimClock* clock, LinkOptions link_options)
-    : SurfaceDriver(std::move(device_id), panel, [&] {
-        return spec;
-      }()),
+    HardwareSpec spec, const SimClock* clock, ReliableOptions options)
+    : SurfaceDriver(std::move(device_id), panel, spec),
       link_(clock, [&] {
-        // Control delay is modeled as link latency end to end.
-        link_options.latency_us = spec.control_delay_us;
-        return link_options;
-      }()) {}
+        // Control delay is modeled as forward link latency end to end.
+        options.forward.latency_us = spec.control_delay_us;
+        return options;
+      }()) {
+  link_.set_receiver([this](const Frame& frame) { apply(frame); });
+}
 
 DriverStatus ProgrammableSurfaceDriver::write_config(
     std::uint16_t slot, const surface::SurfaceConfig& config) {
@@ -91,10 +90,9 @@ DriverStatus ProgrammableSurfaceDriver::write_config(
   SURFOS_COUNT("hal.driver.config_writes");
   Frame frame;
   frame.type = MessageType::kWriteConfig;
-  frame.sequence = next_sequence_++;
   frame.slot = slot;
   frame.payload = config.serialize();
-  link_.send(encode_frame(frame));
+  link_.send(std::move(frame));
   return DriverStatus::kOk;
 }
 
@@ -104,6 +102,9 @@ DriverStatus ProgrammableSurfaceDriver::write_elements(
   for (const ElementUpdate& u : updates) {
     if (u.index >= panel().element_count()) return DriverStatus::kBadConfig;
   }
+  // A patch is diffed against the stored slot, which is what the controller
+  // patches only when no earlier frame is still on its way.
+  if (!link_.all_delivered()) return DriverStatus::kUnsupported;
   SURFOS_TRACE_SPAN("hal.driver.write_elements");
   // A sparse patch is still one config-write transaction on the control
   // link; it shares the transaction counter with full-frame writes so the
@@ -113,10 +114,9 @@ DriverStatus ProgrammableSurfaceDriver::write_elements(
   SURFOS_COUNT_N("hal.driver.element_updates", updates.size());
   Frame frame;
   frame.type = MessageType::kWriteElements;
-  frame.sequence = next_sequence_++;
   frame.slot = slot;
   frame.payload = encode_element_updates(updates);
-  link_.send(encode_frame(frame));
+  link_.send(std::move(frame));
   return DriverStatus::kOk;
 }
 
@@ -125,85 +125,65 @@ DriverStatus ProgrammableSurfaceDriver::select_config(std::uint16_t slot) {
   SURFOS_COUNT("hal.driver.config_selects");
   Frame frame;
   frame.type = MessageType::kSelectConfig;
-  frame.sequence = next_sequence_++;
   frame.slot = slot;
-  link_.send(encode_frame(frame));
+  link_.send(std::move(frame));
   return DriverStatus::kOk;
 }
 
 void ProgrammableSurfaceDriver::poll() {
-  const std::size_t applied_before = frames_applied_;
-  const std::size_t rejected_before = frames_rejected_;
-  for (const auto& datagram : link_.receive_ready()) {
-    const DecodeResult decoded = decode_frame(datagram);
-    if (!decoded.frame) {
-      ++frames_rejected_;
-      SURFOS_DEBUG("hal") << device_id() << ": rejected control frame";
-      continue;
-    }
-    const Frame& frame = *decoded.frame;
-    switch (frame.type) {
-      case MessageType::kWriteConfig: {
-        if (frame.slot >= slot_count()) {
-          ++frames_rejected_;
-          break;
-        }
-        try {
-          commit_slot(frame.slot,
-                      surface::SurfaceConfig::deserialize(frame.payload));
-          ++frames_applied_;
-        } catch (const std::invalid_argument&) {
-          ++frames_rejected_;
-        }
-        break;
-      }
-      case MessageType::kWriteElements: {
-        if (frame.slot >= slot_count()) {
-          ++frames_rejected_;
-          break;
-        }
-        try {
-          const std::vector<ElementUpdate> updates =
-              decode_element_updates(frame.payload);
-          surface::SurfaceConfig patched = stored_config(frame.slot);
-          bool in_range = true;
-          for (const ElementUpdate& u : updates) {
-            if (u.index >= patched.size()) {
-              in_range = false;
-              break;
-            }
-          }
-          if (!in_range) {
-            ++frames_rejected_;
-            break;
-          }
-          for (const ElementUpdate& u : updates) {
-            patched.set_phase(u.index, u.phase);
-            patched.set_amplitude(u.index, u.amplitude);
-          }
-          commit_slot(frame.slot, patched);
-          ++frames_applied_;
-        } catch (const std::invalid_argument&) {
-          ++frames_rejected_;
-        }
-        break;
-      }
-      case MessageType::kSelectConfig:
-        if (frame.slot < slot_count()) {
-          activate_slot(frame.slot);
-          ++frames_applied_;
-        } else {
-          ++frames_rejected_;
-        }
-        break;
-      default:
-        ++frames_rejected_;
-        break;
-    }
-  }
-  SURFOS_COUNT_N("hal.driver.frames_applied", frames_applied_ - applied_before);
+  const std::size_t applied_before = frames_applied();
+  const std::size_t rejected_before = frames_rejected();
+  link_.poll();
+  SURFOS_COUNT_N("hal.driver.frames_applied",
+                 frames_applied() - applied_before);
   SURFOS_COUNT_N("hal.driver.frames_rejected",
-                 frames_rejected_ - rejected_before);
+                 frames_rejected() - rejected_before);
+}
+
+void ProgrammableSurfaceDriver::apply(const Frame& frame) {
+  if (frame.slot >= slot_count()) {
+    ++frames_rejected_;
+    return;
+  }
+  switch (frame.type) {
+    case MessageType::kWriteConfig:
+      try {
+        commit_slot(frame.slot,
+                    surface::SurfaceConfig::deserialize(frame.payload));
+        ++frames_applied_;
+      } catch (const std::invalid_argument&) {
+        ++frames_rejected_;
+      }
+      break;
+    case MessageType::kWriteElements:
+      try {
+        const std::vector<ElementUpdate> updates =
+            decode_element_updates(frame.payload);
+        surface::SurfaceConfig patched = stored_config(frame.slot);
+        for (const ElementUpdate& u : updates) {
+          if (u.index >= patched.size()) {
+            ++frames_rejected_;
+            return;
+          }
+        }
+        for (const ElementUpdate& u : updates) {
+          patched.set_phase(u.index, u.phase);
+          patched.set_amplitude(u.index, u.amplitude);
+        }
+        commit_slot(frame.slot, patched);
+        ++frames_applied_;
+      } catch (const std::invalid_argument&) {
+        ++frames_rejected_;
+      }
+      break;
+    case MessageType::kSelectConfig:
+      activate_slot(frame.slot);
+      ++frames_applied_;
+      break;
+    default:
+      ++frames_rejected_;
+      break;
+  }
 }
 
 // --- PassiveSurfaceDriver ----------------------------------------------------

@@ -69,8 +69,9 @@ class SurfaceDriver {
   /// Writes a sparse element patch into a storage slot as one control
   /// transaction. Only meaningful for element-granular hardware (group
   /// projections are not element-wise); drivers that cannot honor the
-  /// sparse path return kUnsupported and callers fall back to a full
-  /// write_config. May apply asynchronously; kOk means accepted.
+  /// sparse path, or cannot right now, return kUnsupported and callers fall
+  /// back to a full write_config. May apply asynchronously; kOk means
+  /// accepted.
   virtual DriverStatus write_elements(std::uint16_t slot,
                                       std::span<const ElementUpdate> updates) {
     (void)slot;
@@ -129,13 +130,16 @@ class SurfaceDriver {
   std::uint16_t active_slot_ = 0;
 };
 
-/// Runtime-reconfigurable surface behind a lossy/latent control link.
+/// Runtime-reconfigurable surface behind a latent, possibly lossy control
+/// path. Every control frame rides a ReliableLink whose forward latency is
+/// the spec's control delay; the controller validates each frame it
+/// receives and applies it to the stored slots.
 class ProgrammableSurfaceDriver final : public SurfaceDriver {
  public:
   ProgrammableSurfaceDriver(std::string device_id,
                             const surface::SurfacePanel* panel,
                             HardwareSpec spec, const SimClock* clock,
-                            LinkOptions link_options = {});
+                            ReliableOptions options = {});
 
   DriverStatus write_config(std::uint16_t slot,
                             const surface::SurfaceConfig& config) override;
@@ -145,12 +149,17 @@ class ProgrammableSurfaceDriver final : public SurfaceDriver {
   void poll() override;
 
   std::size_t frames_applied() const noexcept { return frames_applied_; }
-  std::size_t frames_rejected() const noexcept { return frames_rejected_; }
-  ControlLink& link() noexcept { return link_; }
+  /// Frames that failed their CRC on the link, plus frames the controller
+  /// received but refused (bad slot, malformed payload, unknown type).
+  std::size_t frames_rejected() const noexcept {
+    return frames_rejected_ + link_.rejected_count();
+  }
+  const ReliableLink& link() const noexcept { return link_; }
 
  private:
-  ControlLink link_;
-  std::uint32_t next_sequence_ = 1;
+  void apply(const Frame& frame);
+
+  ReliableLink link_;
   std::size_t frames_applied_ = 0;
   std::size_t frames_rejected_ = 0;
 };

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "telemetry/telemetry.hpp"
+
 namespace surfos::hal {
 
 ControlLink::ControlLink(const SimClock* clock, LinkOptions options)
@@ -35,6 +37,110 @@ std::vector<std::vector<std::uint8_t>> ControlLink::receive_ready() {
     queue_.pop_front();
   }
   return out;
+}
+
+// --- ReliableLink -------------------------------------------------------------
+
+ReliableLink::ReliableLink(const SimClock* clock, ReliableOptions options)
+    : clock_(clock),
+      options_(options),
+      forward_(clock, options.forward),
+      reverse_(clock, [&] {
+        // The ack path shares the forward path's latency by default.
+        LinkOptions reverse = options.reverse;
+        if (reverse.latency_us == LinkOptions{}.latency_us &&
+            options.forward.latency_us != LinkOptions{}.latency_us) {
+          reverse.latency_us = options.forward.latency_us;
+        }
+        reverse.seed ^= 0x9E37u;  // decorrelate loss from the forward path
+        return reverse;
+      }()) {
+  if (clock_ == nullptr) throw std::invalid_argument("ReliableLink: null clock");
+}
+
+void ReliableLink::send(Frame frame) {
+  frame.sequence = next_seq_++;
+  Outstanding outstanding;
+  outstanding.bytes = encode_frame(frame);
+  outstanding.last_sent = clock_->now();
+  outstanding.attempts = 1;
+  forward_.send(outstanding.bytes);
+  in_flight_.emplace(frame.sequence, std::move(outstanding));
+}
+
+void ReliableLink::deliver(const Frame& frame) {
+  if (deliver_) deliver_(frame);
+  ++delivered_;
+  expected_seq_ = frame.sequence + 1;
+}
+
+void ReliableLink::emit_ack() {
+  Frame ack;
+  ack.type = MessageType::kAck;
+  ack.sequence = expected_seq_ - 1;  // highest in-order frame received
+  reverse_.send(encode_frame(ack));
+}
+
+void ReliableLink::poll() {
+  // Receiver side: drain arrived data frames. The next expected frame is
+  // delivered straight from its datagram; only an early one is buffered.
+  bool received_any = false;
+  for (const auto& datagram : forward_.receive_ready()) {
+    DecodeResult decoded = decode_frame(datagram);
+    if (!decoded.frame) {
+      ++rejected_;  // the sender's timer will resend
+      continue;
+    }
+    Frame& frame = *decoded.frame;
+    received_any = true;
+    if (frame.sequence < expected_seq_) {
+      ++duplicates_;  // already delivered; re-ack below
+      SURFOS_COUNT("hal.arq.duplicates");
+      continue;
+    }
+    if (frame.sequence > expected_seq_ && options_.max_retransmissions > 0) {
+      reorder_.emplace(frame.sequence, std::move(frame));
+      continue;
+    }
+    deliver(frame);
+    while (!reorder_.empty() && reorder_.begin()->first == expected_seq_) {
+      deliver(reorder_.begin()->second);
+      reorder_.erase(reorder_.begin());
+    }
+  }
+  if (received_any) emit_ack();
+
+  // Sender side: process acknowledgements.
+  for (const auto& datagram : reverse_.receive_ready()) {
+    const DecodeResult decoded = decode_frame(datagram);
+    if (!decoded.frame || decoded.frame->type != MessageType::kAck) continue;
+    const std::uint32_t acked = decoded.frame->sequence;
+    for (auto it = in_flight_.begin();
+         it != in_flight_.end() && it->first <= acked;) {
+      it = in_flight_.erase(it);
+    }
+  }
+
+  // Retransmit anything stale.
+  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
+    Outstanding& out = it->second;
+    if (clock_->now() - out.last_sent >= options_.rto_us) {
+      if (out.attempts > options_.max_retransmissions) {
+        ++abandoned_;
+        SURFOS_COUNT("hal.arq.abandoned");
+        SURFOS_TRACE_INSTANT("hal.arq.abandon");
+        it = in_flight_.erase(it);
+        continue;
+      }
+      forward_.send(out.bytes);
+      out.last_sent = clock_->now();
+      ++out.attempts;
+      ++retransmissions_;
+      SURFOS_COUNT("hal.arq.retransmissions");
+      SURFOS_TRACE_INSTANT("hal.arq.retransmit");
+    }
+    ++it;
+  }
 }
 
 }  // namespace surfos::hal

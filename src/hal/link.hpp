@@ -1,14 +1,24 @@
-// Simulated control link: a unidirectional byte pipe with latency, loss and
-// bit-corruption knobs. Drives the protocol layer the way a serial/UDP
-// controller link would, and gives tests a place to inject failures.
+// The control path to a surface controller.
+//
+// ControlLink is the simulated wire: a unidirectional byte pipe with
+// latency, loss and bit-corruption knobs, which drives the protocol layer
+// the way a serial/UDP controller link would and gives tests a place to
+// inject failures. ReliableLink is the transport every programmable driver
+// runs over: SurfOS may run at the edge or in the cloud (paper Section 1),
+// so the path can lose or corrupt datagrams, and ReliableLink adds sequence
+// numbers, cumulative acknowledgements and timer-driven retransmission on
+// top of the protocol frames, over a forward and a reverse ControlLink.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <map>
 #include <span>
 #include <vector>
 
 #include "hal/clock.hpp"
+#include "hal/protocol.hpp"
 #include "util/rng.hpp"
 
 namespace surfos::hal {
@@ -52,6 +62,76 @@ class ControlLink {
   std::size_t sent_ = 0;
   std::size_t dropped_ = 0;
   std::size_t corrupted_ = 0;
+};
+
+struct ReliableOptions {
+  LinkOptions forward;   ///< Controller -> surface datagrams.
+  LinkOptions reverse;   ///< Surface -> controller acknowledgements.
+  Micros rto_us = 2000;  ///< Retransmission timeout.
+  /// Per frame, before giving up. 0 is fire-and-forget: each frame is sent
+  /// once, and since a gap is then never filled, the receiver skips it and
+  /// delivers whatever arrives next.
+  std::size_t max_retransmissions = 16;
+};
+
+/// One direction of reliable frame delivery with an ack backchannel.
+class ReliableLink {
+ public:
+  using DeliverFn = std::function<void(const Frame&)>;
+
+  ReliableLink(const SimClock* clock, ReliableOptions options = {});
+
+  /// Receiver callback, invoked in order, exactly once per frame.
+  void set_receiver(DeliverFn deliver) { deliver_ = std::move(deliver); }
+
+  /// Queues a frame for reliable delivery (sequence assigned internally;
+  /// any sequence already present in the frame is overwritten).
+  void send(Frame frame);
+
+  /// Pumps both directions: delivers arrived frames (in order, deduplicated),
+  /// emits acknowledgements, processes acks, and retransmits anything older
+  /// than the RTO. Call whenever simulated time advances.
+  void poll();
+
+  std::size_t delivered_count() const noexcept { return delivered_; }
+  /// Datagrams the receiver could not decode (CRC or framing); the sender's
+  /// timer resends them.
+  std::size_t rejected_count() const noexcept { return rejected_; }
+  std::size_t retransmission_count() const noexcept { return retransmissions_; }
+  std::size_t duplicate_count() const noexcept { return duplicates_; }
+  std::size_t abandoned_count() const noexcept { return abandoned_; }
+  std::size_t unacked_count() const noexcept { return in_flight_.size(); }
+  /// True when every frame sent so far has reached the receiver (or lies
+  /// behind a fire-and-forget gap that will never be filled).
+  bool all_delivered() const noexcept { return expected_seq_ == next_seq_; }
+
+ private:
+  struct Outstanding {
+    std::vector<std::uint8_t> bytes;
+    Micros last_sent = 0;
+    std::size_t attempts = 0;
+  };
+
+  void deliver(const Frame& frame);
+  void emit_ack();
+
+  const SimClock* clock_;
+  ReliableOptions options_;
+  ControlLink forward_;
+  ControlLink reverse_;
+  DeliverFn deliver_;
+
+  std::uint32_t next_seq_ = 1;
+  std::map<std::uint32_t, Outstanding> in_flight_;
+
+  std::uint32_t expected_seq_ = 1;            ///< Receiver side.
+  std::map<std::uint32_t, Frame> reorder_;    ///< Early (out-of-order) frames.
+
+  std::size_t delivered_ = 0;
+  std::size_t rejected_ = 0;
+  std::size_t retransmissions_ = 0;
+  std::size_t duplicates_ = 0;
+  std::size_t abandoned_ = 0;
 };
 
 }  // namespace surfos::hal

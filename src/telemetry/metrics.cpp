@@ -111,7 +111,7 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *it->second;
 }
 
-Snapshot MetricsRegistry::snapshot() const {
+Snapshot MetricsRegistry::snapshot(SnapshotScope scope) const {
   std::lock_guard<std::mutex> lock(mutex_);
   Snapshot out;
   out.counters.reserve(counters_.size());
@@ -122,6 +122,7 @@ Snapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, gauge] : gauges_) {
     out.gauges.push_back({name, gauge->value()});
   }
+  if (scope == SnapshotScope::kCountersAndGauges) return out;
   out.histograms.reserve(histograms_.size());
   for (const auto& [name, histogram] : histograms_) {
     out.histograms.push_back({name, histogram->count(), histogram->sum(),

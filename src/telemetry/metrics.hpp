@@ -24,10 +24,11 @@
 // string the determinism tests compare. Histograms record wall-clock
 // timings and are always excluded from determinism checks.
 //
-// The registry is always on: the SLO watchdog's ARQ-retry signal and the
-// `metrics` subscription topic read its counters. A metrics subscription
-// keeps the Snapshot its last event was computed against and is served
-// diff_counters/diff_gauges of that anchor and the current epoch's Snapshot.
+// The registry is always on: the `metrics` subscription topic reads its
+// counters and gauges. A metrics subscription keeps the Snapshot its last
+// event was computed against and is served diff_counters/diff_gauges of that
+// anchor and the current epoch's Snapshot, which the daemon takes without
+// histograms (the table and JSON exporters are their only readers).
 #pragma once
 
 #include <atomic>
@@ -129,8 +130,13 @@ struct HistogramSample {
   std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1 (overflow last).
 };
 
-/// A point-in-time copy of every registered instrument, ordered by name
+/// Which instruments a Snapshot copies. Histograms carry their bounds and
+/// bucket vectors; a reader of counters and gauges alone skips them.
+enum class SnapshotScope { kAll, kCountersAndGauges };
+
+/// A point-in-time copy of the registered instruments, ordered by name
 /// (deterministic: the registry stores instruments in sorted maps).
+/// `histograms` is empty for a kCountersAndGauges snapshot.
 struct Snapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
@@ -166,7 +172,7 @@ class MetricsRegistry {
       const std::string& name,
       const std::vector<double>& upper_bounds = default_latency_buckets_us());
 
-  Snapshot snapshot() const;
+  Snapshot snapshot(SnapshotScope scope = SnapshotScope::kAll) const;
 
   /// "name=value\n" lines for every *deterministic* counter, sorted by name —
   /// the string the SURFOS_THREADS determinism tests compare bit-for-bit.

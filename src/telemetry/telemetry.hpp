@@ -14,7 +14,7 @@
 //                                                 // same-named histogram +
 //                                                 // flight-recorder event w/
 //                                                 // ambient trace/parent ids
-//   SURFOS_TRACE_INSTANT("hal.arq.send");         // point causal marker
+//   SURFOS_TRACE_INSTANT("hal.arq.retransmit");   // point causal marker
 #pragma once
 
 #include "telemetry/export.hpp"

@@ -166,6 +166,71 @@ TEST(Material, CoefficientMagnitudesMatchPowerResponse) {
   EXPECT_NEAR(std::norm(tau), r.transmission, 1e-9);
 }
 
+// --- slab closed forms --------------------------------------------------------
+//
+// slab_response is a single-pass slab: interface reflection, entry and exit
+// transmission (1 - Gamma^2), and the internal decay exp(-j kz d). It has no
+// multiple internal bounces, so there is no half-wave resonance to pin; the
+// pins below are the closed forms it does implement, at normal incidence
+// where TE and TM coincide (Gamma_TM = -Gamma_TE).
+
+/// Normal-incidence interface reflection (1 - sqrt(eps)) / (1 + sqrt(eps)).
+std::complex<double> normal_gamma(std::complex<double> eps) {
+  const std::complex<double> root = std::sqrt(eps);
+  return (1.0 - root) / (1.0 + root);
+}
+
+TEST(SlabClosedForm, NormalReflectionIsTheInterfaceFresnelAtEveryThickness) {
+  const MaterialDb db = MaterialDb::standard();
+  for (const int id : {kMatConcrete, kMatBrick, kMatGlass, kMatWood}) {
+    Material material = db.get(id);
+    const auto eps = material.permittivity(28e9);
+    const double expected =
+        std::norm(1.0 - std::sqrt(eps)) / std::norm(1.0 + std::sqrt(eps));
+    for (const double d : {0.001, 0.013, 0.05, 0.2, 0.5}) {
+      material.thickness_m = d;
+      EXPECT_NEAR(slab_response(material, 28e9, 0.0).reflection, expected,
+                  1e-12)
+          << material.name << " d=" << d;
+    }
+  }
+}
+
+TEST(SlabClosedForm, LosslessSlabTransmitsOneMinusGammaSquaredAtEveryThickness) {
+  Material glass{"lossless glass", 6.27, 0.0, 0.0, 0.0};
+  const auto gamma = normal_gamma(glass.permittivity(5e9));
+  ASSERT_DOUBLE_EQ(gamma.imag(), 0.0);
+  const double expected = std::norm(1.0 - gamma * gamma);
+  ASSERT_LT(expected, 1.0);
+  for (const double d : {0.0, 0.004, 0.01, 0.03, 0.1, 1.0}) {
+    glass.thickness_m = d;
+    const SlabResponse r = slab_response(glass, 5e9, 0.0);
+    EXPECT_NEAR(r.transmission, expected, 1e-12) << "d=" << d;
+    // Nothing is absorbed: only the two interfaces' reflections are lost.
+    EXPECT_LE(r.reflection + r.transmission, 1.0 + 1e-12);
+  }
+}
+
+TEST(SlabClosedForm, LossySlabTransmissionFallsLinearlyInDbWithThickness) {
+  Material concrete = MaterialDb::standard().get(kMatConcrete);
+  const double f = 28e9;
+  const auto eps = concrete.permittivity(f);
+  const auto gamma = normal_gamma(eps);
+  const double k0 = 2.0 * M_PI * f / kSpeedOfLight;
+  const double im_kz = (k0 * std::sqrt(eps)).imag();
+  ASSERT_LT(im_kz, 0.0);  // decays into the slab
+  // The dB slope per metre of thickness: 10 log10(exp(2 Im(kz))).
+  const double db_per_m = 10.0 * std::log10(std::exp(1.0)) * 2.0 * im_kz;
+  const double t0 = std::norm(1.0 - gamma * gamma);
+  for (const double d : {0.0, 0.01, 0.05, 0.1, 0.2}) {
+    concrete.thickness_m = d;
+    const double t = slab_response(concrete, f, 0.0).transmission;
+    EXPECT_NEAR(t, t0 * std::exp(2.0 * im_kz * d), 1e-12 * t0) << "d=" << d;
+    EXPECT_NEAR(util::to_db(t), util::to_db(t0) + db_per_m * d, 1e-9)
+        << "d=" << d;
+  }
+}
+
 TEST(MaterialDb, UnknownIdThrows) {
   const MaterialDb db = MaterialDb::standard();
   EXPECT_THROW(db.get(-1), std::out_of_range);

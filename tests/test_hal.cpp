@@ -249,9 +249,9 @@ TEST(ProgrammableDriver, AppliesGranularityProjection) {
 TEST(ProgrammableDriver, CorruptedFrameIsRejectedNotApplied) {
   SimClock clock;
   const auto panel = test_panel();
-  LinkOptions lossy;
-  lossy.corrupt_probability = 1.0;
-  lossy.seed = 3;
+  ReliableOptions lossy;
+  lossy.forward.corrupt_probability = 1.0;
+  lossy.forward.seed = 3;
   ProgrammableSurfaceDriver driver("s0", &panel, test_spec(10), &clock, lossy);
   surface::SurfaceConfig config(panel.element_count());
   config.set_phase(0, 1.0);

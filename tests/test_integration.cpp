@@ -176,8 +176,8 @@ TEST(Integration, LossyControlLinkDegradesGracefully) {
       surface::OperationMode::kReflective,
       surface::Reconfigurability::kProgrammable,
       surface::ControlGranularity::kElement);
-  hal::LinkOptions broken;
-  broken.corrupt_probability = 1.0;
+  hal::ReliableOptions broken;
+  broken.forward.corrupt_probability = 1.0;
   registry.add_surface(std::make_unique<hal::ProgrammableSurfaceDriver>(
       "wall", &panel, hal::spec_for_panel(panel, scene.band), &clock, broken));
   registry.add_endpoint({"laptop", hal::EndpointKind::kClient,

@@ -12,7 +12,7 @@
 
 #include "daemon/daemon.hpp"
 #include "daemon/messages.hpp"
-#include "hal/reliable.hpp"
+#include "hal/driver.hpp"
 #include "opt/optimizer.hpp"
 #include "orch/objectives.hpp"
 #include "orch/orchestrator.hpp"
@@ -608,12 +608,10 @@ struct OrchestratorFixture {
   surface::SurfacePanel panel;
   std::unique_ptr<Orchestrator> orchestrator;
 
-  /// `arq` puts the wall behind a ReliableSurfaceDriver with those options
-  /// instead of the default programmable driver.
+  /// `link` sets the wall's control path (loss-free by default).
   explicit OrchestratorFixture(
       SchedulePolicy policy = SchedulePolicy::kPriorityJoint,
-      OrchestratorOptions options = {},
-      const hal::ReliableOptions* arq = nullptr)
+      OrchestratorOptions options = {}, hal::ReliableOptions link = {})
       : panel([&] {
           surface::ElementDesign d;
           d.spacing_m = em::wavelength(em::band_center(scene.band)) / 2.0;
@@ -625,13 +623,8 @@ struct OrchestratorFixture {
               surface::ControlGranularity::kElement);
         }()) {
     hal::HardwareSpec spec = hal::spec_for_panel(panel, scene.band);
-    if (arq != nullptr) {
-      registry.add_surface(std::make_unique<hal::ReliableSurfaceDriver>(
-          "wall", &panel, spec, &clock, *arq));
-    } else {
-      registry.add_surface(std::make_unique<hal::ProgrammableSurfaceDriver>(
-          "wall", &panel, spec, &clock));
-    }
+    registry.add_surface(std::make_unique<hal::ProgrammableSurfaceDriver>(
+        "wall", &panel, spec, &clock, link));
     registry.add_endpoint({"laptop", hal::EndpointKind::kClient,
                            {1.2, 2.4, 1.0}, scene.band, std::nullopt});
     OrchestratorContext context;
@@ -1122,9 +1115,9 @@ TEST_F(PlanMeasureTest, ArqDelayedCompletionTriggersRemeasure) {
   hal::ReliableOptions arq;
   arq.forward.loss_probability = 0.5;
   arq.forward.seed = 9;
-  OrchestratorFixture fx(SchedulePolicy::kPriorityJoint, {}, &arq);
+  OrchestratorFixture fx(SchedulePolicy::kPriorityJoint, {}, arq);
   fx.orchestrator->enhance_link({"laptop", 15.0, 50.0});
-  const auto& driver = static_cast<const hal::ReliableSurfaceDriver&>(
+  const auto& driver = static_cast<const hal::ProgrammableSurfaceDriver&>(
       *fx.registry.find_surface("wall"));
   const StepReport lost = fx.orchestrator->step();
   ASSERT_EQ(driver.link().delivered_count(), 0u) << "first write not lost";
@@ -1156,9 +1149,9 @@ TEST_F(PlanMeasureTest, LostWriteLandsThroughStepsAlone) {
   hal::ReliableOptions arq;
   arq.forward.loss_probability = 0.5;
   arq.forward.seed = 9;
-  OrchestratorFixture fx(SchedulePolicy::kPriorityJoint, {}, &arq);
+  OrchestratorFixture fx(SchedulePolicy::kPriorityJoint, {}, arq);
   fx.orchestrator->enhance_link({"laptop", 15.0, 50.0});
-  const auto& driver = static_cast<const hal::ReliableSurfaceDriver&>(
+  const auto& driver = static_cast<const hal::ProgrammableSurfaceDriver&>(
       *fx.registry.find_surface("wall"));
   const StepReport lost = fx.orchestrator->step();
   ASSERT_EQ(driver.link().delivered_count(), 0u) << "first write not lost";

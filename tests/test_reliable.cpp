@@ -1,9 +1,12 @@
 // Reliable control-channel tests: in-order exactly-once delivery over
 // perfect, lossy, corrupting, and reordering-free links; retransmission
-// behaviour; and the drop-in reliable driver against a hostile link.
+// behaviour; fire-and-forget (no retransmissions); and the programmable
+// driver's writes, selects and sparse patches against a hostile link.
 #include <gtest/gtest.h>
 
-#include "hal/reliable.hpp"
+#include "hal/batch.hpp"
+#include "hal/driver.hpp"
+#include "hal/link.hpp"
 
 namespace surfos::hal {
 namespace {
@@ -124,7 +127,38 @@ TEST(ReliableLink, AbandonsAfterMaxRetries) {
   EXPECT_LE(link.retransmission_count(), 4u);
 }
 
-// --- ReliableSurfaceDriver ----------------------------------------------------
+TEST(ReliableLink, FireAndForgetSkipsLostFrames) {
+  // max_retransmissions = 0: nothing is resent, so a lost frame leaves a gap
+  // that is never filled, and the receiver delivers what arrives after it.
+  SimClock clock;
+  ReliableOptions options;
+  options.forward.latency_us = 100;
+  options.forward.loss_probability = 0.5;
+  options.forward.seed = 9;  // drops the first frame
+  options.max_retransmissions = 0;
+  ReliableLink link(&clock, options);
+  Collector collector;
+  link.set_receiver(collector.fn());
+  for (std::uint16_t i = 0; i < 20; ++i) link.send(make_frame(i, 0));
+  clock.advance(101);
+  link.poll();
+  ASSERT_FALSE(collector.slots.empty());
+  EXPECT_NE(collector.slots.front(), 0) << "first frame not lost";
+  EXPECT_LT(collector.slots.size(), 20u);
+  for (std::size_t i = 1; i < collector.slots.size(); ++i) {
+    EXPECT_LT(collector.slots[i - 1], collector.slots[i]);
+  }
+  // Nothing is retransmitted, and nothing is left waiting.
+  for (int tick = 0; tick < 10; ++tick) {
+    clock.advance(options.rto_us);
+    link.poll();
+  }
+  EXPECT_EQ(link.retransmission_count(), 0u);
+  EXPECT_EQ(link.unacked_count(), 0u);
+  EXPECT_EQ(link.delivered_count(), collector.slots.size());
+}
+
+// --- ProgrammableSurfaceDriver over a lossy link ------------------------------
 
 surface::SurfacePanel reliable_test_panel() {
   surface::ElementDesign d;
@@ -145,7 +179,7 @@ TEST(ReliableDriver, ConfigSurvivesLossyControlPath) {
   options.forward.loss_probability = 0.6;
   options.forward.seed = 21;
   options.rto_us = 600;
-  ReliableSurfaceDriver driver("s0", &panel, spec, &clock, options);
+  ProgrammableSurfaceDriver driver("s0", &panel, spec, &clock, options);
 
   surface::SurfaceConfig config(panel.element_count());
   config.set_phase(3, 1.5);
@@ -173,7 +207,7 @@ TEST(ReliableDriver, WriteThenSelectStayOrdered) {
   options.forward.loss_probability = 0.5;
   options.forward.seed = 33;
   options.rto_us = 400;
-  ReliableSurfaceDriver driver("s0", &panel, spec, &clock, options);
+  ProgrammableSurfaceDriver driver("s0", &panel, spec, &clock, options);
 
   surface::SurfaceConfig config(panel.element_count());
   config.set_phase(0, 2.0);
@@ -198,12 +232,98 @@ TEST(ReliableDriver, RejectsBadSlotAndConfigLocally) {
   const auto panel = reliable_test_panel();
   HardwareSpec spec;
   spec.config_slots = 2;
-  ReliableSurfaceDriver driver("s0", &panel, spec, &clock);
+  ProgrammableSurfaceDriver driver("s0", &panel, spec, &clock);
   EXPECT_EQ(driver.write_config(9, surface::SurfaceConfig(16)),
             DriverStatus::kBadSlot);
   EXPECT_EQ(driver.write_config(0, surface::SurfaceConfig(2)),
             DriverStatus::kBadConfig);
   EXPECT_EQ(driver.select_config(9), DriverStatus::kBadSlot);
+}
+
+TEST(ReliableDriver, ElementPatchSurvivesLossyControlPath) {
+  // The sparse write_elements path rides the same ARQ: a patch whose first
+  // send is lost lands by retransmission, exactly as on a clean link.
+  SimClock clock;
+  const auto panel = reliable_test_panel();
+  HardwareSpec spec;
+  spec.control_delay_us = 200;
+  spec.config_slots = 2;
+  ReliableOptions options;
+  options.forward.loss_probability = 0.5;
+  options.forward.seed = 9;  // drops the first frame
+  options.rto_us = 600;
+  ProgrammableSurfaceDriver driver("s0", &panel, spec, &clock, options);
+  ProgrammableSurfaceDriver clean("s1", &panel, spec, &clock);
+
+  const std::vector<ElementUpdate> patch = {{0, 1.0, 1.0}, {5, 2.5, 0.5}};
+  ASSERT_EQ(driver.write_elements(1, patch), DriverStatus::kOk);
+  ASSERT_EQ(clean.write_elements(1, patch), DriverStatus::kOk);
+  clock.advance(201);
+  driver.poll();
+  clean.poll();
+  ASSERT_EQ(driver.link().delivered_count(), 0u) << "first send not lost";
+  for (int tick = 0; tick < 100 && driver.link().unacked_count() > 0; ++tick) {
+    clock.advance(300);
+    driver.poll();
+  }
+  EXPECT_GT(driver.link().retransmission_count(), 0u);
+  EXPECT_EQ(driver.frames_applied(), 1u);
+
+  const surface::SurfaceConfig& stored = driver.stored_config(1);
+  const surface::SurfaceConfig& expected = clean.stored_config(1);
+  EXPECT_NEAR(stored.phase(0), 1.0, 1e-3);
+  EXPECT_NEAR(stored.phase(5), 2.5, 1e-3);
+  for (std::size_t i = 0; i < panel.element_count(); ++i) {
+    EXPECT_EQ(stored.phase(i), expected.phase(i)) << i;
+    EXPECT_EQ(stored.amplitude(i), expected.amplitude(i)) << i;
+  }
+}
+
+TEST(ReliableDriver, PatchBehindALostWriteFallsBackToAFullWrite) {
+  // The combiner diffs against the stored slot. While an earlier write to
+  // the slot is still being retransmitted, that slot is stale, so a sparse
+  // patch would land on the wrong base: the driver refuses it and the
+  // combiner sends the whole config, which lands after the lost write.
+  SimClock clock;
+  const auto panel = reliable_test_panel();
+  HardwareSpec spec;
+  spec.control_delay_us = 200;
+  spec.config_slots = 2;
+  ReliableOptions options;
+  options.forward.loss_probability = 0.5;
+  options.forward.seed = 9;  // drops the first frame
+  options.rto_us = 600;
+  ProgrammableSurfaceDriver driver("s0", &panel, spec, &clock, options);
+
+  surface::SurfaceConfig everywhere(panel.element_count());
+  for (std::size_t i = 0; i < everywhere.size(); ++i) {
+    everywhere.set_phase(i, 1.0);
+  }
+  surface::SurfaceConfig one_element(panel.element_count());
+  one_element.set_phase(0, 2.0);  // one element away from the stored slot
+
+  WriteCombiner combiner;
+  combiner.stage(driver, 1, everywhere, false);
+  ASSERT_EQ(combiner.flush().transactions, 1u);
+  clock.advance(201);
+  driver.poll();
+  ASSERT_EQ(driver.link().delivered_count(), 0u) << "first write not lost";
+  EXPECT_EQ(driver.write_elements(1, std::vector<ElementUpdate>{{0, 2.0, 1.0}}),
+            DriverStatus::kUnsupported);
+  combiner.stage(driver, 1, one_element, false);
+  ASSERT_EQ(combiner.flush().transactions, 1u);
+  for (int tick = 0; tick < 100 && driver.link().unacked_count() > 0; ++tick) {
+    clock.advance(300);
+    driver.poll();
+  }
+  ASSERT_EQ(driver.link().unacked_count(), 0u);
+  for (std::size_t i = 0; i < panel.element_count(); ++i) {
+    EXPECT_NEAR(driver.stored_config(1).phase(i), one_element.phase(i), 1e-3)
+        << i;
+  }
+  // Once everything sent has landed, patches ride the sparse frame again.
+  EXPECT_EQ(driver.write_elements(1, std::vector<ElementUpdate>{{0, 2.0, 1.0}}),
+            DriverStatus::kOk);
 }
 
 }  // namespace

@@ -166,7 +166,6 @@ TEST_F(ConfigTest, EntriesFollowRegistryOrder) {
       {core::Knob::kSubOutbox, "SURFOS_SUB_OUTBOX"},
       {core::Knob::kSloOverrunStreak, "SURFOS_SLO_OVERRUN_STREAK"},
       {core::Knob::kSloQueuePct, "SURFOS_SLO_QUEUE_PCT"},
-      {core::Knob::kSloRetryPct, "SURFOS_SLO_RETRY_PCT"},
       {core::Knob::kSloShed, "SURFOS_SLO_SHED"},
       {core::Knob::kPrecomputeCache, "SURFOS_PRECOMPUTE_CACHE"},
       {core::Knob::kTrace, "SURFOS_TRACE"},

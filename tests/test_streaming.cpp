@@ -382,6 +382,101 @@ TEST_F(StreamingTest, StalledSocketSubscriberDropsWithoutKillingConnection) {
   ::close(sv[1]);
 }
 
+TEST_F(StreamingTest, DropSkipsRepliesAndAPartlyWrittenFrontEvent) {
+  core::install_config(core::Config());
+  ASSERT_TRUE(core::set_config_knob("SURFOS_SUB_OUTBOX", 2).ok());
+
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ASSERT_EQ(::fcntl(sv[0], F_SETFL, O_NONBLOCK), 0);
+  ASSERT_EQ(::fcntl(sv[1], F_SETFL, O_NONBLOCK), 0);
+  const int sndbuf = 4096;
+  ::setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof sndbuf);
+  std::vector<std::uint8_t> received;
+  const auto drain_peer = [&] {
+    std::uint8_t sink[65536];
+    ssize_t n = 0;
+    while ((n = ::read(sv[1], sink, sizeof sink)) > 0) {
+      received.insert(received.end(), sink, sink + n);
+    }
+  };
+
+  SubscriptionRegistry registry;
+  registry.add_connection(sv[0]);
+  SubscriptionSpec spec;
+  spec.topic = SubTopic::kMetrics;
+  ASSERT_TRUE(registry.subscribe(sv[0], spec).ok());
+
+  // Epoch 1's baseline is far larger than the socket buffer: one flush
+  // leaves it partly written at the head of the outbox.
+  std::vector<std::pair<std::string, std::uint64_t>> many;
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    many.emplace_back("big.counter." + std::to_string(i), i);
+  }
+  publish_epoch(registry, 1, make_snapshot(many));
+  ASSERT_TRUE(registry.flush_to_fd(sv[0]));
+  drain_peer();
+  ASSERT_FALSE(received.empty());
+  ASSERT_TRUE(registry.has_output(sv[0])) << "epoch 1 went out whole";
+
+  // Replies sit between the events. The partly written event counts
+  // against the bound but cannot be torn, and replies are never dropped,
+  // so epochs 3 and 4 each drop the event queued just before them.
+  const auto reply = [](std::uint64_t trace_id) {
+    proto::WireFrame frame;
+    frame.type = proto::MsgType::kOk;
+    frame.trace_id = trace_id;
+    return proto::encode_frame(frame).value();
+  };
+  registry.enqueue_reply(sv[0], reply(101));
+  publish_epoch(registry, 2, make_snapshot({{"a.ticks", 2}}));
+  registry.enqueue_reply(sv[0], reply(102));
+  publish_epoch(registry, 3, make_snapshot({{"a.ticks", 3}}));
+  publish_epoch(registry, 4, make_snapshot({{"a.ticks", 4}}));
+  EXPECT_EQ(registry.stats().dropped, 2u);
+
+  for (int i = 0; i < 1000 && registry.has_output(sv[0]); ++i) {
+    ASSERT_TRUE(registry.flush_to_fd(sv[0]));
+    drain_peer();
+  }
+  ASSERT_FALSE(registry.has_output(sv[0]));
+
+  // The writer popped every sent event from the count: two more epochs
+  // fit the bound without a drop.
+  publish_epoch(registry, 5, make_snapshot({{"a.ticks", 5}}));
+  publish_epoch(registry, 6, make_snapshot({{"a.ticks", 6}}));
+  EXPECT_EQ(registry.stats().dropped, 2u);
+  const auto queued = parse_frames(registry.take_output(sv[0]));
+  ASSERT_EQ(queued.size(), 2u);
+  EXPECT_EQ(queued[0].epoch, 5u);
+  EXPECT_EQ(queued[1].epoch, 6u);
+
+  // On the wire: the whole epoch-1 event, both replies in order, epoch 4.
+  std::vector<proto::WireFrame> frames;
+  std::span<const std::uint8_t> rest(received);
+  while (!rest.empty()) {
+    const proto::FrameDecode decode = proto::try_decode_frame(rest);
+    ASSERT_TRUE(decode.frame.has_value());
+    frames.push_back(*decode.frame);
+    rest = rest.subspan(decode.consumed);
+  }
+  ASSERT_EQ(frames.size(), 4u);
+  const Event first = parse_event(frames[0]);
+  EXPECT_EQ(first.epoch, 1u);
+  EXPECT_EQ(first.counters.size(), many.size());
+  EXPECT_EQ(frames[1].type, proto::MsgType::kOk);
+  EXPECT_EQ(frames[1].trace_id, 101u);
+  EXPECT_EQ(frames[2].type, proto::MsgType::kOk);
+  EXPECT_EQ(frames[2].trace_id, 102u);
+  const Event last = parse_event(frames[3]);
+  EXPECT_EQ(last.epoch, 4u);
+  EXPECT_TRUE(last.baseline);  // its predecessor was dropped
+
+  registry.drop_connection(sv[0]);
+  ::close(sv[0]);
+  ::close(sv[1]);
+}
+
 TEST_F(StreamingTest, SubscribeRequiresAStreamingConnection) {
   SubscriptionRegistry registry;
   SubscriptionSpec spec;
@@ -399,7 +494,7 @@ TEST_F(StreamingTest, SubscribeRequiresAStreamingConnection) {
 
 TEST_F(StreamingTest, WatchdogClassifiesAndRecovers) {
   SloWatchdog watchdog;
-  SloThresholds thresholds;  // defaults: streak 3, queue 80%, retry 30%, shed 1
+  SloThresholds thresholds;  // defaults: streak 3, queue 80%, shed 1
 
   SloInputs calm;
   calm.queue_depth = 1;
@@ -435,18 +530,6 @@ TEST_F(StreamingTest, WatchdogClassifiesAndRecovers) {
   EXPECT_EQ(watchdog.evaluate("s1", shed, thresholds).state,
             SloState::kHealthy);
 
-  // ARQ retry rate: 50% of this epoch's sends retried >= 30% threshold.
-  SloInputs retries = calm;
-  retries.arq_send_total = 100;
-  retries.arq_retry_total = 2;
-  EXPECT_EQ(watchdog.evaluate("s2", retries, thresholds).state,
-            SloState::kHealthy);
-  retries.arq_send_total = 200;
-  retries.arq_retry_total = 52;
-  const SiteHealth arq = watchdog.evaluate("s2", retries, thresholds);
-  EXPECT_EQ(arq.state, SloState::kDegraded);
-  EXPECT_NE(arq.reason.find("arq"), std::string::npos);
-
   // Epoch overruns only degrade as a STREAK (transient spikes are fine).
   SloInputs overrun = calm;
   overrun.epoch_overrun = true;
@@ -469,35 +552,6 @@ std::vector<std::uint8_t> submit_payload(const std::string& app_id) {
       app_id, {},
       broker::demand_profile(broker::AppClass::kFileTransfer, "ep_" + app_id),
       {}});
-}
-
-TEST_F(StreamingTest, ArqRetrySignalReachesTheWatchdogThroughRunEpoch) {
-  // The watchdog's ARQ signal is the per-epoch delta of the registry's
-  // hal.arq counters. A 100 s budget keeps overruns out of the verdicts.
-  DaemonOptions options = test_options(temp_path("arq"));
-  options.sites = 2;
-  options.epoch_ms = 100000;
-  Daemon daemon(options);
-  daemon.run_epoch();  // baseline: absorbs counts earlier tests left behind
-  auto& metrics = telemetry::MetricsRegistry::instance();
-  metrics.counter("hal.arq.sends").add(10);
-  metrics.counter("hal.arq.retransmissions").add(5);
-
-  daemon.run_epoch();
-  std::vector<SiteHealth> health = daemon.health();
-  ASSERT_EQ(health.size(), 2u);
-  for (const SiteHealth& site : health) {
-    EXPECT_EQ(site.state, SloState::kDegraded) << site.site_id;
-    EXPECT_EQ(site.reason, "arq retry 5/10 sends") << site.site_id;
-  }
-
-  // No new retries: every site recovers.
-  daemon.run_epoch();
-  health = daemon.health();
-  ASSERT_EQ(health.size(), 2u);
-  for (const SiteHealth& site : health) {
-    EXPECT_EQ(site.state, SloState::kHealthy) << site.site_id;
-  }
 }
 
 TEST_F(StreamingTest, SocketSubscriberReceivesEventsAtTheRequestedInterval) {
