@@ -191,7 +191,8 @@ BENCHMARK(BM_OcclusionQuery);
 void BM_BeamscanSpectrum(benchmark::State& state) {
   const MicroScene scene(static_cast<std::size_t>(state.range(0)));
   const sense::AoaSensingModel model(scene.panel.get(), kFreq, 121);
-  const em::CVec v(scene.panel->element_count(), em::Cx{1.0, 0.0});
+  em::CxPlanes v(scene.panel->element_count());
+  for (std::size_t i = 0; i < v.size(); ++i) v.set(i, {1.0, 0.0});
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.spectrum(v));
   }

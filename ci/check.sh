@@ -7,22 +7,28 @@
 #      and DESIGN.md's knob tables, and every SURFOS_* row there is a
 #      registry knob or SURFOS_SIMD. wire: tools/ names no TlvReader and no
 #      tlv_* parser, so the CLI tools decode surfosd's payloads only through
-#      the message codecs (src/daemon/messages.hpp). planes: the channel
-#      boundary headers (src/sim/channel.hpp, src/orch/perf.hpp,
-#      src/orch/variables.hpp, src/surface/panel.hpp) name no CVec or CMat,
-#      so coefficients and channel vectors cross it only as em::CxPlanes.
+#      the message codecs (src/daemon/messages.hpp). planes: no file under
+#      src/ names CVec or CMat, so every complex vector and matrix, at the
+#      channel boundary and in the sensing services alike, is an
+#      em::CxPlanes / em::CxPlaneMat (em/cx.hpp holds only Cx and expj).
 #      telemetry: src/, tools/, bench/, tests/ and examples/ name no
 #      telemetry::enabled(, set_enabled(, SURFOS_SPAN( or telemetry::Span,
 #      so the metrics registry stays always on and TraceSpan stays the one
 #      span type. deleted: src/, tools/, bench/, tests/ and examples/ name no
 #      Timeseries, timeseries.hpp, delta_since, MetricsDelta, CsvWriter,
 #      precompute_stats, ReliableSurfaceDriver, hal/reliable.hpp,
-#      SURFOS_SLO_RETRY_PCT, kSloRetryPct or arq_retry_total, so a metrics
-#      subscription's delta anchor stays the snapshot it was last sent (no
-#      epoch ring), the deleted CSV writer and fleet precompute shim stay
-#      gone, ProgrammableSurfaceDriver over ReliableLink stays the one
-#      programmable driver, and the watchdog has no ARQ-retry signal
+#      SURFOS_SLO_RETRY_PCT, kSloRetryPct, arq_retry_total, CVec, CMat or
+#      to_cvec, so a metrics subscription's delta anchor stays the snapshot
+#      it was last sent (no epoch ring), the deleted CSV writer and fleet
+#      precompute shim stay gone, ProgrammableSurfaceDriver over
+#      ReliableLink stays the one programmable driver, the watchdog has no
+#      ARQ-retry signal, and planes are the one complex currency with no
+#      conversion pair
 #   1. tier-1: configure + build + full ctest in ./build
+#   1b. figures: the stdout of bench_fig2_conflict, bench_fig5_multitask,
+#      bench_abl_dynamics and examples/sensing_suite hashes to the SHA-256
+#      recorded in tests/golden/figures.sha256, so a change that moves a
+#      paper figure's numbers by one bit fails here
 #   2. focused re-runs of the observability suites (ctest -L telemetry,
 #      ctest -L trace), the fleet control-plane suite (ctest -L fleet), the
 #      precompute-store suite (ctest -L precompute), the
@@ -85,10 +91,10 @@ if grep -rnE 'TlvReader|tlv_[a-z0-9]+' tools; then
 fi
 
 echo
-echo "== planes: the channel boundary speaks only em::CxPlanes"
-if grep -nwE 'CVec|CMat' src/sim/channel.hpp src/orch/perf.hpp \
-    src/orch/variables.hpp src/surface/panel.hpp; then
-  echo "a channel-boundary header names CVec/CMat; pass em::CxPlanes"
+echo "== planes: src/ speaks only em::CxPlanes / em::CxPlaneMat"
+if grep -rnwE 'CVec|CMat' src; then
+  echo "src/ names CVec/CMat; complex vectors and matrices are em::CxPlanes"
+  echo "and em::CxPlaneMat (em/soa.hpp)"
   exit 1
 fi
 
@@ -101,13 +107,14 @@ if grep -rnE 'telemetry::enabled\(|set_enabled\(|SURFOS_SPAN\(|telemetry::Span\b
 fi
 
 echo
-echo "== deleted: no metrics ring, CSV writer, fleet precompute shim, second driver or ARQ SLO"
-if grep -rnE 'Timeseries|timeseries\.hpp|delta_since|MetricsDelta|CsvWriter|precompute_stats|ReliableSurfaceDriver|hal/reliable\.hpp|SURFOS_SLO_RETRY_PCT|kSloRetryPct|arq_retry_total' \
+echo "== deleted: no metrics ring, CSV writer, fleet precompute shim, second driver, ARQ SLO or second complex type"
+if grep -rnE 'Timeseries|timeseries\.hpp|delta_since|MetricsDelta|CsvWriter|precompute_stats|ReliableSurfaceDriver|hal/reliable\.hpp|SURFOS_SLO_RETRY_PCT|kSloRetryPct|arq_retry_total|\bCVec\b|\bCMat\b|to_cvec' \
     src tools bench tests examples; then
   echo "a deleted name is back: metrics subscriptions diff against their anchor"
   echo "snapshot, PrecomputeStore::instance().stats() is the store's stats,"
-  echo "ProgrammableSurfaceDriver is the one programmable driver, and the SLO"
-  echo "watchdog has no ARQ-retry signal"
+  echo "ProgrammableSurfaceDriver is the one programmable driver, the SLO"
+  echo "watchdog has no ARQ-retry signal, and em::CxPlanes / em::CxPlaneMat"
+  echo "are the one complex vector and matrix (no CVec, CMat or to_cvec)"
   exit 1
 fi
 
@@ -116,6 +123,20 @@ echo "== tier 1: build + full test suite (build/)"
 cmake -B build -S .
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
+
+echo
+echo "== figures: paper-figure stdout matches tests/golden/figures.sha256"
+# Each line of the golden file is "<sha256>  <binary under build/>". When a
+# change is meant to move a figure, regenerate the file from a clean build:
+#   (cd build && for b in bench/bench_fig2_conflict bench/bench_fig5_multitask \
+#       bench/bench_abl_dynamics examples/sensing_suite; do
+#     printf '%s  %s\n' "$(./"$b" | sha256sum | cut -d' ' -f1)" "$b"; done) \
+#     > tests/golden/figures.sha256
+while read -r WANT FIG_BIN; do
+  GOT="$(./build/"$FIG_BIN" < /dev/null | sha256sum | cut -d' ' -f1)"
+  [ "$GOT" = "$WANT" ] || {
+    echo "$FIG_BIN stdout changed: sha256 $GOT, golden $WANT"; exit 1; }
+done < tests/golden/figures.sha256
 
 echo
 echo "== focused: telemetry + trace + fleet + daemon + precompute + orch labels"

@@ -32,11 +32,11 @@ int main() {
   for (const geom::Vec3 client : {geom::Vec3{1.0, 1.0, 1.0},
                                   geom::Vec3{2.2, 2.6, 1.0},
                                   geom::Vec3{0.6, 2.8, 1.0}}) {
-    std::vector<em::CVec> taps;
+    std::vector<em::CxPlanes> taps;
     for (const double f : subcarriers) {
       const sim::SceneChannel channel(scene.environment.get(), f, scene.ap(),
                                       {&panel}, {client});
-      taps.push_back(channel.rx_planes(0, 0).to_cvec());
+      taps.push_back(channel.rx_planes(0, 0));
     }
     const sense::RangeBearing estimate =
         sense::range_and_bearing(panel, subcarriers, taps);
@@ -78,9 +78,9 @@ int main() {
                                     scene.ap(), {&panel}, probes);
     const auto coeffs = channel.coefficients_for(
         std::vector<surface::SurfaceConfig>{uniform});
-    em::CVec snapshot(probes.size());
+    em::CxPlanes snapshot(probes.size());
     for (std::size_t j = 0; j < probes.size(); ++j) {
-      snapshot[j] = channel.evaluate(j, coeffs);
+      snapshot.set(j, channel.evaluate(j, coeffs));
     }
     const bool motion = detector.update(snapshot);
     std::printf("  t=%4.1f s  person at y=%+.1f  decorrelation %.5f  %s\n",

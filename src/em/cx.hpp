@@ -1,110 +1,20 @@
-// Complex scalar/vector/matrix primitives for channel math.
+// The complex scalar of the channel math.
 //
-// Channels, surface coefficient vectors, and cascade matrices are all dense
-// complex arrays; a small purpose-built matrix type keeps the hot loops
-// simple and dependency-free. Matrices are row-major.
+// Cx is one complex sample (a channel tap, a coefficient, a steering
+// element). Complex vectors and matrices are em::CxPlanes / em::CxPlaneMat
+// (em/soa.hpp): every layer, the channel boundary and the sensing services
+// alike, stores them as aligned re/im planes.
 #pragma once
 
+#include <cmath>
 #include <complex>
-#include <cstddef>
-#include <stdexcept>
-#include <vector>
 
 namespace surfos::em {
 
 using Cx = std::complex<double>;
-using CVec = std::vector<Cx>;
 
 inline Cx expj(double phase) noexcept {
   return {std::cos(phase), std::sin(phase)};
 }
-
-/// |v|^2 summed over a complex vector.
-inline double power(const CVec& v) noexcept {
-  double sum = 0.0;
-  for (const Cx& c : v) sum += std::norm(c);
-  return sum;
-}
-
-/// Inner product a^H b (conjugate-linear in the first argument).
-inline Cx inner(const CVec& a, const CVec& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("inner: size mismatch");
-  Cx sum{0.0, 0.0};
-  for (std::size_t i = 0; i < a.size(); ++i) sum += std::conj(a[i]) * b[i];
-  return sum;
-}
-
-/// Plain dot product sum_i a_i * b_i (no conjugation) — used when composing
-/// propagation vectors with surface coefficients.
-inline Cx dot(const CVec& a, const CVec& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("dot: size mismatch");
-  Cx sum{0.0, 0.0};
-  for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-/// Dense row-major complex matrix.
-class CMat {
- public:
-  CMat() = default;
-  CMat(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), data_(rows * cols) {}
-
-  std::size_t rows() const noexcept { return rows_; }
-  std::size_t cols() const noexcept { return cols_; }
-  bool empty() const noexcept { return data_.empty(); }
-
-  Cx& operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
-  const Cx& operator()(std::size_t r, std::size_t c) const {
-    return data_[r * cols_ + c];
-  }
-
-  const CVec& data() const noexcept { return data_; }
-  CVec& data() noexcept { return data_; }
-
-  /// y = M x.
-  CVec mul(const CVec& x) const {
-    if (x.size() != cols_) throw std::invalid_argument("CMat::mul: size");
-    CVec y(rows_, Cx{});
-    for (std::size_t r = 0; r < rows_; ++r) {
-      Cx sum{};
-      const Cx* row = &data_[r * cols_];
-      for (std::size_t c = 0; c < cols_; ++c) sum += row[c] * x[c];
-      y[r] = sum;
-    }
-    return y;
-  }
-
-  /// y = M^T x (no conjugation).
-  CVec mul_transpose(const CVec& x) const {
-    if (x.size() != rows_) throw std::invalid_argument("CMat::mul_transpose: size");
-    CVec y(cols_, Cx{});
-    for (std::size_t r = 0; r < rows_; ++r) {
-      const Cx* row = &data_[r * cols_];
-      for (std::size_t c = 0; c < cols_; ++c) y[c] += row[c] * x[r];
-    }
-    return y;
-  }
-
-  /// Element-wise scale of a column vector then multiply: y = M diag(d) x.
-  CVec mul_diag(const CVec& d, const CVec& x) const {
-    if (d.size() != cols_ || x.size() != cols_) {
-      throw std::invalid_argument("CMat::mul_diag: size");
-    }
-    CVec y(rows_, Cx{});
-    for (std::size_t r = 0; r < rows_; ++r) {
-      Cx sum{};
-      const Cx* row = &data_[r * cols_];
-      for (std::size_t c = 0; c < cols_; ++c) sum += row[c] * d[c] * x[c];
-      y[r] = sum;
-    }
-    return y;
-  }
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  CVec data_;
-};
 
 }  // namespace surfos::em

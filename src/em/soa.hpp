@@ -1,4 +1,7 @@
-// Structure-of-arrays complex storage for the vectorized channel math.
+// Structure-of-arrays complex storage: the one complex vector (CxPlanes)
+// and matrix (CxPlaneMat) type of the code base. Channel vectors, surface
+// coefficients, cascades, steering matrices, covariances and sensing
+// snapshots are all planes.
 //
 // CxPlanes holds one complex vector as two 64-byte-aligned double planes
 // (re, im), zero-padded up to a multiple of the SIMD virtual lane width so
@@ -55,16 +58,6 @@ class CxPlanes {
   void set(std::size_t i, Cx v) noexcept {
     re_[i] = v.real();
     im_[i] = v.imag();
-  }
-
-  void assign(const CVec& v) {
-    resize(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) set(i, v[i]);
-  }
-  CVec to_cvec() const {
-    CVec out(n_);
-    for (std::size_t i = 0; i < n_; ++i) out[i] = at(i);
-    return out;
   }
 
  private:

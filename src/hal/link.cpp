@@ -1,5 +1,6 @@
 #include "hal/link.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
@@ -56,6 +57,13 @@ ReliableLink::ReliableLink(const SimClock* clock, ReliableOptions options)
         return reverse;
       }()) {
   if (clock_ == nullptr) throw std::invalid_argument("ReliableLink: null clock");
+  // The sender's last copy of a frame leaves within max_retransmissions
+  // periods; at least one more period, and enough of them to cover the
+  // forward latency, lets that copy arrive.
+  const Micros rto = std::max<Micros>(options_.rto_us, 1);
+  const Micros crossing =
+      std::max<Micros>((options_.forward.latency_us + rto - 1) / rto, 1);
+  dead_gap_periods_ = options_.max_retransmissions + crossing;
 }
 
 void ReliableLink::send(Frame frame) {
@@ -74,6 +82,37 @@ void ReliableLink::deliver(const Frame& frame) {
   expected_seq_ = frame.sequence + 1;
 }
 
+void ReliableLink::deliver_buffered() {
+  while (!reorder_.empty() && reorder_.begin()->first == expected_seq_) {
+    deliver(reorder_.begin()->second);
+    reorder_.erase(reorder_.begin());
+  }
+}
+
+// A buffered frame proves that every frame of the gap in front of it was
+// first sent no later than the poll that opened the gap. The sender re-arms
+// a frame's timer at the first poll at least rto_us after its last copy and
+// gives up after max_retransmissions copies; the receiver runs the same rule
+// from a later start, so its periods never run ahead of the sender's. Once
+// max_retransmissions periods have passed, no copy is left to send, and the
+// further periods cover the forward latency: on a FIFO link with a fixed
+// latency every copy has then been drained, so the gap can never be filled.
+bool ReliableLink::skip_dead_gap(bool same_gap) {
+  const Micros now = clock_->now();
+  if (!same_gap) {
+    gap_periods_ = 0;
+    gap_period_start_ = now;
+    return false;
+  }
+  if (now - gap_period_start_ < options_.rto_us) return false;
+  gap_period_start_ = now;
+  if (++gap_periods_ < dead_gap_periods_) return false;
+  expected_seq_ = reorder_.begin()->first;
+  deliver_buffered();
+  gap_periods_ = 0;  // a later gap, if any, starts its own count now
+  return true;
+}
+
 void ReliableLink::emit_ack() {
   Frame ack;
   ack.type = MessageType::kAck;
@@ -84,6 +123,8 @@ void ReliableLink::emit_ack() {
 void ReliableLink::poll() {
   // Receiver side: drain arrived data frames. The next expected frame is
   // delivered straight from its datagram; only an early one is buffered.
+  const std::uint32_t expected_before = expected_seq_;
+  const bool gap_before = !reorder_.empty();
   bool received_any = false;
   for (const auto& datagram : forward_.receive_ready()) {
     DecodeResult decoded = decode_frame(datagram);
@@ -103,12 +144,13 @@ void ReliableLink::poll() {
       continue;
     }
     deliver(frame);
-    while (!reorder_.empty() && reorder_.begin()->first == expected_seq_) {
-      deliver(reorder_.begin()->second);
-      reorder_.erase(reorder_.begin());
-    }
+    deliver_buffered();
   }
-  if (received_any) emit_ack();
+  bool skipped = false;
+  if (!reorder_.empty()) {
+    skipped = skip_dead_gap(gap_before && expected_seq_ == expected_before);
+  }
+  if (received_any || skipped) emit_ack();
 
   // Sender side: process acknowledgements.
   for (const auto& datagram : reverse_.receive_ready()) {

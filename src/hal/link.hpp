@@ -70,7 +70,9 @@ struct ReliableOptions {
   Micros rto_us = 2000;  ///< Retransmission timeout.
   /// Per frame, before giving up. 0 is fire-and-forget: each frame is sent
   /// once, and since a gap is then never filled, the receiver skips it and
-  /// delivers whatever arrives next.
+  /// delivers whatever arrives next. Above 0 the receiver buffers frames
+  /// behind a gap and skips the gap once the sender's retransmissions of it
+  /// must all have arrived (see ReliableLink::skip_dead_gap).
   std::size_t max_retransmissions = 16;
 };
 
@@ -101,8 +103,8 @@ class ReliableLink {
   std::size_t duplicate_count() const noexcept { return duplicates_; }
   std::size_t abandoned_count() const noexcept { return abandoned_; }
   std::size_t unacked_count() const noexcept { return in_flight_.size(); }
-  /// True when every frame sent so far has reached the receiver (or lies
-  /// behind a fire-and-forget gap that will never be filled).
+  /// True when every frame sent so far has reached the receiver or lies in
+  /// a gap the receiver skipped because it can never be filled.
   bool all_delivered() const noexcept { return expected_seq_ == next_seq_; }
 
  private:
@@ -113,6 +115,8 @@ class ReliableLink {
   };
 
   void deliver(const Frame& frame);
+  void deliver_buffered();
+  bool skip_dead_gap(bool same_gap);
   void emit_ack();
 
   const SimClock* clock_;
@@ -126,6 +130,13 @@ class ReliableLink {
 
   std::uint32_t expected_seq_ = 1;            ///< Receiver side.
   std::map<std::uint32_t, Frame> reorder_;    ///< Early (out-of-order) frames.
+  /// The receiver's copy of the sender's retransmission timer for the gap
+  /// in front of reorder_: RTO periods elapsed since the gap opened, counted
+  /// at polls the way the sender counts them, and the last period's start.
+  std::size_t gap_periods_ = 0;
+  Micros gap_period_start_ = 0;
+  /// Periods after which every copy of a missing frame has arrived.
+  std::size_t dead_gap_periods_ = 0;
 
   std::size_t delivered_ = 0;
   std::size_t rejected_ = 0;

@@ -68,28 +68,16 @@ struct JointObjective::Term {
   std::size_t panel = 0;  ///< Localization: sensing panel index.
   std::unique_ptr<sense::AoaSensingModel> model;
   std::vector<std::vector<double>> targets;  ///< Per probe location.
-  /// Sensing-panel -> probe-RX vectors, materialized once from the
-  /// channel's SoA planes.
-  std::vector<em::CVec> g;
 };
 
 struct JointObjective::Scratch {
   std::vector<em::CxPlanes> planes;  ///< Coefficients at the current x.
-  em::CVec sensing;                  ///< A localization term's panel row.
   std::vector<double> slots;         ///< Per-RX powers or losses.
   std::vector<em::Cx> h;             ///< Per-RX channel, one block.
   std::vector<std::vector<em::CxPlanes>> dh;    ///< Per-RX dh/dc, one block.
   std::vector<std::vector<double>> grad_slots;  ///< Per-RX phase gradients.
   std::vector<std::vector<double>> elem_grads;  ///< Per-panel element grads.
   std::vector<double> partial;                  ///< One term's x-gradient.
-
-  /// The sensing panel's coefficients as a CVec (exact copy of the planes).
-  const em::CVec& sensing_row(std::size_t panel) {
-    const em::CxPlanes& c = planes[panel];
-    sensing.resize(c.size());
-    for (std::size_t e = 0; e < c.size(); ++e) sensing[e] = c.at(e);
-    return sensing;
-  }
 };
 
 class JointObjective::Lease {
@@ -173,7 +161,6 @@ void JointObjective::add_localization(std::size_t sensing_panel,
   for (const std::size_t j : term.rx) {
     const double truth = sense::true_azimuth(panel, channel_->rx_point(j));
     term.targets.push_back(term.model->target_distribution(truth));
-    term.g.push_back(channel_->rx_planes(sensing_panel, j).to_cvec());
   }
 }
 
@@ -210,9 +197,10 @@ double JointObjective::term_value(const Term& term, Scratch& s) const {
   const std::size_t m = term.rx.size();
   s.slots.resize(m);
   if (term.kind == TermKind::kLocalization) {
-    const em::CVec& c = s.sensing_row(term.panel);
+    const em::CxPlanes& c = s.planes[term.panel];
     util::parallel_for(0, m, [&](std::size_t k) {
-      s.slots[k] = term.model->loss(c, term.g[k], term.targets[k]);
+      s.slots[k] = term.model->loss(
+          c, channel_->rx_planes(term.panel, term.rx[k]), term.targets[k]);
     });
     double sum = 0.0;
     for (const double loss : s.slots) sum += loss;
@@ -243,7 +231,7 @@ double JointObjective::term_value_and_gradient(const Term& term,
   double sum = 0.0;
 
   if (term.kind == TermKind::kLocalization) {
-    const em::CVec& c = s.sensing_row(term.panel);
+    const em::CxPlanes& c = s.planes[term.panel];
     std::vector<double>& elem_grad = s.elem_grads[term.panel];
     s.slots.resize(block);
     if (s.grad_slots.size() < block) s.grad_slots.resize(block);
@@ -251,8 +239,9 @@ double JointObjective::term_value_and_gradient(const Term& term,
     for (std::size_t start = 0; start < m; start += block) {
       const std::size_t count = std::min(block, m - start);
       util::parallel_for(0, count, [&](std::size_t t) {
-        s.slots[t] = term.model->loss(c, term.g[start + t],
-                                      term.targets[start + t], s.grad_slots[t]);
+        s.slots[t] = term.model->loss(
+            c, channel_->rx_planes(term.panel, term.rx[start + t]),
+            term.targets[start + t], s.grad_slots[t]);
       });
       for (std::size_t t = 0; t < count; ++t) {
         sum += s.slots[t];

@@ -55,10 +55,10 @@ SensingMetrics sensing_metrics(const sim::SceneChannel& channel,
   SensingMetrics metrics;
   metrics.errors_m.reserve(rx_indices.size());
   const em::CxPlanes& c = coefficients[sensing_panel];
-  em::CVec v(panel.element_count());
+  em::CxPlanes v(panel.element_count());
   for (std::size_t j : rx_indices) {
     const em::CxPlanes& g = channel.rx_planes(sensing_panel, j);
-    for (std::size_t e = 0; e < v.size(); ++e) v[e] = c.at(e) * g.at(e);
+    for (std::size_t e = 0; e < v.size(); ++e) v.set(e, c.at(e) * g.at(e));
     const double azimuth = model.estimate_azimuth(v);
     metrics.errors_m.push_back(
         sense::localization_error(panel, channel.rx_point(j), azimuth));

@@ -12,8 +12,8 @@ namespace {
 constexpr double kSpectrumFloor = 1e-18;
 }
 
-std::vector<double> beamscan_spectrum(const em::CMat& steering,
-                                      const em::CVec& v) {
+std::vector<double> beamscan_spectrum(const em::CxPlaneMat& steering,
+                                      const em::CxPlanes& v) {
   if (steering.cols() != v.size()) {
     throw std::invalid_argument("beamscan_spectrum: size mismatch");
   }
@@ -21,15 +21,15 @@ std::vector<double> beamscan_spectrum(const em::CMat& steering,
   for (std::size_t b = 0; b < steering.rows(); ++b) {
     em::Cx s{};
     for (std::size_t i = 0; i < v.size(); ++i) {
-      s += std::conj(steering(b, i)) * v[i];
+      s += std::conj(steering.at(b, i)) * v.at(i);
     }
     out[b] = std::norm(s);
   }
   return out;
 }
 
-std::vector<double> music_spectrum(const em::CMat& steering,
-                                   const em::CMat& snapshots,
+std::vector<double> music_spectrum(const em::CxPlaneMat& steering,
+                                   const em::CxPlaneMat& snapshots,
                                    std::size_t n_sources) {
   const std::size_t n = steering.cols();
   if (snapshots.cols() != n) {
@@ -41,18 +41,18 @@ std::vector<double> music_spectrum(const em::CMat& steering,
   // Sample covariance R = E[x x^H]: R(i, k) = sum_s x_si * conj(x_sk).
   // (The transposed form conj(x_i) * x_k would put conj(a) in the signal
   // subspace and mirror the spectrum for a centered array.)
-  em::CMat r(n, n);
+  em::CxPlaneMat r(n, n);
   for (std::size_t s = 0; s < snapshots.rows(); ++s) {
     for (std::size_t i = 0; i < n; ++i) {
-      const em::Cx xi = snapshots(s, i);
+      const em::Cx xi = snapshots.at(s, i);
       for (std::size_t k = i; k < n; ++k) {
-        r(i, k) += xi * std::conj(snapshots(s, k));
+        r.set(i, k, r.at(i, k) + xi * std::conj(snapshots.at(s, k)));
       }
     }
   }
   const double inv = 1.0 / static_cast<double>(snapshots.rows());
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = i; k < n; ++k) r(i, k) *= inv;
+    for (std::size_t k = i; k < n; ++k) r.set(i, k, r.at(i, k) * inv);
   }
   const EigenResult eig = hermitian_eigen(r);
   // Noise subspace: eigenvectors of the n - n_sources smallest eigenvalues.
@@ -63,7 +63,7 @@ std::vector<double> music_spectrum(const em::CMat& steering,
     for (std::size_t e = 0; e < noise_dim; ++e) {
       em::Cx proj{};
       for (std::size_t i = 0; i < n; ++i) {
-        proj += std::conj(eig.vectors(i, e)) * steering(b, i);
+        proj += std::conj(eig.vectors.at(i, e)) * steering.at(b, i);
       }
       denom += std::norm(proj);
     }
@@ -131,11 +131,11 @@ AoaSensingModel::AoaSensingModel(const surface::SurfacePanel* panel,
   steering_ = steering_matrix(*panel_, angles_, frequency_hz);
 }
 
-std::vector<double> AoaSensingModel::spectrum(const em::CVec& v) const {
+std::vector<double> AoaSensingModel::spectrum(const em::CxPlanes& v) const {
   return beamscan_spectrum(steering_, v);
 }
 
-double AoaSensingModel::estimate_azimuth(const em::CVec& v) const {
+double AoaSensingModel::estimate_azimuth(const em::CxPlanes& v) const {
   return spectrum_peak(angles_, spectrum(v));
 }
 
@@ -149,7 +149,7 @@ std::vector<double> AoaSensingModel::target_distribution(
   return normalize_spectrum(std::move(q));
 }
 
-double AoaSensingModel::loss(const em::CVec& c, const em::CVec& g,
+double AoaSensingModel::loss(const em::CxPlanes& c, const em::CxPlanes& g,
                              const std::vector<double>& target,
                              std::span<double> grad_phases) const {
   const std::size_t n = panel_->element_count();
@@ -163,16 +163,18 @@ double AoaSensingModel::loss(const em::CVec& c, const em::CVec& g,
 
   // v = c .* g; s_b = a_b^H v; P_b = |s_b|^2; p = P / sum(P);
   // L = -sum q_b log p_b = -sum q_b log P_b + log sum(P).
-  em::CVec v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = c[i] * g[i];
+  em::CxPlanes v(n);
+  for (std::size_t i = 0; i < n; ++i) v.set(i, c.at(i) * g.at(i));
   const std::size_t bins = angles_.size();
-  em::CVec s(bins);
+  em::CxPlanes s(bins);
   std::vector<double> power(bins);
   double total = 0.0;
   for (std::size_t b = 0; b < bins; ++b) {
     em::Cx sb{};
-    for (std::size_t i = 0; i < n; ++i) sb += std::conj(steering_(b, i)) * v[i];
-    s[b] = sb;
+    for (std::size_t i = 0; i < n; ++i) {
+      sb += std::conj(steering_.at(b, i)) * v.at(i);
+    }
+    s.set(b, sb);
     power[b] = std::norm(sb) + kSpectrumFloor;
     total += power[b];
   }
@@ -187,9 +189,10 @@ double AoaSensingModel::loss(const em::CVec& c, const em::CVec& g,
     for (std::size_t i = 0; i < n; ++i) grad_phases[i] = 0.0;
     for (std::size_t b = 0; b < bins; ++b) {
       const double dl_dp = 1.0 / total - target[b] / power[b];
-      const em::Cx sb_conj = std::conj(s[b]);
+      const em::Cx sb_conj = std::conj(s.at(b));
       for (std::size_t i = 0; i < n; ++i) {
-        const em::Cx ds = std::conj(steering_(b, i)) * em::Cx{0.0, 1.0} * v[i];
+        const em::Cx ds =
+            std::conj(steering_.at(b, i)) * em::Cx{0.0, 1.0} * v.at(i);
         grad_phases[i] += dl_dp * 2.0 * (sb_conj * ds).real();
       }
     }

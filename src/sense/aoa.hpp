@@ -9,24 +9,28 @@
 // angle signature — the Figure 2 conflict. The localization task's loss is
 // the cross-entropy between the normalized beamscan spectrum and the true
 // AoA distribution, exactly as the paper defines it.
+//
+// g, c, v and the steering rows are em::CxPlanes / em::CxPlaneMat, the planes
+// the channel hands out (SceneChannel::rx_planes is a panel's g), so callers
+// pass the channel's and the optimizer's planes straight in.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "em/cx.hpp"
+#include "em/soa.hpp"
 #include "surface/panel.hpp"
 
 namespace surfos::sense {
 
 /// Beamscan power spectrum: P_b = |a_b^H v|^2 for each steering row.
-std::vector<double> beamscan_spectrum(const em::CMat& steering,
-                                      const em::CVec& v);
+std::vector<double> beamscan_spectrum(const em::CxPlaneMat& steering,
+                                      const em::CxPlanes& v);
 
 /// MUSIC pseudo-spectrum from snapshot rows (snapshots x elements), with
 /// `n_sources` signal-subspace dimensions.
-std::vector<double> music_spectrum(const em::CMat& steering,
-                                   const em::CMat& snapshots,
+std::vector<double> music_spectrum(const em::CxPlaneMat& steering,
+                                   const em::CxPlaneMat& snapshots,
                                    std::size_t n_sources);
 
 /// Quadratic-interpolated peak of a sampled spectrum; returns the refined
@@ -51,10 +55,10 @@ class AoaSensingModel {
   const surface::SurfacePanel& panel() const noexcept { return *panel_; }
 
   /// Beamscan spectrum of an aperture excitation v.
-  std::vector<double> spectrum(const em::CVec& v) const;
+  std::vector<double> spectrum(const em::CxPlanes& v) const;
 
   /// Estimated azimuth from excitation v (beamscan peak).
-  double estimate_azimuth(const em::CVec& v) const;
+  double estimate_azimuth(const em::CxPlanes& v) const;
 
   /// Discretized Gaussian target distribution centered on the true azimuth.
   std::vector<double> target_distribution(double true_azimuth_rad,
@@ -62,14 +66,14 @@ class AoaSensingModel {
 
   /// Cross-entropy localization loss for coefficients c against target, with
   /// v = c .* g. Optional analytic gradient w.r.t. the element phases of c.
-  double loss(const em::CVec& c, const em::CVec& g,
+  double loss(const em::CxPlanes& c, const em::CxPlanes& g,
               const std::vector<double>& target,
               std::span<double> grad_phases = {}) const;
 
  private:
   const surface::SurfacePanel* panel_;
   std::vector<double> angles_;
-  em::CMat steering_;  ///< bins x elements.
+  em::CxPlaneMat steering_;  ///< bins x elements.
 };
 
 }  // namespace surfos::sense

@@ -7,28 +7,28 @@
 
 namespace surfos::sense {
 
-EigenResult hermitian_eigen(const em::CMat& matrix, double tolerance,
+EigenResult hermitian_eigen(const em::CxPlaneMat& matrix, double tolerance,
                             std::size_t max_sweeps) {
   const std::size_t n = matrix.rows();
   if (n != matrix.cols()) {
     throw std::invalid_argument("hermitian_eigen: non-square matrix");
   }
   // Working copy, Hermitian-symmetrized from the upper triangle.
-  em::CMat a(n, n);
+  em::CxPlaneMat a(n, n);
   for (std::size_t r = 0; r < n; ++r) {
-    a(r, r) = {matrix(r, r).real(), 0.0};
+    a.set(r, r, {matrix.at(r, r).real(), 0.0});
     for (std::size_t c = r + 1; c < n; ++c) {
-      a(r, c) = matrix(r, c);
-      a(c, r) = std::conj(matrix(r, c));
+      a.set(r, c, matrix.at(r, c));
+      a.set(c, r, std::conj(matrix.at(r, c)));
     }
   }
-  em::CMat v(n, n);
-  for (std::size_t i = 0; i < n; ++i) v(i, i) = {1.0, 0.0};
+  em::CxPlaneMat v(n, n);
+  for (std::size_t i = 0; i < n; ++i) v.set(i, i, {1.0, 0.0});
 
   auto off_norm = [&]() {
     double sum = 0.0;
     for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = r + 1; c < n; ++c) sum += std::norm(a(r, c));
+      for (std::size_t c = r + 1; c < n; ++c) sum += std::norm(a.at(r, c));
     }
     return sum;
   };
@@ -37,12 +37,12 @@ EigenResult hermitian_eigen(const em::CMat& matrix, double tolerance,
     if (off_norm() < tolerance * tolerance * static_cast<double>(n * n)) break;
     for (std::size_t p = 0; p + 1 < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
-        const em::Cx apq = a(p, q);
+        const em::Cx apq = a.at(p, q);
         if (std::abs(apq) < 1e-300) continue;
         // Complex Jacobi rotation zeroing a(p, q):
         //   phase factor e^{j*phi} = apq / |apq|, then a real 2x2 rotation.
-        const double app = a(p, p).real();
-        const double aqq = a(q, q).real();
+        const double app = a.at(p, p).real();
+        const double aqq = a.at(q, q).real();
         const double abs_apq = std::abs(apq);
         const em::Cx phase = apq / abs_apq;
         const double tau = (aqq - app) / (2.0 * abs_apq);
@@ -53,22 +53,22 @@ EigenResult hermitian_eigen(const em::CMat& matrix, double tolerance,
         const em::Cx sp = s * phase;  // complex s incorporating the phase
 
         for (std::size_t k = 0; k < n; ++k) {
-          const em::Cx akp = a(k, p);
-          const em::Cx akq = a(k, q);
-          a(k, p) = c * akp - std::conj(sp) * akq;
-          a(k, q) = sp * akp + c * akq;
+          const em::Cx akp = a.at(k, p);
+          const em::Cx akq = a.at(k, q);
+          a.set(k, p, c * akp - std::conj(sp) * akq);
+          a.set(k, q, sp * akp + c * akq);
         }
         for (std::size_t k = 0; k < n; ++k) {
-          const em::Cx apk = a(p, k);
-          const em::Cx aqk = a(q, k);
-          a(p, k) = c * apk - sp * aqk;
-          a(q, k) = std::conj(sp) * apk + c * aqk;
+          const em::Cx apk = a.at(p, k);
+          const em::Cx aqk = a.at(q, k);
+          a.set(p, k, c * apk - sp * aqk);
+          a.set(q, k, std::conj(sp) * apk + c * aqk);
         }
         for (std::size_t k = 0; k < n; ++k) {
-          const em::Cx vkp = v(k, p);
-          const em::Cx vkq = v(k, q);
-          v(k, p) = c * vkp - std::conj(sp) * vkq;
-          v(k, q) = sp * vkp + c * vkq;
+          const em::Cx vkp = v.at(k, p);
+          const em::Cx vkq = v.at(k, q);
+          v.set(k, p, c * vkp - std::conj(sp) * vkq);
+          v.set(k, q, sp * vkp + c * vkq);
         }
       }
     }
@@ -79,13 +79,15 @@ EigenResult hermitian_eigen(const em::CMat& matrix, double tolerance,
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
   std::vector<double> diag(n);
-  for (std::size_t i = 0; i < n; ++i) diag[i] = a(i, i).real();
+  for (std::size_t i = 0; i < n; ++i) diag[i] = a.at(i, i).real();
   std::sort(order.begin(), order.end(),
             [&](std::size_t x, std::size_t y) { return diag[x] < diag[y]; });
-  result.vectors = em::CMat(n, n);
+  result.vectors.resize(n, n);
   for (std::size_t c = 0; c < n; ++c) {
     result.values[c] = diag[order[c]];
-    for (std::size_t r = 0; r < n; ++r) result.vectors(r, c) = v(r, order[c]);
+    for (std::size_t r = 0; r < n; ++r) {
+      result.vectors.set(r, c, v.at(r, order[c]));
+    }
   }
   return result;
 }

@@ -5,14 +5,29 @@
 
 namespace surfos::sense {
 
-double channel_decorrelation(const em::CVec& a, const em::CVec& b) {
+namespace {
+
+/// |v|^2 summed over the live elements.
+double power(const em::CxPlanes& v) noexcept {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < v.size(); ++i) sum += std::norm(v.at(i));
+  return sum;
+}
+
+}  // namespace
+
+double channel_decorrelation(const em::CxPlanes& a, const em::CxPlanes& b) {
   if (a.size() != b.size()) {
     throw std::invalid_argument("channel_decorrelation: size mismatch");
   }
-  const double pa = em::power(a);
-  const double pb = em::power(b);
+  const double pa = power(a);
+  const double pb = power(b);
   if (pa < 1e-30 || pb < 1e-30) return 0.0;
-  const em::Cx cross = em::inner(a, b);
+  // a^H b, conjugate-linear in a.
+  em::Cx cross{0.0, 0.0};
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    cross += std::conj(a.at(i)) * b.at(i);
+  }
   return 1.0 - std::abs(cross) / std::sqrt(pa * pb);
 }
 
@@ -20,15 +35,15 @@ MotionDetector::MotionDetector(MotionDetectorOptions options)
     : options_(options) {}
 
 void MotionDetector::reset() {
-  previous_.clear();
+  previous_ = {};
   last_score_ = 0.0;
   baseline_ = 0.0;
   baseline_samples_ = 0;
   consecutive_hits_ = 0;
 }
 
-bool MotionDetector::update(const em::CVec& snapshot) {
-  if (previous_.empty()) {
+bool MotionDetector::update(const em::CxPlanes& snapshot) {
+  if (previous_.size() == 0) {
     previous_ = snapshot;
     return false;
   }

@@ -4,9 +4,7 @@
 // snapshots against a calibrated quiescent baseline.
 #pragma once
 
-#include <deque>
-
-#include "em/cx.hpp"
+#include "em/soa.hpp"
 
 namespace surfos::sense {
 
@@ -28,7 +26,7 @@ class MotionDetector {
   /// Feeds one channel snapshot (e.g. the element-domain vector of a sensing
   /// surface, or multi-subcarrier taps). Returns true when motion is
   /// currently declared. The first snapshots calibrate and never trigger.
-  bool update(const em::CVec& snapshot);
+  bool update(const em::CxPlanes& snapshot);
 
   /// Last decorrelation score in [0, 1]: 1 - |<prev, cur>| / (|prev||cur|).
   double last_score() const noexcept { return last_score_; }
@@ -42,7 +40,7 @@ class MotionDetector {
 
  private:
   MotionDetectorOptions options_;
-  em::CVec previous_;
+  em::CxPlanes previous_;
   double last_score_ = 0.0;
   double baseline_ = 0.0;
   std::size_t baseline_samples_ = 0;
@@ -51,6 +49,6 @@ class MotionDetector {
 
 /// Decorrelation between two snapshots: 0 for identical (up to a global
 /// complex scale), approaching 1 for orthogonal.
-double channel_decorrelation(const em::CVec& a, const em::CVec& b);
+double channel_decorrelation(const em::CxPlanes& a, const em::CxPlanes& b);
 
 }  // namespace surfos::sense

@@ -31,26 +31,26 @@ double true_azimuth(const surface::SurfacePanel& panel,
   return std::atan2(local.x, local.z);
 }
 
-em::CVec steering_vector(const surface::SurfacePanel& panel, double theta,
-                         double frequency_hz) {
+em::CxPlanes steering_vector(const surface::SurfacePanel& panel, double theta,
+                             double frequency_hz) {
   const double k = em::wavenumber(frequency_hz);
   const geom::Vec3 s = azimuth_direction(panel, theta);
   const geom::Vec3 center = panel.center();
   const auto& positions = panel.element_positions();
-  em::CVec a(positions.size());
+  em::CxPlanes a(positions.size());
   for (std::size_t i = 0; i < positions.size(); ++i) {
-    a[i] = em::expj(k * (positions[i] - center).dot(s));
+    a.set(i, em::expj(k * (positions[i] - center).dot(s)));
   }
   return a;
 }
 
-em::CMat steering_matrix(const surface::SurfacePanel& panel,
-                         const std::vector<double>& angles,
-                         double frequency_hz) {
-  em::CMat mat(angles.size(), panel.element_count());
+em::CxPlaneMat steering_matrix(const surface::SurfacePanel& panel,
+                               const std::vector<double>& angles,
+                               double frequency_hz) {
+  em::CxPlaneMat mat(angles.size(), panel.element_count());
   for (std::size_t b = 0; b < angles.size(); ++b) {
-    const em::CVec a = steering_vector(panel, angles[b], frequency_hz);
-    for (std::size_t i = 0; i < a.size(); ++i) mat(b, i) = a[i];
+    const em::CxPlanes a = steering_vector(panel, angles[b], frequency_hz);
+    for (std::size_t i = 0; i < a.size(); ++i) mat.set(b, i, a.at(i));
   }
   return mat;
 }

@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "em/cx.hpp"
+#include "em/soa.hpp"
 #include "geom/vec3.hpp"
 #include "surface/panel.hpp"
 
@@ -26,12 +26,12 @@ geom::Vec3 azimuth_direction(const surface::SurfacePanel& panel, double theta);
 double true_azimuth(const surface::SurfacePanel& panel, const geom::Vec3& point);
 
 /// Steering vector a(theta): a_i = exp(+j k (r_i - center) . s(theta)).
-em::CVec steering_vector(const surface::SurfacePanel& panel, double theta,
-                         double frequency_hz);
+em::CxPlanes steering_vector(const surface::SurfacePanel& panel, double theta,
+                             double frequency_hz);
 
 /// All steering vectors of a grid, as a (bins x elements) matrix.
-em::CMat steering_matrix(const surface::SurfacePanel& panel,
-                         const std::vector<double>& angles,
-                         double frequency_hz);
+em::CxPlaneMat steering_matrix(const surface::SurfacePanel& panel,
+                               const std::vector<double>& angles,
+                               double frequency_hz);
 
 }  // namespace surfos::sense

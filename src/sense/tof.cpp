@@ -10,16 +10,16 @@
 namespace surfos::sense {
 
 TofEstimate estimate_distance(std::span<const double> frequencies_hz,
-                              const em::CVec& taps) {
+                              const em::CxPlanes& taps) {
   const std::size_t n = frequencies_hz.size();
   if (n < 2 || taps.size() != n) {
     throw std::invalid_argument("estimate_distance: need >= 2 matching taps");
   }
   // Unwrap phases across frequency.
   std::vector<double> phases(n);
-  phases[0] = std::arg(taps[0]);
+  phases[0] = std::arg(taps.at(0));
   for (std::size_t k = 1; k < n; ++k) {
-    const double raw = std::arg(taps[k]);
+    const double raw = std::arg(taps.at(k));
     const double prev = phases[k - 1];
     double delta = raw - std::fmod(prev, util::kTwoPi);
     delta = util::wrap_pi(delta);
@@ -70,13 +70,13 @@ std::vector<double> subcarrier_grid(double center_hz, double bandwidth_hz,
 
 RangeBearing range_and_bearing(const surface::SurfacePanel& panel,
                                std::span<const double> frequencies_hz,
-                               std::span<const em::CVec> taps_per_frequency,
+                               std::span<const em::CxPlanes> taps_per_frequency,
                                std::size_t spectrum_bins) {
   if (frequencies_hz.size() != taps_per_frequency.size() ||
       frequencies_hz.size() < 2) {
     throw std::invalid_argument("range_and_bearing: tap/frequency mismatch");
   }
-  for (const em::CVec& taps : taps_per_frequency) {
+  for (const em::CxPlanes& taps : taps_per_frequency) {
     if (taps.size() != panel.element_count()) {
       throw std::invalid_argument("range_and_bearing: tap size mismatch");
     }
@@ -89,9 +89,9 @@ RangeBearing range_and_bearing(const surface::SurfacePanel& panel,
   // Range from the center element's taps across frequency.
   const std::size_t center_index =
       (panel.rows() / 2) * panel.cols() + panel.cols() / 2;
-  em::CVec center_taps(frequencies_hz.size());
+  em::CxPlanes center_taps(frequencies_hz.size());
   for (std::size_t k = 0; k < frequencies_hz.size(); ++k) {
-    center_taps[k] = taps_per_frequency[k][center_index];
+    center_taps.set(k, taps_per_frequency[k].at(center_index));
   }
   const TofEstimate tof = estimate_distance(frequencies_hz, center_taps);
   out.range_m = tof.distance_m;

@@ -12,7 +12,7 @@
 #include <span>
 #include <vector>
 
-#include "em/cx.hpp"
+#include "em/soa.hpp"
 #include "geom/vec3.hpp"
 #include "sense/aoa.hpp"
 #include "surface/panel.hpp"
@@ -31,7 +31,7 @@ struct TofEstimate {
 /// unambiguous-range condition d < c / (2 * delta_f) — with 10 MHz spacing
 /// that is 15 m, plenty for rooms.
 TofEstimate estimate_distance(std::span<const double> frequencies_hz,
-                              const em::CVec& taps);
+                              const em::CxPlanes& taps);
 
 /// Uniform subcarrier grid across a bandwidth, centered on `center_hz`.
 std::vector<double> subcarrier_grid(double center_hz, double bandwidth_hz,
@@ -49,7 +49,7 @@ struct RangeBearing {
 /// range via the phase slope of the panel's center element.
 RangeBearing range_and_bearing(const surface::SurfacePanel& panel,
                                std::span<const double> frequencies_hz,
-                               std::span<const em::CVec> taps_per_frequency,
+                               std::span<const em::CxPlanes> taps_per_frequency,
                                std::size_t spectrum_bins = 121);
 
 /// Position implied by a RangeBearing at a client height (range is measured

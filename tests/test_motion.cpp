@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "em/propagation.hpp"
+#include "em/soa.hpp"
 #include "sense/motion.hpp"
 #include "sim/channel.hpp"
 #include "sim/dynamics.hpp"
@@ -12,40 +13,58 @@
 namespace surfos::sense {
 namespace {
 
-em::CVec noisy(const em::CVec& base, double sigma, util::Rng& rng) {
-  em::CVec out = base;
-  for (auto& c : out) {
-    c += em::Cx{sigma * rng.normal(), sigma * rng.normal()};
+em::CxPlanes planes(std::initializer_list<em::Cx> values) {
+  em::CxPlanes v(values.size());
+  std::size_t i = 0;
+  for (const em::Cx& c : values) v.set(i++, c);
+  return v;
+}
+
+/// n elements, all equal to `value`.
+em::CxPlanes filled(std::size_t n, em::Cx value) {
+  em::CxPlanes v(n);
+  for (std::size_t i = 0; i < n; ++i) v.set(i, value);
+  return v;
+}
+
+em::CxPlanes noisy(const em::CxPlanes& base, double sigma, util::Rng& rng) {
+  em::CxPlanes out = base;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const double re = sigma * rng.normal();
+    out.set(i, out.at(i) + em::Cx{re, sigma * rng.normal()});
   }
   return out;
 }
 
 TEST(Decorrelation, ZeroForIdenticalAndScaled) {
-  const em::CVec a{{1, 0}, {0, 1}, {0.5, -0.5}};
+  const em::CxPlanes a = planes({{1, 0}, {0, 1}, {0.5, -0.5}});
   EXPECT_NEAR(channel_decorrelation(a, a), 0.0, 1e-12);
   // A global complex scale (AGC / phase drift) is not motion.
-  em::CVec scaled = a;
-  for (auto& c : scaled) c *= em::Cx{0.3, 0.4};
+  em::CxPlanes scaled = a;
+  for (std::size_t i = 0; i < scaled.size(); ++i) {
+    scaled.set(i, scaled.at(i) * em::Cx{0.3, 0.4});
+  }
   EXPECT_NEAR(channel_decorrelation(a, scaled), 0.0, 1e-12);
 }
 
 TEST(Decorrelation, LargeForOrthogonalSnapshots) {
-  const em::CVec a{{1, 0}, {0, 0}};
-  const em::CVec b{{0, 0}, {1, 0}};
+  const em::CxPlanes a = planes({{1, 0}, {0, 0}});
+  const em::CxPlanes b = planes({{0, 0}, {1, 0}});
   EXPECT_NEAR(channel_decorrelation(a, b), 1.0, 1e-12);
-  EXPECT_THROW(channel_decorrelation(a, em::CVec(3)), std::invalid_argument);
+  EXPECT_THROW(channel_decorrelation(a, em::CxPlanes(3)),
+               std::invalid_argument);
 }
 
 TEST(Decorrelation, DegenerateSnapshotsScoreZero) {
-  const em::CVec zero(4, em::Cx{});
-  const em::CVec a(4, em::Cx{1.0, 0.0});
+  const em::CxPlanes zero(4);
+  const em::CxPlanes a = filled(4, {1.0, 0.0});
   EXPECT_DOUBLE_EQ(channel_decorrelation(zero, a), 0.0);
 }
 
 TEST(MotionDetector, QuietChannelNeverTriggers) {
   util::Rng rng(3);
   MotionDetector detector;
-  const em::CVec base(16, em::Cx{1.0, 0.5});
+  const em::CxPlanes base = filled(16, {1.0, 0.5});
   for (int i = 0; i < 50; ++i) {
     EXPECT_FALSE(detector.update(noisy(base, 1e-4, rng))) << "frame " << i;
   }
@@ -55,7 +74,7 @@ TEST(MotionDetector, QuietChannelNeverTriggers) {
 TEST(MotionDetector, PerturbationTriggersAfterCalibration) {
   util::Rng rng(5);
   MotionDetector detector;
-  const em::CVec base(16, em::Cx{1.0, 0.5});
+  const em::CxPlanes base = filled(16, {1.0, 0.5});
   for (int i = 0; i < 10; ++i) detector.update(noisy(base, 1e-4, rng));
   ASSERT_TRUE(detector.calibrated());
   // A strong perturbation (body crossing paths) decorrelates the channel.
@@ -68,7 +87,7 @@ TEST(MotionDetector, CalibrationFramesNeverTrigger) {
   MotionDetectorOptions options;
   options.calibration_frames = 8;
   MotionDetector detector(options);
-  const em::CVec base(8, em::Cx{1.0, 0.0});
+  const em::CxPlanes base = filled(8, {1.0, 0.0});
   // Even violent changes during calibration must not trigger.
   for (int i = 0; i < 8; ++i) {
     EXPECT_FALSE(detector.update(noisy(base, 0.5, rng)));
@@ -80,7 +99,7 @@ TEST(MotionDetector, DebounceRequiresConsecutiveFrames) {
   MotionDetectorOptions options;
   options.debounce_frames = 3;
   MotionDetector detector(options);
-  const em::CVec base(8, em::Cx{1.0, 0.0});
+  const em::CxPlanes base = filled(8, {1.0, 0.0});
   for (int i = 0; i < 10; ++i) detector.update(noisy(base, 1e-5, rng));
   EXPECT_FALSE(detector.update(noisy(base, 0.5, rng)));  // hit 1
   EXPECT_FALSE(detector.update(noisy(base, 0.5, rng)));  // hit 2
@@ -94,7 +113,7 @@ TEST(MotionDetector, DebounceRequiresConsecutiveFrames) {
 TEST(MotionDetector, ResetClearsState) {
   util::Rng rng(11);
   MotionDetector detector;
-  const em::CVec base(8, em::Cx{1.0, 0.0});
+  const em::CxPlanes base = filled(8, {1.0, 0.0});
   for (int i = 0; i < 10; ++i) detector.update(noisy(base, 1e-4, rng));
   EXPECT_TRUE(detector.calibrated());
   detector.reset();
@@ -148,9 +167,9 @@ TEST(MotionDetector, DetectsWalkerInSimulatedChannel) {
                                     probes);
     const auto coeffs = channel.coefficients_for(
         std::vector<surface::SurfaceConfig>{uniform});
-    em::CVec snapshot(probes.size());
+    em::CxPlanes snapshot(probes.size());
     for (std::size_t j = 0; j < probes.size(); ++j) {
-      snapshot[j] = channel.evaluate(j, coeffs);
+      snapshot.set(j, channel.evaluate(j, coeffs));
     }
     if (detector.update(snapshot) && !detected) {
       detected = true;

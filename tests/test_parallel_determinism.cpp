@@ -95,8 +95,12 @@ TEST(ParallelDeterminism, PrecomputeAndPowerMapBitIdentical) {
   }
   // Precomputed structure itself is slot-deterministic too.
   for (std::size_t p = 0; p < serial_channel->panel_count(); ++p) {
-    EXPECT_EQ(serial_channel->tx_planes(p).to_cvec(),
-              threaded_channel->tx_planes(p).to_cvec());
+    const em::CxPlanes& fa = serial_channel->tx_planes(p);
+    const em::CxPlanes& fb = threaded_channel->tx_planes(p);
+    ASSERT_EQ(fa.size(), fb.size());
+    for (std::size_t e = 0; e < fa.size(); ++e) {
+      EXPECT_EQ(fa.at(e), fb.at(e)) << "panel " << p;
+    }
     for (std::size_t q = 0; q < serial_channel->panel_count(); ++q) {
       const em::CxPlaneMat& a = serial_channel->cascade_planes(q, p);
       const em::CxPlaneMat& b = threaded_channel->cascade_planes(q, p);

@@ -95,7 +95,7 @@ TEST_P(BandProperties, BeamscanFindsTrueAngleOnEveryBand) {
       surface::ControlGranularity::kElement);
   const sense::AoaSensingModel model(&panel, f, 181);
   for (const double truth : {-0.6, 0.0, 0.45}) {
-    em::CVec v = sense::steering_vector(panel, truth, f);
+    const em::CxPlanes v = sense::steering_vector(panel, truth, f);
     EXPECT_NEAR(model.estimate_azimuth(v), truth, 0.03)
         << em::band_name(GetParam()) << " angle " << truth;
   }

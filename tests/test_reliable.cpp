@@ -4,9 +4,15 @@
 // driver's writes, selects and sparse patches against a hostile link.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <span>
+#include <string>
+
 #include "hal/batch.hpp"
 #include "hal/driver.hpp"
 #include "hal/link.hpp"
+#include "util/rng.hpp"
 
 namespace surfos::hal {
 namespace {
@@ -156,6 +162,111 @@ TEST(ReliableLink, FireAndForgetSkipsLostFrames) {
   EXPECT_EQ(link.retransmission_count(), 0u);
   EXPECT_EQ(link.unacked_count(), 0u);
   EXPECT_EQ(link.delivered_count(), collector.slots.size());
+}
+
+TEST(ReliableLink, AbandonedFrameDoesNotStallLaterFrames) {
+  // The sender gives up on a frame after max_retransmissions; the frames
+  // behind it must not wait for it forever.
+  SimClock clock;
+  ReliableOptions options;
+  options.forward.loss_probability = 0.5;
+  options.forward.seed = 1;
+  options.rto_us = 300;
+  options.max_retransmissions = 1;
+  ReliableLink link(&clock, options);
+  std::vector<std::uint32_t> seqs;
+  link.set_receiver([&](const Frame& f) { seqs.push_back(f.sequence); });
+  auto poll_for = [&](Micros span_us) {
+    for (Micros t = 0; t < span_us; t += 100) {
+      clock.advance(100);
+      link.poll();
+    }
+  };
+  for (std::uint16_t i = 0; i < 10; ++i) link.send(make_frame(i, 0));
+  poll_for(3000);
+  ASSERT_GT(link.abandoned_count(), 0u) << "seed 1 no longer loses a frame";
+  const std::size_t before = seqs.size();
+  for (std::uint16_t i = 10; i < 15; ++i) link.send(make_frame(i, 0));
+  poll_for(3000);
+
+  // Frames 7, 8 (of the first ten) and 11, 12 lose every copy.
+  const std::vector<std::uint32_t> expected{1, 2, 3, 4, 5, 6, 9, 10, 13, 14, 15};
+  EXPECT_EQ(seqs, expected);
+  for (std::size_t i = 1; i < seqs.size(); ++i) EXPECT_LT(seqs[i - 1], seqs[i]);
+  EXPECT_EQ(link.delivered_count(), seqs.size());
+  EXPECT_GT(seqs.size(), before) << "frames sent after the abandon stalled";
+  EXPECT_TRUE(link.all_delivered());
+}
+
+TEST(ReliableLink, SkipsOnlyGapsNoCopyCanFill) {
+  // With the ack path cut, the sender's schedule does not depend on the
+  // receiver, so a mirror ControlLink with the same seed replays which
+  // frames have a surviving copy. Polls come at random intervals (some
+  // closer than the RTO, some many RTOs apart): every frame with a
+  // surviving copy must be delivered, exactly once and in order, so only
+  // gaps no copy can fill are skipped.
+  for (const std::size_t max_retransmissions : {1u, 2u}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SimClock clock;
+      ReliableOptions options;
+      options.forward.loss_probability = 0.6;
+      options.forward.seed = seed;
+      options.reverse.loss_probability = 1.0;
+      options.rto_us = 300;
+      options.max_retransmissions = max_retransmissions;
+      ReliableLink link(&clock, options);
+      std::vector<std::uint32_t> seqs;
+      link.set_receiver([&](const Frame& f) { seqs.push_back(f.sequence); });
+
+      ControlLink mirror(&clock, options.forward);
+      struct Copy {
+        Micros last_sent;
+        std::size_t attempts;
+      };
+      std::map<std::uint32_t, Copy> unacked;
+      std::vector<std::uint32_t> reached;
+      auto transmit = [&](std::uint32_t seq) {
+        const std::size_t dropped = mirror.dropped_count();
+        const std::uint8_t byte = 0;
+        mirror.send(std::span<const std::uint8_t>(&byte, 1));
+        if (mirror.dropped_count() == dropped) reached.push_back(seq);
+      };
+      auto advance_and_poll = [&](Micros step) {
+        clock.advance(step);
+        link.poll();
+        for (auto it = unacked.begin(); it != unacked.end();) {
+          if (clock.now() - it->second.last_sent >= options.rto_us) {
+            if (it->second.attempts > options.max_retransmissions) {
+              it = unacked.erase(it);
+              continue;
+            }
+            transmit(it->first);
+            it->second.last_sent = clock.now();
+            ++it->second.attempts;
+          }
+          ++it;
+        }
+      };
+      util::Rng cadence(seed + 100);
+      std::uint32_t next_seq = 1;
+      for (int round = 0; round < 10; ++round) {
+        for (int k = 0; k < 3; ++k) {
+          link.send(make_frame(0, 0));
+          transmit(next_seq);
+          unacked[next_seq++] = Copy{clock.now(), 1};
+        }
+        for (int k = 0; k < 8; ++k) advance_and_poll(20 + cadence.below(1000));
+      }
+      for (int k = 0; k < 20; ++k) advance_and_poll(options.rto_us);
+      std::sort(reached.begin(), reached.end());
+      reached.erase(std::unique(reached.begin(), reached.end()), reached.end());
+      const std::string where = "seed " + std::to_string(seed) + ", max " +
+                                std::to_string(max_retransmissions);
+      ASSERT_LT(reached.size(), next_seq - 1) << where << ": no gap";
+      EXPECT_EQ(seqs, reached) << where;
+      EXPECT_EQ(link.unacked_count(), 0u) << where;
+    }
+  }
 }
 
 // --- ProgrammableSurfaceDriver over a lossy link ------------------------------

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "em/propagation.hpp"
+#include "em/soa.hpp"
 #include "sense/aoa.hpp"
 #include "sense/eigen.hpp"
 #include "sense/localize.hpp"
@@ -31,20 +32,29 @@ surface::SurfacePanel make_aperture(std::size_t rows = 8, std::size_t cols = 8) 
 }
 
 /// Ideal plane-wave excitation from azimuth theta (matches steering).
-em::CVec plane_wave(const surface::SurfacePanel& panel, double theta,
-                    double amplitude = 1.0, double phase = 0.0) {
-  em::CVec v = steering_vector(panel, theta, kFreq);
-  for (auto& c : v) c *= std::polar(amplitude, phase);
+em::CxPlanes plane_wave(const surface::SurfacePanel& panel, double theta,
+                        double amplitude = 1.0, double phase = 0.0) {
+  em::CxPlanes v = steering_vector(panel, theta, kFreq);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v.set(i, v.at(i) * std::polar(amplitude, phase));
+  }
+  return v;
+}
+
+/// n elements, all equal to `value`.
+em::CxPlanes filled(std::size_t n, em::Cx value) {
+  em::CxPlanes v(n);
+  for (std::size_t i = 0; i < n; ++i) v.set(i, value);
   return v;
 }
 
 // --- eigen -----------------------------------------------------------------------
 
 TEST(Eigen, DiagonalMatrix) {
-  em::CMat m(3, 3);
-  m(0, 0) = {3.0, 0.0};
-  m(1, 1) = {1.0, 0.0};
-  m(2, 2) = {2.0, 0.0};
+  em::CxPlaneMat m(3, 3);
+  m.set(0, 0, {3.0, 0.0});
+  m.set(1, 1, {1.0, 0.0});
+  m.set(2, 2, {2.0, 0.0});
   const EigenResult result = hermitian_eigen(m);
   ASSERT_EQ(result.values.size(), 3u);
   EXPECT_NEAR(result.values[0], 1.0, 1e-10);
@@ -57,24 +67,25 @@ TEST(Eigen, ReconstructsHermitianMatrix) {
   // check A v_k = lambda_k v_k for every eigenpair returned.
   util::Rng rng(31);
   const std::size_t n = 6;
-  em::CMat a(n, n);
+  em::CxPlaneMat a(n, n);
   // Random Hermitian: B + B^H with B random.
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t c = 0; c < n; ++c) {
       const em::Cx brc{rng.uniform(-1, 1), rng.uniform(-1, 1)};
-      a(r, c) += brc;
-      a(c, r) += std::conj(brc);
+      a.set(r, c, a.at(r, c) + brc);
+      a.set(c, r, a.at(c, r) + std::conj(brc));
     }
   }
   const EigenResult result = hermitian_eigen(a);
   for (std::size_t k = 0; k < n; ++k) {
-    // ||A v - lambda v|| small.
-    em::CVec v(n);
-    for (std::size_t i = 0; i < n; ++i) v[i] = result.vectors(i, k);
-    const em::CVec av = a.mul(v);
+    // ||A v - lambda v|| small, v = column k of the eigenvectors.
     double err = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      err += std::norm(av[i] - result.values[k] * v[i]);
+      em::Cx av{};
+      for (std::size_t c = 0; c < n; ++c) {
+        av += a.at(i, c) * result.vectors.at(c, k);
+      }
+      err += std::norm(av - result.values[k] * result.vectors.at(i, k));
     }
     EXPECT_LT(std::sqrt(err), 1e-8) << "eigenpair " << k;
   }
@@ -83,13 +94,13 @@ TEST(Eigen, ReconstructsHermitianMatrix) {
 TEST(Eigen, EigenvectorsAreOrthonormal) {
   util::Rng rng(37);
   const std::size_t n = 5;
-  em::CMat a(n, n);
+  em::CxPlaneMat a(n, n);
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t c = r; c < n; ++c) {
       if (r == c) {
-        a(r, c) = {rng.uniform(-1, 1), 0.0};
+        a.set(r, c, {rng.uniform(-1, 1), 0.0});
       } else {
-        a(r, c) = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+        a.set(r, c, {rng.uniform(-1, 1), rng.uniform(-1, 1)});
       }
     }
   }
@@ -98,7 +109,7 @@ TEST(Eigen, EigenvectorsAreOrthonormal) {
     for (std::size_t j = 0; j < n; ++j) {
       em::Cx dot{};
       for (std::size_t k = 0; k < n; ++k) {
-        dot += std::conj(result.vectors(k, i)) * result.vectors(k, j);
+        dot += std::conj(result.vectors.at(k, i)) * result.vectors.at(k, j);
       }
       EXPECT_NEAR(std::abs(dot), i == j ? 1.0 : 0.0, 1e-8);
     }
@@ -106,7 +117,7 @@ TEST(Eigen, EigenvectorsAreOrthonormal) {
 }
 
 TEST(Eigen, RejectsNonSquare) {
-  EXPECT_THROW(hermitian_eigen(em::CMat(2, 3)), std::invalid_argument);
+  EXPECT_THROW(hermitian_eigen(em::CxPlaneMat(2, 3)), std::invalid_argument);
 }
 
 // --- steering ---------------------------------------------------------------------
@@ -137,18 +148,20 @@ TEST(Steering, TrueAzimuthInverts) {
 
 TEST(Steering, SteeringVectorUnitModulus) {
   const auto panel = make_aperture(4, 4);
-  const em::CVec a = steering_vector(panel, 0.3, kFreq);
-  for (const auto& c : a) EXPECT_NEAR(std::abs(c), 1.0, 1e-12);
+  const em::CxPlanes a = steering_vector(panel, 0.3, kFreq);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_NEAR(std::abs(a.at(i)), 1.0, 1e-12);
+  }
 }
 
 TEST(Steering, MatrixRowsMatchVectors) {
   const auto panel = make_aperture(3, 3);
   const auto angles = angle_grid(-0.5, 0.5, 5);
-  const em::CMat mat = steering_matrix(panel, angles, kFreq);
+  const em::CxPlaneMat mat = steering_matrix(panel, angles, kFreq);
   for (std::size_t b = 0; b < angles.size(); ++b) {
-    const em::CVec a = steering_vector(panel, angles[b], kFreq);
+    const em::CxPlanes a = steering_vector(panel, angles[b], kFreq);
     for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_NEAR(std::abs(mat(b, i) - a[i]), 0.0, 1e-12);
+      EXPECT_NEAR(std::abs(mat.at(b, i) - a.at(i)), 0.0, 1e-12);
     }
   }
 }
@@ -158,7 +171,7 @@ TEST(Steering, MatrixRowsMatchVectors) {
 TEST(Beamscan, PeaksAtTrueAngle) {
   const auto panel = make_aperture();
   const auto angles = angle_grid(-1.2, 1.2, 241);
-  const em::CMat steering = steering_matrix(panel, angles, kFreq);
+  const em::CxPlaneMat steering = steering_matrix(panel, angles, kFreq);
   for (const double truth : {-0.7, -0.15, 0.0, 0.33, 0.9}) {
     const auto spectrum = beamscan_spectrum(steering, plane_wave(panel, truth));
     const double peak = spectrum_peak(angles, spectrum);
@@ -169,7 +182,7 @@ TEST(Beamscan, PeaksAtTrueAngle) {
 TEST(Beamscan, PeakValueIsNSquared) {
   const auto panel = make_aperture(4, 4);
   const auto angles = angle_grid(-0.001, 0.001, 3);
-  const em::CMat steering = steering_matrix(panel, angles, kFreq);
+  const em::CxPlaneMat steering = steering_matrix(panel, angles, kFreq);
   const auto spectrum = beamscan_spectrum(steering, plane_wave(panel, 0.0));
   // a^H a = N at the matched angle, so |.|^2 = N^2.
   EXPECT_NEAR(spectrum[1], 256.0, 1e-6);
@@ -178,7 +191,7 @@ TEST(Beamscan, PeakValueIsNSquared) {
 TEST(SpectrumPeak, QuadraticRefinementBeatsGridResolution) {
   const auto panel = make_aperture();
   const auto coarse = angle_grid(-1.0, 1.0, 41);  // 50 mrad spacing
-  const em::CMat steering = steering_matrix(panel, coarse, kFreq);
+  const em::CxPlaneMat steering = steering_matrix(panel, coarse, kFreq);
   const double truth = 0.123;
   const auto spectrum = beamscan_spectrum(steering, plane_wave(panel, truth));
   EXPECT_NEAR(spectrum_peak(coarse, spectrum), truth, 0.015);
@@ -187,15 +200,16 @@ TEST(SpectrumPeak, QuadraticRefinementBeatsGridResolution) {
 TEST(Music, ResolvesSingleSource) {
   const auto panel = make_aperture(6, 6);
   const auto angles = angle_grid(-1.0, 1.0, 201);
-  const em::CMat steering = steering_matrix(panel, angles, kFreq);
+  const em::CxPlaneMat steering = steering_matrix(panel, angles, kFreq);
   // Snapshots: same source with varying complex amplitude + small noise.
   util::Rng rng(41);
   const double truth = -0.42;
-  em::CMat snapshots(8, panel.element_count());
+  em::CxPlaneMat snapshots(8, panel.element_count());
   for (std::size_t s = 0; s < 8; ++s) {
-    const em::CVec v = plane_wave(panel, truth, 1.0, rng.uniform(0, 6.28));
+    const em::CxPlanes v = plane_wave(panel, truth, 1.0, rng.uniform(0, 6.28));
     for (std::size_t i = 0; i < v.size(); ++i) {
-      snapshots(s, i) = v[i] + em::Cx{0.01 * rng.normal(), 0.01 * rng.normal()};
+      snapshots.set(
+          s, i, v.at(i) + em::Cx{0.01 * rng.normal(), 0.01 * rng.normal()});
     }
   }
   const auto spectrum = music_spectrum(steering, snapshots, 1);
@@ -205,8 +219,8 @@ TEST(Music, ResolvesSingleSource) {
 TEST(Music, RejectsBadSourceCount) {
   const auto panel = make_aperture(2, 2);
   const auto angles = angle_grid(-1.0, 1.0, 11);
-  const em::CMat steering = steering_matrix(panel, angles, kFreq);
-  const em::CMat snapshots(3, 4);
+  const em::CxPlaneMat steering = steering_matrix(panel, angles, kFreq);
+  const em::CxPlaneMat snapshots(3, 4);
   EXPECT_THROW(music_spectrum(steering, snapshots, 0), std::invalid_argument);
   EXPECT_THROW(music_spectrum(steering, snapshots, 4), std::invalid_argument);
 }
@@ -244,11 +258,11 @@ TEST(AoaModel, EstimatesFromChannelVector) {
   // coefficients should recover its azimuth.
   const geom::Vec3 client =
       panel.center() + azimuth_direction(panel, 0.5) * 2.5;
-  em::CVec g(panel.element_count());
+  em::CxPlanes g(panel.element_count());
   const double k = em::wavenumber(kFreq);
   for (std::size_t i = 0; i < g.size(); ++i) {
     const double d = panel.element_position(i).distance_to(client);
-    g[i] = std::polar(1.0 / d, -k * d);
+    g.set(i, std::polar(1.0 / d, -k * d));
   }
   EXPECT_NEAR(model.estimate_azimuth(g), 0.5, 0.03);
 }
@@ -271,17 +285,17 @@ TEST(AoaModel, LossLowerForAlignedConfig) {
   const auto panel = make_aperture();
   const AoaSensingModel model(&panel, kFreq, 181);
   const double truth = -0.35;
-  const em::CVec g = plane_wave(panel, truth);
+  const em::CxPlanes g = plane_wave(panel, truth);
   const auto target = model.target_distribution(truth);
   // Uniform coefficients keep the angle signature; a beam-steering config
   // toward a different direction destroys it.
-  const em::CVec uniform(panel.element_count(), em::Cx{1.0, 0.0});
-  em::CVec steered(panel.element_count());
-  const em::CVec away = steering_vector(panel, 0.8, kFreq);
-  const em::CVec toward = steering_vector(panel, truth, kFreq);
+  const em::CxPlanes uniform = filled(panel.element_count(), {1.0, 0.0});
+  em::CxPlanes steered(panel.element_count());
+  const em::CxPlanes away = steering_vector(panel, 0.8, kFreq);
+  const em::CxPlanes toward = steering_vector(panel, truth, kFreq);
   for (std::size_t i = 0; i < steered.size(); ++i) {
     // Coefficients that re-phase the true wavefront into the 0.8 direction.
-    steered[i] = away[i] * std::conj(toward[i]);
+    steered.set(i, away.at(i) * std::conj(toward.at(i)));
   }
   EXPECT_LT(model.loss(uniform, g, target), model.loss(steered, g, target));
 }
@@ -290,13 +304,13 @@ TEST(AoaModel, GradientMatchesFiniteDifference) {
   const auto panel = make_aperture(3, 3);
   const AoaSensingModel model(&panel, kFreq, 61);
   util::Rng rng(51);
-  const em::CVec g = plane_wave(panel, 0.2);
+  const em::CxPlanes g = plane_wave(panel, 0.2);
   const auto target = model.target_distribution(0.2);
   std::vector<double> phases(panel.element_count());
   for (double& p : phases) p = rng.uniform(0, util::kTwoPi);
   auto coeffs = [&](const std::vector<double>& ph) {
-    em::CVec c(ph.size());
-    for (std::size_t i = 0; i < ph.size(); ++i) c[i] = em::expj(ph[i]);
+    em::CxPlanes c(ph.size());
+    for (std::size_t i = 0; i < ph.size(); ++i) c.set(i, em::expj(ph[i]));
     return c;
   };
   std::vector<double> grad(panel.element_count());
@@ -317,8 +331,8 @@ TEST(AoaModel, GradientMatchesFiniteDifference) {
 TEST(AoaModel, RejectsSizeMismatches) {
   const auto panel = make_aperture(2, 2);
   const AoaSensingModel model(&panel, kFreq, 21);
-  const em::CVec four(4, em::Cx{1.0, 0.0});
-  const em::CVec three(3, em::Cx{1.0, 0.0});
+  const em::CxPlanes four = filled(4, {1.0, 0.0});
+  const em::CxPlanes three = filled(3, {1.0, 0.0});
   const auto target = model.target_distribution(0.0);
   EXPECT_THROW(model.loss(three, four, target), std::invalid_argument);
   EXPECT_THROW(model.loss(four, four, {0.5, 0.5}), std::invalid_argument);

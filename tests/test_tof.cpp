@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "em/propagation.hpp"
+#include "em/soa.hpp"
 #include "sense/steering.hpp"
 #include "sense/tof.hpp"
 #include "sim/channel.hpp"
@@ -15,14 +16,21 @@
 namespace surfos::sense {
 namespace {
 
-em::CVec single_path_taps(std::span<const double> frequencies_hz,
-                          double distance_m, double amplitude = 1.0) {
-  em::CVec taps(frequencies_hz.size());
+em::CxPlanes single_path_taps(std::span<const double> frequencies_hz,
+                              double distance_m, double amplitude = 1.0) {
+  em::CxPlanes taps(frequencies_hz.size());
   for (std::size_t k = 0; k < frequencies_hz.size(); ++k) {
-    taps[k] = std::polar(
-        amplitude, -em::wavenumber(frequencies_hz[k]) * distance_m);
+    taps.set(k, std::polar(amplitude,
+                           -em::wavenumber(frequencies_hz[k]) * distance_m));
   }
   return taps;
+}
+
+/// n elements, all equal to `value`.
+em::CxPlanes filled(std::size_t n, em::Cx value) {
+  em::CxPlanes v(n);
+  for (std::size_t i = 0; i < n; ++i) v.set(i, value);
+  return v;
 }
 
 TEST(SubcarrierGrid, SpansBandwidthSymmetrically) {
@@ -46,10 +54,11 @@ TEST(Tof, ExactOnCleanSinglePath) {
 
 TEST(Tof, AmplitudeVariationDoesNotBias) {
   const auto grid = subcarrier_grid(28e9, 400e6, 32);
-  em::CVec taps = single_path_taps(grid, 3.0);
+  em::CxPlanes taps = single_path_taps(grid, 3.0);
   // Frequency-dependent amplitude (antenna rolloff) leaves phases intact.
   for (std::size_t k = 0; k < taps.size(); ++k) {
-    taps[k] *= 0.5 + 0.4 * std::cos(static_cast<double>(k) * 0.2);
+    taps.set(k, taps.at(k) *
+                    (0.5 + 0.4 * std::cos(static_cast<double>(k) * 0.2)));
   }
   EXPECT_NEAR(estimate_distance(grid, taps).distance_m, 3.0, 1e-6);
 }
@@ -57,8 +66,10 @@ TEST(Tof, AmplitudeVariationDoesNotBias) {
 TEST(Tof, ToleratesPhaseNoise) {
   util::Rng rng(19);
   const auto grid = subcarrier_grid(28e9, 400e6, 64);
-  em::CVec taps = single_path_taps(grid, 4.5);
-  for (auto& tap : taps) tap *= em::expj(0.05 * rng.normal());
+  em::CxPlanes taps = single_path_taps(grid, 4.5);
+  for (std::size_t k = 0; k < taps.size(); ++k) {
+    taps.set(k, taps.at(k) * em::expj(0.05 * rng.normal()));
+  }
   const TofEstimate estimate = estimate_distance(grid, taps);
   EXPECT_NEAR(estimate.distance_m, 4.5, 0.05);
   EXPECT_GT(estimate.residual_rad, 1e-4);  // noise shows in the residual
@@ -66,10 +77,12 @@ TEST(Tof, ToleratesPhaseNoise) {
 
 TEST(Tof, MultipathRaisesResidual) {
   const auto grid = subcarrier_grid(28e9, 400e6, 64);
-  em::CVec clean = single_path_taps(grid, 3.0);
-  em::CVec corrupted = clean;
-  const em::CVec echo = single_path_taps(grid, 7.5, 0.6);
-  for (std::size_t k = 0; k < corrupted.size(); ++k) corrupted[k] += echo[k];
+  const em::CxPlanes clean = single_path_taps(grid, 3.0);
+  em::CxPlanes corrupted = clean;
+  const em::CxPlanes echo = single_path_taps(grid, 7.5, 0.6);
+  for (std::size_t k = 0; k < corrupted.size(); ++k) {
+    corrupted.set(k, corrupted.at(k) + echo.at(k));
+  }
   const double clean_residual = estimate_distance(grid, clean).residual_rad;
   const double dirty_residual = estimate_distance(grid, corrupted).residual_rad;
   EXPECT_GT(dirty_residual, clean_residual * 100.0 + 1e-6);
@@ -77,12 +90,12 @@ TEST(Tof, MultipathRaisesResidual) {
 
 TEST(Tof, RejectsBadInput) {
   const auto grid = subcarrier_grid(28e9, 400e6, 8);
-  EXPECT_THROW(estimate_distance(grid, em::CVec(3)), std::invalid_argument);
-  EXPECT_THROW(estimate_distance(std::vector<double>{28e9},
-                                 em::CVec(1, em::Cx{1, 0})),
+  EXPECT_THROW(estimate_distance(grid, em::CxPlanes(3)),
+               std::invalid_argument);
+  EXPECT_THROW(estimate_distance(std::vector<double>{28e9}, filled(1, {1, 0})),
                std::invalid_argument);
   const std::vector<double> degenerate(4, 28e9);
-  EXPECT_THROW(estimate_distance(degenerate, em::CVec(4, em::Cx{1, 0})),
+  EXPECT_THROW(estimate_distance(degenerate, filled(4, {1, 0})),
                std::invalid_argument);
 }
 
@@ -103,11 +116,11 @@ TEST(RangeBearingTest, LocalizesClientWithoutOracle) {
   const geom::Vec3 client =
       panel.center() + azimuth_direction(panel, 0.4) * 2.8;
   const auto grid = subcarrier_grid(center, 400e6, 16);
-  std::vector<em::CVec> taps;
+  std::vector<em::CxPlanes> taps;
   for (const double f : grid) {
     const sim::SceneChannel channel(&env, f, {{-2.0, 1.0, 1.5}, nullptr},
                                     {&panel}, {client});
-    taps.push_back(channel.rx_planes(0, 0).to_cvec());
+    taps.push_back(channel.rx_planes(0, 0));
   }
   const RangeBearing estimate = range_and_bearing(panel, grid, taps);
   EXPECT_NEAR(estimate.azimuth_rad, 0.4, 0.03);
@@ -129,10 +142,10 @@ TEST(RangeBearingTest, ValidatesInput) {
       surface::Reconfigurability::kProgrammable,
       surface::ControlGranularity::kElement);
   const auto grid = subcarrier_grid(center, 100e6, 4);
-  std::vector<em::CVec> wrong_size(4, em::CVec(3));
+  std::vector<em::CxPlanes> wrong_size(4, em::CxPlanes(3));
   EXPECT_THROW(range_and_bearing(panel, grid, wrong_size),
                std::invalid_argument);
-  std::vector<em::CVec> too_few(1, em::CVec(4));
+  std::vector<em::CxPlanes> too_few(1, em::CxPlanes(4));
   EXPECT_THROW(range_and_bearing(panel, std::vector<double>{center}, too_few),
                std::invalid_argument);
 }
