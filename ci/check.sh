@@ -17,13 +17,15 @@
 #      span type. deleted: src/, tools/, bench/, tests/ and examples/ name no
 #      Timeseries, timeseries.hpp, delta_since, MetricsDelta, CsvWriter,
 #      precompute_stats, ReliableSurfaceDriver, hal/reliable.hpp,
-#      SURFOS_SLO_RETRY_PCT, kSloRetryPct, arq_retry_total, CVec, CMat or
-#      to_cvec, so a metrics subscription's delta anchor stays the snapshot
-#      it was last sent (no epoch ring), the deleted CSV writer and fleet
-#      precompute shim stay gone, ProgrammableSurfaceDriver over
-#      ReliableLink stays the one programmable driver, the watchdog has no
-#      ARQ-retry signal, and planes are the one complex currency with no
-#      conversion pair
+#      SURFOS_SLO_RETRY_PCT, kSloRetryPct, arq_retry_total, CVec, CMat,
+#      to_cvec, write_elements, kWriteElements, ElementUpdate,
+#      encode_element_updates/decode_element_updates, kQueryStatus or kNack,
+#      so a metrics subscription's delta anchor stays the snapshot it was
+#      last sent (no epoch ring), the deleted CSV writer and fleet precompute
+#      shim stay gone, ProgrammableSurfaceDriver over ReliableLink stays the
+#      one programmable driver, the watchdog has no ARQ-retry signal, planes
+#      are the one complex currency with no conversion pair, and a surface
+#      is written whole configs only (kWriteConfig, kSelectConfig, kAck)
 #   1. tier-1: configure + build + full ctest in ./build
 #   1b. figures: the stdout of bench_fig2_conflict, bench_fig5_multitask,
 #      bench_abl_dynamics and examples/sensing_suite hashes to the SHA-256
@@ -32,9 +34,10 @@
 #   2. focused re-runs of the observability suites (ctest -L telemetry,
 #      ctest -L trace), the fleet control-plane suite (ctest -L fleet), the
 #      precompute-store suite (ctest -L precompute), the
-#      daemon/wire-protocol suite (ctest -L daemon) and the orchestrator
-#      suite with its plan-reuse contracts (ctest -L orch) so a regression
-#      there is named, not buried
+#      daemon/wire-protocol suite (ctest -L daemon), the orchestrator
+#      suite with its plan-reuse contracts (ctest -L orch) and the
+#      determinism drill against tests/golden/drill.txt (ctest -L drill) so
+#      a regression there is named, not buried
 #   3. forced-scalar re-run of the full suite (SURFOS_SIMD=scalar): the
 #      scalar SIMD backend is the bit-exact reference, so every test must
 #      pass with vectorization disabled
@@ -107,14 +110,15 @@ if grep -rnE 'telemetry::enabled\(|set_enabled\(|SURFOS_SPAN\(|telemetry::Span\b
 fi
 
 echo
-echo "== deleted: no metrics ring, CSV writer, fleet precompute shim, second driver, ARQ SLO or second complex type"
-if grep -rnE 'Timeseries|timeseries\.hpp|delta_since|MetricsDelta|CsvWriter|precompute_stats|ReliableSurfaceDriver|hal/reliable\.hpp|SURFOS_SLO_RETRY_PCT|kSloRetryPct|arq_retry_total|\bCVec\b|\bCMat\b|to_cvec' \
+echo "== deleted: no metrics ring, CSV writer, fleet precompute shim, second driver, ARQ SLO, second complex type or partial surface write"
+if grep -rnE 'Timeseries|timeseries\.hpp|delta_since|MetricsDelta|CsvWriter|precompute_stats|ReliableSurfaceDriver|hal/reliable\.hpp|SURFOS_SLO_RETRY_PCT|kSloRetryPct|arq_retry_total|\bCVec\b|\bCMat\b|to_cvec|write_elements|kWriteElements|\bElementUpdate\b|(en|de)code_element_updates|kQueryStatus|\bkNack\b' \
     src tools bench tests examples; then
   echo "a deleted name is back: metrics subscriptions diff against their anchor"
   echo "snapshot, PrecomputeStore::instance().stats() is the store's stats,"
   echo "ProgrammableSurfaceDriver is the one programmable driver, the SLO"
-  echo "watchdog has no ARQ-retry signal, and em::CxPlanes / em::CxPlaneMat"
-  echo "are the one complex vector and matrix (no CVec, CMat or to_cvec)"
+  echo "watchdog has no ARQ-retry signal, em::CxPlanes / em::CxPlaneMat"
+  echo "are the one complex vector and matrix (no CVec, CMat or to_cvec),"
+  echo "and a surface takes whole configs only: write_config + select_config"
   exit 1
 fi
 
@@ -139,13 +143,14 @@ while read -r WANT FIG_BIN; do
 done < tests/golden/figures.sha256
 
 echo
-echo "== focused: telemetry + trace + fleet + daemon + precompute + orch labels"
+echo "== focused: telemetry + trace + fleet + daemon + precompute + orch + drill labels"
 ctest --test-dir build --output-on-failure -L telemetry
 ctest --test-dir build --output-on-failure -L trace
 ctest --test-dir build --output-on-failure -L fleet
 ctest --test-dir build --output-on-failure -L daemon
 ctest --test-dir build --output-on-failure -L precompute
 ctest --test-dir build --output-on-failure -L orch
+ctest --test-dir build --output-on-failure -L drill
 
 echo
 echo "== forced scalar: full suite with SURFOS_SIMD=scalar (vector dispatch off)"

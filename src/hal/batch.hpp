@@ -3,30 +3,27 @@
 // The orchestrator's actuate stage historically issued one kWriteConfig
 // frame per (device, slot) per assignment, immediately. At fleet scale the
 // control link becomes the bottleneck: a control epoch touching a panel from
-// several assignments pays the full serialize/frame/CRC cost repeatedly and
-// transmits the whole element array even when one column moved.
+// several assignments pays the full serialize/frame/CRC cost repeatedly.
 //
 // WriteCombiner turns the actuate stage into a staged transaction: stage()
 // calls accumulate the *final* desired config per (device, slot) — later
 // stages of the same epoch overwrite earlier ones (write combining) — and
-// flush() issues at most one control transaction per dirty (device, slot),
-// diffing against the driver's stored slot in wire-code space so unchanged
-// slots cost zero frames and sparse changes ride a kWriteElements frame.
+// flush() issues at most one full write_config per dirty (device, slot). It
+// diffs against the driver's stored slot in wire-code space, so a slot
+// already at its target costs zero frames (elision).
 //
 // Equivalence contract: flushing must leave exactly the hardware state a
-// plain write_config(final_config) would. Diffs are therefore computed on
-// the u16/u8 wire codes of SurfaceConfig::serialize (what a full frame
-// would transmit), and the sparse path is only taken for element-granular
-// panels, where SurfacePanel::realizable() is element-wise (group-granular
-// panels project through a circular mean over control groups, so patching a
-// subset of elements diverges from writing the full config).
+// plain write_config(final_config) would. The diff is therefore computed on
+// the u16/u8 wire codes of SurfaceConfig::serialize (what the frame would
+// transmit), and a slot is elided only while its driver has no frame in
+// flight: behind a write still being retransmitted, the stored slot is stale
+// and the late write would overwrite the target the combiner skipped.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <span>
+#include <string>
 #include <utility>
-#include <vector>
 
 #include "hal/driver.hpp"
 #include "surface/config.hpp"
@@ -38,15 +35,6 @@ namespace surfos::hal {
 std::uint16_t phase_code(double radians) noexcept;
 std::uint8_t amplitude_code(double amplitude) noexcept;
 
-/// kWriteElements payload codec. Layout (little-endian):
-///   0..3  update count N
-///   4..   N records of { u32 element index, u16 phase code, u8 amp code }
-std::vector<std::uint8_t> encode_element_updates(
-    std::span<const ElementUpdate> updates);
-/// Throws std::invalid_argument on a malformed payload.
-std::vector<ElementUpdate> decode_element_updates(
-    std::span<const std::uint8_t> payload);
-
 /// What one flush() did, for StepTrace accounting and the fleet bench.
 struct FlushStats {
   std::size_t transactions = 0;      ///< Config-write frames issued.
@@ -55,7 +43,8 @@ struct FlushStats {
   std::size_t element_updates = 0;
   std::size_t writes_staged = 0;     ///< stage() calls this epoch.
   std::size_t writes_coalesced = 0;  ///< stage() calls absorbed by a later one.
-  std::size_t writes_elided = 0;     ///< Dirty slots whose diff was empty.
+  /// Dirty slots already at their target: empty diff, no frame in flight.
+  std::size_t writes_elided = 0;
   std::size_t selects = 0;           ///< kSelectConfig frames issued.
   Micros worst_delay_us = 0;         ///< Worst control delay among frames.
 };
@@ -77,7 +66,7 @@ class WriteCombiner {
   std::size_t staged() const noexcept { return staged_; }
   std::size_t coalesced() const noexcept { return coalesced_; }
 
-  /// Issues at most one transaction per dirty (device, slot), in
+  /// Issues at most one write_config per dirty (device, slot), in
   /// deterministic (device id, slot) order, and clears the buffer. The
   /// caller advances the sim clock past `worst_delay_us` and polls the
   /// registry so the writes apply.

@@ -2,9 +2,6 @@
 
 #include <atomic>
 #include <stdexcept>
-#include <vector>
-
-#include "hal/batch.hpp"
 
 #include "telemetry/telemetry.hpp"
 
@@ -50,24 +47,6 @@ void SurfaceDriver::activate_slot(std::uint16_t slot) {
   active_config_ = slots_.at(slot);
 }
 
-DriverStatus SurfaceDriver::shift_phase(double radians) {
-  surface::SurfaceConfig shifted = active_config_;
-  shifted.shift_all_phases(radians);
-  return write_config(active_slot_, shifted);
-}
-
-DriverStatus SurfaceDriver::set_amplitude(std::span<const double> amplitudes) {
-  if (amplitudes.size() != panel().element_count()) {
-    return DriverStatus::kBadConfig;
-  }
-  if (!panel().design().amplitude_control) return DriverStatus::kUnsupported;
-  surface::SurfaceConfig updated = active_config_;
-  for (std::size_t i = 0; i < amplitudes.size(); ++i) {
-    updated.set_amplitude(i, amplitudes[i]);
-  }
-  return write_config(active_slot_, updated);
-}
-
 // --- ProgrammableSurfaceDriver ----------------------------------------------
 
 ProgrammableSurfaceDriver::ProgrammableSurfaceDriver(
@@ -92,30 +71,6 @@ DriverStatus ProgrammableSurfaceDriver::write_config(
   frame.type = MessageType::kWriteConfig;
   frame.slot = slot;
   frame.payload = config.serialize();
-  link_.send(std::move(frame));
-  return DriverStatus::kOk;
-}
-
-DriverStatus ProgrammableSurfaceDriver::write_elements(
-    std::uint16_t slot, std::span<const ElementUpdate> updates) {
-  if (slot >= slot_count()) return DriverStatus::kBadSlot;
-  for (const ElementUpdate& u : updates) {
-    if (u.index >= panel().element_count()) return DriverStatus::kBadConfig;
-  }
-  // A patch is diffed against the stored slot, which is what the controller
-  // patches only when no earlier frame is still on its way.
-  if (!link_.all_delivered()) return DriverStatus::kUnsupported;
-  SURFOS_TRACE_SPAN("hal.driver.write_elements");
-  // A sparse patch is still one config-write transaction on the control
-  // link; it shares the transaction counter with full-frame writes so the
-  // StepTrace / telemetry view of "control transactions" is mode-agnostic.
-  SURFOS_COUNT("hal.driver.config_writes");
-  SURFOS_COUNT("hal.driver.element_writes");
-  SURFOS_COUNT_N("hal.driver.element_updates", updates.size());
-  Frame frame;
-  frame.type = MessageType::kWriteElements;
-  frame.slot = slot;
-  frame.payload = encode_element_updates(updates);
   link_.send(std::move(frame));
   return DriverStatus::kOk;
 }
@@ -150,27 +105,6 @@ void ProgrammableSurfaceDriver::apply(const Frame& frame) {
       try {
         commit_slot(frame.slot,
                     surface::SurfaceConfig::deserialize(frame.payload));
-        ++frames_applied_;
-      } catch (const std::invalid_argument&) {
-        ++frames_rejected_;
-      }
-      break;
-    case MessageType::kWriteElements:
-      try {
-        const std::vector<ElementUpdate> updates =
-            decode_element_updates(frame.payload);
-        surface::SurfaceConfig patched = stored_config(frame.slot);
-        for (const ElementUpdate& u : updates) {
-          if (u.index >= patched.size()) {
-            ++frames_rejected_;
-            return;
-          }
-        }
-        for (const ElementUpdate& u : updates) {
-          patched.set_phase(u.index, u.phase);
-          patched.set_amplitude(u.index, u.amplitude);
-        }
-        commit_slot(frame.slot, patched);
         ++frames_applied_;
       } catch (const std::invalid_argument&) {
         ++frames_rejected_;

@@ -1,15 +1,15 @@
 // Unified surface driver API (paper 3.1 "Hardware Manager").
 //
 // Drivers mask hardware heterogeneity behind one programming interface whose
-// currency is the element-wise SurfaceConfig: write_config() updates a
-// locally stored configuration slot (asynchronously, through the control
-// link — the control plane), select_config() switches the active slot (the
-// cheap data-plane action an endpoint-feedback loop exercises), and the
-// shift_phase()/set_amplitude() primitives mirror the paper's examples.
+// currency is the element-wise SurfaceConfig: write_config() stores a whole
+// configuration in a slot (asynchronously, through the control link — the
+// control plane), select_config() switches the active slot (the cheap
+// data-plane action an endpoint-feedback loop exercises), and poll() lets
+// in-flight control traffic land. There is no partial write: every stored
+// slot is written whole.
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -41,14 +41,6 @@ constexpr const char* to_string(DriverStatus s) noexcept {
   return "?";
 }
 
-/// One element's new state inside a kWriteElements payload (see hal/batch.hpp
-/// for the codec and the write-combining transaction builder).
-struct ElementUpdate {
-  std::uint32_t index = 0;
-  double phase = 0.0;      ///< Radians, wrapped to [0, 2*pi).
-  double amplitude = 1.0;  ///< [0, 1].
-};
-
 class SurfaceDriver {
  public:
   SurfaceDriver(std::string device_id, const surface::SurfacePanel* panel,
@@ -66,25 +58,16 @@ class SurfaceDriver {
   virtual DriverStatus write_config(std::uint16_t slot,
                                     const surface::SurfaceConfig& config) = 0;
 
-  /// Writes a sparse element patch into a storage slot as one control
-  /// transaction. Only meaningful for element-granular hardware (group
-  /// projections are not element-wise); drivers that cannot honor the
-  /// sparse path, or cannot right now, return kUnsupported and callers fall
-  /// back to a full write_config. May apply asynchronously; kOk means
-  /// accepted.
-  virtual DriverStatus write_elements(std::uint16_t slot,
-                                      std::span<const ElementUpdate> updates) {
-    (void)slot;
-    (void)updates;
-    return DriverStatus::kUnsupported;
-  }
-
   /// Activates a stored slot.
   virtual DriverStatus select_config(std::uint16_t slot) = 0;
 
   /// Processes any in-flight control traffic; call when simulated time has
   /// advanced.
   virtual void poll() {}
+
+  /// True while a frame this driver sent has not reached the hardware, so a
+  /// stored slot may not yet hold what was last written to it.
+  virtual bool has_frames_in_flight() const noexcept { return false; }
 
   /// The configuration currently actuating the hardware (after granularity /
   /// quantization projection).
@@ -97,19 +80,12 @@ class SurfaceDriver {
   const surface::SurfaceConfig& stored_config(std::uint16_t slot) const;
   std::size_t slot_count() const noexcept { return slots_.size(); }
 
-  /// Rises whenever a stored slot is (re)written: write, write_elements,
-  /// an ARQ completion in poll, fabricate, a direct driver write. Each bump
+  /// Rises whenever a stored slot is (re)written: a write_config applied in
+  /// poll (first send or ARQ retransmission), fabricate. Each bump
   /// draws from one process-wide sequence, so a value is never reused, not
   /// even by a driver that replaces a removed one under the same id. A
   /// reader that saw revision r has seen every stored slot while it stays r.
   std::uint64_t config_revision() const noexcept { return config_revision_; }
-
-  // --- Convenience primitives over the active slot ------------------------
-
-  /// Adds a uniform phase offset to the active configuration.
-  DriverStatus shift_phase(double radians);
-  /// Replaces the per-element amplitudes of the active configuration.
-  DriverStatus set_amplitude(std::span<const double> amplitudes);
 
  protected:
   /// init_slots and commit_slot are the only writers of the stored slots;
@@ -143,10 +119,11 @@ class ProgrammableSurfaceDriver final : public SurfaceDriver {
 
   DriverStatus write_config(std::uint16_t slot,
                             const surface::SurfaceConfig& config) override;
-  DriverStatus write_elements(std::uint16_t slot,
-                              std::span<const ElementUpdate> updates) override;
   DriverStatus select_config(std::uint16_t slot) override;
   void poll() override;
+  bool has_frames_in_flight() const noexcept override {
+    return !link_.all_delivered();
+  }
 
   std::size_t frames_applied() const noexcept { return frames_applied_; }
   /// Frames that failed their CRC on the link, plus frames the controller

@@ -24,8 +24,13 @@ std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t at) {
 }
 
 bool valid_type(std::uint8_t t) {
-  return t >= static_cast<std::uint8_t>(MessageType::kWriteConfig) &&
-         t <= static_cast<std::uint8_t>(MessageType::kWriteElements);
+  switch (static_cast<MessageType>(t)) {
+    case MessageType::kWriteConfig:
+    case MessageType::kSelectConfig:
+    case MessageType::kAck:
+      return true;
+  }
+  return false;
 }
 }  // namespace
 

@@ -4,7 +4,9 @@
 // transport. Frames are explicit and checksummed so that the control plane
 // can run at the edge or in the cloud (paper Section 1) with real link
 // semantics: loss, delay, and corruption are survivable, and drivers only
-// apply updates acknowledged end-to-end.
+// apply updates acknowledged end-to-end. A controller is programmed with
+// whole configurations only: kWriteConfig stores one in a slot and
+// kSelectConfig activates a slot.
 //
 // Frame layout (little-endian):
 //   0..1   magic 0x5F 0x05
@@ -24,18 +26,18 @@
 
 namespace surfos::hal {
 
+/// One frame type per operation: write a stored slot, select one, and the
+/// link's acknowledgement. Wire values are pinned, so the unused values 3, 5
+/// and 6 decode as DecodeError::kBadType.
 enum class MessageType : std::uint8_t {
   kWriteConfig = 1,   ///< Payload: serialized SurfaceConfig for a slot.
   kSelectConfig = 2,  ///< Activate a stored slot. No payload.
-  kQueryStatus = 3,   ///< Ask for an ACK with the active slot.
-  kAck = 4,           ///< Payload: 2-byte active slot.
-  kNack = 5,          ///< Payload: 1-byte error code.
-  kWriteElements = 6, ///< Payload: sparse element updates for a slot (one
-                      ///< write-combined control transaction; see hal/batch.hpp).
+  kAck = 4,           ///< ReliableLink's cumulative ack: `sequence` is the
+                      ///< highest in-order frame received. No payload.
 };
 
 struct Frame {
-  MessageType type = MessageType::kQueryStatus;
+  MessageType type = MessageType::kWriteConfig;
   std::uint32_t sequence = 0;
   std::uint16_t slot = 0;
   std::vector<std::uint8_t> payload;

@@ -38,7 +38,7 @@ class SurfaceConfig {
   /// Sets an amplitude (clamped into [0, 1]).
   void set_amplitude(std::size_t i, double value);
 
-  /// Adds `radians` to every element's phase (the shift_phase() primitive).
+  /// Adds `radians` to every element's phase.
   void shift_all_phases(double radians);
 
   /// Quantize phases to 2^bits uniform levels (bits <= 0 leaves continuous).

@@ -1,8 +1,8 @@
 // Hardware manager tests: CRC, the control-plane wire protocol (round trips
 // and every decode failure), the simulated control link (latency, loss,
 // corruption — failure injection), drivers (programmable async apply,
-// passive one-time fabrication, unified primitives), the device registry,
-// and endpoint-feedback codebook selection.
+// passive one-time fabrication), the device registry, endpoint-feedback
+// codebook selection, and the write combiner.
 #include <gtest/gtest.h>
 
 #include "em/propagation.hpp"
@@ -21,12 +21,10 @@ namespace {
 
 surface::SurfacePanel test_panel(
     surface::ControlGranularity granularity =
-        surface::ControlGranularity::kElement,
-    bool amplitude_control = false) {
+        surface::ControlGranularity::kElement) {
   surface::ElementDesign d;
   d.spacing_m = 0.005;
   d.insertion_loss_db = 1.0;
-  d.amplitude_control = amplitude_control;
   return surface::SurfacePanel("panel", geom::Frame({0, 0, 0}, {0, 0, 1}), 4,
                                4, d, surface::OperationMode::kReflective,
                                surface::Reconfigurability::kProgrammable,
@@ -121,6 +119,26 @@ TEST(Protocol, BadVersionAndTypeDetected) {
   bytes = encode_frame(Frame{});
   bytes[3] = 200;  // type
   EXPECT_EQ(decode_frame(bytes).error, DecodeError::kBadType);
+}
+
+TEST(Protocol, OnlyWriteSelectAndAckTypesDecode) {
+  for (const MessageType type : {MessageType::kWriteConfig,
+                                 MessageType::kSelectConfig,
+                                 MessageType::kAck}) {
+    Frame frame;
+    frame.type = type;
+    frame.slot = 2;
+    const DecodeResult decoded = decode_frame(encode_frame(frame));
+    ASSERT_TRUE(decoded.frame.has_value());
+    EXPECT_EQ(decoded.frame->type, type);
+  }
+  // The values between and after them are no frame type.
+  for (const std::uint8_t raw : {3, 5, 6}) {
+    Frame frame;
+    frame.type = static_cast<MessageType>(raw);
+    EXPECT_EQ(decode_frame(encode_frame(frame)).error, DecodeError::kBadType)
+        << int{raw};
+  }
 }
 
 // --- link --------------------------------------------------------------------------
@@ -288,35 +306,6 @@ TEST(PassiveDriver, FabricateExactlyOnce) {
   EXPECT_EQ(driver.spec().control_delay_us, kInfiniteDelay);
   EXPECT_EQ(driver.slot_count(), 1u);
   EXPECT_DOUBLE_EQ(driver.spec().power_mw, 0.0);
-}
-
-TEST(Driver, ShiftPhasePrimitive) {
-  SimClock clock;
-  const auto panel = test_panel();
-  ProgrammableSurfaceDriver driver("s0", &panel, test_spec(10), &clock);
-  EXPECT_EQ(driver.shift_phase(0.5), DriverStatus::kOk);
-  clock.advance(11);
-  driver.poll();
-  for (std::size_t i = 0; i < panel.element_count(); ++i) {
-    EXPECT_NEAR(driver.active_config().phase(i), 0.5, 1e-3);
-  }
-}
-
-TEST(Driver, SetAmplitudeRequiresHardwareSupport) {
-  SimClock clock;
-  const auto no_amp = test_panel(surface::ControlGranularity::kElement, false);
-  ProgrammableSurfaceDriver driver("s0", &no_amp, test_spec(10), &clock);
-  const std::vector<double> amplitudes(16, 0.5);
-  EXPECT_EQ(driver.set_amplitude(amplitudes), DriverStatus::kUnsupported);
-  EXPECT_EQ(driver.set_amplitude(std::vector<double>(3)),
-            DriverStatus::kBadConfig);
-
-  const auto with_amp = test_panel(surface::ControlGranularity::kElement, true);
-  ProgrammableSurfaceDriver driver2("s1", &with_amp, test_spec(10), &clock);
-  EXPECT_EQ(driver2.set_amplitude(amplitudes), DriverStatus::kOk);
-  clock.advance(11);
-  driver2.poll();
-  EXPECT_NEAR(driver2.active_config().amplitude(0), 0.5, 1e-2);
 }
 
 // --- registry ----------------------------------------------------------------------
@@ -491,67 +480,7 @@ TEST(Feedback, NullProbeRejected) {
                std::invalid_argument);
 }
 
-// --- write-combining / sparse element writes -------------------------------------
-
-TEST(Batch, ElementUpdateCodecRoundTrips) {
-  std::vector<ElementUpdate> updates;
-  for (std::uint32_t i = 0; i < 9; ++i) {
-    updates.push_back({i * 3, 0.37 * static_cast<double>(i), 1.0 - 0.1 * i});
-  }
-  const auto payload = encode_element_updates(updates);
-  const auto decoded = decode_element_updates(payload);
-  ASSERT_EQ(decoded.size(), updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    EXPECT_EQ(decoded[i].index, updates[i].index);
-    // Decoded values are the wire codes' fixed points.
-    EXPECT_EQ(phase_code(decoded[i].phase), phase_code(updates[i].phase));
-    EXPECT_EQ(amplitude_code(decoded[i].amplitude),
-              amplitude_code(updates[i].amplitude));
-  }
-  EXPECT_THROW(decode_element_updates(std::vector<std::uint8_t>(3)),
-               std::invalid_argument);
-  auto truncated = payload;
-  truncated.pop_back();
-  EXPECT_THROW(decode_element_updates(truncated), std::invalid_argument);
-}
-
-TEST(Batch, WriteElementsMatchesFullWriteBitForBit) {
-  SimClock clock;
-  const auto panel = test_panel();  // element-granular, 4x4
-  ProgrammableSurfaceDriver full("a", &panel, test_spec(10), &clock);
-  ProgrammableSurfaceDriver sparse("b", &panel, test_spec(10), &clock);
-
-  surface::SurfaceConfig target(panel.element_count());
-  std::vector<ElementUpdate> updates;
-  for (std::size_t i = 0; i < 5; ++i) {
-    target.set_phase(i * 2, 0.31 * static_cast<double>(i + 1));
-    updates.push_back({static_cast<std::uint32_t>(i * 2),
-                       target.phase(i * 2), target.amplitude(i * 2)});
-  }
-  ASSERT_EQ(full.write_config(1, target), DriverStatus::kOk);
-  ASSERT_EQ(sparse.write_elements(1, updates), DriverStatus::kOk);
-  clock.advance(11);
-  full.poll();
-  sparse.poll();
-  EXPECT_EQ(full.frames_applied(), 1u);
-  EXPECT_EQ(sparse.frames_applied(), 1u);
-  for (std::size_t i = 0; i < panel.element_count(); ++i) {
-    EXPECT_EQ(full.stored_config(1).phase(i), sparse.stored_config(1).phase(i))
-        << "element " << i;
-    EXPECT_EQ(full.stored_config(1).amplitude(i),
-              sparse.stored_config(1).amplitude(i));
-  }
-}
-
-TEST(Batch, WriteElementsRejectsBadSlotAndIndex) {
-  SimClock clock;
-  const auto panel = test_panel();
-  ProgrammableSurfaceDriver driver("s0", &panel, test_spec(10, 2), &clock);
-  const std::vector<ElementUpdate> ok = {{0, 1.0, 1.0}};
-  EXPECT_EQ(driver.write_elements(7, ok), DriverStatus::kBadSlot);
-  const std::vector<ElementUpdate> out = {{999, 1.0, 1.0}};
-  EXPECT_EQ(driver.write_elements(0, out), DriverStatus::kBadConfig);
-}
+// --- write-combining --------------------------------------------------------------
 
 TEST(Batch, CombinerCoalescesDedupesAndElides) {
   SimClock clock;

@@ -1,7 +1,8 @@
 // Reliable control-channel tests: in-order exactly-once delivery over
 // perfect, lossy, corrupting, and reordering-free links; retransmission
 // behaviour; fire-and-forget (no retransmissions); and the programmable
-// driver's writes, selects and sparse patches against a hostile link.
+// driver's writes and selects, and the write combiner's elision, against a
+// hostile link.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -351,50 +352,9 @@ TEST(ReliableDriver, RejectsBadSlotAndConfigLocally) {
   EXPECT_EQ(driver.select_config(9), DriverStatus::kBadSlot);
 }
 
-TEST(ReliableDriver, ElementPatchSurvivesLossyControlPath) {
-  // The sparse write_elements path rides the same ARQ: a patch whose first
-  // send is lost lands by retransmission, exactly as on a clean link.
-  SimClock clock;
-  const auto panel = reliable_test_panel();
-  HardwareSpec spec;
-  spec.control_delay_us = 200;
-  spec.config_slots = 2;
-  ReliableOptions options;
-  options.forward.loss_probability = 0.5;
-  options.forward.seed = 9;  // drops the first frame
-  options.rto_us = 600;
-  ProgrammableSurfaceDriver driver("s0", &panel, spec, &clock, options);
-  ProgrammableSurfaceDriver clean("s1", &panel, spec, &clock);
-
-  const std::vector<ElementUpdate> patch = {{0, 1.0, 1.0}, {5, 2.5, 0.5}};
-  ASSERT_EQ(driver.write_elements(1, patch), DriverStatus::kOk);
-  ASSERT_EQ(clean.write_elements(1, patch), DriverStatus::kOk);
-  clock.advance(201);
-  driver.poll();
-  clean.poll();
-  ASSERT_EQ(driver.link().delivered_count(), 0u) << "first send not lost";
-  for (int tick = 0; tick < 100 && driver.link().unacked_count() > 0; ++tick) {
-    clock.advance(300);
-    driver.poll();
-  }
-  EXPECT_GT(driver.link().retransmission_count(), 0u);
-  EXPECT_EQ(driver.frames_applied(), 1u);
-
-  const surface::SurfaceConfig& stored = driver.stored_config(1);
-  const surface::SurfaceConfig& expected = clean.stored_config(1);
-  EXPECT_NEAR(stored.phase(0), 1.0, 1e-3);
-  EXPECT_NEAR(stored.phase(5), 2.5, 1e-3);
-  for (std::size_t i = 0; i < panel.element_count(); ++i) {
-    EXPECT_EQ(stored.phase(i), expected.phase(i)) << i;
-    EXPECT_EQ(stored.amplitude(i), expected.amplitude(i)) << i;
-  }
-}
-
 TEST(ReliableDriver, PatchBehindALostWriteFallsBackToAFullWrite) {
-  // The combiner diffs against the stored slot. While an earlier write to
-  // the slot is still being retransmitted, that slot is stale, so a sparse
-  // patch would land on the wrong base: the driver refuses it and the
-  // combiner sends the whole config, which lands after the lost write.
+  // A config staged while an earlier write to the slot is still being
+  // retransmitted goes out whole, and lands after the lost write.
   SimClock clock;
   const auto panel = reliable_test_panel();
   HardwareSpec spec;
@@ -419,8 +379,6 @@ TEST(ReliableDriver, PatchBehindALostWriteFallsBackToAFullWrite) {
   clock.advance(201);
   driver.poll();
   ASSERT_EQ(driver.link().delivered_count(), 0u) << "first write not lost";
-  EXPECT_EQ(driver.write_elements(1, std::vector<ElementUpdate>{{0, 2.0, 1.0}}),
-            DriverStatus::kUnsupported);
   combiner.stage(driver, 1, one_element, false);
   ASSERT_EQ(combiner.flush().transactions, 1u);
   for (int tick = 0; tick < 100 && driver.link().unacked_count() > 0; ++tick) {
@@ -432,9 +390,57 @@ TEST(ReliableDriver, PatchBehindALostWriteFallsBackToAFullWrite) {
     EXPECT_NEAR(driver.stored_config(1).phase(i), one_element.phase(i), 1e-3)
         << i;
   }
-  // Once everything sent has landed, patches ride the sparse frame again.
-  EXPECT_EQ(driver.write_elements(1, std::vector<ElementUpdate>{{0, 2.0, 1.0}}),
-            DriverStatus::kOk);
+}
+
+TEST(ReliableDriver, ElisionWaitsForALostWrite) {
+  // Restaging a slot's stored config elides the write only when nothing is
+  // in flight: behind a lost write the stored slot is stale, and the late
+  // write would overwrite the config the combiner skipped.
+  SimClock clock;
+  const auto panel = reliable_test_panel();
+  HardwareSpec spec;
+  spec.control_delay_us = 200;
+  spec.config_slots = 2;
+  ReliableOptions options;
+  options.forward.loss_probability = 0.5;
+  options.forward.seed = 9;  // drops the first frame
+  options.rto_us = 600;
+  ProgrammableSurfaceDriver driver("s0", &panel, spec, &clock, options);
+
+  const surface::SurfaceConfig original = driver.stored_config(1);
+  surface::SurfaceConfig everywhere(panel.element_count());
+  for (std::size_t i = 0; i < everywhere.size(); ++i) {
+    everywhere.set_phase(i, 1.0);
+  }
+
+  WriteCombiner combiner;
+  combiner.stage(driver, 1, everywhere, false);
+  ASSERT_EQ(combiner.flush().transactions, 1u);
+  clock.advance(201);
+  driver.poll();
+  ASSERT_EQ(driver.link().delivered_count(), 0u) << "first write not lost";
+  ASSERT_TRUE(driver.has_frames_in_flight());
+
+  combiner.stage(driver, 1, original, false);
+  const FlushStats behind = combiner.flush();
+  EXPECT_EQ(behind.transactions, 1u);
+  EXPECT_EQ(behind.writes_elided, 0u);
+  for (int tick = 0; tick < 100 && driver.link().unacked_count() > 0; ++tick) {
+    clock.advance(300);
+    driver.poll();
+  }
+  ASSERT_EQ(driver.link().unacked_count(), 0u);
+  for (std::size_t i = 0; i < panel.element_count(); ++i) {
+    EXPECT_NEAR(driver.stored_config(1).phase(i), original.phase(i), 1e-3)
+        << i;
+  }
+
+  // Once everything sent has landed, the same restage is elided.
+  EXPECT_FALSE(driver.has_frames_in_flight());
+  combiner.stage(driver, 1, original, false);
+  const FlushStats landed = combiner.flush();
+  EXPECT_EQ(landed.transactions, 0u);
+  EXPECT_EQ(landed.writes_elided, 1u);
 }
 
 }  // namespace
