@@ -19,13 +19,16 @@
 #      precompute_stats, ReliableSurfaceDriver, hal/reliable.hpp,
 #      SURFOS_SLO_RETRY_PCT, kSloRetryPct, arq_retry_total, CVec, CMat,
 #      to_cvec, write_elements, kWriteElements, ElementUpdate,
-#      encode_element_updates/decode_element_updates, kQueryStatus or kNack,
-#      so a metrics subscription's delta anchor stays the snapshot it was
-#      last sent (no epoch ring), the deleted CSV writer and fleet precompute
-#      shim stay gone, ProgrammableSurfaceDriver over ReliableLink stays the
+#      encode_element_updates/decode_element_updates, kQueryStatus, kNack,
+#      accumulate_power_gradient, util.pool.dispatches or
+#      util.pool.nested_inline, so a metrics subscription's delta anchor
+#      stays the snapshot it was last sent (no epoch ring), the deleted CSV
+#      writer and fleet precompute shim stay gone, ProgrammableSurfaceDriver over ReliableLink stays the
 #      one programmable driver, the watchdog has no ARQ-retry signal, planes
-#      are the one complex currency with no conversion pair, and a surface
-#      is written whole configs only (kWriteConfig, kSelectConfig, kAck)
+#      are the one complex currency with no conversion pair, a surface is
+#      written whole configs only (kWriteConfig, kSelectConfig, kAck), a
+#      link term's gradient runs on its LinkFold through one SIMD kernel,
+#      and a nested parallel loop runs inline without touching the pool
 #   1. tier-1: configure + build + full ctest in ./build
 #   1b. figures: the stdout of bench_fig2_conflict, bench_fig5_multitask,
 #      bench_abl_dynamics and examples/sensing_suite hashes to the SHA-256
@@ -110,15 +113,17 @@ if grep -rnE 'telemetry::enabled\(|set_enabled\(|SURFOS_SPAN\(|telemetry::Span\b
 fi
 
 echo
-echo "== deleted: no metrics ring, CSV writer, fleet precompute shim, second driver, ARQ SLO, second complex type or partial surface write"
-if grep -rnE 'Timeseries|timeseries\.hpp|delta_since|MetricsDelta|CsvWriter|precompute_stats|ReliableSurfaceDriver|hal/reliable\.hpp|SURFOS_SLO_RETRY_PCT|kSloRetryPct|arq_retry_total|\bCVec\b|\bCMat\b|to_cvec|write_elements|kWriteElements|\bElementUpdate\b|(en|de)code_element_updates|kQueryStatus|\bkNack\b' \
+echo "== deleted: no metrics ring, CSV writer, fleet precompute shim, second driver, ARQ SLO, second complex type, partial surface write, scalar link gradient or nested-loop pool counter"
+if grep -rnE 'Timeseries|timeseries\.hpp|delta_since|MetricsDelta|CsvWriter|precompute_stats|ReliableSurfaceDriver|hal/reliable\.hpp|SURFOS_SLO_RETRY_PCT|kSloRetryPct|arq_retry_total|\bCVec\b|\bCMat\b|to_cvec|write_elements|kWriteElements|\bElementUpdate\b|(en|de)code_element_updates|kQueryStatus|\bkNack\b|accumulate_power_gradient|util\.pool\.dispatches|util\.pool\.nested_inline' \
     src tools bench tests examples; then
   echo "a deleted name is back: metrics subscriptions diff against their anchor"
   echo "snapshot, PrecomputeStore::instance().stats() is the store's stats,"
   echo "ProgrammableSurfaceDriver is the one programmable driver, the SLO"
   echo "watchdog has no ARQ-retry signal, em::CxPlanes / em::CxPlaneMat"
   echo "are the one complex vector and matrix (no CVec, CMat or to_cvec),"
-  echo "and a surface takes whole configs only: write_config + select_config"
+  echo "and a surface takes whole configs only: write_config + select_config;"
+  echo "a link term's gradient is Ops::power_grad_accum over its LinkFold,"
+  echo "and a nested parallel loop touches no pool counter"
   exit 1
 fi
 

@@ -30,7 +30,7 @@ double Objective::value_and_gradient(std::span<const double> x,
     }
   };
   if (thread_safe() && x.size() > 1) {
-    util::global_pool().run_chunked(0, x.size(), probe);
+    util::run_chunked(0, x.size(), probe);
   } else {
     probe(0, x.size());
   }

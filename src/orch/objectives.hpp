@@ -8,6 +8,15 @@
 // losses, computed from a single coefficient pass per x. The standalone
 // objectives (Capacity, PowerDelivery, Localization) are one weight-1 term
 // of it.
+//
+// A link term (capacity, power delivery) folds its RX set's single-bounce
+// products once, when it is added (sim::SceneChannel::fold_links). Each
+// evaluation is then one cmatvec per panel over the fold's rows, and the
+// gradient reads each fold row directly as dh/dc in one SIMD kernel call
+// per RX and panel (util::simd::Ops::power_grad_accum); RX that a
+// panel-to-panel cascade reaches add its terms through
+// SceneChannel::add_cascades. Values and gradients are bit-identical to the
+// per-RX evaluate / evaluate_with_partials path.
 #pragma once
 
 #include <memory>
@@ -28,7 +37,9 @@ namespace surfos::orch {
 /// values and gradients are bit-identical to that weighted sum.
 class JointObjective final : public opt::Objective {
  public:
-  /// `channel` and `variables` are non-owning and must outlive this object.
+  /// `channel` and `variables` are non-owning, must outlive this object and
+  /// must index the same panels. Link terms fold the channel when added, so
+  /// the channel must not sync() or rebase_rx() while this object lives.
   JointObjective(const sim::SceneChannel* channel,
                  const PanelVariables* variables);
   ~JointObjective() override;
@@ -71,6 +82,18 @@ class JointObjective final : public opt::Objective {
   /// Validates and appends a term; the caller fills its kind's fields.
   Term& new_term(TermKind kind, std::vector<std::size_t> rx_indices,
                  double weight, const char* name);
+  /// Sizes s.h and s.sums to the link term's rows.
+  void size_link_scratch(const Term& term, Scratch& s) const;
+  /// s.h[k] = h_dir + the served panels' fold sums for the link term's rows
+  /// [begin, end): one cmatvec per panel over those rows.
+  void fold_sums(const Term& term, Scratch& s, std::size_t begin,
+                 std::size_t end) const;
+  /// Adds the channel's cascade terms to s.h[k] for the rows in
+  /// [begin, end) that a live cascade reaches, one pool index per row; with
+  /// `partials`, row k's dh/dc (its fold rows plus the cascade partials)
+  /// goes to s.dh[k - begin].
+  void cascade_rows(const Term& term, Scratch& s, std::size_t begin,
+                    std::size_t end, bool partials) const;
   double term_value(const Term& term, Scratch& s) const;
   /// Writes the term's x-gradient into s.partial; returns its value.
   double term_value_and_gradient(const Term& term, Scratch& s) const;

@@ -1,5 +1,6 @@
 #include "sim/channel.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
@@ -741,6 +742,13 @@ void SceneChannel::check_coefficient_sizes(
   }
 }
 
+bool SceneChannel::cascade_live(std::size_t p, std::size_t q,
+                                const geom::Vec3& rx) const {
+  return p != q && statics_->cascades[q][p].rows() != 0 &&
+         panels_[p]->serves(tx_.position, panels_[q]->center()) &&
+         panels_[q]->serves(panels_[p]->center(), rx);
+}
+
 em::Cx SceneChannel::evaluate(
     std::size_t j, std::span<const em::CxPlanes> coefficients) const {
   check_coefficient_sizes(coefficients);
@@ -750,7 +758,7 @@ em::Cx SceneChannel::evaluate(
   em::Cx h = row.h_dir;
   double acc[2];
   // Single-bounce terms: sum_i (g_i f_i) c_i, canonical product order
-  // shared with the partials kernel.
+  // shared with the partials kernel and with fold_links' rows.
   for (std::size_t p = 0; p < panels_.size(); ++p) {
     if (!panels_[p]->serves(tx_.position, rx)) continue;
     const em::CxPlanes& f = statics_->f[p];
@@ -760,32 +768,7 @@ em::Cx SceneChannel::evaluate(
              acc);
     h += em::Cx{acc[0], acc[1]};
   }
-  thread_local em::CxPlanes u_tls, v_tls;
-  em::CxPlanes& u = u_tls;
-  em::CxPlanes& v = v_tls;
-  for (std::size_t p = 0; p < panels_.size(); ++p) {
-    for (std::size_t q = 0; q < panels_.size(); ++q) {
-      if (p == q) continue;
-      const em::CxPlaneMat& G = statics_->cascades[q][p];
-      if (G.rows() == 0) continue;
-      if (!panels_[p]->serves(tx_.position, panels_[q]->center())) continue;
-      if (!panels_[q]->serves(panels_[p]->center(), rx)) continue;
-      const em::CxPlanes& f = statics_->f[p];
-      const em::CxPlanes& g = row.g[q];
-      const em::CxPlanes& cp = coefficients[p];
-      const em::CxPlanes& cq = coefficients[q];
-      // u = diag(cp) f ; v = G u ; term = sum_m (g_m v_m) cq_m.
-      u.resize(f.size());
-      kn.cmul(cp.re(), cp.im(), f.re(), f.im(), u.re(), u.im(),
-              f.padded_size());
-      v.resize(G.rows());
-      kn.cmatvec(G.re(), G.im(), G.rows(), G.stride(), G.stride(), u.re(),
-                 u.im(), v.re(), v.im());
-      kn.cdot3(g.re(), g.im(), v.re(), v.im(), cq.re(), cq.im(),
-               v.padded_size(), acc);
-      h += em::Cx{acc[0], acc[1]};
-    }
-  }
+  add_cascades(j, coefficients, h, nullptr);
   return h;
 }
 
@@ -817,8 +800,18 @@ void SceneChannel::evaluate_with_partials(
                       /*accumulate_w=*/1, f.padded_size(), acc);
     h += em::Cx{acc[0], acc[1]};
   }
+  add_cascades(j, coefficients, h, &dh_dc_out);
+  h_out = h;
+}
 
-  // Double-bounce terms p -> q.
+void SceneChannel::add_cascades(std::size_t j,
+                                std::span<const em::CxPlanes> coefficients,
+                                em::Cx& h,
+                                std::vector<em::CxPlanes>* dh_dc) const {
+  const geom::Vec3& rx = rx_points_.at(j);
+  const RxRowPrecompute& row = *rows_.at(j);
+  const auto& kn = util::simd::ops();
+  double acc[2];
   thread_local em::CxPlanes u_tls, v_tls, gq_tls, w_tls;
   em::CxPlanes& u = u_tls;
   em::CxPlanes& v = v_tls;
@@ -826,40 +819,87 @@ void SceneChannel::evaluate_with_partials(
   em::CxPlanes& w = w_tls;
   for (std::size_t p = 0; p < panels_.size(); ++p) {
     for (std::size_t q = 0; q < panels_.size(); ++q) {
-      if (p == q) continue;
+      if (!cascade_live(p, q, rx)) continue;
       const em::CxPlaneMat& G = statics_->cascades[q][p];
-      if (G.rows() == 0) continue;
-      if (!panels_[p]->serves(tx_.position, panels_[q]->center())) continue;
-      if (!panels_[q]->serves(panels_[p]->center(), rx)) continue;
       const em::CxPlanes& f = statics_->f[p];
       const em::CxPlanes& g = row.g[q];
       const em::CxPlanes& cp = coefficients[p];
       const em::CxPlanes& cq = coefficients[q];
-      // u = diag(cp) f ; v = G u ; term = sum_m (g_m v_m) cq_m and
-      // dh_q += g .* v.
+      // u = diag(cp) f ; v = G u ; term = sum_m (g_m v_m) cq_m.
       u.resize(f.size());
       kn.cmul(cp.re(), cp.im(), f.re(), f.im(), u.re(), u.im(),
               f.padded_size());
       v.resize(G.rows());
       kn.cmatvec(G.re(), G.im(), G.rows(), G.stride(), G.stride(), u.re(),
                  u.im(), v.re(), v.im());
+      if (dh_dc == nullptr) {
+        kn.cdot3(g.re(), g.im(), v.re(), v.im(), cq.re(), cq.im(),
+                 v.padded_size(), acc);
+        h += em::Cx{acc[0], acc[1]};
+        continue;
+      }
+      // dh_q += g .* v, and the same sum.
+      em::CxPlanes& dq = (*dh_dc)[q];
       kn.cdot3_partials(g.re(), g.im(), v.re(), v.im(), cq.re(), cq.im(),
-                        dh_dc_out[q].re(), dh_dc_out[q].im(),
-                        /*accumulate_w=*/1, v.padded_size(), acc);
+                        dq.re(), dq.im(), /*accumulate_w=*/1, v.padded_size(),
+                        acc);
       h += em::Cx{acc[0], acc[1]};
       // w = G^T (g .* cq): partials w.r.t. the first surface p.
       gq.resize(g.size());
       kn.cmul(g.re(), g.im(), cq.re(), cq.im(), gq.re(), gq.im(),
               g.padded_size());
       w.resize(f.size());
-      kn.cmatvec_t(G.re(), G.im(), G.rows(), G.stride(), G.stride(),
-                   gq.re(), gq.im(), w.re(), w.im());
-      kn.cmul_accum(w.re(), w.im(), f.re(), f.im(), dh_dc_out[p].re(),
-                    dh_dc_out[p].im(), f.padded_size());
+      kn.cmatvec_t(G.re(), G.im(), G.rows(), G.stride(), G.stride(), gq.re(),
+                   gq.im(), w.re(), w.im());
+      em::CxPlanes& dp = (*dh_dc)[p];
+      kn.cmul_accum(w.re(), w.im(), f.re(), f.im(), dp.re(), dp.im(),
+                    f.padded_size());
     }
   }
+}
 
-  h_out = h;
+LinkFold SceneChannel::fold_links(
+    std::span<const std::size_t> rx_indices) const {
+  for (const std::size_t j : rx_indices) {
+    if (j >= rx_points_.size()) {
+      throw std::invalid_argument("SceneChannel: RX index out of range");
+    }
+  }
+  const std::size_t m = rx_indices.size();
+  const std::size_t np = panels_.size();
+  LinkFold fold;
+  fold.t.resize(np);
+  for (std::size_t p = 0; p < np; ++p) {
+    fold.t[p].resize(m, panels_[p]->element_count());
+  }
+  fold.h_dir.resize(m);
+  fold.serves.assign(m * np, 0);
+  fold.cascades.assign(m, 0);
+  const auto& kn = util::simd::ops();
+  // Each row owns its slots; the products are cdot3's own (g first).
+  util::parallel_for(0, m, [&](std::size_t k) {
+    const std::size_t j = rx_indices[k];
+    const geom::Vec3& rx = rx_points_[j];
+    const RxRowPrecompute& row = *rows_[j];
+    fold.h_dir[k] = row.h_dir;
+    for (std::size_t p = 0; p < np; ++p) {
+      for (std::size_t q = 0; q < np; ++q) {
+        if (cascade_live(p, q, rx)) fold.cascades[k] = 1;
+      }
+    }
+    for (std::size_t p = 0; p < np; ++p) {
+      if (!panels_[p]->serves(tx_.position, rx)) continue;
+      fold.serves[k * np + p] = 1;
+      const em::CxPlanes& f = statics_->f[p];
+      const em::CxPlanes& g = row.g[p];
+      em::CxPlaneMat& t = fold.t[p];
+      kn.cmul(g.re(), g.im(), f.re(), f.im(), t.row_re(k), t.row_im(k),
+              f.padded_size());
+    }
+  });
+  fold.any_cascades = std::find(fold.cascades.begin(), fold.cascades.end(),
+                                std::uint8_t{1}) != fold.cascades.end();
+  return fold;
 }
 
 std::vector<em::CxPlanes> SceneChannel::coefficients_for(

@@ -21,6 +21,15 @@
 // configs straight into planes, and every vector and matrix in or out of the
 // channel is a zero-copy planes view.
 //
+// An optimizer evaluates the same RX list thousands of times under one
+// geometry, and the single-bounce products g_p(rx) ∘ f_p do not depend on
+// the coefficients. fold_links computes them once for an RX list
+// (LinkFold: one row-major planes matrix per panel, plus each RX's h_dir
+// and serves() mask), so a link objective's single-bounce sum is one
+// cmatvec per panel and its single-bounce partials are the folded rows
+// themselves; add_cascades puts the double-bounce terms on top in
+// evaluate's order. Sums are bit-identical to evaluate's.
+//
 // The artifacts themselves are immutable and refcounted: the RX-independent
 // part (f + cascades) and each per-RX row (g + h_dir) are shared_ptrs,
 // content-addressed by a structural scene digest and shared across channels
@@ -60,6 +69,20 @@ struct ChannelOptions {
 struct TxSpec {
   geom::Vec3 position;
   const em::AntennaPattern* antenna = nullptr;  ///< Non-owning; may be null (isotropic).
+};
+
+/// The coefficient-independent single-bounce part of the channel at a fixed
+/// RX list (SceneChannel::fold_links). Row k belongs to the list's k-th RX.
+struct LinkFold {
+  /// Per panel: row k = g_p(rx_k) ∘ f_p (padded columns), the single-bounce
+  /// dh/dc_p; all zero where panel p does not serve rx_k.
+  std::vector<em::CxPlaneMat> t;
+  std::vector<em::Cx> h_dir;  ///< Per row: the direct channel.
+  /// serves[k * panel_count + p]: panel p reaches row k's RX in one bounce.
+  std::vector<std::uint8_t> serves;
+  /// cascades[k]: some panel-to-panel cascade reaches row k's RX.
+  std::vector<std::uint8_t> cascades;
+  bool any_cascades = false;
 };
 
 /// Precomputed channel structure for one TX, one frequency, a fixed set of
@@ -138,6 +161,17 @@ class SceneChannel {
                               em::Cx& h_out,
                               std::vector<em::CxPlanes>& dh_dc_out) const;
 
+  /// Folds the single-bounce products of the listed RX (see LinkFold). The
+  /// fold is a snapshot: it is stale once sync() or rebase_rx() runs.
+  LinkFold fold_links(std::span<const std::size_t> rx_indices) const;
+
+  /// Adds RX j's double-bounce terms to h and, when dh_dc is non-null, their
+  /// partials to (*dh_dc)[panel], in evaluate's cascade order. After h_dir
+  /// plus the single-bounce sums, the result is bit-identical to evaluate
+  /// (and *dh_dc to evaluate_with_partials').
+  void add_cascades(std::size_t j, std::span<const em::CxPlanes> coefficients,
+                    em::Cx& h, std::vector<em::CxPlanes>* dh_dc) const;
+
   /// Convenience: channel power |h|^2 at every RX for panel configs.
   std::vector<double> power_map(
       std::span<const surface::SurfaceConfig> configs) const;
@@ -170,6 +204,9 @@ class SceneChannel {
   /// parallel per-row g fills), publishing each row to the store.
   void fill_missing_rows(const std::vector<std::size_t>& missing);
   void check_coefficient_sizes(std::span<const em::CxPlanes> coefficients) const;
+  /// Whether the p -> q cascade reaches `rx` (a built matrix, both hops
+  /// served).
+  bool cascade_live(std::size_t p, std::size_t q, const geom::Vec3& rx) const;
 
   const Environment* environment_;
   double frequency_hz_;

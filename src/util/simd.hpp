@@ -154,6 +154,17 @@ struct Ops {
                     const double* xi, double* yr, double* yi);
   // sum_i (ar[i]^2 + ai[i]^2).
   double (*norm_sum)(const double* ar, const double* ai, std::size_t n);
+  // One receiver's phase gradient of |h|^2, added into grad: with
+  // jc[i] = j * c[i] (the caller's, formed once per coefficient set) and
+  // t = jc[i] * d[i] (d = dh/dc),
+  // grad[i] += scale * (hr * t_re - (-hi) * t_im), i.e.
+  // scale * Re(conj(h) * j * c_i * dh/dc_i). The complex products are
+  // spelled out as std::complex multiplication performs them on finite
+  // values, in the same order.
+  void (*power_grad_accum)(const double* jc_re, const double* jc_im,
+                           const double* dr, const double* di, double hr,
+                           double hi, double scale, double* grad,
+                           std::size_t n);
 
   // --- geometry / EM kernels ----------------------------------------------
   // d[i] = |b[i]-a[i]|, u[i] = (b[i]-a[i])/d[i] (plane kernel, length n).

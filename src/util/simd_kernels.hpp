@@ -549,6 +549,28 @@ struct Kernels {
     return hsum<P>(acc);
   }
 
+  static void power_grad_accum(const double* jc_re, const double* jc_im,
+                               const double* dr, const double* di, double hr,
+                               double hi, double scale, double* grad,
+                               std::size_t n) {
+    const reg vhr = P::set1(hr), vnhi = P::set1(-hi), vscale = P::set1(scale);
+    std::size_t i = 0;
+    for (; i + kWidth <= n; i += kWidth) {
+      const reg jr = P::load(jc_re + i), ji = P::load(jc_im + i);
+      const reg yr = P::load(dr + i), yi = P::load(di + i);
+      const reg tr = P::sub(P::mul(jr, yr), P::mul(ji, yi));
+      const reg ti = P::add(P::mul(jr, yi), P::mul(ji, yr));
+      const reg re = P::sub(P::mul(vhr, tr), P::mul(vnhi, ti));
+      P::store(grad + i, P::add(P::load(grad + i), P::mul(vscale, re)));
+    }
+    for (; i < n; ++i) {
+      // Scalar tail with the same expression shape as the block body.
+      const double tr = jc_re[i] * dr[i] - jc_im[i] * di[i];
+      const double ti = jc_re[i] * di[i] + jc_im[i] * dr[i];
+      grad[i] = grad[i] + scale * (hr * tr - (-hi) * ti);
+    }
+  }
+
   static void dist_dirs(const double* ax, const double* ay, const double* az,
                         const double* bx, const double* by, const double* bz,
                         double* d, double* ux, double* uy, double* uz,
@@ -981,6 +1003,7 @@ inline Ops make_ops(const char* name, Backend backend) {
   t.cmatvec = &Kernels<P>::cmatvec;
   t.cmatvec_t = &Kernels<P>::cmatvec_t;
   t.norm_sum = &Kernels<P>::norm_sum;
+  t.power_grad_accum = &Kernels<P>::power_grad_accum;
   t.dist_dirs = &Kernels<P>::dist_dirs;
   t.plane_clip = &Kernels<P>::plane_clip;
   t.seg_transmission = &Kernels<P>::seg_transmission;

@@ -165,19 +165,15 @@ void ThreadPool::run_chunked(
     const std::function<void(std::size_t, std::size_t)>& range_fn) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  // Dispatch count is structural (one per parallel loop issued), so it is
-  // identical under any SURFOS_THREADS value; which *path* a dispatch takes
-  // is a scheduling detail and tracked by the non-deterministic counters.
-  SURFOS_COUNT("util.pool.dispatches");
-  // Serial path: SURFOS_THREADS=1, tiny ranges, or a call nested inside a
-  // running loop (running inline avoids deadlock and keeps parallelism at
-  // one level).
-  if (impl_ == nullptr || n == 1 || t_in_region) {
-    if (t_in_region) {
-      SURFOS_COUNT_SCHED("util.pool.nested_inline", 1);
-    } else {
-      SURFOS_COUNT_SCHED("util.pool.serial_runs", 1);
-    }
+  // A call nested inside a running loop runs inline: that avoids deadlock
+  // and keeps parallelism at one level.
+  if (t_in_region) {
+    range_fn(begin, end);
+    return;
+  }
+  // Serial path: SURFOS_THREADS=1 or a one-index range.
+  if (impl_ == nullptr || n == 1) {
+    SURFOS_COUNT_SCHED("util.pool.serial_runs", 1);
     range_fn(begin, end);
     return;
   }
@@ -186,11 +182,12 @@ void ThreadPool::run_chunked(
   state->begin = begin;
   state->end = end;
   state->trace = telemetry::current_trace();
-  // ~4 chunks per thread bounds imbalance from uneven per-index cost while
-  // keeping scheduling overhead negligible; chunk geometry only affects
-  // which thread runs which indices, so slot-writing callers stay
-  // bit-deterministic across any thread count.
-  state->chunk = std::max<std::size_t>(1, n / (4 * degree_));
+  // ~16 chunks per thread: a fleet's 100 sites run one per chunk, so a
+  // costly site (one that re-plans) leaves no straggler chunk behind it,
+  // while a long loop still takes many indices per cursor grab. Chunk
+  // geometry only affects which thread runs which indices, so slot-writing
+  // callers stay bit-deterministic across any thread count.
+  state->chunk = std::max<std::size_t>(1, n / (16 * degree_));
   state->chunk_count = (n + state->chunk - 1) / state->chunk;
   state->range_fn = &range_fn;
   SURFOS_COUNT_SCHED("util.pool.chunks", state->chunk_count);

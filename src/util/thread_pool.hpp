@@ -27,7 +27,10 @@
 // parallel helpers without deadlocking the pool, and every index of such an
 // inner loop runs on one thread. The serial paths (SURFOS_THREADS=1, a
 // one-index range) do not open a region: their body is still the outermost
-// loop and its inner loops fan out.
+// loop and its inner loops fan out. A nested loop is a plain loop: the free
+// parallel_for / run_chunked below test the region flag before they reach
+// the global pool, so it takes no lock, builds no std::function and touches
+// no shared counter.
 #pragma once
 
 #include <cstddef>
@@ -86,10 +89,26 @@ ThreadPool& global_pool();
 /// parallel_for on the global pool is in flight.
 void reset_global_pool(std::size_t threads);
 
-/// Convenience forwarding to the global pool.
+/// Convenience forwarding to the global pool; a nested call runs inline
+/// without touching it.
 template <typename Fn>
 void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
+  if (ThreadPool::in_parallel_region()) {
+    for (std::size_t i = begin; i < end; ++i) fn(i);
+    return;
+  }
   global_pool().parallel_for(begin, end, std::forward<Fn>(fn));
+}
+
+/// ThreadPool::run_chunked on the global pool; a nested call runs
+/// range_fn(begin, end) inline without touching it.
+template <typename Fn>
+void run_chunked(std::size_t begin, std::size_t end, Fn&& range_fn) {
+  if (ThreadPool::in_parallel_region()) {
+    if (begin < end) range_fn(begin, end);
+    return;
+  }
+  global_pool().run_chunked(begin, end, std::forward<Fn>(range_fn));
 }
 
 }  // namespace surfos::util

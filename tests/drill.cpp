@@ -173,13 +173,11 @@ void script(Client& client, std::uint64_t epoch) {
 }
 
 /// Counters registered as deterministic that still read differently at pool
-/// sizes 1 and 4 for the same inputs (channel fills and ray traces, and the
-/// pool's dispatch count).
+/// sizes 1 and 4 for the same inputs (channel fills and ray traces).
 constexpr const char* kPoolDependentCounters[] = {
     "sim.channel.rebase_rows_filled",
     "sim.channel.rebase_rows_reused",
     "sim.rays.traces",
-    "util.pool.dispatches",
 };
 
 /// Names of the counters whose value follows thread scheduling.

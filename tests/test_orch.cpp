@@ -22,6 +22,7 @@
 #include "orch/variables.hpp"
 #include "sim/dynamics.hpp"
 #include "sim/floorplan.hpp"
+#include "surface/catalog.hpp"
 #include "proto/serialize.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
@@ -299,14 +300,17 @@ TEST(OptimizerEquivalence, AnnealingValueConsistentWithDenseRecompute) {
 struct JointFixture {
   sim::Environment env{em::MaterialDb::standard()};
   surface::SurfacePanel a = small_panel("a");
-  surface::SurfacePanel b =
-      small_panel("b", surface::ControlGranularity::kColumn,
-                  geom::Frame({0.6, -0.8, 2.2}, {0, 0, -1}, {1, 0, 0}));
+  surface::SurfacePanel b;
   std::unique_ptr<sim::SceneChannel> channel;
   std::unique_ptr<PanelVariables> vars;
   std::vector<std::size_t> coverage_rx, leak_rx, sensing_rx;
 
-  JointFixture() {
+  /// `b_pose` places panel b; the default ceiling pose faces the same way as
+  /// panel a, so no panel-to-panel cascade is live.
+  explicit JointFixture(
+      const geom::Frame& b_pose = geom::Frame({0.6, -0.8, 2.2}, {0, 0, -1},
+                                              {1, 0, 0}))
+      : b(small_panel("b", surface::ControlGranularity::kColumn, b_pose)) {
     env.add_vertical_wall(0.0, -2.0, 0.0, 2.0, 0.0, 1.0, em::kMatMetal);
     env.finalize();
     std::vector<geom::Vec3> rx;
@@ -429,6 +433,176 @@ TEST(JointObjectiveTest, RejectsBadTermsAndGradientSize) {
   std::vector<double> short_gradient(x.size() - 1);
   EXPECT_THROW(joint.value_and_gradient(x, short_gradient),
                std::invalid_argument);
+}
+
+/// A link term's value()/value_and_gradient() pair, computed per RX.
+struct LinkReference {
+  double value;           ///< value(): from evaluate.
+  double value_and_grad;  ///< value_and_gradient()'s value.
+  std::vector<double> gradient;
+};
+
+/// A link term the way the objective computed it before folding: per RX,
+/// evaluate gives h for value(), and for value_and_gradient()
+/// evaluate_with_partials gives h and dh/dc and the scalar chain rule adds
+/// 2w Re(conj(h) j c_e dh/dc_e) to element e's gradient in RX order. rho > 0
+/// is a capacity term with `sign`; rho == 0 is a power term with `p0`.
+LinkReference link_reference(const sim::SceneChannel& channel,
+                             const PanelVariables& vars,
+                             const std::vector<std::size_t>& rx, double rho,
+                             double sign, double p0,
+                             std::span<const double> x) {
+  std::vector<em::CxPlanes> planes;
+  vars.coefficients_into(x, planes);
+  std::vector<std::vector<double>> elem(vars.panel_count());
+  for (std::size_t p = 0; p < elem.size(); ++p) {
+    elem[p].assign(vars.panel(p).element_count(), 0.0);
+  }
+  const bool capacity = rho > 0.0;
+  const double m = static_cast<double>(rx.size());
+  const double inv_m = 1.0 / m;
+  const double scale = capacity ? 0.0 : 1.0 / (p0 * m);
+  LinkReference ref;
+  double sum = 0.0;
+  for (const std::size_t j : rx) {
+    const double power = std::norm(channel.evaluate(j, planes));
+    sum += capacity ? std::log2(1.0 + rho * power) : power;
+  }
+  ref.value = capacity ? -sign * sum / m : -sum / (p0 * m);
+  sum = 0.0;
+  em::Cx h;
+  std::vector<em::CxPlanes> dh;
+  for (const std::size_t j : rx) {
+    channel.evaluate_with_partials(j, planes, h, dh);
+    const double power = std::norm(h);
+    double weight = -scale;
+    if (capacity) {
+      sum += std::log2(1.0 + rho * power);
+      weight = -sign * inv_m * rho /
+               ((1.0 + rho * power) * 0.6931471805599453);
+    } else {
+      sum += power;
+    }
+    for (std::size_t p = 0; p < elem.size(); ++p) {
+      for (std::size_t e = 0; e < elem[p].size(); ++e) {
+        const double cr = planes[p].re()[e], ci = planes[p].im()[e];
+        const double dr = dh[p].re()[e], di = dh[p].im()[e];
+        const double jc_re = 0.0 * cr - 1.0 * ci;
+        const double jc_im = 0.0 * ci + 1.0 * cr;
+        const double t_re = jc_re * dr - jc_im * di;
+        const double t_im = jc_re * di + jc_im * dr;
+        elem[p][e] += weight * 2.0 * (h.real() * t_re - (-h.imag()) * t_im);
+      }
+    }
+  }
+  ref.gradient.assign(x.size(), 0.0);
+  for (std::size_t p = 0; p < elem.size(); ++p) {
+    vars.reduce_gradient(p, elem[p], ref.gradient);
+  }
+  ref.value_and_grad = capacity ? -sign * sum * inv_m : -sum * scale;
+  return ref;
+}
+
+/// One link term of a plan: capacity when rho > 0, else power delivery.
+struct LinkTerm {
+  std::vector<std::size_t> rx;
+  double rho, sign, p0, weight;
+};
+
+/// The plan's fused value and gradient against the weighted sum of
+/// link_reference terms, combined in insertion order.
+void expect_folded_plan_matches_reference(const sim::SceneChannel& channel,
+                                          const PanelVariables& vars,
+                                          const std::vector<LinkTerm>& terms,
+                                          std::span<const double> x) {
+  JointObjective joint(&channel, &vars);
+  double want_value = 0.0, want = 0.0;
+  std::vector<double> want_grad(x.size(), 0.0);
+  for (const LinkTerm& t : terms) {
+    if (t.rho > 0.0) {
+      joint.add_capacity(t.rx, t.rho, t.sign, t.weight);
+    } else {
+      joint.add_power_delivery(t.rx, t.p0, t.weight);
+    }
+    const LinkReference ref =
+        link_reference(channel, vars, t.rx, t.rho, t.sign, t.p0, x);
+    want_value += t.weight * ref.value;
+    want += t.weight * ref.value_and_grad;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      want_grad[i] += t.weight * ref.gradient[i];
+    }
+  }
+  std::vector<double> grad(x.size());
+  EXPECT_EQ(joint.value_and_gradient(x, grad), want);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(grad[i], want_grad[i]) << "coordinate " << i;
+  }
+  EXPECT_EQ(joint.value(x), want_value);
+}
+
+TEST(JointObjectiveTest, FoldedLinkTermsMatchPerRxReference) {
+  // The plain fixture has no live cascade. With panel b on a wall facing
+  // panel a, the b -> a cascade reaches every RX, and the RX behind the wall
+  // plane (x > 1.5) do not see b in one bounce. The coverage term spans two
+  // kRxBlock blocks.
+  const JointFixture plain;
+  const JointFixture fx(geom::Frame({1.5, 0.0, 1.0}, {-1, 0, 0}, {0, 1, 0}));
+  EXPECT_FALSE(plain.channel->fold_links(plain.coverage_rx).any_cascades);
+  const sim::LinkFold fold = fx.channel->fold_links(fx.leak_rx);
+  EXPECT_TRUE(fold.any_cascades);
+  EXPECT_NE(std::count(fold.serves.begin(), fold.serves.end(), 0), 0);
+  ASSERT_EQ(fold.t.size(), 2u);
+  EXPECT_EQ(fold.t[0].rows(), fx.leak_rx.size());
+
+  // The daemon's plan shape: one 8x8 column-controlled NR-Surface, two
+  // capacity RX and nine security RX.
+  sim::Environment room{em::MaterialDb::standard()};
+  room.add_vertical_wall(0.0, 4.0, 4.0, 4.0, 0.0, 3.0, em::kMatConcrete);
+  room.add_vertical_wall(0.0, 0.0, 0.0, 4.0, 0.0, 3.0, em::kMatConcrete);
+  room.add_vertical_wall(4.0, 0.0, 4.0, 4.0, 0.0, 3.0, em::kMatConcrete);
+  room.add_vertical_wall(0.0, 0.0, 4.0, 0.0, 0.0, 3.0, em::kMatConcrete);
+  room.add_horizontal_slab(0.0, 4.0, 0.0, 4.0, 0.0, em::kMatFloor);
+  room.finalize();
+  const surface::SurfacePanel nr = surface::instantiate(
+      *surface::Catalog::standard().find("NR-Surface"),
+      geom::Frame({3.92, 2.0, 1.8}, {-1.0, 0.0, 0.0}), 8, 8);
+  std::vector<geom::Vec3> probes{{1.2, 2.4, 1.0}, {2.6, 1.1, 1.0}};
+  for (const geom::Vec3& q :
+       geom::SampleGrid(0.5, 3.5, 0.5, 3.5, 1.0, 3, 3).points()) {
+    probes.push_back(q);
+  }
+  const sim::SceneChannel daemon_channel(
+      &room, em::band_center(em::Band::k28GHz),
+      sim::TxSpec{{0.4, 2.0, 2.2}, nullptr}, {&nr}, probes);
+  const PanelVariables daemon_vars({&nr});
+  EXPECT_EQ(nr.granularity(), surface::ControlGranularity::kColumn);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    util::reset_global_pool(threads);
+    for (const std::uint64_t seed : {5u, 6u}) {
+      for (const JointFixture* f : {&plain, &fx}) {
+        const auto x = f->point(seed);
+        expect_folded_plan_matches_reference(
+            *f->channel, *f->vars, {{f->coverage_rx, 1e12, 1.0, 0.0, 3.0}}, x);
+        expect_folded_plan_matches_reference(
+            *f->channel, *f->vars,
+            {{f->leak_rx, 1e12, -1.0, 0.0, 1.0},
+             {f->leak_rx, 0.0, 1.0, 3e-9, -4.0},
+             {{79}, 0.0, 1.0, 2e-9, 1.0}},
+            x);
+      }
+      util::Rng rng(seed);
+      std::vector<double> y(daemon_vars.dimension());
+      for (double& v : y) v = rng.uniform(0, util::kTwoPi);
+      expect_folded_plan_matches_reference(
+          daemon_channel, daemon_vars,
+          {{{0}, 1e12, 1.0, 0.0, 1.0},
+           {{1}, 1e12, 1.0, 0.0, 1.0},
+           {{2, 3, 4, 5, 6, 7, 8, 9, 10}, 0.0, 1.0, 1e-9, -1.0}},
+          y);
+    }
+  }
+  util::reset_global_pool(0);
 }
 
 // --- Perf models ---------------------------------------------------------------------

@@ -175,6 +175,51 @@ TEST(SimdKernels, MatvecBitwiseAcrossBackends) {
   }
 }
 
+TEST(SimdKernels, PowerGradientBitwiseAcrossBackends) {
+  const simd::Ops* scalar = simd::ops_for(simd::Backend::kScalar);
+  ASSERT_NE(scalar, nullptr);
+  // Lengths with ragged tails on both sides of whole blocks, and one
+  // unaligned offset for every operand.
+  const auto run = [](const simd::Ops& k, std::size_t n, std::size_t off) {
+    const auto cr = filled(n + off, 0.1), ci = filled(n + off, 0.2);
+    const auto dr = filled(n + off, 0.3), di = filled(n + off, 0.4);
+    auto grad = filled(n + off, 0.5);
+    k.power_grad_accum(cr.data() + off, ci.data() + off, dr.data() + off,
+                       di.data() + off, 0.7, -0.3, 2.5, grad.data() + off, n);
+    k.power_grad_accum(dr.data() + off, di.data() + off, cr.data() + off,
+                       ci.data() + off, -1.1, 0.9, -0.125, grad.data() + off,
+                       n);
+    return std::vector<double>(grad.begin() + off, grad.end());
+  };
+  for (const simd::Backend b : simd::available_backends()) {
+    if (b == simd::Backend::kScalar) continue;
+    for (const std::size_t n : {1, 3, 7, 9, 13, 21, 64, 67}) {
+      for (const std::size_t off : {std::size_t{0}, std::size_t{1}}) {
+        EXPECT_EQ(run(*scalar, n, off), run(*simd::ops_for(b), n, off))
+            << simd::backend_name(b) << " n=" << n << " offset=" << off;
+      }
+    }
+  }
+  // The scalar reference is the objective's per-element formula, t = jc * d.
+  const auto got = run(*scalar, 13, 0);
+  const auto cr = filled(13, 0.1), ci = filled(13, 0.2);
+  const auto dr = filled(13, 0.3), di = filled(13, 0.4);
+  auto want = filled(13, 0.5);
+  const auto formula = [](const simd::AlignedVec& jr, const simd::AlignedVec& ji,
+                          const simd::AlignedVec& br, const simd::AlignedVec& bi,
+                          double hr, double hi, double scale,
+                          simd::AlignedVec& g) {
+    for (std::size_t e = 0; e < g.size(); ++e) {
+      const double t_re = jr[e] * br[e] - ji[e] * bi[e];
+      const double t_im = jr[e] * bi[e] + ji[e] * br[e];
+      g[e] += scale * (hr * t_re - (-hi) * t_im);
+    }
+  };
+  formula(cr, ci, dr, di, 0.7, -0.3, 2.5, want);
+  formula(dr, di, cr, ci, -1.1, 0.9, -0.125, want);
+  EXPECT_EQ(got, std::vector<double>(want.begin(), want.end()));
+}
+
 TEST(SimdKernels, GeometryAndEmBitwiseAcrossBackends) {
   expect_backends_agree([](const simd::Ops& k, std::size_t n,
                            std::size_t off) {

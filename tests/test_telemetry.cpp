@@ -362,8 +362,7 @@ TEST_F(TelemetryTest, CounterSnapshotIdenticalAcrossThreadCounts) {
   for (const char* name :
        {"orch.steps", "orch.tasks.admitted", "opt.objective.evaluations",
         "hal.driver.config_writes", "sim.channel.precomputes",
-        "broker.utterances", "core.surfaces.installed",
-        "util.pool.dispatches"}) {
+        "broker.utterances", "core.surfaces.installed"}) {
     EXPECT_NE(serial.find(name), std::string::npos) << name;
   }
 }
