@@ -2,7 +2,7 @@
 // control plane can react — channel evaluation (with and without gradients),
 // configuration serialization and framing, BVH occlusion queries, AoA
 // spectra, one full optimizer iteration, and one evaluation of a plan shaped
-// like the daemon's.
+// like the daemon's, and the FleetReport codec surfosd runs every epoch.
 #include <benchmark/benchmark.h>
 
 #include "hal/crc32.hpp"
@@ -10,6 +10,7 @@
 #include "opt/optimizer.hpp"
 #include "orch/objectives.hpp"
 #include "orch/variables.hpp"
+#include "proto/serialize.hpp"
 #include "sense/aoa.hpp"
 #include "sim/channel.hpp"
 #include "sim/floorplan.hpp"
@@ -167,6 +168,56 @@ void BM_FrameEncodeDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FrameEncodeDecode)->Arg(64)->Arg(1024)->Arg(16384);
+
+/// A 100-site FleetReport shaped like surfosd's: per site three task
+/// reports and a StepTrace naming their trace ids.
+FleetReport hundred_site_report() {
+  FleetReport report;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    SiteReport& site = report.sites.emplace_back();
+    site.site_id = "site" + std::to_string(i);
+    site.step.assignment_count = 3;
+    site.step.optimizations_run = 1;
+    for (std::uint64_t t = 0; t < 3; ++t) {
+      orch::TaskReport& task = site.step.tasks.emplace_back();
+      task.id = i * 3 + t;
+      task.state = orch::TaskState::kRunning;
+      task.achieved = 12.5 + static_cast<double>(t);
+      task.goal_met = t != 2;
+      site.step.trace.trace_ids.push_back(0x5eed0000 + task.id);
+    }
+    site.step.trace.task_trace_ids = site.step.trace.trace_ids;
+    site.step.trace.total_us = 310.0 + static_cast<double>(i);
+    site.step.trace.plans_reused = 3;
+    report.total_assignments += 3;
+  }
+  return report;
+}
+
+void BM_FleetReportToWire(benchmark::State& state) {
+  const FleetReport report = hundred_site_report();
+  std::vector<std::uint8_t> out;
+  for (auto _ : state) {
+    out.clear();
+    proto::to_wire(report, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_FleetReportToWire);
+
+void BM_FleetReportFromWire(benchmark::State& state) {
+  const std::vector<std::uint8_t> bytes =
+      proto::to_wire(hundred_site_report());
+  FleetReport out;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(proto::from_wire(bytes, out).ok());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_FleetReportFromWire);
 
 void BM_Crc32(benchmark::State& state) {
   std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)), 0x5A);

@@ -45,8 +45,9 @@
 #      scalar SIMD backend is the bit-exact reference, so every test must
 #      pass with vectorization disabled
 #   4. TSan build of the thread-pool/tracing/fleet/daemon/precompute/
-#      orchestrator tests (ctest -L "tsan|trace|fleet|daemon|precompute|orch"
-#      in ./build-tsan); any sanitizer report fails the run
+#      orchestrator tests and the determinism drill (ctest -L
+#      "tsan|trace|fleet|daemon|precompute|orch|drill" in ./build-tsan); any
+#      sanitizer report fails the run
 #   4b. ASan+LSan build of every test target and every example (./build-asan)
 #      and a plain ctest over the whole suite; any memory error or leak
 #      fails the run
@@ -163,24 +164,26 @@ SURFOS_SIMD=scalar ctest --test-dir build --output-on-failure -j"$JOBS"
 
 
 echo
-echo "== tsan: thread-pool / tracing / daemon / orch tests under ThreadSanitizer (build-tsan/)"
+echo "== tsan: thread-pool / tracing / daemon / orch / drill tests under ThreadSanitizer (build-tsan/)"
 cmake -B build-tsan -S . -DSURFOS_SANITIZE=thread
 cmake --build build-tsan -j"$JOBS" --target \
   test_thread_pool test_parallel_determinism test_trace \
   test_precompute test_fleet test_admission test_proto test_daemon \
-  test_streaming test_orch
+  test_streaming test_orch test_drill
 # TSan findings abort the test process (halt_on_error) so a data race can
 # never hide behind a green assertion run. -L is a regex: the trace suite
 # hammers the recorder from pool workers, the fleet suite steps sites
 # concurrently on the pool, the daemon suite runs the ticker and
 # poll() server threads against client connections, and the precompute
 # suite exercises the mutex-guarded global artifact store from pool
-# workers, and the orch suite runs the joint objective, whose leased
+# workers, the orch suite runs the joint objective, whose leased
 # scratch buffers are filled by per-RX pool workers and shared by
-# concurrent value_batch callers, so all of them run under TSan too.
+# concurrent value_batch callers, and the drill runs whole surfosd epochs
+# at pool size 4, where each site's FleetReport record is encoded on the
+# pool worker that stepped the site, so all of them run under TSan too.
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir build-tsan --output-on-failure \
-  -L "tsan|trace|fleet|daemon|precompute|orch"
+  -L "tsan|trace|fleet|daemon|precompute|orch|drill"
 
 echo
 echo "== asan: the whole suite under ASan+LSan (build-asan/)"

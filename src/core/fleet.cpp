@@ -47,7 +47,7 @@ broker::IntentResult Fleet::handle_utterance(const std::string& site_id,
   return site(site_id).broker().handle_utterance(text);
 }
 
-FleetReport Fleet::step_all() {
+FleetReport Fleet::step_all(const SiteHook& on_site) {
   FleetReport report;
   telemetry::TraceSpan span("core.fleet.step_all", sites_.size());
   SURFOS_COUNT("core.fleet.step_alls");
@@ -73,9 +73,12 @@ FleetReport Fleet::step_all() {
         telemetry::make_trace_id(telemetry::trace_domain("core.fleet.site"),
                                  i + 1),
         0});
-    telemetry::TraceSpan site_span("core.fleet.site.step", i + 1);
-    slots[i].site_id = *sites[i].first;
-    slots[i].step = sites[i].second->step();
+    {
+      telemetry::TraceSpan site_span("core.fleet.site.step", i + 1);
+      slots[i].site_id = *sites[i].first;
+      slots[i].step = sites[i].second->step();
+    }
+    if (on_site) on_site(i, slots[i]);
   });
 
   for (SiteReport& site_report : slots) {

@@ -6,8 +6,12 @@
 // A Fleet owns one SurfOS instance per site (apartment, office floor,
 // venue), routes application requests to the right site, steps every site's
 // control plane, and aggregates inventory/health for the operator's view.
+// step_all's optional per-site hook runs a caller's per-site work on the
+// worker that stepped the site (surfosd encodes the site's report bytes
+// there), so that work leaves the caller's serial tail.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -57,13 +61,20 @@ class Fleet {
   broker::IntentResult handle_utterance(const std::string& site_id,
                                         const std::string& text);
 
+  /// Called once per site from inside step_all's parallel region, on the
+  /// worker that stepped it, with the site's index (site-id order, the
+  /// index of its FleetReport::sites entry) and finished report.
+  using SiteHook = std::function<void(std::size_t, const SiteReport&)>;
+
   /// Runs one control-plane cycle on every site. Sites step concurrently as
   /// one parallel_for over the process-wide thread pool, whose dynamic
   /// chunks balance uneven site costs; it is the outermost loop, so the
-  /// parallel helpers inside each site's step run inline. The report is
-  /// assembled by a serial site-index-order reduction, so it is
-  /// bit-identical for any SURFOS_THREADS.
-  FleetReport step_all();
+  /// parallel helpers inside each site's step run inline. `on_site`, when
+  /// set, runs right after each site's step in the same loop body; it may
+  /// touch only what belongs to index i. The report is assembled by a
+  /// serial site-index-order reduction, so it is bit-identical for any
+  /// SURFOS_THREADS.
+  FleetReport step_all(const SiteHook& on_site = {});
 
   /// Cross-site inventory for the operator's dashboard.
   FleetInventory inventory() const;

@@ -208,7 +208,14 @@ void Daemon::run_epoch() {
     }
   }
 
-  const FleetReport report = fleet_.step_all();
+  // Each site's kSite record is encoded on the worker that stepped it, into
+  // that site's reused buffer; the serialize phase below only assembles.
+  site_wire_.resize(fleet_.size());
+  const FleetReport report =
+      fleet_.step_all([this](std::size_t i, const SiteReport& site) {
+        site_wire_[i].clear();
+        proto::append_site_record(site, site_wire_[i]);
+      });
 
   {
     telemetry::TraceSpan span("surfosd.epoch.escalate_gc");
@@ -220,7 +227,8 @@ void Daemon::run_epoch() {
 
   {
     telemetry::TraceSpan span("surfosd.epoch.serialize");
-    last_report_wire_ = proto::to_wire(report);
+    last_report_wire_.clear();
+    proto::assemble_fleet_report(report, site_wire_, last_report_wire_);
   }
   ++stats_.epochs;
 

@@ -6,8 +6,9 @@
 //   - the TICKER runs continuous control epochs: advance the simulated
 //     clock, move the blockers (in place; the step re-plans only what
 //     they touched), drain the admission queue, step every site, escalate
-//     unsatisfied apps and GC endpoints, then serialize the FleetReport for
-//     get_metrics;
+//     unsatisfied apps and GC endpoints, then assemble the FleetReport's
+//     bytes for get_metrics (each site's record is encoded on the pool,
+//     right after the site's step);
 //   - the SERVER poll()s a Unix-domain socket and speaks the versioned TLV
 //     protocol (proto/wire.hpp). Every request is handled under a
 //     TraceScope of the request frame's trace id, and every reply echoes
@@ -169,6 +170,10 @@ class Daemon {
   Fleet fleet_;
   std::vector<Site> sites_;
   std::vector<std::uint8_t> last_report_wire_;
+  /// Per-site kSite records of the last epoch, in site-id order (the
+  /// fleet's index order), each written by the pool worker that stepped
+  /// the site and reused across epochs.
+  std::vector<std::vector<std::uint8_t>> site_wire_;
   DaemonStats stats_;
   std::uint64_t sim_now_us_ = 0;
 

@@ -303,7 +303,7 @@ double JointObjective::term_value_and_gradient(const Term& term,
       }
     }
     variables_->reduce_gradient(term.panel, elem_grad, s.partial);
-    return sum * inv_m;
+    return sum / static_cast<double>(m);  // term_value's expression
   }
 
   // Link terms: dL/d|h_j|^2 is the only per-kind difference. Each RX adds
@@ -349,7 +349,10 @@ double JointObjective::term_value_and_gradient(const Term& term,
   for (std::size_t p = 0; p < np; ++p) {
     variables_->reduce_gradient(p, s.elem_grads[p], s.partial);
   }
-  return capacity ? -term.sign * sum * inv_m : -sum * scale;
+  // term_value's expressions, so value() and value_and_gradient() agree
+  // bit for bit.
+  if (capacity) return -term.sign * sum / static_cast<double>(m);
+  return -sum / (term.p0 * static_cast<double>(m));
 }
 
 }  // namespace surfos::orch

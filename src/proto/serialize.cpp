@@ -192,21 +192,35 @@ Result<void> from_wire(std::span<const std::uint8_t> bytes,
 
 // --- FleetReport -------------------------------------------------------------
 
-void to_wire(const FleetReport& report, std::vector<std::uint8_t>& out) {
+void append_site_record(const SiteReport& site,
+                        std::vector<std::uint8_t>& out) {
+  TlvWriter(out).nest(tag::kSite, [&](auto& body) {
+    TlvWriter w(body);
+    w.put_u16(tag::kVersion, kStructVersion);
+    w.put_string(tag::kSiteId, site.site_id);
+    w.nest(tag::kSiteStep, [&](auto& step) { to_wire(site.step, step); });
+  });
+}
+
+void assemble_fleet_report(
+    const FleetReport& report,
+    std::span<const std::vector<std::uint8_t>> site_records,
+    std::vector<std::uint8_t>& out) {
   TlvWriter w(out);
   w.put_u16(tag::kVersion, kStructVersion);
-  for (const SiteReport& site : report.sites) {
-    w.nest(tag::kSite, [&](auto& body) {
-      TlvWriter sw(body);
-      sw.put_u16(tag::kVersion, kStructVersion);
-      sw.put_string(tag::kSiteId, site.site_id);
-      sw.nest(tag::kSiteStep, [&](auto& step) { to_wire(site.step, step); });
-    });
+  for (const std::vector<std::uint8_t>& chunk : site_records) {
+    out.insert(out.end(), chunk.begin(), chunk.end());
   }
   w.put_u64(tag::kTotalAssignments, report.total_assignments);
   w.put_u64(tag::kTotalOptimizations, report.total_optimizations);
   w.put_u64(tag::kTotalStarved, report.total_starved);
   w.nest(tag::kFleetTrace, [&](auto& body) { to_wire(report.trace, body); });
+}
+
+void to_wire(const FleetReport& report, std::vector<std::uint8_t>& out) {
+  std::vector<std::uint8_t> records;
+  for (const SiteReport& site : report.sites) append_site_record(site, records);
+  assemble_fleet_report(report, {&records, 1}, out);
 }
 
 namespace {

@@ -53,6 +53,20 @@ void to_wire(const orch::StepReport& report, std::vector<std::uint8_t>& out);
 Result<void> from_wire(std::span<const std::uint8_t> bytes,
                        orch::StepReport& out);
 
+// A FleetReport is written in two steps: each site's kSite record (tag,
+// length and body) on its own, then the assembly, which writes the version,
+// the site records in site order, the totals and the fleet trace.
+// `site_records` is the records' bytes in site order, cut into any number
+// of chunks. surfosd runs the first step for each site inside
+// Fleet::step_all's per-site body, on the pool, into one chunk per site,
+// and the assembly in its serial epoch tail; to_wire(FleetReport) runs the
+// same two functions in a row, with every record in one chunk.
+void append_site_record(const SiteReport& site, std::vector<std::uint8_t>& out);
+void assemble_fleet_report(
+    const FleetReport& report,
+    std::span<const std::vector<std::uint8_t>> site_records,
+    std::vector<std::uint8_t>& out);
+
 void to_wire(const FleetReport& report, std::vector<std::uint8_t>& out);
 Result<void> from_wire(std::span<const std::uint8_t> bytes, FleetReport& out);
 

@@ -23,12 +23,20 @@
 // values nest another TLV stream inside a record, written in place
 // (TlvWriter::nest).
 //
+// The codec is inline and runs at memory speed: a field write grows the
+// buffer once and stores header and value through a pointer, and a field
+// read is one fixed-width load (store_le/load_le below). The daemon's
+// biggest payload, the FleetReport, is written per site on the pool
+// (proto/serialize.hpp).
+//
 // Error handling is Result-based end to end (core/status.hpp): a malformed
 // frame can never throw across the socket boundary, and decode errors carry
 // the wire-stable codes kMalformedFrame / kUnsupportedVersion / kOutOfRange.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -97,12 +105,64 @@ struct WireFrame {
   std::vector<std::uint8_t> payload;  ///< TLV records.
 };
 
-/// The little-endian fixed-width integer codec of the frame header and the
-/// TLV fields (and of the snapshot file header): append the low `bytes`
-/// bytes of `v`, or read `bytes` bytes at `at` (the caller checks bounds).
-void append_le(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes);
-std::uint64_t read_le(std::span<const std::uint8_t> in, std::size_t at,
-                      int bytes);
+// The little-endian fixed-width integer codec of the frame header, the TLV
+// fields and the snapshot file header. Every write grows its buffer once
+// and then stores through a pointer; a fixed width folds to one store or
+// load.
+
+/// Stores the low N bytes of `v` at `p`, little-endian.
+template <std::size_t N>
+inline void store_le(std::uint8_t* p, std::uint64_t v) noexcept {
+  static_assert(N >= 1 && N <= 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, N);
+  } else {
+    for (std::size_t i = 0; i < N; ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+}
+
+/// Reads N little-endian bytes at `p` (the caller checks bounds).
+template <std::size_t N>
+inline std::uint64_t load_le(const std::uint8_t* p) noexcept {
+  static_assert(N >= 1 && N <= 8);
+  std::uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, N);
+  } else {
+    for (std::size_t i = 0; i < N; ++i) {
+      v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    }
+  }
+  return v;
+}
+
+/// Grows `out` by `n` bytes (one resize) and returns the first new byte.
+inline std::uint8_t* grow(std::vector<std::uint8_t>& out, std::size_t n) {
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  return out.data() + at;
+}
+
+/// Appends the low `bytes` bytes of `v`, or reads `bytes` bytes at `at`
+/// (the caller checks bounds); `bytes` is 1..8.
+inline void append_le(std::vector<std::uint8_t>& out, std::uint64_t v,
+                      int bytes) {
+  std::uint8_t* p = grow(out, static_cast<std::size_t>(bytes));
+  for (int i = 0; i < bytes; ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+inline std::uint64_t read_le(std::span<const std::uint8_t> in,
+                             std::size_t at, int bytes) {
+  const std::uint8_t* p = in.data() + at;
+  std::uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) {
+    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
 
 /// Serializes a frame. Truncates nothing: payloads over kMaxFramePayload are
 /// a caller bug and reported as kOutOfRange.
@@ -124,17 +184,30 @@ FrameDecode try_decode_frame(std::span<const std::uint8_t> bytes);
 
 // --- TLV records -------------------------------------------------------------
 
+/// TLV record header: u16 tag + u32 length.
+inline constexpr std::size_t kTlvHeaderSize = 6;
+
+/// Every put_* grows the buffer once, by header + value, and stores both
+/// through a pointer.
 class TlvWriter {
  public:
   /// Appends into an external buffer (nested writers share one allocation).
   explicit TlvWriter(std::vector<std::uint8_t>& out) : out_(&out) {}
 
-  void put_u8(std::uint16_t tag, std::uint8_t v) { put(tag, &v, 1); }
-  void put_u16(std::uint16_t tag, std::uint16_t v);
-  void put_u32(std::uint16_t tag, std::uint32_t v);
-  void put_u64(std::uint16_t tag, std::uint64_t v);
+  void put_u8(std::uint16_t tag, std::uint8_t v) { *field(tag, 1) = v; }
+  void put_u16(std::uint16_t tag, std::uint16_t v) {
+    store_le<2>(field(tag, 2), v);
+  }
+  void put_u32(std::uint16_t tag, std::uint32_t v) {
+    store_le<4>(field(tag, 4), v);
+  }
+  void put_u64(std::uint16_t tag, std::uint64_t v) {
+    store_le<8>(field(tag, 8), v);
+  }
   /// IEEE-754 bit pattern as u64 — byte-exact round-trip, no printf detour.
-  void put_f64(std::uint16_t tag, double v);
+  void put_f64(std::uint16_t tag, double v) {
+    put_u64(tag, std::bit_cast<std::uint64_t>(v));
+  }
   void put_string(std::uint16_t tag, std::string_view v) {
     put(tag, reinterpret_cast<const std::uint8_t*>(v.data()), v.size());
   }
@@ -142,16 +215,24 @@ class TlvWriter {
     put(tag, v.data(), v.size());
   }
   /// Packed vector of u64 (trace-id lists): 8 bytes per element.
-  void put_u64s(std::uint16_t tag, std::span<const std::uint64_t> v);
+  void put_u64s(std::uint16_t tag, std::span<const std::uint64_t> v) {
+    std::uint8_t* p = field(tag, v.size() * 8);
+    for (const std::uint64_t x : v) {
+      store_le<8>(p, x);
+      p += 8;
+    }
+  }
 
   /// Writes a nested record in place: reserves the u32 length, lets `body`
   /// append the record's TLV stream to the same buffer, then back-patches
   /// the length. The bytes equal put_bytes of the body built on its own.
   template <typename Body>
   void nest(std::uint16_t tag, Body&& body) {
-    const std::size_t header_at = begin_nested(tag);
+    const std::size_t header_at = out_->size();
+    field(tag, 0);  // length, patched below
     body(*out_);
-    end_nested(header_at);
+    store_le<4>(out_->data() + header_at + 2,
+                out_->size() - header_at - kTlvHeaderSize);
   }
 
   /// One nested record under `tag` per element of `items`, each written
@@ -164,9 +245,18 @@ class TlvWriter {
   }
 
  private:
-  void put(std::uint16_t tag, const std::uint8_t* data, std::size_t size);
-  std::size_t begin_nested(std::uint16_t tag);
-  void end_nested(std::size_t header_at);
+  /// Grows the buffer by one record of `size` value bytes, writes its
+  /// header and returns where the value goes.
+  std::uint8_t* field(std::uint16_t tag, std::size_t size) {
+    std::uint8_t* p = grow(*out_, kTlvHeaderSize + size);
+    store_le<2>(p, tag);
+    store_le<4>(p + 2, size);
+    return p + kTlvHeaderSize;
+  }
+  void put(std::uint16_t tag, const std::uint8_t* data, std::size_t size) {
+    std::uint8_t* p = field(tag, size);
+    if (size != 0) std::memcpy(p, data, size);
+  }
 
   std::vector<std::uint8_t>* out_;
 };
@@ -184,7 +274,21 @@ class TlvReader {
   explicit TlvReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
   /// Next record, or nullopt at end-of-stream / on truncation.
-  std::optional<Tlv> next();
+  std::optional<Tlv> next() noexcept {
+    if (truncated_ || at_ >= bytes_.size()) return std::nullopt;
+    const std::size_t left = bytes_.size() - at_;
+    const std::uint8_t* p = bytes_.data() + at_;
+    // The length is read only once the 6 header bytes are known to exist.
+    if (left < kTlvHeaderSize || left - kTlvHeaderSize < load_le<4>(p + 2)) {
+      truncated_ = true;
+      return std::nullopt;
+    }
+    const std::size_t length = static_cast<std::size_t>(load_le<4>(p + 2));
+    const Tlv tlv{static_cast<std::uint16_t>(load_le<2>(p)),
+                  bytes_.subspan(at_ + kTlvHeaderSize, length)};
+    at_ += kTlvHeaderSize + length;
+    return tlv;
+  }
   bool truncated() const noexcept { return truncated_; }
 
  private:
@@ -197,12 +301,40 @@ class TlvReader {
 // mismatch, which callers map to kMalformedFrame. Integers little-endian, a
 // bool a u8 (nonzero = true), f64 via its u64 bit pattern, a u64 list 8
 // bytes per element; a string takes any width.
-bool read_field(const Tlv& tlv, bool& out) noexcept;
-bool read_field(const Tlv& tlv, std::uint8_t& out) noexcept;
-bool read_field(const Tlv& tlv, std::uint16_t& out) noexcept;
-bool read_field(const Tlv& tlv, std::uint32_t& out) noexcept;
-bool read_field(const Tlv& tlv, std::uint64_t& out) noexcept;
-bool read_field(const Tlv& tlv, double& out) noexcept;
+namespace detail {
+/// A little-endian unsigned of exactly sizeof(T) bytes.
+template <typename T>
+inline bool read_exact(const Tlv& tlv, T& out) noexcept {
+  if (tlv.value.size() != sizeof(T)) return false;
+  out = static_cast<T>(load_le<sizeof(T)>(tlv.value.data()));
+  return true;
+}
+}  // namespace detail
+
+inline bool read_field(const Tlv& tlv, bool& out) noexcept {
+  std::uint8_t v = 0;
+  if (!detail::read_exact(tlv, v)) return false;
+  out = v != 0;
+  return true;
+}
+inline bool read_field(const Tlv& tlv, std::uint8_t& out) noexcept {
+  return detail::read_exact(tlv, out);
+}
+inline bool read_field(const Tlv& tlv, std::uint16_t& out) noexcept {
+  return detail::read_exact(tlv, out);
+}
+inline bool read_field(const Tlv& tlv, std::uint32_t& out) noexcept {
+  return detail::read_exact(tlv, out);
+}
+inline bool read_field(const Tlv& tlv, std::uint64_t& out) noexcept {
+  return detail::read_exact(tlv, out);
+}
+inline bool read_field(const Tlv& tlv, double& out) noexcept {
+  std::uint64_t bits = 0;
+  if (!detail::read_exact(tlv, bits)) return false;
+  out = std::bit_cast<double>(bits);
+  return true;
+}
 bool read_field(const Tlv& tlv, std::string& out);
 bool read_field(const Tlv& tlv, std::vector<std::uint64_t>& out);
 template <typename T>

@@ -660,9 +660,9 @@ bool SceneChannel::sync() {
       rows_[j] = store.publish_row(row_key(points[k]), rows_[j]);
     }
   }
-  SURFOS_COUNT_N("sim.channel.rebase_rows_reused",
-                 unresolved.size() - missing.size());
-  SURFOS_COUNT_N("sim.channel.rebase_rows_filled", missing.size());
+  SURFOS_COUNT_SCHED("sim.channel.rebase_rows_reused",
+                     unresolved.size() - missing.size());
+  SURFOS_COUNT_SCHED("sim.channel.rebase_rows_filled", missing.size());
   fill_missing_rows(missing);
 
   // Whether any value changed, by content: the same answer however each
@@ -725,8 +725,8 @@ void SceneChannel::rebase_rx(std::vector<geom::Vec3> new_points) {
     }
     missing.push_back(j);
   }
-  SURFOS_COUNT_N("sim.channel.rebase_rows_reused", reused);
-  SURFOS_COUNT_N("sim.channel.rebase_rows_filled", missing.size());
+  SURFOS_COUNT_SCHED("sim.channel.rebase_rows_reused", reused);
+  SURFOS_COUNT_SCHED("sim.channel.rebase_rows_filled", missing.size());
   fill_missing_rows(missing);
 }
 

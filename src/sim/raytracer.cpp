@@ -34,7 +34,7 @@ std::vector<PropPath> RayTracer::trace(const geom::Vec3& a,
   for (int order = 1; order <= options_.max_reflection_order; ++order) {
     reflected_paths(a, b, order, paths);
   }
-  SURFOS_COUNT("sim.rays.traces");
+  SURFOS_COUNT_SCHED("sim.rays.traces", 1);
   SURFOS_COUNT_N("sim.rays.paths", paths.size());
   return paths;
 }

@@ -210,7 +210,7 @@ void BatchTracer::trace_weighted(const geom::Vec3& tx,
   }
   if (rx_points.empty()) return;
   SURFOS_TRACE_SPAN("sim.trace_batch.weighted");
-  SURFOS_COUNT_N("sim.rays.traces", rx_points.size());
+  SURFOS_COUNT_SCHED("sim.rays.traces", rx_points.size());
 
   const auto images = images_of(tx);
   const std::size_t blocks = (rx_points.size() + W - 1) / W;

@@ -172,18 +172,9 @@ void script(Client& client, std::uint64_t epoch) {
   }
 }
 
-/// Counters registered as deterministic that still read differently at pool
-/// sizes 1 and 4 for the same inputs (channel fills and ray traces).
-constexpr const char* kPoolDependentCounters[] = {
-    "sim.channel.rebase_rows_filled",
-    "sim.channel.rebase_rows_reused",
-    "sim.rays.traces",
-};
-
 /// Names of the counters whose value follows thread scheduling.
 std::set<std::string> scheduling_counters() {
-  std::set<std::string> names(std::begin(kPoolDependentCounters),
-                              std::end(kPoolDependentCounters));
+  std::set<std::string> names;
   const telemetry::Snapshot snap =
       telemetry::MetricsRegistry::instance().snapshot(
           telemetry::SnapshotScope::kCountersAndGauges);

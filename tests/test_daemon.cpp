@@ -25,6 +25,7 @@
 #include "proto/serialize.hpp"
 #include "proto/wire.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 #include "daemon_test_util.hpp"
 
@@ -586,6 +587,50 @@ TEST_F(DaemonTest, EpochPhaseSpansCountOncePerEpoch) {
           << phases[i] << " in epoch " << epoch;
     }
   }
+}
+
+TEST_F(DaemonTest, ServedReportEqualsToWire) {
+  // The served bytes are the site records encoded on the pool plus the
+  // serial assembly; they must equal to_wire of the report they decode to,
+  // with sites in site-id order. Eleven sites put "site10" between "site1"
+  // and "site2", so that order is not the daemon's site-index order.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    util::reset_global_pool(threads);
+    DaemonOptions options = test_options(temp_path("served", ".sock"));
+    options.sites = 11;
+    Daemon daemon(options);
+    const std::vector<std::string> ids = daemon.fleet().site_ids();
+    for (int epoch = 0; epoch < 6; ++epoch) {
+      const std::string site = "site" + std::to_string((epoch * 4) % 11);
+      const std::string app = "app" + std::to_string(epoch);
+      ASSERT_EQ(daemon
+                    .handle_request(make_request(
+                        proto::MsgType::kSubmitDemand, 1,
+                        submit_payload(app, vr_demand("ep" + app), site)))
+                    .type,
+                proto::MsgType::kOk);
+      if (epoch >= 2) {
+        const std::string old = "app" + std::to_string(epoch - 2);
+        const std::string old_site =
+            "site" + std::to_string(((epoch - 2) * 4) % 11);
+        (void)daemon.handle_request(make_request(
+            proto::MsgType::kStopApp, 2, app_payload(old, old_site)));
+      }
+      daemon.run_epoch();
+
+      const std::vector<std::uint8_t> served = daemon.last_report_wire();
+      FleetReport report;
+      ASSERT_TRUE(proto::from_wire(served, report).ok());
+      ASSERT_EQ(report.sites.size(), ids.size());
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(report.sites[i].site_id, ids[i]);
+      }
+      EXPECT_GT(report.total_assignments, 0u);
+      EXPECT_EQ(proto::to_wire(report), served)
+          << "epoch " << epoch << ", pool size " << threads;
+    }
+  }
+  util::reset_global_pool(0);
 }
 
 TEST_F(DaemonTest, DepartedEndpointsAreGarbageCollected) {

@@ -7,8 +7,10 @@
 // that a kept plan is measured once until its hardware or tasks change.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 
 #include "daemon/daemon.hpp"
 #include "daemon/messages.hpp"
@@ -462,13 +464,16 @@ LinkReference link_reference(const sim::SceneChannel& channel,
   const double m = static_cast<double>(rx.size());
   const double inv_m = 1.0 / m;
   const double scale = capacity ? 0.0 : 1.0 / (p0 * m);
+  const auto term_of = [&](double sum) {
+    return capacity ? -sign * sum / m : -sum / (p0 * m);
+  };
   LinkReference ref;
   double sum = 0.0;
   for (const std::size_t j : rx) {
     const double power = std::norm(channel.evaluate(j, planes));
     sum += capacity ? std::log2(1.0 + rho * power) : power;
   }
-  ref.value = capacity ? -sign * sum / m : -sum / (p0 * m);
+  ref.value = term_of(sum);
   sum = 0.0;
   em::Cx h;
   std::vector<em::CxPlanes> dh;
@@ -499,7 +504,7 @@ LinkReference link_reference(const sim::SceneChannel& channel,
   for (std::size_t p = 0; p < elem.size(); ++p) {
     vars.reduce_gradient(p, elem[p], ref.gradient);
   }
-  ref.value_and_grad = capacity ? -sign * sum * inv_m : -sum * scale;
+  ref.value_and_grad = term_of(sum);
   return ref;
 }
 
@@ -600,6 +605,43 @@ TEST(JointObjectiveTest, FoldedLinkTermsMatchPerRxReference) {
            {{1}, 1e12, 1.0, 0.0, 1.0},
            {{2, 3, 4, 5, 6, 7, 8, 9, 10}, 0.0, 1.0, 1e-9, -1.0}},
           y);
+    }
+  }
+  util::reset_global_pool(0);
+}
+
+TEST(JointObjectiveTest, ValueAndGradientValueIsValueBitwise) {
+  // value() and value_and_gradient() return a term's value through the same
+  // expressions, so an optimizer comparing the two sees no phantom ulp.
+  // Capacity, security (sign -1), power and localization terms, on the
+  // plain fixture and on the one with a live cascade.
+  const JointFixture plain;
+  const JointFixture fx(geom::Frame({1.5, 0.0, 1.0}, {-1, 0, 0}, {0, 1, 0}));
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    util::reset_global_pool(threads);
+    for (const JointFixture* f : {&plain, &fx}) {
+      std::vector<std::unique_ptr<JointObjective>> terms;
+      for (int kind = 0; kind < 4; ++kind) {
+        auto& joint = *terms.emplace_back(
+            std::make_unique<JointObjective>(f->channel.get(), f->vars.get()));
+        switch (kind) {
+          case 0: joint.add_capacity(f->coverage_rx, 1e12, 1.0, 1.0); break;
+          case 1: joint.add_capacity(f->leak_rx, 1e12, -1.0, 1.0); break;
+          case 2: joint.add_power_delivery(f->leak_rx, 3e-9, 1.0); break;
+          default: joint.add_localization(1, f->sensing_rx, 41, 1.0); break;
+        }
+      }
+      for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        const auto x = f->point(seed);
+        std::vector<double> g(x.size());
+        for (std::size_t k = 0; k < terms.size(); ++k) {
+          EXPECT_EQ(bits(terms[k]->value(x)),
+                    bits(terms[k]->value_and_gradient(x, g)))
+              << "term kind " << k << ", seed " << seed << ", threads "
+              << threads;
+        }
+      }
     }
   }
   util::reset_global_pool(0);

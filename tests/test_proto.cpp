@@ -131,6 +131,60 @@ TEST(Tlv, WriterReaderRoundTrip) {
   EXPECT_FALSE(r.truncated());
 }
 
+TEST(ProtoTest, TlvWriterBytesArePinned) {
+  // Each field is u16 tag | u32 length | value, all little-endian.
+  const auto bytes_of = [](auto&& write) {
+    std::vector<std::uint8_t> out;
+    TlvWriter w(out);
+    write(w);
+    return out;
+  };
+  using Bytes = std::vector<std::uint8_t>;
+  EXPECT_EQ(bytes_of([](TlvWriter& w) { w.put_u8(0x0102, 0xab); }),
+            (Bytes{0x02, 0x01, 1, 0, 0, 0, 0xab}));
+  EXPECT_EQ(bytes_of([](TlvWriter& w) { w.put_u16(3, 0xbeef); }),
+            (Bytes{3, 0, 2, 0, 0, 0, 0xef, 0xbe}));
+  EXPECT_EQ(bytes_of([](TlvWriter& w) { w.put_u32(4, 0xdeadbeef); }),
+            (Bytes{4, 0, 4, 0, 0, 0, 0xef, 0xbe, 0xad, 0xde}));
+  EXPECT_EQ(
+      bytes_of([](TlvWriter& w) { w.put_u64(5, 0x0123456789abcdefull); }),
+      (Bytes{5, 0, 8, 0, 0, 0, 0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23,
+             0x01}));
+  EXPECT_EQ(bytes_of([](TlvWriter& w) { w.put_f64(6, -2.5); }),
+            (Bytes{6, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x04, 0xc0}));
+  EXPECT_EQ(bytes_of([](TlvWriter& w) { w.put_string(7, "hi"); }),
+            (Bytes{7, 0, 2, 0, 0, 0, 'h', 'i'}));
+  EXPECT_EQ(bytes_of([](TlvWriter& w) { w.put_bytes(8, {}); }),
+            (Bytes{8, 0, 0, 0, 0, 0}));
+  const std::vector<std::uint64_t> ids = {0x0102, 0xffull << 56};
+  EXPECT_EQ(bytes_of([&](TlvWriter& w) { w.put_u64s(9, ids); }),
+            (Bytes{9, 0, 16, 0, 0, 0, 0x02, 0x01, 0, 0, 0, 0, 0, 0,
+                   0, 0, 0, 0, 0, 0, 0, 0xff}));
+  EXPECT_EQ(bytes_of([](TlvWriter& w) { w.put_u64s(10, {}); }),
+            (Bytes{10, 0, 0, 0, 0, 0}));
+  // A nested record: its length is back-patched around an inner u8 and an
+  // inner empty record, appended after a field already in the buffer.
+  EXPECT_EQ(bytes_of([](TlvWriter& w) {
+              w.put_u8(1, 7);
+              w.nest(2, [](std::vector<std::uint8_t>& body) {
+                TlvWriter bw(body);
+                bw.put_u8(3, 0x55);
+                bw.nest(4, [](std::vector<std::uint8_t>&) {});
+              });
+            }),
+            (Bytes{1, 0, 1, 0, 0, 0, 7,                  //
+                   2, 0, 13, 0, 0, 0,                    //
+                   3, 0, 1, 0, 0, 0, 0x55,               //
+                   4, 0, 0, 0, 0, 0}));
+  // The snapshot header's integer codec.
+  std::vector<std::uint8_t> header = {0xaa};
+  append_le(header, 0x11223344, 4);
+  append_le(header, 0x5566, 2);
+  EXPECT_EQ(header, (Bytes{0xaa, 0x44, 0x33, 0x22, 0x11, 0x66, 0x55}));
+  EXPECT_EQ(read_le(header, 1, 4), 0x11223344u);
+  EXPECT_EQ(read_le(header, 5, 2), 0x5566u);
+}
+
 TEST(Tlv, NestWritesTheBytesOfAPrebuiltRecord) {
   // In-place nesting back-patches the length: the bytes equal put_bytes of
   // the same body built in its own buffer, at any depth.
