@@ -58,31 +58,6 @@ void digest_pattern(util::DigestBuilder& b, const em::AntennaPattern& pattern) {
   }
 }
 
-/// Per-panel element positions as zero-padded SoA planes for the kernels.
-struct PosPlanes {
-  util::simd::AlignedVec x, y, z;
-  void fill(const std::vector<geom::Vec3>& positions) {
-    const std::size_t pad = em::padded_len(positions.size());
-    x.assign(pad, 0.0);
-    y.assign(pad, 0.0);
-    z.assign(pad, 0.0);
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      x[i] = positions[i].x;
-      y[i] = positions[i].y;
-      z[i] = positions[i].z;
-    }
-  }
-};
-
-std::vector<PosPlanes> make_pos_planes(
-    const std::vector<const surface::SurfacePanel*>& panels) {
-  std::vector<PosPlanes> pos(panels.size());
-  for (std::size_t p = 0; p < panels.size(); ++p) {
-    pos[p].fill(panels[p]->element_positions());
-  }
-  return pos;
-}
-
 bool same_bits(const geom::Aabb& a, const geom::Aabb& b) {
   return std::memcmp(&a, &b, sizeof(geom::Aabb)) == 0;
 }
@@ -347,8 +322,30 @@ SceneChannel::SceneChannel(const Environment* environment, double frequency_hz,
   if (rx_points_.empty()) {
     throw std::invalid_argument("SceneChannel: no RX points");
   }
+  element_planes_.resize(panels_.size());
+  for (std::size_t p = 0; p < panels_.size(); ++p) {
+    const auto& positions = panels_[p]->element_positions();
+    const std::size_t pad = em::padded_len(positions.size());
+    ElementPlanes& planes = element_planes_[p];
+    planes.x.assign(pad, 0.0);
+    planes.y.assign(pad, 0.0);
+    planes.z.assign(pad, 0.0);
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      planes.x[i] = positions[i].x;
+      planes.y[i] = positions[i].y;
+      planes.z[i] = positions[i].z;
+    }
+  }
   setup_digest_ = compute_setup_digest();
   precompute();
+}
+
+const BatchTracer& SceneChannel::tracer() {
+  if (!tracer_) {
+    tracer_ = std::make_shared<const BatchTracer>(
+        environment_, frequency_hz_, tx_.position, options_.tracer);
+  }
+  return *tracer_;
 }
 
 util::ConfigDigest SceneChannel::compute_setup_digest() const {
@@ -426,7 +423,7 @@ std::shared_ptr<ScenePrecompute> SceneChannel::build_statics() const {
   const double sqrt4pi = std::sqrt(4.0 * M_PI);
 
   auto out = std::make_shared<ScenePrecompute>();
-  const std::vector<PosPlanes> pos = make_pos_planes(panels_);
+  const std::vector<ElementPlanes>& pos = element_planes_;
 
   // TX -> panel element vectors: hop gains + departure directions from the
   // hop_gain kernel, antenna weights from the batched pattern, and the
@@ -502,53 +499,59 @@ void SceneChannel::fill_missing_rows(const std::vector<std::size_t>& missing) {
   const double wavenum = em::wavenumber(frequency_hz_);
   const double sqrt4pi = std::sqrt(4.0 * M_PI);
 
-  // Direct (non-surface) component, antenna-weighted per path, traced in
-  // SIMD blocks of kWidth receivers — only for the rows actually missing.
-  // Per-receiver values are lane-independent, so tracing a subset yields
-  // bits identical to tracing the full set (trace_batch.hpp).
+  // Direct (non-surface) component, antenna-weighted per path, traced only
+  // for the rows actually missing. Per-receiver values do not depend on the
+  // other receivers of a trace, so tracing a subset yields bits identical
+  // to tracing the full set (trace_batch.hpp).
   std::vector<geom::Vec3> points(missing.size());
   for (std::size_t k = 0; k < missing.size(); ++k) {
     points[k] = rx_points_[missing[k]];
   }
   std::vector<em::Cx> h(points.size(), em::Cx{});
-  const BatchTracer tracer(environment_, frequency_hz_, options_.tracer);
-  tracer.trace_weighted(tx_.position, points, tx_pattern, rx_pattern, h);
+  tracer().trace_weighted(points, tx_pattern, rx_pattern, h);
 
-  const std::vector<PosPlanes> pos = make_pos_planes(panels_);
-
-  // Panel elements -> RX vectors, parallel over the missing rows.
+  // Panel elements -> RX vectors, parallel over the missing rows; each chunk
+  // of rows shares one set of direction and weight scratch planes.
+  std::size_t max_pad = 0;
+  for (const ElementPlanes& planes : element_planes_) {
+    max_pad = std::max(max_pad, planes.x.size());
+  }
   std::vector<std::shared_ptr<RxRowPrecompute>> built(missing.size());
-  util::parallel_for(0, missing.size(), [&](std::size_t k) {
-    const geom::Vec3& rx = points[k];
-    auto row = std::make_shared<RxRowPrecompute>();
-    row->h_dir = h[k];
-    row->g.resize(panels_.size());
-    for (std::size_t p = 0; p < panels_.size(); ++p) {
-      const auto& panel = *panels_[p];
-      const double area = panel.design().effective_area();
-      const auto& positions = panel.element_positions();
-      const std::size_t n = positions.size();
-      em::CxPlanes& g = row->g[p];
-      g.resize(n);
-      const em::Cx center_trans = environment_->segment_transmission(
-          panel.center(), rx, frequency_hz_);
-      const std::size_t pad = em::padded_len(n);
-      util::simd::AlignedVec ux(pad, 0.0), uy(pad, 0.0), uz(pad, 0.0),
-          w(pad, 0.0);
-      const geom::Vec3 nrm = panel.normal();
-      kn.hop_gain(pos[p].x.data(), pos[p].y.data(), pos[p].z.data(), rx.x,
-                  rx.y, rx.z, nrm.x, nrm.y, nrm.z, wavenum, area, sqrt4pi,
-                  g.re(), g.im(), ux.data(), uy.data(), uz.data(), n);
-      // u = element -> RX is the arrival direction; the RX pattern looks
-      // back along it, hence sign = -1.
-      rx_pattern.amplitude_gain_batch(ux.data(), uy.data(), uz.data(), -1.0,
-                                      w.data(), n);
-      kn.rscale_mul(g.re(), g.im(), w.data(), pad);
-      kn.cscale(g.re(), g.im(), center_trans.real(), center_trans.imag(),
-                pad);
+  util::run_chunked(0, missing.size(), [&](std::size_t begin, std::size_t end) {
+    util::simd::AlignedVec ux(max_pad), uy(max_pad), uz(max_pad), w(max_pad);
+    for (std::size_t k = begin; k < end; ++k) {
+      const geom::Vec3& rx = points[k];
+      auto row = std::make_shared<RxRowPrecompute>();
+      row->h_dir = h[k];
+      row->g.resize(panels_.size());
+      for (std::size_t p = 0; p < panels_.size(); ++p) {
+        const auto& panel = *panels_[p];
+        const double area = panel.design().effective_area();
+        const std::size_t n = panel.element_count();
+        em::CxPlanes& g = row->g[p];
+        g.resize(n);
+        const em::Cx center_trans = environment_->segment_transmission(
+            panel.center(), rx, frequency_hz_);
+        const std::size_t pad = em::padded_len(n);
+        const ElementPlanes& pos = element_planes_[p];
+        const geom::Vec3 nrm = panel.normal();
+        kn.hop_gain(pos.x.data(), pos.y.data(), pos.z.data(), rx.x, rx.y,
+                    rx.z, nrm.x, nrm.y, nrm.z, wavenum, area, sqrt4pi, g.re(),
+                    g.im(), ux.data(), uy.data(), uz.data(), n);
+        // u = element -> RX is the arrival direction; the RX pattern looks
+        // back along it, hence sign = -1. The padding weights are zero, as
+        // the padding of g is.
+        rx_pattern.amplitude_gain_batch(ux.data(), uy.data(), uz.data(), -1.0,
+                                        w.data(), n);
+        std::fill(w.begin() + static_cast<std::ptrdiff_t>(n),
+                  w.begin() + static_cast<std::ptrdiff_t>(pad), 0.0);
+        kn.rscale_mul(g.re(), g.im(), w.data(), pad);
+        kn.cscale(g.re(), g.im(), center_trans.real(), center_trans.imag(),
+                  pad);
+      }
+      row->finalize_bytes();
+      built[k] = std::move(row);
     }
-    row->finalize_bytes();
-    built[k] = std::move(row);
   });
 
   auto& store = PrecomputeStore::instance();
@@ -566,6 +569,7 @@ void SceneChannel::precompute() {
 
   const auto boxes = environment_->obstacle_boxes();
   boxes_.assign(boxes.begin(), boxes.end());
+  tracer_.reset();
   scene_digest_ = compute_scene_digest();
   auto& store = PrecomputeStore::instance();
   statics_ = store.acquire_scene(scene_digest_,
@@ -600,6 +604,7 @@ bool SceneChannel::sync() {
   SURFOS_TRACE_SPAN("sim.channel.rebase_rx");
 
   const MotionDelta delta(boxes_, boxes, *environment_, frequency_hz_);
+  tracer_.reset();
   const auto old_statics = statics_;
   const auto old_rows = rows_;
   boxes_.assign(boxes.begin(), boxes.end());
@@ -641,12 +646,11 @@ bool SceneChannel::sync() {
   }
   std::vector<char> changed(points.size(), 0);
   if (!points.empty()) {
-    BatchTracer(environment_, frequency_hz_, options_.tracer)
-        .any_path(tx_.position, points,
-                  [&delta](std::span<const geom::Vec3> path) {
-                    return delta.changes_path(path);
-                  },
-                  changed);
+    tracer().any_path(points,
+                      [&delta](std::span<const geom::Vec3> path) {
+                        return delta.changes_path(path);
+                      },
+                      changed);
   }
   std::vector<std::size_t> missing;
   for (std::size_t k = 0; k < unresolved.size(); ++k) {

@@ -41,6 +41,13 @@
 // refills only the rest. PrecomputeStore::clear() forces the next
 // construction to rebuild every artifact through the same fill code
 // (byte-identical values).
+//
+// A channel keeps one BatchTracer for its current scene (the scene layout,
+// the bounce sequences and the TX images; TX is fixed per channel). It is
+// built the first time the scene needs a trace — a row fill or sync()'s
+// touch test — and dropped when sync() sees a box move, so a motion builds
+// one tracer for both. The element positions of every panel are laid out
+// as planes once, at construction.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +63,10 @@
 #include "sim/environment.hpp"
 #include "sim/precompute_store.hpp"
 #include "sim/raytracer.hpp"
+#include "sim/trace_batch.hpp"
 #include "surface/panel.hpp"
 #include "util/digest.hpp"
+#include "util/simd.hpp"
 
 namespace surfos::sim {
 
@@ -207,6 +216,13 @@ class SceneChannel {
   /// Whether the p -> q cascade reaches `rx` (a built matrix, both hops
   /// served).
   bool cascade_live(std::size_t p, std::size_t q, const geom::Vec3& rx) const;
+  /// The current scene's tracer, built on first use.
+  const BatchTracer& tracer();
+
+  /// One panel's element positions as zero-padded SoA planes.
+  struct ElementPlanes {
+    util::simd::AlignedVec x, y, z;
+  };
 
   const Environment* environment_;
   double frequency_hz_;
@@ -215,6 +231,10 @@ class SceneChannel {
   std::vector<geom::Vec3> rx_points_;
   const em::AntennaPattern* rx_antenna_;
   ChannelOptions options_;
+  /// Per panel, fixed for the channel's lifetime.
+  std::vector<ElementPlanes> element_planes_;
+  /// Null until the current scene first needs a trace.
+  std::shared_ptr<const BatchTracer> tracer_;
 
   util::ConfigDigest setup_digest_{};
   util::ConfigDigest scene_digest_{};

@@ -18,7 +18,7 @@
 //  - "plane" kernels take arbitrary length n over SoA double planes
 //    (unaligned pointers are allowed; alignment is a performance hint);
 //  - "block" kernels operate on exactly kWidth lanes (the batched ray
-//    tracer processes receivers in blocks of 8).
+//    tracer processes its paths in blocks of 8).
 // Lane masks stored in memory use the convention 0.0 = false and an
 // all-ones bit pattern = true; kernels only ever test/blend/bitwise-op
 // mask values, never do arithmetic on them.
@@ -67,13 +67,19 @@ struct SlabConsts {
   double k0t = 0.0;
 };
 
-/// Finite rectangular plane (a Reflector) for the backward-clip kernel.
-struct PlaneRect {
-  double ox, oy, oz;      // origin (center)
-  double nx, ny, nz;      // unit normal
-  double ux, uy, uz;      // in-plane u axis (unit)
-  double vx, vy, vz;      // in-plane v axis (unit)
-  double half_u, half_v;  // half extents along u/v
+/// One finite rectangular plane (a Reflector) per lane for the
+/// backward-clip kernel: lane l of every field describes lane l's plane.
+struct PlaneRectLanes {
+  alignas(64) double ox[kWidth], oy[kWidth], oz[kWidth];  // origin (center)
+  alignas(64) double nx[kWidth], ny[kWidth], nz[kWidth];  // unit normal
+  alignas(64) double ux[kWidth], uy[kWidth], uz[kWidth];  // in-plane u axis
+  alignas(64) double vx[kWidth], vy[kWidth], vz[kWidth];  // in-plane v axis
+  alignas(64) double half_u[kWidth], half_v[kWidth];      // half extents
+};
+
+/// One set of slab constants per lane for the per-lane Fresnel kernel.
+struct SlabLanes {
+  alignas(64) double eps_re[kWidth], eps_im[kWidth], k0t[kWidth];
 };
 
 /// Scene triangles grouped as coplanar pairs (Environment geometry is
@@ -172,17 +178,20 @@ struct Ops {
                     const double* bx, const double* by, const double* bz,
                     double* d, double* ux, double* uy, double* uz,
                     std::size_t n);
-  // Block kernel: clip segment image->target against a finite plane.
-  // p = intersection point, mask_io &= (segment crosses plane inside the
-  // rectangle). Mirrors Reflector::segment_plane_point.
-  void (*plane_clip)(const PlaneRect* pl, double img_x, double img_y,
-                     double img_z, const double* tx, const double* ty,
-                     const double* tz, double* px, double* py, double* pz,
-                     double* mask_io);
+  // Block kernel: clip each lane's segment image->target against that
+  // lane's finite plane. p = intersection point, mask_io &= (segment
+  // crosses the plane inside the rectangle). Mirrors
+  // Reflector::segment_plane_point.
+  void (*plane_clip_lanes)(const PlaneRectLanes* pl, const double* img_x,
+                           const double* img_y, const double* img_z,
+                           const double* tx, const double* ty,
+                           const double* tz, double* px, double* py,
+                           double* pz, double* mask_io);
   // Block kernel: product of slab transmission coefficients over all
   // scene triangles crossed by segment from->to, excluding hits within
   // excl_radius of the n_excl exclusion points (laid out point-major:
-  // ex[e * kWidth + lane]). Writes the complex product per lane.
+  // ex[e * kWidth + lane]). Writes the complex product per lane; a lane's
+  // product depends on that lane's inputs alone.
   void (*seg_transmission)(const TriPairs* tris, const double* fx,
                            const double* fy, const double* fz,
                            const double* tx, const double* ty,
@@ -190,9 +199,11 @@ struct Ops {
                            const double* ey, const double* ez,
                            std::size_t n_excl, double excl_radius,
                            double* t_re, double* t_im);
-  // Slab reflection / transmission coefficient planes from cos(incidence).
-  void (*fresnel_reflect)(const SlabConsts* slab, const double* cos_i,
-                          double* o_re, double* o_im, std::size_t n);
+  // Block kernel: slab reflection coefficient from cos(incidence), each
+  // lane with its own slab constants.
+  void (*fresnel_reflect_lanes)(const SlabLanes* slab, const double* cos_i,
+                                double* o_re, double* o_im);
+  // Slab transmission coefficient plane from cos(incidence).
   void (*fresnel_transmit)(const SlabConsts* slab, const double* cos_i,
                            double* o_re, double* o_im, std::size_t n);
   // Block kernel: g *= (lam_over_4pi / L) * e^{-j k L}.

@@ -172,26 +172,28 @@ struct SlabRegs {
   typename P::reg dec_r, dec_i;             // exp(-j k0 t sqrt(eps - sin^2))
 };
 
+// The slab constants arrive as registers: broadcast for one slab, loaded
+// per lane for the per-lane kernel; the arithmetic is the same either way.
 template <class P>
-inline SlabRegs<P> slab_core(const SlabConsts* slab, typename P::reg cosi) {
+inline SlabRegs<P> slab_core(typename P::reg eps_re, typename P::reg eps_im,
+                             typename P::reg k0t, typename P::reg cosi) {
   using reg = typename P::reg;
   SlabRegs<P> out;
   const reg one = P::set1(1.0);
   const reg sin2 = P::sub(one, P::mul(cosi, cosi));
-  const reg zr = P::sub(P::set1(slab->eps_re), sin2);
-  const reg zi = P::set1(slab->eps_im);
+  const reg zr = P::sub(eps_re, sin2);
+  const reg zi = eps_im;
   reg rr, ri;
   csqrt_reg<P>(zr, zi, rr, ri);
   // te = (cos - root) / (cos + root)
   cdiv_reg<P>(P::sub(cosi, rr), P::neg(ri), P::add(cosi, rr), ri, out.te_r,
               out.te_i);
   // tm = (eps cos - root) / (eps cos + root)
-  const reg ecr = P::mul(P::set1(slab->eps_re), cosi);
-  const reg eci = P::mul(P::set1(slab->eps_im), cosi);
+  const reg ecr = P::mul(eps_re, cosi);
+  const reg eci = P::mul(eps_im, cosi);
   cdiv_reg<P>(P::sub(ecr, rr), P::sub(eci, ri), P::add(ecr, rr),
               P::add(eci, ri), out.tm_r, out.tm_i);
   // decay = exp(-j k0 t (rr + j ri)) = exp(k0 t ri) * e^{-j k0 t rr}
-  const reg k0t = P::set1(slab->k0t);
   const reg mag = exp_reg<P>(P::mul(k0t, ri));  // ri <= 0 for lossy slabs
   reg ph_s, ph_c;
   sincos_reg<P>(P::neg(P::mul(k0t, rr)), ph_s, ph_c);
@@ -224,7 +226,9 @@ template <class P>
 inline void fresnel_transmit_reg(const SlabConsts* slab, typename P::reg cosi,
                                  typename P::reg& o_re, typename P::reg& o_im) {
   using reg = typename P::reg;
-  const SlabRegs<P> s = slab_core<P>(slab, cosi);
+  const SlabRegs<P> s = slab_core<P>(P::set1(slab->eps_re),
+                                     P::set1(slab->eps_im),
+                                     P::set1(slab->k0t), cosi);
   const reg one = P::set1(1.0);
   // 1 - te^2, 1 - tm^2
   const reg te2_r = P::sub(P::mul(s.te_r, s.te_r), P::mul(s.te_i, s.te_i));
@@ -243,9 +247,11 @@ inline void fresnel_transmit_reg(const SlabConsts* slab, typename P::reg cosi,
 }
 
 template <class P>
-inline void fresnel_reflect_reg(const SlabConsts* slab, typename P::reg cosi,
+inline void fresnel_reflect_reg(const SlabLanes* slab, typename P::reg cosi,
                                 typename P::reg& o_re, typename P::reg& o_im) {
-  const SlabRegs<P> s = slab_core<P>(slab, cosi);
+  const SlabRegs<P> s = slab_core<P>(P::load(slab->eps_re),
+                                     P::load(slab->eps_im),
+                                     P::load(slab->k0t), cosi);
   avg_mag_on_te_phase<P>(s.te_r, s.te_i, s.tm_r, s.tm_i, /*clamp_unit=*/false,
                          o_re, o_im);
 }
@@ -597,38 +603,40 @@ struct Kernels {
     }
   }
 
-  static void plane_clip(const PlaneRect* pl, double img_x, double img_y,
-                         double img_z, const double* tx, const double* ty,
-                         const double* tz, double* px, double* py, double* pz,
-                         double* mask_io) {
-    // da = (img - o) . n, scalar and backend-independent.
-    const double da = (img_x - pl->ox) * pl->nx + (img_y - pl->oy) * pl->ny +
-                      (img_z - pl->oz) * pl->nz;
+  static void plane_clip_lanes(const PlaneRectLanes* pl, const double* img_x,
+                               const double* img_y, const double* img_z,
+                               const double* tx, const double* ty,
+                               const double* tz, double* px, double* py,
+                               double* pz, double* mask_io) {
+    const reg ox = P::load(pl->ox), oy = P::load(pl->oy), oz = P::load(pl->oz);
+    const reg nx = P::load(pl->nx), ny = P::load(pl->ny), nz = P::load(pl->nz);
+    const reg ix = P::load(img_x), iy = P::load(img_y), iz = P::load(img_z);
     const reg txr = P::load(tx), tyr = P::load(ty), tzr = P::load(tz);
-    const reg db = P::add(
-        P::add(P::mul(P::sub(txr, P::set1(pl->ox)), P::set1(pl->nx)),
-               P::mul(P::sub(tyr, P::set1(pl->oy)), P::set1(pl->ny))),
-        P::mul(P::sub(tzr, P::set1(pl->oz)), P::set1(pl->nz)));
-    const reg dar = P::set1(da);
-    mask m = P::cmp_lt(P::mul(dar, db), P::zero());
+    // da = (img - o) . n, db = (target - o) . n
+    const reg da = P::add(P::add(P::mul(P::sub(ix, ox), nx),
+                                 P::mul(P::sub(iy, oy), ny)),
+                          P::mul(P::sub(iz, oz), nz));
+    const reg db = P::add(P::add(P::mul(P::sub(txr, ox), nx),
+                                 P::mul(P::sub(tyr, oy), ny)),
+                          P::mul(P::sub(tzr, oz), nz));
+    mask m = P::cmp_lt(P::mul(da, db), P::zero());
     // t = da / (da - db); p = img + (target - img) * t
-    const reg t = P::div(dar, P::sub(dar, db));
-    const reg ix = P::set1(img_x), iy = P::set1(img_y), iz = P::set1(img_z);
+    const reg t = P::div(da, P::sub(da, db));
     const reg hx = P::add(ix, P::mul(P::sub(txr, ix), t));
     const reg hy = P::add(iy, P::mul(P::sub(tyr, iy), t));
     const reg hz = P::add(iz, P::mul(P::sub(tzr, iz), t));
     // in-plane coordinates of p relative to the rectangle center
-    const reg rx = P::sub(hx, P::set1(pl->ox));
-    const reg ry = P::sub(hy, P::set1(pl->oy));
-    const reg rz = P::sub(hz, P::set1(pl->oz));
-    const reg lu = P::add(P::add(P::mul(rx, P::set1(pl->ux)),
-                                 P::mul(ry, P::set1(pl->uy))),
-                          P::mul(rz, P::set1(pl->uz)));
-    const reg lv = P::add(P::add(P::mul(rx, P::set1(pl->vx)),
-                                 P::mul(ry, P::set1(pl->vy))),
-                          P::mul(rz, P::set1(pl->vz)));
-    m = P::mand(m, P::cmp_le(P::abs_(lu), P::set1(pl->half_u)));
-    m = P::mand(m, P::cmp_le(P::abs_(lv), P::set1(pl->half_v)));
+    const reg rx = P::sub(hx, ox);
+    const reg ry = P::sub(hy, oy);
+    const reg rz = P::sub(hz, oz);
+    const reg lu = P::add(P::add(P::mul(rx, P::load(pl->ux)),
+                                 P::mul(ry, P::load(pl->uy))),
+                          P::mul(rz, P::load(pl->uz)));
+    const reg lv = P::add(P::add(P::mul(rx, P::load(pl->vx)),
+                                 P::mul(ry, P::load(pl->vy))),
+                          P::mul(rz, P::load(pl->vz)));
+    m = P::mand(m, P::cmp_le(P::abs_(lu), P::load(pl->half_u)));
+    m = P::mand(m, P::cmp_le(P::abs_(lv), P::load(pl->half_v)));
     P::store(px, hx);
     P::store(py, hy);
     P::store(pz, hz);
@@ -763,36 +771,23 @@ struct Kernels {
       const reg cosi = P::min_(one, P::div(P::abs_(ndot), len));
       reg tr, ti;
       fresnel_transmit_reg<P>(&tris->slab[pair], cosi, tr, ti);
-      const reg fr = P::blend(hitm, tr, one);
-      const reg fi = P::blend(hitm, ti, P::zero());
-      const reg npr = P::sub(P::mul(pr, fr), P::mul(pi, fi));
-      const reg npi = P::add(P::mul(pr, fi), P::mul(pi, fr));
-      pr = npr;
-      pi = npi;
+      // Only the lanes that cross this pair take its factor, so a lane's
+      // product never depends on which other lanes share its block.
+      const reg npr = P::sub(P::mul(pr, tr), P::mul(pi, ti));
+      const reg npi = P::add(P::mul(pr, ti), P::mul(pi, tr));
+      pr = P::blend(hitm, npr, pr);
+      pi = P::blend(hitm, npi, pi);
     }
     P::store(t_re, pr);
     P::store(t_im, pi);
   }
 
-  static void fresnel_reflect(const SlabConsts* slab, const double* cos_i,
-                              double* o_re, double* o_im, std::size_t n) {
-    std::size_t i = 0;
-    for (; i + kWidth <= n; i += kWidth) {
-      reg rr, ri;
-      fresnel_reflect_reg<P>(slab, P::load(cos_i + i), rr, ri);
-      P::store(o_re + i, rr);
-      P::store(o_im + i, ri);
-    }
-    if (i < n) {
-      TailBuf tc;
-      alignas(64) double tr[kWidth], ti[kWidth];
-      reg rr, ri;
-      fresnel_reflect_reg<P>(slab, P::load(tc.stage(cos_i + i, n - i)), rr, ri);
-      P::store(tr, rr);
-      P::store(ti, ri);
-      tail_store(o_re + i, tr, n - i);
-      tail_store(o_im + i, ti, n - i);
-    }
+  static void fresnel_reflect_lanes(const SlabLanes* slab, const double* cos_i,
+                                    double* o_re, double* o_im) {
+    reg rr, ri;
+    fresnel_reflect_reg<P>(slab, P::load(cos_i), rr, ri);
+    P::store(o_re, rr);
+    P::store(o_im, ri);
   }
 
   static void fresnel_transmit(const SlabConsts* slab, const double* cos_i,
@@ -1005,9 +1000,9 @@ inline Ops make_ops(const char* name, Backend backend) {
   t.norm_sum = &Kernels<P>::norm_sum;
   t.power_grad_accum = &Kernels<P>::power_grad_accum;
   t.dist_dirs = &Kernels<P>::dist_dirs;
-  t.plane_clip = &Kernels<P>::plane_clip;
+  t.plane_clip_lanes = &Kernels<P>::plane_clip_lanes;
   t.seg_transmission = &Kernels<P>::seg_transmission;
-  t.fresnel_reflect = &Kernels<P>::fresnel_reflect;
+  t.fresnel_reflect_lanes = &Kernels<P>::fresnel_reflect_lanes;
   t.fresnel_transmit = &Kernels<P>::fresnel_transmit;
   t.freespace_mul = &Kernels<P>::freespace_mul;
   t.masked_accum = &Kernels<P>::masked_accum;

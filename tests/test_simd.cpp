@@ -6,16 +6,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <vector>
 
+#include "em/material.hpp"
 #include "em/propagation.hpp"
+#include "geom/frame.hpp"
 #include "hal/clock.hpp"
 #include "hal/driver.hpp"
 #include "hal/registry.hpp"
 #include "orch/orchestrator.hpp"
 #include "sim/channel.hpp"
+#include "sim/environment.hpp"
 #include "sim/floorplan.hpp"
 #include "sim/raytracer.hpp"
 #include "surface/panel.hpp"
@@ -220,6 +226,33 @@ TEST(SimdKernels, PowerGradientBitwiseAcrossBackends) {
   EXPECT_EQ(got, std::vector<double>(want.begin(), want.end()));
 }
 
+/// The kernels' in-memory "true": an all-ones bit pattern.
+double lane_true() {
+  const std::uint64_t bits = ~std::uint64_t{0};
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+/// Lane l of `pl` = the rectangle of `frame` with the given half extents.
+void set_lane(simd::PlaneRectLanes& pl, std::size_t l, const geom::Frame& frame,
+              double half_u, double half_v) {
+  pl.ox[l] = frame.origin().x;
+  pl.oy[l] = frame.origin().y;
+  pl.oz[l] = frame.origin().z;
+  pl.nx[l] = frame.normal().x;
+  pl.ny[l] = frame.normal().y;
+  pl.nz[l] = frame.normal().z;
+  pl.ux[l] = frame.u().x;
+  pl.uy[l] = frame.u().y;
+  pl.uz[l] = frame.u().z;
+  pl.vx[l] = frame.v().x;
+  pl.vy[l] = frame.v().y;
+  pl.vz[l] = frame.v().z;
+  pl.half_u[l] = half_u;
+  pl.half_v[l] = half_v;
+}
+
 TEST(SimdKernels, GeometryAndEmBitwiseAcrossBackends) {
   expect_backends_agree([](const simd::Ops& k, std::size_t n,
                            std::size_t off) {
@@ -247,15 +280,45 @@ TEST(SimdKernels, GeometryAndEmBitwiseAcrossBackends) {
     for (std::size_t i = 0; i < n; ++i) {
       cosi[off + i] = 0.05 + 0.9 * std::fabs(synth(i, 3.3)) / 1.5;
     }
-    k.fresnel_reflect(&slab, cosi.data() + off, rr.data() + off,
-                      ri.data() + off, n);
     k.fresnel_transmit(&slab, cosi.data() + off, tr.data() + off,
                        ti.data() + off, n);
     for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(rr[off + i]);
-      out.push_back(ri[off + i]);
       out.push_back(tr[off + i]);
       out.push_back(ti[off + i]);
+    }
+
+    // Block kernels with per-lane parameters: every lane its own slab, and
+    // its own plane, image and target.
+    simd::SlabLanes slabs;
+    simd::PlaneRectLanes planes;
+    alignas(64) double c[W], fr[W], fi[W], ix[W], iy[W], iz[W], tx[W], ty[W],
+        tz[W], hx[W], hy[W], hz[W], m[W];
+    for (std::size_t l = 0; l < W; ++l) {
+      slabs.eps_re[l] = 3.0 + std::fabs(synth(l + n, 4.1));
+      slabs.eps_im[l] = -0.4 * std::fabs(synth(l + n, 4.2));
+      slabs.k0t[l] = 1.0 + std::fabs(synth(l + n, 4.3));
+      c[l] = 0.05 + 0.9 * std::fabs(synth(l + n, 4.4)) / 1.5;
+      const geom::Frame frame(
+          {synth(l, 5.1), synth(l, 5.2), synth(l, 5.3)},
+          geom::Vec3{synth(l, 5.4), synth(l, 5.5), 0.3}.normalized());
+      set_lane(planes, l, frame, 0.8 + 0.1 * static_cast<double>(l), 1.1);
+      const geom::Vec3 img = frame.origin() + frame.normal() * 1.7 +
+                             frame.u() * synth(l + n, 5.6);
+      const geom::Vec3 tgt = frame.origin() - frame.normal() * 0.9 +
+                             frame.v() * synth(l + n, 5.7);
+      ix[l] = img.x, iy[l] = img.y, iz[l] = img.z;
+      tx[l] = tgt.x, ty[l] = tgt.y, tz[l] = tgt.z;
+      m[l] = lane_true();
+    }
+    k.fresnel_reflect_lanes(&slabs, c, fr, fi);
+    k.plane_clip_lanes(&planes, ix, iy, iz, tx, ty, tz, hx, hy, hz, m);
+    for (std::size_t l = 0; l < W; ++l) {
+      out.push_back(fr[l]);
+      out.push_back(fi[l]);
+      out.push_back(hx[l]);
+      out.push_back(hy[l]);
+      out.push_back(hz[l]);
+      out.push_back(m[l] != 0.0 ? 1.0 : 0.0);
     }
 
     simd::AlignedVec hr(n + off), hi(n + off);
@@ -283,6 +346,129 @@ TEST(SimdKernels, GeometryAndEmBitwiseAcrossBackends) {
     for (std::size_t i = 0; i < n; ++i) out.push_back(hr[off + i]);
     return out;
   });
+}
+
+TEST(SimdKernels, PerLaneKernelsMatchTheUniformFormula) {
+  // A block whose lanes share one plane and image clips like
+  // Reflector::segment_plane_point, bit for bit; a mixed block gives each
+  // lane what a block of that lane's parameters alone gives it.
+  const em::MaterialDb materials = em::MaterialDb::standard();
+  const double freq = 28e9;
+  for (const simd::Backend b : simd::available_backends()) {
+    const simd::Ops& k = *simd::ops_for(b);
+    std::vector<sim::Reflector> reflectors;
+    std::vector<geom::Vec3> images;
+    for (std::size_t r = 0; r < W; ++r) {
+      sim::Reflector refl;
+      refl.frame = geom::Frame(
+          {synth(r, 6.1), synth(r, 6.2), 1.0 + synth(r, 6.3)},
+          geom::Vec3{synth(r, 6.4), 0.5, synth(r, 6.5)}.normalized());
+      refl.half_u = 0.8 + 0.2 * static_cast<double>(r % 3);
+      refl.half_v = 1.2;
+      refl.material_id = static_cast<int>(r % materials.size());
+      reflectors.push_back(refl);
+      images.push_back(refl.frame.origin() + refl.frame.normal() * 2.0 +
+                       refl.frame.u() * (0.2 * synth(r, 6.6)));
+    }
+    const auto targets_for = [&](std::size_t r, double* tx, double* ty,
+                                 double* tz) {
+      for (std::size_t l = 0; l < W; ++l) {
+        // Lanes on both sides of the plane, inside and outside the
+        // rectangle.
+        const geom::Frame& f = reflectors[r].frame;
+        const geom::Vec3 t = f.origin() +
+                             f.normal() * (l % 4 == 3 ? 0.5 : -1.3) +
+                             f.u() * (0.9 * synth(l + r, 6.7)) +
+                             f.v() * (1.4 * synth(l + r, 6.8));
+        tx[l] = t.x, ty[l] = t.y, tz[l] = t.z;
+      }
+    };
+
+    // Uniform blocks against the scalar formula.
+    alignas(64) double ix[W], iy[W], iz[W], tx[W], ty[W], tz[W], px[W],
+        py[W], pz[W], m[W];
+    std::vector<std::vector<double>> uniform_p(W), uniform_fresnel(W);
+    alignas(64) double cosi[W], fr[W], fi[W];
+    for (std::size_t l = 0; l < W; ++l) {
+      cosi[l] = 0.02 + 0.97 * static_cast<double>(l) / (W - 1);
+    }
+    for (std::size_t r = 0; r < W; ++r) {
+      simd::PlaneRectLanes pl;
+      for (std::size_t l = 0; l < W; ++l) {
+        set_lane(pl, l, reflectors[r].frame, reflectors[r].half_u,
+                 reflectors[r].half_v);
+        ix[l] = images[r].x, iy[l] = images[r].y, iz[l] = images[r].z;
+        m[l] = lane_true();
+      }
+      targets_for(r, tx, ty, tz);
+      k.plane_clip_lanes(&pl, ix, iy, iz, tx, ty, tz, px, py, pz, m);
+      std::size_t valid = 0;
+      for (std::size_t l = 0; l < W; ++l) {
+        const auto want = reflectors[r].segment_plane_point(
+            images[r], {tx[l], ty[l], tz[l]});
+        ASSERT_EQ(want.has_value(), m[l] != 0.0)
+            << simd::backend_name(b) << " plane " << r << " lane " << l;
+        if (!want) continue;
+        ++valid;
+        EXPECT_EQ(px[l], want->x);
+        EXPECT_EQ(py[l], want->y);
+        EXPECT_EQ(pz[l], want->z);
+      }
+      EXPECT_GT(valid, 0u) << "plane " << r;
+      EXPECT_LT(valid, W) << "plane " << r;
+      uniform_p[r].assign({px[r], py[r], pz[r], m[r]});
+
+      // Fresnel: one slab in every lane matches em::reflection_coefficient
+      // to the kernel's ULP-level tolerance (kernel exp/sincos, no acos).
+      const em::Material& mat = materials.get(reflectors[r].material_id);
+      const simd::SlabConsts one = em::slab_consts(mat, freq);
+      simd::SlabLanes slabs;
+      for (std::size_t l = 0; l < W; ++l) {
+        slabs.eps_re[l] = one.eps_re;
+        slabs.eps_im[l] = one.eps_im;
+        slabs.k0t[l] = one.k0t;
+      }
+      k.fresnel_reflect_lanes(&slabs, cosi, fr, fi);
+      for (std::size_t l = 0; l < W; ++l) {
+        const std::complex<double> want =
+            em::reflection_coefficient(mat, freq, std::acos(cosi[l]));
+        EXPECT_NEAR(fr[l], want.real(), 1e-12) << mat.name << " lane " << l;
+        EXPECT_NEAR(fi[l], want.imag(), 1e-12) << mat.name << " lane " << l;
+      }
+      uniform_fresnel[r].assign({fr[r], fi[r]});
+    }
+
+    // A mixed block: lane l carries plane/slab l and gives the bits the
+    // uniform block of plane/slab l gave its lane l.
+    simd::PlaneRectLanes pl;
+    simd::SlabLanes slabs;
+    for (std::size_t l = 0; l < W; ++l) {
+      set_lane(pl, l, reflectors[l].frame, reflectors[l].half_u,
+               reflectors[l].half_v);
+      ix[l] = images[l].x, iy[l] = images[l].y, iz[l] = images[l].z;
+      alignas(64) double lx[W], ly[W], lz[W];
+      targets_for(l, lx, ly, lz);
+      tx[l] = lx[l], ty[l] = ly[l], tz[l] = lz[l];
+      m[l] = lane_true();
+      const simd::SlabConsts one =
+          em::slab_consts(materials.get(reflectors[l].material_id), freq);
+      slabs.eps_re[l] = one.eps_re;
+      slabs.eps_im[l] = one.eps_im;
+      slabs.k0t[l] = one.k0t;
+    }
+    k.plane_clip_lanes(&pl, ix, iy, iz, tx, ty, tz, px, py, pz, m);
+    k.fresnel_reflect_lanes(&slabs, cosi, fr, fi);
+    for (std::size_t l = 0; l < W; ++l) {
+      EXPECT_EQ(m[l] != 0.0, uniform_p[l][3] != 0.0) << "lane " << l;
+      if (m[l] != 0.0) {
+        EXPECT_EQ(px[l], uniform_p[l][0]) << "lane " << l;
+        EXPECT_EQ(py[l], uniform_p[l][1]) << "lane " << l;
+        EXPECT_EQ(pz[l], uniform_p[l][2]) << "lane " << l;
+      }
+      EXPECT_EQ(fr[l], uniform_fresnel[l][0]) << "lane " << l;
+      EXPECT_EQ(fi[l], uniform_fresnel[l][1]) << "lane " << l;
+    }
+  }
 }
 
 // --- override machinery ------------------------------------------------------
