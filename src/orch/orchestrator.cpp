@@ -371,14 +371,22 @@ std::size_t Orchestrator::optimize_plan(const Assignment& assignment,
   const double rho = context_.budget.snr(1.0);  // linear SNR per unit |h|^2
 
   JointObjective joint(plan.channel.get(), plan.variables.get());
-  // The warm-start point and its coefficients normalize the power terms
-  // (security leak level, powering focus power); computed lazily once and
-  // shared across tasks instead of re-deriving candidates per power term.
+  // The warm-start candidates are derived at most once per optimization:
+  // the first one normalizes the power terms, and all of them seed a plan
+  // without a kept x. Nothing in between writes a stored slot.
+  std::vector<std::vector<double>> candidates;
+  const auto warm_starts = [&]() -> const std::vector<std::vector<double>>& {
+    if (candidates.empty()) candidates = initial_candidates(assignment, plan);
+    return candidates;
+  };
+  // The warm-start point's coefficients normalize the power terms (security
+  // leak level, powering focus power); computed lazily once and shared
+  // across tasks.
   std::vector<em::CxPlanes> x0_coefficients;
   const auto p0_at_start = [&](const std::vector<std::size_t>& rx) {
     if (x0_coefficients.empty()) {
-      plan.variables->coefficients_into(
-          initial_candidates(assignment, plan).front(), x0_coefficients);
+      plan.variables->coefficients_into(warm_starts().front(),
+                                        x0_coefficients);
     }
     double p0 = 0.0;
     for (const std::size_t j : rx) {
@@ -419,9 +427,9 @@ std::size_t Orchestrator::optimize_plan(const Assignment& assignment,
   }
   if (joint.term_count() == 0) return 0;
 
-  const std::vector<std::vector<double>> starts =
-      plan.x.empty() ? initial_candidates(assignment, plan)
-                     : std::vector<std::vector<double>>{plan.x};
+  const std::vector<std::vector<double>> kept{plan.x};
+  const std::vector<std::vector<double>>& starts =
+      plan.x.empty() ? warm_starts() : kept;
   opt::OptimizeResult best;
   bool have_best = false;
   std::size_t evaluations = 0;
