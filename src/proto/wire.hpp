@@ -167,6 +167,9 @@ inline std::uint64_t read_le(std::span<const std::uint8_t> in,
 /// Serializes a frame. Truncates nothing: payloads over kMaxFramePayload are
 /// a caller bug and reported as kOutOfRange.
 Result<std::vector<std::uint8_t>> encode_frame(const WireFrame& frame);
+/// The first kFrameHeaderSize bytes of encode_frame(frame): the frame's
+/// bytes are these followed by frame.payload.
+Result<std::vector<std::uint8_t>> encode_frame_header(const WireFrame& frame);
 
 struct FrameDecode {
   std::optional<WireFrame> frame;  ///< Set on success.

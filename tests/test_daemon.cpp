@@ -831,6 +831,58 @@ std::vector<std::uint8_t> send_and_drain(int fd,
   return received;
 }
 
+TEST_F(DaemonTest, SocketMetricsReplyCarriesTheLastReport) {
+  // A served kGetMetrics frame decodes to the last epoch's report, and its
+  // bytes are proto::encode_frame of the reply it decodes to: the header
+  // and the payload the outbox sends separately form one frame.
+  const std::string socket_path = temp_path("metrics", ".sock");
+  Daemon daemon(test_options(socket_path));
+  ASSERT_EQ(daemon
+                .handle_request(make_request(
+                    proto::MsgType::kSubmitDemand, 1,
+                    submit_payload("vr", vr_demand("headset"))))
+                .type,
+            proto::MsgType::kOk);
+  daemon.run_epoch();
+  daemon.run_epoch();
+  ASSERT_TRUE(daemon.start().ok());
+  const int fd = raw_connect(socket_path);
+  ASSERT_GE(fd, 0);
+  constexpr std::uint64_t kTrace = 0x6d65747269637331ull;
+  const auto request =
+      proto::encode_frame(make_request(proto::MsgType::kGetMetrics, kTrace));
+  ASSERT_TRUE(request.ok());
+  ASSERT_EQ(::write(fd, request.value().data(), request.value().size()),
+            static_cast<ssize_t>(request.value().size()));
+  std::vector<std::uint8_t> received;
+  proto::FrameDecode decode;
+  while (decode.consumed == 0 && !decode.error) {
+    std::uint8_t chunk[4096];
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    ASSERT_GT(n, 0);
+    received.insert(received.end(), chunk, chunk + n);
+    decode = proto::try_decode_frame(received);
+  }
+  ::close(fd);
+  daemon.stop();
+  ASSERT_TRUE(decode.frame.has_value());
+  EXPECT_EQ(decode.consumed, received.size());
+  EXPECT_EQ(decode.frame->type, proto::MsgType::kMetricsReply);
+  EXPECT_EQ(decode.frame->trace_id, kTrace);
+
+  MetricsReply reply;
+  ASSERT_TRUE(from_wire(decode.frame->payload, reply).ok());
+  EXPECT_EQ(reply.epochs, 2u);
+  EXPECT_EQ(reply.report, daemon.last_report_wire());
+  FleetReport report;
+  ASSERT_TRUE(proto::from_wire(reply.report, report).ok());
+  EXPECT_EQ(report.sites.size(), 1u);
+  EXPECT_EQ(proto::to_wire(report), reply.report);
+  const auto reencoded = proto::encode_frame(make_frame(kTrace, reply));
+  ASSERT_TRUE(reencoded.ok());
+  EXPECT_EQ(received, reencoded.value());
+}
+
 TEST_F(DaemonTest, SocketRejectsBadVersionOversizedAndGarbageFrames) {
   const std::string socket_path = temp_path("rej", ".sock");
   Daemon daemon(test_options(socket_path));
