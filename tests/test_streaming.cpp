@@ -426,11 +426,11 @@ TEST_F(StreamingTest, DropSkipsRepliesAndAPartlyWrittenFrontEvent) {
     proto::WireFrame frame;
     frame.type = proto::MsgType::kOk;
     frame.trace_id = trace_id;
-    return proto::encode_frame(frame).value();
+    return frame;
   };
-  registry.enqueue_reply(sv[0], reply(101));
+  ASSERT_TRUE(registry.enqueue_reply(sv[0], reply(101)));
   publish_epoch(registry, 2, make_snapshot({{"a.ticks", 2}}));
-  registry.enqueue_reply(sv[0], reply(102));
+  ASSERT_TRUE(registry.enqueue_reply(sv[0], reply(102)));
   publish_epoch(registry, 3, make_snapshot({{"a.ticks", 3}}));
   publish_epoch(registry, 4, make_snapshot({{"a.ticks", 4}}));
   EXPECT_EQ(registry.stats().dropped, 2u);
