@@ -2,8 +2,9 @@
 // control plane can react — channel evaluation (with and without gradients),
 // configuration serialization and framing, BVH occlusion queries, AoA
 // spectra, one full optimizer iteration, and one evaluation of a plan shaped
-// like the daemon's, the FleetReport codec surfosd runs every epoch, and the
-// direct-channel trace a row fill runs.
+// like the daemon's, the FleetReport codec surfosd runs every epoch, the
+// direct-channel trace a row fill runs, config realization on the daemon's
+// surface, and one span's cost.
 #include <benchmark/benchmark.h>
 
 #include "hal/crc32.hpp"
@@ -16,8 +17,10 @@
 #include "sim/channel.hpp"
 #include "sim/dynamics.hpp"
 #include "sim/floorplan.hpp"
+#include "sim/precompute_store.hpp"
 #include "sim/trace_batch.hpp"
 #include "surface/catalog.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -265,6 +268,10 @@ void BM_SceneChannelPrecompute(benchmark::State& state) {
       surface::ControlGranularity::kElement);
   const auto points = scene.room_grid.points();
   for (auto _ : state) {
+    // A cold store, so every iteration times a precompute, not store hits.
+    state.PauseTiming();
+    sim::PrecomputeStore::instance().clear();
+    state.ResumeTiming();
     const sim::SceneChannel channel(
         scene.environment.get(), kFreq, scene.ap(),
         std::vector<const surface::SurfacePanel*>{&panel}, points);
@@ -272,6 +279,47 @@ void BM_SceneChannelPrecompute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SceneChannelPrecompute)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
+
+/// Realizing configs into coefficient planes on the daemon's surface: an
+/// 8 x 8 NR-Surface (column control, 2-bit phases). Each iteration realizes
+/// three configs as a site step meets them: one already realized, one
+/// expanded from controls, and one decoded from the wire.
+void BM_SurfaceRealize(benchmark::State& state) {
+  const surface::Catalog catalog = surface::Catalog::standard();
+  const surface::SurfacePanel panel = surface::instantiate(
+      *catalog.find("NR-Surface"), geom::Frame({4.0, 2.0, 1.5}, {-1, 0, 0}),
+      8, 8);
+  util::Rng rng(11);
+  std::vector<double> controls(panel.control_count());
+  for (double& c : controls) c = rng.uniform(0.0, 6.3);
+  surface::SurfaceConfig random(panel.element_count());
+  for (std::size_t i = 0; i < random.size(); ++i) {
+    random.set_phase(i, rng.uniform(0.0, 6.3));
+  }
+  const std::vector<surface::SurfaceConfig> configs = {
+      panel.realizable(random), panel.expand_controls(controls),
+      surface::SurfaceConfig::deserialize(random.serialize())};
+  em::CxPlanes out;
+  for (auto _ : state) {
+    for (const surface::SurfaceConfig& config : configs) {
+      panel.coefficients_into(config, out);
+      benchmark::DoNotOptimize(out.re());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(configs.size()));
+}
+BENCHMARK(BM_SurfaceRealize);
+
+/// One span constructed and destroyed (tracing off: its histogram record
+/// alone), from 1 and from 4 threads on one site.
+void BM_TraceSpan(benchmark::State& state) {
+  for (auto _ : state) {
+    SURFOS_TRACE_SPAN("bench.micro.trace_span");
+  }
+}
+BENCHMARK(BM_TraceSpan)->Threads(1)->Threads(4);
 
 /// One direct-channel trace in the daemon's room (four concrete walls, a
 /// floor, the walker standing at the centre) for the first N receivers of

@@ -48,10 +48,10 @@
 #   3. forced-scalar re-run of the full suite (SURFOS_SIMD=scalar): the
 #      scalar SIMD backend is the bit-exact reference, so every test must
 #      pass with vectorization disabled
-#   4. TSan build of the thread-pool/tracing/fleet/daemon/precompute/
-#      orchestrator tests and the determinism drill (ctest -L
-#      "tsan|trace|fleet|daemon|precompute|orch|drill" in ./build-tsan); any
-#      sanitizer report fails the run
+#   4. TSan build of the thread-pool/tracing/telemetry/fleet/daemon/
+#      precompute/orchestrator tests and the determinism drill (ctest -L
+#      "tsan|trace|fleet|daemon|precompute|orch|drill|telemetry" in
+#      ./build-tsan); any sanitizer report fails the run
 #   4b. ASan+LSan build of every test target and every example (./build-asan)
 #      and a plain ctest over the whole suite; any memory error or leak
 #      fails the run
@@ -174,12 +174,14 @@ echo
 echo "== tsan: thread-pool / tracing / daemon / orch / drill tests under ThreadSanitizer (build-tsan/)"
 cmake -B build-tsan -S . -DSURFOS_SANITIZE=thread
 cmake --build build-tsan -j"$JOBS" --target \
-  test_thread_pool test_parallel_determinism test_trace \
+  test_thread_pool test_parallel_determinism test_trace test_telemetry \
   test_precompute test_fleet test_admission test_proto test_daemon \
   test_streaming test_orch test_drill
 # TSan findings abort the test process (halt_on_error) so a data race can
 # never hide behind a green assertion run. -L is a regex: the trace suite
-# hammers the recorder from pool workers, the fleet suite steps sites
+# hammers the recorder from pool workers, the telemetry suite records one
+# histogram from several threads into its per-thread shards while spans
+# close on pool workers, the fleet suite steps sites
 # concurrently on the pool, the daemon suite runs the ticker and
 # poll() server threads against client connections, and the precompute
 # suite exercises the mutex-guarded global artifact store from pool
@@ -190,7 +192,7 @@ cmake --build build-tsan -j"$JOBS" --target \
 # pool worker that stepped the site, so all of them run under TSan too.
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir build-tsan --output-on-failure \
-  -L "tsan|trace|fleet|daemon|precompute|orch|drill"
+  -L "tsan|trace|fleet|daemon|precompute|orch|drill|telemetry"
 
 echo
 echo "== asan: the whole suite under ASan+LSan (build-asan/)"

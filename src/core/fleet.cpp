@@ -49,7 +49,8 @@ broker::IntentResult Fleet::handle_utterance(const std::string& site_id,
 
 FleetReport Fleet::step_all(const SiteHook& on_site) {
   FleetReport report;
-  telemetry::TraceSpan span("core.fleet.step_all", sites_.size());
+  telemetry::TraceSpan span(
+      SURFOS_SPAN_SITE("core.fleet.step_all"), sites_.size());
   SURFOS_COUNT("core.fleet.step_alls");
 
   // Snapshot the sites in map (site-id) order: index i is site i for every
@@ -74,7 +75,8 @@ FleetReport Fleet::step_all(const SiteHook& on_site) {
                                  i + 1),
         0});
     {
-      telemetry::TraceSpan site_span("core.fleet.site.step", i + 1);
+      telemetry::TraceSpan site_span(
+          SURFOS_SPAN_SITE("core.fleet.site.step"), i + 1);
       slots[i].site_id = *sites[i].first;
       slots[i].step = sites[i].second->step();
     }

@@ -191,12 +191,12 @@ void Daemon::run_epoch() {
   std::lock_guard<std::mutex> lock(mu_);
   // One span per serial phase, all children of surfosd.epoch; the parallel
   // phase is core.fleet.step_all's own span.
-  telemetry::TraceSpan epoch_span("surfosd.epoch");
+  telemetry::TraceSpan epoch_span(SURFOS_SPAN_SITE("surfosd.epoch"));
   const std::uint64_t epoch_ms =
       options_.epoch_ms != 0 ? options_.epoch_ms
                              : core::knob(core::Knob::kEpochMs);
   {
-    telemetry::TraceSpan span("surfosd.epoch.advance");
+    telemetry::TraceSpan span(SURFOS_SPAN_SITE("surfosd.epoch.advance"));
     const std::uint64_t pump_max = core::knob(core::Knob::kPumpMax);
     sim_now_us_ += epoch_ms * 1000;
     for (Site& site : sites_) {
@@ -218,7 +218,7 @@ void Daemon::run_epoch() {
       });
 
   {
-    telemetry::TraceSpan span("surfosd.epoch.escalate_gc");
+    telemetry::TraceSpan span(SURFOS_SPAN_SITE("surfosd.epoch.escalate_gc"));
     for (Site& site : sites_) {
       site.os->broker().escalate_unsatisfied();
       gc_endpoints(site);
@@ -226,7 +226,7 @@ void Daemon::run_epoch() {
   }
 
   {
-    telemetry::TraceSpan span("surfosd.epoch.serialize");
+    telemetry::TraceSpan span(SURFOS_SPAN_SITE("surfosd.epoch.serialize"));
     last_report_wire_.clear();
     proto::assemble_fleet_report(report, site_wire_, last_report_wire_);
   }
@@ -239,7 +239,7 @@ void Daemon::run_epoch() {
 
   // SLO watchdog: one verdict per site, from this epoch's signals.
   {
-    telemetry::TraceSpan span("surfosd.epoch.slo");
+    telemetry::TraceSpan span(SURFOS_SPAN_SITE("surfosd.epoch.slo"));
     const SloThresholds thresholds = SloThresholds::from_knobs();
     latest_health_.clear();
     for (Site& site : sites_) {
@@ -257,7 +257,7 @@ void Daemon::run_epoch() {
   // Push events to every due subscriber. Publication only enqueues into
   // bounded outboxes — a stalled reader costs this thread nothing beyond
   // the wake-pipe poke below.
-  telemetry::TraceSpan span("surfosd.epoch.publish");
+  telemetry::TraceSpan span(SURFOS_SPAN_SITE("surfosd.epoch.publish"));
   SubscriptionRegistry::EpochContext ctx;
   ctx.epoch = stats_.epochs;
   if (subs_.wants(SubTopic::kMetrics)) {

@@ -76,6 +76,13 @@ void Bvh::refit() {
   }
 }
 
+void Bvh::refit_stale() {
+  std::lock_guard<std::mutex> lock(refit_mutex_);
+  if (!stale_.load(std::memory_order_relaxed)) return;  // another thread did
+  refit();
+  stale_.store(false, std::memory_order_release);
+}
+
 Hit Bvh::triangle_hit(std::uint32_t prim_index, const Ray& ray, double t_min,
                       double t_max) const {
   Hit hit;

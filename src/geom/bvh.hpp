@@ -6,8 +6,10 @@
 // against the brute-force path.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <vector>
 
 #include "geom/aabb.hpp"
@@ -26,6 +28,18 @@ class Bvh {
   /// exact (the tree only prunes), though a tree built around the old
   /// positions may prune less.
   void refit();
+
+  /// Marks the bounds stale after triangles moved in place, for refresh()
+  /// to refit. Call only while no query runs (a serial scene update).
+  void mark_stale() noexcept { stale_.store(true, std::memory_order_release); }
+
+  /// Refits if marked stale, once: the flag is read with acquire ordering
+  /// and the refit runs under a mutex, so concurrent query threads (pool
+  /// workers filling rows) may all call it; one refits, the others wait for
+  /// it and then see the refitted bounds.
+  void refresh() {
+    if (stale_.load(std::memory_order_acquire)) refit_stale();
+  }
 
   /// Closest hit within (t_min, t_max); returns invalid Hit when none.
   Hit closest_hit(const Ray& ray, double t_min, double t_max) const;
@@ -50,6 +64,7 @@ class Bvh {
     bool is_leaf() const noexcept { return prim_count > 0; }
   };
 
+  void refit_stale();
   std::uint32_t build_node(std::uint32_t begin, std::uint32_t end);
   Hit triangle_hit(std::uint32_t prim_index, const Ray& ray, double t_min,
                    double t_max) const;
@@ -57,6 +72,8 @@ class Bvh {
   const std::vector<Triangle>* triangles_;
   std::vector<std::uint32_t> order_;  ///< Triangle indices, partitioned by node.
   std::vector<Node> nodes_;
+  std::atomic<bool> stale_{false};
+  std::mutex refit_mutex_;  ///< Guards the refit of a stale tree.
 };
 
 }  // namespace surfos::geom

@@ -62,7 +62,7 @@ void TriangleMesh::move_box(std::size_t first_triangle, const Vec3& lo,
     triangles_[t++] = {f[0], f[1], f[2], material_id};
     triangles_[t++] = {f[0], f[2], f[3], material_id};
   }
-  if (bvh_) bvh_->refit();
+  if (bvh_) bvh_->mark_stale();
 }
 
 Aabb TriangleMesh::bounds() const {
@@ -75,14 +75,18 @@ void TriangleMesh::build_index() { bvh_ = std::make_unique<Bvh>(&triangles_); }
 
 bool TriangleMesh::index_built() const noexcept { return bvh_ != nullptr; }
 
-Hit TriangleMesh::closest_hit(const Ray& ray, double t_min, double t_max) const {
+const Bvh& TriangleMesh::index() const {
   if (!bvh_) throw std::logic_error("TriangleMesh: build_index() not called");
-  return bvh_->closest_hit(ray, t_min, t_max);
+  bvh_->refresh();
+  return *bvh_;
+}
+
+Hit TriangleMesh::closest_hit(const Ray& ray, double t_min, double t_max) const {
+  return index().closest_hit(ray, t_min, t_max);
 }
 
 bool TriangleMesh::occluded(const Ray& ray, double t_min, double t_max) const {
-  if (!bvh_) throw std::logic_error("TriangleMesh: build_index() not called");
-  return bvh_->occluded(ray, t_min, t_max);
+  return index().occluded(ray, t_min, t_max);
 }
 
 bool TriangleMesh::segment_blocked(const Vec3& from, const Vec3& to) const {
@@ -95,13 +99,13 @@ bool TriangleMesh::segment_blocked(const Vec3& from, const Vec3& to) const {
 
 std::vector<Hit> TriangleMesh::all_hits_on_segment(const Vec3& from,
                                                    const Vec3& to) const {
-  if (!bvh_) throw std::logic_error("TriangleMesh: build_index() not called");
+  const Bvh& bvh = index();
   const Vec3 delta = to - from;
   const double length = delta.norm();
   std::vector<Hit> hits;
   if (length < kRayEpsilon) return hits;
   const Ray ray{from, delta / length};
-  bvh_->collect_hits(ray, kRayEpsilon, length - kRayEpsilon, hits);
+  bvh.collect_hits(ray, kRayEpsilon, length - kRayEpsilon, hits);
   // Tie-break exactly-coincident hits (a segment through a shared edge of
   // two quads) on triangle order so the survivor of the dedup below — and
   // therefore the incidence normal used for its slab response — is

@@ -37,8 +37,10 @@ class TriangleMesh {
 
   /// Moves the box whose first triangle is `first_triangle` to [lo, hi]:
   /// rewrites its 12 triangles in place, in add_box's order and with its
-  /// material, and refits a built index (no rebuild). The triangle array is
-  /// then the one a fresh build with the box at [lo, hi] would hold.
+  /// material, and marks a built index stale; the first query after the
+  /// move refits it (no rebuild), so moves without a query between them pay
+  /// one refit. The triangle array is then the one a fresh build with the
+  /// box at [lo, hi] would hold. Not concurrent with queries.
   void move_box(std::size_t first_triangle, const Vec3& lo, const Vec3& hi);
 
   std::size_t triangle_count() const noexcept { return triangles_.size(); }
@@ -67,6 +69,10 @@ class TriangleMesh {
   std::vector<Hit> all_hits_on_segment(const Vec3& from, const Vec3& to) const;
 
  private:
+  /// The built index, refitted first if a move left it stale; throws
+  /// std::logic_error when build_index() was not called.
+  const Bvh& index() const;
+
   std::vector<Triangle> triangles_;
   std::unique_ptr<Bvh> bvh_;
 };

@@ -562,7 +562,7 @@ void Orchestrator::keep_measurement(const Plan& plan, StepReport& report) {
 
 StepReport Orchestrator::step() {
   StepReport report;
-  telemetry::TraceSpan step_span("orch.step");
+  telemetry::TraceSpan step_span(SURFOS_SPAN_SITE("orch.step"));
   SURFOS_COUNT("orch.steps");
 
   // Expire duration-bound tasks.
@@ -580,7 +580,7 @@ StepReport Orchestrator::step() {
 
   Schedule schedule;
   {
-    telemetry::TraceSpan span("orch.step.schedule");
+    telemetry::TraceSpan span(SURFOS_SPAN_SITE("orch.step.schedule"));
     schedule = scheduler_.build(active, *registry_);
     report.trace.schedule_us = span.elapsed_us();
   }
@@ -644,12 +644,12 @@ StepReport Orchestrator::step() {
     if (fresh || !plan.optimized || options_.always_reoptimize) {
       plan.measured = false;  // fresh and rebased plans always land here
       {
-        telemetry::TraceSpan span("orch.step.optimize");
+        telemetry::TraceSpan span(SURFOS_SPAN_SITE("orch.step.optimize"));
         report.trace.objective_evaluations += optimize_plan(assignment, plan);
         report.trace.optimize_us += span.elapsed_us();
       }
       {
-        telemetry::TraceSpan span("orch.step.actuate");
+        telemetry::TraceSpan span(SURFOS_SPAN_SITE("orch.step.actuate"));
         stage_actuate(assignment, plan, combiner);
         report.trace.actuate_us += span.elapsed_us();
       }
@@ -659,7 +659,8 @@ StepReport Orchestrator::step() {
   }
 
   if (!combiner.empty()) {
-    telemetry::TraceSpan span("orch.step.flush", combiner.staged());
+    telemetry::TraceSpan span(
+        SURFOS_SPAN_SITE("orch.step.flush"), combiner.staged());
     const hal::FlushStats stats = combiner.flush();
     report.trace.config_writes += stats.transactions;
     report.trace.element_updates += stats.element_updates;
@@ -686,7 +687,7 @@ StepReport Orchestrator::step() {
       continue;
     }
     telemetry::TraceScope trace_scope(entry.trace);
-    telemetry::TraceSpan span("orch.step.measure");
+    telemetry::TraceSpan span(SURFOS_SPAN_SITE("orch.step.measure"));
     measure(*entry.assignment, *entry.plan, revision, report);
     report.trace.measure_us += span.elapsed_us();
   }

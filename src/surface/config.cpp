@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "surface/memo.hpp"
 #include "util/units.hpp"
 
 namespace surfos::surface {
@@ -38,15 +39,22 @@ void SurfaceConfig::shift_all_phases(double radians) {
 }
 
 SurfaceConfig SurfaceConfig::quantized(int phase_bits) const {
-  if (phase_bits <= 0) return *this;
+  SurfaceConfig out = *this;
+  out.quantize(phase_bits);
+  return out;
+}
+
+void SurfaceConfig::quantize(int phase_bits) {
+  if (phase_bits <= 0) return;
   const double levels = std::pow(2.0, phase_bits);
   const double step = util::kTwoPi / levels;
-  SurfaceConfig out = *this;
-  for (std::size_t i = 0; i < out.phases_.size(); ++i) {
-    const double snapped = std::round(out.phases_[i] / step) * step;
-    out.phases_[i] = util::wrap_two_pi(snapped);
+  DistinctMemo<std::uint64_t, double> snap;
+  for (double& p : phases_) {
+    const double in = p;
+    p = snap(bits_of(in), [in, step] {
+      return util::wrap_two_pi(std::round(in / step) * step);
+    });
   }
-  return out;
 }
 
 std::vector<std::uint8_t> SurfaceConfig::serialize() const {

@@ -56,6 +56,11 @@ class SurfaceConfig {
   bool operator==(const SurfaceConfig& other) const noexcept = default;
 
  private:
+  friend class SurfacePanel;  // realizes a config in place
+
+  /// In-place quantized(): snaps each distinct input phase once.
+  void quantize(int phase_bits);
+
   std::vector<double> phases_;
   std::vector<double> amplitudes_;
 };

@@ -1,9 +1,11 @@
 #include "surface/panel.hpp"
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
 #include "em/propagation.hpp"
+#include "surface/memo.hpp"
 #include "util/units.hpp"
 
 namespace surfos::surface {
@@ -114,7 +116,9 @@ SurfaceConfig SurfacePanel::realizable(const SurfaceConfig& config) const {
   }
   SurfaceConfig out = config;
   if (granularity_ != ControlGranularity::kElement) {
-    // Circular mean of phases within each shared control group.
+    // Circular mean of phases within each shared control group: cos/sin
+    // once per distinct phase, summed into the groups in element order;
+    // atan2 and its wrap once per group.
     const std::size_t groups = control_count();
     std::vector<double> sum_cos(groups, 0.0);
     std::vector<double> sum_sin(groups, 0.0);
@@ -127,24 +131,32 @@ SurfaceConfig SurfacePanel::realizable(const SurfaceConfig& config) const {
       }
       return 0;
     };
+    DistinctMemo<std::uint64_t, std::array<double, 2>> trig;
     for (std::size_t r = 0; r < rows_; ++r) {
       for (std::size_t c = 0; c < cols_; ++c) {
-        const double p = config.phase(r * cols_ + c);
-        sum_cos[group_of(r, c)] += std::cos(p);
-        sum_sin[group_of(r, c)] += std::sin(p);
+        const double p = config.phases_[r * cols_ + c];
+        const auto [cos_p, sin_p] = trig(bits_of(p), [p] {
+          return std::array<double, 2>{std::cos(p), std::sin(p)};
+        });
+        sum_cos[group_of(r, c)] += cos_p;
+        sum_sin[group_of(r, c)] += sin_p;
       }
+    }
+    std::vector<double>& group_phase = sum_cos;  // sum_cos[g] is read first
+    for (std::size_t g = 0; g < groups; ++g) {
+      group_phase[g] = util::wrap_two_pi(std::atan2(sum_sin[g], sum_cos[g]));
     }
     for (std::size_t r = 0; r < rows_; ++r) {
       for (std::size_t c = 0; c < cols_; ++c) {
-        const std::size_t g = group_of(r, c);
-        out.set_phase(r * cols_ + c, std::atan2(sum_sin[g], sum_cos[g]));
+        out.phases_[r * cols_ + c] = group_phase[group_of(r, c)];
       }
     }
   }
   if (!design_.amplitude_control) {
     for (std::size_t i = 0; i < out.size(); ++i) out.set_amplitude(i, 1.0);
   }
-  return out.quantized(design_.phase_bits);
+  out.quantize(design_.phase_bits);
+  return out;
 }
 
 std::vector<double> SurfacePanel::extract_controls(
@@ -173,8 +185,12 @@ void SurfacePanel::coefficients_into(const SurfaceConfig& config,
   const SurfaceConfig real = realizable(config);
   const double loss = std::pow(10.0, -design_.insertion_loss_db / 20.0);
   if (out.size() != real.size()) out.resize(real.size());
+  DistinctMemo<std::array<std::uint64_t, 2>, em::Cx> polar;
   for (std::size_t i = 0; i < real.size(); ++i) {
-    out.set(i, std::polar(real.amplitude(i) * loss, real.phase(i)));
+    const double a = real.amplitudes_[i];
+    const double p = real.phases_[i];
+    out.set(i, polar({bits_of(a), bits_of(p)},
+                     [a, p, loss] { return std::polar(a * loss, p); }));
   }
 }
 

@@ -5,44 +5,53 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "telemetry/recorder.hpp"
+
 namespace surfos::telemetry {
-
-namespace {
-
-/// fetch_add for atomic<double> via CAS (portable across libstdc++ versions).
-void atomic_add(std::atomic<double>& target, double delta) noexcept {
-  double expected = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(expected, expected + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
 
 // --- Histogram ---------------------------------------------------------------
 
 Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)) {
+    : bounds_(std::move(upper_bounds)),
+      lines_per_shard_((kBucket0 + bounds_.size() + 1 + 7) / 8),
+      cells_(std::make_unique<Line[]>(kShards * lines_per_shard_)) {
   if (!std::is_sorted(bounds_.begin(), bounds_.end()) ||
       std::adjacent_find(bounds_.begin(), bounds_.end()) != bounds_.end()) {
     throw std::invalid_argument(
         "Histogram: bounds must be strictly increasing");
   }
-  buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
 }
 
 void Histogram::record(double value) noexcept {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const std::size_t bucket =
       static_cast<std::size_t>(it - bounds_.begin());  // overflow when == size
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(sum_, value);
+  const std::size_t shard = Recorder::thread_index() % kShards;
+  cell(shard, kBucket0 + bucket).fetch_add(1, std::memory_order_relaxed);
+  cell(shard, kCount).fetch_add(1, std::memory_order_relaxed);
+  std::atomic<std::uint64_t>& sum = cell(shard, kSum);
+  std::uint64_t expected = sum.load(std::memory_order_relaxed);
+  while (!sum.compare_exchange_weak(
+      expected,
+      std::bit_cast<std::uint64_t>(std::bit_cast<double>(expected) + value),
+      std::memory_order_relaxed)) {
+  }
+}
+
+std::uint64_t Histogram::count() const noexcept {
+  std::uint64_t n = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    n += cell(s, kCount).load(std::memory_order_relaxed);
+  }
+  return n;
 }
 
 double Histogram::sum() const noexcept {
-  return sum_.load(std::memory_order_relaxed);
+  double total = 0.0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    total += std::bit_cast<double>(cell(s, kSum).load(std::memory_order_relaxed));
+  }
+  return total;
 }
 
 double Histogram::mean() const noexcept {
@@ -51,19 +60,19 @@ double Histogram::mean() const noexcept {
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(bounds_.size() + 1);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
+  std::vector<std::uint64_t> out(bounds_.size() + 1, 0);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] += cell(s, kBucket0 + i).load(std::memory_order_relaxed);
+    }
   }
   return out;
 }
 
 void Histogram::reset() noexcept {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
+  for (std::size_t l = 0; l < kShards * lines_per_shard_; ++l) {
+    for (auto& w : cells_[l].word) w.store(0, std::memory_order_relaxed);
   }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
 }
 
 const std::vector<double>& default_latency_buckets_us() {

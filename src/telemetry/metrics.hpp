@@ -11,9 +11,10 @@
 //
 // Naming scheme: `layer.component.metric` (e.g. "hal.arq.retransmissions",
 // "orch.plan.reused", "util.pool.chunks"). Registration is mutex-guarded and
-// cold; hot paths cache the returned reference (the SURFOS_COUNT macro in
-// telemetry.hpp does this with a function-local static) and then only pay a
-// relaxed atomic add.
+// cold; hot paths cache the returned reference (the SURFOS_COUNT and
+// SURFOS_SPAN_SITE macros in telemetry.hpp do this with a function-local
+// static) and then only pay a relaxed atomic add, or a record into the
+// calling thread's histogram shard.
 //
 // Determinism contract: every Counter is *deterministic* by default — its
 // final value must be bit-identical for any SURFOS_THREADS value, which
@@ -80,17 +81,23 @@ class Gauge {
 
 /// Fixed-bucket histogram. `upper_bounds` are the inclusive upper edges of
 /// the finite buckets, strictly increasing; one implicit overflow bucket
-/// catches everything above the last bound. Bucket counts, the total count,
-/// and the running sum are all lock-free atomics.
+/// catches everything above the last bound.
+///
+/// Records land in per-thread shards: a thread writes shard
+/// `Recorder::thread_index() % kShards`, each shard (count, sum, buckets) on
+/// cache lines of its own, so threads recording one histogram do not share
+/// a line. Every cell is a relaxed atomic (two threads can map to one
+/// shard). count(), sum(), bucket_counts() and reset() visit every shard.
 class Histogram {
  public:
+  static constexpr std::size_t kShards = 16;
+
   explicit Histogram(std::vector<double> upper_bounds);
 
   void record(double value) noexcept;
 
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t count() const noexcept;
+  /// Sum of the shards' running sums, added in shard order.
   double sum() const noexcept;
   double mean() const noexcept;
   const std::vector<double>& upper_bounds() const noexcept { return bounds_; }
@@ -99,10 +106,22 @@ class Histogram {
   void reset() noexcept;
 
  private:
+  struct alignas(64) Line {
+    std::atomic<std::uint64_t> word[8];
+  };
+  // A shard's words: [0] count, [1] the sum's bit pattern, [2 + b] bucket b.
+  static constexpr std::size_t kCount = 0;
+  static constexpr std::size_t kSum = 1;
+  static constexpr std::size_t kBucket0 = 2;
+
+  std::atomic<std::uint64_t>& cell(std::size_t shard,
+                                   std::size_t word) const noexcept {
+    return cells_[shard * lines_per_shard_ + word / 8].word[word % 8];
+  }
+
   std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  std::size_t lines_per_shard_;
+  std::unique_ptr<Line[]> cells_;
 };
 
 /// Default latency buckets in microseconds: 1us .. 10s, roughly 1-2-5 per

@@ -1,9 +1,10 @@
 // Umbrella header + instrumentation macros for the telemetry subsystem.
 //
-// Call sites use the macros, never the registry directly: each counter and
-// gauge expansion caches its instrument in a function-local static
-// (registration runs once, under the registry mutex) and then pays one
-// relaxed atomic per hit.
+// Call sites use the macros, never the registry directly: each counter,
+// gauge and span site caches its instrument in a function-local static
+// (registration runs once, under the registry mutex). A hit then pays one
+// relaxed atomic (counter, gauge) or one record into the calling thread's
+// histogram shard (span); no hit builds a string or takes a lock.
 //
 //   SURFOS_COUNT("orch.tasks.admitted");          // +1
 //   SURFOS_COUNT_N("sim.rays.paths", paths);      // +n
@@ -14,6 +15,8 @@
 //                                                 // same-named histogram +
 //                                                 // flight-recorder event w/
 //                                                 // ambient trace/parent ids
+//   telemetry::TraceSpan span(SURFOS_SPAN_SITE("core.fleet.site.step"), i);
+//                                                 // a named span (+ arg)
 //   SURFOS_TRACE_INSTANT("hal.arq.retransmit");   // point causal marker
 #pragma once
 
@@ -49,12 +52,25 @@
     surfos_telemetry_gauge.set(static_cast<double>(value));                  \
   } while (0)
 
+/// The SpanSite of this call site: resolved (name -> histogram, under the
+/// registry mutex) the first time the site is reached, then one guard check
+/// per span. Each expansion is its own lambda, so its static is per site.
+/// `name` must be a string literal.
+#define SURFOS_SPAN_SITE(name)                                               \
+  ([]() -> const ::surfos::telemetry::SpanSite& {                            \
+    static const ::surfos::telemetry::SpanSite surfos_telemetry_span_site{   \
+        name};                                                               \
+    return surfos_telemetry_span_site;                                       \
+  }())
+
 /// RAII scope timer: records the elapsed microseconds into the same-named
-/// latency histogram plus — while SURFOS_TRACE is on — a flight-recorder
-/// span event parented to the ambient TraceContext.
+/// latency histogram (this thread's shard) plus — while SURFOS_TRACE is on —
+/// a flight-recorder span event parented to the ambient TraceContext. A site
+/// that needs the span object (elapsed_us(), an arg) names it:
+/// `telemetry::TraceSpan span(SURFOS_SPAN_SITE("orch.step.flush"), n);`.
 #define SURFOS_TRACE_SPAN(name)                                              \
   ::surfos::telemetry::TraceSpan SURFOS_CONCAT(                              \
-      surfos_telemetry_trace_span_, __LINE__)(name)
+      surfos_telemetry_trace_span_, __LINE__)(SURFOS_SPAN_SITE(name))
 
 /// Point-in-time causal marker under the ambient TraceContext (one predicted
 /// branch while tracing is off).

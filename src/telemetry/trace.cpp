@@ -68,13 +68,11 @@ TraceScope::~TraceScope() { t_ambient = previous_; }
 
 // --- TraceSpan ---------------------------------------------------------------
 
-TraceSpan::TraceSpan(const char* name) noexcept : TraceSpan(name, 0) {}
+SpanSite::SpanSite(const char* name)
+    : name(name), histogram(MetricsRegistry::instance().histogram(name)) {}
 
-TraceSpan::TraceSpan(const char* name, std::uint64_t arg) noexcept
-    : name_(name),
-      histogram_(MetricsRegistry::instance().histogram(name)),
-      start_ns_(Recorder::now_ns()),
-      arg_(arg) {
+TraceSpan::TraceSpan(const SpanSite& site, std::uint64_t arg) noexcept
+    : site_(site), start_ns_(Recorder::now_ns()), arg_(arg) {
   if (!trace_enabled()) return;
   previous_ = t_ambient;
   context_.trace_id = previous_.trace_id;
@@ -85,13 +83,13 @@ TraceSpan::TraceSpan(const char* name, std::uint64_t arg) noexcept
 
 TraceSpan::~TraceSpan() {
   const std::uint64_t end_ns = Recorder::now_ns();
-  histogram_.record(static_cast<double>(end_ns - start_ns_) / 1e3);
+  site_.histogram.record(static_cast<double>(end_ns - start_ns_) / 1e3);
   if (!recording_) return;
   TraceEvent event;
   event.trace_id = context_.trace_id;
   event.span_id = context_.span_id;
   event.parent_span_id = previous_.span_id;
-  event.name = name_;
+  event.name = site_.name;
   event.ts_ns = start_ns_;
   event.dur_ns = end_ns - start_ns_;
   event.arg = arg_;

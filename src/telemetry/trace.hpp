@@ -23,7 +23,8 @@
 // ids must not depend on the SURFOS_TRACE switch — while *recording* trace
 // events is gated on `trace_enabled()` (the SURFOS_TRACE knob, 0 by default):
 // with tracing off a SURFOS_TRACE_SPAN site pays one predicted branch on top
-// of its histogram timing.
+// of its histogram timing (two clock reads and a record into this thread's
+// histogram shard; the histogram itself is resolved once per call site).
 #pragma once
 
 #include <cstdint>
@@ -89,21 +90,29 @@ class TraceScope {
 
 // --- Traced spans ------------------------------------------------------------
 
+/// One span call site: the span's name and the same-named latency histogram
+/// of the process-wide MetricsRegistry, resolved once when the site is first
+/// reached (SURFOS_SPAN_SITE keeps one per call site in a function-local
+/// static). `name` must have static storage duration (string literals): both
+/// the histogram registry and the recorder keep the pointer.
+struct SpanSite {
+  explicit SpanSite(const char* name);
+
+  const char* name;
+  Histogram& histogram;
+};
+
 /// The one scope timer. It records the elapsed wall-clock microseconds into
-/// the same-named latency histogram of the process-wide MetricsRegistry
-/// (one registry lookup per span), and — while tracing is enabled — also
-/// records a complete-span event into the flight recorder, parented to the
-/// ambient context and installing itself as the ambient span for the
-/// duration.
-///
-/// `name` must have static storage duration (string literals): both the
-/// histogram registry and the recorder keep the pointer.
+/// its site's histogram (this thread's shard; no registry lookup), and —
+/// while tracing is enabled — also records a complete-span event into the
+/// flight recorder, parented to the ambient context and installing itself as
+/// the ambient span for the duration. Build one through SURFOS_TRACE_SPAN or
+/// `TraceSpan span(SURFOS_SPAN_SITE("name"))` (telemetry.hpp).
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name) noexcept;
-  /// As above, plus a numeric payload (site index, queue depth) exported as
-  /// the event's `arg`. 0 means "no payload".
-  TraceSpan(const char* name, std::uint64_t arg) noexcept;
+  /// `arg` is a numeric payload (site index, queue depth) exported as the
+  /// event's `arg`; 0 means "no payload".
+  explicit TraceSpan(const SpanSite& site, std::uint64_t arg = 0) noexcept;
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
@@ -115,8 +124,7 @@ class TraceSpan {
   const TraceContext& context() const noexcept { return context_; }
 
  private:
-  const char* name_;
-  Histogram& histogram_;
+  const SpanSite& site_;
   TraceContext context_{};   // this span (trace id + own span id)
   TraceContext previous_{};  // ambient to restore
   std::uint64_t start_ns_;

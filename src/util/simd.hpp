@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <vector>
 
@@ -36,17 +37,51 @@ inline constexpr std::size_t kWidth = 8;
 enum class Backend { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// 64-byte aligned allocator for SoA planes.
+///
+/// A block of up to kPaddedMaxBytes (padding included) takes `bytes + 64`
+/// from plain `::operator new`, so the allocator's per-thread cache serves
+/// the common sub-kilobyte planes (aligned `operator new` goes to glibc's
+/// arena path under its lock), and the plane starts at the first 64-byte
+/// boundary strictly inside the block. The distance back to the block's
+/// start (1..64) is kept in the byte just below the plane; nothing is
+/// assumed about the raw block's own alignment. A larger block keeps aligned
+/// `operator new`: no thread cache serves it, and with the padded layout the
+/// freed 460 KB planes of a 144-RX x 400-element coverage step reached the
+/// heap top, where glibc trimmed and re-faulted them every step
+/// (bench_trace_overhead ran 2x slower). The size picks the path in both
+/// calls, as an allocator's deallocate gets allocate's `n`.
 template <class T>
 struct AlignedAllocator {
   using value_type = T;
-  static constexpr std::align_val_t kAlign{64};
+  static constexpr std::size_t kAlign = 64;
+  static constexpr std::size_t kPaddedMaxBytes = 16 * 1024;
   AlignedAllocator() noexcept = default;
   template <class U>
   AlignedAllocator(const AlignedAllocator<U>&) noexcept {}
   T* allocate(std::size_t n) {
-    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+    if (n > (static_cast<std::size_t>(-1) - kAlign) / sizeof(T)) {
+      throw std::bad_array_new_length();
+    }
+    const std::size_t bytes = n * sizeof(T);
+    if (bytes + kAlign > kPaddedMaxBytes) {
+      return static_cast<T*>(::operator new(bytes, std::align_val_t{kAlign}));
+    }
+    auto* raw = static_cast<unsigned char*>(::operator new(bytes + kAlign));
+    const std::size_t pad =
+        kAlign - reinterpret_cast<std::uintptr_t>(raw) % kAlign;  // 1..64
+    unsigned char* aligned = raw + pad;
+    aligned[-1] = static_cast<unsigned char>(pad);
+    return reinterpret_cast<T*>(aligned);
   }
-  void deallocate(T* p, std::size_t) noexcept { ::operator delete(p, kAlign); }
+  void deallocate(T* p, std::size_t n) noexcept {
+    const std::size_t bytes = n * sizeof(T);
+    if (bytes + kAlign > kPaddedMaxBytes) {
+      ::operator delete(p, bytes, std::align_val_t{kAlign});
+      return;
+    }
+    auto* aligned = reinterpret_cast<unsigned char*>(p);
+    ::operator delete(aligned - aligned[-1], bytes + kAlign);
+  }
   template <class U>
   bool operator==(const AlignedAllocator<U>&) const noexcept {
     return true;

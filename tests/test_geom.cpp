@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "geom/aabb.hpp"
@@ -314,6 +316,94 @@ TEST(Bvh, RefitAfterMoveMatchesBruteForce) {
     }
   }
   EXPECT_GT(box_hits, 40);  // the moved box is genuinely in the queries
+}
+
+TEST(Bvh, SeveralMovesBeforeAQueryMatchFreshBuild) {
+  // move_box only marks the index stale; the first query refits once for
+  // every move since the last query.
+  util::Rng rng(404);
+  TriangleMesh mesh = make_random_soup(80, rng);
+  const std::size_t box = mesh.add_box({0.0, 0.0, 0.0}, {1.0, 1.0, 1.0}, 8);
+  mesh.build_index();
+  for (int round = 0; round < 10; ++round) {
+    Vec3 lo;
+    const Vec3 size{0.8, 1.2, 1.0};
+    for (int move = 0; move <= round % 3; ++move) {
+      lo = {rng.uniform(-4, 3), rng.uniform(-4, 3), rng.uniform(-4, 3)};
+      mesh.move_box(box, lo, lo + size);
+    }
+    TriangleMesh fresh;
+    for (const Triangle& tri : mesh.triangles()) fresh.add_triangle(tri);
+    fresh.build_index();
+    for (int i = 0; i < 40; ++i) {
+      const Vec3 from{rng.uniform(-8, 8), rng.uniform(-8, 8),
+                      rng.uniform(-8, 8)};
+      const Vec3 to = from + (lo + size * 0.5 - from) * 2.0;
+      const Ray ray{from, (to - from).normalized()};
+      const Hit a = mesh.closest_hit(ray);
+      const Hit b = fresh.closest_hit(ray);
+      ASSERT_EQ(a.valid(), b.valid()) << "round " << round << " ray " << i;
+      EXPECT_EQ(a.t, b.t);
+      EXPECT_EQ(a.triangle_index, b.triangle_index);
+      EXPECT_EQ(mesh.segment_blocked(from, to), fresh.segment_blocked(from, to));
+      const auto hits = mesh.all_hits_on_segment(from, to);
+      const auto rebuilt = fresh.all_hits_on_segment(from, to);
+      ASSERT_EQ(hits.size(), rebuilt.size());
+      for (std::size_t h = 0; h < hits.size(); ++h) {
+        EXPECT_EQ(hits[h].t, rebuilt[h].t);
+        EXPECT_EQ(hits[h].triangle_index, rebuilt[h].triangle_index);
+      }
+    }
+  }
+}
+
+TEST(Bvh, ConcurrentQueriesAfterAMoveRefitOnce) {
+  // The first queries after a move come from several threads at once (pool
+  // workers filling channel rows); each must see the refitted tree.
+  util::Rng rng(505);
+  TriangleMesh mesh = make_random_soup(150, rng);
+  const std::size_t box = mesh.add_box({0.0, 0.0, 0.0}, {1.0, 1.0, 1.0}, 8);
+  mesh.build_index();
+  constexpr int kThreads = 4;
+  constexpr int kRays = 200;
+  for (int move = 0; move < 8; ++move) {
+    const Vec3 lo{rng.uniform(-4, 3), rng.uniform(-4, 3), rng.uniform(-4, 3)};
+    const Vec3 hi = lo + Vec3{1.0, 0.7, 1.3};
+    mesh.move_box(box, lo, hi);
+    TriangleMesh fresh;
+    for (const Triangle& tri : mesh.triangles()) fresh.add_triangle(tri);
+    fresh.build_index();
+    std::vector<std::pair<Vec3, Vec3>> segments;
+    for (int i = 0; i < kRays; ++i) {
+      const Vec3 from{rng.uniform(-8, 8), rng.uniform(-8, 8),
+                      rng.uniform(-8, 8)};
+      segments.emplace_back(from, from + ((lo + hi) * 0.5 - from) * 2.0);
+    }
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = t; i < kRays; i += kThreads) {
+          const auto& [from, to] = segments[static_cast<std::size_t>(i)];
+          const auto hits = mesh.all_hits_on_segment(from, to);
+          const auto rebuilt = fresh.all_hits_on_segment(from, to);
+          bool same = hits.size() == rebuilt.size() &&
+                      mesh.segment_blocked(from, to) ==
+                          fresh.segment_blocked(from, to);
+          for (std::size_t h = 0; same && h < hits.size(); ++h) {
+            same = hits[h].t == rebuilt[h].t &&
+                   hits[h].triangle_index == rebuilt[h].triangle_index;
+          }
+          mismatches[static_cast<std::size_t>(t)] += same ? 0 : 1;
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0)
+          << "move " << move << " thread " << t;
+    }
+  }
 }
 
 TEST(Mesh, SegmentBlockedByWall) {

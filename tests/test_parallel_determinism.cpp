@@ -262,7 +262,7 @@ TEST(ParallelDeterminism, SpanDepthRestoredAfterParallelForException) {
   {
     const telemetry::TraceScope scope(
         {telemetry::make_trace_id(7, 1), 0});
-    telemetry::TraceSpan outer("test.par.outer");
+    telemetry::TraceSpan outer(SURFOS_SPAN_SITE("test.par.outer"));
     const telemetry::TraceContext ambient = telemetry::current_trace();
     ASSERT_EQ(ambient.span_id, outer.context().span_id);
     // Worker-side traced spans unwind with the exception; the pool rethrows
@@ -271,7 +271,7 @@ TEST(ParallelDeterminism, SpanDepthRestoredAfterParallelForException) {
     EXPECT_THROW(util::parallel_for(0, 64,
                                     [](std::size_t i) {
                                       telemetry::TraceSpan inner(
-                                          "test.par.inner");
+                                          SURFOS_SPAN_SITE("test.par.inner"));
                                       if (i % 16 == 1) {
                                         throw std::runtime_error("boom");
                                       }
@@ -297,7 +297,7 @@ TEST(ParallelDeterminism, SpanHistogramCountsThreadCountInvariant) {
   const auto run = [](std::size_t threads) {
     util::reset_global_pool(threads);
     util::parallel_for(0, 100, [](std::size_t) {
-      telemetry::TraceSpan span("test.par.count_span");
+      telemetry::TraceSpan span(SURFOS_SPAN_SITE("test.par.count_span"));
     });
   };
 

@@ -11,10 +11,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "em/material.hpp"
 #include "em/propagation.hpp"
+#include "em/soa.hpp"
 #include "geom/frame.hpp"
 #include "hal/clock.hpp"
 #include "hal/driver.hpp"
@@ -49,6 +51,51 @@ simd::AlignedVec filled(std::size_t n, double salt) {
 struct BackendGuard {
   ~BackendGuard() { simd::reset_backend(); }
 };
+
+// --- aligned allocation -------------------------------------------------------
+
+bool aligned64(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
+}
+
+TEST(SimdAlloc, AlignedVecIs64ByteAligned) {
+  // Odd-sized byte blocks between the planes move the raw blocks the
+  // allocator hands back, so the padding takes every offset it can.
+  std::vector<std::unique_ptr<char[]>> jitter;
+  for (std::size_t n = 1; n <= 4096; ++n) {
+    jitter.push_back(std::make_unique<char[]>(n % 23 + 1));
+    if (jitter.size() > 64) jitter.erase(jitter.begin());
+
+    simd::AlignedVec v = filled(n, 0.3);
+    ASSERT_TRUE(aligned64(v.data())) << "n=" << n;
+    v.resize(n + n / 2 + 1, 2.0);
+    ASSERT_TRUE(aligned64(v.data())) << "grown n=" << n;
+    EXPECT_EQ(v[n - 1], synth(n - 1, 0.3)) << "n=" << n;
+    v.resize(n / 2 + 1);
+    v.shrink_to_fit();
+    ASSERT_TRUE(aligned64(v.data())) << "shrunk n=" << n;
+    EXPECT_EQ(v[n / 2], synth(n / 2, 0.3)) << "n=" << n;
+
+    const simd::AlignedVec copy = v;
+    ASSERT_TRUE(aligned64(copy.data())) << "copy n=" << n;
+    EXPECT_TRUE(copy == v);
+    simd::AlignedVec moved_from = copy;
+    const double* storage = moved_from.data();
+    const simd::AlignedVec moved = std::move(moved_from);
+    EXPECT_EQ(moved.data(), storage);
+
+    em::CxPlanes planes(n);
+    ASSERT_TRUE(aligned64(planes.re()) && aligned64(planes.im())) << n;
+    planes.set(n - 1, {1.0, -1.0});
+    const em::CxPlanes planes_copy = planes;
+    ASSERT_TRUE(aligned64(planes_copy.re()) && aligned64(planes_copy.im()));
+    EXPECT_EQ(planes_copy.at(n - 1), em::Cx(1.0, -1.0));
+    em::CxPlanes planes_moved = std::move(planes);
+    ASSERT_TRUE(aligned64(planes_moved.re()) && aligned64(planes_moved.im()));
+    planes_moved.resize(n / 3 + 1);
+    ASSERT_TRUE(aligned64(planes_moved.re()) && aligned64(planes_moved.im()));
+  }
+}
 
 // --- kernel-level agreement --------------------------------------------------
 

@@ -8,12 +8,15 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "em/propagation.hpp"
 #include "surface/catalog.hpp"
 #include "surface/config.hpp"
 #include "surface/cost.hpp"
 #include "surface/panel.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace surfos::surface {
@@ -366,6 +369,153 @@ TEST(Panel, CoefficientsIntoPlanesMatchPolarBitwise) {
         for (std::size_t i = out.size(); i < out.padded_size(); ++i) {
           EXPECT_EQ(bits(out.re()[i]), bits(+0.0)) << where << " lane " << i;
           EXPECT_EQ(bits(out.im()[i]), bits(+0.0)) << where << " lane " << i;
+        }
+      }
+    }
+  }
+}
+
+// --- Realize per control group: the per-element reference ---------------------
+
+// The projection as it ran before it computed each function once per
+// distinct input: every element runs its own cos/sin, atan2 + wrap, snap and
+// polar. The panel's memoized projection must match it bit for bit.
+SurfaceConfig reference_quantized(const SurfaceConfig& config, int phase_bits) {
+  if (phase_bits <= 0) return config;
+  const double levels = std::pow(2.0, phase_bits);
+  const double step = util::kTwoPi / levels;
+  SurfaceConfig out = config;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const double snapped = std::round(out.phase(i) / step) * step;
+    out.set_phase(i, snapped);  // set_phase wraps, as the reference did
+  }
+  return out;
+}
+
+SurfaceConfig reference_realizable(const SurfacePanel& panel,
+                                   const SurfaceConfig& config) {
+  const std::size_t rows = panel.rows();
+  const std::size_t cols = panel.cols();
+  SurfaceConfig out = config;
+  if (panel.granularity() != ControlGranularity::kElement) {
+    const std::size_t groups = panel.control_count();
+    std::vector<double> sum_cos(groups, 0.0);
+    std::vector<double> sum_sin(groups, 0.0);
+    auto group_of = [&](std::size_t r, std::size_t c) -> std::size_t {
+      switch (panel.granularity()) {
+        case ControlGranularity::kColumn: return c;
+        case ControlGranularity::kRow: return r;
+        case ControlGranularity::kGlobal: return 0;
+        case ControlGranularity::kElement: return r * cols + c;
+      }
+      return 0;
+    };
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const double p = config.phase(r * cols + c);
+        sum_cos[group_of(r, c)] += std::cos(p);
+        sum_sin[group_of(r, c)] += std::sin(p);
+      }
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const std::size_t g = group_of(r, c);
+        out.set_phase(r * cols + c, std::atan2(sum_sin[g], sum_cos[g]));
+      }
+    }
+  }
+  if (!panel.design().amplitude_control) {
+    for (std::size_t i = 0; i < out.size(); ++i) out.set_amplitude(i, 1.0);
+  }
+  return reference_quantized(out, panel.design().phase_bits);
+}
+
+void expect_same_bits(const SurfaceConfig& got, const SurfaceConfig& want,
+                      const std::string& where) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(bits(got.phase(i)), bits(want.phase(i))) << where << " el " << i;
+    ASSERT_EQ(bits(got.amplitude(i)), bits(want.amplitude(i)))
+        << where << " el " << i;
+  }
+}
+
+TEST(Surface, RealizeMatchesPerElementReference) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  util::Rng rng(3501);
+  constexpr std::size_t kRows = 6;
+  constexpr std::size_t kCols = 8;
+  const auto uniform_phase = [&rng] { return rng.uniform(-10.0, 10.0); };
+  const Catalog catalog = Catalog::standard();
+  for (const CatalogEntry& entry : catalog.entries()) {
+    for (const ControlGranularity granularity :
+         {ControlGranularity::kElement, ControlGranularity::kColumn,
+          ControlGranularity::kRow, ControlGranularity::kGlobal}) {
+      for (const int phase_bits : {0, 2, 3}) {
+        ElementDesign d = entry.element;
+        d.phase_bits = phase_bits;
+        const SurfacePanel panel("p", geom::Frame({0, 0, 0}, {0, 0, 1}),
+                                 kRows, kCols, d, OperationMode::kReflective,
+                                 Reconfigurability::kProgrammable, granularity);
+        const std::size_t n = panel.element_count();
+
+        std::vector<std::pair<std::string, SurfaceConfig>> configs;
+        SurfaceConfig random(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          random.set_phase(i, uniform_phase());
+          random.set_amplitude(i, rng.uniform(-0.2, 1.2));
+        }
+        configs.emplace_back("random", random);
+        // One phase per control group, unquantized.
+        std::vector<double> controls(panel.control_count());
+        for (double& c : controls) c = uniform_phase();
+        SurfaceConfig uniform(n);
+        for (std::size_t r = 0; r < kRows; ++r) {
+          for (std::size_t c = 0; c < kCols; ++c) {
+            const std::size_t g =
+                granularity == ControlGranularity::kColumn   ? c
+                : granularity == ControlGranularity::kRow    ? r
+                : granularity == ControlGranularity::kGlobal ? 0
+                                                             : r * kCols + c;
+            uniform.set_phase(r * kCols + c, controls[g]);
+          }
+        }
+        configs.emplace_back("group-uniform", uniform);
+        configs.emplace_back("expanded", panel.expand_controls(controls));
+        // Mixed groups: a few values (with both zeros) drawn per element,
+        // more of them than the memo holds, amplitudes from a short list.
+        const double values[] = {0.0, -0.0, 1.0, 2.5, 4.0, 5.5, 0.3,
+                                 6.0, 3.14, 2.0, 0.7, 1.9};
+        const double amps[] = {0.25, 0.5, 1.0};
+        SurfaceConfig mixed(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          mixed.set_phase(i, values[rng.below(12)]);
+          mixed.set_amplitude(i, amps[rng.below(3)]);
+        }
+        configs.emplace_back("mixed", mixed);
+        configs.emplace_back("realized", panel.realizable(random));
+        configs.emplace_back("deserialized",
+                             SurfaceConfig::deserialize(random.serialize()));
+
+        const double loss = std::pow(10.0, -d.insertion_loss_db / 20.0);
+        for (const auto& [name, config] : configs) {
+          const std::string where =
+              entry.name + " granularity " +
+              std::to_string(static_cast<int>(granularity)) + " bits " +
+              std::to_string(phase_bits) + " " + name;
+          expect_same_bits(config.quantized(phase_bits),
+                           reference_quantized(config, phase_bits), where);
+          const SurfaceConfig want = reference_realizable(panel, config);
+          expect_same_bits(panel.realizable(config), want, where);
+          em::CxPlanes out;
+          panel.coefficients_into(config, out);
+          ASSERT_EQ(out.size(), n) << where;
+          for (std::size_t i = 0; i < n; ++i) {
+            const em::Cx c = std::polar(want.amplitude(i) * loss, want.phase(i));
+            ASSERT_EQ(bits(out.re()[i]), bits(c.real())) << where << " el " << i;
+            ASSERT_EQ(bits(out.im()[i]), bits(c.imag())) << where << " el " << i;
+          }
         }
       }
     }

@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -83,6 +84,60 @@ TEST_F(TelemetryTest, HistogramBucketsAndOverflow) {
   EXPECT_EQ(hist.sum(), 0.0);
 }
 
+TEST_F(TelemetryTest, HistogramShardsAreExactUnderThreads) {
+  // Threads record into their own shards; every reader sums the shards, so
+  // the totals are exact whichever shards the threads landed on.
+  telemetry::Histogram& hist = MetricsRegistry::instance().histogram(
+      "test.hist.shards", std::vector<double>{2.0, 8.0, 32.0});
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kPerThread = 5000;
+  const auto value = [](std::uint64_t thread, std::uint64_t i) {
+    return static_cast<double>((i + thread) % 40);
+  };
+  const auto record_all = [&hist, &value] {
+    std::vector<std::thread> threads;
+    for (std::uint64_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&hist, &value, t] {
+        for (std::uint64_t i = 0; i < kPerThread; ++i) hist.record(value(t, i));
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  };
+  std::vector<std::uint64_t> expected_buckets(4, 0);
+  double expected_sum = 0.0;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    for (std::uint64_t i = 0; i < kPerThread; ++i) {
+      const double v = value(t, i);
+      expected_sum += v;
+      expected_buckets[v <= 2.0 ? 0 : v <= 8.0 ? 1 : v <= 32.0 ? 2 : 3] += 1;
+    }
+  }
+
+  record_all();
+  EXPECT_EQ(hist.count(), kThreads * kPerThread);
+  EXPECT_EQ(hist.sum(), expected_sum);  // integers far below 2^53: exact
+  EXPECT_EQ(hist.bucket_counts(), expected_buckets);
+  const auto snapshot = MetricsRegistry::instance().snapshot();
+  const auto it = std::find_if(
+      snapshot.histograms.begin(), snapshot.histograms.end(),
+      [](const auto& h) { return h.name == "test.hist.shards"; });
+  ASSERT_NE(it, snapshot.histograms.end());
+  EXPECT_EQ(it->count, kThreads * kPerThread);
+  EXPECT_EQ(it->sum, expected_sum);
+  EXPECT_EQ(it->buckets, expected_buckets);
+
+  hist.reset();
+  EXPECT_EQ(hist.count(), 0u);
+  EXPECT_EQ(hist.sum(), 0.0);
+  EXPECT_EQ(hist.bucket_counts(), std::vector<std::uint64_t>(4, 0));
+
+  // Every shard was zeroed: a second round reads exactly one round.
+  record_all();
+  EXPECT_EQ(hist.count(), kThreads * kPerThread);
+  EXPECT_EQ(hist.sum(), expected_sum);
+  EXPECT_EQ(hist.bucket_counts(), expected_buckets);
+}
+
 TEST_F(TelemetryTest, SnapshotIsSortedByName) {
   auto& registry = MetricsRegistry::instance();
   // Registered out of order; the snapshot comes back name-sorted. (The
@@ -112,9 +167,9 @@ TEST_F(TelemetryTest, FingerprintExcludesSchedulingDependentCounters) {
 TEST_F(TelemetryTest, SpanNestsAndRecordsIntoHistogram) {
   auto& registry = MetricsRegistry::instance();
   {
-    telemetry::TraceSpan outer("test.span.outer");
+    telemetry::TraceSpan outer(SURFOS_SPAN_SITE("test.span.outer"));
     {
-      telemetry::TraceSpan inner("test.span.inner");
+      telemetry::TraceSpan inner(SURFOS_SPAN_SITE("test.span.inner"));
       EXPECT_GE(inner.elapsed_us(), 0.0);
     }
     // A span records when its scope closes, not before.

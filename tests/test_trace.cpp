@@ -92,11 +92,11 @@ TEST_F(TraceTest, TraceSpanRecordsNestedEventsWithParents) {
   const TraceContext root{telemetry::make_trace_id(1, 1), 0};
   {
     telemetry::TraceScope scope(root);
-    telemetry::TraceSpan outer("test.trace.outer");
+    telemetry::TraceSpan outer(SURFOS_SPAN_SITE("test.trace.outer"));
     EXPECT_EQ(outer.context().trace_id, root.trace_id);
     EXPECT_NE(outer.context().span_id, 0u);
     {
-      telemetry::TraceSpan inner("test.trace.inner");
+      telemetry::TraceSpan inner(SURFOS_SPAN_SITE("test.trace.inner"));
       EXPECT_EQ(inner.context().trace_id, root.trace_id);
       SURFOS_TRACE_INSTANT("test.trace.mark");
     }
@@ -125,9 +125,9 @@ TEST_F(TraceTest, TraceSpanHistogramCountsIgnoreTracingSwitch) {
   // a span records into its same-named latency histogram either way.
   telemetry::MetricsRegistry::instance().reset();
   telemetry::set_trace_enabled(false);
-  { telemetry::TraceSpan span("test.trace.histogram"); }
+  { telemetry::TraceSpan span(SURFOS_SPAN_SITE("test.trace.histogram")); }
   telemetry::set_trace_enabled(true);
-  { telemetry::TraceSpan span("test.trace.histogram"); }
+  { telemetry::TraceSpan span(SURFOS_SPAN_SITE("test.trace.histogram")); }
   for (const auto& hist :
        telemetry::MetricsRegistry::instance().snapshot().histograms) {
     if (hist.name == "test.trace.histogram") {
@@ -142,7 +142,7 @@ TEST_F(TraceTest, TracingOffRecordsNothing) {
   telemetry::set_trace_enabled(false);
   {
     telemetry::TraceScope scope(TraceContext{123u, 0u});
-    telemetry::TraceSpan span("test.trace.muted");
+    telemetry::TraceSpan span(SURFOS_SPAN_SITE("test.trace.muted"));
     SURFOS_TRACE_INSTANT("test.trace.muted_mark");
     EXPECT_FALSE(span.context().valid());  // no span id consumed
   }
@@ -210,7 +210,7 @@ TEST_F(TraceTest, ThreadPoolWorkersInheritAmbientContext) {
 TEST_F(TraceTest, ChromeTraceJsonShape) {
   {
     telemetry::TraceScope scope(TraceContext{telemetry::make_trace_id(3, 3), 0});
-    telemetry::TraceSpan span("test.trace.json_span");
+    telemetry::TraceSpan span(SURFOS_SPAN_SITE("test.trace.json_span"));
     SURFOS_TRACE_INSTANT("test.trace.json_mark");
   }
   const std::string json = telemetry::chrome_trace_json();
@@ -234,7 +234,7 @@ TEST_F(TraceTest, ChromeTraceJsonShape) {
 }
 
 TEST_F(TraceTest, DumpWritesLoadableFile) {
-  { telemetry::TraceSpan span("test.trace.dump_span"); }
+  { telemetry::TraceSpan span(SURFOS_SPAN_SITE("test.trace.dump_span")); }
   const std::string path = ::testing::TempDir() + "surfos_trace_dump.json";
   ASSERT_TRUE(Recorder::instance().dump(path));
   std::ifstream in(path);
@@ -255,7 +255,7 @@ TEST_F(TraceTest, CrashHandlerDumpsRingBeforeDying) {
       {
         telemetry::set_trace_enabled(true);
         Recorder::install_crash_handlers(path);
-        { telemetry::TraceSpan span("test.trace.pre_crash"); }
+        { telemetry::TraceSpan span(SURFOS_SPAN_SITE("test.trace.pre_crash")); }
         std::abort();
       },
       "");
